@@ -12,18 +12,15 @@
 //!   - `ablations` — the A1–A6 sweeps from DESIGN.md §5 (γ/θ, initial
 //!     window, compensation variants, bottleneck distance, load,
 //!     mid-flow bandwidth change).
-//! * **Benches** (`benches/`, `harness = false` on the local
-//!   [`harness`] module): simulator event throughput, cell codec
-//!   throughput, and end-to-end figure workloads.
+//! * **`csbench`** (`src/bin/csbench/`): the benchmark every PR is
+//!   judged with — five end-to-end workloads plus per-layer probes; see
+//!   its README and the root `BENCHMARK.json`.
 //!
 //! Everything here is a thin driver over the `circuitstart` harness; the
-//! shared code lives in this library so the binaries and benches cannot
-//! drift apart.
+//! shared code lives in this library so the binaries cannot drift apart.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-pub mod harness;
 
 use std::path::PathBuf;
 
@@ -104,12 +101,6 @@ impl Options {
         None
     }
 
-    /// Whether the bare flag `--name` is present.
-    pub fn has(&self, name: &str) -> bool {
-        let flag = format!("--{name}");
-        self.args.contains(&flag)
-    }
-
     /// Positional (non `--`) arguments.
     pub fn positional(&self) -> Vec<&str> {
         let mut out = Vec::new();
@@ -152,13 +143,6 @@ mod tests {
         let o = opts(&["--json", "/tmp/x.json"]);
         assert_eq!(o.get_opt::<String>("json").as_deref(), Some("/tmp/x.json"));
         assert_eq!(o.get_opt::<u64>("seed"), None);
-    }
-
-    #[test]
-    fn has_flag() {
-        let o = opts(&["--fast"]);
-        assert!(o.has("fast"));
-        assert!(!o.has("slow"));
     }
 
     #[test]

@@ -680,7 +680,7 @@ mod tests {
     fn helper() { std::thread::spawn(|| {}); }
 }
 ";
-        let f = scan_source("crates/simcore/src/chan.rs", src);
+        let f = scan_source("crates/simcore/src/sim.rs", src);
         assert_eq!(rules_of(&f), vec![("stray-threads".to_string(), 1)]);
     }
 
@@ -692,7 +692,7 @@ mod prod {
     fn f() { std::thread::spawn(|| {}); }
 }
 ";
-        let f = scan_source("crates/simcore/src/chan.rs", src);
+        let f = scan_source("crates/simcore/src/sim.rs", src);
         assert_eq!(rules_of(&f), vec![("stray-threads".to_string(), 3)]);
     }
 
@@ -703,7 +703,7 @@ mod prod {
 use helper::thing;
 fn f() { std::thread::spawn(|| {}); }
 ";
-        let f = scan_source("crates/simcore/src/chan.rs", src);
+        let f = scan_source("crates/simcore/src/sim.rs", src);
         assert_eq!(rules_of(&f), vec![("stray-threads".to_string(), 3)]);
     }
 

@@ -42,7 +42,7 @@
 //! ```
 //!
 //! The crate is **dependency-free** (hand-rolled lexer, same discipline
-//! as the local xoshiro RNG and bench harness) so the CI gate never
+//! as the local xoshiro RNG and `csbench`) so the CI gate never
 //! depends on code it cannot itself vouch for.
 
 pub mod engine;

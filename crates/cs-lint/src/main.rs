@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Exits 0 when the scan is clean, 1 when any unannotated finding
-//! exists, 2 on usage or I/O errors. `--json` mirrors the
-//! `cs_bench::harness` report idiom; `--fix-annotations` prints
+//! exists, 2 on usage or I/O errors. `--json` is hand-rolled (the
+//! workspace has no serializer dependency); `--fix-annotations` prints
 //! paste-ready `allow` lines for quick triage (a dry run unless
 //! `--apply` is given, which writes each annotation above its finding
 //! with a placeholder reason the author must then rewrite).

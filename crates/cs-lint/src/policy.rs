@@ -109,7 +109,7 @@ pub fn rule_applies(rule: crate::rules::Rule, ctx: &FileCtx, test_code: bool) ->
         // across std versions exactly like production code would.
         NondetIteration => !HASH_EXEMPT_CRATES.contains(&ctx.krate.as_str()),
         // Results must be a function of the seed everywhere but the
-        // bench harness, whose whole job is reading the host clock.
+        // bench crate, whose whole job is reading the host clock.
         WallClock => ctx.krate != "cs-bench",
         // Hidden parallelism is banned outside the executor seam; test
         // code is exempt so watchdog threads in differential suites stay
@@ -130,7 +130,7 @@ pub fn rule_applies(rule: crate::rules::Rule, ctx: &FileCtx, test_code: bool) ->
                 && !RNG_BUILDER_FILES.contains(&ctx.rel_path.as_str())
         }
         // Library code reports through simstats, not stdout. Binaries,
-        // examples, benches, and the bench harness print by design.
+        // examples, benches, and the bench crate print by design.
         NoPrintlnInLib => ctx.kind == TargetKind::Lib && !test_code && ctx.krate != "cs-bench",
         // Library panics must name their invariant.
         NoBareUnwrapInLib => ctx.kind == TargetKind::Lib && !test_code,
@@ -193,18 +193,18 @@ mod tests {
     fn scoping_edges() {
         let exec = classify("crates/simcore/src/exec.rs");
         assert!(!rule_applies(Rule::StrayThreads, &exec, false));
-        let chan = classify("crates/simcore/src/chan.rs");
-        assert!(rule_applies(Rule::StrayThreads, &chan, false));
-        assert!(!rule_applies(Rule::StrayThreads, &chan, true));
+        let sim = classify("crates/simcore/src/sim.rs");
+        assert!(rule_applies(Rule::StrayThreads, &sim, false));
+        assert!(!rule_applies(Rule::StrayThreads, &sim, true));
 
-        let bench = classify("crates/bench/src/harness.rs");
+        let bench = classify("crates/bench/src/lib.rs");
         assert!(!rule_applies(Rule::WallClock, &bench, false));
         assert!(!rule_applies(Rule::NoPrintlnInLib, &bench, false));
         assert!(rule_applies(Rule::NoBareUnwrapInLib, &bench, false));
 
         let builder = classify("crates/relaynet/src/builder.rs");
         assert!(!rule_applies(Rule::RngDiscipline, &builder, false));
-        let bench_target = classify("crates/bench/benches/bench_overlay.rs");
+        let bench_target = classify("crates/bench/benches/x.rs");
         assert!(!rule_applies(Rule::RngDiscipline, &bench_target, false));
         let sel = classify("crates/relaynet/src/selection.rs");
         assert!(rule_applies(Rule::RngDiscipline, &sel, false));
@@ -224,7 +224,7 @@ mod tests {
         assert!(rule_applies(Rule::TransitiveWallClock, &sel, false));
         assert!(!rule_applies(Rule::TransitiveWallClock, &sel, true));
         assert!(rule_applies(Rule::TransitiveThreads, &sel, false));
-        let bench = classify("crates/bench/src/harness.rs");
+        let bench = classify("crates/bench/src/lib.rs");
         assert!(!rule_applies(Rule::TransitiveWallClock, &bench, false));
         assert!(rule_applies(Rule::TransitiveThreads, &bench, false));
         let exec = classify("crates/simcore/src/exec.rs");

@@ -1,6 +1,5 @@
-//! Rendering a [`ScanReport`]: human text, `--json` (same hand-rolled
-//! JSON idiom as `cs_bench::harness`), and `--fix-annotations`
-//! paste-ready triage output.
+//! Rendering a [`ScanReport`]: human text, hand-rolled `--json`, and
+//! `--fix-annotations` paste-ready triage output.
 
 use crate::engine::ScanReport;
 
@@ -108,8 +107,8 @@ pub fn fix_annotations(report: &ScanReport, raw_lines: &[String]) -> String {
     out
 }
 
-/// Escapes a string as a JSON literal (same dialect as
-/// `cs_bench::harness`: control chars, quotes, and backslashes).
+/// Escapes a string as a JSON literal (control chars, quotes, and
+/// backslashes).
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -212,7 +212,7 @@ pub fn detect(src: &str, code: &[Token]) -> Vec<RawFinding> {
 
             // wall-clock: `Instant::now` call sites and any mention of
             // `SystemTime` (even importing it has no legitimate use
-            // outside the bench harness).
+            // outside the bench crate).
             "Instant" if is(i + 1, "::") && is_ident(i + 2, "now") => {
                 hit(&mut out, Rule::WallClock, t)
             }

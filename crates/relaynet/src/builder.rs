@@ -15,7 +15,7 @@ use backtap::cc::UnlimitedCc;
 use backtap::config::CcConfig;
 use backtap::delay_cc::DelayCc;
 use netsim::bandwidth::Bandwidth;
-use netsim::link::LinkConfig;
+use netsim::link::{LinkConfig, LinkId};
 use netsim::net::Net;
 use netsim::topology::{AccessConfig, Path, Star};
 use simcore::event::QueueKind;
@@ -33,7 +33,7 @@ use crate::node::{CcFactory, NodeRole};
 use crate::router::Router;
 use crate::sampler::SamplerKind;
 use crate::selection::{SelectionPolicy, Uniform};
-use crate::workload::{EpochSpec, FaultSpec, WorkloadSpec};
+use crate::workload::{EpochSpec, FaultSchedule, FaultSpec, WorkloadSpec};
 
 /// A single circuit over an explicit chain of links.
 #[derive(Clone, Debug)]
@@ -158,32 +158,11 @@ impl PathScenario {
         sim.schedule_at(SimTime::ZERO, TorEvent::StartCircuit(circ));
         if let Some(schedule) = fault_schedule {
             let spec = self.faults.as_ref().expect("schedule implies spec");
-            for (at, relay) in schedule.crashes {
-                sim.schedule_at(SimTime::ZERO + at, TorEvent::RelayCrash { relay });
-            }
-            for s in schedule.stalls {
-                // Relay overlay id `r` sits between hops `r-1` and `r`:
-                // throttle its upstream hop in both directions, then
-                // restore the provisioned rate.
-                let r = s.relay as usize;
-                let full = self.hops[r - 1].rate;
-                let throttled = Bandwidth::from_bps(
-                    ((full.bps() as f64 / spec.stall_factor.max(1.0)).floor() as u64).max(1),
-                );
-                for &link in &[topo.fwd[r - 1], topo.rev[r - 1]] {
-                    sim.schedule_at(
-                        SimTime::ZERO + s.at,
-                        TorEvent::SetLinkRate {
-                            link,
-                            rate: throttled,
-                        },
-                    );
-                    sim.schedule_at(
-                        SimTime::ZERO + s.at + s.duration,
-                        TorEvent::SetLinkRate { link, rate: full },
-                    );
-                }
-            }
+            // Relay overlay id `r` sits between hops `r-1` and `r`: a
+            // stall throttles its upstream hop in both directions.
+            schedule_faults(&mut sim, spec, schedule, |r| {
+                (self.hops[r - 1].rate, [topo.fwd[r - 1], topo.rev[r - 1]])
+            });
         }
         let handles = PathHandles {
             circ,
@@ -434,35 +413,47 @@ impl StarScenario {
         }
         if let Some(schedule) = fault_schedule {
             let spec = self.faults.as_ref().expect("schedule implies spec");
-            for (at, relay) in schedule.crashes {
-                sim.schedule_at(SimTime::ZERO + at, TorEvent::RelayCrash { relay });
-            }
-            for s in schedule.stalls {
-                // A stalled relay's access link (both directions) drops
-                // to `rate / stall_factor`, restoring at the end of the
-                // stall — the "slow relay" failure mode, recoverable
-                // without blame.
-                let r = s.relay as usize;
-                let full = relay_rates[r];
-                let throttled = Bandwidth::from_bps(
-                    ((full.bps() as f64 / spec.stall_factor.max(1.0)).floor() as u64).max(1),
-                );
-                for &link in &[star.up[r], star.down[r]] {
-                    sim.schedule_at(
-                        SimTime::ZERO + s.at,
-                        TorEvent::SetLinkRate {
-                            link,
-                            rate: throttled,
-                        },
-                    );
-                    sim.schedule_at(
-                        SimTime::ZERO + s.at + s.duration,
-                        TorEvent::SetLinkRate { link, rate: full },
-                    );
-                }
-            }
+            // A stalled relay's access link slows in both directions —
+            // the "slow relay" failure mode, recoverable without blame.
+            schedule_faults(&mut sim, spec, schedule, |r| {
+                (relay_rates[r], [star.up[r], star.down[r]])
+            });
         }
         (sim, circuits)
+    }
+}
+
+/// Schedules a resolved fault plan: every crash, then per stall a
+/// throttle to `rate / stall_factor` and a restore on each of the
+/// relay's two links. `links_of` maps a relay id to its provisioned rate
+/// and that link pair.
+fn schedule_faults(
+    sim: &mut Simulator<TorNetwork>,
+    spec: &FaultSpec,
+    schedule: FaultSchedule,
+    links_of: impl Fn(usize) -> (Bandwidth, [LinkId; 2]),
+) {
+    for (at, relay) in schedule.crashes {
+        sim.schedule_at(SimTime::ZERO + at, TorEvent::RelayCrash { relay });
+    }
+    for s in schedule.stalls {
+        let (full, links) = links_of(s.relay as usize);
+        let throttled = Bandwidth::from_bps(
+            ((full.bps() as f64 / spec.stall_factor.max(1.0)).floor() as u64).max(1),
+        );
+        for link in links {
+            sim.schedule_at(
+                SimTime::ZERO + s.at,
+                TorEvent::SetLinkRate {
+                    link,
+                    rate: throttled,
+                },
+            );
+            sim.schedule_at(
+                SimTime::ZERO + s.at + s.duration,
+                TorEvent::SetLinkRate { link, rate: full },
+            );
+        }
     }
 }
 

@@ -19,11 +19,9 @@
 //! * the two evaluation topologies (explicit path, nstor-style star),
 //!   and
 //! * the **async relay runtime** ([`runtime`]): sharded experiments
-//!   run across a work-stealing thread pool behind the
+//!   run across worker threads behind the
 //!   `simcore::exec::Executor` seam, with the deterministic
-//!   single-threaded `World` as the bit-exact oracle, plus the stage
-//!   contracts as one-task-per-relay message passing over bounded
-//!   channels.
+//!   single-threaded `World` as the bit-exact oracle.
 //!
 //! The congestion-control algorithm is injected through
 //! [`node::CcFactory`], so this crate knows nothing about CircuitStart
@@ -67,8 +65,8 @@ pub mod prelude {
     pub use crate::pool::PayloadPool;
     pub use crate::router::Router;
     pub use crate::runtime::{
-        fingerprint, FactoryMaker, ShardReport, ShardedStar, StagePipeline, StageReport, StatsKind,
-        SweepReport, WorldFingerprint,
+        fingerprint, FactoryMaker, ShardReport, ShardedStar, StatsKind, SweepReport,
+        WorldFingerprint,
     };
     pub use crate::sampler::{FenwickSampler, LinearSampler, Sampler, SamplerKind};
     pub use crate::scheduler::LinkScheduler;
@@ -98,8 +96,7 @@ pub use node::{CcFactory, HopCtx, NodeRole};
 pub use pool::PayloadPool;
 pub use router::Router;
 pub use runtime::{
-    fingerprint, FactoryMaker, ShardReport, ShardedStar, StagePipeline, StageReport, StatsKind,
-    SweepReport, WorldFingerprint,
+    fingerprint, FactoryMaker, ShardReport, ShardedStar, StatsKind, SweepReport, WorldFingerprint,
 };
 pub use sampler::{FenwickSampler, LinearSampler, Sampler, SamplerKind};
 pub use scheduler::LinkScheduler;

@@ -421,7 +421,7 @@ pub(super) struct LinkRoute {
 /// number of circuits currently routed through each relay, incremented
 /// when a circuit is registered and decremented when its client-side
 /// participation is reclaimed after a DESTROY wave. Installed by star
-/// scenarios ([`TorNetwork::install_placement`]); worlds without it
+/// scenarios ([`TorNetwork::install_placement_with_sampler`]); worlds without it
 /// (explicit-path scenarios) rebuild churned circuits over the original
 /// path instead of re-selecting.
 pub(super) struct PlacementState {
@@ -627,18 +627,6 @@ impl TorNetwork {
         });
     }
 
-    /// Whether fault injection is installed (the recovery loop is
-    /// armed).
-    pub fn faults_active(&self) -> bool {
-        self.faults.is_some()
-    }
-
-    /// Circuits currently parked by the recovery loop (retry cap or
-    /// thin live set), in park order.
-    pub fn parked_circuits(&self) -> &[CircId] {
-        self.faults.as_ref().map_or(&[], |f| f.parked.as_slice())
-    }
-
     /// Whether the overlay node `id` has crashed.
     pub fn is_crashed(&self, id: OverlayId) -> bool {
         self.faults
@@ -647,37 +635,18 @@ impl TorNetwork {
     }
 
     /// Installs the circuit-placement seam: the relay store paired with
-    /// the overlay nodes hosting its relays, the selection policy, and
-    /// the placement randomness stream. Must be called before the first
-    /// placement; all load counters start at zero. The sampler backing
-    /// the selection engine is chosen automatically
-    /// ([`SamplerKind::Auto`]: linear below the crossover, Fenwick at
-    /// consensus scale) — use
-    /// [`TorNetwork::install_placement_with_sampler`] to pin one.
+    /// the overlay nodes hosting its relays, the selection policy, the
+    /// placement randomness stream, and the sampler backing the
+    /// selection engine ([`SamplerKind::Auto`] picks linear below the
+    /// crossover, Fenwick at consensus scale; differential suites pin
+    /// one — the picks are identical either way, see [`crate::sampler`]).
+    /// Must be called before the first placement; all load counters
+    /// start at zero.
     ///
     /// # Panics
     ///
     /// Panics if called twice, or if `directory` and `relay_overlays`
     /// disagree in length.
-    pub fn install_placement(
-        &mut self,
-        directory: Directory,
-        relay_overlays: Vec<OverlayId>,
-        policy: SelectionPolicy,
-        rng: SimRng,
-    ) {
-        self.install_placement_with_sampler(
-            directory,
-            relay_overlays,
-            policy,
-            rng,
-            SamplerKind::Auto,
-        );
-    }
-
-    /// [`TorNetwork::install_placement`] with an explicit sampler choice
-    /// (differential suites and benches pin linear vs Fenwick; the picks
-    /// are identical either way — see [`crate::sampler`]).
     pub fn install_placement_with_sampler(
         &mut self,
         directory: Directory,
@@ -831,12 +800,6 @@ impl TorNetwork {
             relay,
         );
         true
-    }
-
-    /// Per-relay blame-exclusion column (indexed by relay id), if a
-    /// placement seam is installed.
-    pub fn relay_excluded(&self) -> Option<&[bool]> {
-        self.placement.as_ref().map(|p| p.excluded.as_slice())
     }
 
     /// The relay id hosted by overlay node `node`, if a placement seam is
@@ -1070,14 +1033,6 @@ impl TorNetwork {
         let id = FlowId(u32::try_from(self.flows.len()).expect("too many flows"));
         self.flows.push(FlowState::new(requested));
         id
-    }
-
-    /// Registers a circuit over `path` carrying a single immediate bulk
-    /// flow of `file_bytes`; start it by scheduling
-    /// [`TorEvent::StartCircuit`].
-    pub fn add_circuit(&mut self, path: Vec<OverlayId>, file_bytes: u64) -> CircId {
-        let flow = self.add_flow(file_bytes);
-        self.add_circuit_with_workload(path, CircuitWorkload::bulk(flow, file_bytes), 0)
     }
 
     /// Registers a circuit over `path` carrying a resolved workload

@@ -526,12 +526,6 @@ impl OverlayNode {
         Some(self.circuit_at(self.local_idx(circ)?))
     }
 
-    /// Mutable participation by global circuit id (cold paths).
-    pub fn circuit_mut(&mut self, circ: CircId) -> Option<&mut NodeCircuit> {
-        let local = self.local_idx(circ)?;
-        Some(self.circuit_at_mut(local))
-    }
-
     /// Slab capacity: live participations plus reclaimed slots. Stays
     /// flat across churn cycles — the invariant the property tests pin.
     pub fn slab_len(&self) -> usize {

@@ -18,13 +18,12 @@
 //! * **The runtime seam.** [`ShardedStar::run`] hands the shard jobs to
 //!   any [`Executor`]: [`DeterministicExecutor`]
 //!   runs them in order on the calling thread (the oracle),
-//!   [`ThreadedExecutor`] spreads them over a
-//!   work-stealing pool whose results stream back through bounded
-//!   channels. Outputs are re-ordered by shard index, so **the executor
-//!   choice is unobservable**: `tests/async_runtime.rs` asserts the
-//!   threaded runtime reproduces the deterministic fingerprints —
-//!   flows, slabs, pool, counters — bit for bit, across seeds and
-//!   policies.
+//!   [`ThreadedExecutor`] spreads them over scoped worker threads
+//!   that claim shards from one cursor. Outputs are placed by shard
+//!   index, so **the executor choice is unobservable**:
+//!   `tests/async_runtime.rs` asserts the threaded runtime reproduces
+//!   the deterministic fingerprints — flows, slabs, pool, counters —
+//!   bit for bit, across seeds and policies.
 //! * **Mergeable aggregation.** Shard outcomes fold into experiment
 //!   totals: [`WorldStats::merge`] for counters, and the completion-time
 //!   distribution under a [`StatsKind`] seam — exact mode concatenates
@@ -32,39 +31,9 @@
 //!   currency), sketch mode merges fixed-size
 //!   [`QuantileSketch`](simstats::sketch::QuantileSketch)es bucket-wise
 //!   (O(buckets), order-independent by construction; DESIGN.md §13).
-//!
-//! # Stage tasks over bounded channels
-//!
-//! [`StagePipeline`] is the intra-world half of the story: the
-//! `conn → recognition → consume` stage contract expressed as
-//! communicating tasks — one task per relay plus the two endpoints,
-//! SPSC data channels whose bounded capacity plays the role of link
-//! serialization (a full channel blocks the producer), and a feedback
-//! channel per hop carrying window credit upstream. It runs the
-//! windowed forwarding discipline of `network::conn::pump_dir` /
-//! `network::feedback` over real OS threads and proves the fabric's two
-//! load-bearing properties, which the full protocol port will inherit:
-//!
-//! 1. **Deadlock freedom under a backpressure cycle.** Data flows
-//!    forward, credit flows backward — a cycle. It cannot deadlock
-//!    because (a) a hop's unconfirmed cells never exceed its window, so
-//!    a feedback channel with `capacity == window` never fills, and
-//!    (b) the sink always consumes; induction up the path unblocks
-//!    every data send.
-//! 2. **Window-bounded relay queues.** A relay confirms a cell only
-//!    when it *forwards* it, so its local queue can never hold more
-//!    than the predecessor's window — the same backpressure bound
-//!    `tests/backprop.rs` pins for the event-driven pipeline.
-//!
-//! Porting the full cell protocol (onion layers, control plane,
-//! teardown) onto these per-relay tasks is the recorded follow-on; the
-//! sharded runtime above is what the ROADMAP's million-circuit
-//! experiments actually consume today.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use simcore::chan;
 use simcore::event::QueueKind;
 use simcore::exec::{execute_typed, Executor};
 use simcore::rng::SimRng;
@@ -395,235 +364,6 @@ impl ShardedStar {
     }
 }
 
-// ---------------------------------------------------------------------
-// Stage tasks over bounded channels
-// ---------------------------------------------------------------------
-
-/// A message on a stage task's data channel (the forward direction of
-/// the `conn → recognition → consume` contract).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StageMsg {
-    /// One cell, identified by its circuit-aggregate index.
-    Cell {
-        /// Send-order index (the sink asserts FIFO delivery).
-        id: u64,
-    },
-    /// End of stream: the sender has forwarded everything.
-    Close,
-}
-
-/// The windowed 3-stage relay pipeline as communicating tasks — see the
-/// [module docs](self) for what this models and proves.
-#[derive(Clone, Copy, Debug)]
-pub struct StagePipeline {
-    /// Relay tasks between the client and server endpoints.
-    pub relays: usize,
-    /// Cells the client originates.
-    pub cells: u64,
-    /// Per-hop window: unconfirmed cells a sender may have outstanding.
-    pub window: u32,
-    /// Capacity of each data channel — the serialization analogue. A
-    /// capacity below the window is what makes backpressure engage.
-    pub link_capacity: usize,
-}
-
-/// What one pipeline run observed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StageReport {
-    /// Cells the server consumed (must equal the spec's `cells`).
-    pub delivered: u64,
-    /// Window credits processed across all hops.
-    pub confirms: u64,
-    /// Times a data-channel send blocked on a full channel — proof the
-    /// bounded capacity actually throttled a producer.
-    pub blocked_sends: u64,
-    /// Largest relay-local queue observed; bounded by the predecessor's
-    /// window (the backpressure property).
-    pub relay_queue_hwm: usize,
-}
-
-/// One stage task's contribution to the report.
-struct TaskReport {
-    confirms: u64,
-    blocked_sends: u64,
-    queue_hwm: usize,
-    delivered: u64,
-}
-
-impl StagePipeline {
-    /// Number of OS tasks the pipeline spawns (client + relays + server).
-    pub fn tasks(&self) -> usize {
-        self.relays + 2
-    }
-
-    /// Runs the pipeline on `exec` until every cell is consumed and
-    /// every credit returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exec` has fewer workers than the pipeline has tasks —
-    /// the tasks block on each other's channels, so each needs its own
-    /// worker (a sequential executor would deadlock by construction).
-    pub fn run(&self, exec: &dyn Executor) -> StageReport {
-        assert!(self.cells > 0 && self.window > 0 && self.link_capacity > 0);
-        let tasks = self.tasks();
-        assert!(
-            exec.workers() >= tasks,
-            "stage pipeline needs one worker per task ({tasks} tasks, {} workers)",
-            exec.workers()
-        );
-        let hops = self.relays + 1;
-        let window = self.window;
-        let cells = self.cells;
-
-        let mut data_tx = Vec::with_capacity(hops);
-        let mut data_rx = VecDeque::with_capacity(hops);
-        let mut fb_tx = VecDeque::with_capacity(hops);
-        let mut fb_rx = Vec::with_capacity(hops);
-        for _ in 0..hops {
-            let (tx, rx) = chan::bounded::<StageMsg>(self.link_capacity);
-            data_tx.push(tx);
-            data_rx.push_back(rx);
-            // capacity == window: a hop's unconfirmed cells never exceed
-            // its window, so this channel can never fill — the credit
-            // path cannot join a deadlock cycle.
-            let (tx, rx) = chan::bounded::<u64>(window as usize);
-            fb_tx.push_back(tx);
-            fb_rx.push(rx);
-        }
-
-        let mut jobs: Vec<Box<dyn FnOnce() -> TaskReport + Send>> = Vec::with_capacity(tasks);
-        // Client: originates `cells`, gated by its window.
-        {
-            let tx_down = data_tx.remove(0);
-            let rx_fb = fb_rx.remove(0);
-            jobs.push(Box::new(move || {
-                let mut in_flight = 0u32;
-                let mut confirms = 0u64;
-                for id in 0..cells {
-                    while in_flight >= window {
-                        rx_fb.recv().expect("credit path died");
-                        in_flight -= 1;
-                        confirms += 1;
-                    }
-                    tx_down.send(StageMsg::Cell { id }).expect("data path died");
-                    in_flight += 1;
-                }
-                tx_down.send(StageMsg::Close).expect("data path died");
-                while in_flight > 0 {
-                    rx_fb.recv().expect("credit path died");
-                    in_flight -= 1;
-                    confirms += 1;
-                }
-                TaskReport {
-                    confirms,
-                    blocked_sends: tx_down.stats().blocked_sends,
-                    queue_hwm: 0,
-                    delivered: 0,
-                }
-            }));
-        }
-        // Relays: receive, queue, forward under their own window,
-        // confirming upstream at forward time (strict credit priority,
-        // as the LinkScheduler orders feedback frames first).
-        for _ in 0..self.relays {
-            let rx_up = data_rx.pop_front().expect("one data rx per hop");
-            let tx_fb_up = fb_tx.pop_front().expect("one credit tx per hop");
-            let tx_down = data_tx.remove(0);
-            let rx_fb_down = fb_rx.remove(0);
-            jobs.push(Box::new(move || {
-                let mut queue: VecDeque<u64> = VecDeque::new();
-                let mut queue_hwm = 0usize;
-                let mut in_flight = 0u32;
-                let mut confirms = 0u64;
-                let mut closing = false;
-                loop {
-                    // Credit first.
-                    if rx_fb_down.try_recv().is_ok() {
-                        in_flight -= 1;
-                        confirms += 1;
-                        continue;
-                    }
-                    // Forward while the window allows.
-                    if in_flight < window {
-                        if let Some(id) = queue.pop_front() {
-                            tx_down.send(StageMsg::Cell { id }).expect("data path died");
-                            in_flight += 1;
-                            // Taking the cell out of the queue is the
-                            // moment the confirm is owed upstream.
-                            tx_fb_up.send(id).expect("credit path died");
-                            continue;
-                        }
-                    }
-                    match rx_up.try_recv() {
-                        Ok(StageMsg::Cell { id }) => {
-                            queue.push_back(id);
-                            queue_hwm = queue_hwm.max(queue.len());
-                            continue;
-                        }
-                        Ok(StageMsg::Close) => {
-                            closing = true;
-                            continue;
-                        }
-                        Err(chan::TryRecvError::Empty | chan::TryRecvError::Disconnected) => {}
-                    }
-                    if closing && queue.is_empty() {
-                        while in_flight > 0 {
-                            rx_fb_down.recv().expect("credit path died");
-                            in_flight -= 1;
-                            confirms += 1;
-                        }
-                        tx_down.send(StageMsg::Close).expect("data path died");
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                TaskReport {
-                    confirms,
-                    blocked_sends: tx_down.stats().blocked_sends,
-                    queue_hwm,
-                    delivered: 0,
-                }
-            }));
-        }
-        // Server: consumes in order and returns credit immediately.
-        {
-            let rx_up = data_rx.pop_front().expect("server data rx");
-            let tx_fb_up = fb_tx.pop_front().expect("server credit tx");
-            jobs.push(Box::new(move || {
-                let mut delivered = 0u64;
-                while let StageMsg::Cell { id } = rx_up.recv().expect("data path died") {
-                    assert_eq!(id, delivered, "cells must arrive in send order");
-                    delivered += 1;
-                    tx_fb_up.send(id).expect("credit path died");
-                }
-                TaskReport {
-                    confirms: 0,
-                    blocked_sends: 0,
-                    queue_hwm: 0,
-                    delivered,
-                }
-            }));
-        }
-
-        let reports = execute_typed(exec, jobs);
-        let mut out = StageReport {
-            delivered: 0,
-            confirms: 0,
-            blocked_sends: 0,
-            relay_queue_hwm: 0,
-        };
-        for r in reports {
-            out.delivered += r.delivered;
-            out.confirms += r.confirms;
-            out.blocked_sends += r.blocked_sends;
-            out.relay_queue_hwm = out.relay_queue_hwm.max(r.queue_hwm);
-        }
-        assert_eq!(out.delivered, cells, "pipeline lost or duplicated cells");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,41 +478,5 @@ mod tests {
         let make: FactoryMaker = Arc::new(|| fixed_window_factory(8));
         let sweep = e.run(&DeterministicExecutor, make);
         let _ = sweep.completion_samples();
-    }
-
-    #[test]
-    fn stage_pipeline_conserves_cells_under_tight_links() {
-        let spec = StagePipeline {
-            relays: 2,
-            cells: 2_000,
-            window: 8,
-            link_capacity: 2,
-        };
-        let report = spec.run(&ThreadedExecutor::new(spec.tasks()));
-        assert_eq!(report.delivered, 2_000);
-        assert!(
-            report.blocked_sends > 0,
-            "2-slot links under an 8-cell window must backpressure"
-        );
-        assert!(
-            report.relay_queue_hwm <= 8,
-            "relay queue {} exceeded the predecessor window",
-            report.relay_queue_hwm
-        );
-        // Every cell is confirmed once per hop it was forwarded on
-        // (client hop + relay hops).
-        assert_eq!(report.confirms, 2_000 * 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "one worker per task")]
-    fn stage_pipeline_rejects_undersized_pools() {
-        let spec = StagePipeline {
-            relays: 2,
-            cells: 10,
-            window: 4,
-            link_capacity: 2,
-        };
-        let _ = spec.run(&DeterministicExecutor);
     }
 }

@@ -134,20 +134,6 @@ pub struct CircuitWorkload {
 }
 
 impl CircuitWorkload {
-    /// A single bulk transfer, started immediately, never churned — the
-    /// workload every pre-existing scenario maps to.
-    pub fn bulk(flow: FlowId, bytes: u64) -> CircuitWorkload {
-        CircuitWorkload {
-            streams: vec![StreamSpec {
-                flow,
-                bytes,
-                offset: SimDuration::ZERO,
-            }],
-            teardown_after: Vec::new(),
-            rebuild_delay: SimDuration::ZERO,
-        }
-    }
-
     /// Sum of bytes across all attached streams.
     pub fn total_bytes(&self) -> u64 {
         self.streams.iter().map(|s| s.bytes).sum()

@@ -150,13 +150,8 @@ impl<E> Default for HeapQueue<E> {
 impl<E> HeapQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue with space for `cap` pending events.
-    pub fn with_capacity(cap: usize) -> Self {
         HeapQueue {
-            heap: BinaryHeap::with_capacity(cap),
+            heap: BinaryHeap::new(),
             // cs-lint: allow(nondeterministic-iteration, reason = "constructing the membership-only sets documented on the fields")
             live: HashSet::new(),
             // cs-lint: allow(nondeterministic-iteration, reason = "constructing the membership-only sets documented on the fields")
@@ -321,18 +316,13 @@ impl<E> Default for CalendarQueue<E> {
 }
 
 impl<E> CalendarQueue<E> {
-    /// Creates an empty queue.
+    /// Creates an empty queue; the bucket array grows with the pending
+    /// population.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue sized for about `cap` pending events.
-    pub fn with_capacity(cap: usize) -> Self {
-        let nb = cap.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
         CalendarQueue {
             ready: Vec::new(),
-            buckets: (0..nb).map(|_| Vec::new()).collect(),
-            mask: (nb - 1) as u64,
+            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            mask: (MIN_BUCKETS - 1) as u64,
             shift: INITIAL_SHIFT,
             n: 0,
             in_buckets: 0,
@@ -710,21 +700,9 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue of the given kind.
     pub fn with_kind(kind: QueueKind) -> Self {
-        Self::with_capacity_and_kind(0, kind)
-    }
-
-    /// Creates an empty calendar-backed queue with space for `cap`
-    /// pending events.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacity_and_kind(cap, QueueKind::Calendar)
-    }
-
-    /// Creates an empty queue of the given kind, sized for `cap` pending
-    /// events.
-    pub fn with_capacity_and_kind(cap: usize, kind: QueueKind) -> Self {
         match kind {
-            QueueKind::Calendar => EventQueue::Calendar(CalendarQueue::with_capacity(cap)),
-            QueueKind::BinaryHeap => EventQueue::Heap(HeapQueue::with_capacity(cap)),
+            QueueKind::Calendar => EventQueue::Calendar(CalendarQueue::new()),
+            QueueKind::BinaryHeap => EventQueue::Heap(HeapQueue::new()),
         }
     }
 

@@ -7,38 +7,27 @@
 //! from *above* the loop: production-size experiments are decomposed
 //! into independent deterministic worlds (shards), and an [`Executor`]
 //! decides whether those run one after another on the calling thread or
-//! spread across a work-stealing pool. The seam mirrors the other
-//! swap-points of the stack (`PendingEvents`, `CcFactory`,
-//! `PathSelection`): callers program against the trait, differential
-//! tests drive both implementations and assert bit-identical outputs.
+//! spread across OS threads. The seam mirrors the other swap-points of
+//! the stack (`PendingEvents`, `CcFactory`, `PathSelection`): callers
+//! program against the trait, differential tests drive both
+//! implementations and assert bit-identical outputs.
 //!
 //! * [`DeterministicExecutor`] — runs jobs in submission order on the
 //!   calling thread. The oracle: zero concurrency, zero ambiguity.
-//! * [`ThreadedExecutor`] — a work-stealing pool of OS threads. Jobs are
-//!   pre-distributed round-robin across per-worker deques; an idle
-//!   worker steals the back half of the fullest other deque. Finished
-//!   outputs stream back through a **bounded** [`crate::chan`] channel
-//!   (the collector applies backpressure like any other consumer) and
-//!   are re-ordered by job index, so the caller observes exactly the
-//!   deterministic executor's output sequence — scheduling interleaving
-//!   can never leak into results.
+//! * [`ThreadedExecutor`] — scoped worker threads that each claim the
+//!   next unclaimed job index from one shared cursor, so a long job
+//!   never strands work behind it. Every worker hands its
+//!   `(index, output)` pairs back through its join handle and the caller
+//!   places them by index, so it observes exactly the deterministic
+//!   executor's output sequence — scheduling interleaving can never
+//!   leak into results.
 //!
-//! # Contract
-//!
-//! Jobs must be independent **unless** the caller guarantees that every
-//! member of a communicating set (tasks blocking on each other through
-//! channels) is claimed by a distinct worker — i.e. the set is no larger
-//! than [`Executor::workers`]. `relaynet`'s stage-task pipeline asserts
-//! exactly that. Under the deterministic executor, communicating jobs
-//! would deadlock (there is one thread); it is for independent jobs
-//! only.
+//! Jobs must be independent: a job that blocks on another job's progress
+//! deadlocks the deterministic executor by construction.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use crate::chan;
 
 /// A type-erased job output (see [`execute_typed`] for the typed view).
 pub type JobOutput = Box<dyn Any + Send>;
@@ -52,8 +41,7 @@ pub trait Executor: Sync {
     fn name(&self) -> &'static str;
 
     /// Number of OS threads that can make progress concurrently (1 for
-    /// the deterministic executor). Communicating job sets must not
-    /// exceed this.
+    /// the deterministic executor).
     fn workers(&self) -> usize;
 
     /// Runs every job, returning outputs **in job order** regardless of
@@ -101,7 +89,8 @@ impl Executor for DeterministicExecutor {
     }
 }
 
-/// A work-stealing pool of OS threads (see the [module docs](self)).
+/// Scoped worker threads over one shared job cursor (see the
+/// [module docs](self)).
 ///
 /// Threads are scoped to one [`Executor::execute`] call: the pool holds
 /// no global state between calls and cannot leak threads.
@@ -119,49 +108,6 @@ impl ThreadedExecutor {
     }
 }
 
-/// One worker's share of the job indices, stealable by the others.
-struct WorkerDeque {
-    queue: Mutex<VecDeque<usize>>,
-}
-
-impl WorkerDeque {
-    /// Takes the next index from the front of the own deque.
-    fn pop_front(&self) -> Option<usize> {
-        self.queue
-            .lock()
-            .expect("worker deque poisoned")
-            .pop_front()
-    }
-
-    /// Snapshot of the deque's length (victim selection only — may be
-    /// stale by the time a steal runs).
-    fn len(&self) -> usize {
-        self.queue.lock().expect("worker deque poisoned").len()
-    }
-
-    /// Steals roughly the back half of a victim's deque, returning the
-    /// first stolen index and pushing the rest onto `into`.
-    fn steal_into(&self, into: &WorkerDeque) -> Option<usize> {
-        let mut victim = self.queue.lock().expect("worker deque poisoned");
-        let n = victim.len();
-        if n == 0 {
-            return None;
-        }
-        let take = n.div_ceil(2);
-        let mut stolen: Vec<usize> = (0..take).filter_map(|_| victim.pop_back()).collect();
-        drop(victim);
-        // pop_back reversed the order; restore it so stolen work runs
-        // oldest-first like everything else.
-        stolen.reverse();
-        let first = stolen.first().copied();
-        if stolen.len() > 1 {
-            let mut own = into.queue.lock().expect("worker deque poisoned");
-            own.extend(stolen.drain(1..));
-        }
-        first
-    }
-}
-
 impl Executor for ThreadedExecutor {
     fn name(&self) -> &'static str {
         "threaded"
@@ -171,86 +117,52 @@ impl Executor for ThreadedExecutor {
         self.workers
     }
 
+    /// # Panics
+    ///
+    /// Re-raises a panicking job's payload on the calling thread once
+    /// every worker has stopped.
     fn execute(&self, jobs: Vec<Job>) -> Vec<JobOutput> {
         let total = jobs.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        // Job slots: each claimed exactly once by whichever worker pops
-        // (or steals) its index.
+        // Each slot is taken exactly once, by whichever worker draws its
+        // index from the cursor.
         let slots: Vec<Mutex<Option<Job>>> =
             jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let deques: Vec<WorkerDeque> = (0..self.workers)
-            .map(|w| WorkerDeque {
-                queue: Mutex::new((w..total).step_by(self.workers).collect()),
-            })
-            .collect();
-        let claimed = AtomicUsize::new(0);
-        // Bounded result stream: finished outputs flow back through
-        // backpressured channel like any other produced value.
-        let (tx, rx) = chan::bounded::<(usize, JobOutput)>(self.workers * 2);
+        let cursor = AtomicUsize::new(0);
+        let work = || {
+            let mut done: Vec<(usize, JobOutput)> = Vec::new();
+            loop {
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                if idx >= total {
+                    return done;
+                }
+                let job = slots[idx]
+                    .lock()
+                    .expect("a job slot is locked once, by its claimant, outside the job")
+                    .take()
+                    .expect("the cursor hands out each index once");
+                done.push((idx, job()));
+            }
+        };
 
         let mut outputs: Vec<Option<JobOutput>> = (0..total).map(|_| None).collect();
         std::thread::scope(|scope| {
-            for w in 0..self.workers {
-                let tx = tx.clone();
-                let deques = &deques;
-                let slots = &slots;
-                let claimed = &claimed;
-                scope.spawn(move || loop {
-                    let mut idx = deques[w].pop_front();
-                    if idx.is_none() {
-                        // Steal, trying every victim fullest-first: one
-                        // racy failed steal (another thief won the same
-                        // victim) must not retire this worker while
-                        // other deques still hold jobs.
-                        let mut victims: Vec<usize> =
-                            (0..deques.len()).filter(|&v| v != w).collect();
-                        victims.sort_by_key(|&v| std::cmp::Reverse(deques[v].len()));
-                        for v in victims {
-                            if let Some(stolen) = deques[v].steal_into(&deques[w]) {
-                                idx = Some(stolen);
-                                break;
-                            }
-                        }
-                    }
-                    let Some(idx) = idx else {
-                        // Nothing visible anywhere. Only retire once every
-                        // index is provably claimed; below that, an index
-                        // may be transiently in another thief's hands
-                        // (between its victim pop and its own push), so
-                        // yield and rescan. A stale low read just retries;
-                        // claimed == total is only ever written once all
-                        // jobs are claimed, so exit cannot be premature.
-                        if claimed.load(Ordering::Relaxed) == total {
-                            break;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    claimed.fetch_add(1, Ordering::Relaxed);
-                    let job = slots[idx]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("job claimed twice");
-                    if tx.send((idx, job())).is_err() {
-                        break; // collector gone: abandon ship
-                    }
-                });
-            }
-            drop(tx);
-            for _ in 0..total {
-                let (idx, out) = rx
-                    .recv()
-                    .expect("a worker panicked before delivering its job output");
-                outputs[idx] = Some(out);
+            let handles: Vec<_> = (0..self.workers.min(total))
+                .map(|_| scope.spawn(work))
+                .collect();
+            for handle in handles {
+                // The scope joins the remaining workers before the
+                // re-raised panic leaves it.
+                let done = handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                for (idx, out) in done {
+                    outputs[idx] = Some(out);
+                }
             }
         });
-        debug_assert_eq!(claimed.load(Ordering::Relaxed), total);
         outputs
             .into_iter()
-            .map(|o| o.expect("every job delivered exactly one output"))
+            .map(|o| o.expect("every job index was claimed and returned once"))
             .collect()
     }
 }
@@ -325,26 +237,71 @@ mod tests {
     }
 
     #[test]
-    fn uneven_jobs_get_stolen() {
-        // Worker 0's deque holds one huge job followed by many small
-        // ones; with stealing the wall time is bounded by the huge job,
-        // and — observable without timing — every job still completes.
+    fn uneven_jobs_finish_with_every_worker_used() {
+        // The first four jobs rendezvous, so they can only finish on four
+        // distinct threads; job 0 then runs long while the cursor hands
+        // the 36 short jobs to whoever is free.
         let exec = ThreadedExecutor::new(4);
-        let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..40u64)
+        let rendezvous = std::sync::Arc::new(std::sync::Barrier::new(4));
+        type Out = (u64, std::thread::ThreadId);
+        let jobs: Vec<Box<dyn FnOnce() -> Out + Send>> = (0..40u64)
             .map(|i| {
+                let rendezvous = rendezvous.clone();
                 Box::new(move || {
+                    if i < 4 {
+                        rendezvous.wait();
+                    }
                     let spins = if i == 0 { 2_000_000 } else { 1_000 };
                     let mut x = i;
                     for _ in 0..spins {
                         x = x.wrapping_mul(31).wrapping_add(7);
                     }
                     std::hint::black_box(x);
-                    i
-                }) as Box<dyn FnOnce() -> u64 + Send>
+                    (i, std::thread::current().id())
+                }) as Box<dyn FnOnce() -> Out + Send>
             })
             .collect();
         let out = execute_typed(&exec, jobs);
-        assert_eq!(out, (0..40u64).collect::<Vec<_>>());
+        assert!(out.iter().map(|o| o.0).eq(0..40u64));
+        let mut threads = Vec::new();
+        for (_, thread) in &out {
+            if !threads.contains(thread) {
+                threads.push(*thread);
+            }
+        }
+        assert_eq!(threads.len(), 4, "every worker ran at least one job");
+    }
+
+    #[test]
+    fn a_panicking_job_reaches_the_caller_without_hanging() {
+        // Watchdog: the executor runs on a helper thread so a regression
+        // that hangs fails this test instead of wedging the suite. The
+        // helper dying drops `done_tx`, which is what wakes the receiver.
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (done_tx, done_rx) = channel();
+        let helper = std::thread::spawn(move || {
+            let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..40u64)
+                .map(|i| {
+                    Box::new(move || {
+                        assert_ne!(i, 7, "job seven exploded");
+                        i
+                    }) as Box<dyn FnOnce() -> u64 + Send>
+                })
+                .collect();
+            let _ = done_tx.send(execute_typed(&ThreadedExecutor::new(4), jobs));
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Err(RecvTimeoutError::Disconnected) => {}
+            Err(RecvTimeoutError::Timeout) => panic!("executor hung after a job panicked"),
+            Ok(out) => panic!("the job's panic was swallowed: {out:?}"),
+        }
+        let payload = helper
+            .join()
+            .expect_err("the helper died of the job's panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("assert_ne! panics with a String");
+        assert!(msg.contains("job seven exploded"), "payload lost: {msg}");
     }
 
     #[test]

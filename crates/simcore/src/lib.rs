@@ -17,11 +17,8 @@
 //!   reproducible bit-for-bit.
 //! * [`exec`] — the runtime seam: an [`Executor`](exec::Executor) runs
 //!   independent deterministic worlds either sequentially (the oracle)
-//!   or across a work-stealing thread pool, with outputs re-ordered so
-//!   the choice is unobservable.
-//! * [`chan`] — bounded, instrumented channels (SPSC/MPSC) the threaded
-//!   runtime communicates through; a full channel blocks the producer,
-//!   the analogue of link serialization.
+//!   or across scoped worker threads, with outputs placed by job index
+//!   so the choice is unobservable.
 //!
 //! ## Design rules
 //!
@@ -60,7 +57,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod chan;
 pub mod event;
 pub mod exec;
 pub mod rng;
@@ -76,7 +72,6 @@ pub mod prelude {
     pub use crate::time::{SimDuration, SimTime};
 }
 
-pub use chan::{ChannelStats, Receiver, RecvError, SendError, Sender, TryRecvError};
 pub use event::{CalendarQueue, EventId, EventQueue, HeapQueue, PendingEvents, QueueKind};
 pub use exec::{execute_typed, DeterministicExecutor, Executor, ThreadedExecutor};
 pub use rng::SimRng;

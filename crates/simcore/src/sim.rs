@@ -193,11 +193,6 @@ impl<W: World> Simulator<W> {
         }
     }
 
-    /// Which event-queue implementation this simulator runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
     /// The current virtual time.
     #[inline]
     pub fn now(&self) -> SimTime {

@@ -11,8 +11,6 @@
 //!   O(buckets)-memory counterpart of [`cdf`] for aggregation at scale.
 //! * [`registry`] — named counters and gauges behind cheap handles, with
 //!   order-independent merge.
-//! * [`summary`] — streaming mean/variance/min/max (Welford).
-//! * [`histogram`] — fixed-bin histograms for queue and RTT distributions.
 //! * [`export`] — CSV, gnuplot, and Prometheus-text writers
 //!   (dependency-free by design).
 //! * [`ascii`] — terminal plots for the bench binaries.
@@ -26,17 +24,13 @@
 pub mod ascii;
 pub mod cdf;
 pub mod export;
-pub mod histogram;
 pub mod registry;
 pub mod sketch;
-pub mod summary;
 pub mod timeseries;
 
 pub use ascii::{plot_lines, PlotConfig};
 pub use cdf::Cdf;
 pub use export::{prometheus_text, Table};
-pub use histogram::Histogram;
 pub use registry::{MetricId, MetricKind, MetricsRegistry};
 pub use sketch::QuantileSketch;
-pub use summary::Summary;
 pub use timeseries::TimeSeries;

@@ -1,5 +1,5 @@
 //! The async-runtime experiment sweep: every selection policy evaluated
-//! over a sharded star experiment on the work-stealing thread pool,
+//! over a sharded star experiment on the threaded executor,
 //! with the deterministic single-threaded runtime verified as the
 //! oracle *inside the same run*.
 //!

@@ -73,7 +73,7 @@ cargo run -q --release --example fault_storm
 echo "==> smoke: cargo run --example telemetry_scale (7k-relay sketch quantiles + Prometheus golden file)"
 cargo run -q --release --example telemetry_scale
 
-echo "==> threaded-runtime differential suite (oracle fingerprints, deadlock stress)"
+echo "==> threaded-runtime differential suite (oracle fingerprints, pool flatness)"
 cargo test -q --test async_runtime
 
 echo "==> fault-recovery suite (conservation + fingerprint invariance under faults)"
@@ -82,9 +82,7 @@ cargo test -q --test fault_recovery
 echo "==> telemetry differential suite (sketch vs exact CDF, shuffle-merge invariance)"
 cargo test -q --test telemetry_sketch
 
-echo "==> bench smoke: CS_BENCH_FAST=1 (3 samples; sanity, not measurement)"
-echo "    (includes overlay/star_async_* — threaded-runtime scaling cases + pool-flatness asserts)"
-CS_BENCH_FAST=1 cargo bench -q -p cs-bench --bench bench_simcore
-CS_BENCH_FAST=1 cargo bench -q -p cs-bench --bench bench_overlay
+echo "==> csbench smoke: all five workloads, quick mode (includes its determinism double-run)"
+cargo run -q --release -p cs-bench --bin csbench -- run --quick
 
 echo "==> all checks passed"

@@ -137,6 +137,15 @@ fn sketch_merge_is_associative_bucket_for_bucket() {
         "associativity must hold on the raw buckets, not just queries"
     );
     assert_eq!(left, right);
+
+    // Fixed memory: folding all eight shards leaves the sketch exactly
+    // as large as an empty one, with every sample accounted for.
+    let merged = sweep.completion_sketch();
+    let empty = QuantileSketch::default();
+    assert_eq!(merged.memory_bytes(), empty.memory_bytes());
+    assert_eq!(merged.bucket_len(), empty.bucket_len());
+    assert_eq!(merged.len(), parts.iter().map(|p| p.len()).sum::<u64>());
+    assert!(!merged.is_empty());
 }
 
 /// Contract 3 (the PR's shuffle-merge regression): folding the shard
