@@ -21,7 +21,7 @@ use simcore::sim::Context;
 use simcore::time::SimDuration;
 
 use torcell::cell::{Cell, CellBody, RelayCell, RelayCommand, HANDSHAKE_LEN};
-use torcell::crypto::{payload_digest, LayerKey, RelayCrypt};
+use torcell::crypto::{LayerKey, RelayCrypt};
 use torcell::ids::{CircuitId, StreamId};
 
 use netsim::net::{Net, NodeId};
@@ -184,7 +184,7 @@ impl TorNetwork {
             return;
         }
         s.begin_sent = true;
-        let qc = Self::begin_cell(s.id, app.server_hop());
+        let qc = Self::begin_cell(&mut self.payload_passes, s.id, app.server_hop());
         nc.fwd.as_mut().expect("client forward hop").enqueue(qc);
         Self::pump_dir(
             &mut self.net,
@@ -367,12 +367,12 @@ impl TorNetwork {
                 return;
             };
             debug_assert_eq!(echo, handshake, "CREATED must echo the extend handshake");
-            let mut rc = RelayCell {
-                cmd: RelayCommand::Extended,
-                stream: StreamId::CIRCUIT,
-                digest: payload_digest(&echo),
-                data: echo.to_vec(),
-            };
+            let mut rc = Self::control_cell(
+                &mut self.payload_passes,
+                RelayCommand::Extended,
+                StreamId::CIRCUIT,
+                echo.to_vec(),
+            );
             nc.crypt
                 .as_mut()
                 .expect("relay has crypt state")
@@ -430,12 +430,12 @@ impl TorNetwork {
             let mut data = Vec::with_capacity(4 + HANDSHAKE_LEN);
             data.extend_from_slice(&target.0.to_be_bytes());
             data.extend_from_slice(&next_handshake);
-            let rc = RelayCell {
-                cmd: RelayCommand::Extend,
-                stream: StreamId::CIRCUIT,
-                digest: payload_digest(&data),
+            let rc = Self::control_cell(
+                &mut self.payload_passes,
+                RelayCommand::Extend,
+                StreamId::CIRCUIT,
                 data,
-            };
+            );
             qcs.push(QueuedCell {
                 cell: Cell {
                     circ: CircuitId::CONTROL,
@@ -452,7 +452,7 @@ impl TorNetwork {
             for s in app.streams.iter_mut().filter(|s| s.arrived) {
                 debug_assert!(!s.begin_sent, "BEGIN before the circuit was built");
                 s.begin_sent = true;
-                qcs.push(Self::begin_cell(s.id, server_hop));
+                qcs.push(Self::begin_cell(&mut self.payload_passes, s.id, server_hop));
             }
         }
         let fwd = nc.fwd.as_mut().expect("client forward hop");
@@ -1033,6 +1033,8 @@ impl TorNetwork {
             nc.fwd.as_ref().map(|h| h.link_circ_id),
             nc.bwd.as_ref().map(|h| h.link_circ_id),
         ];
+        // The work count outlives the participation.
+        self.payload_passes += nc.payload_passes();
         node.remove_circuit(local);
         for id in link_ids.into_iter().flatten() {
             self.clear_route_end(id, node_id);

@@ -26,18 +26,29 @@ use crate::pool::PayloadPool;
 use super::{fill_pattern_extend, verify_fill_pattern, TorNetwork, END_REASON_DONE};
 
 impl TorNetwork {
-    /// The BEGIN cell opening stream `sid` (recognized by the server's
-    /// onion layer at `server_hop`).
-    pub(super) fn begin_cell(sid: StreamId, server_hop: usize) -> QueuedCell {
-        // ≥ 8 payload bytes so leaky-pipe recognition stays sound (a
-        // near-empty payload could spuriously "recognize" early).
-        let data = b"server:443".to_vec();
-        let rc = RelayCell {
-            cmd: RelayCommand::Begin,
-            stream: sid,
+    /// A non-DATA relay cell carrying `data`, counting the digest's walk
+    /// of it into `passes`. `data` must be ≥ 8 bytes so leaky-pipe
+    /// recognition stays sound (see `OnionRoute::wrap_for_hop`).
+    pub(super) fn control_cell(
+        passes: &mut u64,
+        cmd: RelayCommand,
+        stream: StreamId,
+        data: Vec<u8>,
+    ) -> RelayCell {
+        debug_assert!(data.len() >= 8, "control payload too short to address");
+        *passes += 1;
+        RelayCell {
+            cmd,
+            stream,
             digest: payload_digest(&data),
             data,
-        };
+        }
+    }
+
+    /// The BEGIN cell opening stream `sid` (recognized by the server's
+    /// onion layer at `server_hop`).
+    pub(super) fn begin_cell(passes: &mut u64, sid: StreamId, server_hop: usize) -> QueuedCell {
+        let rc = Self::control_cell(passes, RelayCommand::Begin, sid, b"server:443".to_vec());
         QueuedCell {
             cell: Cell {
                 circ: CircuitId::CONTROL,
@@ -84,6 +95,8 @@ impl TorNetwork {
                 app.sent_cells += 1;
                 let mut payload = pool.acquire();
                 fill_pattern_extend(circ, idx, len, &mut payload);
+                // One walk to fill, one for `RelayCell::data`'s digest.
+                app.payload_passes += 2;
                 if app.first_data_at.is_none() {
                     app.first_data_at = Some(now);
                 }
@@ -100,13 +113,12 @@ impl TorNetwork {
                 s.end_sent = true;
                 let sid = s.id;
                 app.rr_cursor = (i + 1) % n;
-                let data = vec![END_REASON_DONE; 8];
-                let rc = RelayCell {
-                    cmd: RelayCommand::End,
-                    stream: sid,
-                    digest: payload_digest(&data),
-                    data,
-                };
+                let rc = Self::control_cell(
+                    &mut app.payload_passes,
+                    RelayCommand::End,
+                    sid,
+                    vec![END_REASON_DONE; 8],
+                );
                 return Some(QueuedCell {
                     cell: Cell {
                         circ: CircuitId::CONTROL,
@@ -145,13 +157,12 @@ impl TorNetwork {
                     return;
                 }
                 stream.open = true;
-                let data = vec![0xC0u8; 8];
-                let mut reply = RelayCell {
-                    cmd: RelayCommand::Connected,
-                    stream: rc.stream,
-                    digest: payload_digest(&data),
-                    data,
-                };
+                let mut reply = Self::control_cell(
+                    &mut self.payload_passes,
+                    RelayCommand::Connected,
+                    rc.stream,
+                    vec![0xC0u8; 8],
+                );
                 nc.crypt
                     .as_mut()
                     .expect("server has crypt state")
@@ -191,9 +202,12 @@ impl TorNetwork {
                 // counterpart of the client's aggregate send counter).
                 let idx = app.cells_received;
                 app.cells_received += 1;
-                if verify && !verify_fill_pattern(circ, idx, &rc.data) {
-                    app.payload_errors += 1;
-                    debug_assert!(false, "payload verification failed");
+                if verify {
+                    self.payload_passes += 1;
+                    if !verify_fill_pattern(circ, idx, &rc.data) {
+                        app.payload_errors += 1;
+                        debug_assert!(false, "payload verification failed");
+                    }
                 }
                 app.bytes_received += rc.data.len() as u64;
                 if app.first_byte_at.is_none() {

@@ -64,6 +64,7 @@ use simstats::registry::MetricsRegistry;
 use simstats::sketch::QuantileSketch;
 
 use backtap::hop::HopTransport;
+use torcell::cell::RELAY_DATA_MAX;
 use torcell::ids::CircuitId;
 
 use crate::circuit::{CircuitInfo, CircuitResult};
@@ -352,21 +353,60 @@ impl WorldStats {
     }
 }
 
+/// `RAMP[i] = i as u8`, long enough that a [`RELAY_DATA_MAX`]-byte
+/// window fits after any start in `0..=255`. The fill pattern of every
+/// DATA cell is a window of this one table, so filling is a `memcpy` and
+/// verifying a `memcmp`.
+const RAMP: [u8; 256 + RELAY_DATA_MAX] = {
+    let mut ramp = [0u8; 256 + RELAY_DATA_MAX];
+    let mut i = 0;
+    while i < ramp.len() {
+        ramp[i] = i as u8;
+        i += 1;
+    }
+    ramp
+};
+
 /// The deterministic fill pattern for DATA payloads: byte `i` of cell
-/// `idx` on circuit `circ`.
-pub fn fill_pattern(circ: CircId, idx: u64, len: usize) -> Vec<u8> {
-    let mut buf = vec![0u8; len];
-    fill_pattern_into(circ, idx, &mut buf);
-    buf
+/// `idx` on circuit `circ` is `(circ * 131 + idx * 31 + i) & 0xFF`.
+#[derive(Clone, Copy)]
+struct FillPattern {
+    base: u64,
 }
 
-/// Writes the fill pattern for cell `idx` of `circ` into `buf` in place —
-/// the allocation-free form the data path uses.
+impl FillPattern {
+    /// Only `base & 0xFF` is ever observed, so the arithmetic wraps (as
+    /// the release-build byte loop this replaced always did).
+    #[inline]
+    fn new(circ: CircId, idx: u64) -> FillPattern {
+        FillPattern {
+            base: (u64::from(circ.0) * 131).wrapping_add(idx.wrapping_mul(31)),
+        }
+    }
+
+    /// The first `len` pattern bytes as a window of [`RAMP`]; `None` only
+    /// for a `len` no cell payload has (the window would run off the
+    /// table), where callers fall back to [`FillPattern::byte`].
+    #[inline]
+    fn window(self, len: usize) -> Option<&'static [u8]> {
+        let start = (self.base & 0xFF) as usize;
+        RAMP.get(start..start + len)
+    }
+
+    /// Pattern byte `i`, by the arithmetic definition.
+    #[inline]
+    fn byte(self, i: usize) -> u8 {
+        (self.base.wrapping_add(i as u64) & 0xFF) as u8
+    }
+}
+
+/// Writes the fill pattern for cell `idx` of `circ` into `buf` in place.
 #[inline]
 pub fn fill_pattern_into(circ: CircId, idx: u64, buf: &mut [u8]) {
-    let base = u64::from(circ.0) * 131 + idx * 31;
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = ((base + i as u64) & 0xFF) as u8;
+    let pattern = FillPattern::new(circ, idx);
+    match pattern.window(buf.len()) {
+        Some(window) => buf.copy_from_slice(window),
+        None => (0..).zip(buf).for_each(|(i, b)| *b = pattern.byte(i)),
     }
 }
 
@@ -375,17 +415,21 @@ pub fn fill_pattern_into(circ: CircId, idx: u64, buf: &mut [u8]) {
 /// extending writes each byte exactly once).
 #[inline]
 pub fn fill_pattern_extend(circ: CircId, idx: u64, len: usize, buf: &mut Vec<u8>) {
-    let base = u64::from(circ.0) * 131 + idx * 31;
-    buf.extend((0..len as u64).map(|i| ((base + i) & 0xFF) as u8));
+    let pattern = FillPattern::new(circ, idx);
+    match pattern.window(len) {
+        Some(window) => buf.extend_from_slice(window),
+        None => buf.extend((0..len).map(|i| pattern.byte(i))),
+    }
 }
 
 /// Verifies `data` against the fill pattern without materialising it.
 #[inline]
 pub fn verify_fill_pattern(circ: CircId, idx: u64, data: &[u8]) -> bool {
-    let base = u64::from(circ.0) * 131 + idx * 31;
-    data.iter()
-        .enumerate()
-        .all(|(i, &b)| b == ((base + i as u64) & 0xFF) as u8)
+    let pattern = FillPattern::new(circ, idx);
+    match pattern.window(data.len()) {
+        Some(window) => data == window,
+        None => (0..).zip(data).all(|(i, &b)| b == pattern.byte(i)),
+    }
 }
 
 /// One endpoint's view of a link-local circuit id: at node `node`, frames
@@ -565,6 +609,13 @@ pub struct TorNetwork {
     /// circuits); `None` for fault-free worlds.
     pub(super) faults: Option<FaultState>,
     pub(super) stats: WorldStats,
+    /// Payload walks not held by a live participation: the server's
+    /// verify of each DATA cell, the digest of each control cell built
+    /// outside the client's generator, and the counts folded in from
+    /// reclaimed participations (see [`TorNetwork::payload_passes`]).
+    /// A work count, deliberately outside [`WorldStats`] and the
+    /// fingerprint: it describes the implementation, not the run.
+    pub(super) payload_passes: u64,
     /// Streaming twin of [`TorNetwork::flow_completion_cdf`]: every flow
     /// completion is folded in (seconds) the moment it happens, so the
     /// distribution is available at O(buckets) memory without retaining
@@ -605,6 +656,7 @@ impl TorNetwork {
             epoch_deltas: Vec::new(),
             faults: None,
             stats: WorldStats::default(),
+            payload_passes: 0,
             completion_sketch: QuantileSketch::default(),
         }
     }
@@ -1080,6 +1132,17 @@ impl TorNetwork {
         &self.stats
     }
 
+    /// How many times any stage has walked a relay-cell payload end to
+    /// end so far: fill, digest and onion wrap at the client, strip +
+    /// recognition at every hop, layer adds and unwraps on the way back,
+    /// and the server's verify. A pure function of the cells processed —
+    /// the noise-free work count behind the per-cell cost
+    /// (`tests/payload_passes.rs` pins it per delivered DATA cell).
+    pub fn payload_passes(&self) -> u64 {
+        let live: u64 = self.nodes.iter().map(OverlayNode::payload_passes).sum();
+        self.payload_passes + live
+    }
+
     /// The payload buffer pool (telemetry: fresh allocations vs reuses).
     pub fn payload_pool(&self) -> &PayloadPool {
         &self.payload_pool
@@ -1314,6 +1377,68 @@ impl World for TorNetwork {
                 progress,
                 kind,
             } => self.circ_timeout(ctx, circ, incarnation, progress, kind),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The fill pattern's arithmetic definition, wrapping like the
+    /// release-build loop the ramp window replaced.
+    fn pattern_byte(circ: CircId, idx: u64, i: usize) -> u8 {
+        let base = (u64::from(circ.0) * 131).wrapping_add(idx.wrapping_mul(31));
+        (base.wrapping_add(i as u64) & 0xFF) as u8
+    }
+
+    /// All three fill functions against the definition, plus rejection of
+    /// every single-byte flip and of a neighbouring `idx`.
+    fn check(circ: CircId, idx: u64, len: usize) {
+        let expect: Vec<u8> = (0..len).map(|i| pattern_byte(circ, idx, i)).collect();
+        let mut into = vec![0xEE; len];
+        fill_pattern_into(circ, idx, &mut into);
+        assert_eq!(into, expect, "into: circ {circ:?} idx {idx} len {len}");
+        let mut extended = vec![0xEE; 3];
+        fill_pattern_extend(circ, idx, len, &mut extended);
+        assert_eq!(extended[..3], [0xEE; 3]);
+        assert_eq!(extended[3..], expect, "extend: idx {idx} len {len}");
+        assert!(verify_fill_pattern(circ, idx, &expect));
+        for i in 0..len {
+            into[i] ^= 0x10;
+            assert!(
+                !verify_fill_pattern(circ, idx, &into),
+                "flip at {i} of {len} accepted"
+            );
+            into[i] ^= 0x10;
+        }
+        if len > 0 {
+            assert!(!verify_fill_pattern(circ, idx.wrapping_add(1), &expect));
+        }
+    }
+
+    #[test]
+    fn fill_functions_agree_with_the_arithmetic_definition_at_every_window_start() {
+        // idx 0..256 on circuit 1 visits every window start (31 is odd);
+        // 600 bytes run off the ramp for starts > 152 — the fallback.
+        let mut starts = [false; 256];
+        for idx in 0..256u64 {
+            starts[pattern_byte(CircId(1), idx, 0) as usize] = true;
+            for len in [0, 1, 7, 8, 495, RELAY_DATA_MAX, 600] {
+                check(CircId(1), idx, len);
+            }
+        }
+        assert!(starts.iter().all(|&seen| seen), "not every window start");
+        check(CircId(u32::MAX), 12_345, RELAY_DATA_MAX);
+    }
+
+    #[test]
+    fn fill_pattern_at_the_top_of_the_index_range_wraps_like_the_byte_loop() {
+        // `idx * 31` just fits; `base + i` passes u64::MAX from i = 16 on.
+        // Only `base & 0xFF` matters, so every path wraps — what the
+        // release-build byte loop did (its debug build panicked instead).
+        for len in [15, 16, RELAY_DATA_MAX, 600] {
+            check(CircId(0), u64::MAX / 31, len);
         }
     }
 }

@@ -70,7 +70,11 @@ impl TorNetwork {
     }
 
     /// A relay cell arrived from a neighbour: resolve its circuit, apply
-    /// leaky-pipe recognition, and either consume or forward.
+    /// leaky-pipe recognition, and either consume or forward. Every exit
+    /// that drops the cell — protocol errors included — hands its payload
+    /// buffer back to the pool *first*, so the pool's
+    /// `returned == acquired` ledger holds exactly when a hostile cell
+    /// shows up (and, in debug builds, by the time the error aborts).
     pub(super) fn handle_relay(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
@@ -119,6 +123,7 @@ impl TorNetwork {
         match flow {
             Direction::Forward => {
                 if nc.client.is_some() {
+                    self.payload_pool.reclaim(rc.data);
                     Self::protocol_error(&mut self.stats, "forward relay cell at client");
                     return;
                 }
@@ -146,10 +151,12 @@ impl TorNetwork {
                     }
                 } else {
                     if nc.server.is_some() {
+                        self.payload_pool.reclaim(rc.data);
                         Self::protocol_error(&mut self.stats, "unrecognized relay cell at server");
                         return;
                     }
                     let Some(fwd) = nc.fwd.as_mut() else {
+                        self.payload_pool.reclaim(rc.data);
                         Self::protocol_error(&mut self.stats, "forwarding past the built circuit");
                         return;
                     };
@@ -195,6 +202,7 @@ impl TorNetwork {
                             self.client_consume_backward(ctx, to, global, local, origin, rc)
                         }
                         None => {
+                            self.payload_pool.reclaim(rc.data);
                             Self::protocol_error(
                                 &mut self.stats,
                                 "backward cell not recognized by any layer",
@@ -207,6 +215,7 @@ impl TorNetwork {
                         .expect("relay has crypt state")
                         .add_backward(&mut rc);
                     let Some(bwd) = nc.bwd.as_mut() else {
+                        self.payload_pool.reclaim(rc.data);
                         Self::protocol_error(&mut self.stats, "backward cell with no client side");
                         return;
                     };
@@ -233,5 +242,106 @@ impl TorNetwork {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use netsim::bandwidth::Bandwidth;
+    use netsim::link::{LinkConfig, LinkId};
+    use simcore::time::SimDuration;
+    use torcell::cell::{RelayCommand, RELAY_DATA_MAX};
+
+    use super::*;
+    use crate::builder::{fixed_window_factory, PathHandles, PathScenario};
+    use crate::pool::PayloadPool;
+    use crate::wire::{FramePayload, WireFrame};
+
+    /// Runs a one-DATA-cell transfer over three relays; the first relay
+    /// cell accepted by `pick` that `link` serializes is rewritten in
+    /// flight by `tamper`. Whatever protocol error that provokes, the
+    /// pool's ledger must balance: debug builds abort on the error (the
+    /// buffer is already back by then), release builds count it and run
+    /// on to quiescence.
+    fn pool_ledger_survives(
+        link: impl Fn(&PathHandles) -> LinkId,
+        pick: impl Fn(&RelayCell) -> bool,
+        tamper: impl Fn(&mut RelayCell, &mut PayloadPool),
+    ) {
+        let hop = LinkConfig::new(Bandwidth::from_mbps(10), SimDuration::from_millis(1));
+        let scenario = PathScenario {
+            hops: vec![hop; 4],
+            file_bytes: RELAY_DATA_MAX as u64,
+            ..Default::default()
+        };
+        let (mut sim, handles) = scenario.build(fixed_window_factory(4), 5);
+        let link = link(&handles);
+        loop {
+            assert!(sim.step(), "ran dry before the cell to tamper with");
+            let world = sim.world_mut();
+            if let Some(WireFrame {
+                payload:
+                    FramePayload::Cell {
+                        cell:
+                            Cell {
+                                body: CellBody::Relay(rc),
+                                ..
+                            },
+                        ..
+                    },
+                ..
+            }) = world.net.transmitting_mut(link)
+            {
+                if pick(rc) {
+                    tamper(rc, &mut world.payload_pool);
+                    break;
+                }
+            }
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            sim.run();
+        }));
+        assert_eq!(outcome.is_err(), cfg!(debug_assertions));
+        let world = sim.world();
+        assert_eq!(world.stats().protocol_errors, 1);
+        let pool = world.payload_pool();
+        assert!(pool.acquired() > 0);
+        assert_eq!(pool.returned(), pool.acquired(), "payload buffer leaked");
+    }
+
+    /// Swaps the payload for a pool-sized buffer of junk.
+    fn junk(rc: &mut RelayCell, pool: &mut PayloadPool) {
+        rc.data = pool.acquire();
+        rc.data.resize(RELAY_DATA_MAX, 0x66);
+    }
+
+    #[test]
+    fn corrupt_data_cell_at_the_server_returns_its_buffer() {
+        pool_ledger_survives(
+            |h| *h.fwd_links.last().expect("path has links"),
+            |rc| rc.data.len() == RELAY_DATA_MAX,
+            |rc, _| rc.data[100] ^= 0x01,
+        );
+    }
+
+    #[test]
+    fn junk_forwarded_past_the_built_circuit_returns_its_buffer() {
+        // The first EXTEND, bound for relay 1 — the whole circuit so far.
+        pool_ledger_survives(
+            |h| h.fwd_links[0],
+            |rc| rc.cmd == RelayCommand::Extend,
+            junk,
+        );
+    }
+
+    #[test]
+    fn junk_unrecognized_by_every_client_layer_returns_its_buffer() {
+        pool_ledger_survives(
+            |h| h.rev_links[0],
+            |rc| rc.cmd == RelayCommand::Connected,
+            junk,
+        );
     }
 }

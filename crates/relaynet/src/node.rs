@@ -217,6 +217,10 @@ pub struct ClientApp {
     pub connected_at: Option<SimTime>,
     /// When the first DATA cell was sent.
     pub first_data_at: Option<SimTime>,
+    /// Payload walks spent *building* this client's cells (the fill and
+    /// the digest of each DATA cell, the digest of each END) — summed
+    /// into [`NodeCircuit::payload_passes`].
+    pub payload_passes: u64,
 }
 
 impl ClientApp {
@@ -248,6 +252,7 @@ impl ClientApp {
             started_at,
             connected_at: None,
             first_data_at: None,
+            payload_passes: 0,
         }
     }
 
@@ -428,6 +433,17 @@ impl NodeCircuit {
         None
     }
 
+    /// Walks of a relay-cell payload performed by this participation so
+    /// far: the relay-side layer's, plus (at the client) the onion
+    /// route's and the cell-building walks.
+    pub fn payload_passes(&self) -> u64 {
+        self.crypt.as_ref().map_or(0, RelayCrypt::payload_passes)
+            + self
+                .client
+                .as_ref()
+                .map_or(0, |app| app.payload_passes + app.route.payload_passes())
+    }
+
     /// Teardown quiescence: both waves seen, every sent cell confirmed,
     /// nothing queued. Once true, no further frame can arrive for this
     /// participation and its slots are safe to reclaim (DESIGN.md §8).
@@ -524,6 +540,12 @@ impl OverlayNode {
     /// telemetry).
     pub fn circuit(&self, circ: CircId) -> Option<&NodeCircuit> {
         Some(self.circuit_at(self.local_idx(circ)?))
+    }
+
+    /// Payload walks of this node's live participations (vacant slots
+    /// hold none).
+    pub fn payload_passes(&self) -> u64 {
+        self.circuits.iter().map(NodeCircuit::payload_passes).sum()
     }
 
     /// Slab capacity: live participations plus reclaimed slots. Stays

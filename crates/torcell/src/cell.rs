@@ -147,16 +147,6 @@ impl RelayCell {
         }
     }
 
-    /// Builds a control relay cell with no payload, computing the digest.
-    pub fn control(cmd: RelayCommand, stream: StreamId) -> RelayCell {
-        RelayCell {
-            cmd,
-            stream,
-            digest: crate::crypto::payload_digest(&[]),
-            data: Vec::new(),
-        }
-    }
-
     /// Verifies the digest against the payload.
     pub fn digest_ok(&self) -> bool {
         crate::crypto::payload_digest(&self.data) == self.digest
@@ -383,12 +373,5 @@ mod tests {
             .wire_size(),
             FEEDBACK_WIRE_LEN
         );
-    }
-
-    #[test]
-    fn control_relay_cell_has_empty_payload() {
-        let rc = RelayCell::control(RelayCommand::Sendme, StreamId::CIRCUIT);
-        assert!(rc.data.is_empty());
-        assert!(rc.digest_ok());
     }
 }

@@ -313,9 +313,17 @@ mod tests {
             RelayCommand::Connected,
             RelayCommand::Sendme,
         ] {
+            // 8 payload bytes: the shortest a relay cell may carry and
+            // still be addressed to one hop (see `wrap_for_hop`).
+            let data = vec![0xC0; 8];
             round_trip(Cell {
                 circ: CircuitId(3),
-                body: CellBody::Relay(RelayCell::control(cmd, StreamId(1))),
+                body: CellBody::Relay(RelayCell {
+                    cmd,
+                    stream: StreamId(1),
+                    digest: crate::crypto::payload_digest(&data),
+                    data,
+                }),
             });
         }
     }

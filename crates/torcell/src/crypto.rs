@@ -51,80 +51,85 @@ impl LayerCipher {
     /// per-cell sequence number.
     ///
     /// The keystream advances one xorshift64* word per 8 payload bytes;
-    /// whole words are XORed at machine width (this runs on every cell at
-    /// every hop), with a byte tail for the remainder. The byte sequence
-    /// is identical to applying the stream byte by byte.
+    /// whole words are XORed at machine width, with a byte tail for the
+    /// remainder. The byte sequence is identical to applying the stream
+    /// byte by byte.
     pub fn apply(&self, nonce: u64, data: &mut [u8]) {
-        let mut state = self.key.0 ^ nonce.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        if state == 0 {
-            state = 0x9E37_79B9_7F4A_7C15;
-        }
-        let mut next_word = move || {
-            // xorshift64*
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let mut chunks = data.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            let buf: &mut [u8; 8] = chunk.try_into().expect("exact chunk");
-            *buf = (u64::from_le_bytes(*buf) ^ next_word()).to_le_bytes();
-        }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
-            let word = next_word().to_le_bytes();
-            for (byte, k) in tail.iter_mut().zip(word) {
-                *byte ^= k;
-            }
-        }
+        xor_keystreams([self.keystream(nonce)], data, |_| {});
+    }
+
+    /// The keystream for (`key`, `nonce`), positioned at its first word.
+    #[inline]
+    fn keystream(&self, nonce: u64) -> Keystream {
+        let state = self.key.0 ^ nonce.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        // Avoid the degenerate all-zero xorshift state.
+        Keystream(if state == 0 {
+            0x9E37_79B9_7F4A_7C15
+        } else {
+            state
+        })
     }
 }
 
-/// The client-side stack of layers for a circuit: layer `0` is shared with
-/// the first relay, layer `n-1` with the exit.
-#[derive(Clone, Debug, Default)]
-pub struct OnionStack {
-    layers: Vec<LayerCipher>,
+/// One layer's xorshift64* keystream state.
+#[derive(Clone, Copy)]
+struct Keystream(u64);
+
+impl Keystream {
+    #[inline]
+    fn next_word(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
 }
 
-impl OnionStack {
-    /// Creates an empty stack.
-    pub fn new() -> OnionStack {
-        OnionStack { layers: Vec::new() }
+/// The one loop that walks a payload: XORs `N` keystreams over `data` in
+/// a **single** pass and hands every resulting 8-byte word to `each_word`;
+/// returns the result's zero-padded tail word (0 when `data` is a whole
+/// number of words) — the two things [`payload_digest`] is made of.
+///
+/// XOR commutes, so the bytes equal applying the `N` layers one after
+/// another in any order; but the `N` independent xorshift chains advance
+/// side by side (their latencies overlap instead of serialising) and the
+/// payload is loaded and stored once rather than `N` times.
+#[inline]
+fn xor_keystreams<const N: usize>(
+    mut streams: [Keystream; N],
+    data: &mut [u8],
+    mut each_word: impl FnMut(u64),
+) -> u64 {
+    let mut next_key = move || streams.iter_mut().fold(0, |k, s| k ^ s.next_word());
+    let mut chunks = data.chunks_exact_mut(8);
+    for chunk in &mut chunks {
+        let buf: &mut [u8; 8] = chunk.try_into().expect("exact chunk");
+        let word = u64::from_le_bytes(*buf) ^ next_key();
+        *buf = word.to_le_bytes();
+        each_word(word);
     }
-
-    /// Appends the layer shared with the next relay on the path.
-    pub fn push_layer(&mut self, key: LayerKey) {
-        self.layers.push(LayerCipher::new(key));
-    }
-
-    /// Number of layers (circuit length).
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// `true` if no layers have been negotiated yet.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Client → exit: wraps payload in all layers, outermost (first relay)
-    /// last, so the first relay strips first.
-    pub fn wrap_outbound(&self, nonce: u64, cell: &mut RelayCell) {
-        for layer in self.layers.iter().rev() {
-            layer.apply(nonce, &mut cell.data);
+    let tail = chunks.into_remainder();
+    let mut tail_word = 0u64;
+    if !tail.is_empty() {
+        let key = next_key().to_le_bytes();
+        for (i, (byte, k)) in tail.iter_mut().zip(key).enumerate() {
+            *byte ^= k;
+            tail_word |= u64::from(*byte) << (8 * i);
         }
     }
+    tail_word
+}
 
-    /// Exit → client: removes all layers at once (the client holds every
-    /// key). Relays along the path each *added* one layer with
-    /// [`LayerCipher::apply`].
-    pub fn unwrap_inbound(&self, nonce: u64, cell: &mut RelayCell) {
-        for layer in &self.layers {
-            layer.apply(nonce, &mut cell.data);
-        }
-    }
+/// Removes one layer from `data` **and** returns [`payload_digest`] of
+/// the result, in one pass: the keystream chain and the digest chain are
+/// independent, so the digest rides along with the strip instead of
+/// re-walking the buffer.
+#[inline]
+fn strip_and_digest(stream: Keystream, data: &mut [u8]) -> u32 {
+    let len = data.len();
+    let mut h = DIGEST_SEED;
+    let tail_word = xor_keystreams([stream], data, |word| h = digest_word(h, word));
+    digest_finish(h, tail_word, len)
 }
 
 /// Client-side onion state with **per-layer cell counters**, mirroring how
@@ -141,6 +146,9 @@ pub struct OnionRoute {
     fwd_counters: Vec<u64>,
     /// Client-side counter per layer, backward direction.
     bwd_counters: Vec<u64>,
+    /// Walks of a `cell.data` performed so far (work count, see
+    /// [`OnionRoute::payload_passes`]).
+    payload_passes: u64,
 }
 
 impl OnionRoute {
@@ -166,9 +174,25 @@ impl OnionRoute {
         self.layers.is_empty()
     }
 
+    /// How many times this route has walked a cell payload end to end —
+    /// a noise-free work count (a pure function of the cells processed):
+    /// one per group of ≤ 4 layers in [`wrap_for_hop`](Self::wrap_for_hop),
+    /// one per layer attempted in [`unwrap_inbound`](Self::unwrap_inbound).
+    pub fn payload_passes(&self) -> u64 {
+        self.payload_passes
+    }
+
     /// Wraps an outbound relay cell so that it is recognized at layer
-    /// `hop` (0 = first relay). Layers are applied innermost-first, so the
-    /// first relay strips first; counters of layers `0..=hop` advance.
+    /// `hop` (0 = first relay); counters of layers `0..=hop` advance.
+    /// All `hop + 1` keystreams are XORed in one pass over the payload
+    /// (groups of 4 on longer routes) — XOR commutes, so the bytes are
+    /// those of applying the layers innermost-first one at a time.
+    ///
+    /// The payload must be **at least 8 bytes**. Recognition is "digest
+    /// verifies after stripping", so an earlier hop falsely recognizes an
+    /// `n`-byte payload whenever the layers still on it cancel over those
+    /// `n` bytes — probability 2^(-8n), and certainty at `n = 0`, where
+    /// every layer is a no-op (see the `empty_payload_…` test).
     ///
     /// # Panics
     ///
@@ -178,23 +202,44 @@ impl OnionRoute {
             hop < self.layers.len(),
             "wrap_for_hop: hop {hop} out of range"
         );
-        for i in (0..=hop).rev() {
-            self.layers[i].apply(self.fwd_counters[i], &mut cell.data);
-            self.fwd_counters[i] += 1;
+        let mut lo = 0;
+        while lo <= hop {
+            let n = (hop + 1 - lo).min(4);
+            match n {
+                1 => self.wrap_group::<1>(lo, &mut cell.data),
+                2 => self.wrap_group::<2>(lo, &mut cell.data),
+                3 => self.wrap_group::<3>(lo, &mut cell.data),
+                _ => self.wrap_group::<4>(lo, &mut cell.data),
+            }
+            lo += n;
         }
+    }
+
+    /// Applies forward layers `lo..lo + N` in one pass and advances their
+    /// counters.
+    fn wrap_group<const N: usize>(&mut self, lo: usize, data: &mut [u8]) {
+        let streams = std::array::from_fn(|j| {
+            let stream = self.layers[lo + j].keystream(self.fwd_counters[lo + j]);
+            self.fwd_counters[lo + j] += 1;
+            stream
+        });
+        xor_keystreams::<N>(streams, data, |_| {});
+        self.payload_passes += 1;
     }
 
     /// Unwraps an inbound (backward) relay cell layer by layer until the
     /// digest verifies, returning the hop it originated from. Counters of
     /// every attempted layer advance, exactly like Tor's stream ciphers.
+    /// Each attempt strips and digests in one pass.
     ///
     /// Returns `None` (after consuming one count on every layer) if no
     /// layer produces a valid digest — a corrupt or misrouted cell.
     pub fn unwrap_inbound(&mut self, cell: &mut RelayCell) -> Option<usize> {
         for i in 0..self.layers.len() {
-            self.layers[i].apply(self.bwd_counters[i], &mut cell.data);
+            let stream = self.layers[i].keystream(self.bwd_counters[i]);
             self.bwd_counters[i] += 1;
-            if cell.digest_ok() {
+            self.payload_passes += 1;
+            if strip_and_digest(stream, &mut cell.data) == cell.digest {
                 return Some(i);
             }
         }
@@ -209,6 +254,8 @@ pub struct RelayCrypt {
     cipher: LayerCipher,
     fwd_counter: u64,
     bwd_counter: u64,
+    /// Walks of a `cell.data` performed so far (work count).
+    payload_passes: u64,
 }
 
 impl RelayCrypt {
@@ -218,16 +265,25 @@ impl RelayCrypt {
             cipher: LayerCipher::new(key),
             fwd_counter: 0,
             bwd_counter: 0,
+            payload_passes: 0,
         }
+    }
+
+    /// How many times this relay has walked a cell payload end to end:
+    /// one per [`strip_forward`](Self::strip_forward) (strip and digest
+    /// share the pass), one per [`add_backward`](Self::add_backward).
+    pub fn payload_passes(&self) -> u64 {
+        self.payload_passes
     }
 
     /// Strips this relay's layer from a forward cell (client → exit) and
     /// reports whether the cell is now *recognized* (digest valid ⇒ this
     /// relay is the target and must consume it).
     pub fn strip_forward(&mut self, cell: &mut RelayCell) -> bool {
-        self.cipher.apply(self.fwd_counter, &mut cell.data);
+        let stream = self.cipher.keystream(self.fwd_counter);
         self.fwd_counter += 1;
-        cell.digest_ok()
+        self.payload_passes += 1;
+        strip_and_digest(stream, &mut cell.data) == cell.digest
     }
 
     /// Adds this relay's layer to a backward cell (toward the client) —
@@ -235,30 +291,48 @@ impl RelayCrypt {
     pub fn add_backward(&mut self, cell: &mut RelayCell) {
         self.cipher.apply(self.bwd_counter, &mut cell.data);
         self.bwd_counter += 1;
+        self.payload_passes += 1;
     }
+}
+
+const DIGEST_SEED: u64 = 0x811c_9dc5_2545_f491;
+
+/// Folds one whole payload word into the digest state.
+#[inline]
+fn digest_word(h: u64, word: u64) -> u64 {
+    (h ^ word)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(23)
+}
+
+/// Folds the zero-padded tail word and the payload length, and truncates.
+#[inline]
+fn digest_finish(h: u64, tail_word: u64, len: usize) -> u32 {
+    let h = (h ^ tail_word ^ (len as u64)).wrapping_mul(0x2545_F491_4F6C_DD1D);
+    (h >> 32) as u32
 }
 
 /// Payload digest — a keyed multiply-rotate mix over 8-byte words.
 ///
 /// Stands in for Tor's running SHA-1 "recognized" digest: it lets the
 /// recognizing hop detect payload corruption in tests, nothing more — so
-/// it is built for throughput (one multiply per 8 bytes; this runs at
-/// every hop of every cell for leaky-pipe recognition), not security.
+/// it is built for throughput (one multiply per 8 bytes), not security.
+/// This is the standalone form cell construction uses; the per-hop
+/// recognition paths compute the same value inside their strip pass.
 pub fn payload_digest(data: &[u8]) -> u32 {
-    let mut h: u64 = 0x811c_9dc5_2545_f491;
+    let mut h = DIGEST_SEED;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("exact chunk"));
-        h = (h ^ word)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(23);
+        h = digest_word(
+            h,
+            u64::from_le_bytes(chunk.try_into().expect("exact chunk")),
+        );
     }
-    let mut tail = 0u64;
+    let mut tail_word = 0u64;
     for (i, &b) in chunks.remainder().iter().enumerate() {
-        tail |= u64::from(b) << (8 * i);
+        tail_word |= u64::from(b) << (8 * i);
     }
-    h = (h ^ tail ^ (data.len() as u64)).wrapping_mul(0x2545_F491_4F6C_DD1D);
-    (h >> 32) as u32
+    digest_finish(h, tail_word, data.len())
 }
 
 #[cfg(test)]
@@ -321,59 +395,6 @@ mod tests {
         let mut data = vec![0u8; 32];
         cipher.apply(0, &mut data);
         assert_ne!(data, vec![0u8; 32]);
-    }
-
-    #[test]
-    fn onion_stack_round_trip_through_relays() {
-        // Client wraps 3 layers; each relay strips its own; exit sees
-        // plaintext.
-        let keys = [LayerKey(11), LayerKey(22), LayerKey(33)];
-        let mut stack = OnionStack::new();
-        for k in keys {
-            stack.push_layer(k);
-        }
-        assert_eq!(stack.len(), 3);
-
-        let plaintext = b"the quick brown onion".to_vec();
-        let mut cell = RelayCell::data(StreamId(1), plaintext.clone());
-        let nonce = 99;
-        stack.wrap_outbound(nonce, &mut cell);
-        assert_ne!(cell.data, plaintext);
-
-        // Relay 0 (guard) strips the outermost layer, then relay 1, then 2.
-        for k in keys {
-            LayerCipher::new(k).apply(nonce, &mut cell.data);
-        }
-        assert_eq!(cell.data, plaintext);
-        assert!(cell.digest_ok(), "digest computed on plaintext must verify");
-    }
-
-    #[test]
-    fn onion_stack_inbound_round_trip() {
-        let keys = [LayerKey(5), LayerKey(6)];
-        let mut stack = OnionStack::new();
-        for k in keys {
-            stack.push_layer(k);
-        }
-        let plaintext = b"reply data".to_vec();
-        let mut cell = RelayCell::data(StreamId(2), plaintext.clone());
-        let nonce = 7;
-        // Exit → client: each relay adds its layer...
-        for k in keys.iter().rev() {
-            LayerCipher::new(*k).apply(nonce, &mut cell.data);
-        }
-        // ...and the client removes them all.
-        stack.unwrap_inbound(nonce, &mut cell);
-        assert_eq!(cell.data, plaintext);
-    }
-
-    #[test]
-    fn empty_stack_is_identity() {
-        let stack = OnionStack::new();
-        assert!(stack.is_empty());
-        let mut cell = RelayCell::data(StreamId(1), vec![1, 2, 3]);
-        stack.wrap_outbound(0, &mut cell);
-        assert_eq!(cell.data, vec![1, 2, 3]);
     }
 
     /// Builds a matched client route + relay states for `n` hops.
@@ -467,25 +488,74 @@ mod tests {
     #[test]
     fn many_cells_stay_in_sync_under_mixed_targets() {
         let (mut route, mut relays) = route_of(3);
-        // Deterministic pseudo-random interleaving of targets.
+        // Deterministic pseudo-random interleaving of forward targets and
+        // backward origins: every per-layer counter, in both directions,
+        // must stay in lockstep with its relay over 10k cells.
         let mut x = 7u64;
-        for round in 0..200u32 {
+        for round in 0..10_000u32 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let hop = (x % 3) as usize;
-            let payload = round.to_be_bytes().to_vec();
+            let hop = ((x >> 33) % 3) as usize;
+            let backward = (x >> 40) & 1 == 1;
+            let mut payload = round.to_be_bytes().to_vec();
+            payload.resize(8 + (x >> 48) as usize % 489, 0xA5);
             let mut cell = RelayCell::data(StreamId(1), payload.clone());
-            route.wrap_for_hop(hop, &mut cell);
-            let mut recognized_at = None;
-            for (i, relay) in relays.iter_mut().enumerate().take(hop + 1) {
-                if relay.strip_forward(&mut cell) {
-                    recognized_at = Some(i);
-                    break;
+            if backward {
+                for relay in relays[..=hop].iter_mut().rev() {
+                    relay.add_backward(&mut cell);
                 }
+                assert_eq!(route.unwrap_inbound(&mut cell), Some(hop), "round {round}");
+            } else {
+                route.wrap_for_hop(hop, &mut cell);
+                let recognized_at = relays.iter_mut().position(|r| r.strip_forward(&mut cell));
+                assert_eq!(recognized_at, Some(hop), "round {round}");
             }
-            assert_eq!(recognized_at, Some(hop), "round {round}");
             assert_eq!(cell.data, payload);
         }
+    }
+
+    #[test]
+    fn empty_payload_is_recognized_by_the_first_hop_whatever_it_was_wrapped_for() {
+        // Why `wrap_for_hop` demands ≥ 8 payload bytes (and why there is no
+        // empty-payload relay-cell constructor): every layer is a no-op on
+        // zero bytes, so the digest of "" verifies at hop 0 although the
+        // cell was addressed to hop 2 — the leaky pipe leaks early.
+        let (mut route, mut relays) = route_of(3);
+        let mut cell = RelayCell::data(StreamId(1), Vec::new());
+        route.wrap_for_hop(2, &mut cell);
+        assert!(relays[0].strip_forward(&mut cell), "documented hazard");
+        // Eight bytes are enough for the same addressing to hold.
+        let (mut route, mut relays) = route_of(3);
+        let mut cell = RelayCell::data(StreamId(1), vec![0; 8]);
+        route.wrap_for_hop(2, &mut cell);
+        assert!(!relays[0].strip_forward(&mut cell));
+        assert!(!relays[1].strip_forward(&mut cell));
+        assert!(relays[2].strip_forward(&mut cell));
+    }
+
+    #[test]
+    fn payload_passes_count_one_walk_per_fused_pass() {
+        let (mut route, mut relays) = route_of(9);
+        let mut cell = RelayCell::data(StreamId(1), vec![3; 64]);
+        // ≤ 4 layers share one pass; 9 layers take groups of 4 + 4 + 1.
+        for (hop, total) in [(0, 1), (3, 2), (4, 4), (8, 7)] {
+            route.wrap_for_hop(hop, &mut cell);
+            assert_eq!(
+                route.payload_passes(),
+                total,
+                "after wrapping for hop {hop}"
+            );
+        }
+        // Strip and digest share a pass; so does each unwrap attempt.
+        relays[0].strip_forward(&mut cell);
+        assert_eq!(relays[0].payload_passes(), 1);
+        let mut reply = RelayCell::data(StreamId(1), vec![4; 64]);
+        for relay in relays[..=5].iter_mut().rev() {
+            relay.add_backward(&mut reply);
+        }
+        assert_eq!(relays[0].payload_passes(), 2);
+        assert_eq!(route.unwrap_inbound(&mut reply), Some(5));
+        assert_eq!(route.payload_passes(), 7 + 6);
     }
 }

@@ -33,9 +33,7 @@ pub mod prelude {
     pub use crate::codec::{
         decode_cell, decode_feedback, encode_cell, encode_feedback, CodecError,
     };
-    pub use crate::crypto::{
-        payload_digest, LayerCipher, LayerKey, OnionRoute, OnionStack, RelayCrypt,
-    };
+    pub use crate::crypto::{payload_digest, LayerCipher, LayerKey, OnionRoute, RelayCrypt};
     pub use crate::ids::{CellSeq, CircuitId, StreamId};
 }
 
@@ -44,5 +42,5 @@ pub use cell::{
     FEEDBACK_WIRE_LEN, HANDSHAKE_LEN, RELAY_DATA_MAX,
 };
 pub use codec::{decode_cell, decode_feedback, encode_cell, encode_feedback, CodecError};
-pub use crypto::{payload_digest, LayerCipher, LayerKey, OnionRoute, OnionStack, RelayCrypt};
+pub use crypto::{payload_digest, LayerCipher, LayerKey, OnionRoute, RelayCrypt};
 pub use ids::{CellSeq, CircuitId, StreamId};

@@ -83,6 +83,17 @@ echo "==> telemetry differential suite (sketch vs exact CDF, shuffle-merge invar
 cargo test -q --test telemetry_sketch
 
 echo "==> csbench smoke: all five workloads, quick mode (includes its determinism double-run)"
-cargo run -q --release -p cs-bench --bin csbench -- run --quick
+cargo run -q --release -p cs-bench --bin csbench -- run --quick --seed 1 --json "${apply_dir}/csbench_quick.json"
+
+echo "==> csbench sim_digest golden: world fingerprints unmoved (CS_BLESS=1 re-blesses; a behaviour PR must say so)"
+grep -o '"workload": "[^"]*"\|"sim_digest": "[^"]*"' "${apply_dir}/csbench_quick.json" \
+    | cut -d'"' -f4 | paste -d' ' - - > "${apply_dir}/csbench_quick.digests"
+if [ -n "${CS_BLESS:-}" ]; then
+    cp "${apply_dir}/csbench_quick.digests" scripts/csbench_quick.digests
+    echo "    blessed scripts/csbench_quick.digests"
+elif ! diff -u scripts/csbench_quick.digests "${apply_dir}/csbench_quick.digests"; then
+    echo "    FAIL: a workload's sim_digest moved — simulated behaviour changed" >&2
+    exit 1
+fi
 
 echo "==> all checks passed"
