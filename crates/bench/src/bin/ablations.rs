@@ -8,7 +8,8 @@
 //!
 //! Sweeps: `gamma`, `theta`, `init-cwnd`, `compensation`, `distance`,
 //! `load`, `midflow`, `policies`. Each prints a table and writes
-//! `target/figures/ablation_<name>.dat`.
+//! `target/figures/ablation_<name>.dat`. Any other name is rejected
+//! (exit code 2) before anything runs.
 
 use circuitstart::prelude::*;
 use cs_bench::{write_figure, Options};
@@ -326,34 +327,79 @@ fn sweep_midflow() {
     write_figure("ablation_midflow", &table);
 }
 
+/// Every sweep, by the name that selects it on the command line.
+type Sweep = (&'static str, fn());
+const SWEEPS: [Sweep; 8] = [
+    ("gamma", sweep_gamma),
+    ("theta", sweep_theta),
+    ("init-cwnd", sweep_init_cwnd),
+    ("compensation", sweep_compensation),
+    ("distance", sweep_distance),
+    ("load", sweep_load),
+    ("midflow", sweep_midflow),
+    ("policies", sweep_policies),
+];
+
+/// The sweeps `picks` names, in table order (all of them when it is
+/// empty) — or the first pick that is not a sweep.
+fn select<'a>(picks: &[&'a str]) -> Result<Vec<Sweep>, &'a str> {
+    if let Some(unknown) = picks
+        .iter()
+        .find(|pick| SWEEPS.iter().all(|(name, _)| name != *pick))
+    {
+        return Err(unknown);
+    }
+    Ok(SWEEPS
+        .into_iter()
+        .filter(|(name, _)| picks.is_empty() || picks.contains(name))
+        .collect())
+}
+
 fn main() {
     let opts = Options::from_env();
-    let picks = opts.positional();
-    let all = picks.is_empty();
-    let want = |name: &str| all || picks.contains(&name);
+    match select(&opts.positional()) {
+        Ok(sweeps) => {
+            for (_, run) in sweeps {
+                run();
+            }
+        }
+        Err(unknown) => {
+            let names: Vec<&str> = SWEEPS.iter().map(|&(name, _)| name).collect();
+            eprintln!(
+                "ablations: unknown sweep `{unknown}`; valid sweeps: {}",
+                names.join(", ")
+            );
+            std::process::exit(2);
+        }
+    }
+}
 
-    if want("gamma") {
-        sweep_gamma();
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(picks: &[&str]) -> Result<Vec<&'static str>, String> {
+        select(picks)
+            .map(|sweeps| sweeps.into_iter().map(|(name, _)| name).collect())
+            .map_err(str::to_string)
     }
-    if want("theta") {
-        sweep_theta();
+
+    #[test]
+    fn no_pick_selects_every_sweep() {
+        assert_eq!(names(&[]).unwrap().len(), SWEEPS.len());
     }
-    if want("init-cwnd") {
-        sweep_init_cwnd();
+
+    #[test]
+    fn picks_select_their_sweeps_in_table_order() {
+        assert_eq!(names(&["load", "gamma"]).unwrap(), ["gamma", "load"]);
+        for (name, _) in SWEEPS {
+            assert_eq!(names(&[name]).unwrap(), [name]);
+        }
     }
-    if want("compensation") {
-        sweep_compensation();
-    }
-    if want("distance") {
-        sweep_distance();
-    }
-    if want("load") {
-        sweep_load();
-    }
-    if want("midflow") {
-        sweep_midflow();
-    }
-    if want("policies") {
-        sweep_policies();
+
+    #[test]
+    fn a_misspelt_sweep_is_rejected_not_skipped() {
+        assert_eq!(names(&["gama"]), Err("gama".to_string()));
+        assert_eq!(names(&["gamma", "init_cwnd"]), Err("init_cwnd".to_string()));
     }
 }

@@ -136,7 +136,13 @@ pub(crate) struct LinkState<F> {
     /// per-link delay + FIFO serialization ⇒ delivery order == push order.
     pub in_flight: VecDeque<F>,
     pub stats: LinkStats,
+    /// The last two distinct `(wire size, serialization time)` pairs at
+    /// the current rate, newest first (see [`LinkState::tx_time`]).
+    tx_memo: [(u32, SimDuration); 2],
 }
+
+/// Zero bytes take zero time at any rate, so the empty memo is a valid one.
+const TX_MEMO_EMPTY: [(u32, SimDuration); 2] = [(0, SimDuration::ZERO); 2];
 
 impl<F> LinkState<F> {
     pub fn new(cfg: LinkConfig) -> Self {
@@ -147,7 +153,26 @@ impl<F> LinkState<F> {
             transmitting: None,
             in_flight: VecDeque::new(),
             stats: LinkStats::default(),
+            tx_memo: TX_MEMO_EMPTY,
         }
+    }
+
+    /// `cfg.rate.transmission_time(bytes)` without its 128-bit division
+    /// for the two frame sizes a link keeps carrying (an overlay link only
+    /// ever sees 512-byte cells and 20-byte feedback frames).
+    pub fn tx_time(&mut self, bytes: u32) -> SimDuration {
+        if let Some(&(_, time)) = self.tx_memo.iter().find(|&&(size, _)| size == bytes) {
+            return time;
+        }
+        let time = self.cfg.rate.transmission_time(bytes);
+        self.tx_memo = [(bytes, time), self.tx_memo[0]];
+        time
+    }
+
+    /// Changes the serialization rate; memoised times belong to the old one.
+    pub fn set_rate(&mut self, rate: Bandwidth) {
+        self.cfg.rate = rate;
+        self.tx_memo = TX_MEMO_EMPTY;
     }
 
     /// Whether the egress queue can accept another `bytes`-sized frame.
@@ -215,6 +240,31 @@ mod tests {
         let st: LinkState<u8> =
             LinkState::new(LinkConfig::new(Bandwidth::from_mbps(1), SimDuration::ZERO));
         assert!(st.queue_has_room(u32::MAX));
+    }
+
+    #[test]
+    fn memoised_tx_time_is_transmission_time_across_sizes_and_rate_changes() {
+        let mut rng = simcore::rng::SimRng::seed_from(0x7E40);
+        let mut st: LinkState<u8> =
+            LinkState::new(LinkConfig::new(Bandwidth::from_bps(1), SimDuration::ZERO));
+        for round in 0..200 {
+            // From 8 bit/s (where u32::MAX bytes still fit u64 ns) to
+            // 100 Gbit/s, every decade equally likely.
+            let decade = 10u64.pow(rng.range_u64(1, 12) as u32);
+            let rate = Bandwidth::from_bps(rng.range_u64(8, 8 + decade));
+            st.set_rate(rate);
+            // A link's usual traffic — two sizes alternating — then sizes
+            // that hit, miss and evict in every order, 0 and u32::MAX included.
+            let mut sizes = vec![512, 20, 512, 512, 20, 0, u32::MAX, 20];
+            sizes.extend((0..24).map(|_| rng.range_u64(0, 5) as u32 * 257));
+            for size in sizes {
+                assert_eq!(
+                    st.tx_time(size),
+                    rate.transmission_time(size),
+                    "round {round}: {size} bytes at {rate}"
+                );
+            }
+        }
     }
 
     #[test]

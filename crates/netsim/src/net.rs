@@ -252,7 +252,7 @@ impl<F: Frame> Net<F> {
     /// experiments). Takes effect from the next frame that starts
     /// serializing; the frame currently on the wire is unaffected.
     pub fn set_link_rate(&mut self, link: LinkId, rate: Bandwidth) {
-        self.links[link.index()].cfg.rate = rate;
+        self.links[link.index()].set_rate(rate);
     }
 
     /// The frame currently being serialized on `link`, if any. On a
@@ -317,7 +317,7 @@ impl<F: Frame> Net<F> {
         _now: SimTime,
         ctx: &mut Context<'_, E>,
     ) {
-        let tx_time = state.cfg.rate.transmission_time(frame.wire_size());
+        let tx_time = state.tx_time(frame.wire_size());
         state.stats.busy_time += tx_time;
         state.transmitting = Some(frame);
         ctx.schedule_in(tx_time, NetEvent::TxComplete { link }.into());
@@ -646,6 +646,12 @@ mod tests {
         assert_eq!(
             sim.world().delivered,
             vec![(SimTime::from_millis(1), 1), (SimTime::from_millis(12), 2)]
+        );
+        // The same size at both rates: a serialization time memoised
+        // before the change must not outlive it.
+        assert_eq!(
+            sim.world().net.stats(LinkId(0)).busy_time,
+            SimDuration::from_millis(1 + 2)
         );
     }
 

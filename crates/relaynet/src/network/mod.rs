@@ -116,6 +116,19 @@ impl Default for WorldConfig {
     }
 }
 
+/// Events a world has handled, by kind (see
+/// [`TorNetwork::events_handled`]). Describes the implementation, not
+/// the run: deliberately not part of [`WorldStats`] or the fingerprint.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventsHandled {
+    /// [`NetEvent::TxComplete`]: a frame finished serializing.
+    pub tx_complete: u64,
+    /// [`NetEvent::Deliver`]: a frame reached the far end of a link.
+    pub deliver: u64,
+    /// Everything else: circuit starts, timers, epochs, faults.
+    pub other: u64,
+}
+
 /// Global protocol counters.
 ///
 /// Mergeable: a sharded experiment (see `relaynet::runtime`) runs many
@@ -616,6 +629,9 @@ pub struct TorNetwork {
     /// A work count, deliberately outside [`WorldStats`] and the
     /// fingerprint: it describes the implementation, not the run.
     pub(super) payload_passes: u64,
+    /// Events handled so far, by kind — a work count like
+    /// `payload_passes`, and outside the fingerprint for the same reason.
+    events_handled: EventsHandled,
     /// Streaming twin of [`TorNetwork::flow_completion_cdf`]: every flow
     /// completion is folded in (seconds) the moment it happens, so the
     /// distribution is available at O(buckets) memory without retaining
@@ -657,6 +673,7 @@ impl TorNetwork {
             faults: None,
             stats: WorldStats::default(),
             payload_passes: 0,
+            events_handled: EventsHandled::default(),
             completion_sketch: QuantileSketch::default(),
         }
     }
@@ -1143,6 +1160,14 @@ impl TorNetwork {
         self.payload_passes + live
     }
 
+    /// How many events [`World::handle`] has been given so far, by kind.
+    /// A pure function of the seed — the noise-free work count behind the
+    /// kernel's share of a cell (`tests/events_per_cell.rs` pins it per
+    /// delivered DATA cell).
+    pub fn events_handled(&self) -> EventsHandled {
+        self.events_handled
+    }
+
     /// The payload buffer pool (telemetry: fresh allocations vs reuses).
     pub fn payload_pool(&self) -> &PayloadPool {
         &self.payload_pool
@@ -1324,6 +1349,11 @@ impl World for TorNetwork {
     type Event = TorEvent;
 
     fn handle(&mut self, ctx: &mut Context<'_, TorEvent>, event: TorEvent) {
+        match event {
+            TorEvent::Net(NetEvent::TxComplete { .. }) => self.events_handled.tx_complete += 1,
+            TorEvent::Net(NetEvent::Deliver { .. }) => self.events_handled.deliver += 1,
+            _ => self.events_handled.other += 1,
+        }
         match event {
             TorEvent::Net(NetEvent::TxComplete { link }) => {
                 // A cell that just finished serializing is now physically

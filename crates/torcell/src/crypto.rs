@@ -8,8 +8,9 @@
 //! are (a) payload size is preserved by each layer and (b) each hop applies
 //! or removes exactly one layer. This module reproduces that *structure*
 //! with a keyed xorshift keystream — deterministic, size-preserving,
-//! trivially invertible, and completely insecure. See DESIGN.md §2 for the
-//! substitution rationale.
+//! trivially invertible, and completely insecure — shaped like the counter
+//! mode it stands for: independent 32-byte blocks, consumed by one block
+//! loop. See DESIGN.md §2 for the substitution rationale.
 
 use crate::cell::RelayCell;
 
@@ -50,86 +51,167 @@ impl LayerCipher {
     /// `nonce` must match between apply and un-apply; callers use the
     /// per-cell sequence number.
     ///
-    /// The keystream advances one xorshift64* word per 8 payload bytes;
-    /// whole words are XORed at machine width, with a byte tail for the
-    /// remainder. The byte sequence is identical to applying the stream
-    /// byte by byte.
+    /// The keystream is counter-mode shaped: 32-byte blocks of four
+    /// 8-byte little-endian words, word `i` of the stream drawn from lane
+    /// `i mod 4` of four independent xorshift64* generators (see
+    /// [`Keystream`]). A payload that ends inside a block uses the leading
+    /// bytes of that block.
     pub fn apply(&self, nonce: u64, data: &mut [u8]) {
-        xor_keystreams([self.keystream(nonce)], data, |_| {});
+        xor_keystreams([self.keystream(nonce)], data, |h, _| h);
     }
 
-    /// The keystream for (`key`, `nonce`), positioned at its first word.
+    /// The keystream for (`key`, `nonce`), positioned at its first block.
     #[inline]
     fn keystream(&self, nonce: u64) -> Keystream {
-        let state = self.key.0 ^ nonce.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        // Avoid the degenerate all-zero xorshift state.
-        Keystream(if state == 0 {
-            0x9E37_79B9_7F4A_7C15
-        } else {
-            state
-        })
+        Keystream::new(self.key.0 ^ nonce.wrapping_mul(0xD6E8_FEB8_6659_FD93))
     }
 }
 
-/// One layer's xorshift64* keystream state.
+/// Words per keystream block, and accumulator lanes of the digest.
+const LANES: usize = 4;
+/// Bytes per keystream block.
+const BLOCK_LEN: usize = 8 * LANES;
+
+/// One layer's keystream generator: [`LANES`] independent xorshift64*
+/// states, one per word position of a block.
+///
+/// This is the shape of what it stands in for — AES-CTR blocks do not
+/// depend on one another — and it is what lets a core overlap the lanes'
+/// latencies instead of waiting out one serial chain per payload. A real
+/// cipher would supply a different *block* generator to the same loop.
 #[derive(Clone, Copy)]
-struct Keystream(u64);
+struct Keystream([u64; LANES]);
 
 impl Keystream {
+    /// Expands `seed` into the lane states with a SplitMix64 sequence.
     #[inline]
-    fn next_word(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    fn new(seed: u64) -> Keystream {
+        let mut state = seed;
+        Keystream(std::array::from_fn(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            nonzero_lane(z ^ (z >> 31))
+        }))
+    }
+
+    /// The next block: every lane advances one xorshift64* step.
+    #[inline]
+    fn next_block(&mut self) -> [u64; LANES] {
+        // One xorshift stage across all lanes at a time, not one lane's
+        // three stages at a time: the chains then reach the core already
+        // interleaved, which a four-layer wrap (16 chains, more than it
+        // has registers for) measurably needs.
+        for x in &mut self.0 {
+            *x ^= *x >> 12;
+        }
+        for x in &mut self.0 {
+            *x ^= *x << 25;
+        }
+        for x in &mut self.0 {
+            *x ^= *x >> 27;
+        }
+        self.0.map(|x| x.wrapping_mul(0x2545_F491_4F6C_DD1D))
+    }
+}
+
+/// Avoids the degenerate all-zero xorshift state (SplitMix64's output map
+/// is a bijection, so exactly one seed per lane would land on it).
+#[inline]
+fn nonzero_lane(lane: u64) -> u64 {
+    if lane == 0 {
+        0x9E37_79B9_7F4A_7C15
+    } else {
+        lane
+    }
+}
+
+#[inline]
+fn load_word(chunk: &[u8]) -> u64 {
+    u64::from_le_bytes(chunk.try_into().expect("exact chunk"))
+}
+
+/// The bytes of `tail` (fewer than 8) as a zero-padded little-endian word.
+#[inline]
+fn load_tail(tail: &[u8]) -> u64 {
+    tail.iter()
+        .enumerate()
+        .fold(0, |word, (i, &byte)| word | u64::from(byte) << (8 * i))
+}
+
+/// XORs one keystream block over the whole words of `block` (at most
+/// [`LANES`]) and folds each result into its lane.
+#[inline]
+fn xor_words<'a>(
+    words: impl Iterator<Item = &'a mut [u8]>,
+    key: [u64; LANES],
+    lanes: &mut [u64; LANES],
+    fold: impl Fn(u64, u64) -> u64,
+) {
+    for ((chunk, k), h) in words.zip(key).zip(lanes) {
+        let word = load_word(chunk) ^ k;
+        chunk.copy_from_slice(&word.to_le_bytes());
+        *h = fold(*h, word);
     }
 }
 
 /// The one loop that walks a payload: XORs `N` keystreams over `data` in
-/// a **single** pass and hands every resulting 8-byte word to `each_word`;
-/// returns the result's zero-padded tail word (0 when `data` is a whole
-/// number of words) — the two things [`payload_digest`] is made of.
+/// a **single** pass, a 32-byte block per step, and folds word `i` of the
+/// result into accumulator lane `i mod 4` with `fold`; returns the lanes
+/// and the result's zero-padded tail word (0 when `data` is a whole
+/// number of words) — the things [`payload_digest`] is made of. A
+/// remainder shorter than a block is handled once, from one more block.
 ///
 /// XOR commutes, so the bytes equal applying the `N` layers one after
-/// another in any order; but the `N` independent xorshift chains advance
-/// side by side (their latencies overlap instead of serialising) and the
-/// payload is loaded and stored once rather than `N` times.
+/// another in any order; but the `4 N` independent xorshift chains and
+/// the four digest chains advance side by side (their latencies overlap
+/// instead of serialising) and the payload is loaded and stored once
+/// rather than `N` times.
 #[inline]
 fn xor_keystreams<const N: usize>(
     mut streams: [Keystream; N],
     data: &mut [u8],
-    mut each_word: impl FnMut(u64),
-) -> u64 {
-    let mut next_key = move || streams.iter_mut().fold(0, |k, s| k ^ s.next_word());
-    let mut chunks = data.chunks_exact_mut(8);
-    for chunk in &mut chunks {
-        let buf: &mut [u8; 8] = chunk.try_into().expect("exact chunk");
-        let word = u64::from_le_bytes(*buf) ^ next_key();
-        *buf = word.to_le_bytes();
-        each_word(word);
+    fold: impl Fn(u64, u64) -> u64,
+) -> ([u64; LANES], u64) {
+    let mut next_key = move || {
+        streams.iter_mut().fold([0; LANES], |mut key, stream| {
+            for (k, word) in key.iter_mut().zip(stream.next_block()) {
+                *k ^= word;
+            }
+            key
+        })
+    };
+    let mut lanes = DIGEST_LANES;
+    let mut blocks = data.chunks_exact_mut(BLOCK_LEN);
+    for block in &mut blocks {
+        xor_words(block.chunks_exact_mut(8), next_key(), &mut lanes, &fold);
     }
-    let tail = chunks.into_remainder();
-    let mut tail_word = 0u64;
-    if !tail.is_empty() {
-        let key = next_key().to_le_bytes();
-        for (i, (byte, k)) in tail.iter_mut().zip(key).enumerate() {
+    let rest = blocks.into_remainder();
+    let mut tail_word = 0;
+    if !rest.is_empty() {
+        let key = next_key();
+        let tail_key = key[rest.len() / 8];
+        let mut words = rest.chunks_exact_mut(8);
+        xor_words(&mut words, key, &mut lanes, &fold);
+        let tail = words.into_remainder();
+        for (byte, k) in tail.iter_mut().zip(tail_key.to_le_bytes()) {
             *byte ^= k;
-            tail_word |= u64::from(*byte) << (8 * i);
         }
+        tail_word = load_tail(tail);
     }
-    tail_word
+    (lanes, tail_word)
 }
 
 /// Removes one layer from `data` **and** returns [`payload_digest`] of
-/// the result, in one pass: the keystream chain and the digest chain are
-/// independent, so the digest rides along with the strip instead of
+/// the result, in one pass: the keystream chains and the digest chains
+/// are independent, so the digest rides along with the strip instead of
 /// re-walking the buffer.
 #[inline]
 fn strip_and_digest(stream: Keystream, data: &mut [u8]) -> u32 {
     let len = data.len();
-    let mut h = DIGEST_SEED;
-    let tail_word = xor_keystreams([stream], data, |word| h = digest_word(h, word));
-    digest_finish(h, tail_word, len)
+    let (lanes, tail_word) = xor_keystreams([stream], data, digest_word);
+    digest_finish(lanes, tail_word, len)
 }
 
 /// Client-side onion state with **per-layer cell counters**, mirroring how
@@ -223,7 +305,7 @@ impl OnionRoute {
             self.fwd_counters[lo + j] += 1;
             stream
         });
-        xor_keystreams::<N>(streams, data, |_| {});
+        xor_keystreams::<N>(streams, data, |h, _| h);
         self.payload_passes += 1;
     }
 
@@ -297,7 +379,15 @@ impl RelayCrypt {
 
 const DIGEST_SEED: u64 = 0x811c_9dc5_2545_f491;
 
-/// Folds one whole payload word into the digest state.
+/// The digest's accumulator lanes before the first word: `SEED ^ j`.
+const DIGEST_LANES: [u64; LANES] = [
+    DIGEST_SEED,
+    DIGEST_SEED ^ 1,
+    DIGEST_SEED ^ 2,
+    DIGEST_SEED ^ 3,
+];
+
+/// Folds one whole payload word into its lane of the digest state.
 #[inline]
 fn digest_word(h: u64, word: u64) -> u64 {
     (h ^ word)
@@ -305,34 +395,40 @@ fn digest_word(h: u64, word: u64) -> u64 {
         .rotate_left(23)
 }
 
-/// Folds the zero-padded tail word and the payload length, and truncates.
+/// Combines the lanes (each rotated apart, so equal lanes do not cancel),
+/// folds the zero-padded tail word and the payload length, and truncates.
 #[inline]
-fn digest_finish(h: u64, tail_word: u64, len: usize) -> u32 {
+fn digest_finish(lanes: [u64; LANES], tail_word: u64, len: usize) -> u32 {
+    let [h0, h1, h2, h3] = lanes;
+    let h = h0 ^ h1.rotate_left(16) ^ h2.rotate_left(32) ^ h3.rotate_left(48);
     let h = (h ^ tail_word ^ (len as u64)).wrapping_mul(0x2545_F491_4F6C_DD1D);
     (h >> 32) as u32
 }
 
-/// Payload digest — a keyed multiply-rotate mix over 8-byte words.
+/// Payload digest — a keyed multiply-rotate mix over 8-byte words, word
+/// `i` folded into accumulator lane `i mod 4` so the four chains advance
+/// side by side.
 ///
 /// Stands in for Tor's running SHA-1 "recognized" digest: it lets the
 /// recognizing hop detect payload corruption in tests, nothing more — so
-/// it is built for throughput (one multiply per 8 bytes), not security.
-/// This is the standalone form cell construction uses; the per-hop
-/// recognition paths compute the same value inside their strip pass.
+/// it is built for throughput (one multiply per 8 bytes, four in flight),
+/// not security. This is the standalone form cell construction uses; the
+/// per-hop recognition paths compute the same value inside their strip
+/// pass.
 pub fn payload_digest(data: &[u8]) -> u32 {
-    let mut h = DIGEST_SEED;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        h = digest_word(
-            h,
-            u64::from_le_bytes(chunk.try_into().expect("exact chunk")),
-        );
+    let mut lanes = DIGEST_LANES;
+    let mut fold_words = |words: &mut std::slice::ChunksExact<'_, u8>| {
+        for (h, chunk) in lanes.iter_mut().zip(words) {
+            *h = digest_word(*h, load_word(chunk));
+        }
+    };
+    let mut blocks = data.chunks_exact(BLOCK_LEN);
+    for block in &mut blocks {
+        fold_words(&mut block.chunks_exact(8));
     }
-    let mut tail_word = 0u64;
-    for (i, &b) in chunks.remainder().iter().enumerate() {
-        tail_word |= u64::from(b) << (8 * i);
-    }
-    digest_finish(h, tail_word, data.len())
+    let mut words = blocks.remainder().chunks_exact(8);
+    fold_words(&mut words);
+    digest_finish(lanes, load_tail(words.remainder()), data.len())
 }
 
 #[cfg(test)]
@@ -395,6 +491,44 @@ mod tests {
         let mut data = vec![0u8; 32];
         cipher.apply(0, &mut data);
         assert_ne!(data, vec![0u8; 32]);
+    }
+
+    #[test]
+    fn lane_seeding_never_yields_a_dead_lane() {
+        assert_eq!(nonzero_lane(0), 0x9E37_79B9_7F4A_7C15, "injected zero");
+        assert_eq!(nonzero_lane(5), 5);
+        // Key 0 at nonce 0, and the key whose nonce-1 pre-seed state is 0.
+        for (key, nonce) in [(0, 0), (0xD6E8_FEB8_6659_FD93, 1)] {
+            let lanes = LayerCipher::new(LayerKey(key)).keystream(nonce).0;
+            assert!(lanes.iter().all(|&lane| lane != 0), "{lanes:x?}");
+        }
+        // SplitMix64's output map fixes 0, so the seed that makes lane
+        // `j`'s input 0 would kill that lane without the guard.
+        for j in 0..LANES {
+            let seed = 0x9E37_79B9_7F4A_7C15u64
+                .wrapping_mul(j as u64 + 1)
+                .wrapping_neg();
+            let lanes = Keystream::new(seed).0;
+            assert_eq!(lanes[j], nonzero_lane(0), "lane {j} of {lanes:x?}");
+            assert!(lanes.iter().all(|&lane| lane != 0));
+        }
+    }
+
+    #[test]
+    fn stream_word_i_comes_from_lane_i_mod_four() {
+        // The block layout, stated once against the generator itself: 80
+        // zero bytes under the keystream are two and a half blocks.
+        let mut stream = LayerCipher::new(LayerKey(99)).keystream(3);
+        let mut data = vec![0u8; 80];
+        LayerCipher::new(LayerKey(99)).apply(3, &mut data);
+        let blocks = [
+            stream.next_block(),
+            stream.next_block(),
+            stream.next_block(),
+        ];
+        for (i, word) in data.chunks(8).enumerate() {
+            assert_eq!(load_word(word), blocks[i / LANES][i % LANES], "word {i}");
+        }
     }
 
     /// Builds a matched client route + relay states for `n` hops.

@@ -199,47 +199,110 @@ fn digest_mismatch_detected_after_tamper() {
 }
 
 // ---------------------------------------------------------------------
-// Differential tests for the fused one-pass loops (DESIGN.md §2): the
-// reference is the definition — one keystream byte at a time, one layer
-// at a time, strip *then* digest — over every payload length 0..=496
-// (all eight tail residues and the empty payload).
+// Differential tests for the fused one-pass block loops (DESIGN.md §2):
+// the reference is the definition, restated independently — one
+// keystream byte at a time, one digest word at a time, one layer at a
+// time, strip *then* digest — over every payload length 0..=560 (all 32
+// block residues, the empty payload, both sides of `RELAY_DATA_MAX`).
 // ---------------------------------------------------------------------
 
-/// The keystream definition, byte by byte: xorshift64* seeded from
-/// (`key`, `nonce`), one word per 8 bytes, little-endian.
-fn bytewise_apply(key: u64, nonce: u64, data: &mut [u8]) {
-    let mut state = key ^ nonce.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    if state == 0 {
-        state = 0x9E37_79B9_7F4A_7C15;
+/// Longest payload the differential suites cover.
+const MAX_LEN: usize = 560;
+
+/// A DATA relay cell of any length (`RelayCell::data` stops at
+/// `RELAY_DATA_MAX`; the layer loops do not care).
+fn cell_of(data: Vec<u8>) -> RelayCell {
+    RelayCell {
+        cmd: RelayCommand::Data,
+        stream: StreamId(1),
+        digest: payload_digest(&data),
+        data,
     }
+}
+
+/// SplitMix64's increment, which is also the stand-in for a zero lane.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The lane seeding, by definition: four successive SplitMix64 outputs
+/// from `key ^ nonce·C`, a zero output (a dead xorshift state) replaced.
+fn reference_lanes(key: u64, nonce: u64) -> [u64; 4] {
+    let mut state = key ^ nonce.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    let mut lanes = [0u64; 4];
+    for lane in &mut lanes {
+        state = state.wrapping_add(GOLDEN);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        *lane = if z == 0 { GOLDEN } else { z };
+    }
+    lanes
+}
+
+/// The keystream definition, byte by byte: stream word `i` is the next
+/// xorshift64* output of lane `i % 4`, little-endian; a byte tail takes
+/// the low bytes of the next word.
+fn bytewise_apply(key: u64, nonce: u64, data: &mut [u8]) {
+    let mut lanes = reference_lanes(key, nonce);
     let mut word = 0u64;
     for (i, byte) in data.iter_mut().enumerate() {
         if i % 8 == 0 {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
+            let state = &mut lanes[(i / 8) % 4];
+            *state ^= *state >> 12;
+            *state ^= *state << 25;
+            *state ^= *state >> 27;
             word = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
         }
         *byte ^= (word >> (8 * (i % 8))) as u8;
     }
 }
 
-/// Random, distinct layer keys; half the time the first one starts on a
-/// degenerate xorshift state (key 0 at counter 0, or the key whose second
-/// cell hits state 0).
+/// The digest definition, one word at a time: whole word `i` folds into
+/// accumulator `i % 4`; the accumulators are rotated apart and XORed;
+/// the zero-padded tail word and the length go in last.
+fn wordwise_digest(data: &[u8]) -> u32 {
+    const SEED: u64 = 0x811c_9dc5_2545_f491;
+    let mut h = [SEED, SEED ^ 1, SEED ^ 2, SEED ^ 3];
+    let whole = data.len() / 8;
+    for i in 0..whole {
+        let word = u64::from_le_bytes(data[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        h[i % 4] = (h[i % 4] ^ word)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(23);
+    }
+    let mut tail_word = 0u64;
+    for (i, &b) in data[8 * whole..].iter().enumerate() {
+        tail_word |= u64::from(b) << (8 * i);
+    }
+    let mixed = h[0] ^ h[1].rotate_left(16) ^ h[2].rotate_left(32) ^ h[3].rotate_left(48);
+    let mixed = (mixed ^ tail_word ^ data.len() as u64).wrapping_mul(0x2545_F491_4F6C_DD1D);
+    (mixed >> 32) as u32
+}
+
+/// Random, distinct layer keys; half the time the first one is a
+/// degenerate seed: key 0 at counter 0, the key whose second cell has
+/// pre-seed state 0, or a key whose first cell lands a lane on SplitMix64's
+/// one zero output.
 fn arb_keys(rng: &mut SimRng, n: usize) -> Vec<u64> {
     let mut keys: Vec<u64> = (0..n).map(|_| rng.u64() | 2).collect();
-    match rng.range_usize(0, 4) {
+    match rng.range_usize(0, 6) {
         0 => keys[0] = 0,
-        1 => keys[0] = 0xD6E8_FEB8_6659_FD93, // state 0 at nonce 1
+        1 => keys[0] = 0xD6E8_FEB8_6659_FD93, // pre-seed state 0 at nonce 1
+        2 => keys[0] = zero_lane_key(rng.range_usize(0, 4)),
         _ => {}
     }
     keys
 }
 
-/// The layer-at-a-time client and relays the fused loops replaced:
-/// per-layer counters kept here, `LayerCipher::apply` per layer, then
-/// `digest_ok()` over the buffer again.
+/// The key whose nonce-0 seeding would leave `lane` at zero without the
+/// guard: SplitMix64's output map fixes 0, so the lane's input must be 0.
+fn zero_lane_key(lane: usize) -> u64 {
+    GOLDEN.wrapping_mul(lane as u64 + 1).wrapping_neg()
+}
+
+/// The layer-at-a-time client the fused loops replaced, on the reference
+/// definitions only: per-layer counters kept here, `bytewise_apply` per
+/// layer, then `wordwise_digest` over the buffer again.
 struct ReferenceRoute {
     keys: Vec<u64>,
     fwd: Vec<u64>,
@@ -257,16 +320,16 @@ impl ReferenceRoute {
 
     fn wrap_for_hop(&mut self, hop: usize, cell: &mut RelayCell) {
         for i in (0..=hop).rev() {
-            LayerCipher::new(LayerKey(self.keys[i])).apply(self.fwd[i], &mut cell.data);
+            bytewise_apply(self.keys[i], self.fwd[i], &mut cell.data);
             self.fwd[i] += 1;
         }
     }
 
     fn unwrap_inbound(&mut self, cell: &mut RelayCell) -> Option<usize> {
         for i in 0..self.keys.len() {
-            LayerCipher::new(LayerKey(self.keys[i])).apply(self.bwd[i], &mut cell.data);
+            bytewise_apply(self.keys[i], self.bwd[i], &mut cell.data);
             self.bwd[i] += 1;
-            if cell.digest_ok() {
+            if wordwise_digest(&cell.data) == cell.digest {
                 return Some(i);
             }
         }
@@ -285,7 +348,7 @@ fn route_of(keys: &[u64]) -> OnionRoute {
 #[test]
 fn layer_cipher_equals_the_bytewise_keystream_at_every_length() {
     let mut rng = SimRng::seed_from(0xB17E);
-    for len in 0..=RELAY_DATA_MAX {
+    for len in 0..=MAX_LEN {
         let key = arb_keys(&mut rng, 1)[0];
         let nonce = rng.range_u64(0, 3);
         let data = arb_bytes(&mut rng, len, len);
@@ -300,7 +363,7 @@ fn layer_cipher_equals_the_bytewise_keystream_at_every_length() {
 #[test]
 fn fused_wrap_equals_layer_by_layer_for_every_length_and_route() {
     let mut rng = SimRng::seed_from(0xF05E);
-    for len in 0..=RELAY_DATA_MAX {
+    for len in 0..=MAX_LEN {
         // hops 1..=9 crosses the group-of-4 boundary twice (4 + 4 + 1).
         for hops in 1..=9 {
             let keys = arb_keys(&mut rng, hops);
@@ -315,7 +378,7 @@ fn fused_wrap_equals_layer_by_layer_for_every_length_and_route() {
                 } else {
                     rng.range_usize(0, hops)
                 };
-                let mut a = RelayCell::data(StreamId(1), arb_bytes(&mut rng, len, len));
+                let mut a = cell_of(arb_bytes(&mut rng, len, len));
                 let mut b = a.clone();
                 fused.wrap_for_hop(hop, &mut a);
                 reference.wrap_for_hop(hop, &mut b);
@@ -328,11 +391,11 @@ fn fused_wrap_equals_layer_by_layer_for_every_length_and_route() {
 #[test]
 fn fused_strip_equals_apply_then_digest_check() {
     let mut rng = SimRng::seed_from(0x5721);
-    for len in 0..=RELAY_DATA_MAX {
+    for len in 0..=MAX_LEN {
         let key = arb_keys(&mut rng, 1)[0];
         let cipher = LayerCipher::new(LayerKey(key));
         let mut relay = RelayCrypt::new(LayerKey(key));
-        let plain = RelayCell::data(StreamId(1), arb_bytes(&mut rng, len, len));
+        let plain = cell_of(arb_bytes(&mut rng, len, len));
         // Four cells through one relay (counters 0..4): addressed to it,
         // still wearing an inner layer, wrapped under the wrong key, and
         // addressed to it but with one bit flipped in flight.
@@ -354,10 +417,14 @@ fn fused_strip_equals_apply_then_digest_check() {
                 cell.data[at] ^= 1 << rng.range_usize(0, 8);
             }
             let mut expect = cell.clone();
-            cipher.apply(nonce as u64, &mut expect.data);
+            bytewise_apply(key, nonce as u64, &mut expect.data);
             let verdict = relay.strip_forward(&mut cell);
             assert_eq!(cell, expect, "len {len} {case}: buffer");
-            assert_eq!(verdict, expect.digest_ok(), "len {len} {case}: verdict");
+            assert_eq!(
+                verdict,
+                wordwise_digest(&expect.data) == expect.digest,
+                "len {len} {case}: verdict"
+            );
             // Not vacuous: from 8 bytes up the verdicts are the intended ones.
             if len >= 8 {
                 assert_eq!(verdict, case == "recognized", "len {len} {case}");
@@ -369,7 +436,7 @@ fn fused_strip_equals_apply_then_digest_check() {
 #[test]
 fn fused_unwrap_equals_layer_by_layer_for_every_length_and_route() {
     let mut rng = SimRng::seed_from(0x1B0D);
-    for len in 0..=RELAY_DATA_MAX {
+    for len in 0..=MAX_LEN {
         for hops in 1..=9 {
             let keys = arb_keys(&mut rng, hops);
             let mut fused = route_of(&keys);
@@ -381,7 +448,7 @@ fn fused_unwrap_equals_layer_by_layer_for_every_length_and_route() {
             // unwraps if the counters moved identically on the first two.
             for round in 0..3 {
                 let origin = rng.range_usize(0, hops);
-                let mut a = RelayCell::data(StreamId(1), arb_bytes(&mut rng, len, len));
+                let mut a = cell_of(arb_bytes(&mut rng, len, len));
                 if round == 1 {
                     a.digest ^= 0x5A5A_5A5A;
                     for relay in relays.iter_mut().rev() {
@@ -406,4 +473,80 @@ fn fused_unwrap_equals_layer_by_layer_for_every_length_and_route() {
             }
         }
     }
+}
+
+#[test]
+fn payload_digest_equals_the_wordwise_digest_at_every_length() {
+    let mut rng = SimRng::seed_from(0xD16E);
+    for len in 0..=MAX_LEN {
+        let data = arb_bytes(&mut rng, len, len);
+        assert_eq!(payload_digest(&data), wordwise_digest(&data), "len {len}");
+    }
+}
+
+#[test]
+fn every_single_bit_flip_of_a_full_payload_changes_the_digest() {
+    let mut rng = SimRng::seed_from(0xF11B);
+    let mut data = arb_bytes(&mut rng, RELAY_DATA_MAX, RELAY_DATA_MAX);
+    let base = payload_digest(&data);
+    for bit in 0..8 * RELAY_DATA_MAX {
+        data[bit / 8] ^= 1 << (bit % 8);
+        assert_ne!(payload_digest(&data), base, "bit {bit}");
+        data[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+#[test]
+fn digest_depends_on_word_order_within_and_across_lanes_and_on_length() {
+    let mut rng = SimRng::seed_from(0x5A4B);
+    for _ in 0..CASES {
+        let data = arb_bytes(&mut rng, RELAY_DATA_MAX, RELAY_DATA_MAX);
+        let base = payload_digest(&data);
+        let swapped = |i: usize, j: usize, len: usize| {
+            let mut moved = data.clone();
+            for k in 0..len {
+                moved.swap(i * len + k, j * len + k);
+            }
+            assert_ne!(moved, data, "random words and blocks are distinct");
+            payload_digest(&moved)
+        };
+        // Words 1 and 6 sit in lanes 1 and 2; words 1 and 5 both in lane 1;
+        // blocks 0 and 1 reorder every lane at once.
+        assert_ne!(swapped(1, 6, 8), base, "two words of different lanes");
+        assert_ne!(swapped(1, 5, 8), base, "two words of one lane");
+        assert_ne!(swapped(0, 1, 32), base, "two whole blocks");
+        // Zero-extension, by a byte, a word and a block: the length is mixed in.
+        for pad in [1, 8, 32] {
+            let mut longer = data[..RELAY_DATA_MAX - 40].to_vec();
+            let short = payload_digest(&longer);
+            longer.resize(longer.len() + pad, 0);
+            assert_ne!(payload_digest(&longer), short, "zero-extended by {pad}");
+        }
+    }
+}
+
+#[test]
+fn degenerate_seeds_still_give_four_live_lanes() {
+    // Key 0 at nonce 0, the key that zeroed the pre-seed state of the old
+    // single-chain generator at nonce 1, and the four keys that each land
+    // one lane on SplitMix64's zero output.
+    let mut seeds = vec![(0, 0), (0xD6E8_FEB8_6659_FD93, 1)];
+    seeds.extend((0..4).map(|lane| (zero_lane_key(lane), 0)));
+    for (key, nonce) in seeds {
+        let lanes = reference_lanes(key, nonce);
+        assert!(lanes.iter().all(|&l| l != 0), "key {key:#x}: {lanes:x?}");
+        // A dead lane would leave every fourth word of the payload in
+        // the clear; the production seeding agrees with the reference.
+        let mut data = vec![0u8; 64];
+        LayerCipher::new(LayerKey(key)).apply(nonce, &mut data);
+        for (i, word) in data.chunks(8).enumerate() {
+            assert_ne!(word, [0u8; 8], "key {key:#x} word {i} unencrypted");
+        }
+        let mut reference = vec![0u8; 64];
+        bytewise_apply(key, nonce, &mut reference);
+        assert_eq!(data, reference, "key {key:#x}");
+    }
+    // The guard is exercised, not just present: lane 2 of this key is
+    // the replaced value.
+    assert_eq!(reference_lanes(zero_lane_key(2), 0)[2], GOLDEN);
 }
