@@ -186,7 +186,6 @@ pub fn run_trace(cfg: &TraceScenarioConfig) -> TraceReport {
         hops,
         file_bytes: cfg.file_bytes,
         world: WorldConfig {
-            verify_payload: true,
             trace_client_cwnd: true,
         },
         ..Default::default()

@@ -50,7 +50,6 @@ pub fn fig1_cdf() -> CdfScenarioConfig {
             file_bytes: 1 << 20,
             start_jitter_ms: 50.0,
             world: WorldConfig {
-                verify_payload: true,
                 trace_client_cwnd: false, // 50 traces are noise here
             },
             ..Default::default()

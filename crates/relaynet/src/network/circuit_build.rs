@@ -24,7 +24,7 @@ use torcell::cell::{Cell, CellBody, RelayCell, RelayCommand, HANDSHAKE_LEN};
 use torcell::crypto::{LayerKey, RelayCrypt};
 use torcell::ids::{CircuitId, StreamId};
 
-use netsim::net::{Net, NodeId};
+use netsim::net::NodeId;
 
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
@@ -32,14 +32,198 @@ use crate::node::{
     ClientApp, ClientStage, HopCtx, HopDir, NodeCircuit, NodeRole, PendingConfirm, QueuedCell,
     ServerApp,
 };
-use crate::pool::PayloadPool;
-use crate::router::Router;
-use crate::scheduler::LinkScheduler;
 use crate::workload::{CircuitWorkload, StreamSpec};
 
 use backtap::hop::HopTransport;
 
-use super::{FaultState, TorNetwork, WorldStats, DESTROY_REASON_FINISHED, DESTROY_REASON_REFUSED};
+use super::{Egress, FaultState, TorNetwork, DESTROY_REASON_FINISHED, DESTROY_REASON_REFUSED};
+
+impl Egress {
+    /// Discards everything queued on one hop direction of a closing
+    /// circuit: owed feedback is still paid (upstream windows must
+    /// drain) and DATA payload buffers return to the pool. A silently
+    /// reaped participation (a crashed relay, or an orphan stranded
+    /// beyond one) passes `pay_confirms = false` — a dead node must not
+    /// signal anyone.
+    fn drain_hopdir(
+        &mut self,
+        ctx: &mut Context<'_, TorEvent>,
+        my_net: NodeId,
+        hopdir: &mut HopDir,
+        pay_confirms: bool,
+    ) {
+        while let Some(qc) = hopdir.queue.pop_front() {
+            self.stats.cells_drained += 1;
+            if let Some(cf) = qc.confirm {
+                if pay_confirms {
+                    self.send_feedback(ctx, my_net, cf);
+                }
+            }
+            if let CellBody::Relay(rc) = qc.cell.body {
+                self.payload_pool.reclaim(rc.data);
+            }
+        }
+    }
+
+    /// Discards every cell of the closing circuit already handed to its
+    /// egress scheduler(s). Those cells left the hop queues and were
+    /// registered on a transport, but have not begun serializing — left
+    /// alone they would burn link time only to be dropped at the
+    /// receiver. Each drained cell pays its owed confirm, returns its
+    /// payload to the pool, and is retired from the transport that
+    /// registered it ([`HopTransport::forget`]) so the teardown
+    /// quiescence proof is not waiting on feedback that can never come.
+    ///
+    /// Both hop directions may share one egress link (a star leaf's
+    /// uplink), so the drain runs once per distinct link and dispatches
+    /// each frame to its transport by destination.
+    fn drain_scheduled(
+        &mut self,
+        ctx: &mut Context<'_, TorEvent>,
+        my_net: NodeId,
+        nc: &mut NodeCircuit,
+        pay_confirms: bool,
+    ) {
+        let circ = nc.circ;
+        let link_of = |h: &HopDir| {
+            self.router
+                .next_link(my_net, self.net_node_of[h.neighbor.index()])
+        };
+        let fwd_link = nc.fwd.as_ref().map(link_of);
+        let bwd_link = nc.bwd.as_ref().map(link_of);
+        let links = [fwd_link, bwd_link.filter(|b| Some(*b) != fwd_link)];
+        for link in links.into_iter().flatten() {
+            for frame in self.link_sched[link.index()].drain_circuit(circ) {
+                self.stats.cells_drained += 1;
+                let crate::wire::FramePayload::Cell { cell, hop_seq } = frame.payload else {
+                    debug_assert!(false, "feedback frames are never queued per circuit");
+                    continue;
+                };
+                let net_node_of = &self.net_node_of;
+                let hopdir = nc
+                    .fwd
+                    .as_mut()
+                    .filter(|h| net_node_of[h.neighbor.index()] == frame.dst)
+                    .or_else(|| {
+                        nc.bwd
+                            .as_mut()
+                            .filter(|h| net_node_of[h.neighbor.index()] == frame.dst)
+                    });
+                match hopdir {
+                    Some(h) => {
+                        let forgotten = h.transport.forget(hop_seq);
+                        debug_assert!(forgotten, "drained cell was not outstanding");
+                    }
+                    None => debug_assert!(false, "drained cell matches no hop direction"),
+                }
+                if let CellBody::Relay(rc) = cell.body {
+                    self.payload_pool.reclaim(rc.data);
+                }
+                if let Some(cf) = frame.confirm {
+                    if pay_confirms {
+                        self.send_feedback(ctx, my_net, cf);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Marks a participation closed: the client stops generating cells
+    /// and the queues drain — the cells this circuit already handed to
+    /// its egress link scheduler(s), then both hop queues — reclaiming
+    /// every payload. The DESTROY path pays the drained cells' owed
+    /// confirms (`pay_confirms = true`); a silent reap does not, and may
+    /// find the participation already closed, in which case there is
+    /// nothing left to drain.
+    pub(super) fn close_participation(
+        &mut self,
+        ctx: &mut Context<'_, TorEvent>,
+        my_net: NodeId,
+        nc: &mut NodeCircuit,
+        pay_confirms: bool,
+    ) {
+        debug_assert!(!(pay_confirms && nc.closed), "closing twice");
+        nc.closed = true;
+        if let Some(app) = nc.client.as_mut() {
+            app.stage = ClientStage::Closed;
+        }
+        self.drain_scheduled(ctx, my_net, nc, pay_confirms);
+        for h in [nc.fwd.as_mut(), nc.bwd.as_mut()].into_iter().flatten() {
+            self.drain_hopdir(ctx, my_net, h, pay_confirms);
+        }
+    }
+
+    /// Enqueues a DESTROY on `dir`'s hop and pumps it, returning whether
+    /// a neighbour was actually notified. A hop whose transport never
+    /// sent anything (a drained, never-sent CREATE) has no peer to
+    /// notify — the wave reflects instead. A hop whose neighbour has
+    /// **crashed** likewise reflects: the DESTROY could never be
+    /// confirmed and no echo can come back, so everything outstanding
+    /// toward the dead neighbour is written off
+    /// ([`HopTransport::forget_all`]) and the wave turns around here.
+    fn propagate_destroy(
+        &mut self,
+        faults: &Option<FaultState>,
+        ctx: &mut Context<'_, TorEvent>,
+        my_net: NodeId,
+        nc: &mut NodeCircuit,
+        dir: Direction,
+        reason: u8,
+    ) -> bool {
+        let hopdir = match dir {
+            Direction::Forward => nc.fwd.as_mut(),
+            Direction::Backward => nc.bwd.as_mut(),
+        };
+        let Some(hd) = hopdir else {
+            return false;
+        };
+        if faults
+            .as_ref()
+            .is_some_and(|f| f.is_crashed(hd.neighbor.index()))
+        {
+            hd.transport.forget_all();
+            return false;
+        }
+        if hd.transport.next_seq() == 0 && hd.queue.is_empty() {
+            // Never contacted that neighbour (its CREATE/CREATED was
+            // drained unsent): nothing to tear down there.
+            return false;
+        }
+        hd.enqueue(QueuedCell {
+            cell: Cell::destroy(CircuitId::CONTROL, reason),
+            confirm: None,
+            wrap_for_hop: None,
+        });
+        self.stats.destroys_sent += 1;
+        self.pump_dir(ctx, my_net, nc, dir);
+        true
+    }
+
+    /// One teardown wave, travelling in `wave`, reaches a closed
+    /// participation: mark it seen and pass it on. Where there is nobody
+    /// further along to notify the wave turns around, so the opposite
+    /// wave has passed here too — the end of the built path reflects the
+    /// forward wave as the backward echo, while the echo that runs out of
+    /// path (at the client) has simply completed the round trip.
+    pub(super) fn destroy_wave(
+        &mut self,
+        faults: &Option<FaultState>,
+        ctx: &mut Context<'_, TorEvent>,
+        my_net: NodeId,
+        nc: &mut NodeCircuit,
+        wave: Direction,
+        reason: u8,
+    ) {
+        let duplicate = nc.mark_wave(wave);
+        debug_assert!(!duplicate, "duplicate {wave} DESTROY wave");
+        if !self.propagate_destroy(faults, ctx, my_net, nc, wave, reason) {
+            nc.mark_wave(wave.opposite());
+            if wave == Direction::Forward {
+                self.propagate_destroy(faults, ctx, my_net, nc, Direction::Backward, reason);
+            }
+        }
+    }
+}
 
 impl TorNetwork {
     /// Handshake blob: global circuit id (instrumentation channel for the
@@ -125,18 +309,7 @@ impl TorNetwork {
             Direction::Backward,
         );
         let nc = self.nodes[client_id.index()].circuit_at_mut(local);
-        Self::pump_dir(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            &mut self.payload_pool,
-            ctx,
-            my_net,
-            nc,
-            Direction::Forward,
-        );
+        self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
         // With faults installed every incarnation arms a build timer —
         // the client's only way to learn about a crash is silence.
         if let Some(f) = self.faults.as_ref() {
@@ -176,7 +349,7 @@ impl TorNetwork {
         }
         let app = nc.client.as_mut().expect("client app exists");
         let Some(s) = app.streams.get_mut(stream as usize) else {
-            Self::protocol_error(&mut self.stats, "arrival for unknown stream");
+            self.egress.protocol_error("arrival for unknown stream");
             return;
         };
         s.arrived = true;
@@ -186,18 +359,7 @@ impl TorNetwork {
         s.begin_sent = true;
         let qc = Self::begin_cell(&mut self.payload_passes, s.id, app.server_hop());
         nc.fwd.as_mut().expect("client forward hop").enqueue(qc);
-        Self::pump_dir(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            &mut self.payload_pool,
-            ctx,
-            my_net,
-            nc,
-            Direction::Forward,
-        );
+        self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
     }
 
     /// CREATE: become part of the circuit; answer CREATED.
@@ -208,17 +370,18 @@ impl TorNetwork {
         from: OverlayId,
         link_id: CircuitId,
         handshake: [u8; HANDSHAKE_LEN],
-        hop_seq: u64,
+        confirm: PendingConfirm,
     ) {
         let global = CircId(u32::from_be_bytes(
             handshake[0..4].try_into().expect("4 bytes"),
         ));
         let Some(info) = self.circuits.get(global.index()) else {
-            Self::protocol_error(&mut self.stats, "CREATE for unregistered circuit");
+            self.egress
+                .protocol_error("CREATE for unregistered circuit");
             return;
         };
         let Some(position) = info.path.iter().position(|&n| n == to) else {
-            Self::protocol_error(&mut self.stats, "CREATE at node not on the path");
+            self.egress.protocol_error("CREATE at node not on the path");
             return;
         };
         let is_server = position == info.path.len() - 1;
@@ -235,26 +398,10 @@ impl TorNetwork {
                 Some(l) => client.circuit_at(l).closed,
             };
             if dead {
-                Self::stale_or_protocol_error(
-                    &self.faults,
-                    &mut self.stats,
-                    "CREATE for dead incarnation",
-                );
+                self.egress
+                    .stale_or_protocol_error(&self.faults, "CREATE for dead incarnation");
                 let my_net = self.nodes[to.index()].net_node;
-                Self::send_feedback(
-                    &mut self.net,
-                    &mut self.link_sched,
-                    &self.router,
-                    &self.net_node_of,
-                    &mut self.stats,
-                    ctx,
-                    my_net,
-                    PendingConfirm {
-                        neighbor: from,
-                        circ_id: link_id,
-                        seq: hop_seq,
-                    },
-                );
+                self.egress.send_feedback(ctx, my_net, confirm);
                 return;
             }
         }
@@ -269,8 +416,6 @@ impl TorNetwork {
         let node = &mut self.nodes[to.index()];
         let my_net = node.net_node;
         let mut nc = NodeCircuit::new(global, position);
-        nc.pred = Some(from);
-        nc.pred_circ_id = Some(link_id);
         nc.crypt = Some(RelayCrypt::new(LayerKey::from_handshake(&handshake)));
         if is_server {
             nc.server = Some(ServerApp::new(expected_streams));
@@ -286,33 +431,9 @@ impl TorNetwork {
         self.register_route(link_id, to, from, global, local, Direction::Forward);
 
         // Confirm the consumed CREATE, then answer.
-        Self::send_feedback(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            ctx,
-            my_net,
-            PendingConfirm {
-                neighbor: from,
-                circ_id: link_id,
-                seq: hop_seq,
-            },
-        );
+        self.egress.send_feedback(ctx, my_net, confirm);
         let nc = self.nodes[to.index()].circuit_at_mut(local);
-        Self::pump_dir(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            &mut self.payload_pool,
-            ctx,
-            my_net,
-            nc,
-            Direction::Backward,
-        );
+        self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
     }
 
     /// CREATED: the hop we asked for exists. At the client this advances
@@ -324,33 +445,17 @@ impl TorNetwork {
         from: OverlayId,
         link_id: CircuitId,
         handshake: [u8; HANDSHAKE_LEN],
-        hop_seq: u64,
+        confirm: PendingConfirm,
     ) {
         let Some((global, local, _)) = self.route_of(to, from, link_id) else {
             // Under faults a CREATED can race a crash-reap that already
             // cleared this route end.
-            Self::stale_or_protocol_error(
-                &self.faults,
-                &mut self.stats,
-                "CREATED on unknown route",
-            );
+            self.egress
+                .stale_or_protocol_error(&self.faults, "CREATED on unknown route");
             return;
         };
         let my_net = self.nodes[to.index()].net_node;
-        Self::send_feedback(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            ctx,
-            my_net,
-            PendingConfirm {
-                neighbor: from,
-                circ_id: link_id,
-                seq: hop_seq,
-            },
-        );
+        self.egress.send_feedback(ctx, my_net, confirm);
         let node = &mut self.nodes[to.index()];
         let nc = node.circuit_at_mut(local);
         if nc.closed {
@@ -363,7 +468,7 @@ impl TorNetwork {
         } else {
             // A relay completed an EXTEND: report EXTENDED to the client.
             let Some(echo) = nc.pending_extend.take() else {
-                Self::protocol_error(&mut self.stats, "CREATED without pending EXTEND");
+                self.egress.protocol_error("CREATED without pending EXTEND");
                 return;
             };
             debug_assert_eq!(echo, handshake, "CREATED must echo the extend handshake");
@@ -378,7 +483,7 @@ impl TorNetwork {
                 .expect("relay has crypt state")
                 .add_backward(&mut rc);
             let Some(bwd) = nc.bwd.as_mut() else {
-                Self::protocol_error(&mut self.stats, "relay without backward hop");
+                self.egress.protocol_error("relay without backward hop");
                 return;
             };
             bwd.enqueue(QueuedCell {
@@ -389,18 +494,7 @@ impl TorNetwork {
                 confirm: None,
                 wrap_for_hop: None,
             });
-            Self::pump_dir(
-                &mut self.net,
-                &mut self.link_sched,
-                &self.router,
-                &self.net_node_of,
-                &mut self.stats,
-                &mut self.payload_pool,
-                ctx,
-                my_net,
-                nc,
-                Direction::Backward,
-            );
+            self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
         }
     }
 
@@ -459,44 +553,31 @@ impl TorNetwork {
         for qc in qcs {
             fwd.enqueue(qc);
         }
-        Self::pump_dir(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            &mut self.payload_pool,
-            ctx,
-            my_net,
-            nc,
-            Direction::Forward,
-        );
+        self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
     }
 
     /// A relay recognized a forward cell: only EXTEND is valid here —
-    /// convert it into a CREATE toward the next node.
+    /// convert it into a CREATE toward the next node. `Err` names the
+    /// protocol violation; the caller owns the cell and raises it.
     pub(super) fn relay_consume(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
         relay: OverlayId,
         circ: CircId,
         local: u32,
-        rc: RelayCell,
-    ) {
+        rc: &RelayCell,
+    ) -> Result<(), &'static str> {
         if rc.cmd != RelayCommand::Extend {
-            Self::protocol_error(&mut self.stats, "relay consumed a non-EXTEND cell");
-            return;
+            return Err("relay consumed a non-EXTEND cell");
         }
         if rc.data.len() != 4 + HANDSHAKE_LEN {
-            Self::protocol_error(&mut self.stats, "malformed EXTEND payload");
-            return;
+            return Err("malformed EXTEND payload");
         }
         let target = OverlayId(u32::from_be_bytes(
             rc.data[0..4].try_into().expect("4 bytes"),
         ));
         if target.index() >= self.nodes.len() {
-            Self::protocol_error(&mut self.stats, "EXTEND to unknown node");
-            return;
+            return Err("EXTEND to unknown node");
         }
         let mut hs = [0u8; HANDSHAKE_LEN];
         hs.copy_from_slice(&rc.data[4..]);
@@ -521,265 +602,14 @@ impl TorNetwork {
             wrap_for_hop: None,
         });
         nc.fwd = Some(fwd);
-        Self::pump_dir(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            &mut self.payload_pool,
-            ctx,
-            my_net,
-            nc,
-            Direction::Forward,
-        );
+        self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
+        Ok(())
     }
 
-    /// Discards everything queued on one hop direction of a closing
-    /// circuit: owed feedback is still paid (upstream windows must
-    /// drain) and DATA payload buffers return to the pool. A silently
-    /// reaped participation (a crashed relay, or an orphan stranded
-    /// beyond one) passes `pay_confirms = false` — a dead node must not
-    /// signal anyone.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn drain_hopdir(
-        net: &mut Net<crate::wire::WireFrame>,
-        link_sched: &mut [LinkScheduler],
-        router: &Router,
-        net_node_of: &[NodeId],
-        stats: &mut WorldStats,
-        pool: &mut PayloadPool,
-        ctx: &mut Context<'_, TorEvent>,
-        my_net: NodeId,
-        hopdir: &mut HopDir,
-        pay_confirms: bool,
-    ) {
-        while let Some(qc) = hopdir.queue.pop_front() {
-            stats.cells_drained += 1;
-            if let Some(cf) = qc.confirm {
-                if pay_confirms {
-                    Self::send_feedback(
-                        net,
-                        link_sched,
-                        router,
-                        net_node_of,
-                        stats,
-                        ctx,
-                        my_net,
-                        cf,
-                    );
-                }
-            }
-            if let CellBody::Relay(rc) = qc.cell.body {
-                pool.reclaim(rc.data);
-            }
-        }
-    }
-
-    /// Discards every cell of the closing circuit already handed to its
-    /// egress scheduler(s). Those cells left the hop queues and were
-    /// registered on a transport, but have not begun serializing — left
-    /// alone they would burn link time only to be dropped at the
-    /// receiver. Each drained cell pays its owed confirm, returns its
-    /// payload to the pool, and is retired from the transport that
-    /// registered it ([`HopTransport::forget`]) so the teardown
-    /// quiescence proof is not waiting on feedback that can never come.
-    ///
-    /// Both hop directions may share one egress link (a star leaf's
-    /// uplink), so the drain runs once per distinct link and dispatches
-    /// each frame to its transport by destination.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn drain_scheduled(
-        net: &mut Net<crate::wire::WireFrame>,
-        link_sched: &mut [LinkScheduler],
-        router: &Router,
-        net_node_of: &[NodeId],
-        stats: &mut WorldStats,
-        pool: &mut PayloadPool,
-        ctx: &mut Context<'_, TorEvent>,
-        my_net: NodeId,
-        nc: &mut NodeCircuit,
-        pay_confirms: bool,
-    ) {
-        let circ = nc.circ;
-        let link_of = |h: &HopDir| router.next_link(my_net, net_node_of[h.neighbor.index()]);
-        let fwd_link = nc.fwd.as_ref().map(link_of);
-        let bwd_link = nc.bwd.as_ref().map(link_of);
-        let links = [fwd_link, bwd_link.filter(|b| Some(*b) != fwd_link)];
-        for link in links.into_iter().flatten() {
-            for frame in link_sched[link.index()].drain_circuit(circ) {
-                stats.cells_drained += 1;
-                let crate::wire::FramePayload::Cell { cell, hop_seq } = frame.payload else {
-                    debug_assert!(false, "feedback frames are never queued per circuit");
-                    continue;
-                };
-                let hopdir = nc
-                    .fwd
-                    .as_mut()
-                    .filter(|h| net_node_of[h.neighbor.index()] == frame.dst)
-                    .or_else(|| {
-                        nc.bwd
-                            .as_mut()
-                            .filter(|h| net_node_of[h.neighbor.index()] == frame.dst)
-                    });
-                match hopdir {
-                    Some(h) => {
-                        let forgotten = h.transport.forget(hop_seq);
-                        debug_assert!(forgotten, "drained cell was not outstanding");
-                    }
-                    None => debug_assert!(false, "drained cell matches no hop direction"),
-                }
-                if let CellBody::Relay(rc) = cell.body {
-                    pool.reclaim(rc.data);
-                }
-                if let Some(cf) = frame.confirm {
-                    if pay_confirms {
-                        Self::send_feedback(
-                            net,
-                            link_sched,
-                            router,
-                            net_node_of,
-                            stats,
-                            ctx,
-                            my_net,
-                            cf,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Marks a participation closed: queues drain (paying confirms,
-    /// reclaiming payloads) — both the hop queues and the cells this
-    /// circuit already handed to its egress link scheduler(s) — and the
-    /// client stops generating cells.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn close_participation(
-        net: &mut Net<crate::wire::WireFrame>,
-        link_sched: &mut [LinkScheduler],
-        router: &Router,
-        net_node_of: &[NodeId],
-        stats: &mut WorldStats,
-        pool: &mut PayloadPool,
-        ctx: &mut Context<'_, TorEvent>,
-        my_net: NodeId,
-        nc: &mut NodeCircuit,
-    ) {
-        debug_assert!(!nc.closed, "closing twice");
-        nc.closed = true;
-        if let Some(app) = nc.client.as_mut() {
-            app.stage = ClientStage::Closed;
-        }
-        Self::drain_scheduled(
-            net,
-            link_sched,
-            router,
-            net_node_of,
-            stats,
-            pool,
-            ctx,
-            my_net,
-            nc,
-            true,
-        );
-        if let Some(h) = nc.fwd.as_mut() {
-            Self::drain_hopdir(
-                net,
-                link_sched,
-                router,
-                net_node_of,
-                stats,
-                pool,
-                ctx,
-                my_net,
-                h,
-                true,
-            );
-        }
-        if let Some(h) = nc.bwd.as_mut() {
-            Self::drain_hopdir(
-                net,
-                link_sched,
-                router,
-                net_node_of,
-                stats,
-                pool,
-                ctx,
-                my_net,
-                h,
-                true,
-            );
-        }
-    }
-
-    /// Enqueues a DESTROY on `dir`'s hop and pumps it, returning whether
-    /// a neighbour was actually notified. A hop whose transport never
-    /// sent anything (a drained, never-sent CREATE) has no peer to
-    /// notify — the wave reflects instead. A hop whose neighbour has
-    /// **crashed** likewise reflects: the DESTROY could never be
-    /// confirmed and no echo can come back, so everything outstanding
-    /// toward the dead neighbour is written off
-    /// ([`HopTransport::forget_all`]) and the wave turns around here.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn propagate_destroy(
-        net: &mut Net<crate::wire::WireFrame>,
-        link_sched: &mut [LinkScheduler],
-        router: &Router,
-        net_node_of: &[NodeId],
-        stats: &mut WorldStats,
-        pool: &mut PayloadPool,
-        faults: &Option<FaultState>,
-        ctx: &mut Context<'_, TorEvent>,
-        my_net: NodeId,
-        nc: &mut NodeCircuit,
-        dir: Direction,
-        reason: u8,
-    ) -> bool {
-        let hopdir = match dir {
-            Direction::Forward => nc.fwd.as_mut(),
-            Direction::Backward => nc.bwd.as_mut(),
-        };
-        let Some(hd) = hopdir else {
-            return false;
-        };
-        if faults
-            .as_ref()
-            .is_some_and(|f| f.is_crashed(hd.neighbor.index()))
-        {
-            hd.transport.forget_all();
-            return false;
-        }
-        if hd.transport.next_seq() == 0 && hd.queue.is_empty() {
-            // Never contacted that neighbour (its CREATE/CREATED was
-            // drained unsent): nothing to tear down there.
-            return false;
-        }
-        hd.enqueue(QueuedCell {
-            cell: Cell::destroy(CircuitId::CONTROL, reason),
-            confirm: None,
-            wrap_for_hop: None,
-        });
-        stats.destroys_sent += 1;
-        Self::pump_dir(
-            net,
-            link_sched,
-            router,
-            net_node_of,
-            stats,
-            pool,
-            ctx,
-            my_net,
-            nc,
-            dir,
-        );
-        true
-    }
-
-    /// DESTROY: close the circuit and process the teardown wave. A
-    /// forward-travelling DESTROY continues toward the server (or
-    /// reflects at the end of the built path); the backward echo
-    /// continues toward the client.
+    /// DESTROY: close the circuit and process the teardown wave
+    /// ([`Egress::destroy_wave`]). A forward-travelling DESTROY continues
+    /// toward the server (or reflects at the end of the built path); the
+    /// backward echo continues toward the client.
     pub(super) fn handle_destroy(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
@@ -787,7 +617,7 @@ impl TorNetwork {
         from: OverlayId,
         link_id: CircuitId,
         reason: u8,
-        hop_seq: u64,
+        confirm: PendingConfirm,
     ) {
         let Some((_global, local, wave)) = self.route_of(to, from, link_id) else {
             // Under faults a DESTROY can land on a void: a crash-reap or
@@ -799,29 +629,13 @@ impl TorNetwork {
             // — the void answers with a REFUSED DESTROY so the wave can
             // turn around instead of dying here; a REFUSED echo is never
             // itself answered, so two voids cannot volley forever.
-            Self::stale_or_protocol_error(
-                &self.faults,
-                &mut self.stats,
-                "DESTROY on unknown route",
-            );
+            self.egress
+                .stale_or_protocol_error(&self.faults, "DESTROY on unknown route");
             if self.faults.is_some() {
                 let my_net = self.nodes[to.index()].net_node;
-                Self::send_feedback(
-                    &mut self.net,
-                    &mut self.link_sched,
-                    &self.router,
-                    &self.net_node_of,
-                    &mut self.stats,
-                    ctx,
-                    my_net,
-                    PendingConfirm {
-                        neighbor: from,
-                        circ_id: link_id,
-                        seq: hop_seq,
-                    },
-                );
+                self.egress.send_feedback(ctx, my_net, confirm);
                 if reason != DESTROY_REASON_REFUSED {
-                    let dst = self.net_node_of[from.index()];
+                    let dst = self.egress.net_node_of[from.index()];
                     let frame = crate::wire::WireFrame {
                         src: my_net,
                         dst,
@@ -834,109 +648,22 @@ impl TorNetwork {
                         },
                         confirm: None,
                     };
-                    Self::sched_send(
-                        &mut self.net,
-                        &mut self.link_sched,
-                        ctx,
-                        self.router.next_link(my_net, dst),
-                        frame,
-                        None,
-                    );
-                    self.stats.destroys_sent += 1;
+                    let link = self.egress.router.next_link(my_net, dst);
+                    self.egress.sched_send(ctx, link, frame, None);
+                    self.egress.stats.destroys_sent += 1;
                 }
             }
             return;
         };
         let my_net = self.nodes[to.index()].net_node;
-        Self::send_feedback(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            ctx,
-            my_net,
-            PendingConfirm {
-                neighbor: from,
-                circ_id: link_id,
-                seq: hop_seq,
-            },
-        );
+        self.egress.send_feedback(ctx, my_net, confirm);
         let node = &mut self.nodes[to.index()];
         let nc = node.circuit_at_mut(local);
         if !nc.closed {
-            Self::close_participation(
-                &mut self.net,
-                &mut self.link_sched,
-                &self.router,
-                &self.net_node_of,
-                &mut self.stats,
-                &mut self.payload_pool,
-                ctx,
-                my_net,
-                nc,
-            );
+            self.egress.close_participation(ctx, my_net, nc, true);
         }
-        match wave {
-            Direction::Forward => {
-                debug_assert!(!nc.destroy_fwd, "duplicate forward DESTROY wave");
-                nc.destroy_fwd = true;
-                let propagated = Self::propagate_destroy(
-                    &mut self.net,
-                    &mut self.link_sched,
-                    &self.router,
-                    &self.net_node_of,
-                    &mut self.stats,
-                    &mut self.payload_pool,
-                    &self.faults,
-                    ctx,
-                    my_net,
-                    nc,
-                    Direction::Forward,
-                    reason,
-                );
-                if !propagated {
-                    // End of the built path: reflect the echo.
-                    nc.destroy_bwd = true;
-                    Self::propagate_destroy(
-                        &mut self.net,
-                        &mut self.link_sched,
-                        &self.router,
-                        &self.net_node_of,
-                        &mut self.stats,
-                        &mut self.payload_pool,
-                        &self.faults,
-                        ctx,
-                        my_net,
-                        nc,
-                        Direction::Backward,
-                        reason,
-                    );
-                }
-            }
-            Direction::Backward => {
-                debug_assert!(!nc.destroy_bwd, "duplicate backward DESTROY wave");
-                nc.destroy_bwd = true;
-                let propagated = Self::propagate_destroy(
-                    &mut self.net,
-                    &mut self.link_sched,
-                    &self.router,
-                    &self.net_node_of,
-                    &mut self.stats,
-                    &mut self.payload_pool,
-                    &self.faults,
-                    ctx,
-                    my_net,
-                    nc,
-                    Direction::Backward,
-                    reason,
-                );
-                if !propagated {
-                    // The client: the echo completed the round trip.
-                    nc.destroy_fwd = true;
-                }
-            }
-        }
+        self.egress
+            .destroy_wave(&self.faults, ctx, my_net, nc, wave, reason);
         self.maybe_reclaim(ctx, to, local);
     }
 
@@ -976,37 +703,12 @@ impl TorNetwork {
         let node = &mut self.nodes[client_id.index()];
         let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
-        Self::close_participation(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            &mut self.payload_pool,
-            ctx,
-            my_net,
-            nc,
-        );
-        nc.destroy_fwd = true;
-        let propagated = Self::propagate_destroy(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            &mut self.payload_pool,
-            &self.faults,
-            ctx,
-            my_net,
-            nc,
-            Direction::Forward,
-            reason,
-        );
-        if !propagated {
-            // No neighbour was ever contacted (or the first hop is
-            // dead); the teardown is already complete.
-            nc.destroy_bwd = true;
-        }
+        self.egress.close_participation(ctx, my_net, nc, true);
+        // The client originates the forward wave. If no neighbour was
+        // ever contacted (or the first hop is dead) it turns around on
+        // the spot and the teardown is already complete.
+        self.egress
+            .destroy_wave(&self.faults, ctx, my_net, nc, Direction::Forward, reason);
         self.maybe_reclaim(ctx, client_id, local);
     }
 
@@ -1039,7 +741,7 @@ impl TorNetwork {
         for id in link_ids.into_iter().flatten() {
             self.clear_route_end(id, node_id);
         }
-        self.stats.slots_reclaimed += 1;
+        self.egress.stats.slots_reclaimed += 1;
         if is_client {
             // The client proving teardown quiescence retires the whole
             // incarnation from the live placement view — exactly once
@@ -1092,7 +794,7 @@ impl TorNetwork {
                 if parked == 0 {
                     return;
                 }
-                self.stats.flows_parked += parked;
+                self.egress.stats.flows_parked += parked;
                 self.faults
                     .as_mut()
                     .expect("checked above")
@@ -1141,7 +843,7 @@ impl TorNetwork {
                 .collect(),
             rebuild_delay: old_info.workload.rebuild_delay,
         };
-        self.stats.rebuilds += 1;
+        self.egress.stats.rebuilds += 1;
         let new = self.add_circuit_with_workload(path, workload, incarnation);
         // Timeout charges carry across incarnations: the backoff law and
         // the retry cap apply to the flow lineage, not to one circuit.
@@ -1162,7 +864,7 @@ impl TorNetwork {
         };
         let delta = std::mem::take(delta);
         if delta.is_empty() {
-            self.stats.epochs_applied += 1;
+            self.egress.stats.epochs_applied += 1;
             return;
         }
         // Joins first: a relay must never be both dark and picked by a
@@ -1179,9 +881,9 @@ impl TorNetwork {
                 departed += 1;
             }
         }
-        self.stats.relays_joined += joined;
-        self.stats.relays_departed += departed;
-        self.stats.epochs_applied += 1;
+        self.egress.stats.relays_joined += joined;
+        self.egress.stats.relays_departed += departed;
+        self.egress.stats.epochs_applied += 1;
         // Fresh capacity joined the consensus: wake every parked lineage
         // with a clean retry budget. If the set is still too thin the
         // rebuild simply re-parks — no event loop.
@@ -1209,7 +911,7 @@ impl TorNetwork {
                 info.accounted && info.path.iter().any(|n| leaving[n.index()])
             };
             if crosses {
-                self.stats.epoch_teardowns += 1;
+                self.egress.stats.epoch_teardowns += 1;
                 self.teardown(ctx, CircId(i as u32));
             }
         }
@@ -1217,5 +919,228 @@ impl TorNetwork {
             self.verify_placement_ledger(),
             "epoch {epoch}: placement ledger out of sync"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use backtap::cc::FixedWindowCc;
+    use netsim::bandwidth::Bandwidth;
+    use netsim::link::LinkConfig;
+    use netsim::net::Net;
+    use simcore::rng::SimRng;
+    use simcore::sim::{Simulator, World};
+    use simcore::time::SimTime;
+
+    use super::*;
+    use crate::router::Router;
+    use crate::wire::{FramePayload, WireFrame};
+    use crate::workload::FaultSpec;
+
+    /// A relay and its two neighbours; overlay ids double as network ids.
+    const PRED: OverlayId = OverlayId(0);
+    const ME: OverlayId = OverlayId(1);
+    const SUCC: OverlayId = OverlayId(2);
+
+    /// A world whose one event lends its [`Context`] to a closure: the
+    /// kernel hands contexts to nothing but [`World::handle`].
+    struct Once<F>(Option<F>);
+
+    impl<F: FnOnce(&mut Context<'_, TorEvent>)> World for Once<F> {
+        type Event = TorEvent;
+
+        fn handle(&mut self, ctx: &mut Context<'_, TorEvent>, _: TorEvent) {
+            (self.0.take().expect("one event only"))(ctx)
+        }
+    }
+
+    fn with_ctx(f: impl FnOnce(&mut Context<'_, TorEvent>)) {
+        let mut sim = Simulator::new(Once(Some(f)));
+        sim.schedule_in(SimDuration::ZERO, TorEvent::Teardown(CircId(0)));
+        assert!(sim.step());
+    }
+
+    /// The link side of `ME`, wired to `PRED` and `SUCC`, and `ME`'s
+    /// participation in circuit 0 with one cell outstanding on each hop
+    /// (so both neighbours count as contacted). No world, no other nodes.
+    fn rig() -> (Egress, NodeCircuit) {
+        let mut net = Net::new();
+        let nodes = [
+            net.add_node("pred"),
+            net.add_node("me"),
+            net.add_node("succ"),
+        ];
+        let cfg = LinkConfig::new(Bandwidth::from_mbps(10), SimDuration::from_millis(1));
+        let mut router = Router::new();
+        for peer in [PRED, SUCC] {
+            let (out, _) = net.add_duplex(nodes[ME.index()], nodes[peer.index()], cfg);
+            router.install(nodes[ME.index()], nodes[peer.index()], out);
+        }
+        let mut egress = Egress::new(net, router);
+        egress.net_node_of = nodes.to_vec();
+
+        let mut nc = NodeCircuit::new(CircId(0), 1);
+        nc.closed = true;
+        nc.fwd = Some(hop(SUCC, 10, true));
+        nc.bwd = Some(hop(PRED, 11, true));
+        (egress, nc)
+    }
+
+    fn hop(neighbor: OverlayId, link_id: u32, contacted: bool) -> HopDir {
+        let transport = HopTransport::new(Box::new(FixedWindowCc::new(4)));
+        let mut hop = HopDir::new(neighbor, CircuitId(link_id), transport);
+        if contacted {
+            hop.transport.register_send(SimTime::ZERO);
+        }
+        hop
+    }
+
+    fn my_net(egress: &Egress) -> NodeId {
+        egress.net_node_of[ME.index()]
+    }
+
+    /// Whether the frame serializing toward `peer` is a DESTROY.
+    fn destroy_on_the_wire_to(egress: &Egress, peer: OverlayId) -> bool {
+        let link = egress
+            .router
+            .next_link(my_net(egress), egress.net_node_of[peer.index()]);
+        matches!(
+            egress.net.transmitting(link),
+            Some(WireFrame {
+                payload: FramePayload::Cell {
+                    cell: Cell {
+                        body: CellBody::Destroy { .. },
+                        ..
+                    },
+                    ..
+                },
+                ..
+            })
+        )
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Ahead {
+        Present,
+        NeverContacted,
+        Crashed,
+    }
+
+    #[test]
+    fn teardown_wave_table() {
+        use Ahead::{Crashed, NeverContacted, Present};
+        use Direction::{Backward, Forward};
+        // (wave, the neighbour it is heading for) →
+        // (forward seen, backward seen), who is sent a DESTROY.
+        let rows = [
+            (Forward, Present, (true, false), Some(SUCC)),
+            (Forward, NeverContacted, (true, true), Some(PRED)),
+            (Forward, Crashed, (true, true), Some(PRED)),
+            (Backward, Present, (false, true), Some(PRED)),
+            (Backward, NeverContacted, (true, true), None),
+            (Backward, Crashed, (true, true), None),
+        ];
+        for (wave, ahead, seen, destroy_to) in rows {
+            let row = format!("{wave} wave, neighbour {ahead:?}");
+            let (mut egress, mut nc) = rig();
+            let mut faults = FaultState {
+                spec: FaultSpec::default(),
+                crashed: Vec::new(),
+                jitter: SimRng::seed_from(1),
+                parked: Vec::new(),
+            };
+            let slot = match wave {
+                Forward => &mut nc.fwd,
+                Backward => &mut nc.bwd,
+            };
+            let peer = slot.as_ref().expect("rig has both hops").neighbor;
+            match ahead {
+                Present => {}
+                NeverContacted => *slot = Some(hop(peer, 12, false)),
+                Crashed => assert!(faults.mark_crashed(peer.index())),
+            }
+            let faults = Some(faults);
+            let me = my_net(&egress);
+            with_ctx(|ctx| egress.destroy_wave(&faults, ctx, me, &mut nc, wave, 9));
+
+            assert_eq!((nc.destroy_fwd, nc.destroy_bwd), seen, "{row}");
+            assert_eq!(
+                egress.stats.destroys_sent,
+                u64::from(destroy_to.is_some()),
+                "{row}"
+            );
+            for n in [PRED, SUCC] {
+                assert_eq!(
+                    destroy_on_the_wire_to(&egress, n),
+                    destroy_to == Some(n),
+                    "{row}: frame toward {n}"
+                );
+            }
+            let ahead_hop = match wave {
+                Forward => nc.fwd.as_ref(),
+                Backward => nc.bwd.as_ref(),
+            }
+            .expect("rig has both hops");
+            let outstanding = match ahead {
+                Present => 2, // the earlier cell and the DESTROY
+                NeverContacted => 0,
+                Crashed => 0, // written off: no confirm can ever come
+            };
+            assert_eq!(ahead_hop.transport.outstanding(), outstanding, "{row}");
+        }
+    }
+
+    #[test]
+    fn a_silent_close_of_a_closed_participation_drains_nothing_twice() {
+        let (mut egress, mut nc) = rig();
+        nc.closed = false;
+        let me = my_net(&egress);
+        // Three forwarded DATA cells, each owing `PRED` a confirm: the
+        // first goes on the wire, the second waits in the link scheduler,
+        // the third is still in the hop queue when the circuit closes.
+        let data_cell = |egress: &mut Egress, seq| {
+            let mut buf = egress.payload_pool.acquire();
+            buf.resize(torcell::cell::RELAY_DATA_MAX, 0x5A);
+            QueuedCell {
+                cell: Cell {
+                    circ: CircuitId::CONTROL,
+                    body: CellBody::Relay(RelayCell::data(StreamId(1), buf)),
+                },
+                confirm: Some(PendingConfirm {
+                    neighbor: PRED,
+                    circ_id: CircuitId(11),
+                    seq,
+                }),
+                wrap_for_hop: None,
+            }
+        };
+        with_ctx(|ctx| {
+            for seq in 0..2 {
+                let qc = data_cell(&mut egress, seq);
+                nc.fwd.as_mut().expect("forward hop").enqueue(qc);
+            }
+            egress.pump_dir(ctx, me, &mut nc, Direction::Forward);
+            let qc = data_cell(&mut egress, 2);
+            nc.fwd.as_mut().expect("forward hop").enqueue(qc);
+
+            egress.close_participation(ctx, me, &mut nc, true);
+            assert!(nc.closed);
+            let after_close = (egress.stats, egress.payload_pool.returned());
+            assert_eq!(egress.stats.cells_drained, 2);
+            assert_eq!(egress.stats.feedback_sent, 2, "drained cells still confirm");
+            assert_eq!(egress.payload_pool.returned(), 2);
+            let fwd = nc.fwd.as_ref().expect("forward hop");
+            // The rig's cell and the one on the wire; the scheduled one
+            // was retired from the transport.
+            assert_eq!(fwd.transport.outstanding(), 2);
+
+            egress.close_participation(ctx, me, &mut nc, false);
+            assert!(nc.closed);
+            assert_eq!(
+                (egress.stats, egress.payload_pool.returned()),
+                after_close,
+                "a second, silent close must find nothing to drain or send"
+            );
+        });
     }
 }

@@ -132,29 +132,27 @@ impl TorNetwork {
         None
     }
 
-    /// The server recognized a forward cell.
+    /// The server recognized a forward cell. `Err` names the protocol
+    /// violation; the caller owns the cell and raises it.
     pub(super) fn server_consume(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
         server: OverlayId,
         circ: CircId,
         local: u32,
-        rc: RelayCell,
-    ) {
-        let verify = self.cfg.verify_payload;
+        rc: &RelayCell,
+    ) -> Result<(), &'static str> {
         let node = &mut self.nodes[server.index()];
         let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
         let app = nc.server.as_mut().expect("server app exists");
         match rc.cmd {
             RelayCommand::Begin => {
-                let Some(stream) = app.stream_mut(rc.stream) else {
-                    Self::protocol_error(&mut self.stats, "BEGIN outside the workload");
-                    return;
-                };
+                let stream = app
+                    .stream_mut(rc.stream)
+                    .ok_or("BEGIN outside the workload")?;
                 if stream.open {
-                    Self::protocol_error(&mut self.stats, "duplicate BEGIN for a stream");
-                    return;
+                    return Err("duplicate BEGIN for a stream");
                 }
                 stream.open = true;
                 let mut reply = Self::control_cell(
@@ -178,36 +176,23 @@ impl TorNetwork {
                         confirm: None,
                         wrap_for_hop: None,
                     });
-                Self::pump_dir(
-                    &mut self.net,
-                    &mut self.link_sched,
-                    &self.router,
-                    &self.net_node_of,
-                    &mut self.stats,
-                    &mut self.payload_pool,
-                    ctx,
-                    my_net,
-                    nc,
-                    Direction::Backward,
-                );
+                self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
             }
             RelayCommand::Data => {
-                let Some(stream) = app.stream_mut(rc.stream).filter(|s| s.open) else {
-                    Self::protocol_error(&mut self.stats, "DATA before BEGIN");
-                    return;
-                };
+                let stream = app
+                    .stream_mut(rc.stream)
+                    .filter(|s| s.open)
+                    .ok_or("DATA before BEGIN")?;
                 stream.cells_received += 1;
                 stream.bytes_received += rc.data.len() as u64;
                 // Aggregate arrival counter = fill-pattern index (the
                 // counterpart of the client's aggregate send counter).
                 let idx = app.cells_received;
                 app.cells_received += 1;
-                if verify {
-                    self.payload_passes += 1;
-                    if !verify_fill_pattern(circ, idx, &rc.data) {
-                        app.payload_errors += 1;
-                        debug_assert!(false, "payload verification failed");
-                    }
+                self.payload_passes += 1;
+                if !verify_fill_pattern(circ, idx, &rc.data) {
+                    app.payload_errors += 1;
+                    debug_assert!(false, "payload verification failed");
                 }
                 app.bytes_received += rc.data.len() as u64;
                 if app.first_byte_at.is_none() {
@@ -218,51 +203,50 @@ impl TorNetwork {
                 // survives circuit churn.
                 let sidx = (rc.stream.0 - 1) as usize;
                 let info = &self.circuits[circ.index()];
-                if let Some(spec) = info.workload.streams.get(sidx) {
-                    let flow = &mut self.flows[spec.flow.index()];
-                    flow.delivered += rc.data.len() as u64;
-                    flow.cells_delivered += 1;
-                    if flow.first_byte_at.is_none() {
-                        flow.first_byte_at = Some(ctx.now());
-                    }
-                    debug_assert!(
-                        flow.delivered <= flow.requested,
-                        "flow over-delivered: duplicated bytes"
-                    );
-                    if flow.complete() && flow.completed_at.is_none() {
-                        flow.completed_at = Some(ctx.now());
-                        // Fold the completion into the streaming sketch
-                        // the moment it happens — the O(buckets) twin of
-                        // the exact per-flow CDF.
-                        if let Some(ttlb) = flow.completion_time() {
-                            self.completion_sketch.record(ttlb.as_secs_f64());
-                        }
-                    }
-                } else {
-                    Self::protocol_error(&mut self.stats, "DATA for stream outside the workload");
+                let spec = info
+                    .workload
+                    .streams
+                    .get(sidx)
+                    .ok_or("DATA for stream outside the workload")?;
+                let flow = &mut self.flows[spec.flow.index()];
+                flow.delivered += rc.data.len() as u64;
+                flow.cells_delivered += 1;
+                if flow.first_byte_at.is_none() {
+                    flow.first_byte_at = Some(ctx.now());
                 }
-                // The payload dies here; recycle its buffer into the pool
-                // the client side draws from.
-                self.payload_pool.reclaim(rc.data);
+                debug_assert!(
+                    flow.delivered <= flow.requested,
+                    "flow over-delivered: duplicated bytes"
+                );
+                if flow.complete() && flow.completed_at.is_none() {
+                    flow.completed_at = Some(ctx.now());
+                    // Fold the completion into the streaming sketch
+                    // the moment it happens — the O(buckets) twin of
+                    // the exact per-flow CDF.
+                    if let Some(ttlb) = flow.completion_time() {
+                        self.completion_sketch.record(ttlb.as_secs_f64());
+                    }
+                }
             }
             RelayCommand::End => {
-                let Some(stream) = app.stream_mut(rc.stream).filter(|s| s.open) else {
-                    Self::protocol_error(&mut self.stats, "END before BEGIN");
-                    return;
-                };
+                let stream = app
+                    .stream_mut(rc.stream)
+                    .filter(|s| s.open)
+                    .ok_or("END before BEGIN")?;
                 if !stream.ended {
                     stream.ended = true;
                     app.streams_ended += 1;
                     app.ended = app.streams_ended == app.expected_streams;
                 }
             }
-            _ => {
-                Self::protocol_error(&mut self.stats, "unexpected relay command at server");
-            }
+            _ => return Err("unexpected relay command at server"),
         }
+        Ok(())
     }
 
     /// The client recognized a backward cell originated by hop `origin`.
+    /// `Err` names the protocol violation; the caller owns the cell and
+    /// raises it.
     pub(super) fn client_consume_backward(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
@@ -270,13 +254,12 @@ impl TorNetwork {
         circ: CircId,
         local: u32,
         origin: usize,
-        rc: RelayCell,
-    ) {
+        rc: &RelayCell,
+    ) -> Result<(), &'static str> {
         match rc.cmd {
             RelayCommand::Extended => {
                 if rc.data.len() != torcell::cell::HANDSHAKE_LEN {
-                    Self::protocol_error(&mut self.stats, "malformed EXTENDED payload");
-                    return;
+                    return Err("malformed EXTENDED payload");
                 }
                 let node = &self.nodes[client.index()];
                 let nc = node.circuit_at(local);
@@ -296,40 +279,25 @@ impl TorNetwork {
                 let nc = node.circuit_at_mut(local);
                 let app = nc.client.as_mut().expect("client app");
                 if app.stage != ClientStage::Established {
-                    Self::protocol_error(&mut self.stats, "CONNECTED in wrong stage");
-                    return;
+                    return Err("CONNECTED in wrong stage");
                 }
-                let Some(s) = app.stream_mut(rc.stream) else {
-                    Self::protocol_error(&mut self.stats, "CONNECTED for unknown stream");
-                    return;
-                };
+                let s = app
+                    .stream_mut(rc.stream)
+                    .ok_or("CONNECTED for unknown stream")?;
                 if s.open || !s.begin_sent {
-                    Self::protocol_error(&mut self.stats, "unexpected CONNECTED");
-                    return;
+                    return Err("unexpected CONNECTED");
                 }
                 s.open = true;
                 if app.connected_at.is_none() {
                     app.connected_at = Some(ctx.now());
                 }
-                Self::pump_dir(
-                    &mut self.net,
-                    &mut self.link_sched,
-                    &self.router,
-                    &self.net_node_of,
-                    &mut self.stats,
-                    &mut self.payload_pool,
-                    ctx,
-                    my_net,
-                    nc,
-                    Direction::Forward,
-                );
+                self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
             }
             RelayCommand::End => {
                 // Server-initiated close; nothing to do for bulk transfers.
             }
-            _ => {
-                Self::protocol_error(&mut self.stats, "unexpected backward relay command");
-            }
+            _ => return Err("unexpected backward relay command"),
         }
+        Ok(())
     }
 }

@@ -3,15 +3,19 @@
 //! Everything that touches raw frames on links lives here: ingress
 //! dispatch of delivered frames, the per-link round-robin egress
 //! scheduler, link-local circuit-id allocation, and the window-gated
-//! egress pump ([`TorNetwork::pump_dir`]) that drains a hop's queue while
+//! egress pump ([`Egress::pump_dir`]) that drains a hop's queue while
 //! its transport has credit.
 //!
-//! The helpers are associated functions over *split borrows* (`net`,
-//! `link_sched`, `router`, …) rather than `&mut self` methods so that
-//! callers deeper in the pipeline can invoke them while holding a mutable
+//! The sending half is methods of [`Egress`], which owns what a send
+//! touches — the links, their schedulers, the routing table, the
+//! overlay → network node map, the payload pool and the counters — and
+//! nothing a circuit owns. It is one field of [`TorNetwork`], disjoint
+//! from `nodes`, so a stage deeper in the pipeline calls
+//! `self.egress.pump_dir(ctx, my_net, nc, dir)` while it holds a mutable
 //! borrow of one node's circuit state.
 
-use netsim::net::{Net, SendOutcome};
+use netsim::link::LinkId;
+use netsim::net::{NodeId, SendOutcome};
 use simcore::sim::Context;
 
 use torcell::cell::CellBody;
@@ -20,13 +24,9 @@ use torcell::ids::CircuitId;
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction};
 use crate::node::NodeCircuit;
-use crate::pool::PayloadPool;
-use crate::router::Router;
-use crate::scheduler::LinkScheduler;
 use crate::wire::{FramePayload, WireFrame};
 
-use super::{LinkRoute, TorNetwork, WorldStats};
-use netsim::net::NodeId;
+use super::{Egress, LinkRoute, TorNetwork};
 
 impl TorNetwork {
     /// Allocates a link-local circuit id (negotiated per connection, as
@@ -45,46 +45,6 @@ impl TorNetwork {
         let id = CircuitId(u32::try_from(self.link_routes.len()).expect("too many circuit ids"));
         self.link_routes.push(LinkRoute::default());
         id
-    }
-
-    /// Hands a frame to an overlay egress link: directly if the link is
-    /// idle, otherwise into the link's round-robin scheduler (feedback has
-    /// strict priority; data cells queue per circuit).
-    pub(super) fn sched_send(
-        net: &mut Net<WireFrame>,
-        link_sched: &mut [LinkScheduler],
-        ctx: &mut Context<'_, TorEvent>,
-        link: netsim::link::LinkId,
-        frame: WireFrame,
-        data_circuit: Option<CircId>,
-    ) {
-        if net.is_busy(link) {
-            let sched = &mut link_sched[link.index()];
-            match data_circuit {
-                Some(circ) => sched.push_cell(circ, frame),
-                None => sched.push_feedback(frame),
-            }
-        } else {
-            debug_assert_eq!(net.queue_len(link), 0, "idle link with queued frames");
-            let outcome = net.send(ctx, link, frame);
-            debug_assert_eq!(outcome, SendOutcome::Accepted, "idle link refused a frame");
-        }
-    }
-
-    /// After a transmission completes, starts the next scheduled frame on
-    /// the link, if any.
-    pub(super) fn refill_link(
-        net: &mut Net<WireFrame>,
-        link_sched: &mut [LinkScheduler],
-        ctx: &mut Context<'_, TorEvent>,
-        link: netsim::link::LinkId,
-    ) {
-        if !net.is_busy(link) {
-            if let Some(frame) = link_sched[link.index()].pop() {
-                let outcome = net.send(ctx, link, frame);
-                debug_assert_eq!(outcome, SendOutcome::Accepted);
-            }
-        }
     }
 
     /// Ingress: a frame addressed to one of our overlay nodes arrived.
@@ -111,10 +71,10 @@ impl TorNetwork {
             // ids never resolve against a re-minted circuit. The
             // simulator still owns the payload buffer, so DATA bodies
             // return to the pool.
-            self.stats.crash_frames_dropped += 1;
+            self.egress.stats.crash_frames_dropped += 1;
             if let FramePayload::Cell { cell, .. } = frame.payload {
                 if let CellBody::Relay(rc) = cell.body {
-                    self.payload_pool.reclaim(rc.data);
+                    self.egress.payload_pool.reclaim(rc.data);
                 }
             }
             return;
@@ -124,18 +84,48 @@ impl TorNetwork {
             FramePayload::Cell { cell, hop_seq } => self.on_cell(ctx, to, from, cell, hop_seq),
         }
     }
+}
+
+impl Egress {
+    /// Hands a frame to an overlay egress link: directly if the link is
+    /// idle, otherwise into the link's round-robin scheduler (feedback has
+    /// strict priority; data cells queue per circuit).
+    pub(super) fn sched_send(
+        &mut self,
+        ctx: &mut Context<'_, TorEvent>,
+        link: LinkId,
+        frame: WireFrame,
+        data_circuit: Option<CircId>,
+    ) {
+        if self.net.is_busy(link) {
+            let sched = &mut self.link_sched[link.index()];
+            match data_circuit {
+                Some(circ) => sched.push_cell(circ, frame),
+                None => sched.push_feedback(frame),
+            }
+        } else {
+            debug_assert_eq!(self.net.queue_len(link), 0, "idle link with queued frames");
+            let outcome = self.net.send(ctx, link, frame);
+            debug_assert_eq!(outcome, SendOutcome::Accepted, "idle link refused a frame");
+        }
+    }
+
+    /// After a transmission completes, starts the next scheduled frame on
+    /// the link, if any.
+    pub(super) fn refill_link(&mut self, ctx: &mut Context<'_, TorEvent>, link: LinkId) {
+        if !self.net.is_busy(link) {
+            if let Some(frame) = self.link_sched[link.index()].pop() {
+                let outcome = self.net.send(ctx, link, frame);
+                debug_assert_eq!(outcome, SendOutcome::Accepted);
+            }
+        }
+    }
 
     /// Egress pump: drains one hop direction — sends queued cells (and, at
     /// a transferring client, freshly generated DATA/END cells) while the
     /// window allows, paying owed feedback as cells leave the queue.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn pump_dir(
-        net: &mut Net<WireFrame>,
-        link_sched: &mut [LinkScheduler],
-        router: &Router,
-        net_node_of: &[NodeId],
-        stats: &mut WorldStats,
-        pool: &mut PayloadPool,
+        &mut self,
         ctx: &mut Context<'_, TorEvent>,
         my_net: NodeId,
         nc: &mut NodeCircuit,
@@ -158,7 +148,12 @@ impl TorNetwork {
             let qc = if let Some(qc) = hopdir.queue.pop_front() {
                 qc
             } else if dir == Direction::Forward {
-                match Self::generate_client_cell(client.as_mut(), pool, circ, ctx.now()) {
+                match TorNetwork::generate_client_cell(
+                    client.as_mut(),
+                    &mut self.payload_pool,
+                    circ,
+                    ctx.now(),
+                ) {
                     Some(qc) => qc,
                     None => break,
                 }
@@ -178,7 +173,7 @@ impl TorNetwork {
             }
             let seq = hopdir.transport.register_send(ctx.now());
             cell.circ = hopdir.link_circ_id;
-            let dst = net_node_of[hopdir.neighbor.index()];
+            let dst = self.net_node_of[hopdir.neighbor.index()];
             let frame = WireFrame {
                 src: my_net,
                 dst,
@@ -187,15 +182,9 @@ impl TorNetwork {
                 // that is the instant the cell is "forwarded".
                 confirm: qc.confirm,
             };
-            Self::sched_send(
-                net,
-                link_sched,
-                ctx,
-                router.next_link(my_net, dst),
-                frame,
-                Some(circ),
-            );
-            stats.cells_sent += 1;
+            let link = self.router.next_link(my_net, dst);
+            self.sched_send(ctx, link, frame, Some(circ));
+            self.stats.cells_sent += 1;
         }
     }
 }

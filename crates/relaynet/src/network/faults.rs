@@ -53,7 +53,7 @@ impl TorNetwork {
         if !f.mark_crashed(overlay.index()) {
             return;
         }
-        self.stats.crashes_injected += 1;
+        self.egress.stats.crashes_injected += 1;
         for (circ, _) in self.nodes[overlay.index()].participations() {
             self.reap_participation(ctx, overlay, circ);
             self.repair_severed_teardown(ctx, circ);
@@ -174,14 +174,14 @@ impl TorNetwork {
     /// teardown — whose DESTROY wave reflects at the dead hop and whose
     /// reclamation path schedules the rebuild.
     fn force_abandon(&mut self, ctx: &mut Context<'_, TorEvent>, circ: CircId) {
-        self.stats.timeouts_fired += 1;
+        self.egress.stats.timeouts_fired += 1;
         let path = self.circuits[circ.index()].path.clone();
         // Blame: the path's first dead hop. A timeout with no dead hop
         // is a transient stall — nobody is excluded for it.
         if let Some(k) = path.iter().position(|&n| self.is_crashed(n)) {
             if let Some(r) = self.relay_id_of(path[k]) {
                 if self.exclude_relay(r) {
-                    self.stats.blamed_exclusions += 1;
+                    self.egress.stats.blamed_exclusions += 1;
                 }
             }
         }
@@ -196,7 +196,7 @@ impl TorNetwork {
             let frac = f.jitter.range_f64(0.0, 1.0);
             f.spec.backoff(self.circuits[circ.index()].retries, frac)
         };
-        self.stats.retries += 1;
+        self.egress.stats.retries += 1;
         let info = &mut self.circuits[circ.index()];
         info.retries += 1;
         info.workload.rebuild_delay = delay;
@@ -224,57 +224,13 @@ impl TorNetwork {
         if nc.is_vacant() {
             return;
         }
-        if !nc.closed {
-            nc.closed = true;
-            if let Some(app) = nc.client.as_mut() {
-                app.stage = ClientStage::Closed;
-            }
-        }
-        Self::drain_scheduled(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            &mut self.payload_pool,
-            ctx,
-            my_net,
-            nc,
-            false,
-        );
-        if let Some(h) = nc.fwd.as_mut() {
-            Self::drain_hopdir(
-                &mut self.net,
-                &mut self.link_sched,
-                &self.router,
-                &self.net_node_of,
-                &mut self.stats,
-                &mut self.payload_pool,
-                ctx,
-                my_net,
-                h,
-                false,
-            );
-            h.transport.forget_all();
-        }
-        if let Some(h) = nc.bwd.as_mut() {
-            Self::drain_hopdir(
-                &mut self.net,
-                &mut self.link_sched,
-                &self.router,
-                &self.net_node_of,
-                &mut self.stats,
-                &mut self.payload_pool,
-                ctx,
-                my_net,
-                h,
-                false,
-            );
+        self.egress.close_participation(ctx, my_net, nc, false);
+        for h in [nc.fwd.as_mut(), nc.bwd.as_mut()].into_iter().flatten() {
             h.transport.forget_all();
         }
         nc.destroy_fwd = true;
         nc.destroy_bwd = true;
-        // The drains above wrote off sends that may still be in flight
+        // The write-offs above cover sends that may still be in flight
         // carrying these link-local ids: retire the ids so reclamation
         // never recycles them under a straggler (see
         // [`super::LinkRoute::retired`]).

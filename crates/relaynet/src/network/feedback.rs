@@ -8,7 +8,7 @@
 //! transport's window and re-runs the egress pump, which is the only way
 //! windows grow: there are no end-to-end ACKs anywhere in the overlay.
 
-use netsim::net::{Net, NodeId};
+use netsim::net::NodeId;
 use simcore::sim::Context;
 
 use torcell::cell::Feedback;
@@ -16,27 +16,20 @@ use torcell::cell::Feedback;
 use crate::event::TorEvent;
 use crate::ids::OverlayId;
 use crate::node::PendingConfirm;
-use crate::router::Router;
-use crate::scheduler::LinkScheduler;
 use crate::wire::{FramePayload, WireFrame};
 
-use super::{TorNetwork, WorldStats};
+use super::{Egress, TorNetwork};
 
-impl TorNetwork {
+impl Egress {
     /// Emits a feedback frame to `cf.neighbor`, echoing that neighbour's
     /// per-hop sequence number for the cell being confirmed.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn send_feedback(
-        net: &mut Net<WireFrame>,
-        link_sched: &mut [LinkScheduler],
-        router: &Router,
-        net_node_of: &[NodeId],
-        stats: &mut WorldStats,
+        &mut self,
         ctx: &mut Context<'_, TorEvent>,
         my_net: NodeId,
         cf: PendingConfirm,
     ) {
-        let dst = net_node_of[cf.neighbor.index()];
+        let dst = self.net_node_of[cf.neighbor.index()];
         let frame = WireFrame {
             src: my_net,
             dst,
@@ -46,17 +39,13 @@ impl TorNetwork {
             }),
             confirm: None,
         };
-        Self::sched_send(
-            net,
-            link_sched,
-            ctx,
-            router.next_link(my_net, dst),
-            frame,
-            None,
-        );
-        stats.feedback_sent += 1;
+        let link = self.router.next_link(my_net, dst);
+        self.sched_send(ctx, link, frame, None);
+        self.stats.feedback_sent += 1;
     }
+}
 
+impl TorNetwork {
     /// A feedback frame arrived: credit the hop transport that sent the
     /// confirmed cell and pump that direction again.
     pub(super) fn on_feedback(
@@ -67,18 +56,15 @@ impl TorNetwork {
         fb: Feedback,
     ) {
         let Some((_circ, local, _)) = self.route_of(to, from, fb.circ) else {
-            Self::stale_or_protocol_error(
-                &self.faults,
-                &mut self.stats,
-                "feedback on unknown route",
-            );
+            self.egress
+                .stale_or_protocol_error(&self.faults, "feedback on unknown route");
             return;
         };
         let node = &mut self.nodes[to.index()];
         let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
         let Some(dir) = nc.direction_toward(from) else {
-            Self::protocol_error(&mut self.stats, "feedback from non-neighbour");
+            self.egress.protocol_error("feedback from non-neighbour");
             return;
         };
         {
@@ -87,27 +73,13 @@ impl TorNetwork {
                 // Under faults this is a write-off racing its own late
                 // feedback: a force-abandon forgets every outstanding
                 // cell, then a confirm for one of them arrives.
-                Self::stale_or_protocol_error(
-                    &self.faults,
-                    &mut self.stats,
-                    "feedback with unknown sequence",
-                );
+                self.egress
+                    .stale_or_protocol_error(&self.faults, "feedback with unknown sequence");
                 return;
             }
         }
         let closed = nc.closed;
-        Self::pump_dir(
-            &mut self.net,
-            &mut self.link_sched,
-            &self.router,
-            &self.net_node_of,
-            &mut self.stats,
-            &mut self.payload_pool,
-            ctx,
-            my_net,
-            nc,
-            dir,
-        );
+        self.egress.pump_dir(ctx, my_net, nc, dir);
         if closed {
             // This confirm may have been the last outstanding cell of a
             // torn-down circuit — check the quiescence condition.

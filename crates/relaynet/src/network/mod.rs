@@ -38,7 +38,8 @@
 //! ```
 //!
 //! * [`conn`] — the connection layer: link-local frame ingress/egress,
-//!   per-link round-robin scheduling, and the window-gated egress pump.
+//!   per-link round-robin scheduling, and the window-gated egress pump
+//!   (methods of [`Egress`], the one owner of the link side).
 //! * [`recognition`] — per-cell routing: resolves `(neighbour, link id)`
 //!   to circuit state and applies leaky-pipe recognition to relay cells,
 //!   deciding *consume here* vs *forward onward*.
@@ -99,9 +100,6 @@ pub const DESTROY_REASON_REFUSED: u8 = 11;
 /// Global behaviour switches.
 #[derive(Clone, Copy, Debug)]
 pub struct WorldConfig {
-    /// Verify DATA payload bytes at the server against the deterministic
-    /// fill pattern (cheap; catches crypto/ordering bugs).
-    pub verify_payload: bool,
     /// Record the client's forward congestion window over time (the
     /// Figure 1 trace).
     pub trace_client_cwnd: bool,
@@ -110,7 +108,6 @@ pub struct WorldConfig {
 impl Default for WorldConfig {
     fn default() -> Self {
         WorldConfig {
-            verify_payload: true,
             trace_client_cwnd: true,
         }
     }
@@ -580,18 +577,73 @@ impl FaultState {
     }
 }
 
+/// The link side of the world: everything a stage needs to put a frame
+/// on a wire and account for it. One field of [`TorNetwork`], disjoint
+/// from `nodes`, so the egress helpers (`pump_dir`, `send_feedback`, the
+/// teardown drains — see [`conn`], [`feedback`], [`circuit_build`]) are
+/// `&mut self` methods callable while a `&mut NodeCircuit` is held.
+pub(super) struct Egress {
+    pub(super) net: Net<WireFrame>,
+    /// Per-link round-robin circuit schedulers (overlay egress links; the
+    /// hub's links stay FIFO — the backbone is not ours to schedule).
+    pub(super) link_sched: Vec<LinkScheduler>,
+    pub(super) router: Router,
+    /// Overlay index → backing network node (read-only after setup).
+    pub(super) net_node_of: Vec<NodeId>,
+    /// Recycles DATA payload buffers between server consumption and
+    /// client generation (see [`crate::pool`]).
+    pub(super) payload_pool: PayloadPool,
+    pub(super) stats: WorldStats,
+}
+
+impl Egress {
+    /// The link side of an overlay over `net`, with one idle scheduler
+    /// per link and no overlay nodes yet.
+    pub(super) fn new(net: Net<WireFrame>, router: Router) -> Egress {
+        let link_sched = (0..net.link_count())
+            .map(|_| LinkScheduler::new())
+            .collect();
+        Egress {
+            net,
+            link_sched,
+            router,
+            net_node_of: Vec::new(),
+            payload_pool: PayloadPool::new(),
+            stats: WorldStats::default(),
+        }
+    }
+
+    /// Records a protocol violation (debug builds abort; release builds
+    /// count and continue).
+    pub(super) fn protocol_error(&mut self, what: &str) {
+        self.stats.protocol_errors += 1;
+        debug_assert!(false, "protocol error: {what}");
+    }
+
+    /// A frame that cannot be resolved (unknown route, retired
+    /// sequence): with faults installed this is expected — stale traffic
+    /// racing a force-abandoned or crash-reaped circuit — and is counted
+    /// as a stale drop. Without faults it remains a hard protocol error:
+    /// a dropped cell must never panic the World, but a world that
+    /// cannot lose cells must not silently tolerate one either.
+    pub(super) fn stale_or_protocol_error(&mut self, faults: &Option<FaultState>, what: &str) {
+        if faults.is_some() {
+            self.stats.stale_frames_dropped += 1;
+        } else {
+            self.protocol_error(what);
+        }
+    }
+}
+
 /// The overlay world. Construct with [`TorNetwork::new`], add nodes and
 /// circuits, then drive with a [`simcore::Simulator`](simcore::sim::Simulator)
 /// after scheduling [`TorEvent::StartCircuit`] events.
 pub struct TorNetwork {
-    pub(super) net: Net<WireFrame>,
-    pub(super) router: Router,
+    /// Links, schedulers, routing, pool and counters (see [`Egress`]).
+    pub(super) egress: Egress,
     pub(super) nodes: Vec<OverlayNode>,
-    /// Overlay index → backing network node (read-only after setup; kept
-    /// separate so hot paths can use it while a node is borrowed mutably).
-    pub(super) net_node_of: Vec<NodeId>,
     /// Network node index → overlay id (`u32::MAX` = no overlay there,
-    /// e.g. the star hub). Dense counterpart of `net_node_of`.
+    /// e.g. the star hub). Dense counterpart of [`Egress::net_node_of`].
     pub(super) overlay_of_net: Vec<u32>,
     pub(super) circuits: Vec<CircuitInfo>,
     /// Application-level requests, tracked across circuit incarnations
@@ -606,12 +658,6 @@ pub struct TorNetwork {
     pub(super) factory: CcFactory,
     pub(super) cfg: WorldConfig,
     pub(super) rng: SimRng,
-    /// Per-link round-robin circuit schedulers (overlay egress links; the
-    /// hub's links stay FIFO — the backbone is not ours to schedule).
-    pub(super) link_sched: Vec<LinkScheduler>,
-    /// Recycles DATA payload buffers between server consumption and
-    /// client generation (see [`crate::pool`]).
-    pub(super) payload_pool: PayloadPool,
     /// Circuit-placement seam (relay population + policy + live load);
     /// `None` for explicit-path worlds.
     pub(super) placement: Option<PlacementState>,
@@ -621,7 +667,6 @@ pub struct TorNetwork {
     /// Fault-injection state (crashed relays, backoff jitter, parked
     /// circuits); `None` for fault-free worlds.
     pub(super) faults: Option<FaultState>,
-    pub(super) stats: WorldStats,
     /// Payload walks not held by a live participation: the server's
     /// verify of each DATA cell, the digest of each control cell built
     /// outside the client's generator, and the counts folded in from
@@ -648,14 +693,9 @@ impl TorNetwork {
         factory: CcFactory,
         rng: SimRng,
     ) -> TorNetwork {
-        let link_sched = (0..net.link_count())
-            .map(|_| LinkScheduler::new())
-            .collect();
         TorNetwork {
-            net,
-            router,
+            egress: Egress::new(net, router),
             nodes: Vec::new(),
-            net_node_of: Vec::new(),
             overlay_of_net: Vec::new(),
             circuits: Vec::new(),
             flows: Vec::new(),
@@ -666,12 +706,9 @@ impl TorNetwork {
             factory,
             cfg,
             rng,
-            link_sched,
-            payload_pool: PayloadPool::new(),
             placement: None,
             epoch_deltas: Vec::new(),
             faults: None,
-            stats: WorldStats::default(),
             payload_passes: 0,
             events_handled: EventsHandled::default(),
             completion_sketch: QuantileSketch::default(),
@@ -1093,7 +1130,7 @@ impl TorNetwork {
         self.overlay_of_net[net_node.index()] = id.0;
         self.nodes
             .push(OverlayNode::new(id, net_node, role, name.to_string()));
-        self.net_node_of.push(net_node);
+        self.egress.net_node_of.push(net_node);
         id
     }
 
@@ -1141,12 +1178,12 @@ impl TorNetwork {
 
     /// The underlying packet network (for link telemetry).
     pub fn net(&self) -> &Net<WireFrame> {
-        &self.net
+        &self.egress.net
     }
 
     /// Global counters.
     pub fn stats(&self) -> &WorldStats {
-        &self.stats
+        &self.egress.stats
     }
 
     /// How many times any stage has walked a relay-cell payload end to
@@ -1170,7 +1207,7 @@ impl TorNetwork {
 
     /// The payload buffer pool (telemetry: fresh allocations vs reuses).
     pub fn payload_pool(&self) -> &PayloadPool {
-        &self.payload_pool
+        &self.egress.payload_pool
     }
 
     /// Installs a scenario-sized payload-pool idle cap (see
@@ -1185,11 +1222,11 @@ impl TorNetwork {
     /// mid-run would corrupt the conservation telemetry.
     pub fn set_payload_pool_cap(&mut self, max_idle: usize) {
         assert_eq!(
-            self.payload_pool.acquired(),
+            self.egress.payload_pool.acquired(),
             0,
             "payload pool cap must be set before traffic"
         );
-        self.payload_pool = PayloadPool::with_max_idle(max_idle);
+        self.egress.payload_pool = PayloadPool::with_max_idle(max_idle);
     }
 
     /// The static record of a circuit.
@@ -1285,7 +1322,7 @@ impl TorNetwork {
     /// link — where queueing shows up now that links take one frame at a
     /// time.
     pub fn sched_backlog_hwm(&self, link: netsim::link::LinkId) -> usize {
-        self.link_sched[link.index()].high_water_mark()
+        self.egress.link_sched[link.index()].high_water_mark()
     }
 
     /// Collects the measured outcome of every circuit.
@@ -1318,31 +1355,6 @@ impl TorNetwork {
             payload_errors: server.map_or(0, |s| s.payload_errors),
         }
     }
-
-    /// Records a protocol violation (debug builds abort; release builds
-    /// count and continue).
-    pub(super) fn protocol_error(stats: &mut WorldStats, what: &str) {
-        stats.protocol_errors += 1;
-        debug_assert!(false, "protocol error: {what}");
-    }
-
-    /// A frame that cannot be resolved (unknown route, retired
-    /// sequence): with faults installed this is expected — stale traffic
-    /// racing a force-abandoned or crash-reaped circuit — and is counted
-    /// as a stale drop. Without faults it remains a hard protocol error:
-    /// a dropped cell must never panic the World, but a world that
-    /// cannot lose cells must not silently tolerate one either.
-    pub(super) fn stale_or_protocol_error(
-        faults: &Option<FaultState>,
-        stats: &mut WorldStats,
-        what: &str,
-    ) {
-        if faults.is_some() {
-            stats.stale_frames_dropped += 1;
-        } else {
-            Self::protocol_error(stats, what);
-        }
-    }
 }
 
 impl World for TorNetwork {
@@ -1360,35 +1372,28 @@ impl World for TorNetwork {
                 // forwarded: pay the feedback owed to the upstream
                 // neighbour. `take()` ensures intermediate switches (the
                 // star hub) do not pay it a second time.
-                let confirm = self
+                let egress = &mut self.egress;
+                let confirm = egress
                     .net
                     .transmitting_mut(link)
                     .and_then(|f| f.confirm.take());
-                self.net.on_tx_complete(ctx, link);
+                egress.net.on_tx_complete(ctx, link);
                 // Serve the next scheduled frame before anything else so
                 // the link never idles while work is waiting.
-                Self::refill_link(&mut self.net, &mut self.link_sched, ctx, link);
+                egress.refill_link(ctx, link);
                 if let Some(cf) = confirm {
-                    let my_net = self.net.link_src(link);
-                    Self::send_feedback(
-                        &mut self.net,
-                        &mut self.link_sched,
-                        &self.router,
-                        &self.net_node_of,
-                        &mut self.stats,
-                        ctx,
-                        my_net,
-                        cf,
-                    );
+                    let my_net = egress.net.link_src(link);
+                    egress.send_feedback(ctx, my_net, cf);
                 }
             }
             TorEvent::Net(NetEvent::Deliver { link }) => {
-                let frame = self.net.take_delivered(link);
-                let here = self.net.link_dst(link);
+                let egress = &mut self.egress;
+                let frame = egress.net.take_delivered(link);
+                let here = egress.net.link_dst(link);
                 if here != frame.dst {
                     // An intermediate switch (the star hub): forward.
-                    let next = self.router.next_link(here, frame.dst);
-                    let outcome = self.net.send(ctx, next, frame);
+                    let next = egress.router.next_link(here, frame.dst);
+                    let outcome = egress.net.send(ctx, next, frame);
                     debug_assert_eq!(outcome, SendOutcome::Accepted, "switch dropped a frame");
                 } else {
                     self.deliver(ctx, frame);
@@ -1399,7 +1404,7 @@ impl World for TorNetwork {
             TorEvent::StreamArrival { circ, stream } => self.stream_arrival(ctx, circ, stream),
             TorEvent::Rebuild(circ) => self.rebuild_circuit(ctx, circ),
             TorEvent::Epoch(epoch) => self.apply_epoch(ctx, epoch),
-            TorEvent::SetLinkRate { link, rate } => self.net.set_link_rate(link, rate),
+            TorEvent::SetLinkRate { link, rate } => self.egress.net.set_link_rate(link, rate),
             TorEvent::RelayCrash { relay } => self.relay_crash(ctx, relay),
             TorEvent::CircTimeout {
                 circ,

@@ -24,10 +24,11 @@ use crate::event::TorEvent;
 use crate::ids::{Direction, OverlayId};
 use crate::node::{PendingConfirm, QueuedCell};
 
-use super::TorNetwork;
+use super::{Egress, TorNetwork};
 
 impl TorNetwork {
-    /// Dispatches one arriving cell into the pipeline.
+    /// Dispatches one arriving cell into the pipeline. Whatever stage
+    /// takes the cell owes its sender one feedback frame, built once here.
     pub(super) fn on_cell(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
@@ -36,36 +37,28 @@ impl TorNetwork {
         cell: Cell,
         hop_seq: u64,
     ) {
+        let confirm = PendingConfirm {
+            neighbor: from,
+            circ_id: cell.circ,
+            seq: hop_seq,
+        };
         match cell.body {
             CellBody::Create { handshake } => {
-                self.handle_create(ctx, to, from, cell.circ, handshake, hop_seq)
+                self.handle_create(ctx, to, from, cell.circ, handshake, confirm)
             }
             CellBody::Created { handshake } => {
-                self.handle_created(ctx, to, from, cell.circ, handshake, hop_seq)
+                self.handle_created(ctx, to, from, cell.circ, handshake, confirm)
             }
             CellBody::Destroy { reason } => {
-                self.handle_destroy(ctx, to, from, cell.circ, reason, hop_seq)
+                self.handle_destroy(ctx, to, from, cell.circ, reason, confirm)
             }
             CellBody::Padding => {
                 // Padding is consumed silently but still confirmed so the
                 // sender's window does not leak.
-                let my_net = self.net_node_of[to.index()];
-                Self::send_feedback(
-                    &mut self.net,
-                    &mut self.link_sched,
-                    &self.router,
-                    &self.net_node_of,
-                    &mut self.stats,
-                    ctx,
-                    my_net,
-                    PendingConfirm {
-                        neighbor: from,
-                        circ_id: cell.circ,
-                        seq: hop_seq,
-                    },
-                );
+                let my_net = self.egress.net_node_of[to.index()];
+                self.egress.send_feedback(ctx, my_net, confirm);
             }
-            CellBody::Relay(rc) => self.handle_relay(ctx, to, from, cell.circ, rc, hop_seq),
+            CellBody::Relay(rc) => self.handle_relay(ctx, to, from, cell.circ, rc, confirm),
         }
     }
 
@@ -75,6 +68,9 @@ impl TorNetwork {
     /// buffer back to the pool *first*, so the pool's
     /// `returned == acquired` ledger holds exactly when a hostile cell
     /// shows up (and, in debug builds, by the time the error aborts).
+    /// The endpoint stages borrow the recognized cell and report a
+    /// violation as `Err`, so the one reclaim after them covers their
+    /// every exit.
     pub(super) fn handle_relay(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
@@ -82,49 +78,32 @@ impl TorNetwork {
         from: OverlayId,
         link_id: CircuitId,
         mut rc: RelayCell,
-        hop_seq: u64,
+        confirm: PendingConfirm,
     ) {
         let Some((global, local, flow)) = self.route_of(to, from, link_id) else {
-            Self::stale_or_protocol_error(
-                &self.faults,
-                &mut self.stats,
-                "relay cell on unknown route",
-            );
-            self.payload_pool.reclaim(rc.data);
+            self.egress
+                .stale_or_protocol_error(&self.faults, "relay cell on unknown route");
+            self.egress.payload_pool.reclaim(rc.data);
             return;
         };
         let node = &mut self.nodes[to.index()];
         let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
-        let confirm = PendingConfirm {
-            neighbor: from,
-            circ_id: link_id,
-            seq: hop_seq,
-        };
 
         if nc.closed {
             // Torn-down circuit: confirm (so the sender's window drains),
             // return the payload buffer to the pool, and drop.
-            self.stats.cells_dropped_closed += 1;
-            Self::send_feedback(
-                &mut self.net,
-                &mut self.link_sched,
-                &self.router,
-                &self.net_node_of,
-                &mut self.stats,
-                ctx,
-                my_net,
-                confirm,
-            );
-            self.payload_pool.reclaim(rc.data);
+            self.egress.stats.cells_dropped_closed += 1;
+            self.egress.send_feedback(ctx, my_net, confirm);
+            self.egress.payload_pool.reclaim(rc.data);
             return;
         }
 
         match flow {
             Direction::Forward => {
                 if nc.client.is_some() {
-                    self.payload_pool.reclaim(rc.data);
-                    Self::protocol_error(&mut self.stats, "forward relay cell at client");
+                    self.egress.payload_pool.reclaim(rc.data);
+                    self.egress.protocol_error("forward relay cell at client");
                     return;
                 }
                 let recognized = nc
@@ -133,31 +112,24 @@ impl TorNetwork {
                     .expect("non-client has crypt state")
                     .strip_forward(&mut rc);
                 if recognized {
-                    Self::send_feedback(
-                        &mut self.net,
-                        &mut self.link_sched,
-                        &self.router,
-                        &self.net_node_of,
-                        &mut self.stats,
-                        ctx,
-                        my_net,
-                        confirm,
-                    );
-                    let nc = self.nodes[to.index()].circuit_at(local);
-                    if nc.server.is_some() {
-                        self.server_consume(ctx, to, global, local, rc);
+                    self.egress.send_feedback(ctx, my_net, confirm);
+                    let verdict = if nc.server.is_some() {
+                        self.server_consume(ctx, to, global, local, &rc)
                     } else {
-                        self.relay_consume(ctx, to, global, local, rc);
-                    }
+                        self.relay_consume(ctx, to, global, local, &rc)
+                    };
+                    self.egress.consumed(rc, verdict);
                 } else {
                     if nc.server.is_some() {
-                        self.payload_pool.reclaim(rc.data);
-                        Self::protocol_error(&mut self.stats, "unrecognized relay cell at server");
+                        self.egress.payload_pool.reclaim(rc.data);
+                        self.egress
+                            .protocol_error("unrecognized relay cell at server");
                         return;
                     }
                     let Some(fwd) = nc.fwd.as_mut() else {
-                        self.payload_pool.reclaim(rc.data);
-                        Self::protocol_error(&mut self.stats, "forwarding past the built circuit");
+                        self.egress.payload_pool.reclaim(rc.data);
+                        self.egress
+                            .protocol_error("forwarding past the built circuit");
                         return;
                     };
                     fwd.enqueue(QueuedCell {
@@ -168,55 +140,28 @@ impl TorNetwork {
                         confirm: Some(confirm),
                         wrap_for_hop: None,
                     });
-                    Self::pump_dir(
-                        &mut self.net,
-                        &mut self.link_sched,
-                        &self.router,
-                        &self.net_node_of,
-                        &mut self.stats,
-                        &mut self.payload_pool,
-                        ctx,
-                        my_net,
-                        nc,
-                        Direction::Forward,
-                    );
+                    self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
                 }
             }
             Direction::Backward => {
-                if nc.client.is_some() {
-                    Self::send_feedback(
-                        &mut self.net,
-                        &mut self.link_sched,
-                        &self.router,
-                        &self.net_node_of,
-                        &mut self.stats,
-                        ctx,
-                        my_net,
-                        confirm,
-                    );
-                    let node = &mut self.nodes[to.index()];
-                    let nc = node.circuit_at_mut(local);
-                    let app = nc.client.as_mut().expect("client app");
-                    match app.route.unwrap_inbound(&mut rc) {
+                if let Some(app) = nc.client.as_mut() {
+                    self.egress.send_feedback(ctx, my_net, confirm);
+                    let verdict = match app.route.unwrap_inbound(&mut rc) {
                         Some(origin) => {
-                            self.client_consume_backward(ctx, to, global, local, origin, rc)
+                            self.client_consume_backward(ctx, to, global, local, origin, &rc)
                         }
-                        None => {
-                            self.payload_pool.reclaim(rc.data);
-                            Self::protocol_error(
-                                &mut self.stats,
-                                "backward cell not recognized by any layer",
-                            );
-                        }
-                    }
+                        None => Err("backward cell not recognized by any layer"),
+                    };
+                    self.egress.consumed(rc, verdict);
                 } else {
                     nc.crypt
                         .as_mut()
                         .expect("relay has crypt state")
                         .add_backward(&mut rc);
                     let Some(bwd) = nc.bwd.as_mut() else {
-                        self.payload_pool.reclaim(rc.data);
-                        Self::protocol_error(&mut self.stats, "backward cell with no client side");
+                        self.egress.payload_pool.reclaim(rc.data);
+                        self.egress
+                            .protocol_error("backward cell with no client side");
                         return;
                     };
                     bwd.enqueue(QueuedCell {
@@ -227,20 +172,21 @@ impl TorNetwork {
                         confirm: Some(confirm),
                         wrap_for_hop: None,
                     });
-                    Self::pump_dir(
-                        &mut self.net,
-                        &mut self.link_sched,
-                        &self.router,
-                        &self.net_node_of,
-                        &mut self.stats,
-                        &mut self.payload_pool,
-                        ctx,
-                        my_net,
-                        nc,
-                        Direction::Backward,
-                    );
+                    self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
                 }
             }
+        }
+    }
+}
+
+impl Egress {
+    /// The end of a relay cell an endpoint stage consumed: its payload
+    /// buffer returns to the pool, and only then is the violation the
+    /// stage reported (if any) raised.
+    fn consumed(&mut self, rc: RelayCell, verdict: Result<(), &'static str>) {
+        self.payload_pool.reclaim(rc.data);
+        if let Err(what) = verdict {
+            self.protocol_error(what);
         }
     }
 }
@@ -253,6 +199,7 @@ mod tests {
     use netsim::link::{LinkConfig, LinkId};
     use simcore::time::SimDuration;
     use torcell::cell::{RelayCommand, RELAY_DATA_MAX};
+    use torcell::ids::StreamId;
 
     use super::*;
     use crate::builder::{fixed_window_factory, PathHandles, PathScenario};
@@ -292,10 +239,10 @@ mod tests {
                         ..
                     },
                 ..
-            }) = world.net.transmitting_mut(link)
+            }) = world.egress.net.transmitting_mut(link)
             {
                 if pick(rc) {
-                    tamper(rc, &mut world.payload_pool);
+                    tamper(rc, &mut world.egress.payload_pool);
                     break;
                 }
             }
@@ -323,6 +270,26 @@ mod tests {
             |h| *h.fwd_links.last().expect("path has links"),
             |rc| rc.data.len() == RELAY_DATA_MAX,
             |rc, _| rc.data[100] ^= 0x01,
+        );
+    }
+
+    // `stream` and `cmd` ride outside the digest: a restamped DATA cell
+    // still passes recognition and reaches the server's consume stage.
+    #[test]
+    fn data_cell_restamped_to_an_unknown_stream_returns_its_buffer() {
+        pool_ledger_survives(
+            |h| *h.fwd_links.last().expect("path has links"),
+            |rc| rc.cmd == RelayCommand::Data,
+            |rc, _| rc.stream = StreamId(99),
+        );
+    }
+
+    #[test]
+    fn data_cell_restamped_to_a_command_the_server_rejects_returns_its_buffer() {
+        pool_ledger_survives(
+            |h| *h.fwd_links.last().expect("path has links"),
+            |rc| rc.cmd == RelayCommand::Data,
+            |rc, _| rc.cmd = RelayCommand::Connected,
         );
     }
 

@@ -256,18 +256,6 @@ impl ClientApp {
         }
     }
 
-    /// Single-bulk-transfer convenience (the pre-workload shape): one
-    /// stream of `file_bytes`, arriving immediately.
-    pub fn bulk(path: Vec<OverlayId>, file_bytes: u64, started_at: SimTime) -> ClientApp {
-        assert!(file_bytes > 0, "cannot transfer an empty file");
-        let spec = StreamSpec {
-            flow: FlowId(0),
-            bytes: file_bytes,
-            offset: SimDuration::ZERO,
-        };
-        ClientApp::new(path, &[spec], started_at)
-    }
-
     /// The layer index of the server (the hop that recognizes DATA).
     pub fn server_hop(&self) -> usize {
         self.path.len() - 2
@@ -354,10 +342,6 @@ pub struct NodeCircuit {
     pub circ: CircId,
     /// This node's position on the path (0 = client).
     pub position: usize,
-    /// Neighbour toward the client, if any.
-    pub pred: Option<OverlayId>,
-    /// Link-local id on the predecessor connection.
-    pub pred_circ_id: Option<CircuitId>,
     /// Transport and queue toward the server (None at the server).
     pub fwd: Option<HopDir>,
     /// Transport and queue toward the client (None at the client).
@@ -384,8 +368,6 @@ impl NodeCircuit {
         NodeCircuit {
             circ,
             position,
-            pred: None,
-            pred_circ_id: None,
             fwd: None,
             bwd: None,
             crypt: None,
@@ -431,6 +413,16 @@ impl NodeCircuit {
             return Some(Direction::Backward);
         }
         None
+    }
+
+    /// Records that the teardown wave travelling in `wave` has passed
+    /// this node; returns whether it already had.
+    pub fn mark_wave(&mut self, wave: Direction) -> bool {
+        let seen = match wave {
+            Direction::Forward => &mut self.destroy_fwd,
+            Direction::Backward => &mut self.destroy_bwd,
+        };
+        std::mem::replace(seen, true)
     }
 
     /// Walks of a relay-cell payload performed by this participation so
@@ -581,10 +573,20 @@ mod tests {
         HopTransport::new(Box::new(FixedWindowCc::new(4)))
     }
 
+    /// A client carrying one stream of `bytes`, arriving immediately.
+    fn one_stream(path: Vec<OverlayId>, bytes: u64) -> ClientApp {
+        let spec = StreamSpec {
+            flow: FlowId(0),
+            bytes,
+            offset: SimDuration::ZERO,
+        };
+        ClientApp::new(path, &[spec], SimTime::ZERO)
+    }
+
     #[test]
     fn client_app_cell_accounting() {
         let path = vec![OverlayId(0), OverlayId(1), OverlayId(2)];
-        let app = ClientApp::bulk(path, 1000, SimTime::ZERO);
+        let app = one_stream(path, 1000);
         // 1000 bytes / 496 per cell = 3 cells: 496 + 496 + 8.
         let s = &app.streams[0];
         assert_eq!(s.total_cells, 3);
@@ -598,14 +600,14 @@ mod tests {
     #[test]
     fn client_app_exact_multiple() {
         let path = vec![OverlayId(0), OverlayId(1)];
-        let app = ClientApp::bulk(path, 992, SimTime::ZERO);
+        let app = one_stream(path, 992);
         assert_eq!(app.streams[0].total_cells, 2);
         assert_eq!(app.streams[0].cell_len(1), 496);
     }
 
     #[test]
     fn client_app_single_byte() {
-        let app = ClientApp::bulk(vec![OverlayId(0), OverlayId(1)], 1, SimTime::ZERO);
+        let app = one_stream(vec![OverlayId(0), OverlayId(1)], 1);
         assert_eq!(app.streams[0].total_cells, 1);
         assert_eq!(app.streams[0].cell_len(0), 1);
     }
@@ -643,15 +645,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty file")]
+    #[should_panic(expected = "empty stream")]
     fn client_app_rejects_empty_file() {
-        let _ = ClientApp::bulk(vec![OverlayId(0), OverlayId(1)], 0, SimTime::ZERO);
+        let _ = one_stream(vec![OverlayId(0), OverlayId(1)], 0);
     }
 
     #[test]
     #[should_panic(expected = "client and server")]
     fn client_app_rejects_short_path() {
-        let _ = ClientApp::bulk(vec![OverlayId(0)], 10, SimTime::ZERO);
+        let _ = one_stream(vec![OverlayId(0)], 10);
     }
 
     #[test]

@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> no too_many_arguments allow in relaynet (the link side has one owner: network::Egress)"
+if grep -rn 'clippy::too_many_arguments' crates/relaynet/src; then echo "    FAIL: pass-through plumbing is creeping back" >&2; exit 1; fi
+
 echo "==> cs-lint: determinism-and-invariant gate (DESIGN.md §14)"
 cargo build -q --release -p cs-lint
 lint_bin=target/release/cs-lint
