@@ -13,7 +13,12 @@
 //! ```
 //!
 //! Store-and-forward: a frame exists at exactly one place at a time, and
-//! the receiver sees it only after serialization *and* propagation.
+//! the receiver sees it only after serialization *and* propagation. A
+//! frame whose sender does not wait for its departure
+//! ([`Frame::awaits_departure`](crate::frame::Frame::awaits_departure))
+//! skips the transmitter slot: it joins the in-flight FIFO when it starts
+//! serializing, due after serialization *plus* propagation, and the link
+//! only remembers until when it is busy.
 
 use std::collections::VecDeque;
 
@@ -70,7 +75,7 @@ impl LinkConfig {
 }
 
 /// Per-link counters, updated by [`crate::net::Net`].
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LinkStats {
     /// Frames handed to `send` that were accepted (queued or transmitted).
     pub frames_accepted: u64,
@@ -78,9 +83,11 @@ pub struct LinkStats {
     pub frames_dropped: u64,
     /// Bytes rejected by the queue limit.
     pub bytes_dropped: u64,
-    /// Frames whose serialization completed.
+    /// Frames that started serializing (each finishes: nothing preempts
+    /// the transmitter). Credited at the same instant as `busy_time` and
+    /// `queue_wait_total`, so the three always describe the same frames.
     pub frames_sent: u64,
-    /// Bytes whose serialization completed.
+    /// Bytes of the frames that started serializing.
     pub bytes_sent: u64,
     /// Frames delivered to the far end.
     pub frames_delivered: u64,
@@ -130,10 +137,18 @@ pub(crate) struct LinkState<F> {
     pub queue: VecDeque<Queued<F>>,
     /// Bytes currently waiting in `queue`.
     pub queue_bytes: u64,
-    /// The frame being serialized right now, if any.
+    /// The frame being serialized right now, if its sender awaits the
+    /// departure; a `TxComplete` is scheduled for it at `busy_until`.
     pub transmitting: Option<F>,
-    /// Frames that finished serialization and are propagating. Constant
-    /// per-link delay + FIFO serialization ⇒ delivery order == push order.
+    /// When the most recently started serialization ends. All that a
+    /// silently departing frame leaves behind of a busy transmitter.
+    pub busy_until: SimTime,
+    /// A `TxComplete` is scheduled at `busy_until` for no frame's sake:
+    /// a wake-up, because work is queued behind a silent departure.
+    pub wake_pending: bool,
+    /// Frames that are propagating, or still serializing silently.
+    /// Constant per-link delay + FIFO serialization ⇒ delivery order ==
+    /// push order.
     pub in_flight: VecDeque<F>,
     pub stats: LinkStats,
     /// The last two distinct `(wire size, serialization time)` pairs at
@@ -151,6 +166,8 @@ impl<F> LinkState<F> {
             queue: VecDeque::new(),
             queue_bytes: 0,
             transmitting: None,
+            busy_until: SimTime::ZERO,
+            wake_pending: false,
             in_flight: VecDeque::new(),
             stats: LinkStats::default(),
             tx_memo: TX_MEMO_EMPTY,
@@ -194,9 +211,17 @@ impl<F> LinkState<F> {
         self.queue_bytes
     }
 
-    /// Whether the transmitter slot is occupied.
-    pub fn is_busy(&self) -> bool {
-        self.transmitting.is_some()
+    /// Whether a `TxComplete` is scheduled — for the frame in the
+    /// transmitter slot or as a wake-up.
+    pub fn completion_pending(&self) -> bool {
+        self.transmitting.is_some() || self.wake_pending
+    }
+
+    /// Whether a frame offered at `now` has to wait: one is serializing,
+    /// or a pending completion at this very instant has first claim on
+    /// the transmitter for the work queued behind it.
+    pub fn is_busy(&self, now: SimTime) -> bool {
+        self.completion_pending() || now < self.busy_until
     }
 }
 

@@ -927,7 +927,7 @@ mod tests {
     use backtap::cc::FixedWindowCc;
     use netsim::bandwidth::Bandwidth;
     use netsim::link::LinkConfig;
-    use netsim::net::Net;
+    use netsim::net::{Net, NetEvent};
     use simcore::rng::SimRng;
     use simcore::sim::{Simulator, World};
     use simcore::time::SimTime;
@@ -999,13 +999,13 @@ mod tests {
         egress.net_node_of[ME.index()]
     }
 
-    /// Whether the frame serializing toward `peer` is a DESTROY.
-    fn destroy_on_the_wire_to(egress: &Egress, peer: OverlayId) -> bool {
+    /// Whether the frame on the wire toward `peer` is a DESTROY.
+    fn destroy_on_the_wire_to(egress: &mut Egress, peer: OverlayId) -> bool {
         let link = egress
             .router
             .next_link(my_net(egress), egress.net_node_of[peer.index()]);
         matches!(
-            egress.net.transmitting(link),
+            egress.net.last_on_wire_mut(link),
             Some(WireFrame {
                 payload: FramePayload::Cell {
                     cell: Cell {
@@ -1071,7 +1071,7 @@ mod tests {
             );
             for n in [PRED, SUCC] {
                 assert_eq!(
-                    destroy_on_the_wire_to(&egress, n),
+                    destroy_on_the_wire_to(&mut egress, n),
                     destroy_to == Some(n),
                     "{row}: frame toward {n}"
                 );
@@ -1088,6 +1088,69 @@ mod tests {
             };
             assert_eq!(ahead_hop.transport.outstanding(), outstanding, "{row}");
         }
+    }
+
+    /// `ME`'s link side as a world of its own: the first event lends the
+    /// context to `script`, link events are handled the way
+    /// [`TorNetwork`] handles them, arrivals are logged.
+    struct LinkSide<F> {
+        egress: Egress,
+        script: Option<F>,
+        arrivals: Vec<SimTime>,
+    }
+
+    impl<F: FnOnce(&mut Egress, &mut Context<'_, TorEvent>)> World for LinkSide<F> {
+        type Event = TorEvent;
+
+        fn handle(&mut self, ctx: &mut Context<'_, TorEvent>, event: TorEvent) {
+            match event {
+                TorEvent::Net(NetEvent::TxComplete { link }) => {
+                    self.egress.net.on_tx_complete(ctx, link);
+                    self.egress.refill_link(ctx, link);
+                }
+                TorEvent::Net(NetEvent::Deliver { link }) => {
+                    self.egress.net.take_delivered(link);
+                    self.arrivals.push(ctx.now());
+                }
+                _ => (self.script.take().expect("one script"))(&mut self.egress, ctx),
+            }
+        }
+    }
+
+    /// Regression: the wake-up a scheduled frame asked for pops a frame
+    /// that departs silently while the scheduler still holds another.
+    /// `refill_link` must ask again, for the popped frame's last instant
+    /// on the wire — or the third frame is never sent.
+    #[test]
+    fn a_wake_that_sends_a_silent_frame_rearms_for_the_scheduler_behind_it() {
+        let (egress, _) = rig();
+        let me = my_net(&egress);
+        // Three feedback frames at t = 0: 20 B at 10 Mbit/s is 16 µs on
+        // the wire each, then 1 ms of propagation.
+        let script = |egress: &mut Egress, ctx: &mut Context<'_, TorEvent>| {
+            for seq in 0..3 {
+                let owed = PendingConfirm {
+                    neighbor: PRED,
+                    circ_id: CircuitId(11),
+                    seq,
+                };
+                egress.send_feedback(ctx, me, owed);
+            }
+        };
+        let mut sim = Simulator::new(LinkSide {
+            egress,
+            script: Some(script),
+            arrivals: Vec::new(),
+        });
+        sim.schedule_in(SimDuration::ZERO, TorEvent::Teardown(CircId(0)));
+        sim.run();
+        assert_eq!(
+            sim.world().arrivals,
+            [1016, 1032, 1048].map(SimTime::from_micros)
+        );
+        // The script, a wake-up for each frame that had to wait, and the
+        // three arrivals: the first frame cost no departure event.
+        assert_eq!(sim.events_processed(), 1 + 2 + 3);
     }
 
     #[test]

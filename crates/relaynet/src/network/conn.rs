@@ -89,7 +89,9 @@ impl TorNetwork {
 impl Egress {
     /// Hands a frame to an overlay egress link: directly if the link is
     /// idle, otherwise into the link's round-robin scheduler (feedback has
-    /// strict priority; data cells queue per circuit).
+    /// strict priority; data cells queue per circuit). The frame on the
+    /// wire may be departing silently, so a scheduled frame asks for the
+    /// `TxComplete` that will [refill](Egress::refill_link) the link.
     pub(super) fn sched_send(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
@@ -97,28 +99,41 @@ impl Egress {
         frame: WireFrame,
         data_circuit: Option<CircId>,
     ) {
-        if self.net.is_busy(link) {
+        if self.net.is_busy(link, ctx.now()) {
             let sched = &mut self.link_sched[link.index()];
             match data_circuit {
                 Some(circ) => sched.push_cell(circ, frame),
                 None => sched.push_feedback(frame),
             }
+            self.net.wake_when_idle(ctx, link);
         } else {
             debug_assert_eq!(self.net.queue_len(link), 0, "idle link with queued frames");
             let outcome = self.net.send(ctx, link, frame);
             debug_assert_eq!(outcome, SendOutcome::Accepted, "idle link refused a frame");
         }
+        debug_assert!(self.scheduled_work_will_be_served(link));
     }
 
     /// After a transmission completes, starts the next scheduled frame on
-    /// the link, if any.
+    /// the link, if any, and keeps a completion pending for the rest.
     pub(super) fn refill_link(&mut self, ctx: &mut Context<'_, TorEvent>, link: LinkId) {
-        if !self.net.is_busy(link) {
-            if let Some(frame) = self.link_sched[link.index()].pop() {
+        let sched = &mut self.link_sched[link.index()];
+        if !self.net.is_busy(link, ctx.now()) {
+            if let Some(frame) = sched.pop() {
                 let outcome = self.net.send(ctx, link, frame);
                 debug_assert_eq!(outcome, SendOutcome::Accepted);
             }
         }
+        if !sched.is_empty() {
+            self.net.wake_when_idle(ctx, link);
+        }
+        debug_assert!(self.scheduled_work_will_be_served(link));
+    }
+
+    /// `netsim`'s wake-up invariant, for the queue kept here: frames in
+    /// `link`'s scheduler ⇒ a `TxComplete` is pending to pop the first.
+    fn scheduled_work_will_be_served(&self, link: LinkId) -> bool {
+        self.link_sched[link.index()].is_empty() || self.net.completion_pending(link)
     }
 
     /// Egress pump: drains one hop direction — sends queued cells (and, at

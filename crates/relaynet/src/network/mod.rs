@@ -118,7 +118,8 @@ impl Default for WorldConfig {
 /// the run: deliberately not part of [`WorldStats`] or the fingerprint.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventsHandled {
-    /// [`NetEvent::TxComplete`]: a frame finished serializing.
+    /// [`NetEvent::TxComplete`]: a frame that owed a confirm finished
+    /// serializing, or a link with scheduled work fell idle.
     pub tx_complete: u64,
     /// [`NetEvent::Deliver`]: a frame reached the far end of a link.
     pub deliver: u64,
@@ -1362,16 +1363,14 @@ impl World for TorNetwork {
 
     fn handle(&mut self, ctx: &mut Context<'_, TorEvent>, event: TorEvent) {
         match event {
-            TorEvent::Net(NetEvent::TxComplete { .. }) => self.events_handled.tx_complete += 1,
-            TorEvent::Net(NetEvent::Deliver { .. }) => self.events_handled.deliver += 1,
-            _ => self.events_handled.other += 1,
-        }
-        match event {
             TorEvent::Net(NetEvent::TxComplete { link }) => {
+                self.events_handled.tx_complete += 1;
                 // A cell that just finished serializing is now physically
                 // forwarded: pay the feedback owed to the upstream
                 // neighbour. `take()` ensures intermediate switches (the
-                // star hub) do not pay it a second time.
+                // star hub) do not pay it a second time. On a wake-up
+                // (DESIGN.md §3) no frame waited for this instant and the
+                // link only needs its refill.
                 let egress = &mut self.egress;
                 let confirm = egress
                     .net
@@ -1387,6 +1386,7 @@ impl World for TorNetwork {
                 }
             }
             TorEvent::Net(NetEvent::Deliver { link }) => {
+                self.events_handled.deliver += 1;
                 let egress = &mut self.egress;
                 let frame = egress.net.take_delivered(link);
                 let here = egress.net.link_dst(link);
@@ -1399,19 +1399,29 @@ impl World for TorNetwork {
                     self.deliver(ctx, frame);
                 }
             }
-            TorEvent::StartCircuit(circ) => self.start_circuit(ctx, circ),
-            TorEvent::Teardown(circ) => self.teardown(ctx, circ),
-            TorEvent::StreamArrival { circ, stream } => self.stream_arrival(ctx, circ, stream),
-            TorEvent::Rebuild(circ) => self.rebuild_circuit(ctx, circ),
-            TorEvent::Epoch(epoch) => self.apply_epoch(ctx, epoch),
-            TorEvent::SetLinkRate { link, rate } => self.egress.net.set_link_rate(link, rate),
-            TorEvent::RelayCrash { relay } => self.relay_crash(ctx, relay),
-            TorEvent::CircTimeout {
-                circ,
-                incarnation,
-                progress,
-                kind,
-            } => self.circ_timeout(ctx, circ, incarnation, progress, kind),
+            control => {
+                self.events_handled.other += 1;
+                match control {
+                    TorEvent::Net(_) => unreachable!("both link events are arms above"),
+                    TorEvent::StartCircuit(circ) => self.start_circuit(ctx, circ),
+                    TorEvent::Teardown(circ) => self.teardown(ctx, circ),
+                    TorEvent::StreamArrival { circ, stream } => {
+                        self.stream_arrival(ctx, circ, stream)
+                    }
+                    TorEvent::Rebuild(circ) => self.rebuild_circuit(ctx, circ),
+                    TorEvent::Epoch(epoch) => self.apply_epoch(ctx, epoch),
+                    TorEvent::SetLinkRate { link, rate } => {
+                        self.egress.net.set_link_rate(link, rate)
+                    }
+                    TorEvent::RelayCrash { relay } => self.relay_crash(ctx, relay),
+                    TorEvent::CircTimeout {
+                        circ,
+                        incarnation,
+                        progress,
+                        kind,
+                    } => self.circ_timeout(ctx, circ, incarnation, progress, kind),
+                }
+            }
         }
     }
 }

@@ -207,7 +207,7 @@ mod tests {
     use crate::wire::{FramePayload, WireFrame};
 
     /// Runs a one-DATA-cell transfer over three relays; the first relay
-    /// cell accepted by `pick` that `link` serializes is rewritten in
+    /// cell accepted by `pick` that `link` carries is rewritten in
     /// flight by `tamper`. Whatever protocol error that provokes, the
     /// pool's ledger must balance: debug builds abort on the error (the
     /// buffer is already back by then), release builds count it and run
@@ -239,7 +239,7 @@ mod tests {
                         ..
                     },
                 ..
-            }) = world.egress.net.transmitting_mut(link)
+            }) = world.egress.net.last_on_wire_mut(link)
             {
                 if pick(rc) {
                     tamper(rc, &mut world.egress.payload_pool);

@@ -52,6 +52,11 @@ impl Frame for WireFrame {
             FramePayload::Feedback(_) => FEEDBACK_WIRE_LEN as u32,
         }
     }
+
+    /// Only an owed confirm has to be paid at the departure instant.
+    fn awaits_departure(&self) -> bool {
+        self.confirm.is_some()
+    }
 }
 
 #[cfg(test)]

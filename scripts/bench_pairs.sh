@@ -12,7 +12,9 @@
 # b/a ratio, then each side's median and quartiles, b's wins, whether the
 # gain rule holds for b (>= 9 of 10 pairs won, median shift beyond a's
 # interquartile spread), and whether sim_ttlb_p50/p99 were identical on
-# every pair (they must be for a speed-only change).
+# every pair (they must be for a speed-only change); where they were not,
+# both values of each such pair and the largest relative shift per metric
+# next to the bound BENCHMARK.json allows it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +62,11 @@ run() {
     echo "${out}"
 }
 
+# The bound BENCHMARK.json puts on end-to-end metric <name>.
+bound() {
+    grep -A 4 "\"name\": \"$1\"" BENCHMARK.json | sed -n 's/.*"bound": \([0-9.]*\).*/\1/p' | head -n 1
+}
+
 bin_a=$(build "${rev_a}")
 bin_b=$(build "${rev_b}")
 echo "a = ${rev_a} (${bin_a})"
@@ -82,12 +89,27 @@ for i in $(seq 1 "${pairs}"); do
     rows+="${a} ${b}"$'\n'
 done
 
-printf '%s' "${rows}" | awk '
+printf '%s' "${rows}" | awk -v p50_bound="$(bound sim_ttlb_p50_ms)" -v p99_bound="$(bound sim_ttlb_p99_ms)" '
     # Quantile q of v[1..n] (sorted ascending), linear interpolation.
     function quantile(v, n, q,    pos, lo) {
         pos = 1 + (n - 1) * q
         lo = int(pos)
         return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+    }
+    # Notes one pair of one simulated statistic; remembers those that differ.
+    function compare(metric, pair, va, vb,    shift) {
+        if (va == vb) return 0
+        shift = (vb - va) / va; if (shift < 0) shift = -shift
+        if (shift > worst[metric]) worst[metric] = shift
+        differing = differing sprintf("  pair %d (seed %d): %s a %s  b %s  (%+.4f%% of a)\n", \
+            pair, pair, metric, va, vb, 100 * (vb - va) / va)
+        return 1
+    }
+    function verdict(metric, bound) {
+        if (metric in worst)
+            printf "  %s: largest shift %.4f%% of a (BENCHMARK.json bound %g%%)\n", metric, 100 * worst[metric], 100 * bound
+        else
+            printf "  %s: identical on every pair\n", metric
     }
     function sort(v, n,    i, j, t) {
         for (i = 2; i <= n; i++)
@@ -97,7 +119,7 @@ printf '%s' "${rows}" | awk '
         n++
         a[n] = $1; b[n] = $4
         if ($4 > $1) wins++; else if ($4 < $1) losses++
-        if ($2 != $5 || $3 != $6) moved++
+        if (compare("sim_ttlb_p50_ms", n, $2, $5) + compare("sim_ttlb_p99_ms", n, $3, $6)) moved++
     }
     END {
         sort(a, n); sort(b, n)
@@ -109,6 +131,8 @@ printf '%s' "${rows}" | awk '
         met = (n >= 10 && wins * 10 >= n * 9 && b_med - a_med > a_iqr)
         printf "gain rule for b (>= 10 pairs, wins >= 9/10, median shift %.0f > a IQR %.0f): %s\n", \
             b_med - a_med, a_iqr, met ? "met" : "not met"
-        if (moved) printf "sim_ttlb_*: DIFFERED on %d pair(s)\n", moved
-        else printf "sim_ttlb_*: identical on every pair\n"
+        if (moved) {
+            printf "sim_ttlb_*: DIFFERED on %d pair(s)\n%s", moved, differing
+            verdict("sim_ttlb_p50_ms", p50_bound); verdict("sim_ttlb_p99_ms", p99_bound)
+        } else printf "sim_ttlb_*: identical on every pair\n"
     }'

@@ -29,8 +29,8 @@ use relaynet::builder::{baseline_factory, fixed_window_factory};
 use relaynet::runtime::{fingerprint, ShardedStar, StatsKind};
 use relaynet::sampler::SamplerKind;
 use relaynet::selection::{all_policies, CongestionAware};
-use relaynet::workload::{ArrivalSpec, EpochSpec, FaultSpec, WorkloadSpec};
-use relaynet::{DirectoryConfig, PathScenario, StarScenario, TorEvent, WorldConfig};
+use relaynet::workload::{ArrivalSpec, ChurnSpec, EpochSpec, FaultSpec, WorkloadSpec};
+use relaynet::{DirectoryConfig, PathScenario, StarScenario, TorEvent, WorldConfig, WorldStats};
 use simcore::event::QueueKind;
 use simcore::exec::{DeterministicExecutor, ThreadedExecutor};
 use simcore::sim::StopReason;
@@ -363,6 +363,46 @@ fn teardown_storm_keeps_ledger_and_pool_exact() {
     });
 }
 
+/// FNV-1a over a value's `Debug` rendering: a whole `Vec` of flow
+/// records or a `WorldStats` pinned as one number.
+fn fnv_of(value: &impl std::fmt::Debug) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Runs a fault-free star to quiescence and pins it: every flow's
+/// `(requested, delivered, cells, completion time)`, the `WorldStats`
+/// and the kernel's event total.
+///
+/// The two FNV pins were recorded from the build *before* `netsim`
+/// stopped scheduling a `TxComplete` for frames nobody waits on
+/// (DESIGN.md §3) and have held untouched since: no flow's completion
+/// time moved by a nanosecond. `events` is the one number that change
+/// re-recorded. Returns the stats for assertions that read better by name.
+fn assert_pinned(
+    scenario: StarScenario,
+    flows: u64,
+    stats: u64,
+    events: u64,
+    cells_sent: u64,
+) -> WorldStats {
+    assert!(scenario.faults.is_none());
+    let (mut sim, _) = scenario.build(baseline_factory(Default::default()), 31);
+    let report = sim.run();
+    let world = sim.world();
+    assert_eq!(report.reason, StopReason::QueueEmpty);
+    assert!(world.flows().iter().all(|f| f.complete()));
+    let print = fingerprint(world, report.events_processed);
+    assert_eq!(fnv_of(&print.flows), flows, "a flow's record moved");
+    assert_eq!(fnv_of(&print.stats), stats, "{:?}", print.stats);
+    assert_eq!(print.stats.cells_sent, cells_sent);
+    assert_eq!(report.events_processed, events);
+    print.stats
+}
+
 /// A scenario without faults must stay bit-identical to the pre-fault
 /// build: no "faults" RNG stream is derived, no timers arm, no
 /// recovery branch executes. Pinned by absolute event count and
@@ -373,19 +413,46 @@ fn no_fault_config_means_no_behaviour_change() {
         faults: None,
         ..faulty_star(FaultSpec::default())
     };
-    let (mut sim, _) = scenario.build(baseline_factory(Default::default()), 31);
-    let report = sim.run();
-    let world = sim.world();
-    assert_eq!(report.reason, StopReason::QueueEmpty);
-    let stats = world.stats();
+    // Absolute pin (flows, stats and `cells_sent` as recorded from the
+    // pre-fault build of this scenario; 80 664 events until silent
+    // departures): the fault seam must be free when unconfigured.
+    let stats = assert_pinned(
+        scenario,
+        0xed47_d233_e9dd_6fc3,
+        0x6dfb_74a4_504e_f4c6,
+        61_602,
+        10_080,
+    );
     assert_eq!(stats.crashes_injected, 0);
     assert_eq!(stats.timeouts_fired, 0);
     assert_eq!(stats.retries, 0);
     assert_eq!(stats.crash_frames_dropped, 0);
     assert_eq!(stats.stale_frames_dropped, 0);
-    assert!(world.flows().iter().all(|f| f.complete()));
-    // Absolute pin (recorded from the pre-fault build of this
-    // scenario): the fault seam must be free when unconfigured.
-    assert_eq!(report.events_processed, 80_664);
-    assert_eq!(stats.cells_sent, 10_080);
+}
+
+/// The same pin with circuits torn down and rebuilt twice mid-transfer:
+/// DESTROY waves, drained schedulers and reclaimed slots are fault-free
+/// behaviour too.
+#[test]
+fn no_fault_churn_star_is_pinned() {
+    let scenario = StarScenario {
+        faults: None,
+        workload: WorkloadSpec {
+            churn: Some(ChurnSpec {
+                teardown_after_ms: (40.0, 100.0),
+                rebuild_delay_ms: 5.0,
+                cycles: 2,
+            }),
+            ..faulty_star(FaultSpec::default()).workload
+        },
+        ..faulty_star(FaultSpec::default())
+    };
+    let stats = assert_pinned(
+        scenario,
+        0x1573_796b_4b28_b70b,
+        0x26fc_dedc_d1b0_0448,
+        62_911,
+        10_444,
+    );
+    assert_eq!(stats.rebuilds, 16, "8 circuits × 2 cycles");
 }
