@@ -36,6 +36,10 @@ impl std::fmt::Display for Phase {
 /// * `on_feedback` is called once per matching feedback message, with the
 ///   RTT sample for that cell and the current `baseRtt` (which already
 ///   includes this sample).
+/// * `on_forget` is called once per sent cell the transport retires
+///   *without* feedback (teardown drains and write-offs); such a cell
+///   never sees `on_feedback`. A controller that counts its sends must
+///   stop waiting for it, or its window can stay shut at 0 outstanding.
 /// * `cwnd()` must stay within the controller's configured bounds at all
 ///   times.
 pub trait CongestionControl {
@@ -58,6 +62,10 @@ pub trait CongestionControl {
     /// Feedback for cell `seq` arrived at `now`, with its RTT sample and
     /// the hop's running minimum RTT.
     fn on_feedback(&mut self, seq: u64, rtt: SimDuration, base_rtt: SimDuration, now: SimTime);
+
+    /// Cell `seq` was retired without feedback and never will be fed
+    /// back. Controllers gated on `outstanding` alone need not care.
+    fn on_forget(&mut self, _seq: u64) {}
 }
 
 /// Policy invoked when a delay-based ramp-up ends: decides the window to

@@ -352,6 +352,18 @@ impl CongestionControl for DelayCc {
             }
         }
     }
+
+    /// A forgotten cell of the open train leaves it: the train is one
+    /// cell shorter, so it has room for another send instead of waiting
+    /// on feedback that will never come. Cells from before the train
+    /// and congestion-avoidance sends (gated on `outstanding`) need
+    /// nothing.
+    fn on_forget(&mut self, seq: u64) {
+        if let Some(t) = self.train.as_mut().filter(|t| seq >= t.first_seq) {
+            debug_assert!(t.sent > t.acked, "forgot a cell the train never sent");
+            t.sent -= 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -574,6 +586,20 @@ mod tests {
         assert_eq!(c.acked_in_current_round(), 1);
         c.on_feedback(1, ms(10), ms(10), t(1));
         assert_eq!(c.acked_in_current_round(), 0, "train closed");
+    }
+
+    #[test]
+    fn forgetting_a_cell_from_before_the_train_leaves_the_train_alone() {
+        let mut c = DelayCc::without_ramp("t", CcConfig::default(), 10);
+        c.on_sent(0, t(0)); // a congestion-avoidance send, still out
+        c.restart_ramp(None);
+        c.on_sent(1, t(1));
+        c.on_sent(2, t(1));
+        c.on_forget(0);
+        assert!(!c.allow_send(0), "the train is still full");
+        c.on_feedback(1, ms(10), ms(10), t(11));
+        c.on_feedback(2, ms(10), ms(10), t(11));
+        assert_eq!(c.cwnd(), 4, "a full round still doubles");
     }
 
     #[test]

@@ -163,12 +163,14 @@ impl HopTransport {
     }
 
     /// Retires cell `seq` from the in-flight set **without** a feedback
-    /// round trip: no RTT sample, no controller callback, no trace
-    /// entry. For teardown only — a registered cell that was discarded
-    /// from an egress queue before ever reaching the wire has no
-    /// neighbour to confirm it, and leaving it outstanding would block
-    /// the quiescence proof forever. Returns `false` if `seq` was not
-    /// outstanding (already fed back or never sent).
+    /// round trip: no RTT sample, no trace entry, and only the
+    /// controller's [`CongestionControl::on_forget`] — a slow-start
+    /// train must stop waiting for the cell, or the window stays shut
+    /// with nothing outstanding. For teardown only — a registered cell
+    /// that was discarded from an egress queue before ever reaching the
+    /// wire has no neighbour to confirm it, and leaving it outstanding
+    /// would block the quiescence proof forever. Returns `false` if
+    /// `seq` was not outstanding (already fed back or never sent).
     pub fn forget(&mut self, seq: u64) -> bool {
         let removed = match self.in_flight.front() {
             Some(&(s, _)) if s == seq => {
@@ -185,19 +187,22 @@ impl HopTransport {
         };
         if removed {
             self.stats.cells_forgotten += 1;
+            self.cc.on_forget(seq);
         }
         removed
     }
 
     /// Retires **every** outstanding cell at once, with the same
-    /// semantics as [`HopTransport::forget`] (no RTT sample, no
-    /// controller callback, no trace entry). For force-abandon: when the
+    /// semantics as [`HopTransport::forget`] (no RTT sample, no trace
+    /// entry, one `on_forget` per cell). For force-abandon: when the
     /// neighbour has crashed, none of the in-flight cells will ever be
     /// fed back, and the circuit cannot reach quiescence until they are
     /// written off wholesale. Returns how many cells were forgotten.
     pub fn forget_all(&mut self) -> u32 {
         let forgotten = u32::try_from(self.in_flight.len()).expect("outstanding exceeds u32");
-        self.in_flight.clear();
+        for (seq, _) in self.in_flight.drain(..) {
+            self.cc.on_forget(seq);
+        }
         self.stats.cells_forgotten += u64::from(forgotten);
         forgotten
     }
@@ -385,6 +390,44 @@ mod tests {
         assert_eq!(h.stats().feedback_received, 1);
         // Forgotten cells can no longer confirm.
         assert_eq!(h.on_feedback(1, t(9)), Err(FeedbackError::UnknownSeq(1)));
+    }
+
+    /// A transport whose ramp has doubled once and then sent a full
+    /// train of 4 (seqs 2..6) — the train a teardown drain cuts into.
+    fn full_second_train() -> HopTransport {
+        let cc = DelayCc::with_ramp("t", CcConfig::default(), Box::new(HalvingExit));
+        let mut h = HopTransport::new(Box::new(cc));
+        h.register_send(t(0));
+        h.register_send(t(0));
+        h.on_feedback(0, t(10)).unwrap();
+        h.on_feedback(1, t(10)).unwrap();
+        while h.can_send() {
+            h.register_send(t(20));
+        }
+        assert_eq!(h.next_seq(), 6, "train of 4");
+        h
+    }
+
+    #[test]
+    fn forgetting_train_cells_reopens_the_ramp_at_zero_outstanding() {
+        let mut h = full_second_train();
+        assert!(h.forget(5));
+        assert!(h.forget(4));
+        h.on_feedback(2, t(30)).unwrap();
+        h.on_feedback(3, t(30)).unwrap();
+        assert_eq!(h.outstanding(), 0);
+        assert_eq!(h.phase(), Phase::SlowStart);
+        assert!(h.can_send(), "the ramp must not wait on forgotten cells");
+    }
+
+    #[test]
+    fn forget_all_reopens_the_ramp_at_zero_outstanding() {
+        let mut h = full_second_train();
+        h.on_feedback(2, t(30)).unwrap();
+        h.on_feedback(3, t(30)).unwrap();
+        assert_eq!(h.forget_all(), 2);
+        assert_eq!(h.phase(), Phase::SlowStart);
+        assert!(h.can_send(), "the ramp must not wait on forgotten cells");
     }
 
     #[test]

@@ -172,6 +172,10 @@ impl CongestionControl for AdaptiveCc {
         }
         self.last_cwnd = cwnd;
     }
+
+    fn on_forget(&mut self, seq: u64) {
+        self.inner.on_forget(seq);
+    }
 }
 
 #[cfg(test)]
@@ -365,6 +369,20 @@ mod tests {
             2,
             "successful probe keeps fast trigger"
         );
+    }
+
+    #[test]
+    fn forwards_forgotten_train_cells_to_the_ramp() {
+        // A train of 2 with one cell forgotten and the other fed back:
+        // the wrapped ramp must stop waiting for the forgotten one.
+        let mut cc = AdaptiveCc::new(circuit_start_cc(CcConfig::default()), Default::default());
+        cc.on_sent(0, t(0));
+        cc.on_sent(1, t(0));
+        assert!(!cc.allow_send(2), "train full");
+        cc.on_forget(1);
+        cc.on_feedback(0, ms(10), ms(10), t(10));
+        assert_eq!(cc.phase(), Phase::SlowStart);
+        assert!(cc.allow_send(0), "window reopens at 0 outstanding");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use netsim::net::NodeId;
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
 use crate::node::{
-    ClientApp, ClientStage, HopCtx, HopDir, NodeCircuit, NodeRole, PendingConfirm, QueuedCell,
+    CircuitPhase, ClientApp, HopCtx, HopDir, NodeCircuit, NodeRole, PendingConfirm, QueuedCell,
     ServerApp,
 };
 use crate::workload::{CircuitWorkload, StreamSpec};
@@ -128,13 +128,13 @@ impl Egress {
         }
     }
 
-    /// Marks a participation closed: the client stops generating cells
-    /// and the queues drain — the cells this circuit already handed to
-    /// its egress link scheduler(s), then both hop queues — reclaiming
-    /// every payload. The DESTROY path pays the drained cells' owed
-    /// confirms (`pay_confirms = true`); a silent reap does not, and may
-    /// find the participation already closed, in which case there is
-    /// nothing left to drain.
+    /// Moves a participation to [`CircuitPhase::Closed`]: the client
+    /// stops generating cells and the queues drain — the cells this
+    /// circuit already handed to its egress link scheduler(s), then both
+    /// hop queues — reclaiming every payload. The DESTROY path pays the
+    /// drained cells' owed confirms (`pay_confirms = true`); a silent
+    /// reap does not, and may find the participation already closed, in
+    /// which case only what was queued since (a DESTROY) is left.
     pub(super) fn close_participation(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
@@ -142,11 +142,8 @@ impl Egress {
         nc: &mut NodeCircuit,
         pay_confirms: bool,
     ) {
-        debug_assert!(!(pay_confirms && nc.closed), "closing twice");
-        nc.closed = true;
-        if let Some(app) = nc.client.as_mut() {
-            app.stage = ClientStage::Closed;
-        }
+        let was_open = nc.close();
+        debug_assert!(was_open || !pay_confirms, "closing twice");
         self.drain_scheduled(ctx, my_net, nc, pay_confirms);
         for h in [nc.fwd.as_mut(), nc.bwd.as_mut()].into_iter().flatten() {
             self.drain_hopdir(ctx, my_net, h, pay_confirms);
@@ -337,23 +334,20 @@ impl TorNetwork {
         circ: CircId,
         stream: u32,
     ) {
-        let client_id = self.circuits[circ.index()].path[0];
-        let node = &mut self.nodes[client_id.index()];
-        let my_net = node.net_node;
-        let Some(local) = node.local_idx(circ) else {
+        let Some(local) = self.open_client(circ) else {
             return; // torn down mid-stagger; the rebuild re-attaches the flow
         };
+        let node = &mut self.nodes[self.circuits[circ.index()].path[0].index()];
+        let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
-        if nc.closed {
-            return;
-        }
         let app = nc.client.as_mut().expect("client app exists");
+        let established = app.established();
         let Some(s) = app.streams.get_mut(stream as usize) else {
             self.egress.protocol_error("arrival for unknown stream");
             return;
         };
         s.arrived = true;
-        if app.stage != ClientStage::Established || s.begin_sent {
+        if !established || s.begin_sent {
             return;
         }
         s.begin_sent = true;
@@ -391,19 +385,12 @@ impl TorNetwork {
         // participation now would orphan a zombie slot and collide on
         // a recycled link id. Confirm the consumed frame so a
         // still-draining predecessor stays exact, and refuse.
-        if self.faults.is_some() {
-            let client = &self.nodes[info.path[0].index()];
-            let dead = match client.local_idx(global) {
-                None => true,
-                Some(l) => client.circuit_at(l).closed,
-            };
-            if dead {
-                self.egress
-                    .stale_or_protocol_error(&self.faults, "CREATE for dead incarnation");
-                let my_net = self.nodes[to.index()].net_node;
-                self.egress.send_feedback(ctx, my_net, confirm);
-                return;
-            }
+        if self.faults.is_some() && self.open_client(global).is_none() {
+            self.egress
+                .stale_or_protocol_error(&self.faults, "CREATE for dead incarnation");
+            let my_net = self.nodes[to.index()].net_node;
+            self.egress.send_feedback(ctx, my_net, confirm);
+            return;
         }
 
         let hop_ctx = HopCtx {
@@ -458,7 +445,7 @@ impl TorNetwork {
         self.egress.send_feedback(ctx, my_net, confirm);
         let node = &mut self.nodes[to.index()];
         let nc = node.circuit_at_mut(local);
-        if nc.closed {
+        if nc.phase != CircuitPhase::Open {
             // Teardown raced the build; the handshake answer dies here
             // (it was confirmed above so the successor's window drains).
             return;
@@ -520,7 +507,6 @@ impl TorNetwork {
         let mut qcs = Vec::new();
         if built < needed {
             let target = app.path[built + 1];
-            app.stage = ClientStage::Building { next: built + 1 };
             let mut data = Vec::with_capacity(4 + HANDSHAKE_LEN);
             data.extend_from_slice(&target.0.to_be_bytes());
             data.extend_from_slice(&next_handshake);
@@ -539,9 +525,9 @@ impl TorNetwork {
                 wrap_for_hop: Some(built - 1),
             });
         } else {
-            // Circuit complete: open every stream that has already
-            // arrived. Later arrivals BEGIN from their own events.
-            app.stage = ClientStage::Established;
+            // Circuit complete (now `established()`): open every stream
+            // that has already arrived. Later arrivals BEGIN from their
+            // own events.
             let server_hop = app.server_hop();
             for s in app.streams.iter_mut().filter(|s| s.arrived) {
                 debug_assert!(!s.begin_sent, "BEGIN before the circuit was built");
@@ -659,12 +645,20 @@ impl TorNetwork {
         self.egress.send_feedback(ctx, my_net, confirm);
         let node = &mut self.nodes[to.index()];
         let nc = node.circuit_at_mut(local);
-        if !nc.closed {
+        if nc.phase == CircuitPhase::Open {
             self.egress.close_participation(ctx, my_net, nc, true);
         }
         self.egress
             .destroy_wave(&self.faults, ctx, my_net, nc, wave, reason);
         self.maybe_reclaim(ctx, to, local);
+    }
+
+    /// The client's node-local index of `circ` while its participation
+    /// is [`CircuitPhase::Open`]; `None` once closed or reclaimed.
+    pub(super) fn open_client(&self, circ: CircId) -> Option<u32> {
+        let node = &self.nodes[self.circuits[circ.index()].path[0].index()];
+        let local = node.local_idx(circ)?;
+        (node.circuit_at(local).phase == CircuitPhase::Open).then_some(local)
     }
 
     /// Client-initiated teardown (from a [`TorEvent::Teardown`]).
@@ -681,12 +675,9 @@ impl TorNetwork {
         reason: u8,
     ) {
         let client_id = self.circuits[circ.index()].path[0];
-        let Some(local) = self.nodes[client_id.index()].local_idx(circ) else {
+        let Some(local) = self.open_client(circ) else {
             return;
         };
-        if self.nodes[client_id.index()].circuit_at(local).closed {
-            return;
-        }
         // Participations stranded beyond a crashed hop can never hear
         // the DESTROY wave (the crash gate swallows every frame at the
         // dead relay's door): reap them silently now, standing in for
@@ -980,7 +971,7 @@ mod tests {
         egress.net_node_of = nodes.to_vec();
 
         let mut nc = NodeCircuit::new(CircId(0), 1);
-        nc.closed = true;
+        nc.close();
         nc.fwd = Some(hop(SUCC, 10, true));
         nc.bwd = Some(hop(PRED, 11, true));
         (egress, nc)
@@ -1031,7 +1022,7 @@ mod tests {
         use Ahead::{Crashed, NeverContacted, Present};
         use Direction::{Backward, Forward};
         // (wave, the neighbour it is heading for) →
-        // (forward seen, backward seen), who is sent a DESTROY.
+        // (forward wave seen, backward wave seen), who is sent a DESTROY.
         let rows = [
             (Forward, Present, (true, false), Some(SUCC)),
             (Forward, NeverContacted, (true, true), Some(PRED)),
@@ -1063,7 +1054,12 @@ mod tests {
             let me = my_net(&egress);
             with_ctx(|ctx| egress.destroy_wave(&faults, ctx, me, &mut nc, wave, 9));
 
-            assert_eq!((nc.destroy_fwd, nc.destroy_bwd), seen, "{row}");
+            let (fwd_wave, bwd_wave) = seen;
+            assert_eq!(
+                nc.phase,
+                CircuitPhase::Closed { fwd_wave, bwd_wave },
+                "{row}"
+            );
             assert_eq!(
                 egress.stats.destroys_sent,
                 u64::from(destroy_to.is_some()),
@@ -1156,7 +1152,7 @@ mod tests {
     #[test]
     fn a_silent_close_of_a_closed_participation_drains_nothing_twice() {
         let (mut egress, mut nc) = rig();
-        nc.closed = false;
+        nc.phase = CircuitPhase::Open;
         let me = my_net(&egress);
         // Three forwarded DATA cells, each owing `PRED` a confirm: the
         // first goes on the wire, the second waits in the link scheduler,
@@ -1187,7 +1183,7 @@ mod tests {
             nc.fwd.as_mut().expect("forward hop").enqueue(qc);
 
             egress.close_participation(ctx, me, &mut nc, true);
-            assert!(nc.closed);
+            assert_ne!(nc.phase, CircuitPhase::Open);
             let after_close = (egress.stats, egress.payload_pool.returned());
             assert_eq!(egress.stats.cells_drained, 2);
             assert_eq!(egress.stats.feedback_sent, 2, "drained cells still confirm");
@@ -1198,7 +1194,7 @@ mod tests {
             assert_eq!(fwd.transport.outstanding(), 2);
 
             egress.close_participation(ctx, me, &mut nc, false);
-            assert!(nc.closed);
+            assert_ne!(nc.phase, CircuitPhase::Open);
             assert_eq!(
                 (egress.stats, egress.payload_pool.returned()),
                 after_close,

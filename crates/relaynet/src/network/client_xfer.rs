@@ -20,7 +20,7 @@ use torcell::ids::{CircuitId, StreamId};
 
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
-use crate::node::{ClientApp, ClientStage, QueuedCell};
+use crate::node::{ClientApp, QueuedCell};
 use crate::pool::PayloadPool;
 
 use super::{fill_pattern_extend, verify_fill_pattern, TorNetwork, END_REASON_DONE};
@@ -71,7 +71,7 @@ impl TorNetwork {
         now: SimTime,
     ) -> Option<QueuedCell> {
         let app = client?;
-        if app.stage != ClientStage::Established {
+        if !app.established() {
             return None;
         }
         let server_hop = app.server_hop();
@@ -278,8 +278,8 @@ impl TorNetwork {
                 let my_net = node.net_node;
                 let nc = node.circuit_at_mut(local);
                 let app = nc.client.as_mut().expect("client app");
-                if app.stage != ClientStage::Established {
-                    return Err("CONNECTED in wrong stage");
+                if !app.established() {
+                    return Err("CONNECTED before the circuit was built");
                 }
                 let s = app
                     .stream_mut(rc.stream)

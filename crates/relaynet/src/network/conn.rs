@@ -23,7 +23,7 @@ use torcell::ids::CircuitId;
 
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction};
-use crate::node::NodeCircuit;
+use crate::node::{CircuitPhase, NodeCircuit};
 use crate::wire::{FramePayload, WireFrame};
 
 use super::{Egress, LinkRoute, TorNetwork};
@@ -137,8 +137,9 @@ impl Egress {
     }
 
     /// Egress pump: drains one hop direction — sends queued cells (and, at
-    /// a transferring client, freshly generated DATA/END cells) while the
-    /// window allows, paying owed feedback as cells leave the queue.
+    /// a transferring client of an open circuit, freshly generated
+    /// DATA/END cells) while the window allows, paying owed feedback as
+    /// cells leave the queue.
     pub(super) fn pump_dir(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
@@ -147,6 +148,7 @@ impl Egress {
         dir: Direction,
     ) {
         let circ = nc.circ;
+        let generates = dir == Direction::Forward && nc.phase == CircuitPhase::Open;
         let NodeCircuit {
             fwd, bwd, client, ..
         } = nc;
@@ -162,7 +164,7 @@ impl Egress {
             }
             let qc = if let Some(qc) = hopdir.queue.pop_front() {
                 qc
-            } else if dir == Direction::Forward {
+            } else if generates {
                 match TorNetwork::generate_client_cell(
                     client.as_mut(),
                     &mut self.payload_pool,

@@ -9,7 +9,8 @@
 //!   node dead (the connection layer's drop gate takes over) and *reaps*
 //!   its own participations so its queued payload buffers return to the
 //!   pool. Reaping is silent: a dead node pays no confirms and sends no
-//!   cells.
+//!   cells. Every closed circuit whose path crosses it, participation
+//!   or not, has its survivors reaped too.
 //! * **Detection** — every circuit incarnation arms a **build timer**
 //!   when it starts; once established, the timer chain re-arms as a
 //!   **liveness timer** carrying a progress snapshot (delivered bytes of
@@ -34,16 +35,24 @@ use simcore::sim::Context;
 
 use crate::event::{TimerKind, TorEvent};
 use crate::ids::{CircId, OverlayId};
-use crate::node::ClientStage;
+use crate::node::CircuitPhase;
 
 use super::{TorNetwork, DESTROY_REASON_TIMEOUT};
 
 impl TorNetwork {
     /// A relay crashed (from a [`TorEvent::RelayCrash`]): mark it dead
-    /// for the connection layer's drop gate and silently reap every
-    /// participation it holds. The directory is *not* touched — unlike
-    /// an epoch departure, nobody is told; clients learn from timers and
-    /// blame-driven exclusion.
+    /// for the connection layer's drop gate, then walk every circuit
+    /// whose path crosses it, silently reaping its participation there
+    /// (if any) and repairing a severed teardown. A closed (or
+    /// reclaimed) client has sealed the outcome, but its DESTROY wave may
+    /// be in, or on its way into, the dead relay — even one that never
+    /// minted the participation because its CREATE was refused — and
+    /// dies there, so every survivor is reaped on the spot;
+    /// exactly-once ledger accounting is kept by the client's
+    /// `accounted` flag. Circuits whose client is still open are left
+    /// alone: those clients must *detect* the crash through their
+    /// timers. The directory is *not* touched — unlike an epoch
+    /// departure, nobody is told.
     pub(super) fn relay_crash(&mut self, ctx: &mut Context<'_, TorEvent>, relay: u32) {
         let overlay = self.overlay_of_relay(relay);
         let Some(f) = self.faults.as_mut() else {
@@ -54,34 +63,19 @@ impl TorNetwork {
             return;
         }
         self.egress.stats.crashes_injected += 1;
-        for (circ, _) in self.nodes[overlay.index()].participations() {
+        for i in 0..self.circuits.len() {
+            if !self.circuits[i].path.contains(&overlay) {
+                continue;
+            }
+            let circ = CircId(i as u32);
             self.reap_participation(ctx, overlay, circ);
-            self.repair_severed_teardown(ctx, circ);
-        }
-    }
-
-    /// A crash can land *after* a teardown's DESTROY wave already
-    /// passed into the dead relay: the wave dies there, and every
-    /// participant still waiting on it — or on confirms from the dead
-    /// hop — would wait forever. If the circuit's client side is
-    /// already closed (or reclaimed), the teardown's outcome is sealed,
-    /// so the remaining bookkeeping completes by silently reaping the
-    /// survivors; exactly-once ledger accounting is preserved by the
-    /// client's `accounted` flag. Circuits whose client is still open
-    /// are left strictly alone — those clients must *detect* the crash
-    /// through their timers.
-    fn repair_severed_teardown(&mut self, ctx: &mut Context<'_, TorEvent>, circ: CircId) {
-        let path = self.circuits[circ.index()].path.clone();
-        let client = &self.nodes[path[0].index()];
-        let client_open = client
-            .local_idx(circ)
-            .is_some_and(|l| !client.circuit_at(l).closed);
-        if client_open {
-            return;
-        }
-        for &n in &path {
-            if !self.is_crashed(n) {
-                self.reap_participation(ctx, n, circ);
+            if self.open_client(circ).is_some() {
+                continue;
+            }
+            for n in self.circuits[i].path.clone() {
+                if !self.is_crashed(n) {
+                    self.reap_participation(ctx, n, circ);
+                }
             }
         }
     }
@@ -106,52 +100,40 @@ impl TorNetwork {
         if info.incarnation != incarnation {
             return;
         }
-        let client_id = info.path[0];
-        let Some(nc) = self.nodes[client_id.index()].circuit(circ) else {
-            return; // already reclaimed
+        let Some(local) = self.open_client(circ) else {
+            return; // reclaimed, or torn down and awaiting quiescence
         };
-        if nc.closed {
-            return; // torn down, awaiting quiescence
+        let nc = self.nodes[info.path[0].index()].circuit_at(local);
+        let app = nc.client.as_ref().expect("timers only arm at clients");
+        if !app.established() {
+            // Still telescoping when the build timer fired: the
+            // half-built circuit is abandoned outright.
+            self.force_abandon(ctx, circ);
+            return;
         }
-        let stage = nc
-            .client
-            .as_ref()
-            .expect("timers only arm at clients")
-            .stage;
-        match stage {
-            ClientStage::Closed => {}
-            ClientStage::Building { .. } => {
-                // Still telescoping when the build timer fired: the
-                // half-built circuit is abandoned outright.
-                self.force_abandon(ctx, circ);
-            }
-            ClientStage::Established => {
-                let all_complete = info
-                    .workload
-                    .streams
-                    .iter()
-                    .all(|s| self.flows[s.flow.index()].complete());
-                if all_complete {
-                    return; // transfer done; let the chain die
-                }
-                let now_progress = self.circ_progress(circ);
-                if now_progress > progress || kind == TimerKind::Build {
-                    // Progress since the snapshot — or the build beat
-                    // its timer (one grace period before liveness
-                    // judgement begins).
-                    ctx.schedule_in(
-                        liveness,
-                        TorEvent::CircTimeout {
-                            circ,
-                            incarnation,
-                            progress: now_progress,
-                            kind: TimerKind::Liveness,
-                        },
-                    );
-                } else {
-                    self.force_abandon(ctx, circ);
-                }
-            }
+        let all_complete = info
+            .workload
+            .streams
+            .iter()
+            .all(|s| self.flows[s.flow.index()].complete());
+        if all_complete {
+            return; // transfer done; let the chain die
+        }
+        let now_progress = self.circ_progress(circ);
+        if now_progress > progress || kind == TimerKind::Build {
+            // Progress since the snapshot — or the build beat its timer
+            // (one grace period before liveness judgement begins).
+            ctx.schedule_in(
+                liveness,
+                TorEvent::CircTimeout {
+                    circ,
+                    incarnation,
+                    progress: now_progress,
+                    kind: TimerKind::Liveness,
+                },
+            );
+        } else {
+            self.force_abandon(ctx, circ);
         }
     }
 
@@ -228,8 +210,11 @@ impl TorNetwork {
         for h in [nc.fwd.as_mut(), nc.bwd.as_mut()].into_iter().flatten() {
             h.transport.forget_all();
         }
-        nc.destroy_fwd = true;
-        nc.destroy_bwd = true;
+        // No wave will ever pass a reaped participation.
+        nc.phase = CircuitPhase::Closed {
+            fwd_wave: true,
+            bwd_wave: true,
+        };
         // The write-offs above cover sends that may still be in flight
         // carrying these link-local ids: retire the ids so reclamation
         // never recycles them under a straggler (see

@@ -15,7 +15,7 @@ use torcell::cell::Feedback;
 
 use crate::event::TorEvent;
 use crate::ids::OverlayId;
-use crate::node::PendingConfirm;
+use crate::node::{CircuitPhase, PendingConfirm};
 use crate::wire::{FramePayload, WireFrame};
 
 use super::{Egress, TorNetwork};
@@ -78,7 +78,7 @@ impl TorNetwork {
                 return;
             }
         }
-        let closed = nc.closed;
+        let closed = nc.phase != CircuitPhase::Open;
         self.egress.pump_dir(ctx, my_net, nc, dir);
         if closed {
             // This confirm may have been the last outstanding cell of a

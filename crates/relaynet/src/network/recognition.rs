@@ -22,7 +22,7 @@ use torcell::ids::CircuitId;
 
 use crate::event::TorEvent;
 use crate::ids::{Direction, OverlayId};
-use crate::node::{PendingConfirm, QueuedCell};
+use crate::node::{CircuitPhase, PendingConfirm, QueuedCell};
 
 use super::{Egress, TorNetwork};
 
@@ -90,7 +90,7 @@ impl TorNetwork {
         let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
 
-        if nc.closed {
+        if nc.phase != CircuitPhase::Open {
             // Torn-down circuit: confirm (so the sender's window drains),
             // return the payload buffer to the pool, and drop.
             self.egress.stats.cells_dropped_closed += 1;

@@ -123,21 +123,6 @@ impl HopDir {
     }
 }
 
-/// Client-side circuit state machine.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ClientStage {
-    /// Waiting for CREATED/EXTENDED of hop `next` (1 = first relay).
-    Building {
-        /// Index into the path of the hop being created.
-        next: usize,
-    },
-    /// Circuit built; streams open (BEGIN/CONNECTED) and transfer
-    /// independently.
-    Established,
-    /// Torn down; no further cells are generated.
-    Closed,
-}
-
 /// Client-side state of one stream multiplexed over a circuit.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamState {
@@ -199,8 +184,6 @@ pub struct ClientApp {
     pub path: Vec<OverlayId>,
     /// Onion layers negotiated so far.
     pub route: OnionRoute,
-    /// Build/transfer stage.
-    pub stage: ClientStage,
     /// Total payload bytes across all streams.
     pub file_bytes: u64,
     /// Streams multiplexed over this circuit, in stream-id order.
@@ -244,7 +227,6 @@ impl ClientApp {
         ClientApp {
             path,
             route: OnionRoute::new(),
-            stage: ClientStage::Building { next: 1 },
             file_bytes: streams.iter().map(|s| s.bytes).sum(),
             streams,
             rr_cursor: 0,
@@ -259,6 +241,12 @@ impl ClientApp {
     /// The layer index of the server (the hop that recognizes DATA).
     pub fn server_hop(&self) -> usize {
         self.path.len() - 2
+    }
+
+    /// Every hop's layer is negotiated (the telescope is done): streams
+    /// may open (BEGIN / CONNECTED) and transfer independently.
+    pub(crate) fn established(&self) -> bool {
+        self.route.len() + 1 == self.path.len()
     }
 
     /// The stream carrying wire id `id`, if any.
@@ -336,6 +324,22 @@ impl ServerApp {
     }
 }
 
+/// Where one participation is in its life (DESIGN.md §8); the teardown
+/// wave flags exist only once it is closed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CircuitPhase {
+    /// Being built or carrying traffic.
+    Open,
+    /// Torn down: late cells are dropped, the client generates nothing,
+    /// and the slot waits for both waves and quiescence.
+    Closed {
+        /// The forward teardown wave (client → server) has passed.
+        fwd_wave: bool,
+        /// The backward teardown echo (server → client) has passed.
+        bwd_wave: bool,
+    },
+}
+
 /// A node's participation in one circuit.
 pub struct NodeCircuit {
     /// Global circuit id (simulator bookkeeping).
@@ -354,12 +358,8 @@ pub struct NodeCircuit {
     pub client: Option<ClientApp>,
     /// Server application (only at the last position).
     pub server: Option<ServerApp>,
-    /// Circuit has been torn down (DESTROY seen); late cells are dropped.
-    pub closed: bool,
-    /// The forward teardown wave (client → server) has passed this node.
-    pub destroy_fwd: bool,
-    /// The backward teardown echo (server → client) has passed this node.
-    pub destroy_bwd: bool,
+    /// Lifecycle: open, or closed with the teardown waves seen so far.
+    pub phase: CircuitPhase,
 }
 
 impl NodeCircuit {
@@ -374,16 +374,14 @@ impl NodeCircuit {
             pending_extend: None,
             client: None,
             server: None,
-            closed: false,
-            destroy_fwd: false,
-            destroy_bwd: false,
+            phase: CircuitPhase::Open,
         }
     }
 
     /// The placeholder stored in a reclaimed slab slot.
     pub fn vacant() -> NodeCircuit {
         let mut nc = NodeCircuit::new(CircId(u32::MAX), usize::MAX);
-        nc.closed = true;
+        nc.close();
         nc
     }
 
@@ -415,12 +413,29 @@ impl NodeCircuit {
         None
     }
 
+    /// Open → Closed with no wave seen yet (a closed participation stays
+    /// as it is); returns whether it was open.
+    pub(crate) fn close(&mut self) -> bool {
+        let was_open = self.phase == CircuitPhase::Open;
+        if was_open {
+            self.phase = CircuitPhase::Closed {
+                fwd_wave: false,
+                bwd_wave: false,
+            };
+        }
+        was_open
+    }
+
     /// Records that the teardown wave travelling in `wave` has passed
-    /// this node; returns whether it already had.
+    /// this node; returns whether it already had. Panics on an open
+    /// participation: a wave always closes it first.
     pub fn mark_wave(&mut self, wave: Direction) -> bool {
+        let CircuitPhase::Closed { fwd_wave, bwd_wave } = &mut self.phase else {
+            panic!("{wave} DESTROY wave at an open participation");
+        };
         let seen = match wave {
-            Direction::Forward => &mut self.destroy_fwd,
-            Direction::Backward => &mut self.destroy_bwd,
+            Direction::Forward => fwd_wave,
+            Direction::Backward => bwd_wave,
         };
         std::mem::replace(seen, true)
     }
@@ -440,9 +455,11 @@ impl NodeCircuit {
     /// nothing queued. Once true, no further frame can arrive for this
     /// participation and its slots are safe to reclaim (DESIGN.md §8).
     pub fn reclaimable(&self) -> bool {
-        self.closed
-            && self.destroy_fwd
-            && self.destroy_bwd
+        self.phase
+            == CircuitPhase::Closed {
+                fwd_wave: true,
+                bwd_wave: true,
+            }
             && self.fwd.as_ref().is_none_or(HopDir::quiescent)
             && self.bwd.as_ref().is_none_or(HopDir::quiescent)
     }
@@ -554,13 +571,6 @@ impl OverlayNode {
     /// Number of live circuits this node participates in.
     pub fn circuit_count(&self) -> usize {
         self.by_global.len()
-    }
-
-    /// Every live participation as `(global circuit, node-local index)`,
-    /// in global-id order (deterministic — the crash reaper iterates
-    /// this while mutating the slab).
-    pub fn participations(&self) -> Vec<(CircId, u32)> {
-        self.by_global.iter().map(|(&c, &l)| (c, l)).collect()
     }
 }
 
@@ -689,21 +699,65 @@ mod tests {
     }
 
     #[test]
-    fn reclaimable_needs_both_waves_and_quiescence() {
+    fn phase_transitions_close_then_record_each_wave_once() {
+        use CircuitPhase::{Closed, Open};
+        use Direction::{Backward, Forward};
         let mut nc = NodeCircuit::new(CircId(0), 1);
         nc.fwd = Some(HopDir::new(OverlayId(2), CircuitId(10), transport()));
-        assert!(!nc.reclaimable(), "live circuits are not reclaimable");
-        nc.closed = true;
-        nc.destroy_fwd = true;
+        nc.bwd = Some(HopDir::new(OverlayId(0), CircuitId(11), transport()));
+        assert_eq!(nc.phase, Open);
+        assert!(!nc.reclaimable(), "open participations are not reclaimable");
+
+        assert!(nc.close(), "Open → Closed");
+        let no_wave = Closed {
+            fwd_wave: false,
+            bwd_wave: false,
+        };
+        assert_eq!(nc.phase, no_wave, "closing records no wave");
+        assert!(!nc.close(), "closing twice changes nothing");
+        assert_eq!(nc.phase, no_wave);
+
+        assert!(!nc.mark_wave(Forward), "first forward wave");
+        assert!(nc.mark_wave(Forward), "duplicate forward wave reported");
+        let forward_only = Closed {
+            fwd_wave: true,
+            bwd_wave: false,
+        };
+        assert_eq!(nc.phase, forward_only);
         assert!(!nc.reclaimable(), "waiting for the backward wave");
-        nc.destroy_bwd = true;
+
+        // Both waves seen: reclaimable exactly when both hops are
+        // quiescent.
+        assert!(!nc.mark_wave(Backward), "first backward wave");
+        assert!(nc.mark_wave(Backward), "duplicate backward wave reported");
         assert!(nc.reclaimable());
-        nc.fwd
-            .as_mut()
-            .unwrap()
-            .transport
-            .register_send(SimTime::ZERO);
-        assert!(!nc.reclaimable(), "outstanding cells block reclamation");
+        fn hop(nc: &mut NodeCircuit, dir: Direction) -> &mut HopDir {
+            match dir {
+                Forward => nc.fwd.as_mut(),
+                Backward => nc.bwd.as_mut(),
+            }
+            .expect("both hops")
+        }
+        for dir in [Forward, Backward] {
+            let seq = hop(&mut nc, dir).transport.register_send(SimTime::ZERO);
+            assert!(!nc.reclaimable(), "{dir}: outstanding cells block it");
+            let h = hop(&mut nc, dir);
+            h.transport.on_feedback(seq, SimTime::ZERO).unwrap();
+            h.enqueue(QueuedCell {
+                cell: Cell::destroy(CircuitId(5), 0),
+                confirm: None,
+                wrap_for_hop: None,
+            });
+            assert!(!nc.reclaimable(), "{dir}: queued cells block it");
+            hop(&mut nc, dir).queue.clear();
+            assert!(nc.reclaimable(), "{dir}: quiescent again");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "open participation")]
+    fn a_wave_cannot_reach_an_open_participation() {
+        NodeCircuit::new(CircId(0), 1).mark_wave(Direction::Forward);
     }
 
     #[test]

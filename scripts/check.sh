@@ -55,6 +55,9 @@ cmp -s "${apply_dir}/before.rs" "${apply_dir}/crates/relaynet/src/lib.rs" || {
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> stranded-teardown sweep: three recipes, 40 / 1500 / 400 worlds, zero strands"
+cargo test -q --release --test teardown_strand -- --ignored
+
 echo "==> smoke: cargo run --example quickstart"
 cargo run -q --release --example quickstart
 
