@@ -65,7 +65,6 @@ pub struct HopTransport {
     rtt: RttEstimator,
     stats: HopStats,
     cwnd_trace: Option<Vec<(SimTime, u32)>>,
-    rtt_trace: Option<Vec<(SimTime, u64, SimDuration)>>,
 }
 
 impl HopTransport {
@@ -78,7 +77,6 @@ impl HopTransport {
             rtt: RttEstimator::new(),
             stats: HopStats::default(),
             cwnd_trace: None,
-            rtt_trace: None,
         }
     }
 
@@ -91,18 +89,6 @@ impl HopTransport {
     /// The recorded window trace, if tracing was enabled.
     pub fn cwnd_trace(&self) -> Option<&[(SimTime, u32)]> {
         self.cwnd_trace.as_deref()
-    }
-
-    /// Starts recording `(feedback time, seq, rtt)` for every feedback —
-    /// the raw per-hop timing data behind the paper's "elaborate analysis
-    /// of the timing information gathered".
-    pub fn enable_rtt_trace(&mut self) {
-        self.rtt_trace = Some(Vec::new());
-    }
-
-    /// The recorded RTT samples, if tracing was enabled.
-    pub fn rtt_trace(&self) -> Option<&[(SimTime, u64, SimDuration)]> {
-        self.rtt_trace.as_deref()
     }
 
     /// Whether the controller permits sending another cell now.
@@ -152,9 +138,6 @@ impl HopTransport {
         };
         let rtt = now.saturating_duration_since(sent_at);
         self.rtt.record(rtt);
-        if let Some(trace) = &mut self.rtt_trace {
-            trace.push((now, seq, rtt));
-        }
         let base = self.rtt.base().expect("just recorded a sample");
         self.stats.feedback_received += 1;
         self.cc.on_feedback(seq, rtt, base, now);

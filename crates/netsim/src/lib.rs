@@ -38,11 +38,11 @@ pub mod prelude {
     pub use crate::frame::{Frame, RawFrame};
     pub use crate::link::{LinkConfig, LinkId, LinkStats, QueueLimit};
     pub use crate::net::{Net, NetEvent, NodeId, SendOutcome};
-    pub use crate::topology::{AccessConfig, Dumbbell, Path, Star};
+    pub use crate::topology::{AccessConfig, AccessLinks, Dumbbell, Path, Star};
 }
 
 pub use bandwidth::Bandwidth;
 pub use frame::{Frame, RawFrame};
 pub use link::{LinkConfig, LinkId, LinkStats, QueueLimit};
 pub use net::{Net, NetEvent, NodeId, SendOutcome};
-pub use topology::{AccessConfig, Dumbbell, Path, Star};
+pub use topology::{AccessConfig, AccessLinks, Dumbbell, Path, Star};

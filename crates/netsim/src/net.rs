@@ -130,7 +130,11 @@ pub enum SendOutcome {
 pub struct Net<F: Frame> {
     links: Vec<LinkState<F>>,
     link_ends: Vec<(NodeId, NodeId)>,
-    node_names: Vec<String>,
+    /// Every node's diagnostic name, back to back: one buffer for all
+    /// nodes rather than one allocation each.
+    names: String,
+    /// `names[name_ends[i - 1]..name_ends[i]]` is node `i`'s name.
+    name_ends: Vec<u32>,
 }
 
 impl<F: Frame> Default for Net<F> {
@@ -145,24 +149,25 @@ impl<F: Frame> Net<F> {
         Net {
             links: Vec::new(),
             link_ends: Vec::new(),
-            node_names: Vec::new(),
+            names: String::new(),
+            name_ends: Vec::new(),
         }
     }
 
     /// Adds a node; `name` is used in diagnostics only.
     pub fn add_node(&mut self, name: &str) -> NodeId {
-        let id = NodeId(u32::try_from(self.node_names.len()).expect("too many nodes"));
-        self.node_names.push(name.to_string());
+        let id = NodeId(u32::try_from(self.name_ends.len()).expect("too many nodes"));
+        self.names.push_str(name);
+        self.name_ends
+            .push(u32::try_from(self.names.len()).expect("node names exceed 4 GiB"));
         id
     }
 
-    /// Adds a directed link `from → to`.
+    /// Adds a directed link `from → to`. Ids are dense and handed out in
+    /// call order.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, cfg: LinkConfig) -> LinkId {
-        assert!(from.index() < self.node_names.len(), "unknown source node");
-        assert!(
-            to.index() < self.node_names.len(),
-            "unknown destination node"
-        );
+        assert!(from.index() < self.node_count(), "unknown source node");
+        assert!(to.index() < self.node_count(), "unknown destination node");
         assert_ne!(from, to, "self-loop links are not supported");
         let id = LinkId(u32::try_from(self.links.len()).expect("too many links"));
         self.links.push(LinkState::new(cfg));
@@ -178,7 +183,7 @@ impl<F: Frame> Net<F> {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.name_ends.len()
     }
 
     /// Number of (simplex) links.
@@ -188,7 +193,9 @@ impl<F: Frame> Net<F> {
 
     /// Diagnostic name of a node.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.index()]
+        let i = node.index();
+        let start = i.checked_sub(1).map_or(0, |prev| self.name_ends[prev]);
+        &self.names[start as usize..self.name_ends[i] as usize]
     }
 
     /// The `(source, destination)` nodes of a link.
@@ -735,7 +742,12 @@ mod tests {
         );
         assert_eq!(net.node_count(), 2);
         assert_eq!(net.link_count(), 2);
+        let unnamed = net.add_node("");
+        let c = net.add_node("gamma");
         assert_eq!(net.node_name(a), "alpha");
+        assert_eq!(net.node_name(b), "beta");
+        assert_eq!(net.node_name(unnamed), "");
+        assert_eq!(net.node_name(c), "gamma");
         assert_eq!(net.link_ends(ab), (a, b));
         assert_eq!(net.link_src(ba), b);
         assert_eq!(net.link_dst(ba), a);

@@ -7,9 +7,12 @@
 //! * [`Star`] — every node hangs off a central switch by its own access
 //!   link; this is how nstor models "the Internet" between Tor relays
 //!   (Figure 1 lower panel). The switch itself is infinitely fast — only
-//!   access links constrain traffic.
+//!   access links constrain traffic. A leaf's links are minted the first
+//!   time it is used.
 //! * [`Dumbbell`] — n sources and n sinks sharing one bottleneck link,
 //!   used by transport-fairness tests and ablations.
+
+use std::fmt::Write;
 
 use simcore::time::SimDuration;
 
@@ -83,28 +86,44 @@ pub struct AccessConfig {
     pub delay: SimDuration,
 }
 
+/// The two access links of one [`Star`] leaf.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct AccessLinks {
+    /// `leaf → hub`.
+    pub up: LinkId,
+    /// `hub → leaf`.
+    pub down: LinkId,
+}
+
 /// A star: leaves connected to a central switch by individual access links.
 ///
 /// The switch node forwards instantly (zero rate limit, zero delay is
 /// modelled by the *caller* re-sending on the downlink in the same event);
 /// all queueing happens on the access links, which is exactly nstor's
 /// network abstraction.
+///
+/// **Links are minted on first use.** Building a star adds the hub and
+/// the leaves only; [`Star::mint`] adds a leaf's two access links the
+/// first time the caller needs them. A leaf nothing ever sends through
+/// costs a node and no link — a 7000-relay directory whose circuits cross
+/// a few hundred relays holds a few hundred link pairs. Because
+/// [`Net::add_link`] appends, link ids stay dense, numbered in the order
+/// leaves are first minted.
 #[derive(Clone, Debug)]
 pub struct Star {
-    /// The central switch.
-    pub hub: NodeId,
-    /// Leaf nodes, in creation order.
-    pub leaves: Vec<NodeId>,
-    /// `up[i]` carries `leaves[i] → hub`.
-    pub up: Vec<LinkId>,
-    /// `down[i]` carries `hub → leaves[i]`.
-    pub down: Vec<LinkId>,
+    /// The central switch. Leaf `i` is node `hub + 1 + i`.
+    hub: NodeId,
+    /// Per-leaf access parameters, in leaf order.
+    accesses: Vec<AccessConfig>,
+    /// Per-leaf access links, once minted.
+    links: Vec<Option<AccessLinks>>,
 }
 
 impl Star {
-    /// Builds a star with the given per-leaf access configurations.
-    /// Access-link egress queues are unbounded (backpressure keeps them
-    /// finite; experiments assert zero drops).
+    /// Builds a star with the given per-leaf access configurations: the
+    /// hub and one node per leaf, no links yet. Access-link egress queues
+    /// are unbounded (backpressure keeps them finite; experiments assert
+    /// zero drops).
     ///
     /// # Panics
     ///
@@ -112,54 +131,74 @@ impl Star {
     pub fn build<F: Frame>(net: &mut Net<F>, accesses: &[AccessConfig]) -> Star {
         assert!(!accesses.is_empty(), "a star needs at least one leaf");
         let hub = net.add_node("hub");
-        let mut leaves = Vec::with_capacity(accesses.len());
-        let mut up = Vec::with_capacity(accesses.len());
-        let mut down = Vec::with_capacity(accesses.len());
-        for (i, acc) in accesses.iter().enumerate() {
-            let leaf = net.add_node(&format!("leaf-{i}"));
-            let cfg = LinkConfig::new(acc.rate, acc.delay);
-            up.push(net.add_link(leaf, hub, cfg));
-            down.push(net.add_link(hub, leaf, cfg));
-            leaves.push(leaf);
+        let mut name = String::new();
+        for i in 0..accesses.len() {
+            name.clear();
+            write!(name, "leaf-{i}").expect("writing to a String cannot fail");
+            net.add_node(&name);
         }
         Star {
             hub,
-            leaves,
-            up,
-            down,
+            accesses: accesses.to_vec(),
+            links: vec![None; accesses.len()],
         }
+    }
+
+    /// The central switch.
+    pub fn hub(&self) -> NodeId {
+        self.hub
     }
 
     /// Number of leaves.
     pub fn leaf_count(&self) -> usize {
-        self.leaves.len()
+        self.accesses.len()
+    }
+
+    /// Leaf `i`'s node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the star has no leaf `i`.
+    pub fn leaf(&self, i: usize) -> NodeId {
+        assert!(i < self.leaf_count(), "star has no leaf {i}");
+        NodeId(self.hub.0 + 1 + i as u32)
     }
 
     /// The index of a leaf node, if it is one.
     pub fn leaf_index(&self, node: NodeId) -> Option<usize> {
-        self.leaves.iter().position(|&n| n == node)
+        let i = node.0.checked_sub(self.hub.0 + 1)? as usize;
+        (i < self.leaf_count()).then_some(i)
     }
 
-    /// The uplink (`leaf → hub`) of a leaf node.
+    /// A leaf's access links, if they have been minted.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is not a leaf of this star.
-    pub fn uplink_of(&self, node: NodeId) -> LinkId {
-        self.up[self
-            .leaf_index(node)
-            .expect("node is not a leaf of this star")]
+    /// Panics if `leaf` is not a leaf of this star.
+    pub fn links_of(&self, leaf: NodeId) -> Option<AccessLinks> {
+        self.links[self.expect_leaf(leaf)]
     }
 
-    /// The downlink (`hub → leaf`) of a leaf node.
+    /// A leaf's access links, adding both to `net` (uplink first) on the
+    /// first call for that leaf and returning the same pair after.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is not a leaf of this star.
-    pub fn downlink_of(&self, node: NodeId) -> LinkId {
-        self.down[self
-            .leaf_index(node)
-            .expect("node is not a leaf of this star")]
+    /// Panics if `leaf` is not a leaf of this star.
+    pub fn mint<F: Frame>(&mut self, net: &mut Net<F>, leaf: NodeId) -> AccessLinks {
+        let i = self.expect_leaf(leaf);
+        *self.links[i].get_or_insert_with(|| {
+            let cfg = LinkConfig::new(self.accesses[i].rate, self.accesses[i].delay);
+            AccessLinks {
+                up: net.add_link(leaf, self.hub, cfg),
+                down: net.add_link(self.hub, leaf, cfg),
+            }
+        })
+    }
+
+    fn expect_leaf(&self, node: NodeId) -> usize {
+        self.leaf_index(node)
+            .expect("node is not a leaf of this star")
     }
 }
 
@@ -282,31 +321,60 @@ mod tests {
             rate: Bandwidth::from_mbps(20),
             delay: SimDuration::from_millis(10),
         };
-        let s = Star::build(&mut net, &[acc, acc, acc]);
+        let mut s = Star::build(&mut net, &[acc, acc, acc]);
         assert_eq!(s.leaf_count(), 3);
         assert_eq!(net.node_count(), 4); // hub + 3 leaves
-        assert_eq!(net.link_count(), 6);
+        assert_eq!(net.node_name(s.hub()), "hub");
+        assert_eq!(net.node_name(s.leaf(2)), "leaf-2");
+        assert_eq!(net.link_count(), 0, "no leaf used yet");
         for i in 0..3 {
-            assert_eq!(net.link_ends(s.up[i]), (s.leaves[i], s.hub));
-            assert_eq!(net.link_ends(s.down[i]), (s.hub, s.leaves[i]));
+            let leaf = s.leaf(i);
+            assert_eq!(s.leaf_index(leaf), Some(i));
+            assert_eq!(s.links_of(leaf), None);
+            let links = s.mint(&mut net, leaf);
+            assert_eq!(net.link_ends(links.up), (leaf, s.hub()));
+            assert_eq!(net.link_ends(links.down), (s.hub(), leaf));
+            assert_eq!(s.links_of(leaf), Some(links));
         }
-        let leaf1 = s.leaves[1];
-        assert_eq!(s.leaf_index(leaf1), Some(1));
-        assert_eq!(s.uplink_of(leaf1), s.up[1]);
-        assert_eq!(s.downlink_of(leaf1), s.down[1]);
-        assert_eq!(s.leaf_index(s.hub), None);
+        assert_eq!(net.link_count(), 6);
+        assert_eq!(s.leaf_index(s.hub()), None);
     }
 
     #[test]
-    #[should_panic(expected = "not a leaf")]
-    fn star_uplink_of_hub_panics() {
+    fn star_links_are_minted_once_in_first_use_order() {
         let mut net: Net<RawFrame> = Net::new();
         let acc = AccessConfig {
             rate: Bandwidth::from_mbps(20),
             delay: SimDuration::ZERO,
         };
-        let s = Star::build(&mut net, &[acc]);
-        let _ = s.uplink_of(s.hub);
+        let mut s = Star::build(&mut net, &[acc; 5]);
+        let (leaf3, leaf1) = (s.leaf(3), s.leaf(1));
+        let links = s.mint(&mut net, leaf3);
+        assert_eq!((links.up.index(), links.down.index()), (0, 1));
+        assert_eq!(s.mint(&mut net, leaf3), links, "a second mint is a lookup");
+        let links = s.mint(&mut net, leaf1);
+        assert_eq!((links.up.index(), links.down.index()), (2, 3));
+        assert_eq!(net.link_count(), 4);
+        assert_eq!(s.links_of(s.leaf(0)), None);
+        assert_eq!(s.leaf_index(s.leaf(4)), Some(4));
+        assert_eq!(
+            s.leaf_index(NodeId(s.hub().0 + 6)),
+            None,
+            "past the last leaf"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a leaf")]
+    fn star_mint_of_hub_panics() {
+        let mut net: Net<RawFrame> = Net::new();
+        let acc = AccessConfig {
+            rate: Bandwidth::from_mbps(20),
+            delay: SimDuration::ZERO,
+        };
+        let mut s = Star::build(&mut net, &[acc]);
+        let hub = s.hub();
+        let _ = s.mint(&mut net, hub);
     }
 
     #[test]
@@ -316,9 +384,11 @@ mod tests {
             rate: Bandwidth::from_mbps(mbps),
             delay: SimDuration::ZERO,
         };
-        let s = Star::build(&mut net, &[mk(10), mk(50)]);
-        assert_eq!(net.link_config(s.up[0]).rate, Bandwidth::from_mbps(10));
-        assert_eq!(net.link_config(s.down[1]).rate, Bandwidth::from_mbps(50));
+        let mut s = Star::build(&mut net, &[mk(10), mk(50)]);
+        let slow = s.mint(&mut net, s.leaf(0));
+        let fast = s.mint(&mut net, s.leaf(1));
+        assert_eq!(net.link_config(slow.up).rate, Bandwidth::from_mbps(10));
+        assert_eq!(net.link_config(fast.down).rate, Bandwidth::from_mbps(50));
     }
 
     #[test]

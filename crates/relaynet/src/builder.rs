@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use crate::directory::{Directory, DirectoryConfig};
 use crate::event::TorEvent;
-use crate::ids::{CircId, Direction};
+use crate::ids::{CircId, Direction, OverlayId};
 use crate::network::{TorNetwork, WorldConfig};
 use crate::node::{CcFactory, NodeRole};
 use crate::router::Router;
@@ -126,14 +126,14 @@ impl PathScenario {
             .iter()
             .enumerate()
             .map(|(i, &nn)| {
-                let (role, name) = if i == 0 {
-                    (NodeRole::Client, "client".to_string())
+                let role = if i == 0 {
+                    NodeRole::Client
                 } else if i == last {
-                    (NodeRole::Server, "server".to_string())
+                    NodeRole::Server
                 } else {
-                    (NodeRole::Relay, format!("relay-{i}"))
+                    NodeRole::Relay
                 };
-                world.add_overlay(nn, role, &name)
+                world.add_overlay(nn, role)
             })
             .collect();
         let mut wl_rng = master.derive("workload");
@@ -160,7 +160,7 @@ impl PathScenario {
             let spec = self.faults.as_ref().expect("schedule implies spec");
             // Relay overlay id `r` sits between hops `r-1` and `r`: a
             // stall throttles its upstream hop in both directions.
-            schedule_faults(&mut sim, spec, schedule, |r| {
+            schedule_faults(&mut sim, spec, schedule, |_, r| {
                 (self.hops[r - 1].rate, [topo.fwd[r - 1], topo.rev[r - 1]])
             });
         }
@@ -276,8 +276,9 @@ impl StarScenario {
         });
 
         // Leaves: all relays first, then client/server pairs per circuit.
-        // Every provisioned relay keeps its access link — epochs only
-        // toggle liveness, never the physical topology.
+        // Every provisioned relay has a leaf; its access links are minted
+        // when a circuit first crosses it (`TorNetwork::install_star`).
+        // Epochs only toggle liveness, never the physical topology.
         let mut accesses: Vec<AccessConfig> = directory
             .iter_specs()
             .map(|r| AccessConfig {
@@ -301,18 +302,9 @@ impl StarScenario {
 
         let mut net: Net<crate::wire::WireFrame> = Net::new();
         let star = Star::build(&mut net, &accesses);
-        let mut router = Router::new();
-        for (i, &leaf) in star.leaves.iter().enumerate() {
-            // Frames leaving a leaf always take its uplink (a uniform
-            // route — O(1) instead of O(leaves) per leaf); the hub picks
-            // the destination's downlink.
-            router.install_uniform(leaf, star.up[i]);
-            router.install(star.hub, leaf, star.down[i]);
-        }
-
         let mut world = TorNetwork::new(
             net,
-            router,
+            Router::new(),
             self.world,
             factory,
             master.derive("handshakes"),
@@ -321,9 +313,19 @@ impl StarScenario {
         // circuits the default idle cap would sit below the steady-state
         // in-flight population and thrash alloc/free.
         world.set_payload_pool_cap(crate::pool::PayloadPool::scenario_max_idle(self.circuits));
-        let relay_overlays: Vec<_> = (0..relay_count)
-            .map(|i| world.add_overlay(star.leaves[i], NodeRole::Relay, &format!("relay-{i}")))
+        // One overlay node per leaf, in leaf order.
+        let overlays: Vec<OverlayId> = (0..star.leaf_count())
+            .map(|i| {
+                let role = match i.checked_sub(relay_count) {
+                    None => NodeRole::Relay,
+                    Some(e) if e % 2 == 0 => NodeRole::Client,
+                    Some(_) => NodeRole::Server,
+                };
+                world.add_overlay(star.leaf(i), role)
+            })
             .collect();
+        world.install_star(star);
+        let relay_overlays = overlays[..relay_count].to_vec();
         // The initial standby pool goes dark before placement installs,
         // so the first circuits already select from the live set only.
         if let Some(sched) = &epoch_schedule {
@@ -372,10 +374,8 @@ impl StarScenario {
         let mut circuits = Vec::with_capacity(self.circuits);
         let mut sim_events: Vec<(SimTime, CircId)> = Vec::with_capacity(self.circuits);
         for c in 0..self.circuits {
-            let client_leaf = star.leaves[relay_count + 2 * c];
-            let server_leaf = star.leaves[relay_count + 2 * c + 1];
-            let client = world.add_overlay(client_leaf, NodeRole::Client, &format!("client-{c}"));
-            let server = world.add_overlay(server_leaf, NodeRole::Server, &format!("server-{c}"));
+            let client = overlays[relay_count + 2 * c];
+            let server = overlays[relay_count + 2 * c + 1];
             let picks = world.select_relays(self.relays_per_circuit);
             let mut path = Vec::with_capacity(self.relays_per_circuit + 2);
             path.push(client);
@@ -415,8 +415,11 @@ impl StarScenario {
             let spec = self.faults.as_ref().expect("schedule implies spec");
             // A stalled relay's access link slows in both directions —
             // the "slow relay" failure mode, recoverable without blame.
-            schedule_faults(&mut sim, spec, schedule, |r| {
-                (relay_rates[r], [star.up[r], star.down[r]])
+            // Its `SetLinkRate` events name the links, so they are minted
+            // now, whether or not a circuit crosses the relay yet.
+            schedule_faults(&mut sim, spec, schedule, |world, r| {
+                let links = world.access_links(overlays[r]).expect("a star world");
+                (relay_rates[r], links)
             });
         }
         (sim, circuits)
@@ -431,13 +434,13 @@ fn schedule_faults(
     sim: &mut Simulator<TorNetwork>,
     spec: &FaultSpec,
     schedule: FaultSchedule,
-    links_of: impl Fn(usize) -> (Bandwidth, [LinkId; 2]),
+    mut links_of: impl FnMut(&mut TorNetwork, usize) -> (Bandwidth, [LinkId; 2]),
 ) {
     for (at, relay) in schedule.crashes {
         sim.schedule_at(SimTime::ZERO + at, TorEvent::RelayCrash { relay });
     }
     for s in schedule.stalls {
-        let (full, links) = links_of(s.relay as usize);
+        let (full, links) = links_of(sim.world_mut(), s.relay as usize);
         let throttled = Bandwidth::from_bps(
             ((full.bps() as f64 / spec.stall_factor.max(1.0)).floor() as u64).max(1),
         );

@@ -277,7 +277,6 @@ impl TorNetwork {
         let mut transport = HopTransport::new((self.factory)(&hop_ctx));
         if self.cfg.trace_client_cwnd {
             transport.enable_cwnd_trace(ctx.now());
-            transport.enable_rtt_trace();
         }
 
         let node = &mut self.nodes[client_id.index()];

@@ -57,10 +57,12 @@ pub(crate) mod faults;
 pub(crate) mod feedback;
 pub(crate) mod recognition;
 
+use netsim::link::LinkId;
 use netsim::net::{Net, NetEvent, NodeId, SendOutcome};
+use netsim::topology::{AccessLinks, Star};
 use simcore::rng::SimRng;
 use simcore::sim::{Context, World};
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimTime;
 use simstats::registry::MetricsRegistry;
 use simstats::sketch::QuantileSketch;
 
@@ -587,8 +589,13 @@ pub(super) struct Egress {
     pub(super) net: Net<WireFrame>,
     /// Per-link round-robin circuit schedulers (overlay egress links; the
     /// hub's links stay FIFO — the backbone is not ours to schedule).
+    /// One per link of `net`, indexed by `LinkId`.
     pub(super) link_sched: Vec<LinkScheduler>,
     pub(super) router: Router,
+    /// A star world's topology, whose access links are minted the first
+    /// time a circuit crosses a leaf ([`Egress::access_links`]); `None`
+    /// for explicit-link worlds.
+    star: Option<Star>,
     /// Overlay index → backing network node (read-only after setup).
     pub(super) net_node_of: Vec<NodeId>,
     /// Recycles DATA payload buffers between server consumption and
@@ -608,10 +615,30 @@ impl Egress {
             net,
             link_sched,
             router,
+            star: None,
             net_node_of: Vec::new(),
             payload_pool: PayloadPool::new(),
             stats: WorldStats::default(),
         }
+    }
+
+    /// The `[uplink, downlink]` of star leaf `leaf`. The first call for a
+    /// leaf mints the pair, installs the leaf's uniform uplink route and
+    /// the hub's downlink route, and appends one idle scheduler per link,
+    /// so every per-frame table stays a dense array indexed by `LinkId`.
+    /// `None` in a world without a star.
+    fn access_links(&mut self, leaf: NodeId) -> Option<[LinkId; 2]> {
+        let star = self.star.as_mut()?;
+        if let Some(AccessLinks { up, down }) = star.links_of(leaf) {
+            return Some([up, down]);
+        }
+        let AccessLinks { up, down } = star.mint(&mut self.net, leaf);
+        self.router.install_uniform(leaf, up);
+        self.router.install(star.hub(), leaf, down);
+        self.link_sched
+            .extend([LinkScheduler::new(), LinkScheduler::new()]);
+        debug_assert_eq!(self.link_sched.len(), self.net.link_count());
+        Some([up, down])
     }
 
     /// Records a protocol violation (debug builds abort; release builds
@@ -714,6 +741,31 @@ impl TorNetwork {
             events_handled: EventsHandled::default(),
             completion_sketch: QuantileSketch::default(),
         }
+    }
+
+    /// Puts the world on a star built without links ([`Star::build`]):
+    /// from now on [`TorNetwork::add_circuit_with_workload`] mints a
+    /// leaf's access links, routes and schedulers the first time a path
+    /// crosses it, so a leaf no circuit ever uses costs no link. Link ids
+    /// follow first-use order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called twice, or if the network already has links.
+    pub(crate) fn install_star(&mut self, star: Star) {
+        let egress = &mut self.egress;
+        assert!(egress.star.is_none(), "star installed twice");
+        assert_eq!(egress.net.link_count(), 0, "a lazy star starts linkless");
+        egress.star = Some(star);
+    }
+
+    /// The `[uplink, downlink]` access links of overlay node `node` in a
+    /// star world, minted now if no circuit has crossed it yet — for
+    /// events that name a link before any traffic does (a link stall).
+    /// `None` in a world without a star.
+    pub(crate) fn access_links(&mut self, node: OverlayId) -> Option<[LinkId; 2]> {
+        let leaf = self.egress.net_node_of[node.index()];
+        self.egress.access_links(leaf)
     }
 
     /// Installs the fault-recovery parameters and the backoff jitter
@@ -1119,7 +1171,7 @@ impl TorNetwork {
     }
 
     /// Registers an overlay participant backed by network node `net_node`.
-    pub fn add_overlay(&mut self, net_node: NodeId, role: NodeRole, name: &str) -> OverlayId {
+    pub fn add_overlay(&mut self, net_node: NodeId, role: NodeRole) -> OverlayId {
         let id = OverlayId(u32::try_from(self.nodes.len()).expect("too many overlay nodes"));
         if self.overlay_of_net.len() <= net_node.index() {
             self.overlay_of_net.resize(net_node.index() + 1, u32::MAX);
@@ -1129,8 +1181,7 @@ impl TorNetwork {
             "network node already hosts an overlay node"
         );
         self.overlay_of_net[net_node.index()] = id.0;
-        self.nodes
-            .push(OverlayNode::new(id, net_node, role, name.to_string()));
+        self.nodes.push(OverlayNode::new(id, net_node, role));
         self.egress.net_node_of.push(net_node);
         id
     }
@@ -1145,7 +1196,10 @@ impl TorNetwork {
     /// Registers a circuit over `path` carrying a resolved workload
     /// (streams must reference flows registered via
     /// [`TorNetwork::add_flow`]). `incarnation` counts rebuild cycles
-    /// (0 = original build).
+    /// (0 = original build). In a star world it mints the access links of
+    /// every node on `path` ([`TorNetwork::install_star`]); every
+    /// placement and rebuild passes through here before a frame can cross
+    /// its path.
     pub fn add_circuit_with_workload(
         &mut self,
         path: Vec<OverlayId>,
@@ -1158,6 +1212,7 @@ impl TorNetwork {
         );
         for &n in &path {
             assert!(n.index() < self.nodes.len(), "unknown overlay node on path");
+            self.access_links(n);
         }
         assert!(!workload.streams.is_empty(), "a circuit needs a stream");
         for s in &workload.streams {
@@ -1304,12 +1359,6 @@ impl TorNetwork {
     /// [`WorldConfig::trace_client_cwnd`]).
     pub fn source_cwnd_trace(&self, circ: CircId) -> Option<&[(SimTime, u32)]> {
         self.client_transport(circ)?.cwnd_trace()
-    }
-
-    /// The recorded per-cell RTT samples at the source (requires
-    /// [`WorldConfig::trace_client_cwnd`]).
-    pub fn source_rtt_trace(&self, circ: CircId) -> Option<&[(SimTime, u64, SimDuration)]> {
-        self.client_transport(circ)?.rtt_trace()
     }
 
     /// The forward-queue high-water mark at `node` for `circ` — the

@@ -473,8 +473,6 @@ pub struct OverlayNode {
     pub net_node: NodeId,
     /// Participant kind.
     pub role: NodeRole,
-    /// Diagnostic name.
-    pub name: String,
     /// Per-circuit state, dense by node-local index (slab; torn-down
     /// participations are reclaimed through `free_slots`).
     circuits: Vec<NodeCircuit>,
@@ -487,12 +485,11 @@ pub struct OverlayNode {
 
 impl OverlayNode {
     /// Creates a node.
-    pub fn new(id: OverlayId, net_node: NodeId, role: NodeRole, name: String) -> OverlayNode {
+    pub fn new(id: OverlayId, net_node: NodeId, role: NodeRole) -> OverlayNode {
         OverlayNode {
             id,
             net_node,
             role,
-            name,
             circuits: Vec::new(),
             free_slots: Vec::new(),
             by_global: BTreeMap::new(),
@@ -769,7 +766,6 @@ mod tests {
                 net.add_node("n")
             },
             NodeRole::Relay,
-            "relay".into(),
         );
         let a = node.add_circuit(NodeCircuit::new(CircId(0), 1));
         let b = node.add_circuit(NodeCircuit::new(CircId(1), 1));

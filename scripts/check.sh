@@ -102,8 +102,13 @@ elif ! diff -u scripts/csbench_quick.digests "${apply_dir}/csbench_quick.digests
     exit 1
 fi
 
-echo "==> bench_pairs smoke: HEAD against itself, one 1 s pair (the interleaved-pairs rule in one command)"
-scripts/bench_pairs.sh HEAD HEAD path3_short --pairs 1 --seconds 1 | tee "${apply_dir}/bench_pairs.out"
+echo "==> bench_pairs smoke: HEAD against itself on peak_rss_mib, one 1 s pair (the interleaved-pairs rule in one command)"
+scripts/bench_pairs.sh HEAD HEAD path3_short --metric peak_rss_mib --pairs 1 --seconds 1 \
+    | tee "${apply_dir}/bench_pairs.out"
+grep -q '; peak_rss_mib, lower is better$' "${apply_dir}/bench_pairs.out" || {
+    echo "    FAIL: --metric did not take its direction from BENCHMARK.json" >&2
+    exit 1
+}
 grep -q '^sim_ttlb_\*: identical on every pair$' "${apply_dir}/bench_pairs.out" || {
     echo "    FAIL: an A/A pair did not reproduce its simulated statistics" >&2
     exit 1

@@ -3,7 +3,7 @@
 //! legacy binary-heap oracle. This is the system-level complement of the
 //! `simcore` differential property suite — it proves the queue swap
 //! changes *nothing observable*: event ordering, WorldStats counters,
-//! cwnd traces, per-cell RTT samples, and completion times all match,
+//! cwnd traces, per-hop feedback counts, and completion times all match,
 //! across seeds and for both evaluation topologies.
 //!
 //! Workload runs fingerprint through the shared
@@ -26,7 +26,7 @@ use simcore::time::SimDuration;
 #[derive(PartialEq, Debug)]
 struct PathFingerprint {
     cwnd_trace: Vec<(f64, u32)>,
-    rtt_samples: usize,
+    feedback_received: u64,
     transfer_time: Option<f64>,
     cells_delivered: u64,
     stats: (u64, u64, u64, u64, u64, u64, u64, u64),
@@ -67,7 +67,9 @@ fn run_path(distance: usize, seed: u64, kind: QueueKind) -> PathFingerprint {
             .iter()
             .map(|&(t, c)| (t.as_secs_f64(), c))
             .collect(),
-        rtt_samples: world.source_rtt_trace(h.circ).map_or(0, <[_]>::len),
+        feedback_received: world
+            .client_transport(h.circ)
+            .map_or(0, |t| t.stats().feedback_received),
         transfer_time: r.transfer_time().map(|d: SimDuration| d.as_secs_f64()),
         cells_delivered: r.cells_delivered,
         stats: stats_tuple(world.stats()),
