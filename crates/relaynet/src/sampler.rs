@@ -5,7 +5,8 @@
 //! probability proportional to per-relay weights — and at consensus
 //! scale (~7k relays) that primitive is the hot path, not a setup step.
 //! This module provides it behind a seam, mirroring the
-//! `QueueKind`/`PendingEvents` pattern in `simcore`:
+//! `QueueKind`/`EventQueue` pattern in `simcore` (a kind enum and one
+//! `match`-dispatching enum over the implementations):
 //!
 //! * [`LinearSampler`] — the historical O(n)-per-draw scan, kept as the
 //!   differential oracle and as the default for small directories where
@@ -185,9 +186,10 @@ impl Sampler {
         }
     }
 
-    /// Capacity of the internal draw-undo scratch buffer — the
-    /// flat-allocation telemetry the bench asserts on.
-    pub fn scratch_capacity(&self) -> usize {
+    /// Capacity of the internal draw-undo scratch buffer, which
+    /// `selection`'s unit tests assert stays flat after warm-up.
+    #[cfg(test)]
+    pub(crate) fn scratch_capacity(&self) -> usize {
         match self {
             Sampler::Linear(s) => s.undo.capacity(),
             Sampler::Fenwick(s) => s.undo.capacity(),

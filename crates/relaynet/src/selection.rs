@@ -218,12 +218,6 @@ impl<'a> DirectoryView<'a> {
         self.all_live() && self.excluded.is_none_or(|e| !e.iter().any(|&x| x))
     }
 
-    /// Circuits currently routed through each relay, indexed by relay id.
-    #[inline]
-    pub fn loads(&self) -> &'a [u32] {
-        self.load
-    }
-
     /// Circuits currently routed through one relay.
     #[inline]
     pub fn load(&self, relay: usize) -> u32 {
@@ -238,10 +232,7 @@ impl<'a> DirectoryView<'a> {
 /// ([`PathSelection::relay_weight`], integer-valued — see the module
 /// docs); [`PathSelection::select`]'s default implementation performs
 /// the weighted draw, and [`SelectionEngine`] performs the same draw
-/// incrementally at consensus scale. A policy whose selection logic is
-/// *not* expressible as independent per-relay weights may override
-/// `select` and return `false` from [`PathSelection::incremental`] so
-/// the engine falls back to calling it.
+/// incrementally at consensus scale.
 pub trait PathSelection: std::fmt::Debug + Send + Sync {
     /// Stable identifier used in experiment labels and bench keys.
     fn name(&self) -> &'static str;
@@ -263,15 +254,6 @@ pub trait PathSelection: std::fmt::Debug + Send + Sync {
     /// [`SimRng::sample_distinct`] pick for pick).
     fn draws_uniform(&self) -> bool {
         false
-    }
-
-    /// Whether [`PathSelection::select`]'s behaviour is fully described
-    /// by [`PathSelection::relay_weight`] (true for every shipped
-    /// policy). Policies overriding `select` with bespoke logic must
-    /// return `false`, making the engine call `select` instead of its
-    /// incremental sampler.
-    fn incremental(&self) -> bool {
-        true
     }
 
     /// Selects `path_len` **distinct** relay indices. The default
@@ -406,14 +388,13 @@ fn weighted_distinct_precounted(
 /// uniform fast path permutes a persistent identity buffer and undoes
 /// its swaps (reproducing [`SimRng::sample_distinct`] pick for pick),
 /// and the weighted path draws from the sampler into a reusable pick
-/// buffer. [`SelectionEngine::scratch_footprint`] exposes the buffer
-/// capacities so benches can assert flatness.
+/// buffer; `selection`'s unit tests assert the buffer capacities stay
+/// flat after warm-up.
 #[derive(Debug)]
 pub struct SelectionEngine {
     sampler: Sampler,
     load_sensitive: bool,
     uniform_fast: bool,
-    incremental: bool,
     /// Persistent `0..n` buffer for the uniform Fisher–Yates fast path.
     identity: Vec<usize>,
     /// Swap log of the current uniform draw, undone after each select.
@@ -437,7 +418,6 @@ impl SelectionEngine {
             sampler: Sampler::build(kind, &weights),
             load_sensitive: policy.load_sensitive(),
             uniform_fast: policy.draws_uniform(),
-            incremental: policy.incremental(),
             identity: (0..view.len()).collect(),
             swaps: Vec::new(),
             picks: Vec::new(),
@@ -464,9 +444,6 @@ impl SelectionEngine {
         view: &DirectoryView<'_>,
         relay: usize,
     ) {
-        if !self.incremental {
-            return;
-        }
         self.sampler
             .set(relay, effective_weight(policy, view, relay));
     }
@@ -488,24 +465,19 @@ impl SelectionEngine {
     /// `policy.select(view, rng, path_len)` would return (exactly: the
     /// two consume identical randomness), without rebuilding weights or
     /// allocating. The returned slice borrows the engine's pick buffer.
+    /// The sampler already carries the policy's weights, so `_policy`
+    /// only names which policy the engine was built for.
     ///
     /// # Panics
     ///
     /// Panics if fewer than `path_len` relays are selectable.
     pub fn select(
         &mut self,
-        policy: &dyn PathSelection,
+        _policy: &dyn PathSelection,
         view: &DirectoryView<'_>,
         rng: &mut SimRng,
         path_len: usize,
     ) -> &[usize] {
-        if !self.incremental {
-            // Bespoke-select policy: delegate (allocates, by design).
-            let picks = policy.select(view, rng, path_len);
-            self.picks.clear();
-            self.picks.extend_from_slice(&picks);
-            return &self.picks;
-        }
         if self.uniform_fast && view.all_selectable() {
             assert_path_fits(view, path_len);
             // `SimRng::sample_distinct` without its O(n) allocation:
@@ -530,11 +502,11 @@ impl SelectionEngine {
         &self.picks
     }
 
-    /// Scratch-buffer capacities `(picks, swaps, sampler undo)` — the
-    /// flat-allocation telemetry the selection bench asserts on: after
+    /// Scratch-buffer capacities `(picks, swaps, sampler undo)`: after
     /// warm-up these must not grow, or the "zero-alloc fast path" has
     /// silently regressed to per-call allocation.
-    pub fn scratch_footprint(&self) -> (usize, usize, usize) {
+    #[cfg(test)]
+    fn scratch_footprint(&self) -> (usize, usize, usize) {
         (
             self.picks.capacity(),
             self.swaps.capacity(),

@@ -8,8 +8,8 @@
 //! into independent deterministic worlds (shards), and an [`Executor`]
 //! decides whether those run one after another on the calling thread or
 //! spread across OS threads. The seam mirrors the other swap-points of
-//! the stack (`PendingEvents`, `CcFactory`, `PathSelection`): callers
-//! program against the trait, differential tests drive both
+//! the stack (`QueueKind`, `CcFactory`, `PathSelection`): callers
+//! program against one interface, differential tests drive both
 //! implementations and assert bit-identical outputs.
 //!
 //! * [`DeterministicExecutor`] — runs jobs in submission order on the

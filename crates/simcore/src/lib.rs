@@ -65,14 +65,14 @@ pub mod time;
 
 /// Convenience re-exports of the items almost every user needs.
 pub mod prelude {
-    pub use crate::event::{EventId, QueueKind};
+    pub use crate::event::QueueKind;
     pub use crate::exec::{DeterministicExecutor, Executor, ThreadedExecutor};
     pub use crate::rng::SimRng;
     pub use crate::sim::{Context, RunLimits, RunReport, Simulator, StopReason, World};
     pub use crate::time::{SimDuration, SimTime};
 }
 
-pub use event::{CalendarQueue, EventId, EventQueue, HeapQueue, PendingEvents, QueueKind};
+pub use event::{CalendarQueue, EventId, EventQueue, HeapQueue, QueueKind};
 pub use exec::{execute_typed, DeterministicExecutor, Executor, ThreadedExecutor};
 pub use rng::SimRng;
 pub use sim::{Context, RunLimits, RunReport, Simulator, StopReason, World};

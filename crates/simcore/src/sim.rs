@@ -51,7 +51,7 @@
 //! assert_eq!(sim.now(), SimTime::from_millis(19));
 //! ```
 
-use crate::event::{EventId, EventQueue, QueueKind};
+use crate::event::{EventQueue, QueueKind};
 use crate::time::{SimDuration, SimTime};
 
 /// The simulation model: one value owning all mutable state, reacting to
@@ -86,7 +86,7 @@ pub enum StopReason {
 pub struct RunReport {
     /// Why the run returned.
     pub reason: StopReason,
-    /// Events processed *by this invocation* (cancelled events excluded).
+    /// Events processed *by this invocation*.
     pub events_processed: u64,
     /// Virtual clock value when the run returned.
     pub end_time: SimTime,
@@ -95,7 +95,7 @@ pub struct RunReport {
 /// Scheduling capability handed to [`World::handle`].
 ///
 /// Borrowing the queue (rather than the whole simulator) lets handlers
-/// schedule and cancel while the world itself is mutably borrowed.
+/// schedule while the world itself is mutably borrowed.
 pub struct Context<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
@@ -115,7 +115,7 @@ impl<'a, E> Context<'a, E> {
     ///
     /// Panics if `at` lies in the past — time travel would silently corrupt
     /// causality, so it is rejected loudly.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule an event in the past: now={}, requested={}",
@@ -125,22 +125,11 @@ impl<'a, E> Context<'a, E> {
         self.queue.push(at, event)
     }
 
-    /// Schedules `event` after the relative delay `delay`.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
+    /// Schedules `event` after the relative delay `delay`. A zero delay
+    /// runs it at the current instant, after every event already queued
+    /// for this instant (FIFO among equal timestamps).
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.queue.push(self.now + delay, event)
-    }
-
-    /// Schedules `event` at the current instant; it runs after all handlers
-    /// already queued for this instant (FIFO among equal timestamps).
-    pub fn schedule_now(&mut self, event: E) -> EventId {
-        self.queue.push(self.now, event)
-    }
-
-    /// Cancels a previously scheduled event in O(1), removing it from the
-    /// queue immediately. Returns `false` — and stores nothing — if the
-    /// event already fired or was already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
     }
 
     /// Requests that the simulation loop return after this handler, with
@@ -220,17 +209,9 @@ impl<W: World> Simulator<W> {
         self.processed_total
     }
 
-    /// Number of currently pending (not yet fired, not cancelled) events.
-    /// Exact: cancelled events leave the queue immediately.
+    /// Number of currently pending (not yet fired) events.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Discards every pending event without firing it. The id counter
-    /// keeps advancing, and no cancellation state survives the clear —
-    /// cancelling a discarded id later is a clean no-op.
-    pub fn clear_pending(&mut self) {
-        self.queue.clear();
     }
 
     /// Installs a probe called with every event just before it is handled.
@@ -239,18 +220,13 @@ impl<W: World> Simulator<W> {
         self.probe = Some(probe);
     }
 
-    /// Removes the probe installed by [`Simulator::set_probe`].
-    pub fn clear_probe(&mut self) {
-        self.probe = None;
-    }
-
     /// Schedules an event at an absolute instant (setup-time counterpart of
     /// [`Context::schedule_at`]).
     ///
     /// # Panics
     ///
     /// Panics if `at` lies in the past.
-    pub fn schedule_at(&mut self, at: SimTime, event: W::Event) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
         assert!(
             at >= self.now,
             "cannot schedule an event in the past: now={}, requested={}",
@@ -261,19 +237,12 @@ impl<W: World> Simulator<W> {
     }
 
     /// Schedules an event after a relative delay.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) -> EventId {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) {
         self.queue.push(self.now + delay, event)
     }
 
-    /// Cancels a scheduled event in O(1); a no-op (returning `false`) if
-    /// it already fired or was already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
     /// Processes exactly one event. Returns `false` if the queue is
-    /// empty. (Cancelled events never surface from the queue, so there is
-    /// no skip loop.)
+    /// empty.
     pub fn step(&mut self) -> bool {
         let Some((time, _id, event)) = self.queue.pop() else {
             return false;
@@ -299,15 +268,6 @@ impl<W: World> Simulator<W> {
     /// Runs until the queue is empty (or the world calls [`Context::stop`]).
     pub fn run(&mut self) -> RunReport {
         self.run_with_limits(RunLimits::default())
-    }
-
-    /// Runs until `until`, processing every event with a timestamp `<=
-    /// until`, then advances the clock to exactly `until`.
-    pub fn run_until(&mut self, until: SimTime) -> RunReport {
-        self.run_with_limits(RunLimits {
-            until: Some(until),
-            max_events: None,
-        })
     }
 
     /// Runs subject to the given limits. See [`RunLimits`].
@@ -442,27 +402,34 @@ mod tests {
         assert_eq!(sim.now(), ms(40));
     }
 
+    fn until(horizon: SimTime) -> RunLimits {
+        RunLimits {
+            until: Some(horizon),
+            max_events: None,
+        }
+    }
+
     #[test]
-    fn run_until_stops_at_horizon_and_resumes() {
+    fn horizon_stops_the_run_and_resumes() {
         let mut sim = Simulator::new(Recorder {
             chain_period: Some(SimDuration::from_millis(10)),
             chain_left: 100,
             ..Default::default()
         });
         sim.schedule_at(SimTime::ZERO, 0);
-        let r = sim.run_until(ms(35));
+        let r = sim.run_with_limits(until(ms(35)));
         assert_eq!(r.reason, StopReason::TimeLimit);
         assert_eq!(sim.world().seen.len(), 4); // t = 0, 10, 20, 30
         assert_eq!(sim.now(), ms(35)); // clock parked exactly at horizon
-        let r2 = sim.run_until(ms(55));
+        let r2 = sim.run_with_limits(until(ms(55)));
         assert_eq!(r2.reason, StopReason::TimeLimit);
         assert_eq!(sim.world().seen.len(), 6); // + t = 40, 50
     }
 
     #[test]
-    fn run_until_with_empty_queue_advances_clock() {
+    fn horizon_with_empty_queue_advances_clock() {
         let mut sim = Simulator::new(Recorder::default());
-        let r = sim.run_until(ms(123));
+        let r = sim.run_with_limits(until(ms(123)));
         assert_eq!(r.reason, StopReason::QueueEmpty);
         assert_eq!(sim.now(), ms(123));
     }
@@ -504,65 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_event() {
-        let mut sim = Simulator::new(Recorder::default());
-        let _keep = sim.schedule_at(ms(1), 1);
-        let kill = sim.schedule_at(ms(2), 2);
-        sim.schedule_at(ms(3), 3);
-        sim.cancel(kill);
-        let r = sim.run();
-        assert_eq!(r.events_processed, 2);
-        let values: Vec<u32> = sim.world().seen.iter().map(|&(_, v)| v).collect();
-        assert_eq!(values, vec![1, 3]);
-    }
-
-    #[test]
-    fn cancelling_fired_event_is_noop() {
-        let mut sim = Simulator::new(Recorder::default());
-        let id = sim.schedule_at(ms(1), 1);
-        sim.run();
-        sim.cancel(id); // must not panic or affect later events
-        sim.schedule_at(ms(2), 2);
-        sim.run();
-        assert_eq!(sim.world().seen.len(), 2);
-    }
-
-    #[test]
-    fn cancelling_fired_event_stores_nothing() {
-        // Regression for the tombstone leak: cancelling ids that already
-        // fired must not accumulate state. With eager in-queue
-        // cancellation the call reports false and the queue stays empty.
-        let mut sim = Simulator::new(Recorder::default());
-        let mut ids = Vec::new();
-        for i in 0..100 {
-            ids.push(sim.schedule_at(ms(i), i as u32));
-        }
-        sim.run();
-        for id in ids {
-            assert!(!sim.cancel(id), "fired events cannot be cancelled");
-        }
-        assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
-    fn clear_pending_discards_events_and_cancel_state() {
-        // Regression: clearing the queue used to strand tombstones for
-        // the discarded events. Now clear drops everything and later
-        // cancels of discarded ids are clean no-ops.
-        let mut sim = Simulator::new(Recorder::default());
-        let doomed = sim.schedule_at(ms(1), 1);
-        let cancelled_then_cleared = sim.schedule_at(ms(2), 2);
-        sim.cancel(cancelled_then_cleared);
-        sim.clear_pending();
-        assert_eq!(sim.pending_events(), 0);
-        assert!(!sim.cancel(doomed), "cleared events cannot be cancelled");
-        sim.schedule_at(ms(3), 3);
-        sim.run();
-        let values: Vec<u32> = sim.world().seen.iter().map(|&(_, v)| v).collect();
-        assert_eq!(values, vec![3], "only the post-clear event fires");
-    }
-
-    #[test]
     fn runs_identically_on_both_queue_kinds() {
         use crate::event::QueueKind;
         let run = |kind| {
@@ -591,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_now_runs_fifo_at_same_instant() {
+    fn zero_delay_runs_fifo_at_same_instant() {
         struct FanOut {
             seen: Vec<u32>,
         }
@@ -600,8 +508,8 @@ mod tests {
             fn handle(&mut self, ctx: &mut Context<'_, u32>, ev: u32) {
                 self.seen.push(ev);
                 if ev == 0 {
-                    ctx.schedule_now(10);
-                    ctx.schedule_now(11);
+                    ctx.schedule_in(SimDuration::ZERO, 10);
+                    ctx.schedule_in(SimDuration::ZERO, 11);
                 }
             }
         }
@@ -626,10 +534,6 @@ mod tests {
         sim.schedule_at(ms(2), 8);
         sim.run();
         assert_eq!(*log.borrow(), vec![7, 8]);
-        sim.clear_probe();
-        sim.schedule_at(ms(3), 9);
-        sim.run();
-        assert_eq!(*log.borrow(), vec![7, 8]); // probe removed
     }
 
     #[test]

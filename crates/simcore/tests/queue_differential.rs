@@ -1,11 +1,13 @@
-//! Differential property suite: the calendar queue and the legacy binary
-//! heap must be observationally identical. Randomized (but seeded,
-//! `SimRng`-driven) interleavings of push / cancel / pop / peek / clear
-//! are replayed against both implementations through the [`PendingEvents`]
-//! seam, asserting identical `(time, id, event)` pop sequences, identical
-//! peeks, identical lengths, and identical cancel outcomes.
+//! Differential property suite: the calendar queue and the binary heap
+//! must be observationally identical. Seeded (`SimRng`-driven) operation
+//! sequences are replayed against both implementations, asserting
+//! identical `(time, id, event)` pop sequences, identical peeks and
+//! identical lengths. Two shapes of sequence: arbitrary interleavings of
+//! push / pop / peek / len at arbitrary times (including below the last
+//! popped time), and the hold model the simulator actually produces —
+//! pop the earliest event, push its successor at `popped + d`.
 
-use simcore::event::{CalendarQueue, EventId, HeapQueue, PendingEvents};
+use simcore::event::{CalendarQueue, HeapQueue};
 use simcore::rng::SimRng;
 use simcore::time::SimTime;
 
@@ -15,49 +17,51 @@ enum Op {
     Push(u64),
     Pop,
     Peek,
-    /// Cancel the id at this (modular) offset into all ids ever issued —
-    /// sometimes pending, sometimes long fired, sometimes cancelled twice.
-    Cancel(u64),
     Len,
-    Clear,
 }
 
-fn arb_op(rng: &mut SimRng, time_scale: u64, clear_allowed: bool) -> Op {
+fn arb_op(rng: &mut SimRng, time_scale: u64) -> Op {
     match rng.range_u64(0, 100) {
-        0..=44 => Op::Push(rng.range_u64(0, time_scale)),
-        45..=79 => Op::Pop,
-        80..=86 => Op::Peek,
-        87..=94 => Op::Cancel(rng.u64()),
-        95..=97 => Op::Len,
-        _ if clear_allowed => Op::Clear,
+        0..=49 => Op::Push(rng.range_u64(0, time_scale)),
+        50..=84 => Op::Pop,
+        85..=92 => Op::Peek,
         _ => Op::Len,
     }
 }
 
-/// Applies `ops` to both queues in lockstep, asserting equality of every
-/// observable result.
-fn run_differential(seed: u64, ops: usize, time_scale: u64, clear_allowed: bool) {
+/// Pops both queues until empty; the remaining sequences must match.
+fn drain_identically(cal: &mut CalendarQueue<u64>, heap: &mut HeapQueue<u64>, seed: u64) {
+    loop {
+        let a = cal.pop();
+        assert_eq!(a, heap.pop(), "seed {seed}: drain diverges");
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
+/// Applies `ops` random operations to both queues in lockstep, asserting
+/// equality of every observable result.
+fn run_differential(seed: u64, ops: usize, time_scale: u64) {
     let mut rng = SimRng::seed_from(seed);
     let mut cal: CalendarQueue<u64> = CalendarQueue::new();
     let mut heap: HeapQueue<u64> = HeapQueue::new();
-    let mut issued: Vec<EventId> = Vec::new();
     let mut payload: u64 = 0;
 
     for step in 0..ops {
-        let op = arb_op(&mut rng, time_scale, clear_allowed);
-        match op {
+        match arb_op(&mut rng, time_scale) {
             Op::Push(t) => {
                 payload += 1;
                 let time = SimTime::from_nanos(t);
-                let a = cal.push(time, payload);
-                let b = heap.push(time, payload);
-                assert_eq!(a, b, "seed {seed} step {step}: ids diverge");
-                issued.push(a);
+                cal.push(time, payload);
+                heap.push(time, payload);
             }
             Op::Pop => {
-                let a = cal.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "seed {seed} step {step}: pops diverge");
+                assert_eq!(
+                    cal.pop(),
+                    heap.pop(),
+                    "seed {seed} step {step}: pops diverge"
+                );
             }
             Op::Peek => {
                 assert_eq!(
@@ -65,14 +69,6 @@ fn run_differential(seed: u64, ops: usize, time_scale: u64, clear_allowed: bool)
                     heap.peek_time(),
                     "seed {seed} step {step}: peeks diverge"
                 );
-            }
-            Op::Cancel(raw) => {
-                if !issued.is_empty() {
-                    let id = issued[(raw % issued.len() as u64) as usize];
-                    let a = cal.cancel(id);
-                    let b = heap.cancel(id);
-                    assert_eq!(a, b, "seed {seed} step {step}: cancel outcomes diverge");
-                }
             }
             Op::Len => {
                 assert_eq!(
@@ -82,28 +78,15 @@ fn run_differential(seed: u64, ops: usize, time_scale: u64, clear_allowed: bool)
                 );
                 assert_eq!(cal.is_empty(), heap.is_empty());
             }
-            Op::Clear => {
-                cal.clear();
-                heap.clear();
-            }
         }
     }
-    // Drain both completely; the full remaining sequences must match.
-    loop {
-        let a = cal.pop();
-        let b = heap.pop();
-        assert_eq!(a, b, "seed {seed}: drain diverges");
-        if a.is_none() {
-            break;
-        }
-    }
-    assert_eq!(cal.pushed_total(), heap.pushed_total());
+    drain_identically(&mut cal, &mut heap, seed);
 }
 
 #[test]
 fn random_interleavings_match_across_seeds() {
     for seed in 0..20 {
-        run_differential(0xD1FF_0000 + seed, 4_000, 1_000_000, false);
+        run_differential(0xD1FF_0000 + seed, 4_000, 1_000_000);
     }
 }
 
@@ -112,7 +95,7 @@ fn clustered_times_match() {
     // Few distinct instants — the regime that exercises same-time FIFO
     // runs and the width estimator's duplicate detection.
     for seed in 0..10 {
-        run_differential(0xC1_0000 + seed, 4_000, 50, false);
+        run_differential(0xC1_0000 + seed, 4_000, 50);
     }
 }
 
@@ -120,46 +103,71 @@ fn clustered_times_match() {
 fn wide_time_range_matches() {
     // Sparse far-future events exercise the empty-year global-scan path.
     for seed in 0..10 {
-        run_differential(0x31DE_0000 + seed, 2_000, u64::MAX / 4, false);
+        run_differential(0x31DE_0000 + seed, 2_000, u64::MAX / 4);
     }
 }
 
-#[test]
-fn interleavings_with_clear_match() {
-    for seed in 0..10 {
-        run_differential(0xC1EA_0000 + seed, 3_000, 10_000, true);
+/// One push of a hold run: the delay after the popped time, and how many
+/// events were pending when it was pushed.
+struct HoldPush {
+    delay: u64,
+    pending: usize,
+}
+
+/// The simulator's access pattern: seed `population` events, then `ops`
+/// times pop the earliest and push a successor at `popped + d`, with `d`
+/// zero (a same-instant follow-up), a few ns, or wide (a timer). Returns
+/// the push log.
+fn run_hold(seed: u64, population: usize, ops: usize) -> Vec<HoldPush> {
+    const WIDE: u64 = 10_000_000;
+    let mut rng = SimRng::seed_from(seed);
+    let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+    let mut heap: HeapQueue<u64> = HeapQueue::new();
+    for i in 0..population as u64 {
+        let time = SimTime::from_nanos(rng.range_u64(0, 10_000));
+        cal.push(time, i);
+        heap.push(time, i);
     }
+    let mut log = Vec::with_capacity(ops);
+    for step in 0..ops {
+        let popped = cal.pop();
+        assert_eq!(popped, heap.pop(), "seed {seed} step {step}: pops diverge");
+        let (time, _, event) = popped.expect("the population stays constant");
+        let delay = match rng.range_u64(0, 3) {
+            0 => 0,
+            1 => rng.range_u64(1, 8),
+            _ => rng.range_u64(0, WIDE),
+        };
+        log.push(HoldPush {
+            delay,
+            pending: cal.len(),
+        });
+        let at = SimTime::from_nanos(time.as_nanos() + delay);
+        cal.push(at, event + 1);
+        heap.push(at, event + 1);
+    }
+    drain_identically(&mut cal, &mut heap, seed);
+    log
 }
 
 #[test]
-fn cancel_heavy_workload_matches() {
-    // Cancel more often than the default mix: half of pushes die young.
-    for seed in 0..10u64 {
-        let mut rng = SimRng::seed_from(0xCA_0000 + seed);
-        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-        let mut heap: HeapQueue<u64> = HeapQueue::new();
-        let mut pending: Vec<EventId> = Vec::new();
-        for i in 0..2_000u64 {
-            let t = SimTime::from_nanos(rng.range_u64(0, 10_000));
-            let a = cal.push(t, i);
-            let b = heap.push(t, i);
-            assert_eq!(a, b);
-            pending.push(a);
-            if rng.range_u64(0, 2) == 0 {
-                let idx = rng.range_usize(0, pending.len());
-                let id = pending.swap_remove(idx);
-                assert_eq!(cal.cancel(id), heap.cancel(id));
-            }
-            if rng.range_u64(0, 3) == 0 {
-                assert_eq!(cal.pop(), heap.pop());
-            }
-        }
-        loop {
-            let a = cal.pop();
-            assert_eq!(a, heap.pop(), "seed {seed}: drain diverges");
-            if a.is_none() {
-                break;
-            }
+fn hold_model_matches() {
+    let mut log = Vec::new();
+    for (i, population) in [1usize, 8, 64, 1_000, 10_000].into_iter().enumerate() {
+        for seed in 0..4u64 {
+            log.extend(run_hold(
+                0x401D_0000 + 16 * i as u64 + seed,
+                population,
+                10_000,
+            ));
         }
     }
+    // Zero-delay pushes into a non-empty queue are what lands inside the
+    // calendar's ready run (its merge-insert path); the suite is only
+    // worth its name if it produced them.
+    let merges = log.iter().filter(|p| p.delay == 0 && p.pending > 0).count();
+    assert!(
+        merges > 1_000,
+        "only {merges} zero-delay pushes into a non-empty queue"
+    );
 }

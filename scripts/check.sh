@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> no too_many_arguments allow in relaynet (the link side has one owner: network::Egress)"
 if grep -rn 'clippy::too_many_arguments' crates/relaynet/src; then echo "    FAIL: pass-through plumbing is creeping back" >&2; exit 1; fi
 
+echo "==> no cs-lint suppression in simcore (the kernel needs no escape hatch)"
+if grep -rn 'cs-lint: allow(' crates/simcore/src; then echo "    FAIL: a cs-lint suppression crept into simcore" >&2; exit 1; fi
+
 echo "==> cs-lint: determinism-and-invariant gate (DESIGN.md §14)"
 cargo build -q --release -p cs-lint
 lint_bin=target/release/cs-lint
