@@ -76,7 +76,8 @@ pub enum NetEvent {
 pub enum SendOutcome {
     /// The frame was accepted (queued or started transmitting).
     Accepted,
-    /// The egress queue was full; the frame was dropped and returned.
+    /// The egress queue was full; the frame was dropped (and counted in
+    /// the link's `frames_dropped`), not handed back to the caller.
     Dropped,
 }
 

@@ -33,6 +33,27 @@ use crate::time::SimTime;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct EventId(pub(crate) u64);
 
+/// Exact counts of the work a queue did off its O(1) push/pop path, and
+/// the slots it holds reserved. Read through
+/// [`Simulator::queue_work`](crate::sim::Simulator::queue_work); a pure
+/// function of the push/pop sequence, so it repeats to the digit across
+/// runs and hosts. The heap oracle reports only `reserved_slots`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct QueueWork {
+    /// Pushes that landed inside the sorted ready run and paid an O(k)
+    /// insert.
+    pub merge_inserts: u64,
+    /// Divisions moved from a bucket into the ready run.
+    pub refills: u64,
+    /// Entries those refills moved.
+    pub refilled: u64,
+    /// Ring rebuilds (growth or run pressure), each O(n).
+    pub resizes: u64,
+    /// Entry slots allocated right now: the ready run's capacity plus
+    /// every bucket's (for the heap, its one vector's).
+    pub reserved_slots: usize,
+}
+
 /// Which pending-event structure a queue uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum QueueKind {
@@ -122,6 +143,14 @@ impl<E> HeapQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
+
+    /// The heap does no off-path work; only its reservation is reported.
+    pub fn work(&self) -> QueueWork {
+        QueueWork {
+            reserved_slots: self.heap.capacity(),
+            ..QueueWork::default()
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -189,6 +218,8 @@ pub struct CalendarQueue<E> {
     /// rebuilds stop, while a genuinely shifted distribution (even longer
     /// runs) still gets retried.
     pressure_floor: usize,
+    /// Off-path work so far; `reserved_slots` is filled in by `work()`.
+    work: QueueWork,
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -211,6 +242,7 @@ impl<E> CalendarQueue<E> {
             next_seq: 0,
             since_resize: 0,
             pressure_floor: RUN_PRESSURE,
+            work: QueueWork::default(),
         }
     }
 
@@ -234,6 +266,7 @@ impl<E> CalendarQueue<E> {
         if self.ready.first().is_some_and(|front| t <= front.time) {
             let pos = self.ready.partition_point(|e| (e.time, e.seq) > (t, seq));
             self.ready.insert(pos, entry);
+            self.work.merge_inserts += 1;
             return;
         }
         let b = self.bucket_of(t);
@@ -278,6 +311,16 @@ impl<E> CalendarQueue<E> {
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The work counts so far, with the slots reserved right now (an
+    /// O(buckets) sum, paid only here).
+    pub fn work(&self) -> QueueWork {
+        QueueWork {
+            reserved_slots: self.ready.capacity()
+                + self.buckets.iter().map(Vec::capacity).sum::<usize>(),
+            ..self.work
+        }
     }
 
     #[inline]
@@ -334,6 +377,8 @@ impl<E> CalendarQueue<E> {
         }
         self.in_buckets -= self.ready.len();
         self.since_resize += self.ready.len();
+        self.work.refills += 1;
+        self.work.refilled += self.ready.len() as u64;
         self.cur = d << shift;
         // Run pressure: a run far longer than a bucket should hold means
         // the width no longer matches the event-time distribution (e.g.
@@ -384,6 +429,7 @@ impl<E> CalendarQueue<E> {
             self.buckets[b].push(e);
         }
         self.since_resize = 0;
+        self.work.resizes += 1;
     }
 
     #[inline]
@@ -394,15 +440,24 @@ impl<E> CalendarQueue<E> {
     }
 }
 
-/// Width rule: the sampled time span divided by the estimated number of
-/// *distinct* event times. Event populations whose timestamps cluster on
-/// a few instants (synchronized timers) want one cluster per bucket —
-/// dividing by the raw population would shatter clusters across aliased
-/// buckets. Duplicates are detected from sample collisions: a sample
-/// with collisions implies few distinct values population-wide, while an
-/// all-distinct sample implies a dense distinct population. `None` if
-/// the sample spans no time at all — all-equal times keep the previous
-/// width.
+/// Width rule: the time span of the *near-term* sample divided by the
+/// estimated number of *distinct* event times in it. The near-term
+/// sample is the sorted sample cut below its far-future tail, if it has
+/// one: a minority of samples separated from the rest by a gap wider than
+/// the rest's whole span; a sample without such a gap is used whole. The
+/// cut keeps a few far-future entries (circuit timers hundreds of ms
+/// ahead of µs-spaced transport events) from setting the width: one
+/// sampled timer would widen buckets 30–60×, piling dozens of near-term
+/// events into each.
+///
+/// Event populations whose timestamps cluster on a few instants
+/// (synchronized timers) want one cluster per bucket — dividing by the
+/// raw population would shatter clusters across aliased buckets.
+/// Duplicates are detected from sample collisions: a sample with
+/// collisions implies few distinct values population-wide, while an
+/// all-distinct sample implies a dense distinct population, whose
+/// near-term share is the sample's kept share. `None` if the sample
+/// spans no time at all — all-equal times keep the previous width.
 fn estimate_width<E>(entries: &[CalEntry<E>]) -> Option<u64> {
     if entries.len() < 2 {
         return None;
@@ -412,8 +467,16 @@ fn estimate_width<E>(entries: &[CalEntry<E>]) -> Option<u64> {
     let step = entries.len().div_ceil(SAMPLE);
     let mut times: Vec<u64> = entries.iter().step_by(step).map(|e| e.time).collect();
     times.sort_unstable();
-    let span = times.last().expect("len >= 2 checked above")
-        - times.first().expect("len >= 2 checked above");
+    let sampled = times.len();
+    // The far-future tail: every sample above the first gap wider than
+    // the whole span below it, with more than half the sample below.
+    if let Some(cut) = (sampled / 2 + 1..sampled).find(|&i| {
+        let below = times[i - 1] - times[0];
+        below > 0 && times[i] - times[i - 1] > below
+    }) {
+        times.truncate(cut);
+    }
+    let span = times[times.len() - 1] - times[0];
     if span == 0 {
         return None;
     }
@@ -423,7 +486,7 @@ fn estimate_width<E>(entries: &[CalEntry<E>]) -> Option<u64> {
         // instants, and the sample almost surely saw them all.
         distinct as u64
     } else {
-        entries.len() as u64
+        (entries.len() * times.len() / sampled) as u64
     };
     Some((span / divisor).max(1))
 }
@@ -515,6 +578,11 @@ impl<E> EventQueue<E> {
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Exact off-path work counts and the current reservation.
+    pub fn work(&self) -> QueueWork {
+        delegate!(self, q => q.work())
     }
 }
 
@@ -636,6 +704,63 @@ mod tests {
             assert_eq!(e, i, "37ns-spaced pushes pop in push order");
         }
         assert!(q.pop().is_none());
+    }
+
+    /// The bucket shift a calendar settles on for `times`, pushed in order
+    /// and then re-estimated over the whole population.
+    fn settled_shift(times: impl IntoIterator<Item = u64>) -> u32 {
+        let mut q: CalendarQueue<()> = CalendarQueue::new();
+        for t in times {
+            q.push(SimTime::from_nanos(t), ());
+        }
+        q.resize();
+        q.shift
+    }
+
+    /// 2600 events 1 µs apart (the near-term population of a faulty
+    /// star), with one timer 100–600 ms ahead pushed after every
+    /// `dense_per_timer` of them when that is non-zero.
+    fn dense_with_timers(dense_per_timer: u64) -> Vec<u64> {
+        let mut times = Vec::new();
+        let mut timers = 0u64;
+        for i in 0..2600u64 {
+            times.push(i * 1_000);
+            if dense_per_timer > 0 && (i + 1) % dense_per_timer == 0 {
+                // Distinct instants spread over the window out of order.
+                times.push(100_000_000 + (timers + 1) * 48_271_003 % 500_000_000);
+                timers += 1;
+            }
+        }
+        times
+    }
+
+    #[test]
+    fn far_future_timers_do_not_set_the_width() {
+        let dense = settled_shift(dense_with_timers(0));
+        // 1 µs spacing rounds down to 512 ns buckets.
+        assert_eq!(dense, 9);
+        // 1%, 3% and 5% of the population 100–600 ms ahead.
+        for dense_per_timer in [99, 32, 19] {
+            let shift = settled_shift(dense_with_timers(dense_per_timer));
+            assert!(
+                shift.abs_diff(dense) <= 1,
+                "one timer per {dense_per_timer} events: shift {shift}, dense alone {dense}"
+            );
+        }
+    }
+
+    #[test]
+    fn clustered_and_equal_populations_keep_their_width() {
+        // Few distinct instants want one cluster per bucket: span over
+        // distinct instants, whatever the population.
+        let clusters = |instants: u64, gap: u64| (0..2000u64).map(move |i| (i % instants) * gap);
+        // 350 µs over 8 instants, 3 ms over 4, 30 µs over 16.
+        assert_eq!(settled_shift(clusters(8, 50_000)), 15);
+        assert_eq!(settled_shift(clusters(4, 1_000_000)), 19);
+        assert_eq!(settled_shift(clusters(16, 2_000)), 10);
+        // All-equal times carry no width information: the initial shift
+        // stays.
+        assert_eq!(settled_shift((0..2000).map(|_| 7_000)), INITIAL_SHIFT);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::time::{SimDuration, SimTime};
 }
 
-pub use event::{CalendarQueue, EventId, EventQueue, HeapQueue, QueueKind};
+pub use event::{CalendarQueue, EventId, EventQueue, HeapQueue, QueueKind, QueueWork};
 pub use exec::{execute_typed, DeterministicExecutor, Executor, ThreadedExecutor};
 pub use rng::SimRng;
 pub use sim::{Context, RunLimits, RunReport, Simulator, StopReason, World};

@@ -51,7 +51,7 @@
 //! assert_eq!(sim.now(), SimTime::from_millis(19));
 //! ```
 
-use crate::event::{EventQueue, QueueKind};
+use crate::event::{EventQueue, QueueKind, QueueWork};
 use crate::time::{SimDuration, SimTime};
 
 /// The simulation model: one value owning all mutable state, reacting to
@@ -212,6 +212,13 @@ impl<W: World> Simulator<W> {
     /// Number of currently pending (not yet fired) events.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// The event queue's exact off-path work so far and the entry slots
+    /// it reserves now ([`QueueWork`]). Fingerprint-neutral: reading it
+    /// changes nothing simulated.
+    pub fn queue_work(&self) -> QueueWork {
+        self.queue.work()
     }
 
     /// Installs a probe called with every event just before it is handled.

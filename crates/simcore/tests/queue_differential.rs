@@ -5,7 +5,8 @@
 //! identical lengths. Two shapes of sequence: arbitrary interleavings of
 //! push / pop / peek / len at arbitrary times (including below the last
 //! popped time), and the hold model the simulator actually produces —
-//! pop the earliest event, push its successor at `popped + d`.
+//! pop the earliest event, push its successor at `popped + d` — alone and
+//! with a stream of far-future timers on top.
 
 use simcore::event::{CalendarQueue, HeapQueue};
 use simcore::rng::SimRng;
@@ -116,10 +117,13 @@ struct HoldPush {
 
 /// The simulator's access pattern: seed `population` events, then `ops`
 /// times pop the earliest and push a successor at `popped + d`, with `d`
-/// zero (a same-instant follow-up), a few ns, or wide (a timer). Returns
-/// the push log.
-fn run_hold(seed: u64, population: usize, ops: usize) -> Vec<HoldPush> {
+/// zero (a same-instant follow-up), a few ns, or wide (a timer). On
+/// `far_percent` of the pops it also arms a timer 100–600 ms ahead (a
+/// circuit's build or liveness timer); in the larger populations these
+/// pile up as a far-future tail. Returns the push log of the successors.
+fn run_hold(seed: u64, population: usize, ops: usize, far_percent: u64) -> Vec<HoldPush> {
     const WIDE: u64 = 10_000_000;
+    const FAR: (u64, u64) = (100_000_000, 600_000_000);
     let mut rng = SimRng::seed_from(seed);
     let mut cal: CalendarQueue<u64> = CalendarQueue::new();
     let mut heap: HeapQueue<u64> = HeapQueue::new();
@@ -132,7 +136,12 @@ fn run_hold(seed: u64, population: usize, ops: usize) -> Vec<HoldPush> {
     for step in 0..ops {
         let popped = cal.pop();
         assert_eq!(popped, heap.pop(), "seed {seed} step {step}: pops diverge");
-        let (time, _, event) = popped.expect("the population stays constant");
+        let (time, _, event) = popped.expect("the population never drains");
+        if rng.range_u64(0, 100) < far_percent {
+            let at = SimTime::from_nanos(time.as_nanos() + rng.range_u64(FAR.0, FAR.1));
+            cal.push(at, event);
+            heap.push(at, event);
+        }
         let delay = match rng.range_u64(0, 3) {
             0 => 0,
             1 => rng.range_u64(1, 8),
@@ -159,6 +168,7 @@ fn hold_model_matches() {
                 0x401D_0000 + 16 * i as u64 + seed,
                 population,
                 10_000,
+                0,
             ));
         }
     }
@@ -170,4 +180,20 @@ fn hold_model_matches() {
         merges > 1_000,
         "only {merges} zero-delay pushes into a non-empty queue"
     );
+}
+
+#[test]
+fn hold_model_with_far_future_timers_matches() {
+    // The population the width rule cuts its far-future tail from: µs to
+    // ms-spaced hold events with 1–5% of pops arming a 100–600 ms timer.
+    for (i, population) in [64usize, 1_000, 10_000].into_iter().enumerate() {
+        for far_percent in [1, 3, 5] {
+            run_hold(
+                0xFA2_0000 + 16 * i as u64 + far_percent,
+                population,
+                20_000,
+                far_percent,
+            );
+        }
+    }
 }

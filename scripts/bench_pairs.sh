@@ -4,25 +4,28 @@
 # alternating which side runs first, the same seed on both sides of a pair
 # (pair i uses seed i).
 #
-#   scripts/bench_pairs.sh <rev-a> <rev-b> <workload> [--metric M] [--pairs N] [--seconds S]
+#   scripts/bench_pairs.sh <rev-a> <rev-b> <workload> [--metric M|all] [--pairs N] [--seconds S]
 #
 # Each revision's csbench is built from that revision's own manifest (a
 # `git archive` of it under .bench_build/<sha>/), so the two sides differ in
 # nothing but the committed source. --metric names the end-to-end metric the
-# rule is applied to (default cells_per_s); whether higher or lower wins is
-# its `better` field in BENCHMARK.json. Prints the metric per pair with the
-# b/a ratio, then each side's median and quartiles, b's wins, whether the
-# gain rule holds for b (>= 9 of 10 pairs won, median shift in the better
-# direction beyond a's interquartile spread), and whether sim_ttlb_p50/p99
-# were identical on every pair (they must be for a change that does not
-# touch simulated behaviour); where they were not, both values of each such
-# pair and the largest relative shift per metric next to the bound
-# BENCHMARK.json allows it.
+# rule is applied to (default cells_per_s), or `all` for every end-to-end
+# metric of BENCHMARK.json, read from the same runs; whether higher or lower
+# wins is each metric's `better` field there. Prints every metric per pair
+# with the b/a ratio, then per metric: each side's median and quartiles, b's
+# wins, whether the gain rule holds for b (>= 9 of 10 pairs won, median
+# shift in the better direction beyond a's interquartile spread), and b's
+# worst pair against a next to the bound BENCHMARK.json allows; the first
+# line of each metric's block starts with "<metric>: ". Last, whether
+# sim_ttlb_p50/p99 were identical on every pair (they must be for a change
+# that does not touch simulated behaviour); where they were not, both values
+# of each such pair and the largest relative shift per metric next to its
+# bound.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: scripts/bench_pairs.sh <rev-a> <rev-b> <workload> [--metric M] [--pairs N] [--seconds S]" >&2
+    echo "usage: scripts/bench_pairs.sh <rev-a> <rev-b> <workload> [--metric M|all] [--pairs N] [--seconds S]" >&2
     exit 2
 }
 
@@ -58,20 +61,6 @@ field() {
     sed -n "s/.*\"$2\": {\"value\": \([^,}]*\).*/\1/p" <<< "$1"
 }
 
-# Runs <bin> with <seed>; prints "<metric> sim_ttlb_p50_ms sim_ttlb_p99_ms".
-run() {
-    local line m p50 p99
-    line=$("$1" --workload "${workload}" --seed "$2" --seconds "${seconds}" --trace 0 2>/dev/null | tail -n 1)
-    m=$(field "${line}" "${metric}")
-    p50=$(field "${line}" sim_ttlb_p50_ms)
-    p99=$(field "${line}" sim_ttlb_p99_ms)
-    if [ -z "${m}" ] || [ -z "${p50}" ] || [ -z "${p99}" ]; then
-        echo "bench_pairs: $1 gave no result line for ${workload} seed $2" >&2
-        exit 1
-    fi
-    echo "${m} ${p50} ${p99}"
-}
-
 # Field <key> ("bound" or "better") of end-to-end metric <name> in
 # BENCHMARK.json; empty for anything else.
 spec() {
@@ -79,17 +68,44 @@ spec() {
         | sed -n "s/.*\"$2\": \"\{0,1\}\([0-9.a-z]*\).*/\1/p" | head -n 1 || true
 }
 
-better=$(spec "${metric}" better)
-if [ -z "$(spec "${metric}" bound)" ] || [ -z "${better}" ]; then
-    echo "bench_pairs: ${metric} is not an end-to-end metric of BENCHMARK.json" >&2
-    exit 2
+if [ "${metric}" = all ]; then
+    metrics=$(sed -n '/"end_to_end"/,/"per_layer"/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json | tr '\n' ' ')
+else
+    metrics=${metric}
 fi
+highers="" bounds="" directions=""
+for m in ${metrics}; do
+    better=$(spec "${m}" better) bound=$(spec "${m}" bound)
+    if [ -z "${bound}" ] || [ -z "${better}" ]; then
+        echo "bench_pairs: ${m} is not an end-to-end metric of BENCHMARK.json" >&2
+        exit 2
+    fi
+    highers+="$([ "${better}" = higher ] && echo 1 || echo 0) "
+    bounds+="${bound} "
+    directions+="; ${m}, ${better} is better"
+done
+
+# Runs <bin> with <seed>; prints the value of each of ${metrics}, then
+# sim_ttlb_p50_ms and sim_ttlb_p99_ms.
+run() {
+    local line out="" m v
+    line=$("$1" --workload "${workload}" --seed "$2" --seconds "${seconds}" --trace 0 2>/dev/null | tail -n 1)
+    for m in ${metrics} sim_ttlb_p50_ms sim_ttlb_p99_ms; do
+        v=$(field "${line}" "${m}")
+        if [ -z "${v}" ]; then
+            echo "bench_pairs: $1 gave no ${m} for ${workload} seed $2" >&2
+            exit 1
+        fi
+        out+="${v} "
+    done
+    echo "${out}"
+}
 
 bin_a=$(build "${rev_a}")
 bin_b=$(build "${rev_b}")
 echo "a = ${rev_a} (${bin_a})"
 echo "b = ${rev_b} (${bin_b})"
-echo "workload ${workload}, ${pairs} pair(s), --seconds ${seconds}; ${metric}, ${better} is better"
+echo "workload ${workload}, ${pairs} pair(s), --seconds ${seconds}${directions}"
 
 rows=""
 for i in $(seq 1 "${pairs}"); do
@@ -102,12 +118,16 @@ for i in $(seq 1 "${pairs}"); do
         a=$(run "${bin_a}" "${i}")
         order="b first"
     fi
-    echo "${a} ${b}" | awk -v i="${i}" -v order="${order}" \
-        '{ printf "pair %2d (seed %d, %s)  a %10.6g  b %10.6g  b/a %.3f\n", i, i, order, $1, $4, $4 / $1 }'
+    echo "${a} ${b}" | awk -v i="${i}" -v order="${order}" -v names="${metrics}" '{
+        k = split(names, name, " "); w = k + 2
+        for (j = 1; j <= k; j++)
+            printf "pair %2d (seed %d, %s)  %-15s a %10.6g  b %10.6g  b/a %.3f\n", \
+                i, i, order, name[j], $j, $(w + j), $j ? $(w + j) / $j : 1
+    }'
     rows+="${a} ${b}"$'\n'
 done
 
-printf '%s' "${rows}" | awk -v higher="$([ "${better}" = higher ] && echo 1 || echo 0)" \
+printf '%s' "${rows}" | awk -v names="${metrics}" -v highers="${highers}" -v bounds="${bounds}" \
     -v p50_bound="$(spec sim_ttlb_p50_ms bound)" -v p99_bound="$(spec sim_ttlb_p99_ms bound)" '
     # Quantile q of v[1..n] (sorted ascending), linear interpolation.
     function quantile(v, n, q,    pos, lo) {
@@ -134,24 +154,38 @@ printf '%s' "${rows}" | awk -v higher="$([ "${better}" = higher ] && echo 1 || e
         for (i = 2; i <= n; i++)
             for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
     }
-    {
-        n++
-        a[n] = $1; b[n] = $4
-        # A win is b beating a in the direction BENCHMARK.json calls better.
-        if (higher ? $4 > $1 : $4 < $1) wins++; else if ($4 != $1) losses++
-        if (compare("sim_ttlb_p50_ms", n, $2, $5) + compare("sim_ttlb_p99_ms", n, $3, $6)) moved++
-    }
-    END {
+    # The block for metric j: medians, quartiles, wins, the gain rule and
+    # the worst pair.
+    function summary(j,    i, a, b, wins, losses, hi, worse, worse_pair, a_med, b_med, a_iqr, shift, met) {
+        hi = higher[j]; worse = 0; worse_pair = 0
+        for (i = 1; i <= n; i++) {
+            a[i] = av[j, i]; b[i] = bv[j, i]
+            # A win is b beating a in the direction BENCHMARK.json calls better.
+            if (hi ? b[i] > a[i] : b[i] < a[i]) wins++; else if (b[i] != a[i]) losses++
+            # How much worse than a this pair made b, as a share of a.
+            shift = a[i] ? (hi ? a[i] - b[i] : b[i] - a[i]) / a[i] : 0
+            if (shift > worse) { worse = shift; worse_pair = i }
+        }
         sort(a, n); sort(b, n)
         a_med = quantile(a, n, 0.5); b_med = quantile(b, n, 0.5)
         a_iqr = quantile(a, n, 0.75) - quantile(a, n, 0.25)
-        printf "a: median %.6g  quartiles %.6g .. %.6g\n", a_med, quantile(a, n, 0.25), quantile(a, n, 0.75)
-        printf "b: median %.6g  quartiles %.6g .. %.6g\n", b_med, quantile(b, n, 0.25), quantile(b, n, 0.75)
-        printf "b/a of medians %.3f; b wins %d of %d (a wins %d)\n", b_med / a_med, wins, n, losses
-        shift = higher ? b_med - a_med : a_med - b_med
+        shift = hi ? b_med - a_med : a_med - b_med
         met = (n >= 10 && wins * 10 >= n * 9 && shift > a_iqr)
-        printf "gain rule for b (>= 10 pairs, wins >= 9/10, median shift %.6g > a IQR %.6g): %s\n", \
-            shift, a_iqr, met ? "met" : "not met"
+        printf "%s: b/a of medians %.3f; b wins %d of %d (a wins %d); gain rule %s; worst pair %.2f%% worse than a (BENCHMARK.json bound %g%%)\n", \
+            name[j], a_med ? b_med / a_med : 1, wins, n, losses, met ? "met" : "not met", 100 * worse, 100 * bound[j]
+        printf "  a: median %.6g  quartiles %.6g .. %.6g\n", a_med, quantile(a, n, 0.25), quantile(a, n, 0.75)
+        printf "  b: median %.6g  quartiles %.6g .. %.6g\n", b_med, quantile(b, n, 0.25), quantile(b, n, 0.75)
+        printf "  gain rule: >= 10 pairs, wins >= 9/10, median shift %.6g > a IQR %.6g\n", shift, a_iqr
+        if (worse_pair) printf "  worst pair: %d (seed %d)\n", worse_pair, worse_pair
+    }
+    BEGIN { k = split(names, name, " "); split(highers, higher, " "); split(bounds, bound, " "); w = k + 2 }
+    {
+        n++
+        for (j = 1; j <= k; j++) { av[j, n] = $j; bv[j, n] = $(w + j) }
+        if (compare("sim_ttlb_p50_ms", n, $(k + 1), $(w + k + 1)) + compare("sim_ttlb_p99_ms", n, $(k + 2), $(w + k + 2))) moved++
+    }
+    END {
+        for (j = 1; j <= k; j++) summary(j)
         if (moved) {
             printf "sim_ttlb_*: DIFFERED on %d pair(s)\n%s", moved, differing
             verdict("sim_ttlb_p50_ms", p50_bound); verdict("sim_ttlb_p99_ms", p99_bound)

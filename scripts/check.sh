@@ -105,13 +105,19 @@ elif ! diff -u scripts/csbench_quick.digests "${apply_dir}/csbench_quick.digests
     exit 1
 fi
 
-echo "==> bench_pairs smoke: HEAD against itself on peak_rss_mib, one 1 s pair (the interleaved-pairs rule in one command)"
-scripts/bench_pairs.sh HEAD HEAD path3_short --metric peak_rss_mib --pairs 1 --seconds 1 \
+echo "==> bench_pairs smoke: HEAD against itself on every end-to-end metric, one 1 s pair (the interleaved-pairs rule in one command)"
+scripts/bench_pairs.sh HEAD HEAD path3_short --metric all --pairs 1 --seconds 1 \
     | tee "${apply_dir}/bench_pairs.out"
-grep -q '; peak_rss_mib, lower is better$' "${apply_dir}/bench_pairs.out" || {
-    echo "    FAIL: --metric did not take its direction from BENCHMARK.json" >&2
+grep -q '; peak_rss_mib, lower is better; ' "${apply_dir}/bench_pairs.out" || {
+    echo "    FAIL: --metric all did not take directions from BENCHMARK.json" >&2
     exit 1
 }
+for m in cells_per_s setup_s peak_rss_mib sim_ttlb_p50_ms sim_ttlb_p99_ms; do
+    grep -q "^${m}: b/a of medians " "${apply_dir}/bench_pairs.out" || {
+        echo "    FAIL: --metric all reported no ${m} summary" >&2
+        exit 1
+    }
+done
 grep -q '^sim_ttlb_\*: identical on every pair$' "${apply_dir}/bench_pairs.out" || {
     echo "    FAIL: an A/A pair did not reproduce its simulated statistics" >&2
     exit 1
