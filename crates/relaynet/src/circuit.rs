@@ -31,6 +31,11 @@ pub struct CircuitInfo {
     /// completes its transfer or a parked lineage resumes). Drives the
     /// exponential backoff law and the retry cap.
     pub retries: u32,
+    /// Delivered bytes across this incarnation's flows when its pending
+    /// liveness timer was armed (0 before the first one). The circuit
+    /// has at most one timer pending, so the snapshot lives here rather
+    /// than in the event.
+    pub(crate) liveness_snapshot: u64,
 }
 
 /// Measured outcome of one circuit's transfer.

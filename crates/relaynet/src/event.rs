@@ -12,8 +12,9 @@ pub enum TimerKind {
     /// The build-completion timer: armed when the circuit build starts,
     /// genuine if the circuit is still telescoping when it fires.
     Build,
-    /// The liveness timer: armed with a progress snapshot, genuine if
-    /// the snapshot has not advanced when it fires.
+    /// The liveness timer: armed with a progress snapshot (kept in the
+    /// circuit's [`crate::circuit::CircuitInfo`]), genuine if progress
+    /// has not advanced past it when the timer fires.
     Liveness,
 }
 
@@ -56,20 +57,15 @@ pub enum TorEvent {
         /// Directory index of the crashing relay.
         relay: u32,
     },
-    /// A client-armed circuit timer fired: if the circuit incarnation it
-    /// was armed against is still pending (build timer) or has made no
-    /// progress (liveness timer), the client abandons and recovers.
-    /// Stale timers — the circuit completed, was torn down, or was
-    /// rebuilt into a later incarnation — are no-ops.
+    /// A client-armed circuit timer fired: if the circuit is still
+    /// pending (build timer) or has made no progress (liveness timer),
+    /// the client abandons and recovers. Stale timers — the circuit
+    /// completed or was torn down — are no-ops. A rebuild registers a
+    /// new [`CircId`], so a timer never outlives the incarnation it was
+    /// armed on, and a circuit has at most one timer pending.
     CircTimeout {
         /// The circuit the timer was armed on.
         circ: CircId,
-        /// Incarnation the timer belongs to; mismatch means stale.
-        incarnation: u32,
-        /// Client progress snapshot when the timer was armed (cells
-        /// acknowledged end-to-end); equal progress at expiry means the
-        /// circuit has stalled.
-        progress: u64,
         /// Which timer this is (build completion vs. liveness).
         kind: TimerKind,
     },
@@ -102,5 +98,15 @@ mod tests {
         );
         let ev: TorEvent = NetEvent::Deliver { link }.into();
         assert!(matches!(ev, TorEvent::Net(NetEvent::Deliver { .. })));
+    }
+
+    #[test]
+    fn an_event_is_sixteen_bytes() {
+        assert_eq!(
+            std::mem::size_of::<TorEvent>(),
+            16,
+            "every pending event is a (time, seq, TorEvent) calendar entry: \
+             16 bytes keep it at 32, two to a cache line, on every workload"
+        );
     }
 }

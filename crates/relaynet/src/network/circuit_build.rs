@@ -309,13 +309,10 @@ impl TorNetwork {
         // With faults installed every incarnation arms a build timer —
         // the client's only way to learn about a crash is silence.
         if let Some(f) = self.faults.as_ref() {
-            let incarnation = self.circuits[circ.index()].incarnation;
             ctx.schedule_in(
                 f.spec.build_timeout(),
                 TorEvent::CircTimeout {
                     circ,
-                    incarnation,
-                    progress: 0,
                     kind: crate::event::TimerKind::Build,
                 },
             );

@@ -13,9 +13,10 @@
 //!   or not, has its survivors reaped too.
 //! * **Detection** — every circuit incarnation arms a **build timer**
 //!   when it starts; once established, the timer chain re-arms as a
-//!   **liveness timer** carrying a progress snapshot (delivered bytes of
-//!   the circuit's flows). A timer that fires with no progress since its
-//!   snapshot is the client's only evidence of failure.
+//!   **liveness timer** against a progress snapshot (delivered bytes of
+//!   the circuit's flows, kept in the circuit's record). A timer that
+//!   fires with no progress since its snapshot is the client's only
+//!   evidence of failure.
 //! * **Recovery** — [`TorNetwork::force_abandon`]: blame the first dead
 //!   hop on the path (excluding it from future selection), reap the
 //!   orphaned participations beyond it (no DESTROY can ever reach them —
@@ -83,13 +84,14 @@ impl TorNetwork {
     /// A client circuit timer fired (from a [`TorEvent::CircTimeout`]).
     /// Stale timers — the incarnation was already abandoned, reclaimed,
     /// or torn down — die here; a genuine one either re-arms with a
-    /// fresh progress snapshot or abandons the circuit.
+    /// fresh progress snapshot or abandons the circuit. The snapshot is
+    /// the circuit's `liveness_snapshot`: each firing arms at most one
+    /// successor and every rebuild is a new [`CircId`], so it always
+    /// belongs to the timer firing now.
     pub(super) fn circ_timeout(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
         circ: CircId,
-        incarnation: u32,
-        progress: u64,
         kind: TimerKind,
     ) {
         let Some(f) = self.faults.as_ref() else {
@@ -97,9 +99,6 @@ impl TorNetwork {
         };
         let liveness = f.spec.liveness_timeout();
         let info = &self.circuits[circ.index()];
-        if info.incarnation != incarnation {
-            return;
-        }
         let Some(local) = self.open_client(circ) else {
             return; // reclaimed, or torn down and awaiting quiescence
         };
@@ -120,15 +119,14 @@ impl TorNetwork {
             return; // transfer done; let the chain die
         }
         let now_progress = self.circ_progress(circ);
-        if now_progress > progress || kind == TimerKind::Build {
+        if now_progress > info.liveness_snapshot || kind == TimerKind::Build {
             // Progress since the snapshot — or the build beat its timer
             // (one grace period before liveness judgement begins).
+            self.circuits[circ.index()].liveness_snapshot = now_progress;
             ctx.schedule_in(
                 liveness,
                 TorEvent::CircTimeout {
                     circ,
-                    incarnation,
-                    progress: now_progress,
                     kind: TimerKind::Liveness,
                 },
             );

@@ -1154,7 +1154,10 @@ impl TorNetwork {
 
     /// Resolves an arriving cell's `(receiving node, sending neighbour,
     /// link-local id)` to `(global circuit, node-local index, flow
-    /// direction)` — the per-cell route lookup.
+    /// direction)` — the per-cell route lookup, run once per frame an
+    /// overlay node receives. Both ends are compared where they lie in
+    /// the table, end `a` first: at that rate, copying the 44-byte
+    /// [`LinkRoute`] out is a measurable share of a cell.
     #[inline]
     pub(super) fn route_of(
         &self,
@@ -1163,11 +1166,11 @@ impl TorNetwork {
         link_id: CircuitId,
     ) -> Option<(CircId, u32, Direction)> {
         let entry = self.link_routes.get(link_id.0 as usize)?;
-        [entry.a, entry.b]
-            .into_iter()
-            .flatten()
-            .find(|e| e.node == to && e.from == from)
-            .map(|e| (e.circ, e.local, e.dir))
+        let hit = |end: &Option<RouteEnd>| match end {
+            Some(e) if e.node == to && e.from == from => Some((e.circ, e.local, e.dir)),
+            _ => None,
+        };
+        hit(&entry.a).or_else(|| hit(&entry.b))
     }
 
     /// Registers an overlay participant backed by network node `net_node`.
@@ -1228,6 +1231,7 @@ impl TorNetwork {
             incarnation,
             accounted: self.placement.is_some(),
             retries: 0,
+            liveness_snapshot: 0,
         });
         id
     }
@@ -1463,12 +1467,7 @@ impl World for TorNetwork {
                         self.egress.net.set_link_rate(link, rate)
                     }
                     TorEvent::RelayCrash { relay } => self.relay_crash(ctx, relay),
-                    TorEvent::CircTimeout {
-                        circ,
-                        incarnation,
-                        progress,
-                        kind,
-                    } => self.circ_timeout(ctx, circ, incarnation, progress, kind),
+                    TorEvent::CircTimeout { circ, kind } => self.circ_timeout(ctx, circ, kind),
                 }
             }
         }
@@ -1533,6 +1532,86 @@ mod tests {
         // release-build byte loop did (its debug build panicked instead).
         for len in [15, 16, RELAY_DATA_MAX, 600] {
             check(CircId(0), u64::MAX / 31, len);
+        }
+    }
+
+    /// The reference for `route_of`: search both ends, `a` before `b`,
+    /// for the first one registered at `to` for frames from `from`.
+    fn find_over_both_ends(
+        w: &TorNetwork,
+        to: OverlayId,
+        from: OverlayId,
+        id: CircuitId,
+    ) -> Option<(CircId, u32, Direction)> {
+        let entry = w.link_routes.get(id.0 as usize)?;
+        [entry.a, entry.b]
+            .into_iter()
+            .flatten()
+            .find(|e| e.node == to && e.from == from)
+            .map(|e| (e.circ, e.local, e.dir))
+    }
+
+    #[test]
+    fn route_of_answers_what_a_find_over_both_ends_answers() {
+        use backtap::cc::{CongestionControl, FixedWindowCc};
+        use Direction::{Backward, Forward};
+
+        let factory: CcFactory =
+            Box::new(|_| -> Box<dyn CongestionControl + Send> { Box::new(FixedWindowCc::new(4)) });
+        let mut w = TorNetwork::new(
+            Net::new(),
+            Router::new(),
+            WorldConfig::default(),
+            factory,
+            SimRng::seed_from(1),
+        );
+        let (x, y, z) = (OverlayId(0), OverlayId(1), OverlayId(2));
+        let c = CircId(7);
+        let [both, a_cleared, b_absent, cleared, twice] =
+            std::array::from_fn(|_| w.alloc_link_circ_id());
+        for id in [both, a_cleared, cleared] {
+            w.register_route(id, y, x, c, 1, Forward);
+            w.register_route(id, x, y, c, 2, Backward);
+        }
+        w.register_route(b_absent, y, x, c, 3, Forward);
+        w.register_route(twice, y, x, c, 4, Forward);
+        w.register_route(twice, y, x, c, 5, Forward);
+        w.clear_route_end(a_cleared, y);
+        w.clear_route_end(cleared, y);
+        w.clear_route_end(cleared, x);
+        let past = CircuitId(twice.0 + 1);
+
+        let rows = [
+            (both, y, x, Some((c, 1, Forward))),       // `a` matches
+            (both, x, y, Some((c, 2, Backward))),      // `b` matches
+            (both, z, x, None),                        // `to` mismatched
+            (both, y, z, None),                        // `from` mismatched
+            (a_cleared, y, x, None),                   // cleared `a`
+            (a_cleared, x, y, Some((c, 2, Backward))), // `b` survives it
+            (b_absent, y, x, Some((c, 3, Forward))),   // `a` alone
+            (b_absent, x, y, None),                    // absent `b`
+            (cleared, y, x, None),                     // both cleared
+            (twice, y, x, Some((c, 4, Forward))),      // `a` before `b`
+            (past, y, x, None),                        // id past the table
+            (CircuitId(u32::MAX), y, x, None),
+        ];
+        for (id, to, from, expect) in rows {
+            assert_eq!(
+                w.route_of(to, from, id),
+                expect,
+                "{id:?} {to:?} <- {from:?}"
+            );
+        }
+        for id in (0..=past.0).map(CircuitId) {
+            for to in [x, y, z] {
+                for from in [x, y, z] {
+                    assert_eq!(
+                        w.route_of(to, from, id),
+                        find_over_both_ends(&w, to, from, id),
+                        "{id:?} {to:?} <- {from:?}"
+                    );
+                }
+            }
         }
     }
 }

@@ -368,9 +368,17 @@ impl EpochSpec {
             .map(|r| r as u32)
             .collect();
         // Track the live/dark partition while drawing, so each delta is
-        // consistent with the state the run will actually be in.
+        // consistent with the state the run will actually be in. The
+        // live set starts in index order, read off a dense mask (one
+        // pass, not one scan of the standby pool per relay).
+        let mut is_dark = vec![false; relays];
+        for &r in &initial_dark {
+            is_dark[r as usize] = true;
+        }
         let mut dark: Vec<u32> = initial_dark.clone();
-        let mut live: Vec<u32> = (0..relays as u32).filter(|r| !dark.contains(r)).collect();
+        let mut live: Vec<u32> = (0..relays as u32)
+            .filter(|&r| !is_dark[r as usize])
+            .collect();
         let mut deltas = Vec::with_capacity(self.epochs as usize);
         for _ in 0..self.epochs {
             // Joins first, from the pool dark before this boundary.

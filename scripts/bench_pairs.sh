@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # The rule a performance claim is held to (ROADMAP.md, standing rules) in one
-# command: interleaved pairs of two revisions' csbench on one workload,
+# command: interleaved pairs of two revisions' csbench on a workload,
 # alternating which side runs first, the same seed on both sides of a pair
 # (pair i uses seed i).
 #
-#   scripts/bench_pairs.sh <rev-a> <rev-b> <workload> [--metric M|all] [--pairs N] [--seconds S]
+#   scripts/bench_pairs.sh <rev-a> <rev-b> <workload|all> [--metric M|all] [--pairs N] [--seconds S]
 #
+# <workload> `all` runs every workload of BENCHMARK.json in turn, each in
+# a block of its own that starts with a "workload <name>, " line; with
+# `--metric all` that is the whole no-regression table in one command.
 # Each revision's csbench is built from that revision's own manifest (a
 # `git archive` of it under .bench_build/<sha>/), so the two sides differ in
 # nothing but the committed source. --metric names the end-to-end metric the
@@ -16,7 +19,8 @@
 # wins, whether the gain rule holds for b (>= 9 of 10 pairs won, median
 # shift in the better direction beyond a's interquartile spread), and b's
 # worst pair against a next to the bound BENCHMARK.json allows; the first
-# line of each metric's block starts with "<metric>: ". Last, whether
+# line of each metric's block starts with "<metric>: ". Last in each
+# workload's block, whether
 # sim_ttlb_p50/p99 were identical on every pair (they must be for a change
 # that does not touch simulated behaviour); where they were not, both values
 # of each such pair and the largest relative shift per metric next to its
@@ -25,12 +29,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: scripts/bench_pairs.sh <rev-a> <rev-b> <workload> [--metric M|all] [--pairs N] [--seconds S]" >&2
+    echo "usage: scripts/bench_pairs.sh <rev-a> <rev-b> <workload|all> [--metric M|all] [--pairs N] [--seconds S]" >&2
     exit 2
 }
 
 [ $# -ge 3 ] || usage
-rev_a=$1 rev_b=$2 workload=$3
+rev_a=$1 rev_b=$2 workloads=$3
 shift 3
 metric=cells_per_s pairs=10 seconds=10
 while [ $# -gt 0 ]; do
@@ -68,6 +72,9 @@ spec() {
         | sed -n "s/.*\"$2\": \"\{0,1\}\([0-9.a-z]*\).*/\1/p" | head -n 1 || true
 }
 
+if [ "${workloads}" = all ]; then
+    workloads=$(sed -n '/"workloads"/,/"end_to_end"/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json | tr '\n' ' ')
+fi
 if [ "${metric}" = all ]; then
     metrics=$(sed -n '/"end_to_end"/,/"per_layer"/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json | tr '\n' ' ')
 else
@@ -101,33 +108,10 @@ run() {
     echo "${out}"
 }
 
-bin_a=$(build "${rev_a}")
-bin_b=$(build "${rev_b}")
-echo "a = ${rev_a} (${bin_a})"
-echo "b = ${rev_b} (${bin_b})"
-echo "workload ${workload}, ${pairs} pair(s), --seconds ${seconds}${directions}"
-
-rows=""
-for i in $(seq 1 "${pairs}"); do
-    if [ $((i % 2)) -eq 1 ]; then
-        a=$(run "${bin_a}" "${i}")
-        b=$(run "${bin_b}" "${i}")
-        order="a first"
-    else
-        b=$(run "${bin_b}" "${i}")
-        a=$(run "${bin_a}" "${i}")
-        order="b first"
-    fi
-    echo "${a} ${b}" | awk -v i="${i}" -v order="${order}" -v names="${metrics}" '{
-        k = split(names, name, " "); w = k + 2
-        for (j = 1; j <= k; j++)
-            printf "pair %2d (seed %d, %s)  %-15s a %10.6g  b %10.6g  b/a %.3f\n", \
-                i, i, order, name[j], $j, $(w + j), $j ? $(w + j) / $j : 1
-    }'
-    rows+="${a} ${b}"$'\n'
-done
-
-printf '%s' "${rows}" | awk -v names="${metrics}" -v highers="${highers}" -v bounds="${bounds}" \
+# Reads one workload's rows (a's values, then b's, one pair per line) and
+# prints the per-metric summaries and the sim_ttlb_* verdict.
+summarize() {
+    awk -v names="${metrics}" -v highers="${highers}" -v bounds="${bounds}" \
     -v p50_bound="$(spec sim_ttlb_p50_ms bound)" -v p99_bound="$(spec sim_ttlb_p99_ms bound)" '
     # Quantile q of v[1..n] (sorted ascending), linear interpolation.
     function quantile(v, n, q,    pos, lo) {
@@ -191,3 +175,33 @@ printf '%s' "${rows}" | awk -v names="${metrics}" -v highers="${highers}" -v bou
             verdict("sim_ttlb_p50_ms", p50_bound); verdict("sim_ttlb_p99_ms", p99_bound)
         } else printf "sim_ttlb_*: identical on every pair\n"
     }'
+}
+
+bin_a=$(build "${rev_a}")
+bin_b=$(build "${rev_b}")
+echo "a = ${rev_a} (${bin_a})"
+echo "b = ${rev_b} (${bin_b})"
+
+for workload in ${workloads}; do
+    echo "workload ${workload}, ${pairs} pair(s), --seconds ${seconds}${directions}"
+    rows=""
+    for i in $(seq 1 "${pairs}"); do
+        if [ $((i % 2)) -eq 1 ]; then
+            a=$(run "${bin_a}" "${i}")
+            b=$(run "${bin_b}" "${i}")
+            order="a first"
+        else
+            b=$(run "${bin_b}" "${i}")
+            a=$(run "${bin_a}" "${i}")
+            order="b first"
+        fi
+        echo "${a} ${b}" | awk -v i="${i}" -v order="${order}" -v names="${metrics}" '{
+            k = split(names, name, " "); w = k + 2
+            for (j = 1; j <= k; j++)
+                printf "pair %2d (seed %d, %s)  %-15s a %10.6g  b %10.6g  b/a %.3f\n", \
+                    i, i, order, name[j], $j, $(w + j), $j ? $(w + j) / $j : 1
+        }'
+        rows+="${a} ${b}"$'\n'
+    done
+    printf '%s' "${rows}" | summarize
+done

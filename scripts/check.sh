@@ -105,20 +105,26 @@ elif ! diff -u scripts/csbench_quick.digests "${apply_dir}/csbench_quick.digests
     exit 1
 fi
 
-echo "==> bench_pairs smoke: HEAD against itself on every end-to-end metric, one 1 s pair (the interleaved-pairs rule in one command)"
-scripts/bench_pairs.sh HEAD HEAD path3_short --metric all --pairs 1 --seconds 1 \
+echo "==> bench_pairs smoke: HEAD against itself, every workload and end-to-end metric, one 1 s pair each (the no-regression table in one command)"
+scripts/bench_pairs.sh HEAD HEAD all --metric all --pairs 1 --seconds 1 \
     | tee "${apply_dir}/bench_pairs.out"
 grep -q '; peak_rss_mib, lower is better; ' "${apply_dir}/bench_pairs.out" || {
     echo "    FAIL: --metric all did not take directions from BENCHMARK.json" >&2
     exit 1
 }
-for m in cells_per_s setup_s peak_rss_mib sim_ttlb_p50_ms sim_ttlb_p99_ms; do
-    grep -q "^${m}: b/a of medians " "${apply_dir}/bench_pairs.out" || {
-        echo "    FAIL: --metric all reported no ${m} summary" >&2
+for w in path3_bulk path3_short star50_churn star16_faults consensus7k_epochs; do
+    grep -q "^workload ${w}, " "${apply_dir}/bench_pairs.out" || {
+        echo "    FAIL: all ran no ${w} block" >&2
         exit 1
     }
 done
-grep -q '^sim_ttlb_\*: identical on every pair$' "${apply_dir}/bench_pairs.out" || {
+for m in cells_per_s setup_s peak_rss_mib sim_ttlb_p50_ms sim_ttlb_p99_ms; do
+    [ "$(grep -c "^${m}: b/a of medians " "${apply_dir}/bench_pairs.out")" -eq 5 ] || {
+        echo "    FAIL: --metric all did not report ${m} once per workload" >&2
+        exit 1
+    }
+done
+[ "$(grep -c '^sim_ttlb_\*: identical on every pair$' "${apply_dir}/bench_pairs.out")" -eq 5 ] || {
     echo "    FAIL: an A/A pair did not reproduce its simulated statistics" >&2
     exit 1
 }
