@@ -1,7 +1,7 @@
-//! The scan pipeline: lex → split code/comments → parse items → build
-//! the workspace call graph → parse `allow` annotations → mark test
-//! regions → run token + semantic rules → scope + suppress → report
-//! dead suppressions.
+//! The scan pipeline: lex → split code/comments → parse items → parse
+//! `allow` annotations → mark test regions → run the token rules per
+//! file and `exhaustive-destructure` over the workspace → scope +
+//! suppress → report dead suppressions.
 //!
 //! # Annotation grammar (DESIGN.md §14)
 //!
@@ -25,10 +25,10 @@
 //! not even parseable: suppression debt can be paid down but never
 //! rolled over.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use crate::graph::{self, DepMap, FileView};
+use crate::destructure::{self, FileView};
 use crate::items::{self, ItemIndex};
 use crate::lexer::{self, Token, TokenKind};
 use crate::policy;
@@ -51,7 +51,7 @@ pub struct Finding {
     pub rule: String,
     pub message: String,
     /// The source line the finding points at, trimmed — context for the
-    /// human report and for `--fix-annotations` indentation.
+    /// human report.
     pub snippet: String,
 }
 
@@ -70,7 +70,7 @@ struct Allow {
 }
 
 /// Everything the per-file front half of the pipeline produces; the
-/// back half (rules, graph, suppression) runs over a batch of these.
+/// back half (rules, suppression) runs over a batch of these.
 struct FileAnalysis {
     ctx: policy::FileCtx,
     src: String,
@@ -156,10 +156,9 @@ fn analyze_file(rel_path: &str, src: &str) -> FileAnalysis {
 }
 
 /// Scans a batch of files as one workspace: token rules per file,
-/// semantic rules over the shared call graph (`deps` gates cross-crate
-/// edges; `None` means every edge is link-plausible, the single-file
-/// case). Input pairs are `(workspace-relative path, source)`.
-pub fn scan_files(inputs: &[(String, String)], deps: Option<&DepMap>) -> Vec<Finding> {
+/// `exhaustive-destructure` with struct lookup across all of them.
+/// Input pairs are `(workspace-relative path, source)`.
+pub fn scan_files(inputs: &[(String, String)]) -> Vec<Finding> {
     let mut files: Vec<FileAnalysis> = inputs
         .iter()
         .map(|(rel, src)| analyze_file(rel, src))
@@ -167,21 +166,23 @@ pub fn scan_files(inputs: &[(String, String)], deps: Option<&DepMap>) -> Vec<Fin
 
     let mut raw: Vec<(usize, RawFinding)> = Vec::new();
     for (fi, f) in files.iter().enumerate() {
-        raw.extend(rules::detect(&f.src, &f.code).into_iter().map(|r| (fi, r)));
+        raw.extend(
+            rules::detect(&f.src, &f.code, &f.items)
+                .into_iter()
+                .map(|r| (fi, r)),
+        );
     }
     {
         let views: Vec<FileView<'_>> = files
             .iter()
-            .zip(inputs)
-            .map(|(f, (rel, _))| FileView {
-                rel_path: rel,
+            .map(|f| FileView {
                 krate: &f.ctx.krate,
                 src: &f.src,
                 code: &f.code,
                 items: &f.items,
             })
             .collect();
-        raw.extend(graph::analyze(&views, deps));
+        raw.extend(destructure::analyze(&views));
     }
 
     let mut findings: Vec<Finding> = Vec::new();
@@ -258,10 +259,9 @@ pub fn scan_files(inputs: &[(String, String)], deps: Option<&DepMap>) -> Vec<Fin
 }
 
 /// Scans one file's source in isolation. `rel_path` drives policy
-/// scoping and is echoed into findings. Cross-crate call edges are
-/// link-plausible by default here (no manifest knowledge).
+/// scoping and is echoed into findings.
 pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    scan_files(&[(rel_path.to_string(), src.to_string())], None)
+    scan_files(&[(rel_path.to_string(), src.to_string())])
 }
 
 /// Returns the text after a `cs-lint:` marker in a line comment, or
@@ -371,11 +371,6 @@ fn line_snippet(src: &str, line: u32) -> String {
         .to_string()
 }
 
-/// Raw (untrimmed) source line, for `--fix-annotations` indentation.
-pub fn raw_line(src: &str, line: u32) -> String {
-    src.lines().nth(line as usize - 1).unwrap_or("").to_string()
-}
-
 /// Result of a workspace scan.
 pub struct ScanReport {
     pub findings: Vec<Finding>,
@@ -390,8 +385,7 @@ const SKIP_DIRS: &[&str] = &["target", ".git"];
 const FIXTURES_DIR: &str = "crates/cs-lint/tests/fixtures";
 
 /// Walks the workspace rooted at `root` and scans every `.rs` file,
-/// deterministically ordered, with call-graph edges gated by the
-/// manifests' declared dependencies.
+/// deterministically ordered.
 pub fn scan_workspace(root: &Path) -> Result<ScanReport, String> {
     let mut files: Vec<PathBuf> = Vec::new();
     collect_rs_files(root, root, &mut files)?;
@@ -402,134 +396,10 @@ pub fn scan_workspace(root: &Path) -> Result<ScanReport, String> {
             .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
         inputs.push((rel_unix(root, file), src));
     }
-    let deps = workspace_deps(root);
-    let findings = scan_files(&inputs, (!deps.is_empty()).then_some(&deps));
     Ok(ScanReport {
-        findings,
+        findings: scan_files(&inputs),
         files_scanned: inputs.len(),
     })
-}
-
-/// Reads `package name → direct dependency names` from the workspace
-/// manifests (root + `crates/*/Cargo.toml`). Hand-rolled line scan in
-/// the same dependency-free discipline as the lexer: section headers,
-/// `name = "…"` under `[package]`, and the leading key of each entry
-/// under `[dependencies]` / `[dev-dependencies]` / `[build-dependencies]`.
-pub fn workspace_deps(root: &Path) -> DepMap {
-    let mut manifests = vec![root.join("Cargo.toml")];
-    if let Ok(rd) = std::fs::read_dir(root.join("crates")) {
-        let mut dirs: Vec<PathBuf> = rd.flatten().map(|e| e.path()).collect();
-        dirs.sort();
-        for d in dirs {
-            let m = d.join("Cargo.toml");
-            if m.is_file() {
-                manifests.push(m);
-            }
-        }
-    }
-    let mut deps = DepMap::new();
-    for m in manifests {
-        let Ok(text) = std::fs::read_to_string(&m) else {
-            continue;
-        };
-        if let Some((name, d)) = parse_manifest(&text) {
-            deps.insert(name, d);
-        }
-    }
-    deps
-}
-
-/// Parses one manifest's `(package name, dependency names)`. Returns
-/// `None` for virtual manifests (workspace root without `[package]`
-/// would be one; ours has a root package).
-fn parse_manifest(text: &str) -> Option<(String, BTreeSet<String>)> {
-    let mut name: Option<String> = None;
-    let mut section = String::new();
-    let mut deps = BTreeSet::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix('[') {
-            section = rest.trim_end_matches(']').trim_matches('[').to_string();
-            continue;
-        }
-        if section == "package" && name.is_none() {
-            if let Some(v) = line
-                .strip_prefix("name")
-                .map(str::trim_start)
-                .and_then(|r| r.strip_prefix('='))
-            {
-                name = Some(v.trim().trim_matches('"').to_string());
-            }
-        }
-        if matches!(
-            section.as_str(),
-            "dependencies" | "dev-dependencies" | "build-dependencies"
-        ) {
-            if let Some((dep, _)) = line.split_once('=') {
-                let dep = dep.trim();
-                if !dep.is_empty()
-                    && dep
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-                {
-                    deps.insert(dep.to_string());
-                }
-            }
-        }
-    }
-    Some((name?, deps))
-}
-
-/// Writes one allow annotation above every *annotatable* finding
-/// (rules in the [`Rule`] enum; `malformed-annotation` / `unused-allow`
-/// have no annotation form by design). The inserted reason is a
-/// placeholder the author must rewrite — `--apply` automates the
-/// mechanical half of triage, never the judgment half. Returns
-/// `(inserted, skipped)` counts; idempotent because each inserted
-/// annotation suppresses exactly the finding that produced it.
-pub fn apply_annotations(root: &Path, findings: &[Finding]) -> Result<(usize, usize), String> {
-    let mut by_file: BTreeMap<&str, BTreeSet<(u32, &str)>> = BTreeMap::new();
-    let mut skipped = 0usize;
-    for f in findings {
-        if Rule::from_name(&f.rule).is_none() {
-            skipped += 1;
-            continue;
-        }
-        by_file
-            .entry(&f.path)
-            .or_default()
-            .insert((f.line, &f.rule));
-    }
-    let mut inserted = 0usize;
-    for (path, sites) in by_file {
-        let abs = root.join(path);
-        let src = std::fs::read_to_string(&abs)
-            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-        let mut lines: Vec<String> = src.lines().map(str::to_string).collect();
-        // Descending line order so earlier insertions never shift the
-        // remaining targets.
-        for &(line, rule) in sites.iter().rev() {
-            let idx = (line as usize).saturating_sub(1).min(lines.len());
-            let indent: String = lines
-                .get(idx)
-                .map(|l| l.chars().take_while(|c| c.is_whitespace()).collect())
-                .unwrap_or_default();
-            lines.insert(
-                idx,
-                format!(
-                    "{indent}// cs-lint: allow({rule}, reason = \"TODO(triage): state the \
-                     invariant that makes this safe\")"
-                ),
-            );
-            inserted += 1;
-        }
-        let mut out = lines.join("\n");
-        if src.ends_with('\n') {
-            out.push('\n');
-        }
-        std::fs::write(&abs, out).map_err(|e| format!("cannot write {}: {e}", abs.display()))?;
-    }
-    Ok((inserted, skipped))
 }
 
 fn rel_unix(root: &Path, file: &Path) -> String {
@@ -719,42 +589,6 @@ mod tests {
         assert_eq!(
             rules_of(&f),
             vec![("nondeterministic-iteration".to_string(), 3)]
-        );
-    }
-
-    #[test]
-    fn transitive_findings_flow_through_scan_files() {
-        let src = "\
-fn stamp() -> u64 { let _ = std::time::Instant::now(); 0 }
-pub fn wraps() -> u64 { stamp() }
-";
-        let f = scan_source("crates/relaynet/src/x.rs", src);
-        assert_eq!(
-            rules_of(&f),
-            vec![
-                ("wall-clock".to_string(), 1),
-                ("transitive-wall-clock".to_string(), 2)
-            ]
-        );
-        // The transitive finding carries its call chain.
-        assert!(f[1]
-            .message
-            .contains("`wraps` reaches a wall-clock read via stamp"));
-    }
-
-    #[test]
-    fn manifest_parsing_reads_package_and_dep_sections() {
-        let (name, deps) = parse_manifest(
-            "[package]\nname = \"relaynet\"\nversion = \"0.1.0\"\n\n[dependencies]\n\
-             simcore = { path = \"../simcore\" }\nnetsim = { path = \"../netsim\" }\n\n\
-             [dev-dependencies]\ntorcell = { path = \"../torcell\" }\n\n[lints]\n\
-             workspace = true\n",
-        )
-        .expect("has a package section");
-        assert_eq!(name, "relaynet");
-        assert_eq!(
-            deps.iter().map(String::as_str).collect::<Vec<_>>(),
-            vec!["netsim", "simcore", "torcell"]
         );
     }
 }

@@ -1,22 +1,21 @@
 //! Item-level parsing over the flat token stream: functions (with body
-//! spans and owning `impl` type), structs (with field lists), `use`
-//! declarations, and module nesting.
+//! spans, owning `impl` type and return type) and structs (named-field
+//! or not).
 //!
-//! This is the symbol layer the semantic rules (DESIGN.md §14) stand
+//! This is the symbol layer `exhaustive-destructure` and the `merge*`
+//! body spans of `float-accumulation-in-merge` (DESIGN.md §14) stand
 //! on. It is **not** a Rust grammar: it recognizes exactly the item
 //! shapes the rules need, with a scope stack over brace tokens, and it
 //! degrades gracefully — anything it cannot shape-match is simply not
 //! an item, which the rule layer treats as *opaque* (no finding, never
-//! a false one). The stated parsing assumptions, shared with the PR 9
-//! token rules:
+//! a false one). The stated parsing assumptions:
 //!
 //! * `{` never appears inside a `fn` signature before the body (no
 //!   const-generic brace expressions in signatures in this workspace);
 //! * generic angle brackets are balanced, counting the maximal-munch
 //!   `<<`/`>>` tokens as two each;
 //! * closures are not items — their tokens belong to the enclosing
-//!   function (the call graph treats calls *through* closures as
-//!   opaque).
+//!   function.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -36,30 +35,18 @@ pub struct FnItem {
     /// Last path segment of the `impl` (or `trait`) target this fn
     /// sits in, e.g. `WorldStats` for `impl WorldStats { fn merge … }`.
     pub owner: Option<String>,
-    /// Names of the enclosing inline `mod` blocks, outermost first.
-    pub module: Vec<String>,
     /// Last segment of the leading return-type path (`WorldFingerprint`
     /// for `-> runtime::WorldFingerprint`, `Result` for
     /// `-> Result<X, E>`); `None` when the fn returns `()`.
     pub ret: Option<String>,
 }
 
-/// A `struct` item with its field names (empty for tuple/unit structs).
+/// A `struct` item.
 #[derive(Clone, Debug)]
 pub struct StructItem {
     pub name: String,
-    pub line: u32,
     /// `true` for `struct S { … }`, `false` for tuple/unit structs.
     pub named_fields: bool,
-    pub fields: Vec<String>,
-}
-
-/// One binding introduced by a `use` declaration: the in-scope name
-/// (after `as` renames) and the full path it stands for.
-#[derive(Clone, Debug)]
-pub struct UseAlias {
-    pub name: String,
-    pub path: Vec<String>,
 }
 
 /// Everything item-shaped in one file.
@@ -67,40 +54,10 @@ pub struct UseAlias {
 pub struct ItemIndex {
     pub fns: Vec<FnItem>,
     pub structs: Vec<StructItem>,
-    pub uses: Vec<UseAlias>,
-}
-
-impl ItemIndex {
-    /// Index of the innermost function whose body contains token
-    /// `tok` (exclusive of the braces themselves).
-    pub fn enclosing_fn(&self, tok: usize) -> Option<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.body.is_some_and(|(a, b)| tok > a && tok < b))
-            .min_by_key(|(_, f)| {
-                let (a, b) = f.body.expect("filtered to bodied fns");
-                b - a
-            })
-            .map(|(i, _)| i)
-    }
-
-    /// Resolves an in-scope name through this file's `use` aliases:
-    /// the last real path segment the name stands for, or the name
-    /// itself when no alias renames it.
-    pub fn resolve_alias<'a>(&'a self, name: &'a str) -> &'a str {
-        self.uses
-            .iter()
-            .find(|u| u.name == name)
-            .and_then(|u| u.path.last())
-            .map(String::as_str)
-            .unwrap_or(name)
-    }
 }
 
 /// What kind of scope a `{` opened, so `}` can close it precisely.
 enum Scope {
-    Module,
     Impl(String),
     Fn(usize),
     Other,
@@ -126,17 +83,10 @@ pub fn parse(src: &str, code: &[Token]) -> ItemIndex {
 
     let mut idx = ItemIndex::default();
     let mut stack: Vec<Scope> = Vec::new();
-    let mut modules: Vec<String> = Vec::new();
     let mut i = 0usize;
 
     while i < code.len() {
         match text(i) {
-            "mod" if is_ident(i) && is_ident(i + 1) && text(i + 2) == "{" => {
-                modules.push(text(i + 1).to_string());
-                stack.push(Scope::Module);
-                i += 3;
-                continue;
-            }
             "impl" if is_ident(i) => {
                 if let Some((target, open)) = parse_impl_header(src, code, i) {
                     stack.push(Scope::Impl(target));
@@ -165,7 +115,7 @@ pub fn parse(src: &str, code: &[Token]) -> ItemIndex {
                     Scope::Impl(t) => Some(t.clone()),
                     _ => None,
                 });
-                let (item, body_open) = parse_fn_sig(src, code, i, owner, modules.clone());
+                let (item, body_open) = parse_fn_sig(src, code, i, owner);
                 let fn_id = idx.fns.len();
                 idx.fns.push(item);
                 match body_open {
@@ -189,25 +139,16 @@ pub fn parse(src: &str, code: &[Token]) -> ItemIndex {
                 i = next;
                 continue;
             }
-            "use" if is_ident(i) => {
-                let next = parse_use(src, code, i + 1, Vec::new(), &mut idx.uses);
-                i = next;
-                continue;
-            }
             "{" => stack.push(Scope::Other),
-            "}" => match stack.pop() {
-                Some(Scope::Module) => {
-                    modules.pop();
-                }
-                Some(Scope::Fn(fn_id)) => {
+            "}" => {
+                if let Some(Scope::Fn(fn_id)) = stack.pop() {
                     // The open index is recovered from the recorded
                     // placeholder; close it here.
                     if let Some((open, _)) = idx.fns[fn_id].body {
                         idx.fns[fn_id].body = Some((open, i));
                     }
                 }
-                _ => {}
-            },
+            }
             _ => {}
         }
         i += 1;
@@ -263,7 +204,6 @@ fn parse_fn_sig(
     code: &[Token],
     i: usize,
     owner: Option<String>,
-    module: Vec<String>,
 ) -> (FnItem, Option<usize>) {
     let text = |j: usize| code.get(j).map(|t| t.text(src)).unwrap_or("");
     let name_tok = &code[i + 1];
@@ -289,7 +229,6 @@ fn parse_fn_sig(
         col: name_tok.col,
         body: body_open.map(|open| (open, usize::MAX)),
         owner,
-        module,
         ret,
     };
     (item, body_open)
@@ -326,11 +265,10 @@ fn leading_path_last_segment(
 
 /// Parses a `struct` item starting at the `struct` token; records it
 /// and returns the token index to resume scanning from. Named-field
-/// bodies are consumed here (the scope stack never sees their braces).
+/// bodies are skipped here (the scope stack never sees their braces).
 fn parse_struct(src: &str, code: &[Token], i: usize, idx: &mut ItemIndex) -> usize {
     let text = |j: usize| code.get(j).map(|t| t.text(src)).unwrap_or("");
-    let name_tok = &code[i + 1];
-    let name = name_tok.text(src).to_string();
+    let name = text(i + 1).to_string();
     // Skip generics/where to the body opener.
     let mut j = i + 2;
     let mut angle = 0i32;
@@ -347,20 +285,15 @@ fn parse_struct(src: &str, code: &[Token], i: usize, idx: &mut ItemIndex) -> usi
         // paren group carries no item syntax).
         idx.structs.push(StructItem {
             name,
-            line: name_tok.line,
             named_fields: false,
-            fields: Vec::new(),
         });
         return j;
     }
-    // Named fields: `ident :` pairs at depth 0 inside the braces.
-    let open = j;
+    // Named fields: skip to the matching close brace.
     let mut depth = 0i32;
-    let mut fields = Vec::new();
-    let mut k = open;
+    let mut k = j;
     while k < code.len() {
-        let t = text(k);
-        match t {
+        match text(k) {
             "{" | "(" | "[" => depth += 1,
             "}" | ")" | "]" => {
                 depth -= 1;
@@ -370,75 +303,13 @@ fn parse_struct(src: &str, code: &[Token], i: usize, idx: &mut ItemIndex) -> usi
             }
             _ => {}
         }
-        depth += angle_delta(t);
-        if depth == 1
-            && code[k].kind == TokenKind::Ident
-            && text(k + 1) == ":"
-            && text(k + 2) != ":"
-        {
-            fields.push(t.to_string());
-        }
         k += 1;
     }
     idx.structs.push(StructItem {
         name,
-        line: name_tok.line,
         named_fields: true,
-        fields,
     });
     k + 1
-}
-
-/// Recursively parses a `use` tree from token `j`, accumulating the
-/// path `prefix`; emits one [`UseAlias`] per leaf. Returns the index
-/// just past the parsed subtree (the caller handles `,`/`}`/`;`).
-fn parse_use(
-    src: &str,
-    code: &[Token],
-    j: usize,
-    prefix: Vec<String>,
-    out: &mut Vec<UseAlias>,
-) -> usize {
-    let text = |k: usize| code.get(k).map(|t| t.text(src)).unwrap_or("");
-    let mut prefix = prefix;
-    let mut k = j;
-    loop {
-        if text(k) == "{" {
-            // Group: parse each branch with the shared prefix.
-            k += 1;
-            loop {
-                if text(k) == "}" {
-                    return k + 1;
-                }
-                k = parse_use(src, code, k, prefix.clone(), out);
-                match text(k) {
-                    "," => k += 1,
-                    "}" => return k + 1,
-                    _ => return k, // malformed; bail without looping
-                }
-            }
-        }
-        if code.get(k).is_some_and(|t| t.kind == TokenKind::Ident) || text(k) == "*" {
-            prefix.push(text(k).to_string());
-            if text(k + 1) == "::" {
-                k += 2;
-                continue;
-            }
-            if text(k + 1) == "as" && code.get(k + 2).is_some_and(|t| t.kind == TokenKind::Ident) {
-                out.push(UseAlias {
-                    name: text(k + 2).to_string(),
-                    path: prefix,
-                });
-                return k + 3;
-            }
-            let name = prefix.last().expect("just pushed").clone();
-            if name != "*" {
-                out.push(UseAlias { name, path: prefix });
-            }
-            return k + 1;
-        }
-        return k + 1; // malformed (attribute, visibility, …): skip a token
-    }
 }
 
 #[cfg(test)]
@@ -446,13 +317,12 @@ mod tests {
     use super::*;
     use crate::lexer::code_tokens;
 
-    fn items(src: &str) -> (ItemIndex, Vec<Token>) {
-        let code = code_tokens(src);
-        (parse(src, &code), code)
+    fn items(src: &str) -> ItemIndex {
+        parse(src, &code_tokens(src))
     }
 
     #[test]
-    fn fns_with_owner_module_and_ret() {
+    fn fns_with_owner_and_ret() {
         let src = "\
 mod outer {
     struct S { a: u64, b: f64 }
@@ -464,7 +334,7 @@ mod outer {
 }
 fn top() {}
 ";
-        let (idx, _) = items(src);
+        let idx = items(src);
         let names: Vec<(&str, Option<&str>)> = idx
             .fns
             .iter()
@@ -479,13 +349,11 @@ fn top() {}
                 ("top", None)
             ]
         );
-        assert_eq!(idx.fns[0].module, vec!["outer"]);
         assert_eq!(idx.fns[0].ret.as_deref(), Some("u64"));
         assert_eq!(idx.fns[1].body, None);
         assert_eq!(idx.fns[2].ret.as_deref(), Some("Vec"));
-        assert_eq!(idx.fns[3].module, Vec::<String>::new());
         assert_eq!(idx.structs.len(), 1);
-        assert_eq!(idx.structs[0].fields, vec!["a", "b"]);
+        assert!(idx.structs[0].named_fields);
     }
 
     #[test]
@@ -497,14 +365,14 @@ impl<T: Ord> fmt::Display for Wrapper<T> {
 impl Plain { fn go(&self) {} }
 trait Seam { fn hook(&self) { helper(); } }
 ";
-        let (idx, _) = items(src);
+        let idx = items(src);
         assert_eq!(idx.fns[0].owner.as_deref(), Some("Wrapper"));
         assert_eq!(idx.fns[1].owner.as_deref(), Some("Plain"));
         assert_eq!(idx.fns[2].owner.as_deref(), Some("Seam"));
     }
 
     #[test]
-    fn struct_field_lists_handle_generics_and_tuples() {
+    fn struct_shapes_handle_generics_and_tuples() {
         let src = "\
 struct Soa<T> {
     pub bandwidth: Vec<u64>,
@@ -514,52 +382,20 @@ struct Soa<T> {
 struct Tup(u64, f64);
 struct Unit;
 ";
-        let (idx, _) = items(src);
-        assert_eq!(idx.structs[0].fields, vec!["bandwidth", "map", "live"]);
+        let idx = items(src);
         assert!(idx.structs[0].named_fields);
         assert!(!idx.structs[1].named_fields);
         assert!(!idx.structs[2].named_fields);
     }
 
     #[test]
-    fn nested_fn_bodies_and_enclosing_fn() {
-        let src = "fn outer() { fn inner() { work(); } inner(); }";
-        let (idx, code) = items(src);
+    fn nested_fn_bodies_nest() {
+        let idx = items("fn outer() { fn inner() { work(); } inner(); }");
         assert_eq!(idx.fns.len(), 2);
-        let work_tok = code
-            .iter()
-            .position(|t| t.text(src) == "work")
-            .expect("work token");
-        let encl = idx.enclosing_fn(work_tok).expect("inside a fn");
-        assert_eq!(idx.fns[encl].name, "inner");
-    }
-
-    #[test]
-    fn use_trees_flatten_with_renames() {
-        let src = "\
-use std::collections::{BTreeMap, BTreeSet as Sorted};
-use crate::runtime::WorldFingerprint;
-use simstats::sketch::*;
-";
-        let (idx, _) = items(src);
-        let aliases: Vec<(&str, Vec<&str>)> = idx
-            .uses
-            .iter()
-            .map(|u| (u.name.as_str(), u.path.iter().map(String::as_str).collect()))
-            .collect();
-        assert_eq!(
-            aliases,
-            vec![
-                ("BTreeMap", vec!["std", "collections", "BTreeMap"]),
-                ("Sorted", vec!["std", "collections", "BTreeSet"]),
-                (
-                    "WorldFingerprint",
-                    vec!["crate", "runtime", "WorldFingerprint"]
-                ),
-            ]
-        );
-        assert_eq!(idx.resolve_alias("Sorted"), "BTreeSet");
-        assert_eq!(idx.resolve_alias("Unknown"), "Unknown");
+        let (Some((oa, ob)), Some((ia, ib))) = (idx.fns[0].body, idx.fns[1].body) else {
+            panic!("both fns have bodies: {idx:?}");
+        };
+        assert!(oa < ia && ib < ob, "{idx:?}");
     }
 
     #[test]
@@ -570,7 +406,7 @@ fn after(e: E) -> u64 {
     match e { E::A => 0, E::B(x) => x, E::C { f } => f }
 }
 ";
-        let (idx, _) = items(src);
+        let idx = items(src);
         assert_eq!(idx.fns.len(), 1);
         assert_eq!(idx.fns[0].name, "after");
         // `C { f: u64 }` is an enum variant, not a struct item.
@@ -588,7 +424,7 @@ fn after(e: E) -> u64 {
             "}",
             "impl X for {}",
         ] {
-            let (_, _) = items(src);
+            items(src);
         }
     }
 }

@@ -174,8 +174,8 @@ fn raw_fence_at(c: &Cursor<'_>, offset: usize) -> Option<usize> {
     (c.peek(offset + hashes) == b'"').then_some(hashes)
 }
 
-/// Lexes `src` and drops comment tokens: the stream the item parser,
-/// call graph, and rule matchers all run on. (The engine still lexes
+/// Lexes `src` and drops comment tokens: the stream the item parser
+/// and rule matchers run on. (The engine still lexes
 /// with comments once per file — it needs them for annotations — and
 /// partitions; this helper serves tests and single-purpose callers.)
 pub fn code_tokens(src: &str) -> Vec<Token> {

@@ -19,16 +19,13 @@
 //! | `rng-discipline` | every stream derives from the master seed in a builder |
 //! | `no-println-in-lib` | library telemetry goes through `simstats` |
 //! | `no-bare-unwrap-in-lib` | library panics name their invariant |
-//! | `transitive-wall-clock` | no helper-laundered clock reads (call-graph closure) |
-//! | `transitive-threads` | no helper-laundered thread spawns (call-graph closure) |
-//! | `rng-stream-collision` | no two sites share one (parent, label) RNG stream |
 //! | `exhaustive-destructure` | merge/export/fingerprint fns bind every struct field |
 //!
-//! The first seven are token-local. The last four are *semantic*: they
-//! run on an item-level parse ([`items`]) and a conservative workspace
-//! call graph ([`graph`]) built over the same token stream, so a
-//! wall-clock read hidden behind two layers of helpers in another crate
-//! still fires at the call site that reaches it. The engine also
+//! The first seven are token-local. The last is *semantic*: it runs on
+//! an item-level parse ([`items`]) of the same token stream and looks
+//! the merged struct up across the workspace ([`destructure`]). The
+//! wall-clock and thread rules fire at the helper that holds the sink,
+//! which is where a fix belongs (DESIGN.md §14). The engine also
 //! reports two rules of its own that no annotation can silence:
 //! `malformed-annotation` (an unparseable `cs-lint:` comment) and
 //! `unused-allow` (a suppression whose rule no longer fires on its
@@ -45,8 +42,8 @@
 //! as the local xoshiro RNG and `csbench`) so the CI gate never
 //! depends on code it cannot itself vouch for.
 
+pub mod destructure;
 pub mod engine;
-pub mod graph;
 pub mod items;
 pub mod lexer;
 pub mod policy;

@@ -134,17 +134,6 @@ pub fn rule_applies(rule: crate::rules::Rule, ctx: &FileCtx, test_code: bool) ->
         NoPrintlnInLib => ctx.kind == TargetKind::Lib && !test_code && ctx.krate != "cs-bench",
         // Library panics must name their invariant.
         NoBareUnwrapInLib => ctx.kind == TargetKind::Lib && !test_code,
-        // The transitive closures mirror their token-level rules'
-        // crate/file exemptions but additionally skip test code: the
-        // direct rules already police test files where policy wants
-        // them to, and a test calling a timing/watchdog helper is not a
-        // determinism leak (world state never flows through it).
-        TransitiveWallClock => !test_code && ctx.krate != "cs-bench",
-        TransitiveThreads => !test_code && ctx.rel_path != THREAD_HOME,
-        // Aliased RNG streams are a bug wherever they happen — builder
-        // files and tests included: two sites consuming one stream
-        // break bit-identity pins no matter who minted the parent.
-        RngStreamCollision => true,
         // Exhaustive binding is enforced exactly where unordered-map
         // iteration is: crates whose state feeds `WorldFingerprint` or
         // mergeable telemetry. Tooling crates keep ad-hoc merges.
@@ -220,25 +209,8 @@ mod tests {
 
     #[test]
     fn semantic_rule_scoping() {
-        let sel = classify("crates/relaynet/src/selection.rs");
-        assert!(rule_applies(Rule::TransitiveWallClock, &sel, false));
-        assert!(!rule_applies(Rule::TransitiveWallClock, &sel, true));
-        assert!(rule_applies(Rule::TransitiveThreads, &sel, false));
-        let bench = classify("crates/bench/src/lib.rs");
-        assert!(!rule_applies(Rule::TransitiveWallClock, &bench, false));
-        assert!(rule_applies(Rule::TransitiveThreads, &bench, false));
-        let exec = classify("crates/simcore/src/exec.rs");
-        assert!(!rule_applies(Rule::TransitiveThreads, &exec, false));
-        assert!(rule_applies(Rule::TransitiveWallClock, &exec, false));
-
-        // Collisions have no exemptions at all — builders and tests
-        // included.
-        let builder = classify("crates/relaynet/src/builder.rs");
-        assert!(rule_applies(Rule::RngStreamCollision, &builder, false));
-        assert!(rule_applies(Rule::RngStreamCollision, &builder, true));
-
         // Exhaustive destructure follows the fingerprint-visibility set.
-        let stats = classify("crates/simstats/src/summary.rs");
+        let stats = classify("crates/simstats/src/sketch.rs");
         assert!(rule_applies(Rule::ExhaustiveDestructure, &stats, false));
         let lint = classify("crates/cs-lint/src/report.rs");
         assert!(!rule_applies(Rule::ExhaustiveDestructure, &lint, false));

@@ -1,5 +1,4 @@
-//! Rendering a [`ScanReport`]: human text, hand-rolled `--json`, and
-//! `--fix-annotations` paste-ready triage output.
+//! Rendering a [`ScanReport`]: human text and hand-rolled `--json`.
 
 use crate::engine::ScanReport;
 
@@ -74,39 +73,6 @@ pub fn json(report: &ScanReport) -> String {
     out
 }
 
-/// Ready-to-paste `allow` lines for every finding, indented to match
-/// the flagged line, so triage is copy-paste instead of hand-formatting.
-/// `raw_lines` maps each finding index to the untrimmed flagged line.
-/// Only findings of enum rules are annotatable: `malformed-annotation`
-/// and `unused-allow` have no suppression form and are skipped.
-pub fn fix_annotations(report: &ScanReport, raw_lines: &[String]) -> String {
-    let mut out = String::new();
-    let annotatable = report
-        .findings
-        .iter()
-        .filter(|f| crate::rules::Rule::from_name(&f.rule).is_some())
-        .count();
-    out.push_str(&format!(
-        "cs-lint --fix-annotations: {annotatable} annotatable finding{} (dry run; paste \
-         each line above its finding, then replace the reason placeholder; re-run with \
-         --apply to write them in place)\n",
-        if annotatable == 1 { "" } else { "s" },
-    ));
-    for (f, raw) in report.findings.iter().zip(raw_lines) {
-        if crate::rules::Rule::from_name(&f.rule).is_none() {
-            continue;
-        }
-        let indent: String = raw.chars().take_while(|c| c.is_whitespace()).collect();
-        out.push_str(&format!("\n{}:{}  ({})\n", f.path, f.line, f.rule));
-        out.push_str(&format!(
-            "{indent}// cs-lint: allow({}, reason = \"<why this site cannot break the \
-             invariant>\")\n",
-            f.rule
-        ));
-    }
-    out
-}
-
 /// Escapes a string as a JSON literal (control chars, quotes, and
 /// backslashes).
 fn json_str(s: &str) -> String {
@@ -175,11 +141,5 @@ mod tests {
             files_scanned: 7,
         };
         assert!(json(&clean).contains("\"rule_counts\": {},"));
-    }
-
-    #[test]
-    fn fix_annotations_match_indentation() {
-        let text = fix_annotations(&sample(), &["        let t = Instant::now();".to_string()]);
-        assert!(text.contains("\n        // cs-lint: allow(wall-clock, reason = "));
     }
 }

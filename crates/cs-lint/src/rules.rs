@@ -7,14 +7,15 @@
 //! functions conventionally live next to the struct they merge. The
 //! limits of each heuristic are documented on the rule.
 
+use crate::items::ItemIndex;
 use crate::lexer::{Token, TokenKind};
 
 /// Identity of a lint rule. `malformed-annotation` and `unused-allow`
 /// are reported by the engine itself and are not in this enum: they
 /// cannot be suppressed.
 ///
-/// The first seven are token-level (PR 9); the last four are semantic
-/// rules over the item graph (`crate::items` + `crate::graph`).
+/// The first seven are token-level; `exhaustive-destructure` is semantic,
+/// over the item index (`crate::items` + `crate::destructure`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     NondetIteration,
@@ -24,9 +25,6 @@ pub enum Rule {
     RngDiscipline,
     NoPrintlnInLib,
     NoBareUnwrapInLib,
-    TransitiveWallClock,
-    TransitiveThreads,
-    RngStreamCollision,
     ExhaustiveDestructure,
 }
 
@@ -39,9 +37,6 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::RngDiscipline,
     Rule::NoPrintlnInLib,
     Rule::NoBareUnwrapInLib,
-    Rule::TransitiveWallClock,
-    Rule::TransitiveThreads,
-    Rule::RngStreamCollision,
     Rule::ExhaustiveDestructure,
 ];
 
@@ -56,9 +51,6 @@ impl Rule {
             Rule::RngDiscipline => "rng-discipline",
             Rule::NoPrintlnInLib => "no-println-in-lib",
             Rule::NoBareUnwrapInLib => "no-bare-unwrap-in-lib",
-            Rule::TransitiveWallClock => "transitive-wall-clock",
-            Rule::TransitiveThreads => "transitive-threads",
-            Rule::RngStreamCollision => "rng-stream-collision",
             Rule::ExhaustiveDestructure => "exhaustive-destructure",
         }
     }
@@ -101,21 +93,6 @@ impl Rule {
                 "bare unwrap() in library code: use expect(\"<invariant>\") naming the \
                  invariant that makes this infallible"
             }
-            Rule::TransitiveWallClock => {
-                "function reaches a wall-clock read (Instant::now/SystemTime) through \
-                 workspace calls: results must be a function of the seed even when the \
-                 clock hides behind a helper; route timing through cs-bench"
-            }
-            Rule::TransitiveThreads => {
-                "function reaches thread creation through workspace calls: all \
-                 parallelism goes through the simcore::exec Executor seam, including \
-                 indirectly via helpers"
-            }
-            Rule::RngStreamCollision => {
-                "duplicate derive label under one parent stream: identical \
-                 (parent, label) pairs alias the same RNG stream, so two call sites \
-                 silently consume one byte sequence; make every label unique per parent"
-            }
             Rule::ExhaustiveDestructure => {
                 "merge/export/fingerprint fn must bind every field of its struct via an \
                  exhaustive destructure or literal with no `..` rest pattern, so adding \
@@ -147,9 +124,11 @@ fn hit(out: &mut Vec<RawFinding>, rule: Rule, t: &Token) {
     });
 }
 
-/// Runs every rule's matcher over the comment-free token stream.
-/// Scoping and suppression happen later in the engine.
-pub fn detect(src: &str, code: &[Token]) -> Vec<RawFinding> {
+/// Runs every token-level rule's matcher over the comment-free token
+/// stream; `items` is the same file's item index, which supplies the
+/// `merge*` body spans. Scoping and suppression happen later in the
+/// engine.
+pub fn detect(src: &str, code: &[Token], items: &ItemIndex) -> Vec<RawFinding> {
     let text = |i: usize| code[i].text(src);
     let is = |i: usize, s: &str| i < code.len() && text(i) == s;
     let is_ident =
@@ -164,38 +143,13 @@ pub fn detect(src: &str, code: &[Token]) -> Vec<RawFinding> {
         }
     }
 
-    // Body ranges (token index spans) of `fn merge*` functions. The body
-    // is the first `{ ... }` after the name — signatures cannot contain
-    // a bare `{` before the body in this codebase (no const-generic
-    // braces in fn signatures).
-    let mut merge_bodies: Vec<(usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i + 1 < code.len() {
-        if is_ident(i, "fn") && text(i + 1).starts_with("merge") {
-            let mut j = i + 2;
-            while j < code.len() && !is(j, "{") && !is(j, ";") {
-                j += 1;
-            }
-            if j < code.len() && is(j, "{") {
-                let mut depth = 0usize;
-                let open = j;
-                while j < code.len() {
-                    if is(j, "{") {
-                        depth += 1;
-                    } else if is(j, "}") {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                merge_bodies.push((open, j.min(code.len())));
-                i = open;
-            }
-        }
-        i += 1;
-    }
+    // Body spans (token index ranges) of `fn merge*` functions.
+    let merge_bodies: Vec<(usize, usize)> = items
+        .fns
+        .iter()
+        .filter(|f| f.name.starts_with("merge"))
+        .filter_map(|f| f.body)
+        .collect();
     let in_merge = |i: usize| merge_bodies.iter().any(|&(a, b)| i > a && i < b);
 
     let mut out = Vec::new();
@@ -281,15 +235,12 @@ pub fn detect(src: &str, code: &[Token]) -> Vec<RawFinding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::items;
+    use crate::lexer::code_tokens;
 
     fn run(src: &str) -> Vec<(Rule, u32)> {
-        let toks = lex(src);
-        let code: Vec<_> = toks
-            .into_iter()
-            .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-            .collect();
-        detect(src, &code)
+        let code = code_tokens(src);
+        detect(src, &code, &items::parse(src, &code))
             .into_iter()
             .map(|f| (f.rule, f.line))
             .collect()

@@ -9,16 +9,15 @@ use std::path::{Path, PathBuf};
 use cs_lint::engine::{self, ScanReport};
 use cs_lint::report;
 
-/// One stable input exercising a direct rule, a transitive finding
-/// (whose message carries a via-chain detail), and a dead suppression.
+/// One stable input exercising a direct rule, a semantic finding
+/// (whose message carries a `— detail` suffix), and a dead suppression.
 const GOLDEN_SRC: &str = "\
 pub fn stamp() -> std::time::Instant {
     std::time::Instant::now()
 }
 
-pub fn wraps() -> u128 {
-    stamp().elapsed().as_nanos()
-}
+pub struct Tally { hits: u64 }
+impl Tally { pub fn merge(&mut self, other: &Tally) { self.hits += other.hits; } }
 
 // cs-lint: allow(stray-threads, reason = \"the worker thread moved behind the executor seam\")
 pub fn order() -> usize {
@@ -47,7 +46,7 @@ fn json_report_matches_blessed_golden() {
         "\"finding_count\": 4",
         "\"rule_counts\": {",
         "\"nondeterministic-iteration\": 1",
-        "\"transitive-wall-clock\": 1",
+        "\"exhaustive-destructure\": 1",
         "\"unused-allow\": 1",
         "\"wall-clock\": 1",
         "\"findings\": [",
@@ -58,10 +57,10 @@ fn json_report_matches_blessed_golden() {
             "missing {needle} in:\n{rendered}"
         );
     }
-    // The transitive finding's message must carry its via-chain.
+    // The semantic finding's message must carry its detail.
     assert!(
-        rendered.contains("reaches a wall-clock read via"),
-        "transitive detail missing in:\n{rendered}"
+        rendered.contains(" — `merge` over struct `Tally` never binds its fields"),
+        "destructure detail missing in:\n{rendered}"
     );
 
     let path = golden_path();

@@ -34,26 +34,18 @@ echo "${lint_json}" | grep -q '"tool": "cs-lint"'
 echo "${lint_json}" | grep -q '"files_scanned": '
 echo "${lint_json}" | grep -q '"rule_counts": '
 
-echo "==> cs-lint --fix-annotations --apply smoke (idempotent on a scratch tree)"
-apply_dir=$(mktemp -d)
-trap 'rm -rf "${apply_dir}"' EXIT
-mkdir -p "${apply_dir}/crates/relaynet/src"
-printf '[package]\nname = "scratch-root"\n' > "${apply_dir}/Cargo.toml"
-printf '[package]\nname = "relaynet"\n' > "${apply_dir}/crates/relaynet/Cargo.toml"
+echo "==> cs-lint dirty-tree smoke (the gate fails on a planted wall-clock read)"
+scratch_dir=$(mktemp -d)
+trap 'rm -rf "${scratch_dir}"' EXIT
+mkdir -p "${scratch_dir}/crates/relaynet/src"
 printf 'pub fn stamp() -> std::time::Instant {\n    std::time::Instant::now()\n}\n' \
-    > "${apply_dir}/crates/relaynet/src/lib.rs"
-if "${lint_bin}" --root "${apply_dir}" > /dev/null; then
-    echo "    FAIL: scratch tree should have findings before apply" >&2
+    > "${scratch_dir}/crates/relaynet/src/lib.rs"
+dirty_rc=0
+dirty_out=$("${lint_bin}" --root "${scratch_dir}") || dirty_rc=$?
+if [ "${dirty_rc}" -ne 1 ] || ! grep -q ': wall-clock: ' <<< "${dirty_out}"; then
+    echo "    FAIL: cs-lint should exit 1 with a wall-clock finding on the dirty tree (exit ${dirty_rc})" >&2
     exit 1
 fi
-"${lint_bin}" --root "${apply_dir}" --fix-annotations --apply > /dev/null
-"${lint_bin}" --root "${apply_dir}" > /dev/null   # clean after apply
-cp "${apply_dir}/crates/relaynet/src/lib.rs" "${apply_dir}/before.rs"
-"${lint_bin}" --root "${apply_dir}" --fix-annotations --apply > /dev/null
-cmp -s "${apply_dir}/before.rs" "${apply_dir}/crates/relaynet/src/lib.rs" || {
-    echo "    FAIL: second --apply pass was not a no-op" >&2
-    exit 1
-}
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
@@ -92,39 +84,39 @@ echo "==> telemetry differential suite (sketch vs exact CDF, shuffle-merge invar
 cargo test -q --test telemetry_sketch
 
 echo "==> csbench smoke: all five workloads, quick mode (includes its determinism double-run)"
-cargo run -q --release -p cs-bench --bin csbench -- run --quick --seed 1 --json "${apply_dir}/csbench_quick.json"
+cargo run -q --release -p cs-bench --bin csbench -- run --quick --seed 1 --json "${scratch_dir}/csbench_quick.json"
 
 echo "==> csbench sim_digest golden: world fingerprints unmoved (CS_BLESS=1 re-blesses; a behaviour PR must say so)"
-grep -o '"workload": "[^"]*"\|"sim_digest": "[^"]*"' "${apply_dir}/csbench_quick.json" \
-    | cut -d'"' -f4 | paste -d' ' - - > "${apply_dir}/csbench_quick.digests"
+grep -o '"workload": "[^"]*"\|"sim_digest": "[^"]*"' "${scratch_dir}/csbench_quick.json" \
+    | cut -d'"' -f4 | paste -d' ' - - > "${scratch_dir}/csbench_quick.digests"
 if [ -n "${CS_BLESS:-}" ]; then
-    cp "${apply_dir}/csbench_quick.digests" scripts/csbench_quick.digests
+    cp "${scratch_dir}/csbench_quick.digests" scripts/csbench_quick.digests
     echo "    blessed scripts/csbench_quick.digests"
-elif ! diff -u scripts/csbench_quick.digests "${apply_dir}/csbench_quick.digests"; then
+elif ! diff -u scripts/csbench_quick.digests "${scratch_dir}/csbench_quick.digests"; then
     echo "    FAIL: a workload's sim_digest moved — simulated behaviour changed" >&2
     exit 1
 fi
 
 echo "==> bench_pairs smoke: HEAD against itself, every workload and end-to-end metric, one 1 s pair each (the no-regression table in one command)"
 scripts/bench_pairs.sh HEAD HEAD all --metric all --pairs 1 --seconds 1 \
-    | tee "${apply_dir}/bench_pairs.out"
-grep -q '; peak_rss_mib, lower is better; ' "${apply_dir}/bench_pairs.out" || {
+    | tee "${scratch_dir}/bench_pairs.out"
+grep -q '; peak_rss_mib, lower is better; ' "${scratch_dir}/bench_pairs.out" || {
     echo "    FAIL: --metric all did not take directions from BENCHMARK.json" >&2
     exit 1
 }
 for w in path3_bulk path3_short star50_churn star16_faults consensus7k_epochs; do
-    grep -q "^workload ${w}, " "${apply_dir}/bench_pairs.out" || {
+    grep -q "^workload ${w}, " "${scratch_dir}/bench_pairs.out" || {
         echo "    FAIL: all ran no ${w} block" >&2
         exit 1
     }
 done
 for m in cells_per_s setup_s peak_rss_mib sim_ttlb_p50_ms sim_ttlb_p99_ms; do
-    [ "$(grep -c "^${m}: b/a of medians " "${apply_dir}/bench_pairs.out")" -eq 5 ] || {
+    [ "$(grep -c "^${m}: b/a of medians " "${scratch_dir}/bench_pairs.out")" -eq 5 ] || {
         echo "    FAIL: --metric all did not report ${m} once per workload" >&2
         exit 1
     }
 done
-[ "$(grep -c '^sim_ttlb_\*: identical on every pair$' "${apply_dir}/bench_pairs.out")" -eq 5 ] || {
+[ "$(grep -c '^sim_ttlb_\*: identical on every pair$' "${scratch_dir}/bench_pairs.out")" -eq 5 ] || {
     echo "    FAIL: an A/A pair did not reproduce its simulated statistics" >&2
     exit 1
 }
