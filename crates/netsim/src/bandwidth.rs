@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use simcore::time::{SimDuration, NANOS_PER_SEC};
+use simcore::time::{round_u64, SimDuration, NANOS_PER_SEC};
 
 /// A transmission rate in bits per second.
 ///
@@ -61,7 +61,7 @@ impl Bandwidth {
             mbps.is_finite() && mbps > 0.0,
             "bandwidth must be positive and finite, got {mbps}"
         );
-        Self::from_bps((mbps * 1e6).round().max(1.0) as u64)
+        Self::from_bps(round_u64(mbps * 1e6).max(1))
     }
 
     /// The rate in bits per second.

@@ -12,8 +12,6 @@
 //! * [`Dumbbell`] — n sources and n sinks sharing one bottleneck link,
 //!   used by transport-fairness tests and ablations.
 
-use std::fmt::Write;
-
 use simcore::time::SimDuration;
 
 use crate::bandwidth::Bandwidth;
@@ -128,19 +126,18 @@ impl Star {
     /// # Panics
     ///
     /// Panics if `accesses` is empty.
-    pub fn build<F: Frame>(net: &mut Net<F>, accesses: &[AccessConfig]) -> Star {
+    pub fn build<F: Frame>(net: &mut Net<F>, accesses: Vec<AccessConfig>) -> Star {
         assert!(!accesses.is_empty(), "a star needs at least one leaf");
         let hub = net.add_node("hub");
-        let mut name = String::new();
-        for i in 0..accesses.len() {
-            name.clear();
-            write!(name, "leaf-{i}").expect("writing to a String cannot fail");
+        let mut name = String::from("leaf-0");
+        for _ in 0..accesses.len() {
             net.add_node(&name);
+            next_leaf_name(&mut name);
         }
         Star {
             hub,
-            accesses: accesses.to_vec(),
             links: vec![None; accesses.len()],
+            accesses,
         }
     }
 
@@ -164,6 +161,15 @@ impl Star {
         NodeId(self.hub.0 + 1 + i as u32)
     }
 
+    /// Leaf `i`'s access parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the star has no leaf `i`.
+    pub fn access(&self, i: usize) -> AccessConfig {
+        self.accesses[i]
+    }
+
     /// The index of a leaf node, if it is one.
     pub fn leaf_index(&self, node: NodeId) -> Option<usize> {
         let i = node.0.checked_sub(self.hub.0 + 1)? as usize;
@@ -177,6 +183,19 @@ impl Star {
     /// Panics if `leaf` is not a leaf of this star.
     pub fn links_of(&self, leaf: NodeId) -> Option<AccessLinks> {
         self.links[self.expect_leaf(leaf)]
+    }
+
+    /// The link a frame at `at` bound for `dst` leaves on: a leaf's
+    /// uplink, whatever the destination, or at the hub, `dst`'s downlink.
+    /// `None` if that link has not been minted, or if `at` (or, at the
+    /// hub, `dst`) is not a node of this star.
+    #[inline]
+    pub fn route(&self, at: NodeId, dst: NodeId) -> Option<LinkId> {
+        let at_hub = at == self.hub;
+        let leaf = if at_hub { dst } else { at };
+        let i = leaf.0.checked_sub(self.hub.0 + 1)? as usize;
+        let links = (*self.links.get(i)?)?;
+        Some(if at_hub { links.down } else { links.up })
     }
 
     /// A leaf's access links, adding both to `net` (uplink first) on the
@@ -199,6 +218,33 @@ impl Star {
     fn expect_leaf(&self, node: NodeId) -> usize {
         self.leaf_index(node)
             .expect("node is not a leaf of this star")
+    }
+}
+
+/// Turns leaf `i`'s node name, `leaf-{i}`, into leaf `i + 1`'s by a
+/// decimal carry: a star names thousands of leaves in order, and
+/// formatting each index through `core::fmt` costs several times the
+/// rest of adding a node.
+fn next_leaf_name(name: &mut String) {
+    let mut zeros = 0;
+    loop {
+        match name.pop() {
+            Some('9') => zeros += 1,
+            Some(d @ '0'..='8') => {
+                name.push(char::from(d as u8 + 1));
+                break;
+            }
+            // The `-`: every digit was a 9, so the number grows a digit.
+            Some(dash) => {
+                name.push(dash);
+                name.push('1');
+                break;
+            }
+            None => unreachable!("a leaf name is `leaf-` and digits"),
+        }
+    }
+    for _ in 0..zeros {
+        name.push('0');
     }
 }
 
@@ -315,13 +361,51 @@ mod tests {
     }
 
     #[test]
+    fn leaf_names_match_their_formatted_spelling() {
+        let mut name = String::from("leaf-0");
+        for i in 0..200_000 {
+            assert_eq!(name, format!("leaf-{i}"));
+            next_leaf_name(&mut name);
+        }
+        for i in [999_999_999, u64::MAX / 10 * 10 - 1] {
+            let mut name = format!("leaf-{i}");
+            next_leaf_name(&mut name);
+            assert_eq!(name, format!("leaf-{}", i + 1));
+        }
+    }
+
+    #[test]
+    fn star_routes_through_minted_links_only() {
+        let mut net: Net<RawFrame> = Net::new();
+        let acc = AccessConfig {
+            rate: Bandwidth::from_mbps(20),
+            delay: SimDuration::ZERO,
+        };
+        let mut s = Star::build(&mut net, vec![acc; 3]);
+        let (hub, a, b) = (s.hub(), s.leaf(0), s.leaf(2));
+        assert_eq!(s.route(a, b), None);
+        let la = s.mint(&mut net, a);
+        // A leaf's uplink serves every destination, minted or not.
+        assert_eq!(s.route(a, b), Some(la.up));
+        assert_eq!(s.route(a, hub), Some(la.up));
+        assert_eq!(s.route(hub, a), Some(la.down));
+        assert_eq!(s.route(hub, b), None);
+        let lb = s.mint(&mut net, b);
+        assert_eq!(s.route(hub, b), Some(lb.down));
+        assert_eq!(s.route(b, a), Some(lb.up));
+        assert_eq!(s.route(hub, hub), None);
+        assert_eq!(s.route(NodeId(9), a), None);
+        assert_eq!(s.route(hub, NodeId(9)), None);
+    }
+
+    #[test]
     fn star_structure() {
         let mut net: Net<RawFrame> = Net::new();
         let acc = AccessConfig {
             rate: Bandwidth::from_mbps(20),
             delay: SimDuration::from_millis(10),
         };
-        let mut s = Star::build(&mut net, &[acc, acc, acc]);
+        let mut s = Star::build(&mut net, vec![acc, acc, acc]);
         assert_eq!(s.leaf_count(), 3);
         assert_eq!(net.node_count(), 4); // hub + 3 leaves
         assert_eq!(net.node_name(s.hub()), "hub");
@@ -347,7 +431,7 @@ mod tests {
             rate: Bandwidth::from_mbps(20),
             delay: SimDuration::ZERO,
         };
-        let mut s = Star::build(&mut net, &[acc; 5]);
+        let mut s = Star::build(&mut net, vec![acc; 5]);
         let (leaf3, leaf1) = (s.leaf(3), s.leaf(1));
         let links = s.mint(&mut net, leaf3);
         assert_eq!((links.up.index(), links.down.index()), (0, 1));
@@ -372,7 +456,7 @@ mod tests {
             rate: Bandwidth::from_mbps(20),
             delay: SimDuration::ZERO,
         };
-        let mut s = Star::build(&mut net, &[acc]);
+        let mut s = Star::build(&mut net, vec![acc]);
         let hub = s.hub();
         let _ = s.mint(&mut net, hub);
     }
@@ -384,7 +468,7 @@ mod tests {
             rate: Bandwidth::from_mbps(mbps),
             delay: SimDuration::ZERO,
         };
-        let mut s = Star::build(&mut net, &[mk(10), mk(50)]);
+        let mut s = Star::build(&mut net, vec![mk(10), mk(50)]);
         let slow = s.mint(&mut net, s.leaf(0));
         let fast = s.mint(&mut net, s.leaf(1));
         assert_eq!(net.link_config(slow.up).rate, Bandwidth::from_mbps(10));

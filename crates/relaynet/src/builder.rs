@@ -161,7 +161,7 @@ impl PathScenario {
             // Relay overlay id `r` sits between hops `r-1` and `r`: a
             // stall throttles its upstream hop in both directions.
             schedule_faults(&mut sim, spec, schedule, |_, r| {
-                (self.hops[r - 1].rate, [topo.fwd[r - 1], topo.rev[r - 1]])
+                [topo.fwd[r - 1], topo.rev[r - 1]]
             });
         }
         let handles = PathHandles {
@@ -279,13 +279,11 @@ impl StarScenario {
         // Every provisioned relay has a leaf; its access links are minted
         // when a circuit first crosses it (`TorNetwork::install_star`).
         // Epochs only toggle liveness, never the physical topology.
-        let mut accesses: Vec<AccessConfig> = directory
-            .iter_specs()
-            .map(|r| AccessConfig {
-                rate: r.bandwidth,
-                delay: r.delay,
-            })
-            .collect();
+        let mut accesses = Vec::with_capacity(relay_count + 2 * self.circuits);
+        accesses.extend(directory.iter_specs().map(|r| AccessConfig {
+            rate: r.bandwidth,
+            delay: r.delay,
+        }));
         for _ in 0..self.circuits {
             for _ in 0..2 {
                 let delay_ms = if self.endpoint_delay_ms.1 > self.endpoint_delay_ms.0 {
@@ -301,7 +299,7 @@ impl StarScenario {
         }
 
         let mut net: Net<crate::wire::WireFrame> = Net::new();
-        let star = Star::build(&mut net, &accesses);
+        let star = Star::build(&mut net, accesses);
         let mut world = TorNetwork::new(
             net,
             Router::new(),
@@ -313,19 +311,18 @@ impl StarScenario {
         // circuits the default idle cap would sit below the steady-state
         // in-flight population and thrash alloc/free.
         world.set_payload_pool_cap(crate::pool::PayloadPool::scenario_max_idle(self.circuits));
-        // One overlay node per leaf, in leaf order.
-        let overlays: Vec<OverlayId> = (0..star.leaf_count())
-            .map(|i| {
-                let role = match i.checked_sub(relay_count) {
-                    None => NodeRole::Relay,
-                    Some(e) if e % 2 == 0 => NodeRole::Client,
-                    Some(_) => NodeRole::Server,
-                };
-                world.add_overlay(star.leaf(i), role)
-            })
-            .collect();
+        // One overlay node per leaf, in leaf order: the relays', then the
+        // endpoints'. Leaf `i` hosts overlay node `first + i`.
+        let first = world.add_overlays((0..star.leaf_count()).map(|i| {
+            let role = match i.checked_sub(relay_count) {
+                None => NodeRole::Relay,
+                Some(e) if e % 2 == 0 => NodeRole::Client,
+                Some(_) => NodeRole::Server,
+            };
+            (star.leaf(i), role)
+        }));
+        let overlay = |leaf: usize| OverlayId(first.0 + leaf as u32);
         world.install_star(star);
-        let relay_overlays = overlays[..relay_count].to_vec();
         // The initial standby pool goes dark before placement installs,
         // so the first circuits already select from the live set only.
         if let Some(sched) = &epoch_schedule {
@@ -340,7 +337,7 @@ impl StarScenario {
         // predecessors.
         world.install_placement_with_sampler(
             directory,
-            relay_overlays,
+            (0..relay_count).map(overlay).collect(),
             self.selection.clone(),
             master.derive("paths"),
             self.sampler,
@@ -350,7 +347,6 @@ impl StarScenario {
         // consumes exactly the randomness it always did. Victims come
         // from the initially-live set so faults hit relays circuits can
         // actually cross.
-        let relay_rates: Vec<Bandwidth> = accesses[..relay_count].iter().map(|a| a.rate).collect();
         let fault_schedule = self.faults.as_ref().map(|spec| {
             let frng = master.derive("faults");
             let mut srng = frng.derive("schedule");
@@ -374,8 +370,8 @@ impl StarScenario {
         let mut circuits = Vec::with_capacity(self.circuits);
         let mut sim_events: Vec<(SimTime, CircId)> = Vec::with_capacity(self.circuits);
         for c in 0..self.circuits {
-            let client = overlays[relay_count + 2 * c];
-            let server = overlays[relay_count + 2 * c + 1];
+            let client = overlay(relay_count + 2 * c);
+            let server = overlay(relay_count + 2 * c + 1);
             let picks = world.select_relays(self.relays_per_circuit);
             let mut path = Vec::with_capacity(self.relays_per_circuit + 2);
             path.push(client);
@@ -418,8 +414,7 @@ impl StarScenario {
             // Its `SetLinkRate` events name the links, so they are minted
             // now, whether or not a circuit crosses the relay yet.
             schedule_faults(&mut sim, spec, schedule, |world, r| {
-                let links = world.access_links(overlays[r]).expect("a star world");
-                (relay_rates[r], links)
+                world.access_links(overlay(r)).expect("a star world")
             });
         }
         (sim, circuits)
@@ -428,19 +423,20 @@ impl StarScenario {
 
 /// Schedules a resolved fault plan: every crash, then per stall a
 /// throttle to `rate / stall_factor` and a restore on each of the
-/// relay's two links. `links_of` maps a relay id to its provisioned rate
-/// and that link pair.
+/// relay's two links. `links_of` maps a relay id to that link pair,
+/// whose rate is still the provisioned one: nothing has run yet.
 fn schedule_faults(
     sim: &mut Simulator<TorNetwork>,
     spec: &FaultSpec,
     schedule: FaultSchedule,
-    mut links_of: impl FnMut(&mut TorNetwork, usize) -> (Bandwidth, [LinkId; 2]),
+    mut links_of: impl FnMut(&mut TorNetwork, usize) -> [LinkId; 2],
 ) {
     for (at, relay) in schedule.crashes {
         sim.schedule_at(SimTime::ZERO + at, TorEvent::RelayCrash { relay });
     }
     for s in schedule.stalls {
-        let (full, links) = links_of(sim.world_mut(), s.relay as usize);
+        let links = links_of(sim.world_mut(), s.relay as usize);
+        let full = sim.world().net().link_config(links[0]).rate;
         let throttled = Bandwidth::from_bps(
             ((full.bps() as f64 / spec.stall_factor.max(1.0)).floor() as u64).max(1),
         );

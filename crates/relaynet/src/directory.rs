@@ -128,10 +128,13 @@ impl Directory {
         );
         let mut bandwidth_bps = Vec::with_capacity(cfg.relays);
         let mut delay = Vec::with_capacity(cfg.relays);
+        // Log-uniform bandwidth: the exponent is uniform between the
+        // bounds' logarithms.
+        let log_mbps = (cfg.bandwidth_mbps.0.log10(), cfg.bandwidth_mbps.1.log10());
         for i in 0..cfg.relays {
             // cs-lint: allow(rng-discipline, reason = "per-relay sub-stream of the builder's derive(directory) stream; labeled and index-rooted, so specs stay independent of draw order")
             let mut r = rng.derive_indexed("relay-spec", i as u64);
-            let mbps = r.log_uniform(cfg.bandwidth_mbps.0, cfg.bandwidth_mbps.1);
+            let mbps = 10f64.powf(r.range_f64(log_mbps.0, log_mbps.1));
             let delay_ms = if cfg.delay_ms.1 > cfg.delay_ms.0 {
                 r.range_f64(cfg.delay_ms.0, cfg.delay_ms.1)
             } else {

@@ -85,10 +85,7 @@ impl Egress {
         pay_confirms: bool,
     ) {
         let circ = nc.circ;
-        let link_of = |h: &HopDir| {
-            self.router
-                .next_link(my_net, self.net_node_of[h.neighbor.index()])
-        };
+        let link_of = |h: &HopDir| self.next_link(my_net, self.net_node_of[h.neighbor.index()]);
         let fwd_link = nc.fwd.as_ref().map(link_of);
         let bwd_link = nc.bwd.as_ref().map(link_of);
         let links = [fwd_link, bwd_link.filter(|b| Some(*b) != fwd_link)];
@@ -630,7 +627,7 @@ impl TorNetwork {
                         },
                         confirm: None,
                     };
-                    let link = self.egress.router.next_link(my_net, dst);
+                    let link = self.egress.next_link(my_net, dst);
                     self.egress.sched_send(ctx, link, frame, None);
                     self.egress.stats.destroys_sent += 1;
                 }
@@ -988,9 +985,7 @@ mod tests {
 
     /// Whether the frame on the wire toward `peer` is a DESTROY.
     fn destroy_on_the_wire_to(egress: &mut Egress, peer: OverlayId) -> bool {
-        let link = egress
-            .router
-            .next_link(my_net(egress), egress.net_node_of[peer.index()]);
+        let link = egress.next_link(my_net(egress), egress.net_node_of[peer.index()]);
         matches!(
             egress.net.last_on_wire_mut(link),
             Some(WireFrame {

@@ -199,7 +199,7 @@ impl Egress {
                 // that is the instant the cell is "forwarded".
                 confirm: qc.confirm,
             };
-            let link = self.router.next_link(my_net, dst);
+            let link = self.next_link(my_net, dst);
             self.sched_send(ctx, link, frame, Some(circ));
             self.stats.cells_sent += 1;
         }

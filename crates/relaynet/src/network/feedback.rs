@@ -39,7 +39,7 @@ impl Egress {
             }),
             confirm: None,
         };
-        let link = self.router.next_link(my_net, dst);
+        let link = self.next_link(my_net, dst);
         self.sched_send(ctx, link, frame, None);
         self.stats.feedback_sent += 1;
     }

@@ -623,22 +623,40 @@ impl Egress {
     }
 
     /// The `[uplink, downlink]` of star leaf `leaf`. The first call for a
-    /// leaf mints the pair, installs the leaf's uniform uplink route and
-    /// the hub's downlink route, and appends one idle scheduler per link,
-    /// so every per-frame table stays a dense array indexed by `LinkId`.
-    /// `None` in a world without a star.
+    /// leaf mints the pair, which also routes it ([`Egress::next_link`]),
+    /// and appends one idle scheduler per link, so every per-frame table
+    /// stays a dense array indexed by `LinkId`. `None` in a world without
+    /// a star.
     fn access_links(&mut self, leaf: NodeId) -> Option<[LinkId; 2]> {
         let star = self.star.as_mut()?;
         if let Some(AccessLinks { up, down }) = star.links_of(leaf) {
             return Some([up, down]);
         }
         let AccessLinks { up, down } = star.mint(&mut self.net, leaf);
-        self.router.install_uniform(leaf, up);
-        self.router.install(star.hub(), leaf, down);
         self.link_sched
             .extend([LinkScheduler::new(), LinkScheduler::new()]);
         debug_assert_eq!(self.link_sched.len(), self.net.link_count());
         Some([up, down])
+    }
+
+    /// The link a frame at network node `at` bound for `dst` leaves on: a
+    /// star world routes through its minted access links, so its routing
+    /// table stays empty; an explicit-link world asks the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no route exists — frames must never be addressed to
+    /// unreachable nodes.
+    #[inline]
+    pub(super) fn next_link(&self, at: NodeId, dst: NodeId) -> LinkId {
+        let link = match &self.star {
+            Some(star) => star.route(at, dst),
+            None => self.router.next_link(at, dst),
+        };
+        match link {
+            Some(link) => link,
+            None => no_route(at, dst),
+        }
     }
 
     /// Records a protocol violation (debug builds abort; release builds
@@ -661,6 +679,13 @@ impl Egress {
             self.protocol_error(what);
         }
     }
+}
+
+/// [`Egress::next_link`]'s failure, kept off the per-frame path.
+#[cold]
+#[inline(never)]
+fn no_route(at: NodeId, dst: NodeId) -> ! {
+    panic!("no route from {at:?} to {dst:?}")
 }
 
 /// The overlay world. Construct with [`TorNetwork::new`], add nodes and
@@ -721,10 +746,15 @@ impl TorNetwork {
         factory: CcFactory,
         rng: SimRng,
     ) -> TorNetwork {
+        // At most one overlay node per network node: every per-node
+        // table is sized once, here.
+        let net_nodes = net.node_count();
+        let mut egress = Egress::new(net, router);
+        egress.net_node_of.reserve_exact(net_nodes);
         TorNetwork {
-            egress: Egress::new(net, router),
-            nodes: Vec::new(),
-            overlay_of_net: Vec::new(),
+            egress,
+            nodes: Vec::with_capacity(net_nodes),
+            overlay_of_net: vec![u32::MAX; net_nodes],
             circuits: Vec::new(),
             flows: Vec::new(),
             // Id 0 is reserved (CircuitId::CONTROL); keep the table
@@ -757,6 +787,11 @@ impl TorNetwork {
         assert!(egress.star.is_none(), "star installed twice");
         assert_eq!(egress.net.link_count(), 0, "a lazy star starts linkless");
         egress.star = Some(star);
+    }
+
+    /// The star this world sits on, if it was built on one.
+    pub fn star(&self) -> Option<&Star> {
+        self.egress.star.as_ref()
     }
 
     /// The `[uplink, downlink]` access links of overlay node `node` in a
@@ -820,11 +855,9 @@ impl TorNetwork {
             relay_overlays.len(),
             "one overlay node per relay spec"
         );
-        let mut relay_of_overlay = Vec::new();
+        let span = relay_overlays.iter().map(|o| o.index() + 1).max();
+        let mut relay_of_overlay = vec![u32::MAX; span.unwrap_or(0)];
         for (r, &o) in relay_overlays.iter().enumerate() {
-            if relay_of_overlay.len() <= o.index() {
-                relay_of_overlay.resize(o.index() + 1, u32::MAX);
-            }
             assert!(
                 relay_of_overlay[o.index()] == u32::MAX,
                 "overlay node hosts two relays"
@@ -1174,19 +1207,46 @@ impl TorNetwork {
     }
 
     /// Registers an overlay participant backed by network node `net_node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net_node` is not a node of the world's network, or
+    /// already hosts an overlay node.
     pub fn add_overlay(&mut self, net_node: NodeId, role: NodeRole) -> OverlayId {
-        let id = OverlayId(u32::try_from(self.nodes.len()).expect("too many overlay nodes"));
-        if self.overlay_of_net.len() <= net_node.index() {
-            self.overlay_of_net.resize(net_node.index() + 1, u32::MAX);
-        }
-        assert!(
-            self.overlay_of_net[net_node.index()] == u32::MAX,
-            "network node already hosts an overlay node"
+        self.add_overlays(std::iter::once((net_node, role)))
+    }
+
+    /// Registers one overlay participant per `(network node, role)`, in
+    /// order, under consecutive ids from the one returned: a star's
+    /// leaves in one pass, each node written once where it will live.
+    ///
+    /// # Panics
+    ///
+    /// As [`TorNetwork::add_overlay`], for any of the network nodes.
+    pub(crate) fn add_overlays(
+        &mut self,
+        participants: impl IntoIterator<Item = (NodeId, NodeRole)>,
+    ) -> OverlayId {
+        let first = self.nodes.len();
+        let overlay_of_net = &mut self.overlay_of_net;
+        let net_node_of = &mut self.egress.net_node_of;
+        self.nodes.extend(
+            participants
+                .into_iter()
+                .enumerate()
+                .map(|(k, (net_node, role))| {
+                    let id = OverlayId(u32::try_from(first + k).expect("too many overlay nodes"));
+                    let slot = &mut overlay_of_net[net_node.index()];
+                    assert!(
+                        *slot == u32::MAX,
+                        "network node already hosts an overlay node"
+                    );
+                    *slot = id.0;
+                    net_node_of.push(net_node);
+                    OverlayNode::new(id, net_node, role)
+                }),
         );
-        self.overlay_of_net[net_node.index()] = id.0;
-        self.nodes.push(OverlayNode::new(id, net_node, role));
-        self.egress.net_node_of.push(net_node);
-        id
+        OverlayId(u32::try_from(first).expect("too many overlay nodes"))
     }
 
     /// Registers a new application-level flow of `requested` bytes.
@@ -1445,7 +1505,7 @@ impl World for TorNetwork {
                 let here = egress.net.link_dst(link);
                 if here != frame.dst {
                     // An intermediate switch (the star hub): forward.
-                    let next = egress.router.next_link(here, frame.dst);
+                    let next = egress.next_link(here, frame.dst);
                     let outcome = egress.net.send(ctx, next, frame);
                     debug_assert_eq!(outcome, SendOutcome::Accepted, "switch dropped a frame");
                 } else {
@@ -1533,6 +1593,14 @@ mod tests {
         for len in [15, 16, RELAY_DATA_MAX, 600] {
             check(CircId(0), u64::MAX / 31, len);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no route")]
+    fn an_unroutable_frame_panics() {
+        let mut net = Net::new();
+        let (a, b) = (net.add_node("a"), net.add_node("b"));
+        let _ = Egress::new(net, Router::new()).next_link(a, b);
     }
 
     /// The reference for `route_of`: search both ends, `a` before `b`,

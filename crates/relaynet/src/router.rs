@@ -1,36 +1,26 @@
-//! Static next-hop routing between network nodes.
+//! Static next-hop routing between the network nodes of an explicit-link
+//! topology.
 //!
 //! Overlay nodes address frames to the *network* node of the adjacent
-//! overlay hop. In the path topology that node is directly connected; in
-//! the star topology the frame crosses the hub, which forwards it using
-//! this table. Routes are computed once at build time — topologies are
-//! static for the lifetime of an experiment.
+//! overlay hop. In the path topology that node is directly connected and
+//! this table names the link. A star needs no table: every route there is
+//! a leaf's uplink or the hub's downlink to the destination, which the
+//! star itself holds once minted (`netsim::topology::Star::route`).
+//! Routes are computed once at build time — topologies are static for
+//! the lifetime of an experiment.
 //!
-//! Node ids are dense small integers, so the table is an array indexed by
-//! the current node, with two per-node shapes: a *uniform* route (every
-//! destination leaves over one link — a star leaf's uplink; O(1) memory
-//! however many destinations exist) and a *per-destination* array (the
-//! hub). Lookups are two array indexes; nothing is hashed or compared.
+//! Node ids are dense small integers, so the table is an array per node
+//! indexed by destination. Lookups are two array indexes; nothing is
+//! hashed or compared.
 
 use netsim::link::LinkId;
 use netsim::net::NodeId;
 
-/// Routing state of one node.
-#[derive(Clone, Debug, Default)]
-enum NodeRoutes {
-    /// No routes installed at this node.
-    #[default]
-    Empty,
-    /// Every destination leaves over this link (a star leaf's uplink).
-    Uniform(LinkId),
-    /// Outgoing link per destination node index.
-    PerDst(Vec<Option<LinkId>>),
-}
-
 /// A `(current node, final destination) → outgoing link` table.
 #[derive(Clone, Debug, Default)]
 pub struct Router {
-    per_node: Vec<NodeRoutes>,
+    /// Outgoing link per destination node index, per node.
+    per_node: Vec<Vec<Option<LinkId>>>,
     installed: usize,
 }
 
@@ -40,14 +30,6 @@ impl Router {
         Router::default()
     }
 
-    fn slot(&mut self, at: NodeId) -> &mut NodeRoutes {
-        if self.per_node.len() <= at.index() {
-            self.per_node
-                .resize_with(at.index() + 1, NodeRoutes::default);
-        }
-        &mut self.per_node[at.index()]
-    }
-
     /// Installs a route: at `at`, frames for `dst` leave via `link`.
     ///
     /// # Panics
@@ -55,83 +37,36 @@ impl Router {
     /// Panics if the pair already has a different route — conflicting
     /// routes mean a topology-construction bug.
     pub fn install(&mut self, at: NodeId, dst: NodeId, link: LinkId) {
-        let slot = self.slot(at);
-        match slot {
-            NodeRoutes::Empty => {
-                let mut v = vec![None; dst.index() + 1];
-                v[dst.index()] = Some(link);
-                *slot = NodeRoutes::PerDst(v);
-                self.installed += 1;
-            }
-            NodeRoutes::Uniform(l) => {
-                assert!(
-                    *l == link,
-                    "conflicting route installed at {at:?} for {dst:?}"
-                );
-            }
-            NodeRoutes::PerDst(v) => {
-                if v.len() <= dst.index() {
-                    v.resize(dst.index() + 1, None);
-                }
-                let prev = v[dst.index()];
-                assert!(
-                    prev.is_none() || prev == Some(link),
-                    "conflicting route installed at {at:?} for {dst:?}"
-                );
-                if prev.is_none() {
-                    v[dst.index()] = Some(link);
-                    self.installed += 1;
-                }
-            }
+        if self.per_node.len() <= at.index() {
+            self.per_node.resize_with(at.index() + 1, Vec::new);
+        }
+        let routes = &mut self.per_node[at.index()];
+        if routes.len() <= dst.index() {
+            routes.resize(dst.index() + 1, None);
+        }
+        let prev = routes[dst.index()];
+        assert!(
+            prev.is_none() || prev == Some(link),
+            "conflicting route installed at {at:?} for {dst:?}"
+        );
+        if prev.is_none() {
+            routes[dst.index()] = Some(link);
+            self.installed += 1;
         }
     }
 
-    /// Installs a uniform route: at `at`, frames for *every* destination
-    /// leave via `link` (a star leaf's single uplink). O(1) memory
-    /// regardless of network size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` already has any per-destination route.
-    pub fn install_uniform(&mut self, at: NodeId, link: LinkId) {
-        let slot = self.slot(at);
-        match slot {
-            NodeRoutes::Empty => {
-                *slot = NodeRoutes::Uniform(link);
-                self.installed += 1;
-            }
-            NodeRoutes::Uniform(l) => {
-                assert!(*l == link, "conflicting uniform route at {at:?}");
-            }
-            NodeRoutes::PerDst(_) => {
-                panic!("uniform route over per-destination routes at {at:?}")
-            }
-        }
-    }
-
-    /// The outgoing link at `at` for frames addressed to `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no route exists — frames must never be addressed to
-    /// unreachable nodes.
+    /// The outgoing link at `at` for frames addressed to `dst`, if a
+    /// route is installed.
     #[inline]
-    pub fn next_link(&self, at: NodeId, dst: NodeId) -> LinkId {
-        self.try_next_link(at, dst)
-            .unwrap_or_else(|| panic!("no route from {at:?} to {dst:?}"))
+    pub fn next_link(&self, at: NodeId, dst: NodeId) -> Option<LinkId> {
+        self.per_node
+            .get(at.index())?
+            .get(dst.index())
+            .copied()
+            .flatten()
     }
 
-    /// Like [`Router::next_link`] but returns `None` instead of panicking.
-    #[inline]
-    pub fn try_next_link(&self, at: NodeId, dst: NodeId) -> Option<LinkId> {
-        match self.per_node.get(at.index())? {
-            NodeRoutes::Empty => None,
-            NodeRoutes::Uniform(l) => Some(*l),
-            NodeRoutes::PerDst(v) => v.get(dst.index()).copied().flatten(),
-        }
-    }
-
-    /// Number of installed routes (a uniform route counts once).
+    /// Number of installed routes.
     pub fn len(&self) -> usize {
         self.installed
     }
@@ -168,8 +103,8 @@ mod tests {
         let mut r = Router::new();
         r.install(nodes[0], nodes[2], links[0]);
         r.install(nodes[1], nodes[2], links[1]);
-        assert_eq!(r.next_link(nodes[0], nodes[2]), links[0]);
-        assert_eq!(r.next_link(nodes[1], nodes[2]), links[1]);
+        assert_eq!(r.next_link(nodes[0], nodes[2]), Some(links[0]));
+        assert_eq!(r.next_link(nodes[1], nodes[2]), Some(links[1]));
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
     }
@@ -193,44 +128,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no route")]
-    fn missing_route_panics() {
-        let (_, nodes, _) = tiny_net();
-        let r = Router::new();
-        let _ = r.next_link(nodes[0], nodes[1]);
-    }
-
-    #[test]
-    fn try_next_link_is_total() {
+    fn unrouted_pairs_have_no_link() {
         let (_, nodes, links) = tiny_net();
         let mut r = Router::new();
+        assert!(r.is_empty());
         r.install(nodes[0], nodes[1], links[0]);
-        assert_eq!(r.try_next_link(nodes[0], nodes[1]), Some(links[0]));
-        assert_eq!(r.try_next_link(nodes[1], nodes[0]), None);
-        assert_eq!(r.try_next_link(nodes[2], nodes[0]), None);
-    }
-
-    #[test]
-    fn uniform_route_serves_every_destination() {
-        let (_, nodes, links) = tiny_net();
-        let mut r = Router::new();
-        r.install_uniform(nodes[0], links[0]);
-        assert_eq!(r.next_link(nodes[0], nodes[1]), links[0]);
-        assert_eq!(r.next_link(nodes[0], nodes[2]), links[0]);
-        assert_eq!(r.len(), 1);
-        // Re-declaring the same uniform link is fine; a per-dst install
-        // of the same link is tolerated as agreeing.
-        r.install_uniform(nodes[0], links[0]);
-        r.install(nodes[0], nodes[2], links[0]);
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "conflicting route")]
-    fn uniform_conflicting_per_dst_panics() {
-        let (_, nodes, links) = tiny_net();
-        let mut r = Router::new();
-        r.install_uniform(nodes[0], links[0]);
-        r.install(nodes[0], nodes[2], links[1]);
+        assert_eq!(r.next_link(nodes[0], nodes[1]), Some(links[0]));
+        assert_eq!(r.next_link(nodes[1], nodes[0]), None);
+        assert_eq!(r.next_link(nodes[2], nodes[0]), None);
+        assert_eq!(r.next_link(nodes[0], nodes[2]), None);
     }
 }

@@ -395,7 +395,8 @@ pub struct SelectionEngine {
     sampler: Sampler,
     load_sensitive: bool,
     uniform_fast: bool,
-    /// Persistent `0..n` buffer for the uniform Fisher–Yates fast path.
+    /// Persistent `0..n` buffer for the uniform Fisher–Yates fast path;
+    /// empty for a weighted policy, which never takes it.
     identity: Vec<usize>,
     /// Swap log of the current uniform draw, undone after each select.
     swaps: Vec<(usize, usize)>,
@@ -414,11 +415,16 @@ impl SelectionEngine {
         let weights: Vec<f64> = (0..view.len())
             .map(|i| effective_weight(policy, view, i))
             .collect();
+        let uniform_fast = policy.draws_uniform();
         SelectionEngine {
             sampler: Sampler::build(kind, &weights),
             load_sensitive: policy.load_sensitive(),
-            uniform_fast: policy.draws_uniform(),
-            identity: (0..view.len()).collect(),
+            uniform_fast,
+            identity: if uniform_fast {
+                (0..view.len()).collect()
+            } else {
+                Vec::new()
+            },
             swaps: Vec::new(),
             picks: Vec::new(),
         }

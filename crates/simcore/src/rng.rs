@@ -11,12 +11,17 @@
 //! keeps results comparable across code revisions.
 
 /// FNV-1a, 64-bit. Tiny, stable, and good enough for seed derivation —
-/// this is *not* used for anything security-relevant.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// this is *not* used for anything security-relevant. A `const fn`, so a
+/// literal label inlined through [`SimRng::derive`] hashes at compile
+/// time.
+#[inline]
+const fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
+    let mut i = 0;
+    while i < bytes.len() {
+        hash ^= bytes[i] as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
     }
     hash
 }
@@ -106,6 +111,7 @@ impl SimRng {
     ///
     /// Derivation is a pure function of `(self.seed, label)`: it does not
     /// consume randomness from, and is unaffected by, draws on `self`.
+    #[inline]
     pub fn derive(&self, label: &str) -> SimRng {
         let child_seed = splitmix64(self.seed ^ fnv1a(label.as_bytes()));
         SimRng::seed_from(child_seed)
@@ -113,6 +119,7 @@ impl SimRng {
 
     /// Derives an independent child stream identified by a label and an
     /// index (convenient for per-node / per-circuit streams).
+    #[inline]
     pub fn derive_indexed(&self, label: &str, index: u64) -> SimRng {
         let child_seed = splitmix64(self.seed ^ fnv1a(label.as_bytes()) ^ splitmix64(index));
         SimRng::seed_from(child_seed)
@@ -176,6 +183,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `low >= high` or either bound is not finite.
+    #[inline]
     pub fn range_f64(&mut self, low: f64, high: f64) -> f64 {
         assert!(
             low < high && low.is_finite() && high.is_finite(),
@@ -189,18 +197,6 @@ impl SimRng {
         } else {
             v
         }
-    }
-
-    /// Log-uniform float in `[low, high)`: the base-10 logarithm of the
-    /// result is uniform. Both bounds must be positive. This matches the
-    /// heavy-tailed flavour of relay-bandwidth distributions.
-    pub fn log_uniform(&mut self, low: f64, high: f64) -> f64 {
-        assert!(
-            low > 0.0 && high > low,
-            "log_uniform requires 0 < low < high, got [{low}, {high})"
-        );
-        let lg = self.range_f64(low.log10(), high.log10());
-        10f64.powf(lg)
     }
 
     /// Fisher–Yates shuffle of a slice, deterministic given the stream
@@ -311,35 +307,6 @@ mod tests {
     fn range_u64_rejects_empty() {
         let mut rng = SimRng::seed_from(1);
         let _ = rng.range_u64(5, 5);
-    }
-
-    #[test]
-    fn log_uniform_in_bounds_and_spans_decades() {
-        let mut rng = SimRng::seed_from(2);
-        let mut low_decade = 0;
-        let mut high_decade = 0;
-        for _ in 0..2000 {
-            let v = rng.log_uniform(1.0, 100.0);
-            assert!((1.0..100.0).contains(&v));
-            if v < 10.0 {
-                low_decade += 1;
-            } else {
-                high_decade += 1;
-            }
-        }
-        // Log-uniform: each decade gets ~half the mass.
-        let ratio = low_decade as f64 / high_decade as f64;
-        assert!(
-            (0.7..1.4).contains(&ratio),
-            "decades should be roughly balanced, got {low_decade}/{high_decade}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "log_uniform requires")]
-    fn log_uniform_rejects_nonpositive() {
-        let mut rng = SimRng::seed_from(2);
-        let _ = rng.log_uniform(0.0, 10.0);
     }
 
     #[test]

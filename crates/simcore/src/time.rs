@@ -25,6 +25,31 @@ pub const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Number of nanoseconds per second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// `x.round() as u64`, for every `f64`, without calling `f64::round`
+/// (a software routine on the baseline x86-64 target, which has no
+/// rounding instruction): truncate with the saturating `as u64` cast, then add
+/// one when the dropped fraction is at least one half. Below 2^53 the
+/// fraction `x - trunc(x)` is exact; at and above 2^53 every `f64` is an
+/// integer and the fraction is zero, or, past `u64::MAX`, the cast has
+/// already saturated. NaN and negatives give 0, as the cast does.
+///
+/// # Examples
+///
+/// ```
+/// use simcore::time::round_u64;
+///
+/// assert_eq!(round_u64(2.5), 3);
+/// assert_eq!(round_u64(0.499_999_999_999_999_94), 0);
+/// assert_eq!(round_u64(-7.0), 0);
+/// assert_eq!(round_u64(f64::INFINITY), u64::MAX);
+/// ```
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    // A flag, not a branch: fractions of drawn values are coin flips.
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
+}
+
 /// An absolute instant on the simulation clock, in nanoseconds since the
 /// start of the simulation.
 ///
@@ -100,7 +125,7 @@ impl SimTime {
             secs.is_finite() && secs >= 0.0,
             "SimTime::from_secs_f64: invalid seconds value {secs}"
         );
-        SimTime((secs * NANOS_PER_SEC as f64).round() as u64)
+        SimTime(round_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// Nanoseconds since simulation start.
@@ -208,7 +233,7 @@ impl SimDuration {
             secs.is_finite() && secs >= 0.0,
             "SimDuration::from_secs_f64: invalid seconds value {secs}"
         );
-        SimDuration((secs * NANOS_PER_SEC as f64).round() as u64)
+        SimDuration(round_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// Length in nanoseconds.
@@ -280,7 +305,7 @@ impl SimDuration {
             factor.is_finite() && factor >= 0.0,
             "SimDuration::mul_f64: invalid factor {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * factor))
     }
 
     /// The ratio of two durations as an `f64`.
@@ -557,6 +582,93 @@ mod tests {
         assert_eq!(b - a, SimDuration::from_millis(1));
         assert_eq!(a * 4, SimDuration::from_millis(8));
         assert_eq!(b / 3, SimDuration::from_millis(1));
+    }
+
+    /// `round_u64` against the `f64::round` it replaces.
+    fn assert_rounds(x: f64) {
+        assert_eq!(round_u64(x), x.round() as u64, "{x:e} ({:#x})", x.to_bits());
+    }
+
+    #[test]
+    fn round_u64_matches_f64_round_at_the_edges() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            0.499_999_999_999_999_94,
+            1.0 - f64::EPSILON / 2.0,
+            1.5,
+            2.5,
+            (1u64 << 52) as f64 - 0.5,
+            (1u64 << 52) as f64 + 0.5,
+            (1u64 << 53) as f64 - 1.0,
+            (1u64 << 53) as f64,
+            (1u64 << 53) as f64 + 1.0,
+            (1u64 << 53) as f64 + 2.0,
+            (1u64 << 63) as f64,
+            (1u64 << 63) as f64 * 1.5,
+            u64::MAX as f64,
+            18_446_744_073_709_549_568.0, // the largest f64 below 2^64
+            2f64.powi(64),
+            2f64.powi(65),
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            -0.4,
+            -0.5,
+            -0.6,
+            -1.5,
+            -((1u64 << 60) as f64),
+            f64::MIN,
+        ];
+        for x in edges {
+            assert_rounds(x);
+            assert_rounds(x.next_up());
+            assert_rounds(x.next_down());
+        }
+    }
+
+    #[test]
+    fn round_u64_matches_f64_round_on_every_half() {
+        // Every k + 0.5 below 2^16, then at every binade up to 2^53: its
+        // ends, and its ties and their neighbours at random k.
+        let mut rng = crate::rng::SimRng::seed_from(53);
+        let mut check = |k: u64| {
+            let x = k as f64 + 0.5;
+            assert_rounds(x);
+            assert_rounds(x.next_up());
+            assert_rounds(x.next_down());
+            assert_rounds(k as f64);
+        };
+        (0..1 << 16).for_each(&mut check);
+        for e in 16..=53 {
+            let lo = 1u64 << e;
+            for k in [lo - 1, lo, lo + 1, (lo << 1) - 1] {
+                check(k);
+            }
+            for _ in 0..2_000 {
+                let k = lo + rng.range_u64(0, lo);
+                check(k);
+            }
+        }
+    }
+
+    #[test]
+    fn round_u64_matches_f64_round_on_random_bits() {
+        let mut rng = crate::rng::SimRng::seed_from(64);
+        for _ in 0..1_000_000 {
+            assert_rounds(f64::from_bits(rng.u64()));
+        }
+        // Positive values below 2^64, where the fraction test does work.
+        for _ in 0..1_000_000 {
+            let x = f64::from_bits(rng.u64() >> 1);
+            if x < 2f64.powi(64) {
+                assert_rounds(x);
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,9 @@
 # sim_ttlb_p50/p99 were identical on every pair (they must be for a change
 # that does not touch simulated behaviour); where they were not, both values
 # of each such pair and the largest relative shift per metric next to its
-# bound.
+# bound. Then the stronger check, whether each pair's two sim_digests (an
+# FNV digest of every world's fingerprint, from csbench's csbench-detail
+# line) were identical; where they were not, both digests of each such pair.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -93,10 +95,16 @@ for m in ${metrics}; do
 done
 
 # Runs <bin> with <seed>; prints the value of each of ${metrics}, then
-# sim_ttlb_p50_ms and sim_ttlb_p99_ms.
+# sim_ttlb_p50_ms, sim_ttlb_p99_ms and sim_digest.
 run() {
-    local line out="" m v
-    line=$("$1" --workload "${workload}" --seed "$2" --seconds "${seconds}" --trace 0 2>/dev/null | tail -n 1)
+    local all line digest out="" m v
+    all=$("$1" --workload "${workload}" --seed "$2" --seconds "${seconds}" --trace 0 2>/dev/null)
+    line=$(tail -n 1 <<< "${all}")
+    digest=$(sed -n 's/^csbench-detail: .*"sim_digest": "\([0-9a-f]*\)".*/\1/p' <<< "${all}")
+    if [ -z "${digest}" ]; then
+        echo "bench_pairs: $1 gave no sim_digest for ${workload} seed $2" >&2
+        exit 1
+    fi
     for m in ${metrics} sim_ttlb_p50_ms sim_ttlb_p99_ms; do
         v=$(field "${line}" "${m}")
         if [ -z "${v}" ]; then
@@ -105,11 +113,11 @@ run() {
         fi
         out+="${v} "
     done
-    echo "${out}"
+    echo "${out}${digest}"
 }
 
 # Reads one workload's rows (a's values, then b's, one pair per line) and
-# prints the per-metric summaries and the sim_ttlb_* verdict.
+# prints the per-metric summaries and the sim_ttlb_* and sim_digest verdicts.
 summarize() {
     awk -v names="${metrics}" -v highers="${highers}" -v bounds="${bounds}" \
     -v p50_bound="$(spec sim_ttlb_p50_ms bound)" -v p99_bound="$(spec sim_ttlb_p99_ms bound)" '
@@ -162,11 +170,17 @@ summarize() {
         printf "  gain rule: >= 10 pairs, wins >= 9/10, median shift %.6g > a IQR %.6g\n", shift, a_iqr
         if (worse_pair) printf "  worst pair: %d (seed %d)\n", worse_pair, worse_pair
     }
-    BEGIN { k = split(names, name, " "); split(highers, higher, " "); split(bounds, bound, " "); w = k + 2 }
+    BEGIN { k = split(names, name, " "); split(highers, higher, " "); split(bounds, bound, " "); w = k + 3 }
     {
         n++
         for (j = 1; j <= k; j++) { av[j, n] = $j; bv[j, n] = $(w + j) }
         if (compare("sim_ttlb_p50_ms", n, $(k + 1), $(w + k + 1)) + compare("sim_ttlb_p99_ms", n, $(k + 2), $(w + k + 2))) moved++
+        # Compared as strings: a digest of decimal digits only must not
+        # be read as a number.
+        if (("" $(k + 3)) != ("" $(w + k + 3))) {
+            digests_moved++
+            digests_differing = digests_differing sprintf("  pair %d (seed %d): sim_digest a %s  b %s\n", n, n, $(k + 3), $(w + k + 3))
+        }
     }
     END {
         for (j = 1; j <= k; j++) summary(j)
@@ -174,6 +188,8 @@ summarize() {
             printf "sim_ttlb_*: DIFFERED on %d pair(s)\n%s", moved, differing
             verdict("sim_ttlb_p50_ms", p50_bound); verdict("sim_ttlb_p99_ms", p99_bound)
         } else printf "sim_ttlb_*: identical on every pair\n"
+        if (digests_moved) printf "sim_digest: DIFFERED on %d pair(s)\n%s", digests_moved, digests_differing
+        else printf "sim_digest: identical on every pair\n"
     }'
 }
 
@@ -196,7 +212,7 @@ for workload in ${workloads}; do
             order="b first"
         fi
         echo "${a} ${b}" | awk -v i="${i}" -v order="${order}" -v names="${metrics}" '{
-            k = split(names, name, " "); w = k + 2
+            k = split(names, name, " "); w = k + 3
             for (j = 1; j <= k; j++)
                 printf "pair %2d (seed %d, %s)  %-15s a %10.6g  b %10.6g  b/a %.3f\n", \
                     i, i, order, name[j], $j, $(w + j), $j ? $(w + j) / $j : 1

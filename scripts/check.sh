@@ -120,5 +120,9 @@ done
     echo "    FAIL: an A/A pair did not reproduce its simulated statistics" >&2
     exit 1
 }
+[ "$(grep -c '^sim_digest: identical on every pair$' "${scratch_dir}/bench_pairs.out")" -eq 5 ] || {
+    echo "    FAIL: an A/A pair did not reproduce its worlds' sim_digest" >&2
+    exit 1
+}
 
 echo "==> all checks passed"
