@@ -1,4 +1,4 @@
-//! Ablation sweeps (DESIGN.md §5, experiments A1–A6): the design choices
+//! Ablation sweeps (DESIGN.md §5, experiments A1–A7): the design choices
 //! the 3-page poster could not explore, quantified.
 //!
 //! ```text
@@ -15,7 +15,7 @@ use circuitstart::prelude::*;
 use cs_bench::{write_figure, Options};
 use netsim::bandwidth::Bandwidth;
 use relaynet::selection::all_policies;
-use relaynet::{PathScenario, TorEvent, WorldConfig};
+use relaynet::{PathScenario, TorEvent};
 use simcore::time::SimTime;
 use simstats::export::Table;
 
@@ -38,16 +38,11 @@ fn trace_row(x: f64, cfg: &TraceScenarioConfig) -> TraceRow {
         .nth(1)
         .map(|&(_, c)| c)
         .unwrap_or(peak);
-    let t0 = report
-        .result
-        .first_data_at
-        .expect("completed")
-        .as_millis_f64();
     TraceRow {
         x,
         peak,
         exit_cwnd,
-        settle_ms: report.settling_time_ms(0.35).map(|s| s - t0),
+        settle_ms: report.settling_time_ms(0.35),
         ttlb_s: report
             .result
             .transfer_time()
@@ -275,7 +270,18 @@ fn sweep_policies() {
     write_figure("ablation_policies", &table);
 }
 
-/// A6: mid-flow bandwidth change — the future-work extension.
+/// A6: mid-flow bandwidth change — the future-work extension. Hop 1
+/// starts at 10 Mbit/s and is upgraded to 40 Mbit/s half a second in.
+/// Plain CircuitStart only creeps by one cell per RTT once its ramp has
+/// ended; the adaptive variant notices the persistent spare capacity
+/// and re-enters the ramp from its current window.
+///
+/// Read the post-change peak beside the transfer time: the adaptive
+/// controller detects the change and jumps, but each probe is a
+/// burst-and-compensate cycle with real cost, so at this moderate (×4)
+/// upgrade plain Vegas creep wins on transfer time. That trade-off is
+/// why mid-flow adaptation is the paper's future work rather than part
+/// of the algorithm.
 fn sweep_midflow() {
     println!("\n━━━ A6: mid-flow bottleneck upgrade (10 → 40 Mbit/s at 500 ms) ━━━");
     println!(
@@ -297,7 +303,6 @@ fn sweep_midflow() {
         let scenario = PathScenario {
             hops,
             file_bytes: 4 << 20,
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let (mut sim, handles) = scenario.build(algorithm.factory(base.cc), 3);

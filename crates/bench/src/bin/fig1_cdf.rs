@@ -29,7 +29,7 @@ fn main() {
     let report = run_cdf(&cfg);
 
     let mut series: Vec<(&str, Vec<(f64, f64)>)> = Vec::new();
-    for s in &report.series {
+    for (i, s) in report.series.iter().enumerate() {
         println!(
             "\n  {:<14} median {:.3} s   p90 {:.3} s   range [{:.3}, {:.3}] s   (n={}, incomplete={})",
             s.algorithm_key,
@@ -42,7 +42,7 @@ fn main() {
         );
         write_figure(
             &format!("fig1_cdf_{}", s.algorithm_key),
-            &simstats::export::Table::from_pairs("ttlb_s", "cum_fraction", &s.cdf.points()),
+            &report.to_table(i),
         );
     }
 

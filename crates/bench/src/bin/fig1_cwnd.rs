@@ -15,7 +15,6 @@
 use circuitstart::prelude::*;
 use cs_bench::{write_figure, Options};
 use simstats::ascii::{plot_lines, PlotConfig};
-use simstats::export::Table;
 
 fn main() {
     let opts = Options::from_env();
@@ -41,46 +40,29 @@ fn main() {
             cfg.seed = seed;
             let report = run_trace(&cfg);
             optimal_kib = report.optimal_kib();
-            // Re-base time to transfer start, as the paper's axis does
-            // (its traces begin when data starts flowing, not when the
-            // circuit build begins).
-            let t0 = report
-                .result
-                .first_data_at
-                .expect("completed")
-                .as_millis_f64();
-            let rebased: Vec<(f64, f64)> = report
-                .cwnd_kib_series()
-                .into_iter()
-                .map(|(t, v)| ((t - t0).max(0.0), v))
-                .collect();
+            let kib = report.cwnd_kib_series();
 
             println!(
                 "\n  {label}: peak {} cells, settle(±35%) {}, transfer {}",
                 report.peak_cwnd_cells(),
                 report
                     .settling_time_ms(0.35)
-                    .map(|ms| format!("{:.0} ms (abs)", ms))
+                    .map(|ms| format!("{ms:.0} ms"))
                     .unwrap_or_else(|| "never".to_string()),
                 report.result.transfer_time().expect("completed"),
             );
             println!("    time_ms  cwnd_kib   (optimal {optimal_kib:.1} KiB)");
-            for &(t, v) in &rebased {
+            for &(t, v) in &kib {
                 println!("    {t:7.1}  {v:8.1}");
-            }
-
-            let mut table = Table::new(vec!["time_ms", "cwnd_kib", "optimal_kib"]);
-            for &(t, v) in &rebased {
-                table.push_row(&[t, v, optimal_kib]);
             }
             write_figure(
                 &format!("fig1_cwnd_d{distance}_{}", report.algorithm_key),
-                &table,
+                &report.to_table(),
             );
 
             // Step-resample for the terminal plot.
             let mut ts = simstats::timeseries::TimeSeries::new();
-            for &(t, v) in &rebased {
+            for &(t, v) in &kib {
                 ts.push(t, v);
             }
             let end = ts.end_time().unwrap_or(1.0).max(300.0);

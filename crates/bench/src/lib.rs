@@ -9,9 +9,9 @@
 //!     and 3, with the model-optimal dashed line);
 //!   - `fig1_cdf` — the lower panel (time-to-last-byte CDFs for 50
 //!     concurrent circuits, CircuitStart vs plain BackTap vs classic);
-//!   - `ablations` — the A1–A6 sweeps from DESIGN.md §5 (γ/θ, initial
+//!   - `ablations` — the A1–A7 sweeps from DESIGN.md §5 (γ/θ, initial
 //!     window, compensation variants, bottleneck distance, load,
-//!     mid-flow bandwidth change).
+//!     mid-flow bandwidth change, path-selection policy).
 //! * **`csbench`** (`src/bin/csbench/`): the benchmark every PR is
 //!   judged with — five end-to-end workloads plus per-layer probes; see
 //!   its README and the root `BENCHMARK.json`.

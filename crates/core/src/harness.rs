@@ -6,12 +6,11 @@ use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
 use relaynet::builder::{PathScenario, StarScenario};
 use relaynet::circuit::CircuitResult;
-use relaynet::network::{TorNetwork, WorldConfig};
+use relaynet::network::TorNetwork;
 use simcore::sim::{RunLimits, Simulator, StopReason};
 use simcore::time::SimDuration;
 use simstats::cdf::Cdf;
 use simstats::export::Table;
-use simstats::sketch::QuantileSketch;
 use simstats::timeseries::TimeSeries;
 use torcell::cell::CELL_LEN;
 
@@ -132,11 +131,22 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// The trace in the paper's units: `(ms, KiB)`.
+    /// When data started flowing, ms: the origin of the paper's time axis
+    /// (its traces begin there, not when the circuit build begins).
+    fn transfer_start_ms(&self) -> f64 {
+        self.result
+            .first_data_at
+            .expect("completed")
+            .as_millis_f64()
+    }
+
+    /// The trace in the paper's units and on its axis: `(ms since
+    /// transfer start, KiB)`; window changes during the build sit at 0.
     pub fn cwnd_kib_series(&self) -> Vec<(f64, f64)> {
+        let t0 = self.transfer_start_ms();
         self.cwnd_cells
             .iter()
-            .map(|&(t, c)| (t, f64::from(c) * CELL_LEN as f64 / 1024.0))
+            .map(|&(t, c)| ((t - t0).max(0.0), f64::from(c) * CELL_LEN as f64 / 1024.0))
             .collect()
     }
 
@@ -150,24 +160,21 @@ impl TraceReport {
         self.cwnd_cells.iter().map(|&(_, c)| c).max().unwrap_or(0)
     }
 
-    /// The window as a step-function time series (seconds / cells).
-    pub fn as_timeseries(&self) -> TimeSeries {
-        let mut ts = TimeSeries::new();
-        for &(ms, c) in &self.cwnd_cells {
-            ts.push(ms / 1e3, f64::from(c));
-        }
-        ts
-    }
-
-    /// First time (ms) after which the window stays within
+    /// Time (ms since transfer start) after which the window stays within
     /// `±tolerance·optimal` of the model optimum, if it ever settles.
     pub fn settling_time_ms(&self, tolerance: f64) -> Option<f64> {
         let lo = self.optimal_cells * (1.0 - tolerance);
         let hi = self.optimal_cells * (1.0 + tolerance);
-        self.as_timeseries().settling_time(lo, hi).map(|s| s * 1e3)
+        let mut ts = TimeSeries::new();
+        for &(ms, c) in &self.cwnd_cells {
+            ts.push(ms / 1e3, f64::from(c));
+        }
+        ts.settling_time(lo, hi)
+            .map(|s| s * 1e3 - self.transfer_start_ms())
     }
 
-    /// Export table: `time_ms, cwnd_kib, optimal_kib` (gnuplot-ready).
+    /// The Figure 1 (upper) data file: `time_ms, cwnd_kib, optimal_kib`
+    /// over [`TraceReport::cwnd_kib_series`] (gnuplot-ready).
     pub fn to_table(&self) -> Table {
         let mut t = Table::new(vec!["time_ms", "cwnd_kib", "optimal_kib"]);
         let opt = self.optimal_kib();
@@ -185,9 +192,6 @@ pub fn run_trace(cfg: &TraceScenarioConfig) -> TraceReport {
     let scenario = PathScenario {
         hops,
         file_bytes: cfg.file_bytes,
-        world: WorldConfig {
-            trace_client_cwnd: true,
-        },
         ..Default::default()
     };
     let (mut sim, handles) = scenario.build(cfg.algorithm.factory(cfg.cc), cfg.seed);
@@ -242,10 +246,6 @@ pub struct CdfSeries {
     pub algorithm_key: String,
     /// Transfer times, seconds, across all circuits and repetitions.
     pub cdf: Cdf,
-    /// The streaming twin of `cdf`: the same samples folded into a
-    /// fixed-size sketch, so examples can print sketch-vs-exact
-    /// quantiles side by side (DESIGN.md §13).
-    pub sketch: QuantileSketch,
     /// Circuits that failed to complete (must be 0).
     pub incomplete: u64,
 }
@@ -263,8 +263,8 @@ impl CdfReport {
         self.series.iter().find(|s| s.algorithm_key == key)
     }
 
-    /// Export table: `ttlb_s, F(x)` pairs for every algorithm
-    /// (column pairs, gnuplot-ready; rows padded per series length).
+    /// The Figure 1 (lower) data file of one series: `ttlb_s,
+    /// cum_fraction` staircase points (gnuplot-ready).
     pub fn to_table(&self, series_index: usize) -> Table {
         let s = &self.series[series_index];
         Table::from_pairs("ttlb_s", "cum_fraction", &s.cdf.points())
@@ -279,7 +279,6 @@ pub fn run_cdf(cfg: &CdfScenarioConfig) -> CdfReport {
     let mut series = Vec::with_capacity(cfg.algorithms.len());
     for algo in &cfg.algorithms {
         let mut samples: Vec<f64> = Vec::new();
-        let mut sketch = QuantileSketch::default();
         let mut incomplete = 0u64;
         for rep in 0..cfg.repetitions {
             let seed = cfg.seed.wrapping_add(u64::from(rep));
@@ -295,11 +294,7 @@ pub fn run_cdf(cfg: &CdfScenarioConfig) -> CdfReport {
             for c in circuits {
                 let r = world.result_of(c);
                 match (r.completed, r.transfer_time()) {
-                    (true, Some(t)) => {
-                        let secs = t.as_secs_f64();
-                        samples.push(secs);
-                        sketch.record(secs);
-                    }
+                    (true, Some(t)) => samples.push(t.as_secs_f64()),
                     _ => incomplete += 1,
                 }
             }
@@ -307,7 +302,6 @@ pub fn run_cdf(cfg: &CdfScenarioConfig) -> CdfReport {
         series.push(CdfSeries {
             algorithm_key: algo.key(),
             cdf: Cdf::from_samples(samples).expect("at least one completed circuit"),
-            sketch,
             incomplete,
         });
     }
@@ -360,8 +354,8 @@ mod tests {
         let report = run_trace(&small_trace(Algorithm::CircuitStart));
         let kib = report.cwnd_kib_series();
         assert_eq!(kib.len(), report.cwnd_cells.len());
-        // 2 cells = 1 KiB.
-        assert!((kib[0].1 - 1.0).abs() < 1e-9);
+        // 2 cells = 1 KiB; the build-time window sits at time 0.
+        assert_eq!(kib[0], (0.0, 1.0));
         let table = report.to_table();
         assert_eq!(table.headers(), &["time_ms", "cwnd_kib", "optimal_kib"]);
         assert_eq!(table.row_count(), kib.len());
@@ -407,16 +401,6 @@ mod tests {
         for s in &report.series {
             assert_eq!(s.cdf.len(), 12, "6 circuits × 2 reps");
             assert_eq!(s.incomplete, 0);
-            // The streaming twin saw exactly the same samples.
-            assert_eq!(s.sketch.len(), 12);
-            for q in [0.5, 0.9, 0.99] {
-                let exact = s.cdf.quantile(q);
-                assert!(
-                    (s.sketch.quantile(q) - exact).abs() <= s.sketch.alpha() * exact,
-                    "sketch q={q} outside the error bound for {}",
-                    s.algorithm_key
-                );
-            }
         }
         assert!(report.get("circuitstart").is_some());
         assert!(report.get("classic").is_some());

@@ -42,7 +42,8 @@
 //! * [`optimal`] — the paper's analytical optimal-window model.
 //! * [`adaptive`] — the future-work extension: mid-flow re-probing.
 //! * [`harness`] — end-to-end experiment runners for both figure panels.
-//! * [`presets`] — the exact parameterizations used by EXPERIMENTS.md.
+//! * [`presets`] — the exact parameterizations the figure binaries and
+//!   the ablations of DESIGN.md §5 run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,16 +1,15 @@
 //! Paper-parameter presets: the exact configurations the figure
-//! regeneration binaries and EXPERIMENTS.md use.
+//! regeneration binaries and the ablations of DESIGN.md §5 use.
 //!
 //! The poster does not publish its simulation parameters; these values
 //! are chosen so that the *axes* match the paper's plots (source cwnd
-//! 0–70 KB over 0–300 ms; TTLB CDF over 0–3 s) and are recorded, together
-//! with the measured outcomes, in EXPERIMENTS.md.
+//! 0–70 KB over 0–300 ms; TTLB CDF over 0–3 s); the binaries listed in
+//! DESIGN.md §5 print the measured outcomes.
 
 use backtap::config::CcConfig;
 use netsim::bandwidth::Bandwidth;
 use relaynet::builder::StarScenario;
 use relaynet::directory::DirectoryConfig;
-use relaynet::network::WorldConfig;
 use relaynet::selection::SelectionPolicy;
 use simcore::time::SimDuration;
 
@@ -49,15 +48,12 @@ pub fn fig1_cdf() -> CdfScenarioConfig {
             endpoint_delay_ms: (3.0, 8.0),
             file_bytes: 1 << 20,
             start_jitter_ms: 50.0,
-            world: WorldConfig {
-                trace_client_cwnd: false, // 50 traces are noise here
-            },
             ..Default::default()
         },
         // The paper's pairing is CircuitStart vs plain BackTap (Vegas
         // only — its cited weakness is precisely the missing startup
         // phase). The classic halving slow start rides along as a third
-        // series for the discussion in EXPERIMENTS.md.
+        // series (the A3 `compensation` ablation, DESIGN.md §5).
         algorithms: vec![
             Algorithm::CircuitStart,
             Algorithm::NoSlowStart,
@@ -72,7 +68,7 @@ pub fn fig1_cdf() -> CdfScenarioConfig {
 /// The path-selection experiment: the Figure-1c star with the selection
 /// policy as the experimental axis (CircuitStart only — selection, not
 /// the controller, is what varies). Run once per policy over identical
-/// seeds; see `examples/path_policies.rs` and the `policies` ablation.
+/// seeds; see the A7 `policies` ablation (DESIGN.md §5).
 pub fn policy_cdf(selection: SelectionPolicy) -> CdfScenarioConfig {
     let mut cfg = fig1_cdf();
     cfg.star.selection = selection;

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use crate::directory::{Directory, DirectoryConfig};
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
-use crate::network::{TorNetwork, WorldConfig};
+use crate::network::TorNetwork;
 use crate::node::{CcFactory, NodeRole};
 use crate::router::Router;
 use crate::sampler::SamplerKind;
@@ -55,8 +55,6 @@ pub struct PathScenario {
     /// rebuild path — the lineage retries under backoff until the retry
     /// cap parks it, deterministically.
     pub faults: Option<FaultSpec>,
-    /// World switches.
-    pub world: WorldConfig,
 }
 
 impl Default for PathScenario {
@@ -66,7 +64,6 @@ impl Default for PathScenario {
             file_bytes: 1 << 20,
             workload: WorkloadSpec::default(),
             faults: None,
-            world: WorldConfig::default(),
         }
     }
 }
@@ -113,13 +110,7 @@ impl PathScenario {
             router.install(topo.nodes[i + 1], topo.nodes[i], topo.rev[i]);
         }
         let master = SimRng::seed_from(seed);
-        let mut world = TorNetwork::new(
-            net,
-            router,
-            self.world,
-            factory,
-            master.derive("handshakes"),
-        );
+        let mut world = TorNetwork::new(net, router, factory, master.derive("handshakes"));
         let last = topo.nodes.len() - 1;
         let overlay_path: Vec<_> = topo
             .nodes
@@ -219,8 +210,6 @@ pub struct StarScenario {
     /// (the default) keeps the run bit-identical to pre-fault builds
     /// (the "faults" RNG stream is only derived when this is set).
     pub faults: Option<FaultSpec>,
-    /// World switches.
-    pub world: WorldConfig,
 }
 
 impl Default for StarScenario {
@@ -238,7 +227,6 @@ impl Default for StarScenario {
             epochs: None,
             sampler: SamplerKind::Auto,
             faults: None,
-            world: WorldConfig::default(),
         }
     }
 }
@@ -300,13 +288,7 @@ impl StarScenario {
 
         let mut net: Net<crate::wire::WireFrame> = Net::new();
         let star = Star::build(&mut net, accesses);
-        let mut world = TorNetwork::new(
-            net,
-            Router::new(),
-            self.world,
-            factory,
-            master.derive("handshakes"),
-        );
+        let mut world = TorNetwork::new(net, Router::new(), factory, master.derive("handshakes"));
         // Size the payload pool from the scenario: with many concurrent
         // circuits the default idle cap would sit below the steady-state
         // in-flight population and thrash alloc/free.
@@ -513,7 +495,6 @@ mod tests {
         let scenario = PathScenario {
             hops: vec![hop(10, 2), hop(10, 2), hop(10, 2)],
             file_bytes: 10_000,
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let (mut sim, h) = scenario.build(fixed_window_factory(8), 1);
@@ -536,7 +517,6 @@ mod tests {
         let scenario = PathScenario {
             hops: vec![hop(50, 2), hop(8, 5), hop(50, 2), hop(50, 2)],
             file_bytes: 200_000,
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let (mut sim, h) = scenario.build(baseline_factory(CcConfig::default()), 7);
@@ -559,7 +539,6 @@ mod tests {
         let scenario = PathScenario {
             hops: vec![hop(10, 1), hop(10, 1)],
             file_bytes: 496,
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let (mut sim, h) = scenario.build(fixed_window_factory(4), 3);
@@ -576,7 +555,6 @@ mod tests {
         let scenario = PathScenario {
             hops: vec![hop(20, 1); 6],
             file_bytes: 50_000,
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let (mut sim, h) = scenario.build(baseline_factory(CcConfig::default()), 5);
@@ -598,7 +576,6 @@ mod tests {
         let scenario = PathScenario {
             hops: vec![hop(50, 2), hop(50, 2), hop(50, 2)],
             file_bytes: 1 << 20, // 2115 DATA cells
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let (mut sim, h) = scenario.build(fixed_window_factory(32), 4);
@@ -629,7 +606,6 @@ mod tests {
         let scenario = PathScenario {
             hops: vec![hop(100, 1), hop(5, 5), hop(100, 1)],
             file_bytes: 300_000,
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let (mut sim, h) = scenario.build(fixed_window_factory(10), 2);
@@ -702,7 +678,6 @@ mod tests {
         let scenario = PathScenario {
             hops: vec![hop(30, 2), hop(10, 3), hop(30, 2)],
             file_bytes: 100_000,
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let run = |seed| {
@@ -728,7 +703,6 @@ mod tests {
         let scenario = PathScenario {
             hops: vec![hop(50, 2), hop(8, 5), hop(50, 2)],
             file_bytes: 150_000,
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let (mut sim, h) = scenario.build(jumpstart_factory(CcConfig::default(), 100), 9);
@@ -752,7 +726,6 @@ mod tests {
         let scenario = PathScenario {
             hops: vec![hop(10, 1), hop(10, 1)],
             file_bytes: 5_000,
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let (mut sim, h) = scenario.build(unlimited_factory(), 21);
@@ -766,7 +739,6 @@ mod tests {
         let scenario = PathScenario {
             hops: vec![hop(10, 1), hop(10, 1), hop(10, 1)],
             file_bytes: 4_960,
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let (mut sim, h) = scenario.build(fixed_window_factory(4), 17);
@@ -810,7 +782,6 @@ mod tests {
                 churn: None,
             },
             faults: None,
-            world: WorldConfig::default(),
         };
         let (mut sim, h) = scenario.build(fixed_window_factory(8), 5);
         let report = sim.run();
@@ -851,7 +822,6 @@ mod tests {
                 }),
             },
             faults: None,
-            world: WorldConfig::default(),
         };
         let (mut sim, h) = scenario.build(baseline_factory(CcConfig::default()), 23);
         let report = sim.run();

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::ids::{CircId, Direction, OverlayId};
     pub use crate::network::{
         fill_pattern_extend, fill_pattern_into, verify_fill_pattern, EventsHandled, TorNetwork,
-        WorldConfig, WorldStats,
+        WorldStats,
     };
     pub use crate::node::{CcFactory, HopCtx, NodeRole};
     pub use crate::pool::PayloadPool;
@@ -89,9 +89,7 @@ pub use circuit::{CircuitInfo, CircuitResult};
 pub use directory::{Directory, DirectoryConfig, EpochDelta, RelaySpec};
 pub use event::{TimerKind, TorEvent};
 pub use ids::{CircId, Direction, OverlayId};
-pub use network::{
-    fill_pattern_into, verify_fill_pattern, EventsHandled, TorNetwork, WorldConfig, WorldStats,
-};
+pub use network::{fill_pattern_into, verify_fill_pattern, EventsHandled, TorNetwork, WorldStats};
 pub use node::{CcFactory, HopCtx, NodeRole};
 pub use pool::PayloadPool;
 pub use router::Router;

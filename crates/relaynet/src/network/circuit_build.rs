@@ -272,9 +272,7 @@ impl TorNetwork {
             direction: Direction::Forward,
         };
         let mut transport = HopTransport::new((self.factory)(&hop_ctx));
-        if self.cfg.trace_client_cwnd {
-            transport.enable_cwnd_trace(ctx.now());
-        }
+        transport.enable_cwnd_trace(ctx.now());
 
         let node = &mut self.nodes[client_id.index()];
         debug_assert_eq!(

@@ -99,22 +99,6 @@ pub const DESTROY_REASON_TIMEOUT: u8 = 10;
 /// answered, so two voids cannot volley.
 pub const DESTROY_REASON_REFUSED: u8 = 11;
 
-/// Global behaviour switches.
-#[derive(Clone, Copy, Debug)]
-pub struct WorldConfig {
-    /// Record the client's forward congestion window over time (the
-    /// Figure 1 trace).
-    pub trace_client_cwnd: bool,
-}
-
-impl Default for WorldConfig {
-    fn default() -> Self {
-        WorldConfig {
-            trace_client_cwnd: true,
-        }
-    }
-}
-
 /// Events a world has handled, by kind (see
 /// [`TorNetwork::events_handled`]). Describes the implementation, not
 /// the run: deliberately not part of [`WorldStats`] or the fingerprint.
@@ -709,7 +693,6 @@ pub struct TorNetwork {
     /// growing the route table.
     pub(super) free_link_ids: Vec<CircuitId>,
     pub(super) factory: CcFactory,
-    pub(super) cfg: WorldConfig,
     pub(super) rng: SimRng,
     /// Circuit-placement seam (relay population + policy + live load);
     /// `None` for explicit-path worlds.
@@ -739,13 +722,7 @@ pub struct TorNetwork {
 
 impl TorNetwork {
     /// Creates an overlay over an already-built network and routing table.
-    pub fn new(
-        net: Net<WireFrame>,
-        router: Router,
-        cfg: WorldConfig,
-        factory: CcFactory,
-        rng: SimRng,
-    ) -> TorNetwork {
+    pub fn new(net: Net<WireFrame>, router: Router, factory: CcFactory, rng: SimRng) -> TorNetwork {
         // At most one overlay node per network node: every per-node
         // table is sized once, here.
         let net_nodes = net.node_count();
@@ -762,7 +739,6 @@ impl TorNetwork {
             link_routes: vec![LinkRoute::default()],
             free_link_ids: Vec::new(),
             factory,
-            cfg,
             rng,
             placement: None,
             epoch_deltas: Vec::new(),
@@ -1419,8 +1395,8 @@ impl TorNetwork {
         Some(&nc.fwd.as_ref()?.transport)
     }
 
-    /// The recorded source congestion-window trace of a circuit (requires
-    /// [`WorldConfig::trace_client_cwnd`]).
+    /// The recorded source congestion-window trace of a circuit: every
+    /// change of the client's forward window (the Figure 1 trace).
     pub fn source_cwnd_trace(&self, circ: CircId) -> Option<&[(SimTime, u32)]> {
         self.client_transport(circ)?.cwnd_trace()
     }
@@ -1626,13 +1602,7 @@ mod tests {
 
         let factory: CcFactory =
             Box::new(|_| -> Box<dyn CongestionControl + Send> { Box::new(FixedWindowCc::new(4)) });
-        let mut w = TorNetwork::new(
-            Net::new(),
-            Router::new(),
-            WorldConfig::default(),
-            factory,
-            SimRng::seed_from(1),
-        );
+        let mut w = TorNetwork::new(Net::new(), Router::new(), factory, SimRng::seed_from(1));
         let (x, y, z) = (OverlayId(0), OverlayId(1), OverlayId(2));
         let c = CircId(7);
         let [both, a_cleared, b_absent, cleared, twice] =

@@ -51,7 +51,7 @@ fn main() {
         "  settled at ±35%  : {}",
         report
             .settling_time_ms(0.35)
-            .map(|ms| format!("{ms:.0} ms"))
+            .map(|ms| format!("{ms:.0} ms after transfer start"))
             .unwrap_or_else(|| "never".to_string())
     );
 

@@ -59,9 +59,6 @@ cargo run -q --release --example quickstart
 echo "==> smoke: cargo run --example churn_web (workload engine: multi-stream + churn)"
 cargo run -q --release --example churn_web
 
-echo "==> smoke: cargo run --example path_policies (selection seam: all four policies)"
-cargo run -q --release --example path_policies
-
 echo "==> smoke: cargo run --example async_sweep (threaded runtime + oracle check)"
 cargo run -q --release --example async_sweep
 
@@ -71,8 +68,14 @@ cargo run -q --release --example consensus_scale
 echo "==> smoke: cargo run --example fault_storm (crash injection + recovery loop)"
 cargo run -q --release --example fault_storm
 
-echo "==> smoke: cargo run --example telemetry_scale (7k-relay sketch quantiles + Prometheus golden file)"
-cargo run -q --release --example telemetry_scale
+echo "==> smoke: fig1_cwnd (Figure 1 upper panel, bottleneck 1 hop out)"
+cargo run -q --release -p cs-bench --bin fig1_cwnd -- --distance 1
+
+echo "==> smoke: fig1_cdf (Figure 1 lower panel, 10 circuits, 1 repetition)"
+cargo run -q --release -p cs-bench --bin fig1_cdf -- --circuits 10 --reps 1
+
+echo "==> smoke: ablations midflow policies (A6 mid-flow upgrade, A7 selection policies)"
+cargo run -q --release -p cs-bench --bin ablations -- midflow policies
 
 echo "==> threaded-runtime differential suite (oracle fingerprints, pool flatness)"
 cargo test -q --test async_runtime
@@ -80,7 +83,7 @@ cargo test -q --test async_runtime
 echo "==> fault-recovery suite (conservation + fingerprint invariance under faults)"
 cargo test -q --test fault_recovery
 
-echo "==> telemetry differential suite (sketch vs exact CDF, shuffle-merge invariance)"
+echo "==> telemetry differential suite (sketch vs exact CDF, shuffle-merge invariance, Prometheus golden file)"
 cargo test -q --test telemetry_sketch
 
 echo "==> csbench smoke: all five workloads, quick mode (includes its determinism double-run)"

@@ -4,7 +4,7 @@
 //! on).
 
 use circuitstart::prelude::*;
-use relaynet::{PathScenario, WorldConfig};
+use relaynet::PathScenario;
 
 /// Builds the fig-1 geometry with the bottleneck at `distance`, runs a
 /// CircuitStart transfer, and returns the built simulator for inspection.
@@ -19,7 +19,6 @@ fn run_geometry(
     let scenario = PathScenario {
         hops: base.hops(),
         file_bytes: file,
-        world: WorldConfig::default(),
         ..Default::default()
     };
     let (mut sim, handles) = scenario.build(Algorithm::CircuitStart.factory(base.cc), 1);

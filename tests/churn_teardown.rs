@@ -11,7 +11,7 @@ use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
 use relaynet::builder::fixed_window_factory;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, WorkloadSpec};
-use relaynet::{PathScenario, TorEvent, WorldConfig};
+use relaynet::{PathScenario, TorEvent};
 use simcore::sim::{RunLimits, StopReason};
 use simcore::time::{SimDuration, SimTime};
 
@@ -45,7 +45,6 @@ fn midflight_destroy_returns_inflight_buffers_and_counts_one_destroy_per_hop() {
             }),
         },
         faults: None,
-        world: WorldConfig::default(),
     };
     let (mut sim, h) = scenario.build(fixed_window_factory(16), 7);
     let path_nodes = 4u64; // client + 2 relays + server
@@ -110,7 +109,6 @@ fn manual_teardown_event_mid_transfer_is_equivalent_to_churn() {
     let scenario = PathScenario {
         hops: bottleneck_hops(),
         file_bytes: 600_000,
-        world: WorldConfig::default(),
         ..Default::default()
     };
     let (mut sim, h) = scenario.build(fixed_window_factory(16), 11);
@@ -150,7 +148,6 @@ fn teardown_racing_the_build_never_panics_or_leaks() {
                 }),
             },
             faults: None,
-            world: WorldConfig::default(),
         };
         let (mut sim, _) = scenario.build(fixed_window_factory(8), 13);
         let report = sim.run();
@@ -212,7 +209,6 @@ fn scheduler_queued_cells_drop_at_destroy_without_burning_link_time() {
             }),
         },
         faults: None,
-        world: WorldConfig::default(),
     };
     let (mut sim, h) = scenario.build(fixed_window_factory(16), 19);
     // Pause 25 ms after the teardown: far less than the ~30 ms the
@@ -282,7 +278,6 @@ fn destroy_count_scales_with_cycles() {
             }),
         },
         faults: None,
-        world: WorldConfig::default(),
     };
     let (mut sim, _) = scenario.build(fixed_window_factory(16), 3);
     let report = sim.run();

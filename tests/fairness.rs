@@ -6,7 +6,7 @@
 //! aggressive sender cannot push a windowed peer beyond that bound.
 
 use circuitstart::prelude::*;
-use relaynet::{DirectoryConfig, StarScenario, WorldConfig};
+use relaynet::{DirectoryConfig, StarScenario};
 
 /// A star where every circuit crosses the same single relay — maximal
 /// contention at one point.
@@ -21,7 +21,6 @@ fn single_relay_star(circuits: usize, file_bytes: u64) -> StarScenario {
             bandwidth_mbps: (30.0, 30.1),
             delay_ms: (5.0, 5.0),
         },
-        world: WorldConfig::default(),
         ..Default::default()
     }
 }

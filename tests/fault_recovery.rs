@@ -30,7 +30,7 @@ use relaynet::runtime::{fingerprint, ShardedStar, StatsKind};
 use relaynet::sampler::SamplerKind;
 use relaynet::selection::{all_policies, CongestionAware};
 use relaynet::workload::{ArrivalSpec, ChurnSpec, EpochSpec, FaultSpec, WorkloadSpec};
-use relaynet::{DirectoryConfig, PathScenario, StarScenario, TorEvent, WorldConfig, WorldStats};
+use relaynet::{DirectoryConfig, PathScenario, StarScenario, TorEvent, WorldStats};
 use simcore::event::QueueKind;
 use simcore::exec::{DeterministicExecutor, ThreadedExecutor};
 use simcore::sim::StopReason;
@@ -271,7 +271,6 @@ fn retry_cap_parks_flows_on_an_unroutable_path() {
                 backoff_cap_ms: 20.0,
                 ..Default::default()
             }),
-            world: WorldConfig::default(),
         };
         let (mut sim, _) = scenario.build(fixed_window_factory(16), 9);
         let report = sim.run();

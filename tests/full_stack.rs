@@ -5,7 +5,7 @@
 use circuitstart::prelude::*;
 use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
-use relaynet::{PathScenario, StarScenario, WorldConfig};
+use relaynet::{PathScenario, StarScenario};
 use simcore::time::SimDuration;
 
 fn hop(mbps: u64, delay_ms: u64) -> LinkConfig {
@@ -25,7 +25,6 @@ fn run_path(
     let scenario = PathScenario {
         hops,
         file_bytes,
-        world: WorldConfig::default(),
         ..Default::default()
     };
     let (mut sim, handles) = scenario.build(algorithm.factory(CcConfig::default()), seed);
@@ -197,7 +196,6 @@ fn feedback_volume_matches_cell_volume() {
     let scenario = PathScenario {
         hops: vec![hop(50, 3); 4],
         file_bytes: 50_000,
-        world: WorldConfig::default(),
         ..Default::default()
     };
     let (mut sim, _) = scenario.build(Algorithm::CircuitStart.factory(CcConfig::default()), 3);

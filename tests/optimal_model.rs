@@ -6,7 +6,7 @@
 use circuitstart::prelude::*;
 use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
-use relaynet::{PathScenario, WorldConfig};
+use relaynet::PathScenario;
 use simcore::time::SimDuration;
 
 fn hop(mbps: u64, delay_ms: u64) -> LinkConfig {
@@ -21,7 +21,6 @@ fn goodput_with_window(hops: &[LinkConfig], window: u32, file: u64) -> f64 {
     let scenario = PathScenario {
         hops: hops.to_vec(),
         file_bytes: file,
-        world: WorldConfig::default(),
         ..Default::default()
     };
     let (mut sim, handles) = scenario.build(
@@ -88,7 +87,6 @@ fn ideal_transfer_time_is_a_tight_lower_bound_at_w_star() {
     let scenario = PathScenario {
         hops: hops.clone(),
         file_bytes: file,
-        world: WorldConfig::default(),
         ..Default::default()
     };
     let window = model.optimal_source_cwnd_cells().ceil() as u32 + 1;

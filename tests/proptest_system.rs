@@ -9,7 +9,7 @@
 use circuitstart::prelude::*;
 use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
-use relaynet::{PathScenario, WorldConfig};
+use relaynet::PathScenario;
 use simcore::rng::SimRng;
 use simcore::time::SimDuration;
 
@@ -35,7 +35,6 @@ fn run(
     let scenario = PathScenario {
         hops,
         file_bytes,
-        world: WorldConfig::default(),
         ..Default::default()
     };
     let (mut sim, handles) = scenario.build(algorithm.factory(CcConfig::default()), seed);
@@ -123,7 +122,6 @@ fn cwnd_respects_bounds_throughout() {
         let scenario = PathScenario {
             hops,
             file_bytes: file,
-            world: WorldConfig::default(),
             ..Default::default()
         };
         let cc = CcConfig::default();

@@ -14,7 +14,7 @@ use circuitstart::prelude::*;
 use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, WorkloadSpec};
-use relaynet::{PathScenario, WorldConfig};
+use relaynet::PathScenario;
 use simcore::rng::SimRng;
 use simcore::time::SimDuration;
 
@@ -67,7 +67,6 @@ fn build_and_run(
         file_bytes,
         workload,
         faults: None,
-        world: WorldConfig::default(),
     };
     let (mut sim, _) = scenario.build(Algorithm::CircuitStart.factory(CcConfig::default()), seed);
     run_to_completion(&mut sim);

@@ -18,7 +18,7 @@ use circuitstart::prelude::*;
 use relaynet::builder::{PathScenario, StarScenario};
 use relaynet::selection::all_policies;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, WorkloadSpec};
-use relaynet::{DirectoryConfig, WorldConfig, WorldStats};
+use relaynet::{DirectoryConfig, WorldStats};
 use simcore::event::QueueKind;
 use simcore::time::SimDuration;
 
@@ -52,7 +52,6 @@ fn run_path(distance: usize, seed: u64, kind: QueueKind) -> PathFingerprint {
     let scenario = PathScenario {
         hops: base.hops(),
         file_bytes: 400_000,
-        world: WorldConfig::default(),
         ..Default::default()
     };
     let (mut sim, h) =
@@ -132,7 +131,6 @@ fn baseline_algorithms_also_match() {
     let scenario = PathScenario {
         hops: fig1_trace(1, Algorithm::ClassicBacktap).hops(),
         file_bytes: 200_000,
-        world: WorldConfig::default(),
         ..Default::default()
     };
     // CcFactory is not Clone, so store constructors and build one per run.
@@ -187,7 +185,6 @@ fn churn_path_runs_identically_on_both_queues_across_seeds() {
         file_bytes: 150_000,
         workload: churn_workload(),
         faults: None,
-        world: WorldConfig::default(),
     };
     let run = |seed, kind| {
         let (mut sim, _) = scenario.build_with_queue(
@@ -264,7 +261,6 @@ fn selection_policies_run_identically_on_both_queues_across_seeds() {
         file_bytes: 100_000,
         workload: churn_workload(),
         faults: None,
-        world: WorldConfig::default(),
     };
     let run_path = |seed, kind| {
         let (mut sim, _) = path_scenario.build_with_queue(

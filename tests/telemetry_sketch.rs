@@ -16,21 +16,29 @@
 //!    shuffle of the shard order produces the identical experiment
 //!    aggregate — the property the exhaustive-destructure merge in
 //!    `ShardedStar::run` preserves.
+//!
+//! At consensus scale, one 7000-relay world is reported entirely through
+//! the telemetry layer and its Prometheus exposition is pinned byte for
+//! byte to `tests/golden/telemetry_scale.prom` (`CS_BLESS=1` re-blesses
+//! it after an intentional change).
 
+use std::path::Path;
 use std::sync::Arc;
 
 use backtap::config::CcConfig;
-use circuitstart::Algorithm;
+use circuitstart::{run_to_completion, Algorithm};
 use relaynet::builder::StarScenario;
 use relaynet::network::WorldStats;
 use relaynet::runtime::{FactoryMaker, ShardedStar, StatsKind, SweepReport};
-use relaynet::selection::{all_policies, SelectionPolicy};
-use relaynet::workload::{ArrivalSpec, ChurnSpec, WorkloadSpec};
+use relaynet::selection::{all_policies, CongestionAware, SelectionPolicy};
+use relaynet::workload::{ArrivalSpec, ChurnSpec, EpochSpec, WorkloadSpec};
 use relaynet::DirectoryConfig;
 use simcore::event::QueueKind;
 use simcore::exec::DeterministicExecutor;
 use simcore::rng::SimRng;
 use simstats::cdf::Cdf;
+use simstats::export::prometheus_text;
+use simstats::registry::MetricsRegistry;
 use simstats::sketch::QuantileSketch;
 
 /// The async-runtime suite's churning star, kept small: the sketch
@@ -228,6 +236,98 @@ fn exact_cdf_rank_boundaries_hold_on_experiment_output() {
             exact.quantile(q),
             sorted[k - 1],
             "q={k}/{n} must select the rank-{k} sample"
+        );
+    }
+}
+
+/// Consensus scale, end to end: a 7000-relay star with four epochs of 1%
+/// churn under congestion-aware selection, reported only through the
+/// telemetry layer. The sketch answers p50/p99/p999 within alpha of the
+/// exact CDF, and the exposition (every `WorldStats` counter plus the
+/// sketch's quantile gauges) is a pure function of the run, so it must
+/// match the golden file byte for byte.
+#[test]
+fn consensus_scale_exposition_matches_golden_file() {
+    let relays = 7000;
+    let scenario = StarScenario {
+        circuits: 32,
+        relays_per_circuit: 3,
+        file_bytes: 60_000,
+        directory: DirectoryConfig {
+            relays,
+            bandwidth_mbps: (15.0, 100.0),
+            delay_ms: (2.0, 12.0),
+        },
+        workload: WorkloadSpec {
+            streams_per_circuit: 2,
+            arrival: ArrivalSpec::UniformJitter { max_ms: 30.0 },
+            churn: None,
+        },
+        epochs: Some(EpochSpec {
+            interval_ms: 80.0,
+            epochs: 4,
+            churn: relays / 100,
+            standby_fraction: 0.1,
+        }),
+        selection: Arc::new(CongestionAware),
+        ..Default::default()
+    };
+    let (mut sim, _) = scenario.build(Algorithm::CircuitStart.factory(CcConfig::default()), 4242);
+    run_to_completion(&mut sim);
+    let world = sim.world();
+    assert_eq!(world.stats().protocol_errors, 0);
+    assert!(
+        world.flows().iter().all(|f| f.complete()),
+        "a flow was stranded"
+    );
+
+    let cdf = world.flow_completion_cdf().expect("completed flows");
+    let sketch = world.flow_completion_sketch();
+    assert_eq!(sketch.len(), cdf.len() as u64, "sketch missed completions");
+    for q in [0.5, 0.99, 0.999] {
+        let (exact, approx) = (cdf.quantile(q), sketch.quantile(q));
+        assert!(
+            (approx - exact).abs() / exact <= sketch.alpha(),
+            "q={q}: sketch {approx} strayed more than alpha from exact {exact}"
+        );
+    }
+
+    let mut registry = MetricsRegistry::new();
+    world.stats().export_into(&mut registry);
+    let text = prometheus_text(
+        &registry,
+        &[
+            (
+                "cs_completion_p50_seconds",
+                "median flow completion time (sketch)",
+                sketch.quantile(0.5),
+            ),
+            (
+                "cs_completion_p99_seconds",
+                "p99 flow completion time (sketch)",
+                sketch.p99(),
+            ),
+            (
+                "cs_completion_p999_seconds",
+                "p999 flow completion time (sketch)",
+                sketch.p999(),
+            ),
+            (
+                "cs_completion_flows",
+                "flows folded into the completion sketch",
+                sketch.len() as f64,
+            ),
+        ],
+    );
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/telemetry_scale.prom");
+    if std::env::var_os("CS_BLESS").is_some() {
+        std::fs::write(&golden, &text).expect("write golden file");
+    } else {
+        let want = std::fs::read_to_string(&golden).expect("golden file present");
+        assert_eq!(
+            text, want,
+            "Prometheus exposition diverged from the golden file \
+             (intentional? re-bless with CS_BLESS=1)"
         );
     }
 }
