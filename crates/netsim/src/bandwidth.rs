@@ -36,19 +36,9 @@ impl Bandwidth {
         Bandwidth(bps)
     }
 
-    /// Creates a rate from kilobits per second (10^3 bits).
-    pub fn from_kbps(kbps: u64) -> Self {
-        Self::from_bps(kbps * 1_000)
-    }
-
     /// Creates a rate from megabits per second (10^6 bits).
     pub fn from_mbps(mbps: u64) -> Self {
         Self::from_bps(mbps * 1_000_000)
-    }
-
-    /// Creates a rate from gigabits per second (10^9 bits).
-    pub fn from_gbps(gbps: u64) -> Self {
-        Self::from_bps(gbps * 1_000_000_000)
     }
 
     /// Creates a rate from fractional megabits per second.
@@ -86,12 +76,6 @@ impl Bandwidth {
         let nanos = (bits * u128::from(NANOS_PER_SEC)).div_ceil(u128::from(self.0));
         SimDuration::from_nanos(u64::try_from(nanos).expect("transmission time overflows u64 ns"))
     }
-
-    /// How many whole bytes this rate can move in `d`.
-    pub fn bytes_in(&self, d: SimDuration) -> u64 {
-        let bits = u128::from(self.0) * u128::from(d.as_nanos()) / u128::from(NANOS_PER_SEC);
-        u64::try_from(bits / 8).expect("byte count overflows u64")
-    }
 }
 
 impl fmt::Debug for Bandwidth {
@@ -120,10 +104,11 @@ mod tests {
 
     #[test]
     fn constructors_agree() {
-        assert_eq!(Bandwidth::from_kbps(1), Bandwidth::from_bps(1_000));
-        assert_eq!(Bandwidth::from_mbps(1), Bandwidth::from_kbps(1_000));
-        assert_eq!(Bandwidth::from_gbps(1), Bandwidth::from_mbps(1_000));
-        assert_eq!(Bandwidth::from_mbps_f64(2.5), Bandwidth::from_kbps(2_500));
+        assert_eq!(Bandwidth::from_mbps(1), Bandwidth::from_bps(1_000_000));
+        assert_eq!(
+            Bandwidth::from_mbps_f64(2.5),
+            Bandwidth::from_bps(2_500_000)
+        );
     }
 
     #[test]
@@ -168,14 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_in_inverts_transmission_time() {
-        let bw = Bandwidth::from_mbps(8); // 1 byte/us
-        assert_eq!(bw.bytes_in(SimDuration::from_micros(100)), 100);
-        let t = bw.transmission_time(1_000);
-        assert_eq!(bw.bytes_in(t), 1_000);
-    }
-
-    #[test]
     fn accessors() {
         let bw = Bandwidth::from_mbps(12);
         assert_eq!(bw.bps(), 12_000_000);
@@ -186,8 +163,8 @@ mod tests {
     #[test]
     fn display_units() {
         assert_eq!(Bandwidth::from_bps(500).to_string(), "500bit/s");
-        assert_eq!(Bandwidth::from_kbps(64).to_string(), "64.000kbit/s");
+        assert_eq!(Bandwidth::from_bps(64_000).to_string(), "64.000kbit/s");
         assert_eq!(Bandwidth::from_mbps(10).to_string(), "10.000Mbit/s");
-        assert_eq!(Bandwidth::from_gbps(2).to_string(), "2Gbit/s");
+        assert_eq!(Bandwidth::from_bps(2_000_000_000).to_string(), "2Gbit/s");
     }
 }

@@ -13,8 +13,8 @@
 //! * [`link`] — link configuration, drop-tail queue policies, telemetry.
 //! * [`net`] — the [`Net`](net::Net) state machine (send → serialize →
 //!   propagate → deliver) and its two events.
-//! * [`topology`] — canonical shapes: path, star (nstor's "Internet"
-//!   abstraction), dumbbell.
+//! * [`topology`] — canonical shapes: path and star (nstor's "Internet"
+//!   abstraction).
 //!
 //! ## Timing model
 //!
@@ -32,17 +32,8 @@ pub mod link;
 pub mod net;
 pub mod topology;
 
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::bandwidth::Bandwidth;
-    pub use crate::frame::{Frame, RawFrame};
-    pub use crate::link::{LinkConfig, LinkId, LinkStats, QueueLimit};
-    pub use crate::net::{Net, NetEvent, NodeId, SendOutcome};
-    pub use crate::topology::{AccessConfig, AccessLinks, Dumbbell, Path, Star};
-}
-
 pub use bandwidth::Bandwidth;
 pub use frame::{Frame, RawFrame};
 pub use link::{LinkConfig, LinkId, LinkStats, QueueLimit};
 pub use net::{Net, NetEvent, NodeId, SendOutcome};
-pub use topology::{AccessConfig, AccessLinks, Dumbbell, Path, Star};
+pub use topology::{AccessConfig, AccessLinks, Path, Star};

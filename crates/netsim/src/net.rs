@@ -87,7 +87,7 @@ pub enum SendOutcome {
 /// # Examples
 ///
 /// ```
-/// use netsim::prelude::*;
+/// use netsim::{Bandwidth, LinkConfig, LinkId, Net, NetEvent, RawFrame};
 /// use simcore::prelude::*;
 ///
 /// enum Ev { Net(NetEvent), Send(u64) }

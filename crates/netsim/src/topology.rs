@@ -1,6 +1,6 @@
 //! Topology builders.
 //!
-//! Three canonical shapes cover every experiment in the paper:
+//! Two canonical shapes cover every experiment in the paper:
 //!
 //! * [`Path`] — a chain `n0 — n1 — … — nk`, used for the single-circuit
 //!   cwnd traces (Figure 1 upper panels) where one hop is the bottleneck.
@@ -9,8 +9,6 @@
 //!   (Figure 1 lower panel). The switch itself is infinitely fast — only
 //!   access links constrain traffic. A leaf's links are minted the first
 //!   time it is used.
-//! * [`Dumbbell`] — n sources and n sinks sharing one bottleneck link,
-//!   used by transport-fairness tests and ablations.
 
 use simcore::time::SimDuration;
 
@@ -55,23 +53,6 @@ impl Path {
     /// Number of hops (links), one less than the number of nodes.
     pub fn hop_count(&self) -> usize {
         self.fwd.len()
-    }
-
-    /// The position of `node` in the chain, if it belongs to it.
-    pub fn position(&self, node: NodeId) -> Option<usize> {
-        self.nodes.iter().position(|&n| n == node)
-    }
-
-    /// The forward link leaving `node` (toward higher indices), if any.
-    pub fn fwd_link_from(&self, node: NodeId) -> Option<LinkId> {
-        let pos = self.position(node)?;
-        self.fwd.get(pos).copied()
-    }
-
-    /// The reverse link leaving `node` (toward lower indices), if any.
-    pub fn rev_link_from(&self, node: NodeId) -> Option<LinkId> {
-        let pos = self.position(node)?;
-        pos.checked_sub(1).map(|p| self.rev[p])
     }
 }
 
@@ -248,70 +229,6 @@ fn next_leaf_name(name: &mut String) {
     }
 }
 
-/// A dumbbell: `n` sources, `n` sinks, one shared bottleneck.
-#[derive(Clone, Debug)]
-pub struct Dumbbell {
-    /// Source nodes (left side).
-    pub sources: Vec<NodeId>,
-    /// Sink nodes (right side).
-    pub sinks: Vec<NodeId>,
-    /// Left aggregation router.
-    pub left_router: NodeId,
-    /// Right aggregation router.
-    pub right_router: NodeId,
-    /// `source_links[i]` carries `sources[i] → left_router` (with reverse
-    /// as the next id).
-    pub source_links: Vec<(LinkId, LinkId)>,
-    /// `sink_links[i]` carries `right_router → sinks[i]` (with reverse).
-    pub sink_links: Vec<(LinkId, LinkId)>,
-    /// Bottleneck `left_router → right_router`.
-    pub bottleneck_fwd: LinkId,
-    /// Bottleneck reverse direction.
-    pub bottleneck_rev: LinkId,
-}
-
-impl Dumbbell {
-    /// Builds a dumbbell with `n` source/sink pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn build<F: Frame>(
-        net: &mut Net<F>,
-        n: usize,
-        edge: LinkConfig,
-        bottleneck: LinkConfig,
-    ) -> Dumbbell {
-        assert!(n > 0, "a dumbbell needs at least one flow");
-        let left_router = net.add_node("left-router");
-        let right_router = net.add_node("right-router");
-        let (bottleneck_fwd, bottleneck_rev) =
-            net.add_duplex(left_router, right_router, bottleneck);
-        let mut sources = Vec::with_capacity(n);
-        let mut sinks = Vec::with_capacity(n);
-        let mut source_links = Vec::with_capacity(n);
-        let mut sink_links = Vec::with_capacity(n);
-        for i in 0..n {
-            let s = net.add_node(&format!("src-{i}"));
-            let t = net.add_node(&format!("dst-{i}"));
-            source_links.push(net.add_duplex(s, left_router, edge));
-            sink_links.push(net.add_duplex(right_router, t, edge));
-            sources.push(s);
-            sinks.push(t);
-        }
-        Dumbbell {
-            sources,
-            sinks,
-            left_router,
-            right_router,
-            source_links,
-            sink_links,
-            bottleneck_fwd,
-            bottleneck_rev,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,19 +255,6 @@ mod tests {
             assert_eq!(net.link_ends(p.rev[i]), (p.nodes[i + 1], p.nodes[i]));
         }
         assert_eq!(net.link_config(p.fwd[1]).rate, Bandwidth::from_mbps(5));
-    }
-
-    #[test]
-    fn path_link_lookups() {
-        let mut net: Net<RawFrame> = Net::new();
-        let p = Path::build(&mut net, &[cfg(10, 1), cfg(10, 1)]);
-        let (a, b, c) = (p.nodes[0], p.nodes[1], p.nodes[2]);
-        assert_eq!(p.position(b), Some(1));
-        assert_eq!(p.fwd_link_from(a), Some(p.fwd[0]));
-        assert_eq!(p.fwd_link_from(b), Some(p.fwd[1]));
-        assert_eq!(p.fwd_link_from(c), None); // right end has no fwd
-        assert_eq!(p.rev_link_from(a), None); // left end has no rev
-        assert_eq!(p.rev_link_from(c), Some(p.rev[1]));
     }
 
     #[test]
@@ -473,40 +377,5 @@ mod tests {
         let fast = s.mint(&mut net, s.leaf(1));
         assert_eq!(net.link_config(slow.up).rate, Bandwidth::from_mbps(10));
         assert_eq!(net.link_config(fast.down).rate, Bandwidth::from_mbps(50));
-    }
-
-    #[test]
-    fn dumbbell_structure() {
-        let mut net: Net<RawFrame> = Net::new();
-        let d = Dumbbell::build(&mut net, 2, cfg(100, 1), cfg(10, 5));
-        assert_eq!(d.sources.len(), 2);
-        assert_eq!(d.sinks.len(), 2);
-        // 2 routers + 2 sources + 2 sinks
-        assert_eq!(net.node_count(), 6);
-        // bottleneck duplex + 2 source duplex + 2 sink duplex = 10 simplex
-        assert_eq!(net.link_count(), 10);
-        assert_eq!(
-            net.link_ends(d.bottleneck_fwd),
-            (d.left_router, d.right_router)
-        );
-        assert_eq!(
-            net.link_config(d.bottleneck_fwd).rate,
-            Bandwidth::from_mbps(10)
-        );
-        assert_eq!(
-            net.link_ends(d.source_links[0].0),
-            (d.sources[0], d.left_router)
-        );
-        assert_eq!(
-            net.link_ends(d.sink_links[1].0),
-            (d.right_router, d.sinks[1])
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one flow")]
-    fn empty_dumbbell_rejected() {
-        let mut net: Net<RawFrame> = Net::new();
-        let _ = Dumbbell::build(&mut net, 0, cfg(1, 0), cfg(1, 0));
     }
 }

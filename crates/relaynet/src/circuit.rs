@@ -72,15 +72,6 @@ impl CircuitResult {
         }
     }
 
-    /// Time to last byte measured from the start of the circuit build —
-    /// the full user-perceived download time.
-    pub fn download_time(&self) -> Option<SimDuration> {
-        match (self.started_at, self.last_byte_at) {
-            (Some(a), Some(b)) => b.checked_duration_since(a),
-            _ => None,
-        }
-    }
-
     /// Mean goodput over the transfer, bits per second.
     pub fn goodput_bps(&self) -> Option<f64> {
         let t = self.transfer_time()?;
@@ -110,10 +101,9 @@ mod tests {
     }
 
     #[test]
-    fn transfer_and_download_times() {
+    fn transfer_time() {
         let r = result();
         assert_eq!(r.transfer_time(), Some(SimDuration::from_millis(500)));
-        assert_eq!(r.download_time(), Some(SimDuration::from_millis(560)));
     }
 
     #[test]
@@ -140,7 +130,6 @@ mod tests {
             payload_errors: 0,
         };
         assert_eq!(r.transfer_time(), None);
-        assert_eq!(r.download_time(), None);
         assert_eq!(r.goodput_bps(), None);
     }
 }

@@ -47,40 +47,6 @@ pub mod selection;
 pub mod wire;
 pub mod workload;
 
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::builder::{
-        baseline_factory, fixed_window_factory, jumpstart_factory, unlimited_factory, PathHandles,
-        PathScenario, StarScenario,
-    };
-    pub use crate::circuit::{CircuitInfo, CircuitResult};
-    pub use crate::directory::{Directory, DirectoryConfig, EpochDelta, RelaySpec};
-    pub use crate::event::{TimerKind, TorEvent};
-    pub use crate::ids::{CircId, Direction, OverlayId};
-    pub use crate::network::{
-        fill_pattern_extend, fill_pattern_into, verify_fill_pattern, EventsHandled, TorNetwork,
-        WorldStats,
-    };
-    pub use crate::node::{CcFactory, HopCtx, NodeRole};
-    pub use crate::pool::PayloadPool;
-    pub use crate::router::Router;
-    pub use crate::runtime::{
-        fingerprint, FactoryMaker, ShardReport, ShardedStar, StatsKind, SweepReport,
-        WorldFingerprint,
-    };
-    pub use crate::sampler::{FenwickSampler, LinearSampler, Sampler, SamplerKind};
-    pub use crate::scheduler::LinkScheduler;
-    pub use crate::selection::{
-        all_policies, BandwidthWeighted, CongestionAware, DirectoryView, LatencyAware,
-        PathSelection, SelectionEngine, SelectionPolicy, Uniform,
-    };
-    pub use crate::wire::{FramePayload, WireFrame};
-    pub use crate::workload::{
-        ArrivalSpec, ChurnSpec, CircuitWorkload, EpochSchedule, EpochSpec, FaultSchedule,
-        FaultSpec, FlowId, FlowState, LinkStall, StreamSpec, WorkloadSpec,
-    };
-}
-
 pub use builder::{
     baseline_factory, fixed_window_factory, jumpstart_factory, unlimited_factory, PathHandles,
     PathScenario, StarScenario,

@@ -282,7 +282,7 @@ impl<E> CalendarQueue<E> {
     // `Simulator::run_with_limits` costs 5–11% `cells_per_s` on every
     // workload, and whether it inlines flips with unrelated code changes;
     // with one codegen unit the picture reverses (DESIGN.md §5,
-    // "Measured and flat").
+    // "Measured and not landed").
     #[inline(never)]
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
         if self.ready.is_empty() && self.in_buckets > 0 {

@@ -287,27 +287,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
-    /// Multiplies the duration by an integer factor.
-    #[inline]
-    pub const fn mul_u64(self, factor: u64) -> SimDuration {
-        SimDuration(self.0 * factor)
-    }
-
-    /// Multiplies the duration by a floating-point factor (rounding to the
-    /// nearest nanosecond).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or NaN.
-    #[inline]
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "SimDuration::mul_f64: invalid factor {factor}"
-        );
-        SimDuration(round_u64(self.0 as f64 * factor))
-    }
-
     /// The ratio of two durations as an `f64`.
     ///
     /// Returns `f64::INFINITY` if `other` is zero and `self` is not, and
@@ -669,13 +648,6 @@ mod tests {
                 assert_rounds(x);
             }
         }
-    }
-
-    #[test]
-    fn duration_mul_f64_rounds() {
-        let d = SimDuration::from_nanos(10);
-        assert_eq!(d.mul_f64(1.26), SimDuration::from_nanos(13));
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -157,17 +157,6 @@ impl Cdf {
             .collect()
     }
 
-    /// `true` if `self` stochastically dominates `other` (is everywhere at
-    /// least as "fast"/left-shifted): for every probability level `q` in the
-    /// given grid, `self.quantile(q) <= other.quantile(q) + slack`.
-    ///
-    /// `slack` absorbs simulation noise; pass `0.0` for strict dominance.
-    pub fn stochastically_dominates(&self, other: &Cdf, slack: f64) -> bool {
-        let grid = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95];
-        grid.iter()
-            .all(|&q| self.quantile(q) <= other.quantile(q) + slack)
-    }
-
     /// Largest quantile gap `other.quantile(q) − self.quantile(q)` over a
     /// uniform grid — "by how much does `self` beat `other` at best".
     /// Negative values mean `self` is never better.
@@ -341,20 +330,16 @@ mod tests {
     }
 
     #[test]
-    fn dominance_detects_shift() {
+    fn improvement_detects_shift() {
         let fast = cdf((0..100).map(|i| 1.0 + i as f64 / 100.0).collect());
         let slow = cdf((0..100).map(|i| 1.5 + i as f64 / 100.0).collect());
-        assert!(fast.stochastically_dominates(&slow, 0.0));
-        assert!(!slow.stochastically_dominates(&fast, 0.0));
-        assert!(slow.stochastically_dominates(&fast, 0.6)); // slack rescues it
         let gain = fast.max_quantile_improvement_over(&slow);
         assert!((gain - 0.5).abs() < 0.02, "gain ≈ 0.5, got {gain}");
     }
 
     #[test]
-    fn dominance_of_self() {
+    fn improvement_over_self_is_zero() {
         let c = cdf(vec![1.0, 2.0, 3.0]);
-        assert!(c.stochastically_dominates(&c, 0.0));
         assert!(c.max_quantile_improvement_over(&c).abs() < 1e-12);
     }
 

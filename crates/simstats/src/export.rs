@@ -1,8 +1,7 @@
 //! Plain-text exporters for experiment results.
 //!
-//! Three formats are supported, all trivially consumable:
+//! Two formats are supported, both trivially consumable:
 //!
-//! * **CSV** with a header row — for spreadsheets and pandas.
 //! * **gnuplot `.dat`** — whitespace-separated columns with `#` comments,
 //!   the format the original paper's plots were produced from.
 //! * **Prometheus text exposition** — [`prometheus_text`] renders a
@@ -32,8 +31,8 @@ use crate::registry::{MetricKind, MetricsRegistry};
 /// let mut t = Table::new(vec!["time_ms", "cwnd_kb"]);
 /// t.push_row(&[0.0, 1.0]);
 /// t.push_row(&[1.0, 2.0]);
-/// let csv = t.to_csv();
-/// assert!(csv.starts_with("time_ms,cwnd_kb\n0,1\n"));
+/// let dat = t.to_gnuplot();
+/// assert!(dat.starts_with("# time_ms\tcwnd_kb\n0\t1\n"));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Table {
@@ -111,19 +110,6 @@ impl Table {
         }
     }
 
-    /// Serializes to CSV with a header row.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            let line: Vec<String> = row.iter().map(|&v| Self::fmt_num(v)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Serializes to a gnuplot-ready `.dat` block: `#`-prefixed header,
     /// whitespace-separated columns.
     pub fn to_gnuplot(&self) -> String {
@@ -135,14 +121,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Writes the CSV rendering to `path`, creating parent directories.
-    pub fn write_csv(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        fs::write(path, self.to_csv())
     }
 
     /// Writes the gnuplot rendering to `path`, creating parent directories.
@@ -220,13 +198,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn csv_round_shape() {
+    fn numbers_print_short() {
         let mut t = Table::new(vec!["a", "b", "c"]);
         t.push_row(&[1.0, 2.5, -3.0]);
         t.push_row(&[4.0, 0.125, 6.0]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines, vec!["a,b,c", "1,2.5,-3", "4,0.125,6"]);
+        let dat = t.to_gnuplot();
+        let lines: Vec<&str> = dat.lines().collect();
+        assert_eq!(lines, vec!["# a\tb\tc", "1\t2.5\t-3", "4\t0.125\t6"]);
     }
 
     #[test]
@@ -330,16 +308,13 @@ zz_late_total 2
     }
 
     #[test]
-    fn write_files_roundtrip() {
+    fn write_file_roundtrip() {
         let dir = std::env::temp_dir().join("simstats-test-export");
         let _ = fs::remove_dir_all(&dir);
         let mut t = Table::new(vec!["x", "y"]);
         t.push_row(&[1.0, 2.0]);
-        let csv_path = dir.join("sub/t.csv");
         let dat_path = dir.join("sub/t.dat");
-        t.write_csv(&csv_path).unwrap();
         t.write_gnuplot(&dat_path).unwrap();
-        assert_eq!(fs::read_to_string(&csv_path).unwrap(), t.to_csv());
         assert_eq!(fs::read_to_string(&dat_path).unwrap(), t.to_gnuplot());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -6,12 +6,12 @@
 //! * [`timeseries`] — step-function traces (cwnd over time, Figure 1 upper
 //!   panels), resampling, settling-time metrics.
 //! * [`cdf`] — empirical CDFs (time-to-last-byte, Figure 1 lower panel),
-//!   quantiles, stochastic-dominance checks.
+//!   quantiles, quantile gaps between two distributions.
 //! * [`sketch`] — fixed-size mergeable quantile sketches: the streaming,
 //!   O(buckets)-memory counterpart of [`cdf`] for aggregation at scale.
 //! * [`registry`] — named counters and gauges behind cheap handles, with
 //!   order-independent merge.
-//! * [`export`] — CSV, gnuplot, and Prometheus-text writers
+//! * [`export`] — gnuplot and Prometheus-text writers
 //!   (dependency-free by design).
 //! * [`ascii`] — terminal plots for the bench binaries.
 //!

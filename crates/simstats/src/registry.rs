@@ -33,8 +33,7 @@ pub enum MetricKind {
 }
 
 /// A cheap `Copy` handle to a registered metric — valid only for the
-/// registry (or a [`clone_zeroed`](MetricsRegistry::clone_zeroed) twin
-/// of the registry) that issued it.
+/// registry that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MetricId(usize);
 
@@ -185,17 +184,6 @@ impl MetricsRegistry {
         self.metrics.is_empty()
     }
 
-    /// A twin registry with the same metric set and all values zeroed —
-    /// hand one to each shard so their [`MetricId`]s line up and the
-    /// shards merge field-for-field.
-    pub fn clone_zeroed(&self) -> MetricsRegistry {
-        let mut twin = self.clone();
-        for m in &mut twin.metrics {
-            m.value = 0;
-        }
-        twin
-    }
-
     /// Folds `other` into `self` by metric **name**: matching names add
     /// (counters and gauges alike — see the module docs), names unique
     /// to `other` are adopted. Addition is associative and commutative,
@@ -302,7 +290,7 @@ mod tests {
         let mut a = MetricsRegistry::new();
         let live = a.gauge("flows_live", "flows in flight");
         a.set(live, 4);
-        let mut b = a.clone_zeroed();
+        let mut b = MetricsRegistry::new();
         let live_b = b.gauge("flows_live", "flows in flight");
         b.set(live_b, 6);
         a.merge(&b);
@@ -333,17 +321,5 @@ mod tests {
         assert_eq!(ab_view, ba_view);
         assert_eq!(ab.value_of("a_total"), Some(1));
         assert_eq!(ab.value_of("b_total"), Some(2));
-    }
-
-    #[test]
-    fn clone_zeroed_preserves_handles() {
-        let mut template = MetricsRegistry::new();
-        let c = template.counter("ops_total", "operations");
-        template.add(c, 99);
-        let mut shard = template.clone_zeroed();
-        assert_eq!(shard.value(c), 0, "values reset");
-        shard.add(c, 1);
-        assert_eq!(shard.value(c), 1);
-        assert_eq!(template.value(c), 99, "template untouched");
     }
 }

@@ -94,27 +94,6 @@ impl TimeSeries {
         }
     }
 
-    /// Largest recorded value.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Smallest recorded value.
-    pub fn min_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.min(v))))
-    }
-
-    /// The value of the final sample.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-
     /// Resamples the step function onto a uniform grid of `n` points
     /// covering `[from, to]` inclusive. Grid points before the first sample
     /// evaluate to the first sample's value (left-extension), which is the
@@ -142,33 +121,6 @@ impl TimeSeries {
         TimeSeries {
             points: self.points.iter().map(|&(t, v)| (t, v * factor)).collect(),
         }
-    }
-
-    /// Time-weighted mean of the step function over `[start, end]`,
-    /// left-extending the first value. Useful for "average cwnd" metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the series is empty or `start >= end`.
-    pub fn time_weighted_mean(&self, start: f64, end: f64) -> f64 {
-        assert!(!self.is_empty(), "time_weighted_mean of empty TimeSeries");
-        assert!(start < end, "time_weighted_mean requires start < end");
-        let mut acc = 0.0;
-        let mut t_prev = start;
-        let mut v_prev = self.value_at(start).unwrap_or(self.points[0].1);
-        for &(t, v) in &self.points {
-            if t <= start {
-                continue;
-            }
-            if t >= end {
-                break;
-            }
-            acc += v_prev * (t - t_prev);
-            t_prev = t;
-            v_prev = v;
-        }
-        acc += v_prev * (end - t_prev);
-        acc / (end - start)
     }
 
     /// The first time at which the series enters (and the caller hopes,
@@ -216,7 +168,6 @@ mod tests {
         let ts = TimeSeries::new();
         assert!(ts.is_empty());
         assert_eq!(ts.value_at(0.0), None);
-        assert_eq!(ts.max_value(), None);
         assert_eq!(ts.start_time(), None);
         assert_eq!(ts.to_string(), "TimeSeries(empty)");
     }
@@ -251,14 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn min_max_last() {
-        let ts = series(&[(0.0, 5.0), (1.0, 2.0), (2.0, 9.0)]);
-        assert_eq!(ts.min_value(), Some(2.0));
-        assert_eq!(ts.max_value(), Some(9.0));
-        assert_eq!(ts.last_value(), Some(9.0));
-    }
-
-    #[test]
     fn resample_uniform_grid() {
         let ts = series(&[(0.0, 1.0), (0.5, 2.0)]);
         let grid = ts.resample(0.0, 1.0, 5);
@@ -286,17 +229,6 @@ mod tests {
     fn scaled_transform() {
         let ts = series(&[(0.0, 2.0), (1.0, 4.0)]).scaled(0.5);
         assert_eq!(ts.points(), &[(0.0, 1.0), (1.0, 2.0)]);
-    }
-
-    #[test]
-    fn time_weighted_mean_steps() {
-        // 2.0 for [0,1), 4.0 for [1,2) → mean over [0,2) = 3.0
-        let ts = series(&[(0.0, 2.0), (1.0, 4.0)]);
-        assert!((ts.time_weighted_mean(0.0, 2.0) - 3.0).abs() < 1e-12);
-        // Mean over [0.5, 1.5): half 2.0, half 4.0 → 3.0
-        assert!((ts.time_weighted_mean(0.5, 1.5) - 3.0).abs() < 1e-12);
-        // Entirely inside the first step.
-        assert!((ts.time_weighted_mean(0.1, 0.9) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,11 +14,6 @@ pub struct CircuitId(pub u32);
 impl CircuitId {
     /// Reserved id for link-level control cells.
     pub const CONTROL: CircuitId = CircuitId(0);
-
-    /// `true` if this id may name a circuit.
-    pub fn is_valid_circuit(self) -> bool {
-        self.0 != 0
-    }
 }
 
 impl fmt::Display for CircuitId {
@@ -64,12 +59,6 @@ impl fmt::Display for CellSeq {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn control_id_is_invalid_circuit() {
-        assert!(!CircuitId::CONTROL.is_valid_circuit());
-        assert!(CircuitId(1).is_valid_circuit());
-    }
 
     #[test]
     fn displays() {

@@ -47,6 +47,15 @@ if [ "${dirty_rc}" -ne 1 ] || ! grep -q ': wall-clock: ' <<< "${dirty_out}"; the
     exit 1
 fi
 
+echo "==> DESIGN.md under 1,000 lines, and design_refs: every DESIGN.md §N citation resolves"
+design_lines=$(wc -l < DESIGN.md)
+echo "    DESIGN.md: ${design_lines} lines (limit: 999)"
+if [ "${design_lines}" -ge 1000 ]; then
+    echo "    FAIL: DESIGN.md reached 1,000 lines. Per-PR measurements go to CHANGES.md; a prototype that was measured and dropped is one row of the DESIGN §5 register" >&2
+    exit 1
+fi
+cargo test -q --test design_refs
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

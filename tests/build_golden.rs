@@ -3,8 +3,8 @@
 //! build hands the run (the directory's columns, every leaf's access
 //! parameters, every node's name, the initial paths) and what the run
 //! makes of it (the post-run `WorldFingerprint`). They were recorded
-//! before the build's per-relay work was cut down (DESIGN.md §5, "Where
-//! the consensus build's time goes"), for csbench's `consensus7k_epochs`
+//! before the build's per-relay work was cut down (DESIGN.md §11, "What
+//! a build pays per relay"), for csbench's `consensus7k_epochs`
 //! shape at seeds 1–4 and its `star50_churn` shape at seed 1; a change
 //! that moves one on purpose moves simulated behaviour and says so.
 
