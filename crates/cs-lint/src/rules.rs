@@ -174,7 +174,11 @@ pub fn detect(src: &str, code: &[Token], items: &ItemIndex) -> Vec<RawFinding> {
 
             // stray-threads: `thread::spawn` / `thread::scope` paths
             // (also matches the `std::thread::` spelling since `thread`
-            // precedes the call either way).
+            // precedes the call either way). Invariant: every thread runs
+            // inside `simcore::exec`, where `DeterministicExecutor` is the
+            // oracle a threaded run must fingerprint-equal; a thread
+            // spawned anywhere else runs outside that check. Kept while
+            // `ThreadedExecutor` exists (ROADMAP item 7 decides it).
             "thread"
                 if is(i + 1, "::") && (is_ident(i + 2, "spawn") || is_ident(i + 2, "scope")) =>
             {
@@ -194,7 +198,12 @@ pub fn detect(src: &str, code: &[Token], items: &ItemIndex) -> Vec<RawFinding> {
                 hit(&mut out, Rule::RngDiscipline, t)
             }
 
-            // no-println-in-lib: stdout/stderr/debug macros.
+            // no-println-in-lib: stdout/stderr/debug macros. Invariant: a
+            // binary's output is a function of its seed (runs are diffed
+            // for determinism, and scripts parse csbench's lines); a
+            // library print, possibly from a worker thread of a sharded
+            // run, would interleave into it. Library telemetry goes
+            // through simstats.
             "println" | "print" | "eprintln" | "eprint" | "dbg" if is(i + 1, "!") => {
                 hit(&mut out, Rule::NoPrintlnInLib, t)
             }

@@ -36,7 +36,8 @@ use crate::workload::{CircuitWorkload, StreamSpec};
 
 use backtap::hop::HopTransport;
 
-use super::{Egress, FaultState, TorNetwork, DESTROY_REASON_FINISHED, DESTROY_REASON_REFUSED};
+use super::faults::Void;
+use super::{Egress, TorNetwork, DESTROY_REASON_FINISHED};
 
 impl Egress {
     /// Discards everything queued on one hop direction of a closing
@@ -150,14 +151,10 @@ impl Egress {
     /// Enqueues a DESTROY on `dir`'s hop and pumps it, returning whether
     /// a neighbour was actually notified. A hop whose transport never
     /// sent anything (a drained, never-sent CREATE) has no peer to
-    /// notify — the wave reflects instead. A hop whose neighbour has
-    /// **crashed** likewise reflects: the DESTROY could never be
-    /// confirmed and no echo can come back, so everything outstanding
-    /// toward the dead neighbour is written off
-    /// ([`HopTransport::forget_all`]) and the wave turns around here.
+    /// notify — the wave reflects instead, as it does toward a crashed
+    /// neighbour ([`Egress::wave_meets_crash`]).
     fn propagate_destroy(
         &mut self,
-        faults: &Option<FaultState>,
         ctx: &mut Context<'_, TorEvent>,
         my_net: NodeId,
         nc: &mut NodeCircuit,
@@ -171,11 +168,7 @@ impl Egress {
         let Some(hd) = hopdir else {
             return false;
         };
-        if faults
-            .as_ref()
-            .is_some_and(|f| f.is_crashed(hd.neighbor.index()))
-        {
-            hd.transport.forget_all();
+        if self.wave_meets_crash(hd) {
             return false;
         }
         if hd.transport.next_seq() == 0 && hd.queue.is_empty() {
@@ -201,7 +194,6 @@ impl Egress {
     /// path (at the client) has simply completed the round trip.
     pub(super) fn destroy_wave(
         &mut self,
-        faults: &Option<FaultState>,
         ctx: &mut Context<'_, TorEvent>,
         my_net: NodeId,
         nc: &mut NodeCircuit,
@@ -210,10 +202,10 @@ impl Egress {
     ) {
         let duplicate = nc.mark_wave(wave);
         debug_assert!(!duplicate, "duplicate {wave} DESTROY wave");
-        if !self.propagate_destroy(faults, ctx, my_net, nc, wave, reason) {
+        if !self.propagate_destroy(ctx, my_net, nc, wave, reason) {
             nc.mark_wave(wave.opposite());
             if wave == Direction::Forward {
-                self.propagate_destroy(faults, ctx, my_net, nc, Direction::Backward, reason);
+                self.propagate_destroy(ctx, my_net, nc, Direction::Backward, reason);
             }
         }
     }
@@ -301,17 +293,7 @@ impl TorNetwork {
         );
         let nc = self.nodes[client_id.index()].circuit_at_mut(local);
         self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
-        // With faults installed every incarnation arms a build timer —
-        // the client's only way to learn about a crash is silence.
-        if let Some(f) = self.faults.as_ref() {
-            ctx.schedule_in(
-                f.spec.build_timeout(),
-                TorEvent::CircTimeout {
-                    circ,
-                    kind: crate::event::TimerKind::Build,
-                },
-            );
-        }
+        self.arm_build_timer(ctx, circ);
     }
 
     /// A staggered stream's arrival offset elapsed (from a
@@ -371,16 +353,7 @@ impl TorNetwork {
         };
         let is_server = position == info.path.len() - 1;
         let expected_streams = info.workload.streams.len();
-        // Under faults a CREATE can still be on the wire when its
-        // incarnation dies (crash reap, force-abandon): minting a
-        // participation now would orphan a zombie slot and collide on
-        // a recycled link id. Confirm the consumed frame so a
-        // still-draining predecessor stays exact, and refuse.
-        if self.faults.is_some() && self.open_client(global).is_none() {
-            self.egress
-                .stale_or_protocol_error(&self.faults, "CREATE for dead incarnation");
-            let my_net = self.nodes[to.index()].net_node;
-            self.egress.send_feedback(ctx, my_net, confirm);
+        if self.open_client(global).is_none() && self.on_void(ctx, to, Void::Create(confirm)) {
             return;
         }
 
@@ -426,10 +399,7 @@ impl TorNetwork {
         confirm: PendingConfirm,
     ) {
         let Some((global, local, _)) = self.route_of(to, from, link_id) else {
-            // Under faults a CREATED can race a crash-reap that already
-            // cleared this route end.
-            self.egress
-                .stale_or_protocol_error(&self.faults, "CREATED on unknown route");
+            self.on_void(ctx, to, Void::Stale("CREATED on unknown route"));
             return;
         };
         let my_net = self.nodes[to.index()].net_node;
@@ -597,39 +567,7 @@ impl TorNetwork {
         confirm: PendingConfirm,
     ) {
         let Some((_global, local, wave)) = self.route_of(to, from, link_id) else {
-            // Under faults a DESTROY can land on a void: a crash-reap or
-            // force-abandon cleared this route end, or the participation
-            // was never minted (its CREATE was stale-dropped by the
-            // dead-incarnation gate while the teardown wave chased the
-            // build wave down the telescope). The sender's confirm is
-            // still owed, and — as a real relay refusing a circuit would
-            // — the void answers with a REFUSED DESTROY so the wave can
-            // turn around instead of dying here; a REFUSED echo is never
-            // itself answered, so two voids cannot volley forever.
-            self.egress
-                .stale_or_protocol_error(&self.faults, "DESTROY on unknown route");
-            if self.faults.is_some() {
-                let my_net = self.nodes[to.index()].net_node;
-                self.egress.send_feedback(ctx, my_net, confirm);
-                if reason != DESTROY_REASON_REFUSED {
-                    let dst = self.egress.net_node_of[from.index()];
-                    let frame = crate::wire::WireFrame {
-                        src: my_net,
-                        dst,
-                        payload: crate::wire::FramePayload::Cell {
-                            cell: Cell::destroy(link_id, DESTROY_REASON_REFUSED),
-                            // The void has no hop transport; the peer's
-                            // confirm for this seq dead-ends as a counted
-                            // stale feedback frame.
-                            hop_seq: 0,
-                        },
-                        confirm: None,
-                    };
-                    let link = self.egress.next_link(my_net, dst);
-                    self.egress.sched_send(ctx, link, frame, None);
-                    self.egress.stats.destroys_sent += 1;
-                }
-            }
+            self.on_void(ctx, to, Void::Destroy { reason, confirm });
             return;
         };
         let my_net = self.nodes[to.index()].net_node;
@@ -639,9 +577,17 @@ impl TorNetwork {
         if nc.phase == CircuitPhase::Open {
             self.egress.close_participation(ctx, my_net, nc, true);
         }
-        self.egress
-            .destroy_wave(&self.faults, ctx, my_net, nc, wave, reason);
+        self.egress.destroy_wave(ctx, my_net, nc, wave, reason);
         self.maybe_reclaim(ctx, to, local);
+    }
+
+    /// How many of `circ`'s flows still owe bytes.
+    pub(super) fn unfinished_flows(&self, circ: CircId) -> usize {
+        let flows = &self.flows;
+        let streams = self.circuits[circ.index()].workload.streams.iter();
+        streams
+            .filter(|s| !flows[s.flow.index()].complete())
+            .count()
     }
 
     /// The client's node-local index of `circ` while its participation
@@ -652,36 +598,14 @@ impl TorNetwork {
         (node.circuit_at(local).phase == CircuitPhase::Open).then_some(local)
     }
 
-    /// Client-initiated teardown (from a [`TorEvent::Teardown`]).
-    pub(super) fn teardown(&mut self, ctx: &mut Context<'_, TorEvent>, circ: CircId) {
-        self.teardown_with_reason(ctx, circ, DESTROY_REASON_FINISHED);
-    }
-
-    /// [`TorNetwork::teardown`] carrying an explicit DESTROY reason code
-    /// (the recovery loop sends [`super::DESTROY_REASON_TIMEOUT`]).
-    pub(super) fn teardown_with_reason(
-        &mut self,
-        ctx: &mut Context<'_, TorEvent>,
-        circ: CircId,
-        reason: u8,
-    ) {
+    /// Client-initiated teardown (from a [`TorEvent::Teardown`], an epoch
+    /// departure, or the recovery loop's [`super::DESTROY_REASON_TIMEOUT`]).
+    pub(super) fn teardown(&mut self, ctx: &mut Context<'_, TorEvent>, circ: CircId, reason: u8) {
         let client_id = self.circuits[circ.index()].path[0];
         let Some(local) = self.open_client(circ) else {
             return;
         };
-        // Participations stranded beyond a crashed hop can never hear
-        // the DESTROY wave (the crash gate swallows every frame at the
-        // dead relay's door): reap them silently now, standing in for
-        // the idle timers real relays would run. The wave itself
-        // reflects at the last live hop via `propagate_destroy`.
-        if self.faults.is_some() {
-            let path = self.circuits[circ.index()].path.clone();
-            if let Some(k) = path.iter().position(|&n| self.is_crashed(n)) {
-                for &n in &path[k + 1..] {
-                    self.reap_participation(ctx, n, circ);
-                }
-            }
-        }
+        self.reap_beyond_crash(ctx, circ);
         let node = &mut self.nodes[client_id.index()];
         let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
@@ -690,7 +614,7 @@ impl TorNetwork {
         // ever contacted (or the first hop is dead) it turns around on
         // the spot and the teardown is already complete.
         self.egress
-            .destroy_wave(&self.faults, ctx, my_net, nc, Direction::Forward, reason);
+            .destroy_wave(ctx, my_net, nc, Direction::Forward, reason);
         self.maybe_reclaim(ctx, client_id, local);
     }
 
@@ -730,14 +654,9 @@ impl TorNetwork {
             // per incarnation, so churn feeds back into later
             // selections (congestion-aware policies see relays free up).
             self.unaccount_placement(circ);
-            let info = &self.circuits[circ.index()];
-            let unfinished = info
-                .workload
-                .streams
-                .iter()
-                .any(|s| !self.flows[s.flow.index()].complete());
-            if unfinished {
-                ctx.schedule_in(info.workload.rebuild_delay, TorEvent::Rebuild(circ));
+            if self.unfinished_flows(circ) > 0 {
+                let delay = self.circuits[circ.index()].workload.rebuild_delay;
+                ctx.schedule_in(delay, TorEvent::Rebuild(circ));
             }
         }
     }
@@ -757,33 +676,8 @@ impl TorNetwork {
         let old_path = old_info.path.clone();
         let incarnation = old_info.incarnation + 1;
         let old_retries = old_info.retries;
-        // Graceful degradation: a lineage that exhausted its retry cap,
-        // or a world whose selectable relay set fell below the interior
-        // path length, parks its unfinished flows instead of rebuilding
-        // (and instead of panicking inside `select_relays`). Parked
-        // circuits resume when the next epoch join replenishes the set.
-        if let Some(f) = self.faults.as_ref() {
-            let interior = old_path.len().saturating_sub(2);
-            let over_cap = old_retries > f.spec.max_retries;
-            let too_thin = self.selectable_relays().is_some_and(|live| live < interior);
-            if over_cap || too_thin {
-                let parked = self.circuits[old.index()]
-                    .workload
-                    .streams
-                    .iter()
-                    .filter(|s| !self.flows[s.flow.index()].complete())
-                    .count() as u64;
-                if parked == 0 {
-                    return;
-                }
-                self.egress.stats.flows_parked += parked;
-                self.faults
-                    .as_mut()
-                    .expect("checked above")
-                    .parked
-                    .push(old);
-                return;
-            }
+        if self.parks(old) {
+            return;
         }
         let path = if self.placement.is_some() && old_path.len() > 2 {
             let relays = self.select_relays(old_path.len() - 2);
@@ -866,18 +760,8 @@ impl TorNetwork {
         self.egress.stats.relays_joined += joined;
         self.egress.stats.relays_departed += departed;
         self.egress.stats.epochs_applied += 1;
-        // Fresh capacity joined the consensus: wake every parked lineage
-        // with a clean retry budget. If the set is still too thin the
-        // rebuild simply re-parks — no event loop.
         if joined > 0 {
-            if let Some(f) = self.faults.as_mut() {
-                let parked = std::mem::take(&mut f.parked);
-                for &c in &parked {
-                    let delay = self.circuits[c.index()].workload.rebuild_delay;
-                    self.circuits[c.index()].retries = 0;
-                    ctx.schedule_in(delay, TorEvent::Rebuild(c));
-                }
-            }
+            self.wake_parked(ctx);
         }
         // Mark the departing relays' overlay nodes, then tear down every
         // live circuit crossing one. `teardown` no-ops on circuits
@@ -894,7 +778,7 @@ impl TorNetwork {
             };
             if crosses {
                 self.egress.stats.epoch_teardowns += 1;
-                self.teardown(ctx, CircId(i as u32));
+                self.teardown(ctx, CircId(i as u32), DESTROY_REASON_FINISHED);
             }
         }
         debug_assert!(
@@ -914,6 +798,7 @@ mod tests {
     use simcore::sim::{Simulator, World};
     use simcore::time::SimTime;
 
+    use super::super::WorldStats;
     use super::*;
     use crate::router::Router;
     use crate::wire::{FramePayload, WireFrame};
@@ -946,6 +831,19 @@ mod tests {
     /// participation in circuit 0 with one cell outstanding on each hop
     /// (so both neighbours count as contacted). No world, no other nodes.
     fn rig() -> (Egress, NodeCircuit) {
+        let (net, router, nodes) = wires();
+        let mut egress = Egress::new(net, router);
+        egress.net_node_of = nodes.to_vec();
+
+        let mut nc = NodeCircuit::new(CircId(0), 1);
+        nc.close();
+        nc.fwd = Some(hop(SUCC, 10, true));
+        nc.bwd = Some(hop(PRED, 11, true));
+        (egress, nc)
+    }
+
+    /// The rig's network: `ME` linked both ways to `PRED` and `SUCC`.
+    fn wires() -> (Net<WireFrame>, Router, [NodeId; 3]) {
         let mut net = Net::new();
         let nodes = [
             net.add_node("pred"),
@@ -958,14 +856,7 @@ mod tests {
             let (out, _) = net.add_duplex(nodes[ME.index()], nodes[peer.index()], cfg);
             router.install(nodes[ME.index()], nodes[peer.index()], out);
         }
-        let mut egress = Egress::new(net, router);
-        egress.net_node_of = nodes.to_vec();
-
-        let mut nc = NodeCircuit::new(CircId(0), 1);
-        nc.close();
-        nc.fwd = Some(hop(SUCC, 10, true));
-        nc.bwd = Some(hop(PRED, 11, true));
-        (egress, nc)
+        (net, router, nodes)
     }
 
     fn hop(neighbor: OverlayId, link_id: u32, contacted: bool) -> HopDir {
@@ -1023,12 +914,6 @@ mod tests {
         for (wave, ahead, seen, destroy_to) in rows {
             let row = format!("{wave} wave, neighbour {ahead:?}");
             let (mut egress, mut nc) = rig();
-            let mut faults = FaultState {
-                spec: FaultSpec::default(),
-                crashed: Vec::new(),
-                jitter: SimRng::seed_from(1),
-                parked: Vec::new(),
-            };
             let slot = match wave {
                 Forward => &mut nc.fwd,
                 Backward => &mut nc.bwd,
@@ -1037,11 +922,10 @@ mod tests {
             match ahead {
                 Present => {}
                 NeverContacted => *slot = Some(hop(peer, 12, false)),
-                Crashed => assert!(faults.mark_crashed(peer.index())),
+                Crashed => assert!(egress.mark_crashed(peer)),
             }
-            let faults = Some(faults);
             let me = my_net(&egress);
-            with_ctx(|ctx| egress.destroy_wave(&faults, ctx, me, &mut nc, wave, 9));
+            with_ctx(|ctx| egress.destroy_wave(ctx, me, &mut nc, wave, 9));
 
             let (fwd_wave, bwd_wave) = seen;
             assert_eq!(
@@ -1072,6 +956,144 @@ mod tests {
                 Crashed => 0, // written off: no confirm can ever come
             };
             assert_eq!(ahead_hop.transport.outstanding(), outstanding, "{row}");
+        }
+    }
+
+    /// One row of the void table, as the input that reaches `ME`.
+    #[derive(Clone, Copy, Debug)]
+    enum Input {
+        RelayCell,
+        Created,
+        Feedback,
+        FeedbackSeq,
+        Create,
+        Destroy(u8),
+    }
+
+    /// What `ME` sent toward `PRED`, in send order.
+    #[derive(Debug, PartialEq)]
+    enum Sent {
+        Feedback,
+        Destroy(u8),
+    }
+
+    /// `ME`'s world over the rig's wires, with no circuit registered: every
+    /// route resolves to nothing.
+    fn void_world(faults: bool) -> TorNetwork {
+        let (net, router, nodes) = wires();
+        let factory: crate::node::CcFactory = Box::new(|_| Box::new(FixedWindowCc::new(4)));
+        let mut world = TorNetwork::new(net, router, factory, SimRng::seed_from(1));
+        let roles = [NodeRole::Client, NodeRole::Relay, NodeRole::Server];
+        world.add_overlays(nodes.into_iter().zip(roles));
+        if faults {
+            world.install_faults(FaultSpec::default(), SimRng::seed_from(2));
+        }
+        world
+    }
+
+    /// Feeds `input` to `world`'s void table at `ME`; returns the table's
+    /// answer and what `ME` put on its link toward `PRED`.
+    fn feed_void(world: &mut TorNetwork, input: Input) -> (bool, Vec<Sent>) {
+        let confirm = PendingConfirm {
+            neighbor: PRED,
+            circ_id: CircuitId(11),
+            seq: 0,
+        };
+        let void = match input {
+            Input::RelayCell => Void::RelayCell(world.egress.payload_pool.acquire()),
+            Input::Created => Void::Stale("CREATED on unknown route"),
+            Input::Feedback => Void::Stale("feedback on unknown route"),
+            Input::FeedbackSeq => Void::Stale("feedback with unknown sequence"),
+            Input::Create => Void::Create(confirm),
+            Input::Destroy(reason) => Void::Destroy { reason, confirm },
+        };
+        let mut answer = None;
+        with_ctx(|ctx| answer = Some(world.on_void(ctx, ME, void)));
+        let egress = &mut world.egress;
+        let link = egress.next_link(my_net(egress), egress.net_node_of[PRED.index()]);
+        let on_wire = egress.net.last_on_wire_mut(link).cloned();
+        let scheduled = std::iter::from_fn(|| egress.link_sched[link.index()].pop());
+        let sent = on_wire.into_iter().chain(scheduled.collect::<Vec<_>>());
+        let sent = sent.map(|frame| match frame.payload {
+            FramePayload::Feedback(fb) => {
+                assert_eq!((fb.circ, fb.seq), (confirm.circ_id, confirm.seq));
+                Sent::Feedback
+            }
+            FramePayload::Cell { cell, .. } => match cell.body {
+                CellBody::Destroy { reason } => {
+                    assert_eq!(
+                        cell.circ, confirm.circ_id,
+                        "REFUSED goes back on the link id"
+                    );
+                    Sent::Destroy(reason)
+                }
+                body => panic!("the void sent {body:?}"),
+            },
+        });
+        (answer.expect("the event ran"), sent.collect())
+    }
+
+    #[test]
+    fn void_table() {
+        use Input::{Create, Created, Destroy, Feedback, FeedbackSeq, RelayCell};
+        const REFUSED: u8 = super::super::DESTROY_REASON_REFUSED;
+        // With faults installed, every row is a stale drop; input → what
+        // `ME` sends its sender (a confirm, then the REFUSED echo).
+        let rows = [
+            (RelayCell, vec![]),
+            (Created, vec![]),
+            (Feedback, vec![]),
+            (FeedbackSeq, vec![]),
+            (Create, vec![Sent::Feedback]),
+            (Destroy(9), vec![Sent::Feedback, Sent::Destroy(REFUSED)]),
+            (Destroy(REFUSED), vec![Sent::Feedback]),
+        ];
+        for (input, expected) in rows {
+            let mut world = void_world(true);
+            let (dropped, sent) = feed_void(&mut world, input);
+            let stats = &world.egress.stats;
+            assert!(dropped, "{input:?}");
+            assert_eq!(sent, expected, "{input:?}");
+            assert_eq!(stats.stale_frames_dropped, 1, "{input:?}");
+            assert_eq!(stats.protocol_errors, 0, "{input:?}");
+            let refused = expected.contains(&Sent::Destroy(REFUSED));
+            assert_eq!(stats.destroys_sent, u64::from(refused), "{input:?}");
+            let pool = world.payload_pool();
+            assert_eq!(pool.returned(), pool.acquired(), "{input:?}");
+        }
+
+        // Without faults a CREATE racing its client's teardown mints its
+        // participation; every other row is a protocol error (a debug
+        // build aborts on it, a release build counts it).
+        let mut world = void_world(false);
+        assert_eq!(feed_void(&mut world, Create), (false, vec![]));
+        assert_eq!(world.egress.stats, WorldStats::default());
+        let errors = [
+            (RelayCell, "relay cell on unknown route"),
+            (Created, "CREATED on unknown route"),
+            (Feedback, "feedback on unknown route"),
+            (FeedbackSeq, "feedback with unknown sequence"),
+            (Destroy(9), "DESTROY on unknown route"),
+        ];
+        for (input, what) in errors {
+            let mut world = void_world(false);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                feed_void(&mut world, input)
+            }));
+            if cfg!(debug_assertions) {
+                let panic = run.expect_err("a debug build aborts on a protocol error");
+                let msg = panic.downcast_ref::<String>().map(String::as_str);
+                let expected = format!("protocol error: {what}");
+                assert_eq!(msg, Some(expected.as_str()), "{input:?}");
+            } else {
+                let (_, sent) = run.expect("a release build counts a protocol error");
+                assert_eq!(sent, vec![], "{input:?}");
+                assert_eq!(world.egress.stats.protocol_errors, 1, "{input:?}");
+                assert_eq!(world.egress.stats.stale_frames_dropped, 0, "{input:?}");
+            }
+            // A relay cell's payload is back before the error is raised.
+            let pool = world.payload_pool();
+            assert_eq!(pool.returned(), pool.acquired(), "{input:?}");
         }
     }
 

@@ -58,11 +58,7 @@ impl TorNetwork {
             "frame endpoints must host overlay participants"
         );
         let (to, from) = (crate::ids::OverlayId(to), crate::ids::OverlayId(from));
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.is_crashed(to.index()))
-        {
+        if self.egress.is_crashed(to) {
             // A crashed relay receives nothing: everything addressed to
             // it is silently dropped (no confirm, no feedback — its
             // neighbours' windows starve and only client timers notice).

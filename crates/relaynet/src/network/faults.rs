@@ -1,46 +1,272 @@
-//! Pipeline stage — fault injection and the client-side recovery loop.
+//! Fault injection, the void table and the client-side recovery loop:
+//! the one module that knows a world can lose frames.
 //!
 //! The failure model (DESIGN.md §12) is *fail-silent*: a crashed relay
 //! drops every frame addressed to it — no DESTROY, no notification, no
-//! omniscient teardown. Everything downstream of that single rule lives
-//! here:
+//! omniscient teardown. The protocol stages (`conn`, `recognition`,
+//! `circuit_build`, `feedback`, `client_xfer`) run the paper's protocol
+//! and call in here where a lossy world needs a rule of its own:
 //!
 //! * **Injection** — [`TorEvent::RelayCrash`] marks the relay's overlay
-//!   node dead (the connection layer's drop gate takes over) and *reaps*
-//!   its own participations so its queued payload buffers return to the
-//!   pool. Reaping is silent: a dead node pays no confirms and sends no
-//!   cells. Every closed circuit whose path crosses it, participation
-//!   or not, has its survivors reaped too.
-//! * **Detection** — every circuit incarnation arms a **build timer**
-//!   when it starts; once established, the timer chain re-arms as a
-//!   **liveness timer** against a progress snapshot (delivered bytes of
-//!   the circuit's flows, kept in the circuit's record). A timer that
-//!   fires with no progress since its snapshot is the client's only
-//!   evidence of failure.
-//! * **Recovery** — [`TorNetwork::force_abandon`]: blame the first dead
-//!   hop on the path (excluding it from future selection), reap the
-//!   orphaned participations beyond it (no DESTROY can ever reach them —
-//!   the reap stands in for their own idle timers), then tear the
-//!   circuit down through the ordinary two-wave DESTROY machinery, which
-//!   reflects at the dead hop. The reclamation path then schedules the
-//!   rebuild under exponential backoff with jitter; a lineage that
-//!   exhausts its retry cap — or a world whose selectable relay set
-//!   fell below the path length — parks its flows until an epoch join
-//!   replenishes the consensus.
+//!   node dead ([`Egress::mark_crashed`]; the connection layer's drop
+//!   gate takes over) and *reaps* its own participations so its queued
+//!   payload buffers return to the pool. Reaping is silent: a dead node
+//!   pays no confirms and sends no cells. Every closed circuit whose
+//!   path crosses it, participation or not, has its survivors reaped too.
+//! * **The void table** — [`TorNetwork::on_void`] is the one answer to
+//!   an input that resolves to nothing, by `(input, faults installed?)`:
 //!
-//! Worlds without an installed [`super::FaultState`] never reach any of
-//! this code: no timers arm, no branches are taken, and the event stream
-//! is bit-identical to a fault-free build.
+//!   | input | without faults | with faults |
+//!   |---|---|---|
+//!   | relay cell or CREATED on an unknown route | protocol error | stale drop, no confirm (a relay cell's payload is reclaimed) |
+//!   | feedback on an unknown route or sequence | protocol error | stale drop |
+//!   | CREATE for an incarnation whose client is closed | mints the participation | stale drop, confirm paid |
+//!   | DESTROY on an unknown route | protocol error | stale drop, confirm paid, REFUSED DESTROY to the sender unless it was one |
+//!
+//!   A teardown wave heading for a crashed neighbour is the last row
+//!   ([`Egress::wave_meets_crash`]): the hop is written off and the wave
+//!   reflects, as if the path ended there.
+//! * **Detection** — every circuit incarnation arms a **build timer**
+//!   when it starts ([`TorNetwork::arm_build_timer`]); once established,
+//!   the timer chain re-arms as a **liveness timer** against a progress
+//!   snapshot (delivered bytes of the circuit's flows, kept in the
+//!   circuit's record). A timer that fires with no progress since its
+//!   snapshot is the client's only evidence of failure.
+//! * **Recovery** — [`TorNetwork::force_abandon`]: blame the first dead
+//!   hop on the path (excluding it from future selection), then tear the
+//!   circuit down through the ordinary two-wave DESTROY machinery, which
+//!   first reaps the orphaned participations beyond the dead hop
+//!   ([`TorNetwork::reap_beyond_crash`]; no DESTROY can ever reach them —
+//!   the reap stands in for their own idle timers) and reflects at it.
+//!   The reclamation path then schedules the rebuild under exponential
+//!   backoff with jitter; a lineage that exhausts its retry cap — or a
+//!   world whose selectable relay set fell below the path length —
+//!   parks its flows ([`TorNetwork::parks`]) until an epoch join
+//!   replenishes the consensus ([`TorNetwork::wake_parked`]).
+//!
+//! Worlds without an installed [`FaultState`] take the left column of
+//! the table and every recovery call returns at once: no timers arm and
+//! the event stream is bit-identical to a fault-free build.
 
+use simcore::rng::SimRng;
 use simcore::sim::Context;
+
+use torcell::cell::Cell;
 
 use crate::event::{TimerKind, TorEvent};
 use crate::ids::{CircId, OverlayId};
-use crate::node::CircuitPhase;
+use crate::node::{CircuitPhase, HopDir, PendingConfirm};
+use crate::wire::{FramePayload, WireFrame};
+use crate::workload::FaultSpec;
 
-use super::{TorNetwork, DESTROY_REASON_TIMEOUT};
+use super::{Egress, TorNetwork, DESTROY_REASON_REFUSED, DESTROY_REASON_TIMEOUT};
+
+/// Runtime fault-injection state: the recovery parameters, the backoff
+/// jitter stream, and the circuits parked after exhausting recovery.
+/// Which relays have crashed lives on the link side
+/// ([`Egress::is_crashed`]), next to the drop gate it serves.
+pub(super) struct FaultState {
+    /// The resolved timer/backoff parameters.
+    spec: FaultSpec,
+    /// Backoff jitter stream, consumed only when a timeout fires — so a
+    /// fault schedule that never fires a timer perturbs nothing.
+    jitter: SimRng,
+    /// Circuits whose flows are parked (retry cap hit, or the selectable
+    /// relay set fell below the interior path length); resumed when the
+    /// next epoch join replenishes the live set.
+    parked: Vec<CircId>,
+}
+
+/// An input that resolves to nothing: the rows of [`TorNetwork::on_void`].
+pub(super) enum Void {
+    /// A CREATED or feedback on an unknown route, or feedback for a
+    /// sequence its hop never sent or already wrote off, by what it is.
+    Stale(&'static str),
+    /// A relay cell on an unknown route, with its payload buffer.
+    RelayCell(Vec<u8>),
+    /// A CREATE for an incarnation whose client is no longer open.
+    Create(PendingConfirm),
+    /// A DESTROY on an unknown route; the confirm names sender and link id.
+    Destroy { reason: u8, confirm: PendingConfirm },
+}
+
+impl Egress {
+    /// Whether overlay node `n` has crashed: the connection layer's
+    /// per-frame drop gate. Fault-free worlds never grow the set.
+    #[inline]
+    pub(super) fn is_crashed(&self, n: OverlayId) -> bool {
+        self.crashed.get(n.index()).copied().unwrap_or(false)
+    }
+
+    /// Marks overlay node `n` crashed; returns `false` if it already was.
+    pub(super) fn mark_crashed(&mut self, n: OverlayId) -> bool {
+        if self.crashed.len() <= n.index() {
+            self.crashed.resize(n.index() + 1, false);
+        }
+        !std::mem::replace(&mut self.crashed[n.index()], true)
+    }
+
+    /// The void table's last row: a DESTROY wave heading for a crashed
+    /// neighbour can never be confirmed or echoed, so the hop is written
+    /// off and the wave must reflect here. Returns whether it must.
+    pub(super) fn wave_meets_crash(&self, hd: &mut HopDir) -> bool {
+        let crashed = self.is_crashed(hd.neighbor);
+        if crashed {
+            hd.transport.forget_all();
+        }
+        crashed
+    }
+}
 
 impl TorNetwork {
+    /// Installs the fault-recovery parameters and the backoff jitter
+    /// stream. Scenarios with a [`FaultSpec`] call this before traffic;
+    /// a [`TorEvent::RelayCrash`] without it is a bug.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called twice.
+    pub(crate) fn install_faults(&mut self, spec: FaultSpec, jitter: SimRng) {
+        assert!(self.faults.is_none(), "faults installed twice");
+        self.faults = Some(FaultState {
+            spec,
+            jitter,
+            parked: Vec::new(),
+        });
+    }
+
+    /// The void table (module doc): node `to` received `input`, which
+    /// resolves to nothing. Returns `false` only where the fault-free
+    /// protocol goes on: a CREATE racing its client's teardown mints.
+    pub(super) fn on_void(
+        &mut self,
+        ctx: &mut Context<'_, TorEvent>,
+        to: OverlayId,
+        input: Void,
+    ) -> bool {
+        let egress = &mut self.egress;
+        let my_net = egress.net_node_of[to.index()];
+        match (input, self.faults.is_some()) {
+            (Void::Stale(what), false) => egress.protocol_error(what),
+            (Void::RelayCell(data), false) => {
+                egress.payload_pool.reclaim(data);
+                egress.protocol_error("relay cell on unknown route");
+            }
+            (Void::Create(_), false) => return false,
+            (Void::Destroy { .. }, false) => egress.protocol_error("DESTROY on unknown route"),
+            (Void::Stale(_), true) => egress.stats.stale_frames_dropped += 1,
+            (Void::RelayCell(data), true) => {
+                egress.payload_pool.reclaim(data);
+                egress.stats.stale_frames_dropped += 1;
+            }
+            // The incarnation died (crash reap, force-abandon) with its
+            // CREATE on the wire: minting now would orphan a zombie slot
+            // on a retired link id. The consumed frame is still confirmed
+            // so a draining predecessor stays exact.
+            (Void::Create(confirm), true) => {
+                egress.stats.stale_frames_dropped += 1;
+                egress.send_feedback(ctx, my_net, confirm);
+            }
+            // A reap cleared this route end, or the participation was
+            // never minted (its CREATE was stale-dropped while the
+            // teardown chased the build down the telescope). As a relay
+            // refusing a circuit would, the void confirms and answers
+            // REFUSED so the wave turns around; a REFUSED DESTROY is never
+            // answered, so two voids cannot volley.
+            (Void::Destroy { reason, confirm }, true) => {
+                egress.stats.stale_frames_dropped += 1;
+                egress.send_feedback(ctx, my_net, confirm);
+                if reason != DESTROY_REASON_REFUSED {
+                    let dst = egress.net_node_of[confirm.neighbor.index()];
+                    let frame = WireFrame {
+                        src: my_net,
+                        dst,
+                        // No hop transport here: the peer's confirm for
+                        // this seq dead-ends as stale feedback.
+                        payload: FramePayload::Cell {
+                            cell: Cell::destroy(confirm.circ_id, DESTROY_REASON_REFUSED),
+                            hop_seq: 0,
+                        },
+                        confirm: None,
+                    };
+                    let link = egress.next_link(my_net, dst);
+                    egress.sched_send(ctx, link, frame, None);
+                    egress.stats.destroys_sent += 1;
+                }
+            }
+        }
+        true
+    }
+
+    /// Arms a new incarnation's build timer: under faults the client's
+    /// only way to learn about a crash is silence.
+    pub(super) fn arm_build_timer(&mut self, ctx: &mut Context<'_, TorEvent>, circ: CircId) {
+        if let Some(f) = self.faults.as_ref() {
+            let kind = TimerKind::Build;
+            ctx.schedule_in(f.spec.build_timeout(), TorEvent::CircTimeout { circ, kind });
+        }
+    }
+
+    /// Graceful degradation before a rebuild of `old`: a lineage past
+    /// its retry cap, or a world whose selectable relays fell below the
+    /// interior path length, parks its unfinished flows (instead of
+    /// panicking inside `select_relays`) until
+    /// [`TorNetwork::wake_parked`]. Returns whether the lineage stops.
+    pub(super) fn parks(&mut self, old: CircId) -> bool {
+        let Some(f) = self.faults.as_ref() else {
+            return false;
+        };
+        let info = &self.circuits[old.index()];
+        let interior = info.path.len().saturating_sub(2);
+        let too_thin = self.selectable_relays().is_some_and(|live| live < interior);
+        if info.retries <= f.spec.max_retries && !too_thin {
+            return false;
+        }
+        let parked = self.unfinished_flows(old) as u64;
+        if parked > 0 {
+            self.egress.stats.flows_parked += parked;
+            let f = self.faults.as_mut().expect("checked above");
+            f.parked.push(old);
+        }
+        true
+    }
+
+    /// Fresh capacity joined the consensus: wake every parked lineage
+    /// with a clean retry budget. If the set is still too thin the
+    /// rebuild simply re-parks — no event loop.
+    pub(super) fn wake_parked(&mut self, ctx: &mut Context<'_, TorEvent>) {
+        let Some(f) = self.faults.as_mut() else {
+            return;
+        };
+        for c in std::mem::take(&mut f.parked) {
+            let info = &mut self.circuits[c.index()];
+            info.retries = 0;
+            ctx.schedule_in(info.workload.rebuild_delay, TorEvent::Rebuild(c));
+        }
+    }
+
+    /// Before a client tears `circ` down: participations stranded beyond
+    /// a crashed hop can never hear the DESTROY wave (the crash gate
+    /// swallows every frame at the dead relay's door), so they are
+    /// reaped silently now, standing in for the idle timers real relays
+    /// would run. The wave itself reflects at the last live hop
+    /// ([`Egress::wave_meets_crash`]).
+    pub(super) fn reap_beyond_crash(&mut self, ctx: &mut Context<'_, TorEvent>, circ: CircId) {
+        let Some(k) = self.first_crash(circ) else {
+            return;
+        };
+        let beyond = self.circuits[circ.index()].path[k + 1..].to_vec();
+        for n in beyond {
+            self.reap_participation(ctx, n, circ);
+        }
+    }
+
+    /// The position of the first crashed hop on `circ`'s path.
+    fn first_crash(&self, circ: CircId) -> Option<usize> {
+        let path = &self.circuits[circ.index()].path;
+        path.iter().position(|&n| self.egress.is_crashed(n))
+    }
+
     /// A relay crashed (from a [`TorEvent::RelayCrash`]): mark it dead
     /// for the connection layer's drop gate, then walk every circuit
     /// whose path crosses it, silently reaping its participation there
@@ -55,12 +281,16 @@ impl TorNetwork {
     /// timers. The directory is *not* touched — unlike an epoch
     /// departure, nobody is told.
     pub(super) fn relay_crash(&mut self, ctx: &mut Context<'_, TorEvent>, relay: u32) {
-        let overlay = self.overlay_of_relay(relay);
-        let Some(f) = self.faults.as_mut() else {
+        // Explicit-path scenarios name overlay nodes in their schedules.
+        let overlay = match self.placement.as_ref() {
+            Some(p) => p.relay_overlays[relay as usize],
+            None => OverlayId(relay),
+        };
+        if self.faults.is_none() {
             debug_assert!(false, "RelayCrash scheduled without installed fault state");
             return;
-        };
-        if !f.mark_crashed(overlay.index()) {
+        }
+        if !self.egress.mark_crashed(overlay) {
             return;
         }
         self.egress.stats.crashes_injected += 1;
@@ -74,7 +304,7 @@ impl TorNetwork {
                 continue;
             }
             for n in self.circuits[i].path.clone() {
-                if !self.is_crashed(n) {
+                if !self.egress.is_crashed(n) {
                     self.reap_participation(ctx, n, circ);
                 }
             }
@@ -110,12 +340,7 @@ impl TorNetwork {
             self.force_abandon(ctx, circ);
             return;
         }
-        let all_complete = info
-            .workload
-            .streams
-            .iter()
-            .all(|s| self.flows[s.flow.index()].complete());
-        if all_complete {
+        if self.unfinished_flows(circ) == 0 {
             return; // transfer done; let the chain die
         }
         let now_progress = self.circ_progress(circ);
@@ -155,14 +380,14 @@ impl TorNetwork {
     /// reclamation path schedules the rebuild.
     fn force_abandon(&mut self, ctx: &mut Context<'_, TorEvent>, circ: CircId) {
         self.egress.stats.timeouts_fired += 1;
-        let path = self.circuits[circ.index()].path.clone();
         // Blame: the path's first dead hop. A timeout with no dead hop
         // is a transient stall — nobody is excluded for it.
-        if let Some(k) = path.iter().position(|&n| self.is_crashed(n)) {
-            if let Some(r) = self.relay_id_of(path[k]) {
-                if self.exclude_relay(r) {
-                    self.egress.stats.blamed_exclusions += 1;
-                }
+        let blamed = self
+            .first_crash(circ)
+            .map(|k| self.circuits[circ.index()].path[k]);
+        if let Some(r) = blamed.and_then(|n| self.placement.as_ref()?.relay_of(n)) {
+            if self.exclude_relay(r) {
+                self.egress.stats.blamed_exclusions += 1;
             }
         }
         // Exponential backoff with jitter, charged against the lineage.
@@ -180,7 +405,7 @@ impl TorNetwork {
         let info = &mut self.circuits[circ.index()];
         info.retries += 1;
         info.workload.rebuild_delay = delay;
-        self.teardown_with_reason(ctx, circ, DESTROY_REASON_TIMEOUT);
+        self.teardown(ctx, circ, DESTROY_REASON_TIMEOUT);
     }
 
     /// Silently removes one node's participation in `circ`: queued cells
@@ -217,12 +442,8 @@ impl TorNetwork {
         // carrying these link-local ids: retire the ids so reclamation
         // never recycles them under a straggler (see
         // [`super::LinkRoute::retired`]).
-        let ids = [
-            nc.fwd.as_ref().map(|h| h.link_circ_id),
-            nc.bwd.as_ref().map(|h| h.link_circ_id),
-        ];
-        for id in ids.into_iter().flatten() {
-            self.retire_link_id(id);
+        for h in [nc.fwd.as_ref(), nc.bwd.as_ref()].into_iter().flatten() {
+            self.link_routes[h.link_circ_id.0 as usize].retired = true;
         }
         self.maybe_reclaim(ctx, node_id, local);
     }

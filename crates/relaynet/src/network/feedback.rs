@@ -18,6 +18,7 @@ use crate::ids::OverlayId;
 use crate::node::{CircuitPhase, PendingConfirm};
 use crate::wire::{FramePayload, WireFrame};
 
+use super::faults::Void;
 use super::{Egress, TorNetwork};
 
 impl Egress {
@@ -56,8 +57,7 @@ impl TorNetwork {
         fb: Feedback,
     ) {
         let Some((_circ, local, _)) = self.route_of(to, from, fb.circ) else {
-            self.egress
-                .stale_or_protocol_error(&self.faults, "feedback on unknown route");
+            self.on_void(ctx, to, Void::Stale("feedback on unknown route"));
             return;
         };
         let node = &mut self.nodes[to.index()];
@@ -67,16 +67,12 @@ impl TorNetwork {
             self.egress.protocol_error("feedback from non-neighbour");
             return;
         };
-        {
-            let hopdir = nc.hopdir_toward_mut(from).expect("direction just resolved");
-            if hopdir.transport.on_feedback(fb.seq, ctx.now()).is_err() {
-                // Under faults this is a write-off racing its own late
-                // feedback: a force-abandon forgets every outstanding
-                // cell, then a confirm for one of them arrives.
-                self.egress
-                    .stale_or_protocol_error(&self.faults, "feedback with unknown sequence");
-                return;
-            }
+        let hopdir = nc.hopdir_toward_mut(from).expect("direction just resolved");
+        if hopdir.transport.on_feedback(fb.seq, ctx.now()).is_err() {
+            // A write-off racing its own late feedback: a force-abandon
+            // forgets every outstanding cell, then a confirm arrives.
+            self.on_void(ctx, to, Void::Stale("feedback with unknown sequence"));
+            return;
         }
         let closed = nc.phase != CircuitPhase::Open;
         self.egress.pump_dir(ctx, my_net, nc, dir);

@@ -49,6 +49,8 @@
 //!   loop (BEGIN → DATA → END) and the server's consume path.
 //! * [`feedback`] — per-hop feedback frames: emission when a cell leaves
 //!   a queue and window-credit application when one arrives.
+//! * [`faults`] — the one owner of fault handling: crash injection, the
+//!   table for inputs that resolve to nothing, and client recovery.
 
 pub(crate) mod circuit_build;
 pub(crate) mod client_xfer;
@@ -81,7 +83,6 @@ use crate::sampler::SamplerKind;
 use crate::scheduler::LinkScheduler;
 use crate::selection::{DirectoryView, SelectionEngine, SelectionPolicy};
 use crate::wire::WireFrame;
-use crate::workload::FaultSpec;
 use crate::workload::{CircuitWorkload, FlowId, FlowState};
 
 /// Reason code carried by the END cell when a transfer finishes normally.
@@ -524,46 +525,6 @@ impl PlacementState {
     }
 }
 
-/// Runtime fault-injection state: which relays have crashed, the backoff
-/// jitter stream, and the circuits parked after exhausting recovery.
-/// Installed by scenarios carrying a [`FaultSpec`]; worlds without it
-/// take none of the fault branches (the seam is free when unused).
-pub(super) struct FaultState {
-    /// The resolved timer/backoff parameters.
-    pub(super) spec: FaultSpec,
-    /// Overlay index → crashed flag (grown lazily; a crashed relay
-    /// silently drops every frame addressed to it).
-    pub(super) crashed: Vec<bool>,
-    /// Backoff jitter stream, consumed only when a timeout fires — so a
-    /// fault schedule that never fires a timer perturbs nothing.
-    pub(super) jitter: SimRng,
-    /// Circuits whose flows are parked (retry cap hit, or the selectable
-    /// relay set fell below the interior path length); resumed when the
-    /// next epoch join replenishes the live set.
-    pub(super) parked: Vec<CircId>,
-}
-
-impl FaultState {
-    /// Whether the overlay node at `idx` has crashed.
-    #[inline]
-    pub(super) fn is_crashed(&self, idx: usize) -> bool {
-        self.crashed.get(idx).copied().unwrap_or(false)
-    }
-
-    /// Marks the overlay node at `idx` crashed; returns `false` if it
-    /// already was.
-    pub(super) fn mark_crashed(&mut self, idx: usize) -> bool {
-        if self.crashed.len() <= idx {
-            self.crashed.resize(idx + 1, false);
-        }
-        if self.crashed[idx] {
-            return false;
-        }
-        self.crashed[idx] = true;
-        true
-    }
-}
-
 /// The link side of the world: everything a stage needs to put a frame
 /// on a wire and account for it. One field of [`TorNetwork`], disjoint
 /// from `nodes`, so the egress helpers (`pump_dir`, `send_feedback`, the
@@ -586,6 +547,9 @@ pub(super) struct Egress {
     /// client generation (see [`crate::pool`]).
     pub(super) payload_pool: PayloadPool,
     pub(super) stats: WorldStats,
+    /// Overlay index → crashed flag, grown lazily by the fault engine
+    /// (see [`faults`]); empty in a fault-free world.
+    crashed: Vec<bool>,
 }
 
 impl Egress {
@@ -603,6 +567,7 @@ impl Egress {
             net_node_of: Vec::new(),
             payload_pool: PayloadPool::new(),
             stats: WorldStats::default(),
+            crashed: Vec::new(),
         }
     }
 
@@ -649,20 +614,6 @@ impl Egress {
         self.stats.protocol_errors += 1;
         debug_assert!(false, "protocol error: {what}");
     }
-
-    /// A frame that cannot be resolved (unknown route, retired
-    /// sequence): with faults installed this is expected — stale traffic
-    /// racing a force-abandoned or crash-reaped circuit — and is counted
-    /// as a stale drop. Without faults it remains a hard protocol error:
-    /// a dropped cell must never panic the World, but a world that
-    /// cannot lose cells must not silently tolerate one either.
-    pub(super) fn stale_or_protocol_error(&mut self, faults: &Option<FaultState>, what: &str) {
-        if faults.is_some() {
-            self.stats.stale_frames_dropped += 1;
-        } else {
-            self.protocol_error(what);
-        }
-    }
 }
 
 /// [`Egress::next_link`]'s failure, kept off the per-frame path.
@@ -700,9 +651,9 @@ pub struct TorNetwork {
     /// Pending consensus epoch deltas, indexed by epoch number; each is
     /// consumed (taken) when its [`TorEvent::Epoch`] fires.
     pub(super) epoch_deltas: Vec<EpochDelta>,
-    /// Fault-injection state (crashed relays, backoff jitter, parked
-    /// circuits); `None` for fault-free worlds.
-    pub(super) faults: Option<FaultState>,
+    /// Fault-recovery state (see [`faults`]); `None` for fault-free
+    /// worlds.
+    faults: Option<faults::FaultState>,
     /// Payload walks not held by a live participation: the server's
     /// verify of each DATA cell, the digest of each control cell built
     /// outside the client's generator, and the counts folded in from
@@ -777,31 +728,6 @@ impl TorNetwork {
     pub(crate) fn access_links(&mut self, node: OverlayId) -> Option<[LinkId; 2]> {
         let leaf = self.egress.net_node_of[node.index()];
         self.egress.access_links(leaf)
-    }
-
-    /// Installs the fault-recovery parameters and the backoff jitter
-    /// stream. Scenarios with a [`FaultSpec`] call this before traffic;
-    /// without it, crash events still drop frames omnisciently but no
-    /// client timers arm (builders always pair the two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice.
-    pub fn install_faults(&mut self, spec: FaultSpec, jitter: SimRng) {
-        assert!(self.faults.is_none(), "faults installed twice");
-        self.faults = Some(FaultState {
-            spec,
-            crashed: Vec::new(),
-            jitter,
-            parked: Vec::new(),
-        });
-    }
-
-    /// Whether the overlay node `id` has crashed.
-    pub fn is_crashed(&self, id: OverlayId) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|f| f.is_crashed(id.index()))
     }
 
     /// Installs the circuit-placement seam: the relay store paired with
@@ -970,22 +896,6 @@ impl TorNetwork {
         true
     }
 
-    /// The relay id hosted by overlay node `node`, if a placement seam is
-    /// installed and the node hosts one (blame resolution).
-    pub(super) fn relay_id_of(&self, node: OverlayId) -> Option<usize> {
-        self.placement.as_ref().and_then(|p| p.relay_of(node))
-    }
-
-    /// The overlay node hosting relay `relay`: directory index with a
-    /// placement seam, the overlay id itself without one (explicit-path
-    /// scenarios name overlay nodes directly in their fault schedules).
-    pub(super) fn overlay_of_relay(&self, relay: u32) -> OverlayId {
-        match self.placement.as_ref() {
-            Some(p) => p.relay_overlays[relay as usize],
-            None => OverlayId(relay),
-        }
-    }
-
     /// Number of relays currently selectable (live, unexcluded, positive
     /// weight) — O(1) via the selection engine; `None` without a
     /// placement seam. The graceful-degradation gate in the recovery
@@ -1152,13 +1062,6 @@ impl TorNetwork {
         if entry.a.is_none() && entry.b.is_none() && !entry.retired {
             self.free_link_ids.push(link_id);
         }
-    }
-
-    /// Marks a link-local id as retired (see [`LinkRoute::retired`]):
-    /// the force-reap path calls this before reclaiming, so the id never
-    /// re-enters the free list even after both ends clear.
-    pub(super) fn retire_link_id(&mut self, id: CircuitId) {
-        self.link_routes[id.0 as usize].retired = true;
     }
 
     /// Resolves an arriving cell's `(receiving node, sending neighbour,
@@ -1493,7 +1396,7 @@ impl World for TorNetwork {
                 match control {
                     TorEvent::Net(_) => unreachable!("both link events are arms above"),
                     TorEvent::StartCircuit(circ) => self.start_circuit(ctx, circ),
-                    TorEvent::Teardown(circ) => self.teardown(ctx, circ),
+                    TorEvent::Teardown(circ) => self.teardown(ctx, circ, DESTROY_REASON_FINISHED),
                     TorEvent::StreamArrival { circ, stream } => {
                         self.stream_arrival(ctx, circ, stream)
                     }

@@ -24,6 +24,7 @@ use crate::event::TorEvent;
 use crate::ids::{Direction, OverlayId};
 use crate::node::{CircuitPhase, PendingConfirm, QueuedCell};
 
+use super::faults::Void;
 use super::{Egress, TorNetwork};
 
 impl TorNetwork {
@@ -81,9 +82,7 @@ impl TorNetwork {
         confirm: PendingConfirm,
     ) {
         let Some((global, local, flow)) = self.route_of(to, from, link_id) else {
-            self.egress
-                .stale_or_protocol_error(&self.faults, "relay cell on unknown route");
-            self.egress.payload_pool.reclaim(rc.data);
+            self.on_void(ctx, to, Void::RelayCell(rc.data));
             return;
         };
         let node = &mut self.nodes[to.index()];

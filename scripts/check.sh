@@ -13,6 +13,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> no too_many_arguments allow in relaynet (the link side has one owner: network::Egress)"
 if grep -rn 'clippy::too_many_arguments' crates/relaynet/src; then echo "    FAIL: pass-through plumbing is creeping back" >&2; exit 1; fi
 
+echo "==> fault handling has one owner (network/faults.rs): no fault state in the protocol stages' non-test code"
+for stage in circuit_build recognition feedback conn client_xfer; do
+    src=crates/relaynet/src/network/${stage}.rs
+    if sed '/^#\[cfg(test)\]/,$d' "${src}" | grep -n '\.faults\b\|FaultState\|stale_or_protocol_error'; then
+        echo "    FAIL: ${src} encodes fault policy; route it through network/faults.rs" >&2
+        exit 1
+    fi
+done
+
 echo "==> no cs-lint suppression in simcore (the kernel needs no escape hatch)"
 if grep -rn 'cs-lint: allow(' crates/simcore/src; then echo "    FAIL: a cs-lint suppression crept into simcore" >&2; exit 1; fi
 
