@@ -2,7 +2,7 @@
 //! (DESIGN.md §14).
 //!
 //! Every guarantee this reproduction makes — bit-exact
-//! `WorldFingerprint` equality across queue/sampler/executor seams,
+//! `WorldFingerprint` equality across queue/executor seams,
 //! merge-order-invariant telemetry, derivation-rooted RNG streams — is
 //! otherwise enforced only at runtime by differential suites, which
 //! means a nondeterminism leak survives until a test happens to take

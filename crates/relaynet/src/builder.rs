@@ -31,7 +31,6 @@ use crate::ids::{CircId, Direction, OverlayId};
 use crate::network::TorNetwork;
 use crate::node::{CcFactory, NodeRole};
 use crate::router::Router;
-use crate::sampler::SamplerKind;
 use crate::selection::{SelectionPolicy, Uniform};
 use crate::workload::{EpochSpec, FaultSchedule, FaultSpec, WorkloadSpec};
 
@@ -200,10 +199,6 @@ pub struct StarScenario {
     /// the run bit-identical to pre-epoch builds (the "epochs" RNG
     /// stream is only derived when this is set).
     pub epochs: Option<EpochSpec>,
-    /// Which weighted-sampler implementation backs the selection engine
-    /// (picks are identical either way; see [`crate::sampler`]).
-    /// Default: [`SamplerKind::Auto`].
-    pub sampler: SamplerKind,
     /// Fault injection (see [`FaultSpec`]): relay crashes and transient
     /// access-link stalls drawn from the initially-live relay set, with
     /// the client-side timer/backoff/blame recovery loop armed. `None`
@@ -225,7 +220,6 @@ impl Default for StarScenario {
             selection: Arc::new(Uniform),
             workload: WorkloadSpec::default(),
             epochs: None,
-            sampler: SamplerKind::Auto,
             faults: None,
         }
     }
@@ -317,12 +311,11 @@ impl StarScenario {
         // below and churn-driven rebuilds select through the same
         // policy — each placement seeing the load left by its
         // predecessors.
-        world.install_placement_with_sampler(
+        world.install_placement(
             directory,
             (0..relay_count).map(overlay).collect(),
             self.selection.clone(),
             master.derive("paths"),
-            self.sampler,
         );
         // Like epochs, the fault schedule draws from a stream that is
         // only derived when faults are configured — a fault-free build

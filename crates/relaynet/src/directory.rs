@@ -252,7 +252,7 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selection::{PathSelection, Uniform};
+    use crate::selection::{select, Uniform};
 
     fn rng() -> SimRng {
         SimRng::seed_from(42)
@@ -340,7 +340,7 @@ mod tests {
         let view = dir.view(&load);
         assert_eq!(view.len(), dir.len());
         let mut r = rng();
-        let p = Uniform.select(&view, &mut r, 3);
+        let p = select(&Uniform, &view, &mut r, 3);
         assert_eq!(p.len(), 3);
     }
 

@@ -463,7 +463,7 @@ pub(super) struct LinkRoute {
 /// number of circuits currently routed through each relay, incremented
 /// when a circuit is registered and decremented when its client-side
 /// participation is reclaimed after a DESTROY wave. Installed by star
-/// scenarios ([`TorNetwork::install_placement_with_sampler`]); worlds without it
+/// scenarios ([`TorNetwork::install_placement`]); worlds without it
 /// (explicit-path scenarios) rebuild churned circuits over the original
 /// path instead of re-selecting.
 pub(super) struct PlacementState {
@@ -731,25 +731,21 @@ impl TorNetwork {
     }
 
     /// Installs the circuit-placement seam: the relay store paired with
-    /// the overlay nodes hosting its relays, the selection policy, the
-    /// placement randomness stream, and the sampler backing the
-    /// selection engine ([`SamplerKind::Auto`] picks linear below the
-    /// crossover, Fenwick at consensus scale; differential suites pin
-    /// one — the picks are identical either way, see [`crate::sampler`]).
-    /// Must be called before the first placement; all load counters
-    /// start at zero.
+    /// the overlay nodes hosting its relays, the selection policy, and
+    /// the placement randomness stream. The selection engine is built
+    /// over the Fenwick sampler. Must be called before the first
+    /// placement; all load counters start at zero.
     ///
     /// # Panics
     ///
     /// Panics if called twice, or if `directory` and `relay_overlays`
     /// disagree in length.
-    pub fn install_placement_with_sampler(
+    pub fn install_placement(
         &mut self,
         directory: Directory,
         relay_overlays: Vec<OverlayId>,
         policy: SelectionPolicy,
         rng: SimRng,
-        sampler: SamplerKind,
     ) {
         assert!(self.placement.is_none(), "placement installed twice");
         assert_eq!(
@@ -771,7 +767,7 @@ impl TorNetwork {
         let engine = SelectionEngine::new(
             policy.as_ref(),
             &DirectoryView::new(&directory, &load),
-            sampler,
+            SamplerKind::Fenwick,
         );
         let excluded = vec![false; directory.len()];
         self.placement = Some(PlacementState {
@@ -796,8 +792,9 @@ impl TorNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if no placement is installed, or if the policy violates
-    /// its contract (wrong count, out-of-range or repeated indices).
+    /// Panics if no placement is installed, if fewer than `path_len`
+    /// relays are selectable, or if the engine returns a malformed path
+    /// (wrong count, out-of-range or repeated indices).
     pub fn select_relays(&mut self, path_len: usize) -> Vec<OverlayId> {
         let p = self
             .placement
@@ -926,12 +923,6 @@ impl TorNetwork {
     /// labels).
     pub fn selection_policy_name(&self) -> Option<&'static str> {
         self.placement.as_ref().map(|p| p.policy.name())
-    }
-
-    /// The selection engine's active sampler name ("linear" /
-    /// "fenwick"), if a placement seam is installed.
-    pub fn selection_sampler_name(&self) -> Option<&'static str> {
-        self.placement.as_ref().map(|p| p.engine.sampler_name())
     }
 
     /// Per-relay liveness column (indexed by relay id), if a placement

@@ -134,10 +134,9 @@ pub fn fingerprint(world: &TorNetwork, events_processed: u64) -> WorldFingerprin
 }
 
 /// How a sharded experiment aggregates its completion-time
-/// distribution — the telemetry seam, mirroring the
-/// [`QueueKind`]/[`SamplerKind`](crate::sampler::SamplerKind) pattern:
-/// the default keeps every observable bit-exact, the alternative trades
-/// a documented relative error for fixed memory.
+/// distribution — the telemetry seam, mirroring the [`QueueKind`]
+/// pattern: the default keeps every observable bit-exact, the
+/// alternative trades a documented relative error for fixed memory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StatsKind {
     /// Retain every raw completion sample per shard (O(flows) memory).

@@ -4,18 +4,17 @@
 //! the same primitive — draw `path_len` distinct relay indices with
 //! probability proportional to per-relay weights — and at consensus
 //! scale (~7k relays) that primitive is the hot path, not a setup step.
-//! This module provides it behind a seam, mirroring the
-//! `QueueKind`/`EventQueue` pattern in `simcore` (a kind enum and one
-//! `match`-dispatching enum over the implementations):
+//! Two implementations sit behind one `match`-dispatching enum, chosen
+//! by [`SamplerKind`] (compare `QueueKind`/`EventQueue` in `simcore`):
 //!
-//! * [`LinearSampler`] — the historical O(n)-per-draw scan, kept as the
-//!   differential oracle and as the default for small directories where
-//!   the scan's cache behaviour beats tree bookkeeping.
 //! * [`FenwickSampler`] — a Fenwick (binary indexed) tree over the
 //!   weights: O(log n) draw and O(log n) point update, fed incrementally
-//!   by the load ledger instead of rebuilt per selection.
-//! * [`SamplerKind`] — the scenario-level switch, with an `Auto` mode
-//!   that crosses over at [`FENWICK_CROSSOVER`] relays.
+//!   by the load ledger instead of rebuilt per selection. Every world
+//!   places through it.
+//! * [`LinearSampler`] — the O(n)-per-draw subtraction scan, the
+//!   obviously-correct oracle the Fenwick tree is differentially tested
+//!   against, and the sampler behind the from-scratch
+//!   [`crate::selection::select`] the tests use as their reference.
 //!
 //! # The integer-weight exactness contract
 //!
@@ -32,8 +31,7 @@
 //!    arithmetic both see the *same* prefix sums and the *same* total —
 //!    so they consume identical randomness and return bit-identical
 //!    picks, at any directory size. The pinned selection constants in
-//!    `tests/path_selection.rs` therefore hold under either sampler,
-//!    and the `Auto` crossover is purely a performance decision.
+//!    `tests/path_selection.rs` therefore hold under either sampler.
 //! 2. **Drift-free increments.** A point update (`set`) adjusts the
 //!    total and tree nodes by the exact integer delta, so a sampler
 //!    maintained incrementally across thousands of load changes is
@@ -51,41 +49,15 @@ use simcore::rng::SimRng;
 /// headroom; exceeding it is a policy bug and panics.
 pub const MAX_EXACT_TOTAL: f64 = 9_007_199_254_740_992.0; // 2^53
 
-/// Directory size at which [`SamplerKind::Auto`] switches from the
-/// linear scan to the Fenwick tree. Below this the O(n) scan's simple
-/// sequential pass is at least as fast as O(log n) tree hops, and the
-/// legacy code path stays exercised by every small scenario.
-pub const FENWICK_CROSSOVER: usize = 64;
-
-/// Which weighted-sampler implementation placement uses — the sampler
-/// seam's scenario-level switch (compare `simcore::event::QueueKind`).
+/// Which weighted-sampler implementation a [`Sampler`] is built over.
 /// Pick equivalence (module docs) makes the choice unobservable in
-/// experiment outcomes; it only changes selection cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// experiment outcomes; worlds always use `Fenwick`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SamplerKind {
-    /// Linear below [`FENWICK_CROSSOVER`] relays, Fenwick at or above.
-    #[default]
-    Auto,
-    /// Always the O(n) linear scan (the differential oracle).
+    /// The O(n) linear scan (the differential oracle).
     Linear,
-    /// Always the O(log n) Fenwick tree.
+    /// The O(log n) Fenwick tree (every world's placement).
     Fenwick,
-}
-
-impl SamplerKind {
-    /// Resolves `Auto` against a directory size.
-    pub fn resolve(self, relays: usize) -> SamplerKind {
-        match self {
-            SamplerKind::Auto => {
-                if relays >= FENWICK_CROSSOVER {
-                    SamplerKind::Fenwick
-                } else {
-                    SamplerKind::Linear
-                }
-            }
-            other => other,
-        }
-    }
 }
 
 fn validate_weight(w: f64) {
@@ -111,20 +83,11 @@ pub enum Sampler {
 }
 
 impl Sampler {
-    /// Builds the sampler `kind` resolves to for `weights.len()` relays.
+    /// Builds a `kind` sampler over `weights`.
     pub fn build(kind: SamplerKind, weights: &[f64]) -> Sampler {
-        match kind.resolve(weights.len()) {
+        match kind {
             SamplerKind::Linear => Sampler::Linear(LinearSampler::new(weights)),
             SamplerKind::Fenwick => Sampler::Fenwick(FenwickSampler::new(weights)),
-            SamplerKind::Auto => unreachable!("resolve() never returns Auto"),
-        }
-    }
-
-    /// Implementation name for experiment labels and bench keys.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Sampler::Linear(_) => "linear",
-            Sampler::Fenwick(_) => "fenwick",
         }
     }
 
@@ -197,11 +160,10 @@ impl Sampler {
     }
 }
 
-/// The historical weighted draw: per draw, one uniform variate scanned
+/// The reference weighted draw: per draw, one uniform variate scanned
 /// against the weights with running subtraction. O(n) per draw, O(1)
-/// point update, zero setup — the right shape for small directories and
-/// the oracle the Fenwick implementation is differentially tested
-/// against.
+/// point update — the oracle the Fenwick implementation is
+/// differentially tested against.
 #[derive(Clone, Debug)]
 pub struct LinearSampler {
     weights: Vec<f64>,
@@ -290,8 +252,7 @@ impl LinearSampler {
         // `pick` tracks the last positive-weight index visited, so a
         // floating-point overrun of `x` past the running total would
         // still land on a selectable index. Under the integer contract
-        // the arithmetic is exact and the fallback never fires, but the
-        // shape is kept identical to the legacy scan it replaces.
+        // the arithmetic is exact and the fallback never fires.
         let mut pick = usize::MAX;
         for (i, &w) in self.weights.iter().enumerate() {
             if w <= 0.0 {
@@ -517,24 +478,17 @@ impl FenwickSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::{Directory, DirectoryConfig};
 
     fn rng() -> SimRng {
         SimRng::seed_from(42)
     }
 
-    #[test]
-    fn kinds_resolve_at_the_crossover() {
-        assert_eq!(SamplerKind::Auto.resolve(1), SamplerKind::Linear);
-        assert_eq!(
-            SamplerKind::Auto.resolve(FENWICK_CROSSOVER - 1),
-            SamplerKind::Linear
-        );
-        assert_eq!(
-            SamplerKind::Auto.resolve(FENWICK_CROSSOVER),
-            SamplerKind::Fenwick
-        );
-        assert_eq!(SamplerKind::Linear.resolve(100_000), SamplerKind::Linear);
-        assert_eq!(SamplerKind::Fenwick.resolve(2), SamplerKind::Fenwick);
+    /// `k` distinct draws from a fresh [`LinearSampler`] over `weights`.
+    fn linear_draw(weights: &[f64], rng: &mut SimRng, k: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        LinearSampler::new(weights).draw_distinct(rng, k, &mut out);
+        out
     }
 
     #[test]
@@ -559,10 +513,10 @@ mod tests {
                 s.draw_distinct(&mut r, 3, &mut out);
                 assert_eq!(out.len(), 3);
                 assert!(out.iter().all(|&i| weights[i] > 0.0));
-                assert_eq!(s.total(), 12.0, "{}", s.name());
-                assert_eq!(s.selectable(), 3, "{}", s.name());
+                assert_eq!(s.total(), 12.0, "{kind:?}");
+                assert_eq!(s.selectable(), 3, "{kind:?}");
                 for (i, &w) in weights.iter().enumerate() {
-                    assert_eq!(s.weight(i), w, "{}", s.name());
+                    assert_eq!(s.weight(i), w, "{kind:?}");
                 }
             }
         }
@@ -604,7 +558,7 @@ mod tests {
             for _ in 0..20 {
                 s.draw_distinct(&mut r, 2, &mut out);
                 out.sort_unstable();
-                assert_eq!(out, [3, 4], "{}", s.name());
+                assert_eq!(out, [3, 4], "{kind:?}");
             }
         }
     }
@@ -650,5 +604,95 @@ mod tests {
             assert_eq!(out, [0, 2, 3]);
             assert_eq!(s.total(), 9.0, "weights restored");
         }
+    }
+
+    #[test]
+    fn weighted_draw_sequence_matches_naive_resummation() {
+        // The running-total scan must reproduce a recompute-the-sum
+        // implementation draw for draw (exact, because bandwidth weights
+        // are integers below 2^53).
+        fn naive(weights: &mut [f64], rng: &mut SimRng, k: usize) -> Vec<usize> {
+            let mut chosen = Vec::with_capacity(k);
+            for _ in 0..k {
+                let total: f64 = weights.iter().sum();
+                let mut x = rng.range_f64(0.0, total);
+                let mut pick = weights.len() - 1;
+                for (i, &w) in weights.iter().enumerate() {
+                    if w > 0.0 && x < w {
+                        pick = i;
+                        break;
+                    }
+                    x -= w;
+                }
+                chosen.push(pick);
+                weights[pick] = 0.0;
+            }
+            chosen
+        }
+        for seed in [1u64, 9, 33, 71] {
+            let dir = Directory::generate(
+                &DirectoryConfig {
+                    relays: 40,
+                    ..DirectoryConfig::default()
+                },
+                &SimRng::seed_from(seed),
+            );
+            let weights: Vec<f64> = dir.bandwidths_bps().iter().map(|&bps| bps as f64).collect();
+            let mut a = SimRng::seed_from(seed ^ 0xABCD);
+            let mut b = a.clone();
+            for _ in 0..200 {
+                let fast = linear_draw(&weights, &mut a, 5);
+                let slow = naive(&mut weights.clone(), &mut b, 5);
+                assert_eq!(fast, slow, "seed {seed}: draw sequences diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_weight_relays_are_skipped_not_fatal() {
+        // A weight vector containing dead relays (zero weight — a
+        // zero-consensus-bandwidth entry, a dark or excluded relay) must
+        // draw around them, never trip an everything-positive check.
+        let weights = [5.0e6, 0.0, 3.0e6, 0.0, 2.0e6, 1.0e6];
+        let mut r = rng();
+        for _ in 0..300 {
+            let picks = linear_draw(&weights, &mut r, 3);
+            assert_eq!(picks.len(), 3);
+            assert!(
+                picks.iter().all(|&i| weights[i] > 0.0),
+                "picked a zero-weight relay: {picks:?}"
+            );
+            let mut dedup = picks.clone();
+            dedup.sort_unstable();
+            dedup.dedup();
+            assert_eq!(dedup.len(), 3, "repeated a relay: {picks:?}");
+        }
+    }
+
+    #[test]
+    fn zero_weights_leave_the_draw_sequence_unchanged() {
+        // Dead relays contribute exactly 0.0 to every partial sum, so a
+        // directory with them interleaved must reproduce the dense
+        // directory's draw sequence bit for bit (with indices remapped).
+        let dense = [5.0e6, 3.0e6, 2.0e6, 7.0e6];
+        let sparse = [5.0e6, 0.0, 3.0e6, 2.0e6, 0.0, 7.0e6];
+        // sparse index -> dense index for the positive entries.
+        let remap = [0usize, usize::MAX, 1, 2, usize::MAX, 3];
+        let mut a = rng();
+        let mut b = rng();
+        for _ in 0..100 {
+            let d = linear_draw(&dense, &mut a, 2);
+            let s = linear_draw(&sparse, &mut b, 2);
+            let s_mapped: Vec<usize> = s.iter().map(|&i| remap[i]).collect();
+            assert_eq!(d, s_mapped, "zero weights perturbed the draws");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only 1 of 3 weights are positive")]
+    fn too_few_selectable_relays_panics_clearly() {
+        // Three relays, two of them dead: a 3-relay path is impossible
+        // and must fail loudly with the shortfall named.
+        let _ = linear_draw(&[0.0, 4.0e6, 0.0], &mut rng(), 3);
     }
 }

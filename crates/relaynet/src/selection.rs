@@ -19,14 +19,20 @@
 //! the surviving circuits. Dark (non-live) relays weigh zero and are
 //! never selected.
 //!
-//! # Determinism contract
+//! # One draw
 //!
-//! A policy may draw randomness **only** from the [`SimRng`] passed to
-//! [`PathSelection::select`] (the network's dedicated placement stream);
-//! it must be a pure function of `(view, rng state, path_len)`. It must
-//! return exactly `path_len` distinct in-range relay indices — the
-//! network validates this and panics on a violating policy. See
-//! DESIGN.md §9.
+//! A policy only *weighs* relays ([`PathSelection::relay_weight`]); it
+//! never draws. Every placement is drawn by a [`SelectionEngine`]: a
+//! [`Sampler`] fed *incrementally* by load-ledger and liveness changes
+//! (O(log n) per update with the Fenwick tree) plus reusable scratch
+//! buffers, so a steady-state selection allocates nothing. The draws
+//! consume randomness only from the [`SimRng`] passed in (the network's
+//! dedicated placement stream) and are a pure function of
+//! `(view, rng state, path_len)`. See DESIGN.md §9.
+//!
+//! [`select`] is the from-scratch form of the same draw — a fresh
+//! engine over the [`SamplerKind::Linear`] oracle, drawn once — which
+//! the tests compare the network's incremental Fenwick engine against.
 //!
 //! # Weights are integer-valued
 //!
@@ -35,17 +41,6 @@
 //! therefore identical between the linear and Fenwick samplers and
 //! between incremental updates and full rebuilds — the contract
 //! [`crate::sampler`] documents and asserts.
-//!
-//! # The selection engine
-//!
-//! [`PathSelection::select`]'s default implementation rebuilds the
-//! weight vector per call — fine at 30 relays, the hot path at 7k.
-//! [`SelectionEngine`] is the consensus-scale path the network actually
-//! drives: it owns a [`Sampler`] fed *incrementally* by load-ledger and
-//! liveness changes (O(log n) per update with the Fenwick tree) and
-//! reusable scratch buffers, so a steady-state selection allocates
-//! nothing. Pick equivalence with the default implementation is exact
-//! (see [`crate::sampler`]) and differentially tested.
 //!
 //! # Shipped policies
 //!
@@ -61,7 +56,7 @@ use std::sync::Arc;
 use simcore::rng::SimRng;
 use simcore::time::SimDuration;
 
-use crate::directory::{Directory, RelaySpec};
+use crate::directory::Directory;
 use crate::sampler::{Sampler, SamplerKind};
 
 /// A selection policy as scenarios carry it: shared, cheaply cloneable,
@@ -157,13 +152,6 @@ impl<'a> DirectoryView<'a> {
         self.directory.is_empty()
     }
 
-    /// One relay's access-link characteristics (materialized from the
-    /// SoA columns).
-    #[inline]
-    pub fn spec(&self, relay: usize) -> RelaySpec {
-        self.directory.spec(relay)
-    }
-
     /// One relay's access-link rate, bit/s (column read).
     #[inline]
     pub fn bandwidth_bps(&self, relay: usize) -> u64 {
@@ -176,25 +164,6 @@ impl<'a> DirectoryView<'a> {
         self.directory.delays()[relay]
     }
 
-    /// Whether `relay` is in the live set (dark relays weigh zero).
-    #[inline]
-    pub fn is_live(&self, relay: usize) -> bool {
-        self.directory.is_live(relay)
-    }
-
-    /// Number of live relays (O(1) — maintained by the store).
-    #[inline]
-    pub fn live_count(&self) -> usize {
-        self.directory.live_count()
-    }
-
-    /// Whether every provisioned relay is live (the common no-churn
-    /// case, enabling the uniform fast path).
-    #[inline]
-    pub fn all_live(&self) -> bool {
-        self.directory.live_count() == self.directory.len()
-    }
-
     /// Whether `relay` carries a blame-driven exclusion.
     #[inline]
     pub fn is_excluded(&self, relay: usize) -> bool {
@@ -202,8 +171,7 @@ impl<'a> DirectoryView<'a> {
     }
 
     /// Whether `relay` may be selected at all: live and not excluded.
-    /// This — not [`DirectoryView::is_live`] — is the gate every weight
-    /// computation uses.
+    /// This is the gate every weight computation uses.
     #[inline]
     pub fn is_selectable(&self, relay: usize) -> bool {
         self.directory.is_live(relay) && !self.is_excluded(relay)
@@ -215,7 +183,8 @@ impl<'a> DirectoryView<'a> {
     /// is per-placement, not per-cell, so the scan is cold).
     #[inline]
     pub fn all_selectable(&self) -> bool {
-        self.all_live() && self.excluded.is_none_or(|e| !e.iter().any(|&x| x))
+        self.directory.live_count() == self.directory.len()
+            && self.excluded.is_none_or(|e| !e.iter().any(|&x| x))
     }
 
     /// Circuits currently routed through one relay.
@@ -225,14 +194,10 @@ impl<'a> DirectoryView<'a> {
     }
 }
 
-/// The path-selection seam: maps a directory view to `path_len`
-/// distinct relay indices (in path order, client side first).
-///
-/// A policy is defined by its **per-relay weight**
+/// The path-selection seam: a policy is its **per-relay weight**
 /// ([`PathSelection::relay_weight`], integer-valued — see the module
-/// docs); [`PathSelection::select`]'s default implementation performs
-/// the weighted draw, and [`SelectionEngine`] performs the same draw
-/// incrementally at consensus scale.
+/// docs). It does not draw: [`SelectionEngine`] turns the weights into
+/// `path_len` distinct relay indices (in path order, client side first).
 pub trait PathSelection: std::fmt::Debug + Send + Sync {
     /// Stable identifier used in experiment labels and bench keys.
     fn name(&self) -> &'static str;
@@ -255,41 +220,26 @@ pub trait PathSelection: std::fmt::Debug + Send + Sync {
     fn draws_uniform(&self) -> bool {
         false
     }
+}
 
-    /// Selects `path_len` **distinct** relay indices. The default
-    /// implementation draws by [`PathSelection::relay_weight`] (dark
-    /// relays weigh zero), rebuilding the weight vector per call — the
-    /// reference behaviour [`SelectionEngine`] reproduces exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `path_len` relays are selectable (live with
-    /// positive weight).
-    fn select(&self, view: &DirectoryView<'_>, rng: &mut SimRng, path_len: usize) -> Vec<usize> {
-        if self.draws_uniform() && view.all_selectable() {
-            assert_path_fits(view, path_len);
-            return rng.sample_distinct(view.len(), path_len);
-        }
-        // One fused pass: weights and the selectable count together
-        // (historically `assert_path_fits` and `weighted_distinct` each
-        // re-scanned the directory).
-        let mut selectable = 0usize;
-        let weights: Vec<f64> = (0..view.len())
-            .map(|i| {
-                let w = if view.is_selectable(i) {
-                    self.relay_weight(view, i)
-                } else {
-                    0.0
-                };
-                if w > 0.0 {
-                    selectable += 1;
-                }
-                w
-            })
-            .collect();
-        assert_selectable(selectable, view.len(), path_len);
-        weighted_distinct_precounted(weights, rng, path_len)
-    }
+/// Draws `path_len` distinct relay indices for `policy` from scratch: a
+/// fresh [`SelectionEngine`] over the [`SamplerKind::Linear`] oracle,
+/// drawn once. The reference the tests compare the network's
+/// incremental Fenwick engine against; placement never calls it.
+///
+/// # Panics
+///
+/// Panics if fewer than `path_len` relays are selectable (live with
+/// positive weight).
+pub fn select(
+    policy: &dyn PathSelection,
+    view: &DirectoryView<'_>,
+    rng: &mut SimRng,
+    path_len: usize,
+) -> Vec<usize> {
+    SelectionEngine::new(policy, view, SamplerKind::Linear)
+        .select(policy, view, rng, path_len)
+        .to_vec()
 }
 
 fn assert_path_fits(view: &DirectoryView<'_>, path_len: usize) {
@@ -308,77 +258,8 @@ fn assert_selectable(selectable: usize, relays: usize, path_len: usize) {
     );
 }
 
-/// Repeated weighted draws without replacement — the legacy linear-scan
-/// entry point, kept as the differential oracle for the sampler seam
-/// (see [`crate::sampler`]). Validates and counts, then runs the scan.
-///
-/// Zero-weight entries are legal and simply unselectable: a directory
-/// may carry a dead relay (zero consensus bandwidth, a dark epoch
-/// departure) without making placement panic. Only when fewer than
-/// `path_len` entries carry positive weight is the draw impossible, and
-/// *that* panics with a message naming the shortfall.
-///
-/// # Panics
-///
-/// Panics if fewer than `path_len` weights are positive, or if any
-/// weight is negative or non-finite (a policy bug, not a directory
-/// condition).
-#[cfg_attr(not(test), allow(dead_code))] // oracle: exercised by the differential tests
-fn weighted_distinct(weights: Vec<f64>, rng: &mut SimRng, path_len: usize) -> Vec<usize> {
-    assert!(
-        weights.iter().all(|&w| w >= 0.0 && w.is_finite()),
-        "selection weights must be finite and non-negative"
-    );
-    let selectable = weights.iter().filter(|&&w| w > 0.0).count();
-    assert_selectable(selectable, weights.len(), path_len);
-    weighted_distinct_precounted(weights, rng, path_len)
-}
-
-/// The draw core behind [`weighted_distinct`], with validation and the
-/// selectable count already done by the caller (the fused weight pass).
-/// The total is maintained as a running sum, decremented as picks are
-/// zeroed (O(n) per draw for the scan, no O(n) re-summation). For
-/// integer-valued weights below 2⁵³ every partial sum is exact, so the
-/// draw sequence is bit-identical to the historical recompute-the-sum
-/// implementation — pinned by `tests/path_selection.rs` — and to the
-/// Fenwick sampler's tree descent.
-fn weighted_distinct_precounted(
-    mut weights: Vec<f64>,
-    rng: &mut SimRng,
-    path_len: usize,
-) -> Vec<usize> {
-    let mut chosen: Vec<usize> = Vec::with_capacity(path_len);
-    // Zero weights contribute exactly 0.0, so the total — and therefore
-    // every draw — is bit-identical to a directory without them.
-    let mut total: f64 = weights.iter().sum();
-    for _ in 0..path_len {
-        debug_assert!(total > 0.0);
-        let mut x = rng.range_f64(0.0, total);
-        // `pick` tracks the last positive-weight index visited, so a
-        // floating-point overrun of `x` past the (inexact) running total
-        // still lands on a selectable relay instead of a zeroed one.
-        let mut pick = usize::MAX;
-        for (i, &w) in weights.iter().enumerate() {
-            if w <= 0.0 {
-                continue;
-            }
-            pick = i;
-            if x < w {
-                break;
-            }
-            x -= w;
-        }
-        debug_assert!(pick != usize::MAX, "some weight must remain positive");
-        chosen.push(pick);
-        total -= weights[pick];
-        weights[pick] = 0.0; // without replacement
-    }
-    chosen
-}
-
-/// The consensus-scale selection path: a [`Sampler`] maintained
-/// incrementally plus reusable scratch buffers, owned by the network's
-/// placement state. One engine serves one `(policy, directory)` pair;
+/// The one selection path: a [`Sampler`] maintained incrementally plus
+/// reusable scratch buffers, owned by the network's placement state. One engine serves one `(policy, directory)` pair;
 /// the caller routes load-ledger and liveness changes through
 /// [`SelectionEngine::load_changed`] / [`SelectionEngine::relay_changed`]
 /// so the sampler's weights always mirror what the policy would compute
@@ -430,12 +311,6 @@ impl SelectionEngine {
         }
     }
 
-    /// The active sampler implementation ("linear" / "fenwick") —
-    /// experiment labels and bench keys.
-    pub fn sampler_name(&self) -> &'static str {
-        self.sampler.name()
-    }
-
     /// Number of relays with positive weight (O(1)).
     pub fn selectable(&self) -> usize {
         self.sampler.selectable()
@@ -467,12 +342,12 @@ impl SelectionEngine {
         }
     }
 
-    /// Selects `path_len` distinct relay indices — the same picks
-    /// `policy.select(view, rng, path_len)` would return (exactly: the
-    /// two consume identical randomness), without rebuilding weights or
-    /// allocating. The returned slice borrows the engine's pick buffer.
-    /// The sampler already carries the policy's weights, so `_policy`
-    /// only names which policy the engine was built for.
+    /// Selects `path_len` distinct relay indices — the same picks a
+    /// fresh engine ([`select`]) would return (exactly: the two consume
+    /// identical randomness), without rebuilding weights or allocating.
+    /// The returned slice borrows the engine's pick buffer. The sampler
+    /// already carries the policy's weights, so `_policy` only names
+    /// which policy the engine was built for.
     ///
     /// # Panics
     ///
@@ -618,7 +493,7 @@ impl PathSelection for CongestionAware {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::DirectoryConfig;
+    use crate::directory::{DirectoryConfig, RelaySpec};
     use netsim::bandwidth::Bandwidth;
 
     fn rng() -> SimRng {
@@ -644,7 +519,7 @@ mod tests {
             let mut r = rng();
             for _ in 0..100 {
                 let view = dir.view(&load);
-                let p = policy.select(&view, &mut r, 3);
+                let p = select(policy.as_ref(), &view, &mut r, 3);
                 assert_eq!(p.len(), 3, "{}", policy.name());
                 let mut q = p.clone();
                 q.sort_unstable();
@@ -664,7 +539,7 @@ mod tests {
         for _ in 0..50 {
             let view = dir.view(&load);
             assert_eq!(
-                Uniform.select(&view, &mut a, 3),
+                select(&Uniform, &view, &mut a, 3),
                 b.sample_distinct(dir.len(), 3)
             );
         }
@@ -682,7 +557,7 @@ mod tests {
         let hits = (0..200)
             .filter(|_| {
                 let view = dir.view(&load);
-                BandwidthWeighted.select(&view, &mut r, 1)[0] == 4
+                select(&BandwidthWeighted, &view, &mut r, 1)[0] == 4
             })
             .count();
         assert!(hits > 150, "fat relay picked only {hits}/200 times");
@@ -700,7 +575,7 @@ mod tests {
         let hits = (0..200)
             .filter(|_| {
                 let view = dir.view(&load);
-                LatencyAware.select(&view, &mut r, 1)[0] == 7
+                select(&LatencyAware, &view, &mut r, 1)[0] == 7
             })
             .count();
         assert!(hits > 150, "near relay picked only {hits}/200 times");
@@ -718,7 +593,7 @@ mod tests {
         let load = vec![0u32; 4];
         let mut r = rng();
         let view = dir.view(&load);
-        let p = LatencyAware.select(&view, &mut r, 2);
+        let p = select(&LatencyAware, &view, &mut r, 2);
         assert_eq!(p.len(), 2);
     }
 
@@ -731,8 +606,8 @@ mod tests {
         for _ in 0..50 {
             let view = dir.view(&load);
             assert_eq!(
-                CongestionAware.select(&view, &mut a, 3),
-                BandwidthWeighted.select(&view, &mut b, 3),
+                select(&CongestionAware, &view, &mut a, 3),
+                select(&BandwidthWeighted, &view, &mut b, 3),
                 "zero load must reproduce the Tor baseline"
             );
         }
@@ -749,7 +624,7 @@ mod tests {
         let hits = (0..400)
             .filter(|_| {
                 let view = dir.view(&load);
-                CongestionAware.select(&view, &mut r, 1)[0] == 2
+                select(&CongestionAware, &view, &mut r, 1)[0] == 2
             })
             .count();
         // Idle expectation would be 50; the penalty pushes it near 1.
@@ -767,96 +642,12 @@ mod tests {
         let mut counts = [0usize; 3];
         for _ in 0..600 {
             let view = dir.view(&load);
-            counts[CongestionAware.select(&view, &mut r, 1)[0]] += 1;
+            counts[select(&CongestionAware, &view, &mut r, 1)[0]] += 1;
         }
         assert!(
             counts[1] > counts[0] && counts[1] > counts[2],
             "30 Mbit/s idle relay must dominate: {counts:?}"
         );
-    }
-
-    #[test]
-    fn weighted_draw_sequence_matches_naive_resummation() {
-        // The running-total optimization must reproduce the historical
-        // recompute-the-sum implementation draw for draw (exact, because
-        // bandwidth weights are integers below 2^53).
-        fn naive(weights: &mut [f64], rng: &mut SimRng, k: usize) -> Vec<usize> {
-            let mut chosen = Vec::with_capacity(k);
-            for _ in 0..k {
-                let total: f64 = weights.iter().sum();
-                let mut x = rng.range_f64(0.0, total);
-                let mut pick = weights.len() - 1;
-                for (i, &w) in weights.iter().enumerate() {
-                    if w > 0.0 && x < w {
-                        pick = i;
-                        break;
-                    }
-                    x -= w;
-                }
-                chosen.push(pick);
-                weights[pick] = 0.0;
-            }
-            chosen
-        }
-        for seed in [1u64, 9, 33, 71] {
-            let dir = Directory::generate(
-                &DirectoryConfig {
-                    relays: 40,
-                    ..DirectoryConfig::default()
-                },
-                &SimRng::seed_from(seed),
-            );
-            let weights: Vec<f64> = dir.bandwidths_bps().iter().map(|&bps| bps as f64).collect();
-            let mut a = SimRng::seed_from(seed ^ 0xABCD);
-            let mut b = a.clone();
-            for _ in 0..200 {
-                let fast = weighted_distinct(weights.clone(), &mut a, 5);
-                let slow = naive(&mut weights.clone(), &mut b, 5);
-                assert_eq!(fast, slow, "seed {seed}: draw sequences diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn zero_weight_relays_are_skipped_not_fatal() {
-        // Regression: a weight vector containing dead relays (zero
-        // weight — a zero-consensus-bandwidth entry, or any future
-        // policy that excludes relays outright) used to trip
-        // `weighted_distinct`'s everything-positive debug assertion on
-        // entry. Dead entries must instead be silently unselectable.
-        let weights = vec![5.0e6, 0.0, 3.0e6, 0.0, 2.0e6, 1.0e6];
-        let mut r = rng();
-        for _ in 0..300 {
-            let picks = weighted_distinct(weights.clone(), &mut r, 3);
-            assert_eq!(picks.len(), 3);
-            assert!(
-                picks.iter().all(|&i| weights[i] > 0.0),
-                "picked a zero-weight relay: {picks:?}"
-            );
-            let mut dedup = picks.clone();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(dedup.len(), 3, "repeated a relay: {picks:?}");
-        }
-    }
-
-    #[test]
-    fn zero_weights_leave_the_draw_sequence_unchanged() {
-        // Dead relays contribute exactly 0.0 to every partial sum, so a
-        // directory with them interleaved must reproduce the dense
-        // directory's draw sequence bit for bit (with indices remapped).
-        let dense = vec![5.0e6, 3.0e6, 2.0e6, 7.0e6];
-        let sparse = vec![5.0e6, 0.0, 3.0e6, 2.0e6, 0.0, 7.0e6];
-        // sparse index -> dense index for the positive entries.
-        let remap = [0usize, usize::MAX, 1, 2, usize::MAX, 3];
-        let mut a = rng();
-        let mut b = rng();
-        for _ in 0..100 {
-            let d = weighted_distinct(dense.clone(), &mut a, 2);
-            let s = weighted_distinct(sparse.clone(), &mut b, 2);
-            let s_mapped: Vec<usize> = s.iter().map(|&i| remap[i]).collect();
-            assert_eq!(d, s_mapped, "zero weights perturbed the draws");
-        }
     }
 
     #[test]
@@ -872,7 +663,7 @@ mod tests {
             let mut r = rng();
             for _ in 0..50 {
                 let view = dir.view(&load);
-                let picks = policy.select(&view, &mut r, 3);
+                let picks = select(policy.as_ref(), &view, &mut r, 3);
                 assert!(
                     picks.iter().all(|&i| dir.is_live(i)),
                     "{} picked a dark relay: {picks:?}",
@@ -896,7 +687,7 @@ mod tests {
             let mut r = rng();
             for _ in 0..50 {
                 let view = DirectoryView::with_exclusions(&dir, &load, &excluded);
-                let picks = policy.select(&view, &mut r, 3);
+                let picks = select(policy.as_ref(), &view, &mut r, 3);
                 assert!(
                     picks.iter().all(|&i| !excluded[i]),
                     "{} picked an excluded relay: {picks:?}",
@@ -918,8 +709,9 @@ mod tests {
             let mut a = rng();
             let mut b = rng();
             for _ in 0..50 {
-                let plain = policy.select(&DirectoryView::new(&dir, &load), &mut a, 3);
-                let gated = policy.select(
+                let plain = select(policy.as_ref(), &DirectoryView::new(&dir, &load), &mut a, 3);
+                let gated = select(
+                    policy.as_ref(),
                     &DirectoryView::with_exclusions(&dir, &load, &excluded),
                     &mut b,
                     3,
@@ -932,7 +724,7 @@ mod tests {
     #[test]
     fn engine_honours_exclusions_like_the_policy() {
         // The incremental engine must track exclusion flips exactly as
-        // the per-call default implementation sees them.
+        // a from-scratch `select` sees them.
         for kind in [SamplerKind::Linear, SamplerKind::Fenwick] {
             for policy in all_policies() {
                 let dir = dir_of(vec![spec(20, 5); 12]);
@@ -956,7 +748,7 @@ mod tests {
                         );
                     }
                     let view = DirectoryView::with_exclusions(&dir, &load, &excluded);
-                    let want = policy.select(&view, &mut a, 3);
+                    let want = select(policy.as_ref(), &view, &mut a, 3);
                     let got = engine.select(policy.as_ref(), &view, &mut b, 3);
                     assert_eq!(
                         got,
@@ -972,8 +764,8 @@ mod tests {
 
     #[test]
     fn engine_reproduces_policy_selects() {
-        // The incremental engine and the per-call default implementation
-        // must consume identical randomness and return identical picks,
+        // The incremental engine and a from-scratch `select` must
+        // consume identical randomness and return identical picks,
         // for every shipped policy and both sampler implementations —
         // including under load changes and liveness flips between
         // selects.
@@ -994,7 +786,7 @@ mod tests {
                 let mut mutate = SimRng::seed_from(5);
                 for round in 0..60 {
                     let view = dir.view(&load);
-                    let want = policy.select(&view, &mut a, 3);
+                    let want = select(policy.as_ref(), &view, &mut a, 3);
                     let got = engine.select(policy.as_ref(), &view, &mut b, 3);
                     assert_eq!(
                         got,
@@ -1051,11 +843,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "selectable (positive weight)")]
-    fn too_few_selectable_relays_panics_clearly() {
-        // Three relays, two of them dead: a 3-relay path is impossible
-        // and must fail loudly with the shortfall named.
-        let _ = weighted_distinct(vec![0.0, 4.0e6, 0.0], &mut rng(), 3);
+    #[should_panic(expected = "only 1 of 3 relays are selectable (positive weight)")]
+    fn too_few_selectable_relays_panic_in_the_engine() {
+        // Three relays, two of them dark: the engine names the shortfall
+        // before its sampler is asked for an impossible draw.
+        let mut dir = dir_of(vec![spec(4, 1); 3]);
+        dir.set_live(0, false);
+        dir.set_live(2, false);
+        let load = vec![0u32; 3];
+        let _ = select(&BandwidthWeighted, &dir.view(&load), &mut rng(), 3);
     }
 
     #[test]
@@ -1064,7 +860,7 @@ mod tests {
         let dir = dir_of(vec![spec(1, 0)]);
         let load = vec![0u32];
         let view = dir.view(&load);
-        let _ = Uniform.select(&view, &mut rng(), 2);
+        let _ = select(&Uniform, &view, &mut rng(), 2);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! real Tor consensus), all four selection policies over identical
 //! seeds, with epoch churn pulling relays in and out of the live set
 //! mid-run. This is the regime the SoA relay store and the Fenwick
-//! sampler exist for — selection is O(log n) per draw here, where the
-//! legacy linear scan was O(n·path_len) per circuit.
+//! sampler exist for — selection is O(log n) per draw here, where a
+//! linear scan would be O(n·path_len) per circuit.
 //!
 //! ```text
 //! cargo run --release --example consensus_scale              # 7000 relays
@@ -65,9 +65,8 @@ fn main() {
     // consensus-scale run would keep when retaining every sample stops
     // being an option.
     println!(
-        "\n{:>12}  {:>8}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>7}  {:>9}  {:>9}  {:>9}",
+        "\n{:>12}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>7}  {:>9}  {:>9}  {:>9}",
         "policy",
-        "sampler",
         "p50 [s]",
         "p90 [s]",
         "p99 [s]",
@@ -103,9 +102,8 @@ fn main() {
         );
         let stats = world.stats();
         println!(
-            "{:>12}  {:>8}  {:>9.3}  {:>9.3}  {:>9.3}  {:>9.3}  {:>9.3}  {:>7}  {:>9}  {:>9}  {:>9}",
+            "{:>12}  {:>9.3}  {:>9.3}  {:>9.3}  {:>9.3}  {:>9.3}  {:>7}  {:>9}  {:>9}  {:>9}",
             name,
-            world.selection_sampler_name().expect("placement installed"),
             cdf.median(),
             cdf.quantile(0.9),
             cdf.p99(),

@@ -22,6 +22,14 @@ for stage in circuit_build recognition feedback conn client_xfer; do
     fi
 done
 
+echo "==> placement draws one way (the Fenwick SelectionEngine): no sampler choice in the builder's or network's non-test code"
+for src in crates/relaynet/src/builder.rs crates/relaynet/src/network/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "${src}" | grep -nE 'SamplerKind::Linear|LinearSampler|sampler:([^:]|$)'; then
+        echo "    FAIL: ${src} chooses a sampler; worlds place through SamplerKind::Fenwick only" >&2
+        exit 1
+    fi
+done
+
 echo "==> no cs-lint suppression in simcore (the kernel needs no escape hatch)"
 if grep -rn 'cs-lint: allow(' crates/simcore/src; then echo "    FAIL: a cs-lint suppression crept into simcore" >&2; exit 1; fi
 

@@ -4,14 +4,12 @@
 //! or duplicated across a relay departure, the placement load ledger
 //! always equals the surviving accounted incarnations, every counter
 //! returns to zero after a full teardown — plus determinism: epoch runs
-//! are bit-identical across seeds, event-queue implementations, and
-//! sampler implementations.
+//! are bit-identical across seeds and event-queue implementations.
 
 use std::sync::Arc;
 
 use relaynet::builder::baseline_factory;
 use relaynet::runtime::fingerprint;
-use relaynet::sampler::SamplerKind;
 use relaynet::selection::CongestionAware;
 use relaynet::workload::{ArrivalSpec, EpochSpec, WorkloadSpec};
 use relaynet::{DirectoryConfig, StarScenario, TorEvent};
@@ -161,30 +159,6 @@ fn epoch_runs_are_deterministic_and_queue_invariant() {
     let c = run(QueueKind::BinaryHeap);
     assert_eq!(a, c, "epoch churn must stay queue-invariant");
     assert!(!a.relay_live.is_empty(), "fingerprint must carry liveness");
-}
-
-#[test]
-fn sampler_choice_does_not_perturb_the_experiment() {
-    // Linear vs Fenwick behind the same policy and seed: full-run
-    // fingerprints must be identical — the pick-equivalence contract
-    // holding end to end, under epoch churn and congestion feedback.
-    let run = |kind: SamplerKind| {
-        let scenario = StarScenario {
-            sampler: kind,
-            ..epoch_scenario()
-        };
-        let (mut sim, _) = scenario.build(baseline_factory(Default::default()), 113);
-        let report = sim.run();
-        (
-            sim.world().selection_sampler_name(),
-            fingerprint(sim.world(), report.events_processed),
-        )
-    };
-    let (name_l, fp_l) = run(SamplerKind::Linear);
-    let (name_f, fp_f) = run(SamplerKind::Fenwick);
-    assert_eq!(name_l, Some("linear"));
-    assert_eq!(name_f, Some("fenwick"));
-    assert_eq!(fp_l, fp_f, "sampler seam changed the experiment");
 }
 
 #[test]

@@ -10,8 +10,8 @@
 //!   back at rest, the placement ledger equal to the surviving
 //!   accounted incarnations, slot slabs drained;
 //! * determinism — fault schedules are bit-identical across event-queue
-//!   implementations, sampler implementations, and the threaded runtime
-//!   (3 seeds × 4 policies vs the single-threaded oracle);
+//!   implementations and the threaded runtime (3 seeds × 4 policies vs
+//!   the single-threaded oracle);
 //! * a zero-fault configuration is bit-identical to the pre-fault
 //!   build, pinned by absolute event counts.
 //!
@@ -27,7 +27,6 @@ use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
 use relaynet::builder::{baseline_factory, fixed_window_factory};
 use relaynet::runtime::{fingerprint, ShardedStar, StatsKind};
-use relaynet::sampler::SamplerKind;
 use relaynet::selection::{all_policies, CongestionAware};
 use relaynet::workload::{ArrivalSpec, ChurnSpec, EpochSpec, FaultSpec, WorkloadSpec};
 use relaynet::{DirectoryConfig, PathScenario, StarScenario, TorEvent, WorldStats};
@@ -166,10 +165,9 @@ fn transient_stalls_recover_without_blame() {
 }
 
 /// Fault schedules are part of the deterministic experiment: the same
-/// seed produces bit-identical runs across event-queue and sampler
-/// implementations.
+/// seed produces bit-identical runs on the calendar queue and the heap.
 #[test]
-fn fault_runs_are_queue_and_sampler_invariant() {
+fn fault_runs_are_queue_invariant() {
     with_watchdog(|| {
         let spec = FaultSpec {
             crashes: 2,
@@ -177,29 +175,22 @@ fn fault_runs_are_queue_and_sampler_invariant() {
             ..lenient()
         };
         for seed in [11u64, 67] {
-            let run = |queue: QueueKind, sampler: SamplerKind| {
-                let scenario = StarScenario {
-                    sampler,
-                    ..faulty_star(spec)
-                };
-                let (mut sim, _) =
-                    scenario.build_with_queue(baseline_factory(Default::default()), seed, queue);
+            let run = |queue: QueueKind| {
+                let (mut sim, _) = faulty_star(spec).build_with_queue(
+                    baseline_factory(Default::default()),
+                    seed,
+                    queue,
+                );
                 let report = sim.run();
                 fingerprint(sim.world(), report.events_processed)
             };
-            let base = run(QueueKind::Calendar, SamplerKind::Linear);
+            let base = run(QueueKind::Calendar);
             assert!(base.stats.crashes_injected > 0, "seed {seed}: no faults");
-            for (queue, sampler) in [
-                (QueueKind::Calendar, SamplerKind::Fenwick),
-                (QueueKind::BinaryHeap, SamplerKind::Linear),
-                (QueueKind::BinaryHeap, SamplerKind::Fenwick),
-            ] {
-                assert_eq!(
-                    base,
-                    run(queue, sampler),
-                    "seed {seed}: {queue:?}/{sampler:?} diverged under faults"
-                );
-            }
+            assert_eq!(
+                base,
+                run(QueueKind::BinaryHeap),
+                "seed {seed}: calendar and heap diverged under faults"
+            );
         }
     });
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use circuitstart::prelude::*;
 use relaynet::directory::{Directory, DirectoryConfig};
 use relaynet::selection::{
-    all_policies, BandwidthWeighted, CongestionAware, LatencyAware, PathSelection, Uniform,
+    all_policies, select, BandwidthWeighted, CongestionAware, LatencyAware, PathSelection, Uniform,
 };
 use relaynet::workload::{ArrivalSpec, ChurnSpec, WorkloadSpec};
 use relaynet::{CircId, StarScenario, TorEvent};
@@ -20,12 +20,22 @@ use simcore::time::SimDuration;
 /// placement: the directory from `derive("directory")`, picks from
 /// `derive("paths")`, zero load at build time.
 fn first_picks(policy: &dyn PathSelection, seed: u64, n: usize) -> Vec<Vec<usize>> {
+    picks_under_load(policy, seed, n, |_| 0)
+}
+
+/// [`first_picks`] with relay `i` carrying `load_of(i)` circuits.
+fn picks_under_load(
+    policy: &dyn PathSelection,
+    seed: u64,
+    n: usize,
+    load_of: fn(u32) -> u32,
+) -> Vec<Vec<usize>> {
     let master = SimRng::seed_from(seed);
     let dir = Directory::generate(&DirectoryConfig::default(), &master.derive("directory"));
-    let load = vec![0u32; dir.len()];
+    let load: Vec<u32> = (0..dir.len() as u32).map(load_of).collect();
     let mut rng = master.derive("paths");
     (0..n)
-        .map(|_| policy.select(&dir.view(&load), &mut rng, 3))
+        .map(|_| select(policy, &dir.view(&load), &mut rng, 3))
         .collect()
 }
 
@@ -132,6 +142,110 @@ fn uniform_and_bandwidth_picks_are_pinned_to_the_pre_seam_behaviour() {
     }
 }
 
+/// The other two policies, pinned on the same seeds to the picks
+/// recorded while each policy still drew through its own per-call
+/// weighted scan: `LatencyAware` at zero load, and `CongestionAware` under
+/// the uneven `(i * 7) % 23` load of `policies_diverge_on_a_shared_view`
+/// (at zero load it reduces to `BandwidthWeighted`, pinned above).
+/// With these, all four policies are pinned bit for bit.
+#[test]
+fn latency_and_congestion_picks_are_pinned_to_the_per_call_draw() {
+    let pinned_latency: [(u64, [[usize; 3]; 8]); 3] = [
+        (
+            1,
+            [
+                [19, 28, 25],
+                [24, 7, 27],
+                [4, 17, 26],
+                [29, 25, 8],
+                [15, 23, 17],
+                [1, 12, 24],
+                [13, 24, 1],
+                [8, 4, 19],
+            ],
+        ),
+        (
+            7,
+            [
+                [17, 27, 2],
+                [11, 19, 17],
+                [5, 25, 7],
+                [8, 14, 19],
+                [28, 22, 11],
+                [19, 27, 4],
+                [8, 6, 9],
+                [17, 27, 25],
+            ],
+        ),
+        (
+            42,
+            [
+                [3, 6, 11],
+                [16, 1, 14],
+                [6, 15, 11],
+                [1, 11, 3],
+                [15, 6, 16],
+                [6, 11, 10],
+                [4, 3, 18],
+                [23, 8, 20],
+            ],
+        ),
+    ];
+    let pinned_congestion: [(u64, [[usize; 3]; 8]); 3] = [
+        (
+            1,
+            [
+                [20, 28, 23],
+                [23, 0, 24],
+                [0, 21, 24],
+                [29, 23, 0],
+                [17, 23, 10],
+                [0, 14, 23],
+                [10, 23, 0],
+                [0, 7, 23],
+            ],
+        ),
+        (
+            7,
+            [
+                [12, 23, 0],
+                [4, 16, 14],
+                [0, 23, 5],
+                [0, 11, 21],
+                [23, 16, 2],
+                [18, 23, 0],
+                [0, 7, 8],
+                [13, 23, 20],
+            ],
+        ),
+        (
+            42,
+            [
+                [1, 4, 10],
+                [20, 0, 18],
+                [7, 19, 10],
+                [0, 14, 6],
+                [18, 7, 20],
+                [7, 10, 14],
+                [4, 2, 20],
+                [23, 7, 20],
+            ],
+        ),
+    ];
+    for (seed, expected) in pinned_latency {
+        let got = first_picks(&LatencyAware, seed, 8);
+        for (g, e) in got.iter().zip(expected) {
+            assert_eq!(g[..], e[..], "latency-aware seed {seed}");
+        }
+    }
+    for (seed, expected) in pinned_congestion {
+        let got = picks_under_load(&CongestionAware, seed, 8, |i| (i * 7) % 23);
+        for (g, e) in got.iter().zip(expected) {
+            assert_eq!(g[..], e[..], "congestion-aware seed {seed}");
+        }
+    }
+}
+
 /// The same pin, through the whole builder: on seed 1 the first star
 /// circuits must route over exactly the relays the pre-seam builder
 /// picked (relay overlay ids coincide with directory indices because
@@ -172,7 +286,7 @@ fn every_policy_returns_distinct_in_range_indices_on_random_views() {
         let path_len = rng.range_usize(1, dir.len().min(6) + 1);
         for policy in all_policies() {
             let mut draw = rng.derive_indexed("draw", case);
-            let picks = policy.select(&dir.view(&load), &mut draw, path_len);
+            let picks = select(policy.as_ref(), &dir.view(&load), &mut draw, path_len);
             assert_eq!(picks.len(), path_len, "case {case} {}", policy.name());
             let mut sorted = picks.clone();
             sorted.sort_unstable();
@@ -206,7 +320,7 @@ fn policies_diverge_on_a_shared_view() {
         .map(|p| {
             let mut rng = SimRng::seed_from(77);
             let picks = (0..12)
-                .map(|_| p.select(&dir.view(&load), &mut rng, 3))
+                .map(|_| select(p.as_ref(), &dir.view(&load), &mut rng, 3))
                 .collect();
             (p.name().to_string(), picks)
         })
