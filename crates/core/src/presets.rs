@@ -44,8 +44,6 @@ pub fn fig1_cdf() -> CdfScenarioConfig {
             },
             circuits: 50,
             relays_per_circuit: 3,
-            endpoint_rate: Bandwidth::from_mbps(200),
-            endpoint_delay_ms: (3.0, 8.0),
             file_bytes: 1 << 20,
             start_jitter_ms: 50.0,
             ..Default::default()

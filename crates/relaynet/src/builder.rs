@@ -164,6 +164,14 @@ impl PathScenario {
     }
 }
 
+/// Access rate of a star's client and server leaves, Mbit/s (fast, so
+/// relays are the bottleneck, as in the paper's setup).
+const ENDPOINT_RATE_MBPS: u64 = 200;
+
+/// Range of a star's client and server access delays (uniform, one-way,
+/// ms).
+const ENDPOINT_DELAY_MS: (f64, f64) = (3.0, 8.0);
+
 /// Many circuits over a randomly generated relay population in a star.
 #[derive(Clone, Debug)]
 pub struct StarScenario {
@@ -174,11 +182,6 @@ pub struct StarScenario {
     pub circuits: usize,
     /// Relays per circuit (Tor default: 3).
     pub relays_per_circuit: usize,
-    /// Access rate of client and server leaves (fast, so relays are the
-    /// bottleneck, as in the paper's setup).
-    pub endpoint_rate: Bandwidth,
-    /// Client/server access delay range (uniform, one-way, ms).
-    pub endpoint_delay_ms: (f64, f64),
     /// Payload bytes per circuit.
     pub file_bytes: u64,
     /// Circuit starts are jittered uniformly over `[0, start_jitter_ms]`
@@ -213,8 +216,6 @@ impl Default for StarScenario {
             directory: DirectoryConfig::default(),
             circuits: 50,
             relays_per_circuit: 3,
-            endpoint_rate: Bandwidth::from_mbps(200),
-            endpoint_delay_ms: (3.0, 8.0),
             file_bytes: 1 << 20,
             start_jitter_ms: 50.0,
             selection: Arc::new(Uniform),
@@ -266,18 +267,13 @@ impl StarScenario {
             rate: r.bandwidth,
             delay: r.delay,
         }));
-        for _ in 0..self.circuits {
-            for _ in 0..2 {
-                let delay_ms = if self.endpoint_delay_ms.1 > self.endpoint_delay_ms.0 {
-                    endpoint_rng.range_f64(self.endpoint_delay_ms.0, self.endpoint_delay_ms.1)
-                } else {
-                    self.endpoint_delay_ms.0
-                };
-                accesses.push(AccessConfig {
-                    rate: self.endpoint_rate,
-                    delay: SimDuration::from_secs_f64(delay_ms / 1e3),
-                });
-            }
+        let (delay_lo, delay_hi) = ENDPOINT_DELAY_MS;
+        for _ in 0..2 * self.circuits {
+            let delay_ms = endpoint_rng.range_f64(delay_lo, delay_hi);
+            accesses.push(AccessConfig {
+                rate: Bandwidth::from_mbps(ENDPOINT_RATE_MBPS),
+                delay: SimDuration::from_secs_f64(delay_ms / 1e3),
+            });
         }
 
         let mut net: Net<crate::wire::WireFrame> = Net::new();
@@ -288,8 +284,9 @@ impl StarScenario {
         // in-flight population and thrash alloc/free.
         world.set_payload_pool_cap(crate::pool::PayloadPool::scenario_max_idle(self.circuits));
         // One overlay node per leaf, in leaf order: the relays', then the
-        // endpoints'. Leaf `i` hosts overlay node `first + i`.
-        let first = world.add_overlays((0..star.leaf_count()).map(|i| {
+        // endpoints'. Leaf `i` hosts overlay node `i`, so relay `r` is
+        // overlay node `r`.
+        world.add_overlays((0..star.leaf_count()).map(|i| {
             let role = match i.checked_sub(relay_count) {
                 None => NodeRole::Relay,
                 Some(e) if e % 2 == 0 => NodeRole::Client,
@@ -297,7 +294,7 @@ impl StarScenario {
             };
             (star.leaf(i), role)
         }));
-        let overlay = |leaf: usize| OverlayId(first.0 + leaf as u32);
+        let overlay = |leaf: usize| OverlayId(leaf as u32);
         world.install_star(star);
         // The initial standby pool goes dark before placement installs,
         // so the first circuits already select from the live set only.
@@ -311,12 +308,7 @@ impl StarScenario {
         // below and churn-driven rebuilds select through the same
         // policy — each placement seeing the load left by its
         // predecessors.
-        world.install_placement(
-            directory,
-            (0..relay_count).map(overlay).collect(),
-            self.selection.clone(),
-            master.derive("paths"),
-        );
+        world.install_placement(directory, self.selection.clone(), master.derive("paths"));
         // Like epochs, the fault schedule draws from a stream that is
         // only derived when faults are configured — a fault-free build
         // consumes exactly the randomness it always did. Victims come
@@ -325,17 +317,9 @@ impl StarScenario {
         let fault_schedule = self.faults.as_ref().map(|spec| {
             let frng = master.derive("faults");
             let mut srng = frng.derive("schedule");
-            let dark: Vec<bool> = {
-                let mut v = vec![false; relay_count];
-                if let Some(sched) = &epoch_schedule {
-                    for &r in &sched.initial_dark {
-                        v[r as usize] = true;
-                    }
-                }
-                v
-            };
+            let live = world.relay_live().expect("placement installed");
             let candidates: Vec<u32> = (0..relay_count as u32)
-                .filter(|&r| !dark[r as usize])
+                .filter(|&r| live[r as usize])
                 .collect();
             let schedule = spec.resolve(&candidates, &mut srng);
             world.install_faults(*spec, frng.derive("backoff"));

@@ -31,8 +31,8 @@
 //! liveness via [`EpochDelta`]s — a membership-as-a-stream model: the
 //! relay universe is fixed at build time, departures zero a relay's
 //! selection weight, and joins bring standby relays into the live set.
-//! The live count is maintained incrementally so "are all relays live?"
-//! and "how many are selectable?" never re-scan the store.
+//! "How many are selectable?" is the selection engine's O(1) count, so
+//! nothing re-scans the store.
 
 use netsim::bandwidth::Bandwidth;
 use simcore::rng::SimRng;
@@ -105,8 +105,6 @@ pub struct Directory {
     delay: Vec<SimDuration>,
     /// Membership: only live relays are selectable.
     live: Vec<bool>,
-    /// Count of `true` entries in `live`, maintained incrementally.
-    live_count: usize,
 }
 
 impl Directory {
@@ -148,7 +146,6 @@ impl Directory {
             bandwidth_bps,
             delay,
             live,
-            live_count: cfg.relays,
         }
     }
 
@@ -156,12 +153,10 @@ impl Directory {
     /// setups). All relays start live.
     pub fn from_specs(relays: Vec<RelaySpec>) -> Directory {
         assert!(!relays.is_empty(), "directory needs at least one relay");
-        let n = relays.len();
         Directory {
             bandwidth_bps: relays.iter().map(|r| r.bandwidth.bps()).collect(),
             delay: relays.iter().map(|r| r.delay).collect(),
-            live: vec![true; n],
-            live_count: n,
+            live: vec![true; relays.len()],
         }
     }
 
@@ -203,12 +198,6 @@ impl Directory {
         self.live[relay]
     }
 
-    /// Number of live relays (maintained incrementally; O(1)).
-    #[inline]
-    pub fn live_count(&self) -> usize {
-        self.live_count
-    }
-
     /// Flips `relay`'s membership; returns `true` if the state actually
     /// changed (an already-live join or already-dark leave is a no-op).
     pub fn set_live(&mut self, relay: usize, live: bool) -> bool {
@@ -216,11 +205,6 @@ impl Directory {
             return false;
         }
         self.live[relay] = live;
-        if live {
-            self.live_count += 1;
-        } else {
-            self.live_count -= 1;
-        }
         true
     }
 
@@ -268,7 +252,7 @@ mod tests {
         let dir = Directory::generate(&cfg, &rng());
         assert_eq!(dir.len(), 50);
         assert!(!dir.is_empty());
-        assert_eq!(dir.live_count(), 50, "all relays start live");
+        assert!(dir.live().iter().all(|&l| l), "all relays start live");
         for r in dir.iter_specs() {
             let mbps = r.bandwidth.as_mbps_f64();
             assert!((10.0..=100.0).contains(&mbps), "bw {mbps}");
@@ -321,15 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn liveness_toggles_maintain_the_count() {
+    fn liveness_toggles_report_a_state_change() {
         let mut dir = Directory::generate(&DirectoryConfig::default(), &rng());
-        let n = dir.len();
         assert!(dir.set_live(3, false), "live -> dark changes state");
         assert!(!dir.set_live(3, false), "dark -> dark is a no-op");
-        assert_eq!(dir.live_count(), n - 1);
         assert!(!dir.is_live(3));
         assert!(dir.set_live(3, true));
-        assert_eq!(dir.live_count(), n);
+        assert!(!dir.set_live(3, true), "live -> live is a no-op");
         assert!(dir.is_live(3));
     }
 

@@ -37,7 +37,7 @@ use crate::workload::{CircuitWorkload, StreamSpec};
 use backtap::hop::HopTransport;
 
 use super::faults::Void;
-use super::{Egress, TorNetwork, DESTROY_REASON_FINISHED};
+use super::{Egress, TorNetwork};
 
 impl Egress {
     /// Discards everything queued on one hop direction of a closing
@@ -662,14 +662,12 @@ impl TorNetwork {
     }
 
     /// Re-attaches a torn-down circuit's unfinished flows to a fresh
-    /// circuit (from a [`TorEvent::Rebuild`]). With a placement seam
-    /// installed the relays are **re-selected** through the
-    /// [`crate::selection::PathSelection`] policy under the current load
-    /// view — churn feeds back into placement, as real clients re-route
-    /// around congested relays; without one (explicit-path worlds) the
-    /// original path is reused. Each flow resumes at its remaining byte
-    /// count; flows whose arrival offset has not yet elapsed keep their
-    /// original arrival time.
+    /// circuit (from a [`TorEvent::Rebuild`]) over the path placement
+    /// picks ([`TorNetwork::rebuild_path`]: relays re-selected under the
+    /// current load view, or the original path in an explicit-path
+    /// world). Each flow resumes at its remaining byte count; flows
+    /// whose arrival offset has not yet elapsed keep their original
+    /// arrival time.
     pub(super) fn rebuild_circuit(&mut self, ctx: &mut Context<'_, TorEvent>, old: CircId) {
         let now = ctx.now();
         let old_info = &self.circuits[old.index()];
@@ -679,16 +677,7 @@ impl TorNetwork {
         if self.parks(old) {
             return;
         }
-        let path = if self.placement.is_some() && old_path.len() > 2 {
-            let relays = self.select_relays(old_path.len() - 2);
-            let mut path = Vec::with_capacity(old_path.len());
-            path.push(old_path[0]);
-            path.extend(relays);
-            path.push(*old_path.last().expect("non-empty path"));
-            path
-        } else {
-            old_path
-        };
+        let path = self.rebuild_path(old_path);
         let old_info = &self.circuits[old.index()];
         let mut streams = Vec::new();
         for s in &old_info.workload.streams {
@@ -725,66 +714,6 @@ impl TorNetwork {
         // the retry cap apply to the flow lineage, not to one circuit.
         self.circuits[new.index()].retries = old_retries;
         self.start_circuit(ctx, new);
-    }
-
-    /// Applies one consensus epoch delta (from a [`TorEvent::Epoch`]):
-    /// joining relays go live (selectable again, O(log n) sampler
-    /// update each), departing relays go dark, and every accounted
-    /// circuit crossing a departure is torn down through the normal
-    /// two-wave DESTROY machinery — its unfinished flows rebuild under
-    /// the live policy once teardown quiesces, exactly like
-    /// workload-driven churn.
-    pub(super) fn apply_epoch(&mut self, ctx: &mut Context<'_, TorEvent>, epoch: u32) {
-        let Some(delta) = self.epoch_deltas.get_mut(epoch as usize) else {
-            return;
-        };
-        let delta = std::mem::take(delta);
-        if delta.is_empty() {
-            self.egress.stats.epochs_applied += 1;
-            return;
-        }
-        // Joins first: a relay must never be both dark and picked by a
-        // rebuild triggered later in this same boundary.
-        let mut joined = 0u64;
-        for &r in &delta.join {
-            if self.set_relay_live(r as usize, true) {
-                joined += 1;
-            }
-        }
-        let mut departed = 0u64;
-        for &r in &delta.leave {
-            if self.set_relay_live(r as usize, false) {
-                departed += 1;
-            }
-        }
-        self.egress.stats.relays_joined += joined;
-        self.egress.stats.relays_departed += departed;
-        self.egress.stats.epochs_applied += 1;
-        if joined > 0 {
-            self.wake_parked(ctx);
-        }
-        // Mark the departing relays' overlay nodes, then tear down every
-        // live circuit crossing one. `teardown` no-ops on circuits
-        // already vacant or closed, so racing workload churn is safe.
-        let p = self.placement.as_ref().expect("epochs need a placement");
-        let mut leaving = vec![false; self.nodes.len()];
-        for &r in &delta.leave {
-            leaving[p.relay_overlays[r as usize].index()] = true;
-        }
-        for i in 0..self.circuits.len() {
-            let crosses = {
-                let info = &self.circuits[i];
-                info.accounted && info.path.iter().any(|n| leaving[n.index()])
-            };
-            if crosses {
-                self.egress.stats.epoch_teardowns += 1;
-                self.teardown(ctx, CircId(i as u32), DESTROY_REASON_FINISHED);
-            }
-        }
-        debug_assert!(
-            self.verify_placement_ledger(),
-            "epoch {epoch}: placement ledger out of sync"
-        );
     }
 }
 

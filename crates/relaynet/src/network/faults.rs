@@ -281,11 +281,8 @@ impl TorNetwork {
     /// timers. The directory is *not* touched — unlike an epoch
     /// departure, nobody is told.
     pub(super) fn relay_crash(&mut self, ctx: &mut Context<'_, TorEvent>, relay: u32) {
-        // Explicit-path scenarios name overlay nodes in their schedules.
-        let overlay = match self.placement.as_ref() {
-            Some(p) => p.relay_overlays[relay as usize],
-            None => OverlayId(relay),
-        };
+        // Relay `r` is overlay node `r` in every world.
+        let overlay = OverlayId(relay);
         if self.faults.is_none() {
             debug_assert!(false, "RelayCrash scheduled without installed fault state");
             return;
@@ -385,10 +382,9 @@ impl TorNetwork {
         let blamed = self
             .first_crash(circ)
             .map(|k| self.circuits[circ.index()].path[k]);
-        if let Some(r) = blamed.and_then(|n| self.placement.as_ref()?.relay_of(n)) {
-            if self.exclude_relay(r) {
-                self.egress.stats.blamed_exclusions += 1;
-            }
+        // Only relays crash, and relay `r` is overlay node `r`.
+        if blamed.is_some_and(|n| self.exclude_relay(n.index())) {
+            self.egress.stats.blamed_exclusions += 1;
         }
         // Exponential backoff with jitter, charged against the lineage.
         // The delay lands in `rebuild_delay`, which the reclamation path

@@ -51,12 +51,15 @@
 //!   a queue and window-credit application when one arrives.
 //! * [`faults`] — the one owner of fault handling: crash injection, the
 //!   table for inputs that resolve to nothing, and client recovery.
+//! * [`placement`] — the one owner of circuit placement: the relay
+//!   population, the load ledger, liveness, blame and consensus epochs.
 
 pub(crate) mod circuit_build;
 pub(crate) mod client_xfer;
 pub(crate) mod conn;
 pub(crate) mod faults;
 pub(crate) mod feedback;
+pub(crate) mod placement;
 pub(crate) mod recognition;
 
 use netsim::link::LinkId;
@@ -73,15 +76,12 @@ use torcell::cell::RELAY_DATA_MAX;
 use torcell::ids::CircuitId;
 
 use crate::circuit::{CircuitInfo, CircuitResult};
-use crate::directory::{Directory, EpochDelta};
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
 use crate::node::{CcFactory, NodeRole, OverlayNode};
 use crate::pool::PayloadPool;
 use crate::router::Router;
-use crate::sampler::SamplerKind;
 use crate::scheduler::LinkScheduler;
-use crate::selection::{DirectoryView, SelectionEngine, SelectionPolicy};
 use crate::wire::WireFrame;
 use crate::workload::{CircuitWorkload, FlowId, FlowState};
 
@@ -458,73 +458,6 @@ pub(super) struct LinkRoute {
     pub(super) retired: bool,
 }
 
-/// Circuit-placement state: the relay population, the selection policy,
-/// its dedicated randomness stream, and **live load telemetry** — the
-/// number of circuits currently routed through each relay, incremented
-/// when a circuit is registered and decremented when its client-side
-/// participation is reclaimed after a DESTROY wave. Installed by star
-/// scenarios ([`TorNetwork::install_placement`]); worlds without it
-/// (explicit-path scenarios) rebuild churned circuits over the original
-/// path instead of re-selecting.
-pub(super) struct PlacementState {
-    /// The SoA relay store: bandwidth, delay, and liveness columns,
-    /// indexed by relay id (the directory order).
-    directory: Directory,
-    /// Relay id → overlay node hosting that relay.
-    relay_overlays: Vec<OverlayId>,
-    /// Overlay index → relay id (`u32::MAX` = not a relay). Only spans
-    /// the relay overlays; later overlays (clients/servers) fall off the
-    /// end, which reads as "not a relay".
-    relay_of_overlay: Vec<u32>,
-    /// Relays excluded from selection after being blamed for a circuit
-    /// timeout (the client-side failure-attribution set; orthogonal to
-    /// directory liveness, which only epochs toggle).
-    excluded: Vec<bool>,
-    /// Circuits currently routed through each relay.
-    load: Vec<u32>,
-    /// High-water mark of `load`: the worst concentration each relay
-    /// ever saw, surviving teardown decrements — the per-relay hotspot
-    /// metric placement experiments compare.
-    load_hwm: Vec<u32>,
-    /// The pluggable policy (see [`crate::selection`]).
-    policy: SelectionPolicy,
-    /// The placement randomness stream; policies may only draw from
-    /// here (DESIGN.md §9).
-    rng: SimRng,
-    /// The incremental selection engine: sampler kept in lockstep with
-    /// the load ledger and liveness column, plus reusable scratch
-    /// buffers (see [`crate::selection::SelectionEngine`]).
-    engine: SelectionEngine,
-}
-
-impl PlacementState {
-    /// The relay id hosted by `node`, if any.
-    fn relay_of(&self, node: OverlayId) -> Option<usize> {
-        match self.relay_of_overlay.get(node.index()) {
-            Some(&r) if r != u32::MAX => Some(r as usize),
-            _ => None,
-        }
-    }
-
-    /// Propagates one relay's load-ledger change into the sampler
-    /// (O(log n); a no-op for load-insensitive policies).
-    fn note_load_change(&mut self, relay: usize) {
-        let PlacementState {
-            directory,
-            load,
-            excluded,
-            policy,
-            engine,
-            ..
-        } = self;
-        engine.load_changed(
-            policy.as_ref(),
-            &DirectoryView::with_exclusions(directory, load, excluded),
-            relay,
-        );
-    }
-}
-
 /// The link side of the world: everything a stage needs to put a frame
 /// on a wire and account for it. One field of [`TorNetwork`], disjoint
 /// from `nodes`, so the egress helpers (`pump_dir`, `send_feedback`, the
@@ -645,12 +578,9 @@ pub struct TorNetwork {
     pub(super) free_link_ids: Vec<CircuitId>,
     pub(super) factory: CcFactory,
     pub(super) rng: SimRng,
-    /// Circuit-placement seam (relay population + policy + live load);
-    /// `None` for explicit-path worlds.
-    pub(super) placement: Option<PlacementState>,
-    /// Pending consensus epoch deltas, indexed by epoch number; each is
-    /// consumed (taken) when its [`TorEvent::Epoch`] fires.
-    pub(super) epoch_deltas: Vec<EpochDelta>,
+    /// Circuit placement (see [`placement`]); `None` for explicit-path
+    /// worlds.
+    placement: Option<placement::Placement>,
     /// Fault-recovery state (see [`faults`]); `None` for fault-free
     /// worlds.
     faults: Option<faults::FaultState>,
@@ -692,7 +622,6 @@ impl TorNetwork {
             factory,
             rng,
             placement: None,
-            epoch_deltas: Vec::new(),
             faults: None,
             payload_passes: 0,
             events_handled: EventsHandled::default(),
@@ -728,278 +657,6 @@ impl TorNetwork {
     pub(crate) fn access_links(&mut self, node: OverlayId) -> Option<[LinkId; 2]> {
         let leaf = self.egress.net_node_of[node.index()];
         self.egress.access_links(leaf)
-    }
-
-    /// Installs the circuit-placement seam: the relay store paired with
-    /// the overlay nodes hosting its relays, the selection policy, and
-    /// the placement randomness stream. The selection engine is built
-    /// over the Fenwick sampler. Must be called before the first
-    /// placement; all load counters start at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice, or if `directory` and `relay_overlays`
-    /// disagree in length.
-    pub fn install_placement(
-        &mut self,
-        directory: Directory,
-        relay_overlays: Vec<OverlayId>,
-        policy: SelectionPolicy,
-        rng: SimRng,
-    ) {
-        assert!(self.placement.is_none(), "placement installed twice");
-        assert_eq!(
-            directory.len(),
-            relay_overlays.len(),
-            "one overlay node per relay spec"
-        );
-        let span = relay_overlays.iter().map(|o| o.index() + 1).max();
-        let mut relay_of_overlay = vec![u32::MAX; span.unwrap_or(0)];
-        for (r, &o) in relay_overlays.iter().enumerate() {
-            assert!(
-                relay_of_overlay[o.index()] == u32::MAX,
-                "overlay node hosts two relays"
-            );
-            relay_of_overlay[o.index()] = u32::try_from(r).expect("relay id fits u32");
-        }
-        let load = vec![0u32; directory.len()];
-        let load_hwm = load.clone();
-        let engine = SelectionEngine::new(
-            policy.as_ref(),
-            &DirectoryView::new(&directory, &load),
-            SamplerKind::Fenwick,
-        );
-        let excluded = vec![false; directory.len()];
-        self.placement = Some(PlacementState {
-            directory,
-            relay_overlays,
-            relay_of_overlay,
-            excluded,
-            load,
-            load_hwm,
-            policy,
-            rng,
-            engine,
-        });
-    }
-
-    /// Asks the installed policy for `path_len` distinct relays under
-    /// the current load view, returning the overlay nodes hosting them
-    /// (in path order). Used for initial placement by star builders and
-    /// by the churn engine when a torn-down circuit rebuilds. Runs
-    /// through the incremental [`SelectionEngine`] — no weight rebuild,
-    /// no allocation on the steady-state path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no placement is installed, if fewer than `path_len`
-    /// relays are selectable, or if the engine returns a malformed path
-    /// (wrong count, out-of-range or repeated indices).
-    pub fn select_relays(&mut self, path_len: usize) -> Vec<OverlayId> {
-        let p = self
-            .placement
-            .as_mut()
-            .expect("no placement policy installed");
-        let PlacementState {
-            directory,
-            load,
-            excluded,
-            policy,
-            rng,
-            engine,
-            relay_overlays,
-            ..
-        } = p;
-        let view = DirectoryView::with_exclusions(directory, load, excluded);
-        let picks = engine.select(policy.as_ref(), &view, rng, path_len);
-        assert_eq!(
-            picks.len(),
-            path_len,
-            "policy `{}` returned {} relays, wanted {path_len}",
-            policy.name(),
-            picks.len()
-        );
-        for (i, &a) in picks.iter().enumerate() {
-            assert!(
-                a < directory.len(),
-                "policy `{}` picked out-of-range relay {a}",
-                policy.name()
-            );
-            assert!(
-                !picks[..i].contains(&a),
-                "policy `{}` picked relay {a} twice",
-                policy.name()
-            );
-        }
-        picks.iter().map(|&i| relay_overlays[i]).collect()
-    }
-
-    /// Toggles one relay's liveness (consensus epoch churn), updating
-    /// the store's live count and the selection engine's weight for that
-    /// relay. Returns `false` if the relay was already in that state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no placement is installed.
-    pub fn set_relay_live(&mut self, relay: usize, live: bool) -> bool {
-        let p = self
-            .placement
-            .as_mut()
-            .expect("no placement policy installed");
-        if !p.directory.set_live(relay, live) {
-            return false;
-        }
-        let PlacementState {
-            directory,
-            load,
-            excluded,
-            policy,
-            engine,
-            ..
-        } = p;
-        engine.relay_changed(
-            policy.as_ref(),
-            &DirectoryView::with_exclusions(directory, load, excluded),
-            relay,
-        );
-        true
-    }
-
-    /// Excludes one relay from future selection (blame after a circuit
-    /// timeout), propagating the weight change into the selection
-    /// engine. Returns `false` if already excluded or no placement is
-    /// installed.
-    pub fn exclude_relay(&mut self, relay: usize) -> bool {
-        let Some(p) = self.placement.as_mut() else {
-            return false;
-        };
-        if p.excluded[relay] {
-            return false;
-        }
-        p.excluded[relay] = true;
-        let PlacementState {
-            directory,
-            load,
-            excluded,
-            policy,
-            engine,
-            ..
-        } = p;
-        engine.relay_changed(
-            policy.as_ref(),
-            &DirectoryView::with_exclusions(directory, load, excluded),
-            relay,
-        );
-        true
-    }
-
-    /// Number of relays currently selectable (live, unexcluded, positive
-    /// weight) — O(1) via the selection engine; `None` without a
-    /// placement seam. The graceful-degradation gate in the recovery
-    /// loop compares this against the interior path length.
-    pub fn selectable_relays(&self) -> Option<usize> {
-        self.placement.as_ref().map(|p| p.engine.selectable())
-    }
-
-    /// Circuits currently routed through each relay (indexed by relay
-    /// id), if a placement seam is installed. Grows on circuit
-    /// registration and shrinks when the client-side participation is
-    /// reclaimed after teardown, so full churn teardown returns every
-    /// counter to zero.
-    pub fn relay_loads(&self) -> Option<&[u32]> {
-        self.placement.as_ref().map(|p| p.load.as_slice())
-    }
-
-    /// High-water mark of [`TorNetwork::relay_loads`]: the worst circuit
-    /// concentration each relay ever carried, surviving teardown
-    /// decrements. This is the hotspot metric placement experiments
-    /// compare — an end-of-run load snapshot hides the mid-run
-    /// concentrations churn already rebuilt away from.
-    pub fn relay_load_hwms(&self) -> Option<&[u32]> {
-        self.placement.as_ref().map(|p| p.load_hwm.as_slice())
-    }
-
-    /// The installed selection policy's name, if any (experiment
-    /// labels).
-    pub fn selection_policy_name(&self) -> Option<&'static str> {
-        self.placement.as_ref().map(|p| p.policy.name())
-    }
-
-    /// Per-relay liveness column (indexed by relay id), if a placement
-    /// seam is installed. Dark relays are never selected.
-    pub fn relay_live(&self) -> Option<&[bool]> {
-        self.placement.as_ref().map(|p| p.directory.live())
-    }
-
-    /// Installs the consensus epoch delta stream; delta `i` is applied
-    /// when [`TorEvent::Epoch`]`(i)` fires (builders schedule those at
-    /// the epoch boundaries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if deltas were already installed.
-    pub fn install_epochs(&mut self, deltas: Vec<EpochDelta>) {
-        assert!(self.epoch_deltas.is_empty(), "epoch deltas installed twice");
-        self.epoch_deltas = deltas;
-    }
-
-    /// Checks the placement ledger invariant: every relay's load counter
-    /// equals the number of *accounted* circuit incarnations crossing
-    /// it. Returns `true` for worlds without a placement seam. The churn
-    /// and epoch property tests call this after every reclamation wave.
-    pub fn verify_placement_ledger(&self) -> bool {
-        let Some(p) = self.placement.as_ref() else {
-            return true;
-        };
-        let mut expect = vec![0u32; p.directory.len()];
-        for info in &self.circuits {
-            if !info.accounted {
-                continue;
-            }
-            for &n in &info.path {
-                if let Some(r) = p.relay_of(n) {
-                    expect[r] += 1;
-                }
-            }
-        }
-        expect == p.load
-    }
-
-    /// Records `path` into the live load view (one count per relay the
-    /// circuit crosses), propagating each increment into the selection
-    /// engine; no-op without a placement seam.
-    fn account_placement(&mut self, path: &[OverlayId]) {
-        if let Some(p) = self.placement.as_mut() {
-            for &n in path {
-                if let Some(r) = p.relay_of(n) {
-                    p.load[r] += 1;
-                    p.load_hwm[r] = p.load_hwm[r].max(p.load[r]);
-                    p.note_load_change(r);
-                }
-            }
-        }
-    }
-
-    /// Removes `path` from the live load view (teardown reclamation),
-    /// propagating each decrement into the selection engine; no-op
-    /// without a placement seam or if the circuit's +1 was already
-    /// reclaimed.
-    pub(super) fn unaccount_placement(&mut self, circ: CircId) {
-        let Some(p) = self.placement.as_mut() else {
-            return;
-        };
-        let info = &mut self.circuits[circ.index()];
-        if !info.accounted {
-            return;
-        }
-        info.accounted = false;
-        for &n in &info.path {
-            if let Some(r) = p.relay_of(n) {
-                debug_assert!(p.load[r] > 0, "placement load underflow");
-                p.load[r] = p.load[r].saturating_sub(1);
-                p.note_load_change(r);
-            }
-        }
     }
 
     /// Registers one endpoint of a link-local circuit id: at `node`,
@@ -1152,14 +809,14 @@ impl TorNetwork {
             assert!(s.flow.index() < self.flows.len(), "unregistered flow");
         }
         let id = CircId(u32::try_from(self.circuits.len()).expect("too many circuits"));
-        self.account_placement(&path);
+        let accounted = self.account_placement(&path);
         self.circuits.push(CircuitInfo {
             path,
             file_bytes: workload.total_bytes(),
             started_at: None,
             workload,
             incarnation,
-            accounted: self.placement.is_some(),
+            accounted,
             retries: 0,
             liveness_snapshot: 0,
         });

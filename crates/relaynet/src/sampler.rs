@@ -72,8 +72,9 @@ fn validate_weight(w: f64) {
 }
 
 /// The weighted-draw engine as the selection layer consumes it: either
-/// implementation behind one dispatch point, so `PlacementState` carries
-/// "a sampler" without committing to a representation.
+/// implementation behind one dispatch point, so a
+/// [`crate::selection::SelectionEngine`] carries "a sampler" without
+/// committing to a representation.
 #[derive(Clone, Debug)]
 pub enum Sampler {
     /// The O(n) linear scan.

@@ -12,8 +12,9 @@
 //! A policy sees a [`DirectoryView`]: the SoA relay store
 //! ([`crate::directory::Directory`] — bandwidth, access delay, liveness
 //! columns) **plus live load telemetry** — the number of circuits
-//! currently routed through each relay, maintained by
-//! [`crate::network::TorNetwork`] as circuits are placed and torn down.
+//! currently routed through each relay, kept by the network's placement
+//! (`network/placement.rs`, its one owner) as circuits are placed and
+//! torn down.
 //! Initial placement therefore already feeds back (each circuit sees its
 //! predecessors), and churn rebuilds re-select under the load left by
 //! the surviving circuits. Dark (non-live) relays weigh zero and are
@@ -177,16 +178,6 @@ impl<'a> DirectoryView<'a> {
         self.directory.is_live(relay) && !self.is_excluded(relay)
     }
 
-    /// Whether every provisioned relay is selectable (live and
-    /// unexcluded) — the gate for the uniform Fisher–Yates fast path.
-    /// O(1) without an exclusion column; scans it otherwise (selection
-    /// is per-placement, not per-cell, so the scan is cold).
-    #[inline]
-    pub fn all_selectable(&self) -> bool {
-        self.directory.live_count() == self.directory.len()
-            && self.excluded.is_none_or(|e| !e.iter().any(|&x| x))
-    }
-
     /// Circuits currently routed through one relay.
     #[inline]
     pub fn load(&self, relay: usize) -> u32 {
@@ -259,8 +250,9 @@ fn assert_selectable(selectable: usize, relays: usize, path_len: usize) {
 }
 
 /// The one selection path: a [`Sampler`] maintained incrementally plus
-/// reusable scratch buffers, owned by the network's placement state. One engine serves one `(policy, directory)` pair;
-/// the caller routes load-ledger and liveness changes through
+/// reusable scratch buffers, owned by the network's placement
+/// (`network/placement.rs`). One engine serves one `(policy, directory)`
+/// pair; the caller routes load-ledger and liveness changes through
 /// [`SelectionEngine::load_changed`] / [`SelectionEngine::relay_changed`]
 /// so the sampler's weights always mirror what the policy would compute
 /// from scratch.
@@ -359,7 +351,9 @@ impl SelectionEngine {
         rng: &mut SimRng,
         path_len: usize,
     ) -> &[usize] {
-        if self.uniform_fast && view.all_selectable() {
+        // A uniform policy weighs every selectable relay 1, so the
+        // sampler counts every relay exactly when all are selectable.
+        if self.uniform_fast && self.sampler.selectable() == view.len() {
             assert_path_fits(view, path_len);
             // `SimRng::sample_distinct` without its O(n) allocation:
             // the same `range_usize(i, n)` swap sequence on the

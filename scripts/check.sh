@@ -22,6 +22,19 @@ for stage in circuit_build recognition feedback conn client_xfer; do
     fi
 done
 
+echo "==> placement has one owner (network/placement.rs): no placement state in the other stages' non-test code"
+for stage in circuit_build faults conn recognition feedback client_xfer; do
+    src=crates/relaynet/src/network/${stage}.rs
+    if sed '/^#\[cfg(test)\]/,$d' "${src}" | grep -nE '\.placement\b|PlacementState|SelectionEngine|DirectoryView'; then
+        echo "    FAIL: ${src} reaches into placement state; call a method of network/placement.rs" >&2
+        exit 1
+    fi
+done
+if sed '/^#\[cfg(test)\]/,$d' crates/relaynet/src/network/mod.rs | grep -nE 'SelectionEngine|DirectoryView'; then
+    echo "    FAIL: network/mod.rs drives the selection engine; that is network/placement.rs's job" >&2
+    exit 1
+fi
+
 echo "==> placement draws one way (the Fenwick SelectionEngine): no sampler choice in the builder's or network's non-test code"
 for src in crates/relaynet/src/builder.rs crates/relaynet/src/network/*.rs; do
     if sed '/^#\[cfg(test)\]/,$d' "${src}" | grep -nE 'SamplerKind::Linear|LinearSampler|sampler:([^:]|$)'; then
