@@ -95,8 +95,9 @@ pub struct DelayCc {
     /// *shared*-queue delay under cross traffic as own backlog and
     /// collapses the window — the startup algorithm must stay a startup
     /// algorithm, exactly as the paper's future-work section implies.
-    ca_recompensate: bool,
-    /// How many CA evaluations after a ramp exit the rule stays armed.
+    ///
+    /// How many CA evaluations after a ramp exit the rule stays armed;
+    /// 0, the default, leaves it off.
     ca_recompensation_window: u32,
     /// Armed evaluations remaining.
     ca_recompensation_left: u32,
@@ -120,7 +121,6 @@ impl DelayCc {
             phase: Phase::SlowStart,
             train: None,
             vegas: VegasRound::default(),
-            ca_recompensate: false,
             ca_recompensation_window: 0,
             ca_recompensation_left: 0,
             stats: DelayCcStats::default(),
@@ -134,7 +134,6 @@ impl DelayCc {
     /// Vegas does.
     pub fn enable_ca_recompensation(&mut self, window: u32) {
         assert!(window > 0, "recompensation window must be positive");
-        self.ca_recompensate = true;
         self.ca_recompensation_window = window;
         self.ca_recompensation_left = window;
     }
@@ -325,7 +324,7 @@ impl CongestionControl for DelayCc {
                             }
                             self.cwnd = next;
                         } else if diff > self.cfg.beta {
-                            let armed = self.ca_recompensate && self.ca_recompensation_left > 0;
+                            let armed = self.ca_recompensation_left > 0;
                             let next = if armed {
                                 // Backpropagation: the successor forwarded
                                 // cwnd·base/current cells per base RTT —

@@ -9,6 +9,10 @@
 //!   (Figure 1 lower panel). The switch itself is infinitely fast — only
 //!   access links constrain traffic. A leaf's links are minted the first
 //!   time it is used.
+//!
+//! A world sits on one [`Topology`], which is also its address book:
+//! participant `i` lives on the topology's node `i`, and the topology
+//! names the link a frame leaves on.
 
 use simcore::time::SimDuration;
 
@@ -20,7 +24,9 @@ use crate::net::{Net, NodeId};
 /// A chain of nodes with duplex links between neighbours.
 #[derive(Clone, Debug)]
 pub struct Path {
-    /// Nodes in chain order: `nodes[0]` is the left end.
+    /// Nodes in chain order: `nodes[0]` is the left end. Their ids are
+    /// consecutive, as [`Path::build`] adds them; [`Path::index_of`] and
+    /// [`Path::route`] rely on it.
     pub nodes: Vec<NodeId>,
     /// `fwd[i]` carries traffic `nodes[i] → nodes[i+1]`.
     pub fwd: Vec<LinkId>,
@@ -53,6 +59,28 @@ impl Path {
     /// Number of hops (links), one less than the number of nodes.
     pub fn hop_count(&self) -> usize {
         self.fwd.len()
+    }
+
+    /// The position of `node` in the chain, if it is on it.
+    #[inline]
+    pub fn index_of(&self, node: NodeId) -> Option<usize> {
+        let i = node.0.wrapping_sub(self.nodes.first()?.0) as usize;
+        debug_assert!(i >= self.nodes.len() || self.nodes[i] == node);
+        (i < self.nodes.len()).then_some(i)
+    }
+
+    /// The link a frame at `at` bound for `dst` leaves on: `fwd` or `rev`
+    /// between neighbours, `None` otherwise (no frame crosses two hops
+    /// of a path without stopping).
+    #[inline]
+    pub fn route(&self, at: NodeId, dst: NodeId) -> Option<LinkId> {
+        let i = self.index_of(at)?;
+        // A neighbour's id is one up (`nodes[i + 1]`) or one down.
+        match dst.0.wrapping_sub(at.0) {
+            1 => self.fwd.get(i).copied(),
+            u32::MAX => Some(self.rev[i.checked_sub(1)?]),
+            _ => None,
+        }
     }
 }
 
@@ -137,6 +165,7 @@ impl Star {
     /// # Panics
     ///
     /// Panics if the star has no leaf `i`.
+    #[inline]
     pub fn leaf(&self, i: usize) -> NodeId {
         assert!(i < self.leaf_count(), "star has no leaf {i}");
         NodeId(self.hub.0 + 1 + i as u32)
@@ -152,18 +181,10 @@ impl Star {
     }
 
     /// The index of a leaf node, if it is one.
+    #[inline]
     pub fn leaf_index(&self, node: NodeId) -> Option<usize> {
         let i = node.0.checked_sub(self.hub.0 + 1)? as usize;
         (i < self.leaf_count()).then_some(i)
-    }
-
-    /// A leaf's access links, if they have been minted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf` is not a leaf of this star.
-    pub fn links_of(&self, leaf: NodeId) -> Option<AccessLinks> {
-        self.links[self.expect_leaf(leaf)]
     }
 
     /// The link a frame at `at` bound for `dst` leaves on: a leaf's
@@ -186,7 +207,9 @@ impl Star {
     ///
     /// Panics if `leaf` is not a leaf of this star.
     pub fn mint<F: Frame>(&mut self, net: &mut Net<F>, leaf: NodeId) -> AccessLinks {
-        let i = self.expect_leaf(leaf);
+        let i = self
+            .leaf_index(leaf)
+            .expect("node is not a leaf of this star");
         *self.links[i].get_or_insert_with(|| {
             let cfg = LinkConfig::new(self.accesses[i].rate, self.accesses[i].delay);
             AccessLinks {
@@ -195,10 +218,72 @@ impl Star {
             }
         })
     }
+}
 
-    fn expect_leaf(&self, node: NodeId) -> usize {
-        self.leaf_index(node)
-            .expect("node is not a leaf of this star")
+/// The shape a world runs on, and its address book: participant `i` is
+/// the topology's node `i` (a path's `nodes[i]`, a star's leaf `i`), and
+/// [`Topology::route`] names the link toward a node.
+#[derive(Clone, Debug)]
+pub enum Topology {
+    /// A chain; participant `i` is `nodes[i]`.
+    Path(Path),
+    /// A star; participant `i` is leaf `i`, and the hub is no participant.
+    Star(Star),
+}
+
+impl Topology {
+    /// The link a frame at `at` bound for `dst` leaves on, if one exists
+    /// ([`Path::route`], [`Star::route`]).
+    #[inline]
+    pub fn route(&self, at: NodeId, dst: NodeId) -> Option<LinkId> {
+        match self {
+            Topology::Path(path) => path.route(at, dst),
+            Topology::Star(star) => star.route(at, dst),
+        }
+    }
+
+    /// Participant `i`'s node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology has no participant `i`.
+    #[inline]
+    pub fn node(&self, i: usize) -> NodeId {
+        match self {
+            Topology::Path(path) => path.nodes[i],
+            Topology::Star(star) => star.leaf(i),
+        }
+    }
+
+    /// The participant on `node`: the inverse of [`Topology::node`].
+    /// `None` for a node no participant lives on, such as the hub.
+    #[inline]
+    pub fn index_of(&self, node: NodeId) -> Option<usize> {
+        match self {
+            Topology::Path(path) => path.index_of(node),
+            Topology::Star(star) => star.leaf_index(node),
+        }
+    }
+
+    /// The two links a stall at participant `i` throttles: on a path the
+    /// hop toward its predecessor, `[fwd[i-1], rev[i-1]]` (`None` for
+    /// `i = 0`, which has none); in a star the leaf's `[up, down]` access
+    /// links, minted into `net` on first use ([`Star::mint`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology has no participant `i`.
+    pub fn access_links<F: Frame>(&mut self, net: &mut Net<F>, i: usize) -> Option<[LinkId; 2]> {
+        match self {
+            Topology::Path(path) => {
+                let hop = i.checked_sub(1)?;
+                Some([path.fwd[hop], path.rev[hop]])
+            }
+            Topology::Star(star) => {
+                let AccessLinks { up, down } = star.mint(net, star.leaf(i));
+                Some([up, down])
+            }
+        }
     }
 }
 
@@ -303,6 +388,77 @@ mod tests {
     }
 
     #[test]
+    fn path_routes_between_neighbours_only() {
+        let mut net: Net<RawFrame> = Net::new();
+        let foreign = net.add_node("foreign");
+        let p = Path::build(&mut net, &[cfg(10, 1), cfg(5, 2), cfg(10, 1)]);
+        let n = &p.nodes;
+        for i in 0..3 {
+            assert_eq!(p.route(n[i], n[i + 1]), Some(p.fwd[i]));
+            assert_eq!(p.route(n[i + 1], n[i]), Some(p.rev[i]));
+        }
+        assert_eq!(p.route(n[1], n[1]), None, "self");
+        assert_eq!(p.route(n[0], n[2]), None, "two hops apart");
+        assert_eq!(p.route(n[3], n[1]), None, "two hops apart");
+        assert_eq!(p.route(n[0], foreign), None, "foreign destination");
+        assert_eq!(p.route(foreign, n[0]), None, "foreign source");
+        assert_eq!(p.route(n[3], NodeId(9)), None, "past the chain");
+    }
+
+    #[test]
+    fn topology_index_of_inverts_node() {
+        let mut net: Net<RawFrame> = Net::new();
+        let path = Topology::Path(Path::build(&mut net, &[cfg(10, 1), cfg(5, 2)]));
+        let acc = AccessConfig {
+            rate: Bandwidth::from_mbps(20),
+            delay: SimDuration::ZERO,
+        };
+        let star = Star::build(&mut net, vec![acc; 3]);
+        let hub = star.hub();
+        let star = Topology::Star(star);
+        for (topology, participants) in [(&path, 3), (&star, 3)] {
+            for i in 0..participants {
+                assert_eq!(topology.index_of(topology.node(i)), Some(i));
+            }
+        }
+        assert_eq!(star.index_of(hub), None, "the hub is no participant");
+        assert_eq!(path.index_of(hub), None, "a star node is off the path");
+        assert_eq!(
+            star.index_of(path.node(0)),
+            None,
+            "a path node is off the star"
+        );
+    }
+
+    #[test]
+    fn topology_access_links_are_a_hop_on_a_path_and_minted_on_a_star() {
+        let mut net: Net<RawFrame> = Net::new();
+        let p = Path::build(&mut net, &[cfg(10, 1), cfg(5, 2)]);
+        let mut path = Topology::Path(p.clone());
+        assert_eq!(
+            path.access_links(&mut net, 0),
+            None,
+            "the left end has no upstream hop"
+        );
+        assert_eq!(path.access_links(&mut net, 2), Some([p.fwd[1], p.rev[1]]));
+        let acc = AccessConfig {
+            rate: Bandwidth::from_mbps(20),
+            delay: SimDuration::ZERO,
+        };
+        let mut star = Topology::Star(Star::build(&mut net, vec![acc; 2]));
+        let links = net.link_count();
+        let [up, down] = star.access_links(&mut net, 1).expect("a leaf");
+        assert_eq!((up.index(), down.index()), (links, links + 1));
+        assert_eq!(star.route(star.node(1), star.node(0)), Some(up));
+        assert_eq!(
+            star.access_links(&mut net, 1),
+            Some([up, down]),
+            "minted once"
+        );
+        assert_eq!(net.link_count(), links + 2);
+    }
+
+    #[test]
     fn star_structure() {
         let mut net: Net<RawFrame> = Net::new();
         let acc = AccessConfig {
@@ -318,11 +474,12 @@ mod tests {
         for i in 0..3 {
             let leaf = s.leaf(i);
             assert_eq!(s.leaf_index(leaf), Some(i));
-            assert_eq!(s.links_of(leaf), None);
+            assert_eq!(s.route(leaf, s.hub()), None, "not minted yet");
             let links = s.mint(&mut net, leaf);
             assert_eq!(net.link_ends(links.up), (leaf, s.hub()));
             assert_eq!(net.link_ends(links.down), (s.hub(), leaf));
-            assert_eq!(s.links_of(leaf), Some(links));
+            assert_eq!(s.route(leaf, s.hub()), Some(links.up));
+            assert_eq!(s.route(s.hub(), leaf), Some(links.down));
         }
         assert_eq!(net.link_count(), 6);
         assert_eq!(s.leaf_index(s.hub()), None);
@@ -343,7 +500,7 @@ mod tests {
         let links = s.mint(&mut net, leaf1);
         assert_eq!((links.up.index(), links.down.index()), (2, 3));
         assert_eq!(net.link_count(), 4);
-        assert_eq!(s.links_of(s.leaf(0)), None);
+        assert_eq!(s.route(s.hub(), s.leaf(0)), None, "leaf 0 not minted");
         assert_eq!(s.leaf_index(s.leaf(4)), Some(4));
         assert_eq!(
             s.leaf_index(NodeId(s.hub().0 + 6)),

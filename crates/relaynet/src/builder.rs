@@ -15,9 +15,9 @@ use backtap::cc::UnlimitedCc;
 use backtap::config::CcConfig;
 use backtap::delay_cc::DelayCc;
 use netsim::bandwidth::Bandwidth;
-use netsim::link::{LinkConfig, LinkId};
+use netsim::link::LinkConfig;
 use netsim::net::Net;
-use netsim::topology::{AccessConfig, Path, Star};
+use netsim::topology::{AccessConfig, Path, Star, Topology};
 use simcore::event::QueueKind;
 use simcore::rng::SimRng;
 use simcore::sim::Simulator;
@@ -30,7 +30,6 @@ use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
 use crate::network::TorNetwork;
 use crate::node::{CcFactory, NodeRole};
-use crate::router::Router;
 use crate::selection::{SelectionPolicy, Uniform};
 use crate::workload::{EpochSpec, FaultSchedule, FaultSpec, WorkloadSpec};
 
@@ -103,19 +102,17 @@ impl PathScenario {
         );
         let mut net: Net<crate::wire::WireFrame> = Net::new();
         let topo = Path::build(&mut net, &self.hops);
-        let mut router = Router::new();
-        for i in 0..topo.hop_count() {
-            router.install(topo.nodes[i], topo.nodes[i + 1], topo.fwd[i]);
-            router.install(topo.nodes[i + 1], topo.nodes[i], topo.rev[i]);
-        }
+        let (fwd_links, rev_links) = (topo.fwd.clone(), topo.rev.clone());
+        let last = topo.hop_count();
         let master = SimRng::seed_from(seed);
-        let mut world = TorNetwork::new(net, router, factory, master.derive("handshakes"));
-        let last = topo.nodes.len() - 1;
-        let overlay_path: Vec<_> = topo
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &nn)| {
+        let mut world = TorNetwork::new(
+            net,
+            Topology::Path(topo),
+            factory,
+            master.derive("handshakes"),
+        );
+        let overlay_path: Vec<_> = (0..=last)
+            .map(|i| {
                 let role = if i == 0 {
                     NodeRole::Client
                 } else if i == last {
@@ -123,7 +120,7 @@ impl PathScenario {
                 } else {
                     NodeRole::Relay
                 };
-                world.add_overlay(nn, role)
+                world.add_overlay(role)
             })
             .collect();
         let mut wl_rng = master.derive("workload");
@@ -148,16 +145,12 @@ impl PathScenario {
         sim.schedule_at(SimTime::ZERO, TorEvent::StartCircuit(circ));
         if let Some(schedule) = fault_schedule {
             let spec = self.faults.as_ref().expect("schedule implies spec");
-            // Relay overlay id `r` sits between hops `r-1` and `r`: a
-            // stall throttles its upstream hop in both directions.
-            schedule_faults(&mut sim, spec, schedule, |_, r| {
-                [topo.fwd[r - 1], topo.rev[r - 1]]
-            });
+            schedule_faults(&mut sim, spec, schedule);
         }
         let handles = PathHandles {
             circ,
-            fwd_links: topo.fwd,
-            rev_links: topo.rev,
+            fwd_links,
+            rev_links,
             overlay_path,
         };
         (sim, handles)
@@ -185,7 +178,8 @@ pub struct StarScenario {
     /// Payload bytes per circuit.
     pub file_bytes: u64,
     /// Circuit starts are jittered uniformly over `[0, start_jitter_ms]`
-    /// to avoid artificial phase lock between 50 identical state machines.
+    /// to avoid artificial phase lock between 50 identical state machines
+    /// (0: every circuit starts at once; negative or NaN panics).
     pub start_jitter_ms: f64,
     /// Path-selection policy (see [`crate::selection`]): how each
     /// circuit picks its relays from the generated directory, with live
@@ -245,6 +239,11 @@ impl StarScenario {
             self.relays_per_circuit >= 1,
             "need at least one relay per circuit"
         );
+        assert!(
+            self.start_jitter_ms >= 0.0,
+            "start jitter must be non-negative, got {} ms",
+            self.start_jitter_ms
+        );
         let master = SimRng::seed_from(seed);
         let mut directory = Directory::generate(&self.directory, &master.derive("directory"));
         let relay_count = directory.len();
@@ -260,7 +259,7 @@ impl StarScenario {
 
         // Leaves: all relays first, then client/server pairs per circuit.
         // Every provisioned relay has a leaf; its access links are minted
-        // when a circuit first crosses it (`TorNetwork::install_star`).
+        // when a circuit first crosses it (`TorNetwork::access_links`).
         // Epochs only toggle liveness, never the physical topology.
         let mut accesses = Vec::with_capacity(relay_count + 2 * self.circuits);
         accesses.extend(directory.iter_specs().map(|r| AccessConfig {
@@ -278,24 +277,26 @@ impl StarScenario {
 
         let mut net: Net<crate::wire::WireFrame> = Net::new();
         let star = Star::build(&mut net, accesses);
-        let mut world = TorNetwork::new(net, Router::new(), factory, master.derive("handshakes"));
+        // One overlay node per leaf, in leaf order: the relays', then the
+        // endpoints'. Leaf `i` hosts overlay node `i`, so relay `r` is
+        // overlay node `r`.
+        let roles = (0..star.leaf_count()).map(|i| match i.checked_sub(relay_count) {
+            None => NodeRole::Relay,
+            Some(e) if e % 2 == 0 => NodeRole::Client,
+            Some(_) => NodeRole::Server,
+        });
+        let mut world = TorNetwork::new(
+            net,
+            Topology::Star(star),
+            factory,
+            master.derive("handshakes"),
+        );
         // Size the payload pool from the scenario: with many concurrent
         // circuits the default idle cap would sit below the steady-state
         // in-flight population and thrash alloc/free.
         world.set_payload_pool_cap(crate::pool::PayloadPool::scenario_max_idle(self.circuits));
-        // One overlay node per leaf, in leaf order: the relays', then the
-        // endpoints'. Leaf `i` hosts overlay node `i`, so relay `r` is
-        // overlay node `r`.
-        world.add_overlays((0..star.leaf_count()).map(|i| {
-            let role = match i.checked_sub(relay_count) {
-                None => NodeRole::Relay,
-                Some(e) if e % 2 == 0 => NodeRole::Client,
-                Some(_) => NodeRole::Server,
-            };
-            (star.leaf(i), role)
-        }));
+        world.add_overlays(roles);
         let overlay = |leaf: usize| OverlayId(leaf as u32);
-        world.install_star(star);
         // The initial standby pool goes dark before placement installs,
         // so the first circuits already select from the live set only.
         if let Some(sched) = &epoch_schedule {
@@ -368,13 +369,7 @@ impl StarScenario {
         }
         if let Some(schedule) = fault_schedule {
             let spec = self.faults.as_ref().expect("schedule implies spec");
-            // A stalled relay's access link slows in both directions —
-            // the "slow relay" failure mode, recoverable without blame.
-            // Its `SetLinkRate` events name the links, so they are minted
-            // now, whether or not a circuit crosses the relay yet.
-            schedule_faults(&mut sim, spec, schedule, |world, r| {
-                world.access_links(overlay(r)).expect("a star world")
-            });
+            schedule_faults(&mut sim, spec, schedule);
         }
         (sim, circuits)
     }
@@ -382,19 +377,20 @@ impl StarScenario {
 
 /// Schedules a resolved fault plan: every crash, then per stall a
 /// throttle to `rate / stall_factor` and a restore on each of the
-/// relay's two links. `links_of` maps a relay id to that link pair,
-/// whose rate is still the provisioned one: nothing has run yet.
-fn schedule_faults(
-    sim: &mut Simulator<TorNetwork>,
-    spec: &FaultSpec,
-    schedule: FaultSchedule,
-    mut links_of: impl FnMut(&mut TorNetwork, usize) -> [LinkId; 2],
-) {
+/// relay's two links ([`TorNetwork::access_links`]: on a path its
+/// upstream hop, in a star its access links, minted now whether or not
+/// a circuit crosses the relay yet), both ways — the "slow relay"
+/// failure mode, recoverable without blame. Their rate is still the
+/// provisioned one: nothing has run yet.
+fn schedule_faults(sim: &mut Simulator<TorNetwork>, spec: &FaultSpec, schedule: FaultSchedule) {
     for (at, relay) in schedule.crashes {
         sim.schedule_at(SimTime::ZERO + at, TorEvent::RelayCrash { relay });
     }
     for s in schedule.stalls {
-        let links = links_of(sim.world_mut(), s.relay as usize);
+        let links = sim
+            .world_mut()
+            .access_links(OverlayId(s.relay))
+            .expect("a relay has an upstream hop");
         let full = sim.world().net().link_config(links[0]).rate;
         let throttled = Bandwidth::from_bps(
             ((full.bps() as f64 / spec.stall_factor.max(1.0)).floor() as u64).max(1),

@@ -39,7 +39,6 @@ pub mod ids;
 pub mod network;
 pub mod node;
 pub mod pool;
-pub mod router;
 pub mod runtime;
 pub mod sampler;
 pub mod scheduler;
@@ -58,7 +57,6 @@ pub use ids::{CircId, Direction, OverlayId};
 pub use network::{fill_pattern_into, verify_fill_pattern, EventsHandled, TorNetwork, WorldStats};
 pub use node::{CcFactory, HopCtx, NodeRole};
 pub use pool::PayloadPool;
-pub use router::Router;
 pub use runtime::{
     fingerprint, FactoryMaker, ShardReport, ShardedStar, StatsKind, SweepReport, WorldFingerprint,
 };

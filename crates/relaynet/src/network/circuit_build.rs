@@ -86,7 +86,7 @@ impl Egress {
         pay_confirms: bool,
     ) {
         let circ = nc.circ;
-        let link_of = |h: &HopDir| self.next_link(my_net, self.net_node_of[h.neighbor.index()]);
+        let link_of = |h: &HopDir| self.next_link(my_net, self.topology.node(h.neighbor.index()));
         let fwd_link = nc.fwd.as_ref().map(link_of);
         let bwd_link = nc.bwd.as_ref().map(link_of);
         let links = [fwd_link, bwd_link.filter(|b| Some(*b) != fwd_link)];
@@ -97,16 +97,13 @@ impl Egress {
                     debug_assert!(false, "feedback frames are never queued per circuit");
                     continue;
                 };
-                let net_node_of = &self.net_node_of;
+                let topology = &self.topology;
+                let to_dst = |h: &&mut HopDir| topology.node(h.neighbor.index()) == frame.dst;
                 let hopdir = nc
                     .fwd
                     .as_mut()
-                    .filter(|h| net_node_of[h.neighbor.index()] == frame.dst)
-                    .or_else(|| {
-                        nc.bwd
-                            .as_mut()
-                            .filter(|h| net_node_of[h.neighbor.index()] == frame.dst)
-                    });
+                    .filter(to_dst)
+                    .or_else(|| nc.bwd.as_mut().filter(to_dst));
                 match hopdir {
                     Some(h) => {
                         let forgotten = h.transport.forget(hop_seq);
@@ -723,17 +720,17 @@ mod tests {
     use netsim::bandwidth::Bandwidth;
     use netsim::link::LinkConfig;
     use netsim::net::{Net, NetEvent};
+    use netsim::topology::{Path, Topology};
     use simcore::rng::SimRng;
     use simcore::sim::{Simulator, World};
     use simcore::time::SimTime;
 
     use super::super::WorldStats;
     use super::*;
-    use crate::router::Router;
     use crate::wire::{FramePayload, WireFrame};
     use crate::workload::FaultSpec;
 
-    /// A relay and its two neighbours; overlay ids double as network ids.
+    /// A relay and its two neighbours, overlay node `i` on path node `i`.
     const PRED: OverlayId = OverlayId(0);
     const ME: OverlayId = OverlayId(1);
     const SUCC: OverlayId = OverlayId(2);
@@ -760,9 +757,8 @@ mod tests {
     /// participation in circuit 0 with one cell outstanding on each hop
     /// (so both neighbours count as contacted). No world, no other nodes.
     fn rig() -> (Egress, NodeCircuit) {
-        let (net, router, nodes) = wires();
-        let mut egress = Egress::new(net, router);
-        egress.net_node_of = nodes.to_vec();
+        let (net, path) = wires();
+        let egress = Egress::new(net, Topology::Path(path));
 
         let mut nc = NodeCircuit::new(CircId(0), 1);
         nc.close();
@@ -771,21 +767,12 @@ mod tests {
         (egress, nc)
     }
 
-    /// The rig's network: `ME` linked both ways to `PRED` and `SUCC`.
-    fn wires() -> (Net<WireFrame>, Router, [NodeId; 3]) {
+    /// The rig's network: the path `PRED` — `ME` — `SUCC`.
+    fn wires() -> (Net<WireFrame>, Path) {
         let mut net = Net::new();
-        let nodes = [
-            net.add_node("pred"),
-            net.add_node("me"),
-            net.add_node("succ"),
-        ];
         let cfg = LinkConfig::new(Bandwidth::from_mbps(10), SimDuration::from_millis(1));
-        let mut router = Router::new();
-        for peer in [PRED, SUCC] {
-            let (out, _) = net.add_duplex(nodes[ME.index()], nodes[peer.index()], cfg);
-            router.install(nodes[ME.index()], nodes[peer.index()], out);
-        }
-        (net, router, nodes)
+        let path = Path::build(&mut net, &[cfg; 2]);
+        (net, path)
     }
 
     fn hop(neighbor: OverlayId, link_id: u32, contacted: bool) -> HopDir {
@@ -798,12 +785,12 @@ mod tests {
     }
 
     fn my_net(egress: &Egress) -> NodeId {
-        egress.net_node_of[ME.index()]
+        egress.topology.node(ME.index())
     }
 
     /// Whether the frame on the wire toward `peer` is a DESTROY.
     fn destroy_on_the_wire_to(egress: &mut Egress, peer: OverlayId) -> bool {
-        let link = egress.next_link(my_net(egress), egress.net_node_of[peer.index()]);
+        let link = egress.next_link(my_net(egress), egress.topology.node(peer.index()));
         matches!(
             egress.net.last_on_wire_mut(link),
             Some(WireFrame {
@@ -909,11 +896,10 @@ mod tests {
     /// `ME`'s world over the rig's wires, with no circuit registered: every
     /// route resolves to nothing.
     fn void_world(faults: bool) -> TorNetwork {
-        let (net, router, nodes) = wires();
+        let (net, path) = wires();
         let factory: crate::node::CcFactory = Box::new(|_| Box::new(FixedWindowCc::new(4)));
-        let mut world = TorNetwork::new(net, router, factory, SimRng::seed_from(1));
-        let roles = [NodeRole::Client, NodeRole::Relay, NodeRole::Server];
-        world.add_overlays(nodes.into_iter().zip(roles));
+        let mut world = TorNetwork::new(net, Topology::Path(path), factory, SimRng::seed_from(1));
+        world.add_overlays([NodeRole::Client, NodeRole::Relay, NodeRole::Server]);
         if faults {
             world.install_faults(FaultSpec::default(), SimRng::seed_from(2));
         }
@@ -939,7 +925,7 @@ mod tests {
         let mut answer = None;
         with_ctx(|ctx| answer = Some(world.on_void(ctx, ME, void)));
         let egress = &mut world.egress;
-        let link = egress.next_link(my_net(egress), egress.net_node_of[PRED.index()]);
+        let link = egress.next_link(my_net(egress), egress.topology.node(PRED.index()));
         let on_wire = egress.net.last_on_wire_mut(link).cloned();
         let scheduled = std::iter::from_fn(|| egress.link_sched[link.index()].pop());
         let sent = on_wire.into_iter().chain(scheduled.collect::<Vec<_>>());

@@ -7,8 +7,8 @@
 //! its transport has credit.
 //!
 //! The sending half is methods of [`Egress`], which owns what a send
-//! touches — the links, their schedulers, the routing table, the
-//! overlay → network node map, the payload pool and the counters — and
+//! touches — the links, their schedulers, the topology that addresses
+//! and routes every frame, the payload pool and the counters — and
 //! nothing a circuit owns. It is one field of [`TorNetwork`], disjoint
 //! from `nodes`, so a stage deeper in the pipeline calls
 //! `self.egress.pump_dir(ctx, my_net, nc, dir)` while it holds a mutable
@@ -22,7 +22,7 @@ use torcell::cell::CellBody;
 use torcell::ids::CircuitId;
 
 use crate::event::TorEvent;
-use crate::ids::{CircId, Direction};
+use crate::ids::{CircId, Direction, OverlayId};
 use crate::node::{CircuitPhase, NodeCircuit};
 use crate::wire::{FramePayload, WireFrame};
 
@@ -51,13 +51,11 @@ impl TorNetwork {
     /// Classifies it and hands it to the next pipeline stage — feedback to
     /// the window layer, cells to recognition.
     pub(super) fn deliver(&mut self, ctx: &mut Context<'_, TorEvent>, frame: WireFrame) {
-        let to = self.overlay_of_net[frame.dst.index()];
-        let from = self.overlay_of_net[frame.src.index()];
-        debug_assert!(
-            to != u32::MAX && from != u32::MAX,
-            "frame endpoints must host overlay participants"
-        );
-        let (to, from) = (crate::ids::OverlayId(to), crate::ids::OverlayId(from));
+        let overlay = |node| match self.egress.topology.index_of(node) {
+            Some(i) => OverlayId(i as u32),
+            None => unreachable!("frame endpoints host overlay participants"),
+        };
+        let (to, from) = (overlay(frame.dst), overlay(frame.src));
         if self.egress.is_crashed(to) {
             // A crashed relay receives nothing: everything addressed to
             // it is silently dropped (no confirm, no feedback — its
@@ -186,7 +184,7 @@ impl Egress {
             }
             let seq = hopdir.transport.register_send(ctx.now());
             cell.circ = hopdir.link_circ_id;
-            let dst = self.net_node_of[hopdir.neighbor.index()];
+            let dst = self.topology.node(hopdir.neighbor.index());
             let frame = WireFrame {
                 src: my_net,
                 dst,

@@ -145,7 +145,7 @@ impl TorNetwork {
         input: Void,
     ) -> bool {
         let egress = &mut self.egress;
-        let my_net = egress.net_node_of[to.index()];
+        let my_net = egress.topology.node(to.index());
         match (input, self.faults.is_some()) {
             (Void::Stale(what), false) => egress.protocol_error(what),
             (Void::RelayCell(data), false) => {
@@ -177,7 +177,7 @@ impl TorNetwork {
                 egress.stats.stale_frames_dropped += 1;
                 egress.send_feedback(ctx, my_net, confirm);
                 if reason != DESTROY_REASON_REFUSED {
-                    let dst = egress.net_node_of[confirm.neighbor.index()];
+                    let dst = egress.topology.node(confirm.neighbor.index());
                     let frame = WireFrame {
                         src: my_net,
                         dst,

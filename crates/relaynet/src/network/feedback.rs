@@ -30,7 +30,7 @@ impl Egress {
         my_net: NodeId,
         cf: PendingConfirm,
     ) {
-        let dst = self.net_node_of[cf.neighbor.index()];
+        let dst = self.topology.node(cf.neighbor.index());
         let frame = WireFrame {
             src: my_net,
             dst,

@@ -64,7 +64,7 @@ pub(crate) mod recognition;
 
 use netsim::link::LinkId;
 use netsim::net::{Net, NetEvent, NodeId, SendOutcome};
-use netsim::topology::{AccessLinks, Star};
+use netsim::topology::{Star, Topology};
 use simcore::rng::SimRng;
 use simcore::sim::{Context, World};
 use simcore::time::SimTime;
@@ -80,7 +80,6 @@ use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
 use crate::node::{CcFactory, NodeRole, OverlayNode};
 use crate::pool::PayloadPool;
-use crate::router::Router;
 use crate::scheduler::LinkScheduler;
 use crate::wire::WireFrame;
 use crate::workload::{CircuitWorkload, FlowId, FlowState};
@@ -469,13 +468,11 @@ pub(super) struct Egress {
     /// hub's links stay FIFO — the backbone is not ours to schedule).
     /// One per link of `net`, indexed by `LinkId`.
     pub(super) link_sched: Vec<LinkScheduler>,
-    pub(super) router: Router,
-    /// A star world's topology, whose access links are minted the first
-    /// time a circuit crosses a leaf ([`Egress::access_links`]); `None`
-    /// for explicit-link worlds.
-    star: Option<Star>,
-    /// Overlay index → backing network node (read-only after setup).
-    pub(super) net_node_of: Vec<NodeId>,
+    /// The world's shape and its address book: overlay node `i` lives on
+    /// `topology.node(i)`, and the topology names the link toward any
+    /// node ([`Egress::next_link`]). A star's access links are minted the
+    /// first time a circuit crosses a leaf ([`TorNetwork::access_links`]).
+    pub(super) topology: Topology,
     /// Recycles DATA payload buffers between server consumption and
     /// client generation (see [`crate::pool`]).
     pub(super) payload_pool: PayloadPool,
@@ -486,44 +483,24 @@ pub(super) struct Egress {
 }
 
 impl Egress {
-    /// The link side of an overlay over `net`, with one idle scheduler
-    /// per link and no overlay nodes yet.
-    pub(super) fn new(net: Net<WireFrame>, router: Router) -> Egress {
+    /// The link side of an overlay over `net` and its `topology`, with
+    /// one idle scheduler per link.
+    pub(super) fn new(net: Net<WireFrame>, topology: Topology) -> Egress {
         let link_sched = (0..net.link_count())
             .map(|_| LinkScheduler::new())
             .collect();
         Egress {
             net,
             link_sched,
-            router,
-            star: None,
-            net_node_of: Vec::new(),
+            topology,
             payload_pool: PayloadPool::new(),
             stats: WorldStats::default(),
             crashed: Vec::new(),
         }
     }
 
-    /// The `[uplink, downlink]` of star leaf `leaf`. The first call for a
-    /// leaf mints the pair, which also routes it ([`Egress::next_link`]),
-    /// and appends one idle scheduler per link, so every per-frame table
-    /// stays a dense array indexed by `LinkId`. `None` in a world without
-    /// a star.
-    fn access_links(&mut self, leaf: NodeId) -> Option<[LinkId; 2]> {
-        let star = self.star.as_mut()?;
-        if let Some(AccessLinks { up, down }) = star.links_of(leaf) {
-            return Some([up, down]);
-        }
-        let AccessLinks { up, down } = star.mint(&mut self.net, leaf);
-        self.link_sched
-            .extend([LinkScheduler::new(), LinkScheduler::new()]);
-        debug_assert_eq!(self.link_sched.len(), self.net.link_count());
-        Some([up, down])
-    }
-
-    /// The link a frame at network node `at` bound for `dst` leaves on: a
-    /// star world routes through its minted access links, so its routing
-    /// table stays empty; an explicit-link world asks the table.
+    /// The link a frame at network node `at` bound for `dst` leaves on
+    /// ([`Topology::route`]).
     ///
     /// # Panics
     ///
@@ -531,11 +508,7 @@ impl Egress {
     /// unreachable nodes.
     #[inline]
     pub(super) fn next_link(&self, at: NodeId, dst: NodeId) -> LinkId {
-        let link = match &self.star {
-            Some(star) => star.route(at, dst),
-            None => self.router.next_link(at, dst),
-        };
-        match link {
+        match self.topology.route(at, dst) {
             Some(link) => link,
             None => no_route(at, dst),
         }
@@ -563,9 +536,6 @@ pub struct TorNetwork {
     /// Links, schedulers, routing, pool and counters (see [`Egress`]).
     pub(super) egress: Egress,
     pub(super) nodes: Vec<OverlayNode>,
-    /// Network node index → overlay id (`u32::MAX` = no overlay there,
-    /// e.g. the star hub). Dense counterpart of [`Egress::net_node_of`].
-    pub(super) overlay_of_net: Vec<u32>,
     pub(super) circuits: Vec<CircuitInfo>,
     /// Application-level requests, tracked across circuit incarnations
     /// (see [`crate::workload`]).
@@ -602,17 +572,25 @@ pub struct TorNetwork {
 }
 
 impl TorNetwork {
-    /// Creates an overlay over an already-built network and routing table.
-    pub fn new(net: Net<WireFrame>, router: Router, factory: CcFactory, rng: SimRng) -> TorNetwork {
-        // At most one overlay node per network node: every per-node
-        // table is sized once, here.
-        let net_nodes = net.node_count();
-        let mut egress = Egress::new(net, router);
-        egress.net_node_of.reserve_exact(net_nodes);
+    /// Creates an overlay over an already-built network and the
+    /// `topology` built on it ([`Path::build`](netsim::topology::Path::build),
+    /// [`Star::build`]), which routes and addresses every frame: overlay
+    /// node `i` will live on `topology.node(i)`. A star built without
+    /// links mints a leaf's access links, and their schedulers, the first
+    /// time a path crosses it ([`TorNetwork::add_circuit_with_workload`]),
+    /// so a leaf no circuit ever uses costs no link and link ids follow
+    /// first-use order.
+    pub fn new(
+        net: Net<WireFrame>,
+        topology: Topology,
+        factory: CcFactory,
+        rng: SimRng,
+    ) -> TorNetwork {
+        // At most one overlay node per network node.
+        let nodes = Vec::with_capacity(net.node_count());
         TorNetwork {
-            egress,
-            nodes: Vec::with_capacity(net_nodes),
-            overlay_of_net: vec![u32::MAX; net_nodes],
+            egress: Egress::new(net, topology),
+            nodes,
             circuits: Vec::new(),
             flows: Vec::new(),
             // Id 0 is reserved (CircuitId::CONTROL); keep the table
@@ -629,34 +607,28 @@ impl TorNetwork {
         }
     }
 
-    /// Puts the world on a star built without links ([`Star::build`]):
-    /// from now on [`TorNetwork::add_circuit_with_workload`] mints a
-    /// leaf's access links, routes and schedulers the first time a path
-    /// crosses it, so a leaf no circuit ever uses costs no link. Link ids
-    /// follow first-use order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice, or if the network already has links.
-    pub(crate) fn install_star(&mut self, star: Star) {
-        let egress = &mut self.egress;
-        assert!(egress.star.is_none(), "star installed twice");
-        assert_eq!(egress.net.link_count(), 0, "a lazy star starts linkless");
-        egress.star = Some(star);
-    }
-
     /// The star this world sits on, if it was built on one.
     pub fn star(&self) -> Option<&Star> {
-        self.egress.star.as_ref()
+        match &self.egress.topology {
+            Topology::Star(star) => Some(star),
+            Topology::Path(_) => None,
+        }
     }
 
-    /// The `[uplink, downlink]` access links of overlay node `node` in a
-    /// star world, minted now if no circuit has crossed it yet — for
-    /// events that name a link before any traffic does (a link stall).
-    /// `None` in a world without a star.
+    /// The two links a stall at overlay node `node` throttles
+    /// ([`Topology::access_links`]): on a path its upstream hop, `None`
+    /// for the client; in a star its leaf's `[uplink, downlink]`, minted
+    /// now if no circuit has crossed it yet, each with a new idle
+    /// scheduler, so every per-frame table stays a dense array indexed by
+    /// `LinkId`.
     pub(crate) fn access_links(&mut self, node: OverlayId) -> Option<[LinkId; 2]> {
-        let leaf = self.egress.net_node_of[node.index()];
-        self.egress.access_links(leaf)
+        let egress = &mut self.egress;
+        let links = egress.topology.access_links(&mut egress.net, node.index());
+        let link_count = egress.net.link_count();
+        egress
+            .link_sched
+            .resize_with(link_count, LinkScheduler::new);
+        links
     }
 
     /// Registers one endpoint of a link-local circuit id: at `node`,
@@ -733,46 +705,31 @@ impl TorNetwork {
         hit(&entry.a).or_else(|| hit(&entry.b))
     }
 
-    /// Registers an overlay participant backed by network node `net_node`.
+    /// Registers the next overlay participant: overlay node `i` lives on
+    /// the topology's node `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `net_node` is not a node of the world's network, or
-    /// already hosts an overlay node.
-    pub fn add_overlay(&mut self, net_node: NodeId, role: NodeRole) -> OverlayId {
-        self.add_overlays(std::iter::once((net_node, role)))
+    /// Panics if the topology has no participant `i`.
+    pub fn add_overlay(&mut self, role: NodeRole) -> OverlayId {
+        self.add_overlays(std::iter::once(role))
     }
 
-    /// Registers one overlay participant per `(network node, role)`, in
-    /// order, under consecutive ids from the one returned: a star's
-    /// leaves in one pass, each node written once where it will live.
+    /// Registers one overlay participant per role, in order, under
+    /// consecutive ids from the one returned: a star's leaves in one
+    /// pass, each node written once where it will live.
     ///
     /// # Panics
     ///
-    /// As [`TorNetwork::add_overlay`], for any of the network nodes.
-    pub(crate) fn add_overlays(
-        &mut self,
-        participants: impl IntoIterator<Item = (NodeId, NodeRole)>,
-    ) -> OverlayId {
+    /// As [`TorNetwork::add_overlay`], for any of the participants.
+    pub(crate) fn add_overlays(&mut self, roles: impl IntoIterator<Item = NodeRole>) -> OverlayId {
         let first = self.nodes.len();
-        let overlay_of_net = &mut self.overlay_of_net;
-        let net_node_of = &mut self.egress.net_node_of;
-        self.nodes.extend(
-            participants
-                .into_iter()
-                .enumerate()
-                .map(|(k, (net_node, role))| {
-                    let id = OverlayId(u32::try_from(first + k).expect("too many overlay nodes"));
-                    let slot = &mut overlay_of_net[net_node.index()];
-                    assert!(
-                        *slot == u32::MAX,
-                        "network node already hosts an overlay node"
-                    );
-                    *slot = id.0;
-                    net_node_of.push(net_node);
-                    OverlayNode::new(id, net_node, role)
-                }),
-        );
+        let topology = &self.egress.topology;
+        self.nodes
+            .extend(roles.into_iter().enumerate().map(|(k, role)| {
+                let id = OverlayId(u32::try_from(first + k).expect("too many overlay nodes"));
+                OverlayNode::new(id, topology.node(id.index()), role)
+            }));
         OverlayId(u32::try_from(first).expect("too many overlay nodes"))
     }
 
@@ -786,10 +743,11 @@ impl TorNetwork {
     /// Registers a circuit over `path` carrying a resolved workload
     /// (streams must reference flows registered via
     /// [`TorNetwork::add_flow`]). `incarnation` counts rebuild cycles
-    /// (0 = original build). In a star world it mints the access links of
-    /// every node on `path` ([`TorNetwork::install_star`]); every
-    /// placement and rebuild passes through here before a frame can cross
-    /// its path.
+    /// (0 = original build). It asks the topology for the access links
+    /// of every node on `path` ([`TorNetwork::access_links`]), which in a
+    /// star world mints a leaf's pair the first time a path crosses it;
+    /// every placement and rebuild passes through here before a frame can
+    /// cross its path.
     pub fn add_circuit_with_workload(
         &mut self,
         path: Vec<OverlayId>,
@@ -1064,6 +1022,18 @@ impl World for TorNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::bandwidth::Bandwidth;
+    use netsim::link::LinkConfig;
+    use netsim::topology::Path;
+    use simcore::time::SimDuration;
+
+    /// A network holding only a 2-hop path: nodes 0 — 1 — 2.
+    fn two_hops() -> (Net<WireFrame>, Path) {
+        let mut net = Net::new();
+        let cfg = LinkConfig::new(Bandwidth::from_mbps(1), SimDuration::ZERO);
+        let path = Path::build(&mut net, &[cfg; 2]);
+        (net, path)
+    }
 
     /// The fill pattern's arithmetic definition, wrapping like the
     /// release-build loop the ramp window replaced.
@@ -1125,9 +1095,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "no route")]
     fn an_unroutable_frame_panics() {
-        let mut net = Net::new();
-        let (a, b) = (net.add_node("a"), net.add_node("b"));
-        let _ = Egress::new(net, Router::new()).next_link(a, b);
+        let (net, path) = two_hops();
+        let (a, c) = (path.nodes[0], path.nodes[2]);
+        let _ = Egress::new(net, Topology::Path(path)).next_link(a, c);
     }
 
     /// The reference for `route_of`: search both ends, `a` before `b`,
@@ -1153,7 +1123,8 @@ mod tests {
 
         let factory: CcFactory =
             Box::new(|_| -> Box<dyn CongestionControl + Send> { Box::new(FixedWindowCc::new(4)) });
-        let mut w = TorNetwork::new(Net::new(), Router::new(), factory, SimRng::seed_from(1));
+        let (net, path) = two_hops();
+        let mut w = TorNetwork::new(net, Topology::Path(path), factory, SimRng::seed_from(1));
         let (x, y, z) = (OverlayId(0), OverlayId(1), OverlayId(2));
         let c = CircId(7);
         let [both, a_cleared, b_absent, cleared, twice] =

@@ -422,13 +422,14 @@ impl TorNetwork {
 #[cfg(test)]
 mod tests {
     use netsim::bandwidth::Bandwidth;
+    use netsim::link::LinkConfig;
     use netsim::net::Net;
+    use netsim::topology::{Path, Topology};
     use simcore::time::SimDuration;
 
     use super::*;
     use crate::builder::{fixed_window_factory, StarScenario};
     use crate::directory::{DirectoryConfig, RelaySpec};
-    use crate::router::Router;
     use crate::selection::Uniform;
 
     #[test]
@@ -459,17 +460,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "relay r must be hosted by overlay node r")]
     fn install_placement_rejects_a_client_at_overlay_zero() {
-        let mut net = Net::new();
-        let nodes: Vec<_> = ["c", "r1", "r2"].map(|n| net.add_node(n)).into();
-        let factory = fixed_window_factory(4);
-        let mut world = TorNetwork::new(net, Router::new(), factory, SimRng::seed_from(1));
-        world.add_overlay(nodes[0], NodeRole::Client);
-        world.add_overlay(nodes[1], NodeRole::Relay);
-        world.add_overlay(nodes[2], NodeRole::Relay);
         let spec = RelaySpec {
             bandwidth: Bandwidth::from_mbps(10),
             delay: SimDuration::from_millis(1),
         };
+        let mut net = Net::new();
+        let path = Path::build(&mut net, &[LinkConfig::new(spec.bandwidth, spec.delay); 2]);
+        let factory = fixed_window_factory(4);
+        let mut world = TorNetwork::new(net, Topology::Path(path), factory, SimRng::seed_from(1));
+        world.add_overlays([NodeRole::Client, NodeRole::Relay, NodeRole::Relay]);
         let directory = Directory::from_specs(vec![spec; 2]);
         world.install_placement(
             directory,

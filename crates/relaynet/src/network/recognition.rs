@@ -56,7 +56,7 @@ impl TorNetwork {
             CellBody::Padding => {
                 // Padding is consumed silently but still confirmed so the
                 // sender's window does not leak.
-                let my_net = self.egress.net_node_of[to.index()];
+                let my_net = self.egress.topology.node(to.index());
                 self.egress.send_feedback(ctx, my_net, confirm);
             }
             CellBody::Relay(rc) => self.handle_relay(ctx, to, from, cell.circ, rc, confirm),

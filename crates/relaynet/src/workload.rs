@@ -205,8 +205,16 @@ impl Default for WorkloadSpec {
 impl WorkloadSpec {
     /// Splits `file_bytes` across the configured stream count (spread
     /// evenly, remainder on the first stream).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream count is 0 or exceeds `file_bytes`.
     pub fn split_bytes(&self, file_bytes: u64) -> Vec<u64> {
-        let n = self.streams_per_circuit.max(1) as u64;
+        assert!(
+            self.streams_per_circuit > 0,
+            "streams per circuit must be positive"
+        );
+        let n = self.streams_per_circuit as u64;
         assert!(
             file_bytes >= n,
             "cannot split {file_bytes} bytes across {n} streams"
@@ -221,6 +229,12 @@ impl WorkloadSpec {
     /// every arrival offset and teardown point from `rng`, registering
     /// each stream's flow through `register_flow` (the network hands
     /// out [`FlowId`]s).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a spec that names no sensible workload: no streams, a
+    /// burst of 0, or a negative or NaN stagger, gap or rebuild delay
+    /// (0 is legal for each: no delay).
     pub fn resolve(
         &self,
         file_bytes: u64,
@@ -243,6 +257,11 @@ impl WorkloadSpec {
             Some(churn) => {
                 let (lo, hi) = churn.teardown_after_ms;
                 assert!(lo > 0.0 && hi >= lo, "teardown range must be positive");
+                assert!(
+                    churn.rebuild_delay_ms >= 0.0,
+                    "rebuild delay must be non-negative, got {} ms",
+                    churn.rebuild_delay_ms
+                );
                 let points = (0..churn.cycles)
                     .map(|_| {
                         let ms = if hi > lo { rng.range_f64(lo, hi) } else { lo };
@@ -251,7 +270,7 @@ impl WorkloadSpec {
                     .collect();
                 (
                     points,
-                    SimDuration::from_secs_f64(churn.rebuild_delay_ms.max(0.0) / 1e3),
+                    SimDuration::from_secs_f64(churn.rebuild_delay_ms / 1e3),
                 )
             }
         };
@@ -265,25 +284,35 @@ impl WorkloadSpec {
     fn arrival_offsets(&self, n: usize, rng: &mut SimRng) -> Vec<SimDuration> {
         match self.arrival {
             ArrivalSpec::Immediate => vec![SimDuration::ZERO; n],
-            ArrivalSpec::UniformJitter { max_ms } => (0..n)
-                .map(|_| {
-                    let ms = if max_ms > 0.0 {
-                        rng.range_f64(0.0, max_ms)
-                    } else {
-                        0.0
-                    };
-                    SimDuration::from_secs_f64(ms / 1e3)
-                })
-                .collect(),
+            ArrivalSpec::UniformJitter { max_ms } => {
+                assert!(
+                    max_ms >= 0.0,
+                    "arrival jitter must be non-negative, got {max_ms} ms"
+                );
+                (0..n)
+                    .map(|_| {
+                        let ms = if max_ms > 0.0 {
+                            rng.range_f64(0.0, max_ms)
+                        } else {
+                            0.0
+                        };
+                        SimDuration::from_secs_f64(ms / 1e3)
+                    })
+                    .collect()
+            }
             ArrivalSpec::OnOff { burst, gap_ms } => {
-                let burst = burst.max(1);
+                assert!(burst > 0, "on/off burst must be positive");
                 let (lo, hi) = gap_ms;
+                assert!(
+                    lo >= 0.0 && hi >= 0.0,
+                    "on/off gap must be non-negative, got {lo}..{hi} ms"
+                );
                 let mut at = SimDuration::ZERO;
                 (0..n)
                     .map(|i| {
                         if i > 0 && i % burst == 0 {
                             let ms = if hi > lo { rng.range_f64(lo, hi) } else { lo };
-                            at += SimDuration::from_secs_f64(ms.max(0.0) / 1e3);
+                            at += SimDuration::from_secs_f64(ms / 1e3);
                         }
                         at
                     })
@@ -606,6 +635,92 @@ mod tests {
             ..Default::default()
         };
         spec.split_bytes(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "streams per circuit must be positive")]
+    fn split_rejects_zero_streams() {
+        let spec = WorkloadSpec {
+            streams_per_circuit: 0,
+            ..Default::default()
+        };
+        spec.split_bytes(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival jitter must be non-negative")]
+    fn resolve_rejects_negative_arrival_jitter() {
+        resolve(
+            &WorkloadSpec {
+                streams_per_circuit: 4,
+                arrival: ArrivalSpec::UniformJitter { max_ms: -1.0 },
+                churn: None,
+            },
+            4_000,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "on/off burst must be positive")]
+    fn resolve_rejects_zero_burst() {
+        resolve(
+            &WorkloadSpec {
+                streams_per_circuit: 4,
+                arrival: ArrivalSpec::OnOff {
+                    burst: 0,
+                    gap_ms: (5.0, 5.0),
+                },
+                churn: None,
+            },
+            4_000,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "on/off gap must be non-negative")]
+    fn resolve_rejects_nan_gap() {
+        resolve(
+            &WorkloadSpec {
+                streams_per_circuit: 4,
+                arrival: ArrivalSpec::OnOff {
+                    burst: 2,
+                    gap_ms: (f64::NAN, 5.0),
+                },
+                churn: None,
+            },
+            4_000,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rebuild delay must be non-negative")]
+    fn resolve_rejects_negative_rebuild_delay() {
+        resolve(
+            &WorkloadSpec {
+                streams_per_circuit: 4,
+                arrival: ArrivalSpec::Immediate,
+                churn: Some(ChurnSpec {
+                    teardown_after_ms: (10.0, 30.0),
+                    rebuild_delay_ms: -2.0,
+                    cycles: 1,
+                }),
+            },
+            4_000,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "start jitter must be non-negative")]
+    fn star_rejects_nan_start_jitter() {
+        let star = crate::builder::StarScenario {
+            start_jitter_ms: f64::NAN,
+            ..Default::default()
+        };
+        let _ = star.build(crate::builder::unlimited_factory(), 1);
     }
 
     #[test]

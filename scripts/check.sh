@@ -43,6 +43,16 @@ for src in crates/relaynet/src/builder.rs crates/relaynet/src/network/*.rs; do
     fi
 done
 
+echo "==> the topology is the address book: no routing table or overlay<->node map in relaynet's non-test code"
+topology_hits=$(for src in $(find crates/relaynet/src -name '*.rs' | sort); do
+    sed '/^#\[cfg(test)\]/,$d' "${src}" | grep -nE '\bRouter\b|net_node_of|overlay_of_net|NodeId\(' | sed "s|^|${src}:|" || true
+done)
+if [ -n "${topology_hits}" ]; then
+    echo "${topology_hits}"
+    echo "    FAIL: $(wc -l <<< "${topology_hits}") hits; route and address through the world's netsim::topology::Topology (Egress::next_link, Topology::node / index_of)" >&2
+    exit 1
+fi
+
 echo "==> no cs-lint suppression in simcore (the kernel needs no escape hatch)"
 if grep -rn 'cs-lint: allow(' crates/simcore/src; then echo "    FAIL: a cs-lint suppression crept into simcore" >&2; exit 1; fi
 
