@@ -9,7 +9,9 @@
 //! cells — answering BEGIN with CONNECTED, counting and verifying DATA
 //! per stream (and crediting the stream's flow), and timestamping
 //! completion. Cells are *generated lazily* inside the egress pump so
-//! that onion-layer counters advance in exact send order.
+//! that onion-layer counters advance in exact send order; a DATA cell is
+//! sealed at generation, its fill, digest and every onion layer in one
+//! walk from the fill pattern's window into a pooled buffer.
 
 use simcore::sim::Context;
 use simcore::time::SimTime;
@@ -23,7 +25,7 @@ use crate::ids::{CircId, Direction, OverlayId};
 use crate::node::{ClientApp, QueuedCell};
 use crate::pool::PayloadPool;
 
-use super::{fill_pattern_extend, verify_fill_pattern, TorNetwork, END_REASON_DONE};
+use super::{fill_pattern_window, verify_fill_pattern, TorNetwork, END_REASON_DONE};
 
 impl TorNetwork {
     /// A non-DATA relay cell carrying `data`, counting the digest's walk
@@ -39,6 +41,7 @@ impl TorNetwork {
         *passes += 1;
         RelayCell {
             cmd,
+            recognized: 0,
             stream,
             digest: payload_digest(&data),
             data,
@@ -93,10 +96,15 @@ impl TorNetwork {
                 // interleave.
                 let idx = app.sent_cells;
                 app.sent_cells += 1;
-                let mut payload = pool.acquire();
-                fill_pattern_extend(circ, idx, len, &mut payload);
-                // One walk to fill, one for `RelayCell::data`'s digest.
-                app.payload_passes += 2;
+                let plain = fill_pattern_window(circ, idx, len);
+                // The route counts the walk: fill, digest and wrap in one.
+                let rc = app.route.seal_for_hop(
+                    server_hop,
+                    RelayCommand::Data,
+                    sid,
+                    plain,
+                    pool.acquire(),
+                );
                 if app.first_data_at.is_none() {
                     app.first_data_at = Some(now);
                 }
@@ -104,10 +112,10 @@ impl TorNetwork {
                 return Some(QueuedCell {
                     cell: Cell {
                         circ: CircuitId::CONTROL, // restamped at send
-                        body: CellBody::Relay(RelayCell::data(sid, payload)),
+                        body: CellBody::Relay(rc),
                     },
                     confirm: None,
-                    wrap_for_hop: Some(server_hop),
+                    wrap_for_hop: None,
                 });
             } else if !s.end_sent {
                 s.end_sent = true;

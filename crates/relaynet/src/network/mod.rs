@@ -407,16 +407,17 @@ pub fn fill_pattern_into(circ: CircId, idx: u64, buf: &mut [u8]) {
     }
 }
 
-/// Appends the fill pattern for cell `idx` of `circ` onto `buf` — the
-/// form the pooled data path uses (the pool hands out empty buffers, so
-/// extending writes each byte exactly once).
+/// The fill pattern for cell `idx` of `circ`, `len` bytes, as a window
+/// of [`RAMP`] — what the client seals a DATA payload from.
+///
+/// # Panics
+///
+/// Panics if `len` exceeds [`RELAY_DATA_MAX`] (no cell payload does).
 #[inline]
-pub fn fill_pattern_extend(circ: CircId, idx: u64, len: usize, buf: &mut Vec<u8>) {
-    let pattern = FillPattern::new(circ, idx);
-    match pattern.window(len) {
-        Some(window) => buf.extend_from_slice(window),
-        None => buf.extend((0..len).map(|i| pattern.byte(i))),
-    }
+pub(super) fn fill_pattern_window(circ: CircId, idx: u64, len: usize) -> &'static [u8] {
+    FillPattern::new(circ, idx)
+        .window(len)
+        .expect("a relay payload fits the ramp")
 }
 
 /// Verifies `data` against the fill pattern without materialising it.
@@ -1049,10 +1050,10 @@ mod tests {
         let mut into = vec![0xEE; len];
         fill_pattern_into(circ, idx, &mut into);
         assert_eq!(into, expect, "into: circ {circ:?} idx {idx} len {len}");
-        let mut extended = vec![0xEE; 3];
-        fill_pattern_extend(circ, idx, len, &mut extended);
-        assert_eq!(extended[..3], [0xEE; 3]);
-        assert_eq!(extended[3..], expect, "extend: idx {idx} len {len}");
+        if len <= RELAY_DATA_MAX {
+            let window = fill_pattern_window(circ, idx, len);
+            assert_eq!(window, expect, "window: idx {idx} len {len}");
+        }
         assert!(verify_fill_pattern(circ, idx, &expect));
         for i in 0..len {
             into[i] ^= 0x10;

@@ -200,9 +200,10 @@ pub struct ClientApp {
     pub connected_at: Option<SimTime>,
     /// When the first DATA cell was sent.
     pub first_data_at: Option<SimTime>,
-    /// Payload walks spent *building* this client's cells (the fill and
-    /// the digest of each DATA cell, the digest of each END) — summed
-    /// into [`NodeCircuit::payload_passes`].
+    /// Payload walks spent *building* this client's control cells (the
+    /// digest of each END; a DATA cell's walk is its seal, which
+    /// [`OnionRoute::payload_passes`] counts) — summed into
+    /// [`NodeCircuit::payload_passes`].
     pub payload_passes: u64,
 }
 

@@ -65,6 +65,13 @@ mod tests {
     use torcell::ids::{CircuitId, StreamId};
 
     #[test]
+    fn the_recognized_byte_costs_no_frame_bytes() {
+        // It sits in `RelayCell`'s padding: a frame moves the same bytes.
+        assert_eq!(std::mem::size_of::<torcell::cell::RelayCell>(), 32);
+        assert_eq!(std::mem::size_of::<WireFrame>(), 80);
+    }
+
+    #[test]
     fn wire_sizes() {
         let mut net: netsim::net::Net<WireFrame> = netsim::net::Net::new();
         let a = net.add_node("a");

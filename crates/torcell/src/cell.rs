@@ -116,6 +116,13 @@ impl RelayCommand {
 pub struct RelayCell {
     /// What this relay cell means.
     pub cmd: RelayCommand,
+    /// Tor's `recognized` field, one byte of its two: 0 on a cell with no
+    /// layer on it. Each onion layer XORs in a byte of its own keystream,
+    /// so it reads 0 at the hop a cell is addressed to, and a hop that
+    /// sees it non-zero knows the cell is passing through without
+    /// computing the digest. The byte sits in what was the struct's
+    /// padding (`RelayCell` stays 32 bytes).
+    pub recognized: u8,
     /// Target stream ([`StreamId::CIRCUIT`] for circuit-level cells).
     pub stream: StreamId,
     /// Integrity digest over the payload (see
@@ -141,6 +148,7 @@ impl RelayCell {
         let digest = crate::crypto::payload_digest(&data);
         RelayCell {
             cmd: RelayCommand::Data,
+            recognized: 0,
             stream,
             digest,
             data,
@@ -357,6 +365,11 @@ mod tests {
             .command(),
             CellCommand::Padding
         );
+    }
+
+    #[test]
+    fn the_recognized_byte_fits_in_the_padding() {
+        assert_eq!(std::mem::size_of::<RelayCell>(), 32);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!     DESTROY:        1-byte reason
 //!     RELAY:          relay sub-header + data
 //!       [0..1)   relay command (u8)
-//!       [1..3)   'recognized' (u16, always 0 at the recognizing hop)
+//!       [1..3)   'recognized' (u16: 0, then `RelayCell::recognized`;
+//!                 0 at the recognizing hop)
 //!       [3..5)   stream id (u16)
 //!       [5..9)   digest (u32)
 //!       [9..11)  data length (u16)
@@ -153,7 +154,7 @@ pub fn encode_cell(cell: &Cell) -> Vec<u8> {
         CellBody::Relay(rc) => {
             debug_assert!(rc.data.len() <= RELAY_DATA_MAX);
             buf.push(rc.cmd.to_wire());
-            buf.extend_from_slice(&0u16.to_be_bytes()); // recognized
+            buf.extend_from_slice(&u16::from(rc.recognized).to_be_bytes());
             buf.extend_from_slice(&rc.stream.0.to_be_bytes());
             buf.extend_from_slice(&rc.digest.to_be_bytes());
             buf.extend_from_slice(&(rc.data.len() as u16).to_be_bytes());
@@ -212,6 +213,7 @@ pub fn decode_cell(wire: &[u8]) -> Result<Cell, CodecError> {
             let data = buf.take(usize::from(len)).to_vec();
             CellBody::Relay(RelayCell {
                 cmd: relay_cmd,
+                recognized: 0,
                 stream,
                 digest,
                 data,
@@ -320,6 +322,7 @@ mod tests {
                 circ: CircuitId(3),
                 body: CellBody::Relay(RelayCell {
                     cmd,
+                    recognized: 0,
                     stream: StreamId(1),
                     digest: crate::crypto::payload_digest(&data),
                     data,
@@ -360,6 +363,7 @@ mod tests {
                 let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
                 bodies.push(CellBody::Relay(RelayCell {
                     cmd,
+                    recognized: 0,
                     stream: StreamId(if len == 0 { 0 } else { u16::MAX }),
                     digest: crate::crypto::payload_digest(&data),
                     data,
@@ -434,6 +438,17 @@ mod tests {
         let mut wire = encode_cell(&Cell::relay_data(CircuitId(1), StreamId(1), vec![]));
         wire[6] = 0x01; // poke the 'recognized' field
         assert_eq!(decode_cell(&wire), Err(CodecError::NotRecognized(0x0100)));
+    }
+
+    #[test]
+    fn the_recognized_byte_travels_in_the_low_byte_of_the_field() {
+        let mut cell = Cell::relay_data(CircuitId(1), StreamId(1), vec![0; 8]);
+        if let CellBody::Relay(rc) = &mut cell.body {
+            rc.recognized = 0xA7;
+        }
+        let wire = encode_cell(&cell);
+        assert_eq!(wire[6..8], [0x00, 0xA7]);
+        assert_eq!(decode_cell(&wire), Err(CodecError::NotRecognized(0x00A7)));
     }
 
     #[test]

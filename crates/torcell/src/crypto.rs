@@ -7,12 +7,14 @@
 //! dynamics**; the only properties of the onion layers that matter there
 //! are (a) payload size is preserved by each layer and (b) each hop applies
 //! or removes exactly one layer. This module reproduces that *structure*
-//! with a keyed xorshift keystream — deterministic, size-preserving,
-//! trivially invertible, and completely insecure — shaped like the counter
-//! mode it stands for: independent 32-byte blocks, consumed by one block
-//! loop. See DESIGN.md §2 for the substitution rationale.
+//! with a keyed counter-mode keystream — deterministic, size-preserving,
+//! trivially invertible, and completely insecure: word `i` of a layer's
+//! stream is a fixed bijective mix of counter `i + 1`, consumed 32 bytes
+//! at a time by one block loop. See DESIGN.md §2 for the substitution
+//! rationale.
 
-use crate::cell::RelayCell;
+use crate::cell::{RelayCell, RelayCommand, RELAY_DATA_MAX};
+use crate::ids::StreamId;
 
 /// A 64-bit layer key (stand-in for negotiated key material).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -20,15 +22,15 @@ pub struct LayerKey(pub u64);
 
 impl LayerKey {
     /// Derives a key from a handshake blob, mimicking key agreement: both
-    /// ends of a CREATE/CREATED exchange derive the same key.
+    /// ends of a CREATE/CREATED exchange derive the same key. Every key is
+    /// usable, 0 included: [`Keystream::new`] guards the counters.
     pub fn from_handshake(handshake: &[u8]) -> LayerKey {
         let mut k: u64 = 0x2545_F491_4F6C_DD1D;
         for &b in handshake {
             k ^= u64::from(b);
             k = k.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
         }
-        // Avoid the degenerate all-zero xorshift state.
-        LayerKey(if k == 0 { 1 } else { k })
+        LayerKey(k)
     }
 }
 
@@ -51,11 +53,9 @@ impl LayerCipher {
     /// `nonce` must match between apply and un-apply; callers use the
     /// per-cell sequence number.
     ///
-    /// The keystream is counter-mode shaped: 32-byte blocks of four
-    /// 8-byte little-endian words, word `i` of the stream drawn from lane
-    /// `i mod 4` of four independent xorshift64* generators (see
-    /// [`Keystream`]). A payload that ends inside a block uses the leading
-    /// bytes of that block.
+    /// The keystream is counter mode: word `i` (8 bytes, little-endian)
+    /// is [`mix`] of counter `i + 1` (see [`Keystream`]). A payload that
+    /// ends inside a word uses the leading bytes of that word.
     pub fn apply(&self, nonce: u64, data: &mut [u8]) {
         xor_keystreams([self.keystream(nonce)], data, |h, _| h);
     }
@@ -72,59 +72,104 @@ const LANES: usize = 4;
 /// Bytes per keystream block.
 const BLOCK_LEN: usize = 8 * LANES;
 
-/// One layer's keystream generator: [`LANES`] independent xorshift64*
-/// states, one per word position of a block.
+/// The step between successive counters of a stream: odd, so its 2^64
+/// counters are all distinct.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// `GAMMA`'s inverse mod 2^64. An odd `x` is its own inverse mod 8, and
+/// each Newton step doubles the correct low bits: 3 → 6 → … → 96.
+const GAMMA_INV: u64 = {
+    let mut inv = GAMMA;
+    let mut step = 0;
+    while step < 5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(GAMMA.wrapping_mul(inv)));
+        step += 1;
+    }
+    inv
+};
+
+/// Counters `0..ZERO_FREE` of every stream are non-zero: 2^32 words, a
+/// 32 GiB payload.
+const ZERO_FREE: u64 = 1 << 32;
+
+/// The word function: xorshift → multiply → xorshift, a bijection of
+/// `u64` that is nonlinear in its input, so successive counters' words
+/// cannot be strength-reduced to one add each (a word function linear in
+/// the counter is in DESIGN §5's register for that reason). It fixes 0,
+/// which is why [`Keystream::new`] keeps the counters off 0.
+#[inline]
+fn mix(z: u64) -> u64 {
+    let z = (z ^ (z >> 32)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z ^ (z >> 29)
+}
+
+/// One layer's keystream for one cell: a counter. Counter `k` is
+/// `seed + k·GAMMA`; word `i` of the payload stream is [`mix`] of counter
+/// `i + 1`, and counter 0 gives the byte the layer XORs into a cell's
+/// `recognized` field.
 ///
-/// This is the shape of what it stands in for — AES-CTR blocks do not
-/// depend on one another — and it is what lets a core overlap the lanes'
-/// latencies instead of waiting out one serial chain per payload. A real
-/// cipher would supply a different *block* generator to the same loop.
+/// Blocks are independent, as AES-CTR's are: no word waits on another,
+/// so a core computes a block's words — and, in a fused pass, every
+/// layer's — side by side. [`Keystream::next_block`] is the 32-byte seam
+/// a ChaCha-class `block(key, nonce, counter)` plugs into.
 #[derive(Clone, Copy)]
-struct Keystream([u64; LANES]);
+struct Keystream {
+    /// Counter of the last word handed out (0 before the first block).
+    counter: u64,
+}
 
 impl Keystream {
-    /// Expands `seed` into the lane states with a SplitMix64 sequence.
+    /// Positions a stream at `seed`. A counter of 0 would leave its word
+    /// of the payload in the clear, so a seed whose counters
+    /// `0..ZERO_FREE` reach 0 (odds 2^-32) steps back `ZERO_FREE`
+    /// counters, which moves that zero past the window. O(1): counter `k`
+    /// is 0 exactly at `k = −seed·GAMMA⁻¹`.
     #[inline]
     fn new(seed: u64) -> Keystream {
-        let mut state = seed;
-        Keystream(std::array::from_fn(|_| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            nonzero_lane(z ^ (z >> 31))
-        }))
+        let zero_at = seed.wrapping_neg().wrapping_mul(GAMMA_INV);
+        let counter = if zero_at < ZERO_FREE {
+            seed.wrapping_sub(ZERO_FREE.wrapping_mul(GAMMA))
+        } else {
+            seed
+        };
+        Keystream { counter }
     }
 
-    /// The next block: every lane advances one xorshift64* step.
+    /// The byte this layer XORs into `recognized`: the low byte of the
+    /// word at counter 0, which no payload word uses. Read it before the
+    /// first block.
+    #[inline]
+    fn recognized(&self) -> u8 {
+        mix(self.counter) as u8
+    }
+
+    /// The next block: the words of the next four counters.
     #[inline]
     fn next_block(&mut self) -> [u64; LANES] {
-        // One xorshift stage across all lanes at a time, not one lane's
-        // three stages at a time: the chains then reach the core already
-        // interleaved, which a four-layer wrap (16 chains, more than it
-        // has registers for) measurably needs.
-        for x in &mut self.0 {
-            *x ^= *x >> 12;
-        }
-        for x in &mut self.0 {
-            *x ^= *x << 25;
-        }
-        for x in &mut self.0 {
-            *x ^= *x >> 27;
-        }
-        self.0.map(|x| x.wrapping_mul(0x2545_F491_4F6C_DD1D))
+        let base = self.counter;
+        self.counter = base.wrapping_add(GAMMA.wrapping_mul(LANES as u64));
+        std::array::from_fn(|j| mix(base.wrapping_add(GAMMA.wrapping_mul(j as u64 + 1))))
     }
 }
 
-/// Avoids the degenerate all-zero xorshift state (SplitMix64's output map
-/// is a bijection, so exactly one seed per lane would land on it).
+/// The XOR of `N` keystreams' next blocks: the key of one step of a
+/// fused pass.
 #[inline]
-fn nonzero_lane(lane: u64) -> u64 {
-    if lane == 0 {
-        0x9E37_79B9_7F4A_7C15
-    } else {
-        lane
-    }
+fn next_key<const N: usize>(streams: &mut [Keystream; N]) -> [u64; LANES] {
+    streams.iter_mut().fold([0; LANES], |mut key, stream| {
+        for (k, word) in key.iter_mut().zip(stream.next_block()) {
+            *k ^= word;
+        }
+        key
+    })
+}
+
+/// The XOR of `N` layers' `recognized` bytes.
+#[inline]
+fn recognized_of<const N: usize>(streams: &[Keystream; N]) -> u8 {
+    streams
+        .iter()
+        .fold(0, |byte, stream| byte ^ stream.recognized())
 }
 
 #[inline]
@@ -156,41 +201,34 @@ fn xor_words<'a>(
     }
 }
 
-/// The one loop that walks a payload: XORs `N` keystreams over `data` in
-/// a **single** pass, a 32-byte block per step, and folds word `i` of the
-/// result into accumulator lane `i mod 4` with `fold`; returns the lanes
-/// and the result's zero-padded tail word (0 when `data` is a whole
-/// number of words) — the things [`payload_digest`] is made of. A
+/// The one loop that walks a payload in place: XORs `N` keystreams over
+/// `data` in a **single** pass, a 32-byte block per step, and folds word
+/// `i` of the result into accumulator lane `i mod 4` with `fold`; returns
+/// the lanes and the result's zero-padded tail word (0 when `data` is a
+/// whole number of words) — the things [`payload_digest`] is made of. A
 /// remainder shorter than a block is handled once, from one more block.
 ///
 /// XOR commutes, so the bytes equal applying the `N` layers one after
-/// another in any order; but the `4 N` independent xorshift chains and
-/// the four digest chains advance side by side (their latencies overlap
-/// instead of serialising) and the payload is loaded and stored once
-/// rather than `N` times.
+/// another in any order; but the `4 N` keystream words of a step and the
+/// four digest chains are independent (their latencies overlap instead of
+/// serialising) and the payload is loaded and stored once rather than `N`
+/// times.
 #[inline]
 fn xor_keystreams<const N: usize>(
     mut streams: [Keystream; N],
     data: &mut [u8],
     fold: impl Fn(u64, u64) -> u64,
 ) -> ([u64; LANES], u64) {
-    let mut next_key = move || {
-        streams.iter_mut().fold([0; LANES], |mut key, stream| {
-            for (k, word) in key.iter_mut().zip(stream.next_block()) {
-                *k ^= word;
-            }
-            key
-        })
-    };
     let mut lanes = DIGEST_LANES;
     let mut blocks = data.chunks_exact_mut(BLOCK_LEN);
     for block in &mut blocks {
-        xor_words(block.chunks_exact_mut(8), next_key(), &mut lanes, &fold);
+        let key = next_key(&mut streams);
+        xor_words(block.chunks_exact_mut(8), key, &mut lanes, &fold);
     }
     let rest = blocks.into_remainder();
     let mut tail_word = 0;
     if !rest.is_empty() {
-        let key = next_key();
+        let key = next_key(&mut streams);
         let tail_key = key[rest.len() / 8];
         let mut words = rest.chunks_exact_mut(8);
         xor_words(&mut words, key, &mut lanes, &fold);
@@ -203,15 +241,59 @@ fn xor_keystreams<const N: usize>(
     (lanes, tail_word)
 }
 
-/// Removes one layer from `data` **and** returns [`payload_digest`] of
-/// the result, in one pass: the keystream chains and the digest chains
-/// are independent, so the digest rides along with the strip instead of
-/// re-walking the buffer.
+/// The client's one walk of a new payload: reads `plain` once, appends it
+/// to `out` under `N` keystreams, and folds the *plaintext* words into the
+/// digest on the way; returns [`payload_digest`] of `plain`. A remainder
+/// shorter than a block takes one more block, as in [`xor_keystreams`].
 #[inline]
-fn strip_and_digest(stream: Keystream, data: &mut [u8]) -> u32 {
-    let len = data.len();
-    let (lanes, tail_word) = xor_keystreams([stream], data, digest_word);
-    digest_finish(lanes, tail_word, len)
+fn seal<const N: usize>(mut streams: [Keystream; N], plain: &[u8], out: &mut Vec<u8>) -> u32 {
+    let mut lanes = DIGEST_LANES;
+    let mut blocks = plain.chunks_exact(BLOCK_LEN);
+    for block in &mut blocks {
+        let key = next_key(&mut streams);
+        let mut sealed = [0u8; BLOCK_LEN];
+        let words = block.chunks_exact(8).zip(sealed.chunks_exact_mut(8));
+        for (((src, dst), k), h) in words.zip(key).zip(&mut lanes) {
+            let word = load_word(src);
+            *h = digest_word(*h, word);
+            dst.copy_from_slice(&(word ^ k).to_le_bytes());
+        }
+        out.extend_from_slice(&sealed);
+    }
+    let rest = blocks.remainder();
+    let mut tail_word = 0;
+    if !rest.is_empty() {
+        let key = next_key(&mut streams);
+        let mut words = rest.chunks_exact(8);
+        for ((src, k), h) in (&mut words).zip(key).zip(&mut lanes) {
+            let word = load_word(src);
+            *h = digest_word(*h, word);
+            out.extend_from_slice(&(word ^ k).to_le_bytes());
+        }
+        let tail = words.remainder();
+        tail_word = load_tail(tail);
+        let sealed = tail_word ^ key[rest.len() / 8];
+        out.extend_from_slice(&sealed.to_le_bytes()[..tail.len()]);
+    }
+    digest_finish(lanes, tail_word, plain.len())
+}
+
+/// Removes one layer from `cell` and reports whether the cell is now
+/// *recognized*: the `recognized` byte reads 0 **and** [`payload_digest`]
+/// of the stripped payload equals `cell.digest`. As in Tor, the byte is
+/// checked first, so a hop a cell only passes through never digests it;
+/// when the byte does read 0, the digest rides along in the strip's pass
+/// (the keystream and digest chains share no state).
+#[inline]
+fn strip(stream: Keystream, cell: &mut RelayCell) -> bool {
+    cell.recognized ^= stream.recognized();
+    if cell.recognized != 0 {
+        xor_keystreams([stream], &mut cell.data, |h, _| h);
+        return false;
+    }
+    let len = cell.data.len();
+    let (lanes, tail_word) = xor_keystreams([stream], &mut cell.data, digest_word);
+    digest_finish(lanes, tail_word, len) == cell.digest
 }
 
 /// Client-side onion state with **per-layer cell counters**, mirroring how
@@ -258,8 +340,9 @@ impl OnionRoute {
 
     /// How many times this route has walked a cell payload end to end —
     /// a noise-free work count (a pure function of the cells processed):
-    /// one per group of ≤ 4 layers in [`wrap_for_hop`](Self::wrap_for_hop),
-    /// one per layer attempted in [`unwrap_inbound`](Self::unwrap_inbound).
+    /// one per group of ≤ 4 layers in [`wrap_for_hop`](Self::wrap_for_hop)
+    /// and [`seal_for_hop`](Self::seal_for_hop), one per layer attempted
+    /// in [`unwrap_inbound`](Self::unwrap_inbound).
     pub fn payload_passes(&self) -> u64 {
         self.payload_passes
     }
@@ -268,13 +351,16 @@ impl OnionRoute {
     /// `hop` (0 = first relay); counters of layers `0..=hop` advance.
     /// All `hop + 1` keystreams are XORed in one pass over the payload
     /// (groups of 4 on longer routes) — XOR commutes, so the bytes are
-    /// those of applying the layers innermost-first one at a time.
+    /// those of applying the layers innermost-first one at a time — and
+    /// each layer XORs its byte into `recognized`, which therefore reads
+    /// 0 at hop `hop` and, at an earlier hop, only when the remaining
+    /// layers' bytes cancel (odds 2^-8).
     ///
-    /// The payload must be **at least 8 bytes**. Recognition is "digest
-    /// verifies after stripping", so an earlier hop falsely recognizes an
-    /// `n`-byte payload whenever the layers still on it cancel over those
-    /// `n` bytes — probability 2^(-8n), and certainty at `n = 0`, where
-    /// every layer is a no-op (see the `empty_payload_…` test).
+    /// The payload must be **at least 8 bytes**. An earlier hop whose
+    /// `recognized` byte reads 0 checks the digest, and that verifies
+    /// whenever the layers still on the payload cancel over its `n` bytes
+    /// — probability 2^(-8n), and certainty at `n = 0`, where every layer
+    /// is a no-op (see the `empty_payload_…` test).
     ///
     /// # Panics
     ///
@@ -284,44 +370,112 @@ impl OnionRoute {
             hop < self.layers.len(),
             "wrap_for_hop: hop {hop} out of range"
         );
-        let mut lo = 0;
+        self.wrap_layers(0, hop, cell);
+    }
+
+    /// Builds a relay cell for `hop` from its plaintext in **one walk**:
+    /// the first group of ≤ 4 layers reads `plain`, folds its digest,
+    /// XORs the layers' keystreams and appends the result to `buf` (an
+    /// empty buffer, typically from a pool); the byte is set as
+    /// [`wrap_for_hop`](Self::wrap_for_hop) sets it. The cell equals
+    /// `RelayCell { cmd, .. }` over `plain` with its digest, wrapped for
+    /// `hop` — fill, digest and wrap fused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hop` is out of range or `plain` exceeds
+    /// [`RELAY_DATA_MAX`].
+    pub fn seal_for_hop(
+        &mut self,
+        hop: usize,
+        cmd: RelayCommand,
+        stream: StreamId,
+        plain: &[u8],
+        mut buf: Vec<u8>,
+    ) -> RelayCell {
+        assert!(
+            hop < self.layers.len(),
+            "seal_for_hop: hop {hop} out of range"
+        );
+        assert!(
+            plain.len() <= RELAY_DATA_MAX,
+            "relay payload of {} bytes exceeds max {RELAY_DATA_MAX}",
+            plain.len()
+        );
+        debug_assert!(buf.is_empty(), "seal_for_hop appends to an empty buffer");
+        let n = (hop + 1).min(4);
+        let (digest, recognized) = match n {
+            1 => self.seal_group::<1>(plain, &mut buf),
+            2 => self.seal_group::<2>(plain, &mut buf),
+            3 => self.seal_group::<3>(plain, &mut buf),
+            _ => self.seal_group::<4>(plain, &mut buf),
+        };
+        let mut cell = RelayCell {
+            cmd,
+            recognized,
+            stream,
+            digest,
+            data: buf,
+        };
+        self.wrap_layers(n, hop, &mut cell);
+        cell
+    }
+
+    /// The forward keystreams of layers `lo..lo + N`; their counters
+    /// advance.
+    fn fwd_streams<const N: usize>(&mut self, lo: usize) -> [Keystream; N] {
+        std::array::from_fn(|j| {
+            let stream = self.layers[lo + j].keystream(self.fwd_counters[lo + j]);
+            self.fwd_counters[lo + j] += 1;
+            stream
+        })
+    }
+
+    /// Seals `plain` into `out` under forward layers `0..N` in one pass;
+    /// returns the plaintext digest and the layers' `recognized` byte.
+    fn seal_group<const N: usize>(&mut self, plain: &[u8], out: &mut Vec<u8>) -> (u32, u8) {
+        let streams = self.fwd_streams::<N>(0);
+        self.payload_passes += 1;
+        let recognized = recognized_of(&streams);
+        (seal(streams, plain, out), recognized)
+    }
+
+    /// Applies forward layers `lo..=hop` in place, ≤ 4 per pass.
+    fn wrap_layers(&mut self, mut lo: usize, hop: usize, cell: &mut RelayCell) {
         while lo <= hop {
             let n = (hop + 1 - lo).min(4);
             match n {
-                1 => self.wrap_group::<1>(lo, &mut cell.data),
-                2 => self.wrap_group::<2>(lo, &mut cell.data),
-                3 => self.wrap_group::<3>(lo, &mut cell.data),
-                _ => self.wrap_group::<4>(lo, &mut cell.data),
+                1 => self.wrap_group::<1>(lo, cell),
+                2 => self.wrap_group::<2>(lo, cell),
+                3 => self.wrap_group::<3>(lo, cell),
+                _ => self.wrap_group::<4>(lo, cell),
             }
             lo += n;
         }
     }
 
-    /// Applies forward layers `lo..lo + N` in one pass and advances their
-    /// counters.
-    fn wrap_group<const N: usize>(&mut self, lo: usize, data: &mut [u8]) {
-        let streams = std::array::from_fn(|j| {
-            let stream = self.layers[lo + j].keystream(self.fwd_counters[lo + j]);
-            self.fwd_counters[lo + j] += 1;
-            stream
-        });
-        xor_keystreams::<N>(streams, data, |h, _| h);
+    /// Applies forward layers `lo..lo + N` in one pass.
+    fn wrap_group<const N: usize>(&mut self, lo: usize, cell: &mut RelayCell) {
+        let streams = self.fwd_streams::<N>(lo);
+        cell.recognized ^= recognized_of(&streams);
+        xor_keystreams(streams, &mut cell.data, |h, _| h);
         self.payload_passes += 1;
     }
 
-    /// Unwraps an inbound (backward) relay cell layer by layer until the
-    /// digest verifies, returning the hop it originated from. Counters of
-    /// every attempted layer advance, exactly like Tor's stream ciphers.
-    /// Each attempt strips and digests in one pass.
+    /// Unwraps an inbound (backward) relay cell layer by layer until it
+    /// is recognized (see [`RelayCrypt::strip_forward`]), returning the
+    /// hop it originated from. Counters of every attempted layer advance,
+    /// exactly like Tor's stream ciphers. Each attempt is one pass; only
+    /// an attempt whose `recognized` byte reads 0 digests the payload.
     ///
     /// Returns `None` (after consuming one count on every layer) if no
-    /// layer produces a valid digest — a corrupt or misrouted cell.
+    /// layer recognizes the cell — a corrupt or misrouted cell.
     pub fn unwrap_inbound(&mut self, cell: &mut RelayCell) -> Option<usize> {
         for i in 0..self.layers.len() {
             let stream = self.layers[i].keystream(self.bwd_counters[i]);
             self.bwd_counters[i] += 1;
             self.payload_passes += 1;
-            if strip_and_digest(stream, &mut cell.data) == cell.digest {
+            if strip(stream, cell) {
                 return Some(i);
             }
         }
@@ -352,26 +506,31 @@ impl RelayCrypt {
     }
 
     /// How many times this relay has walked a cell payload end to end:
-    /// one per [`strip_forward`](Self::strip_forward) (strip and digest
-    /// share the pass), one per [`add_backward`](Self::add_backward).
+    /// one per [`strip_forward`](Self::strip_forward) (a digest, when
+    /// there is one, shares the pass), one per
+    /// [`add_backward`](Self::add_backward).
     pub fn payload_passes(&self) -> u64 {
         self.payload_passes
     }
 
     /// Strips this relay's layer from a forward cell (client → exit) and
-    /// reports whether the cell is now *recognized* (digest valid ⇒ this
-    /// relay is the target and must consume it).
+    /// reports whether the cell is now *recognized* (`recognized` byte 0
+    /// and digest valid ⇒ this relay is the target and must consume it).
+    /// A cell whose byte reads non-zero is passing through: it is not
+    /// digested.
     pub fn strip_forward(&mut self, cell: &mut RelayCell) -> bool {
         let stream = self.cipher.keystream(self.fwd_counter);
         self.fwd_counter += 1;
         self.payload_passes += 1;
-        strip_and_digest(stream, &mut cell.data) == cell.digest
+        strip(stream, cell)
     }
 
     /// Adds this relay's layer to a backward cell (toward the client) —
     /// used both for cells it forwards and for cells it originates.
     pub fn add_backward(&mut self, cell: &mut RelayCell) {
-        self.cipher.apply(self.bwd_counter, &mut cell.data);
+        let stream = self.cipher.keystream(self.bwd_counter);
+        cell.recognized ^= stream.recognized();
+        xor_keystreams([stream], &mut cell.data, |h, _| h);
         self.bwd_counter += 1;
         self.payload_passes += 1;
     }
@@ -412,9 +571,9 @@ fn digest_finish(lanes: [u64; LANES], tail_word: u64, len: usize) -> u32 {
 /// Stands in for Tor's running SHA-1 "recognized" digest: it lets the
 /// recognizing hop detect payload corruption in tests, nothing more — so
 /// it is built for throughput (one multiply per 8 bytes, four in flight),
-/// not security. This is the standalone form cell construction uses; the
-/// per-hop recognition paths compute the same value inside their strip
-/// pass.
+/// not security. This is the standalone form control cells are built
+/// with; the client's seal and the recognizing hops compute the same
+/// value inside their one pass.
 pub fn payload_digest(data: &[u8]) -> u32 {
     let mut lanes = DIGEST_LANES;
     let mut fold_words = |words: &mut std::slice::ChunksExact<'_, u8>| {
@@ -494,40 +653,46 @@ mod tests {
     }
 
     #[test]
-    fn lane_seeding_never_yields_a_dead_lane() {
-        assert_eq!(nonzero_lane(0), 0x9E37_79B9_7F4A_7C15, "injected zero");
-        assert_eq!(nonzero_lane(5), 5);
-        // Key 0 at nonce 0, and the key whose nonce-1 pre-seed state is 0.
-        for (key, nonce) in [(0, 0), (0xD6E8_FEB8_6659_FD93, 1)] {
-            let lanes = LayerCipher::new(LayerKey(key)).keystream(nonce).0;
-            assert!(lanes.iter().all(|&lane| lane != 0), "{lanes:x?}");
-        }
-        // SplitMix64's output map fixes 0, so the seed that makes lane
-        // `j`'s input 0 would kill that lane without the guard.
-        for j in 0..LANES {
-            let seed = 0x9E37_79B9_7F4A_7C15u64
-                .wrapping_mul(j as u64 + 1)
-                .wrapping_neg();
-            let lanes = Keystream::new(seed).0;
-            assert_eq!(lanes[j], nonzero_lane(0), "lane {j} of {lanes:x?}");
-            assert!(lanes.iter().all(|&lane| lane != 0));
+    fn gamma_inv_is_the_inverse_of_gamma() {
+        assert_eq!(GAMMA.wrapping_mul(GAMMA_INV), 1);
+    }
+
+    #[test]
+    fn stream_word_i_is_the_mix_of_counter_i_plus_one() {
+        // The block layout, stated once against the generator itself: 80
+        // zero bytes under the keystream are two and a half blocks, and
+        // the recognized byte comes from counter 0.
+        let seed = 99 ^ 3u64.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        let stream = LayerCipher::new(LayerKey(99)).keystream(3);
+        assert_eq!(stream.counter, seed, "an ordinary seed is not stepped");
+        assert_eq!(stream.recognized(), mix(seed) as u8);
+        let mut data = vec![0u8; 80];
+        LayerCipher::new(LayerKey(99)).apply(3, &mut data);
+        for (i, word) in data.chunks(8).enumerate() {
+            let counter = seed.wrapping_add(GAMMA.wrapping_mul(i as u64 + 1));
+            assert_eq!(load_word(word), mix(counter), "word {i}");
         }
     }
 
     #[test]
-    fn stream_word_i_comes_from_lane_i_mod_four() {
-        // The block layout, stated once against the generator itself: 80
-        // zero bytes under the keystream are two and a half blocks.
-        let mut stream = LayerCipher::new(LayerKey(99)).keystream(3);
-        let mut data = vec![0u8; 80];
-        LayerCipher::new(LayerKey(99)).apply(3, &mut data);
-        let blocks = [
-            stream.next_block(),
-            stream.next_block(),
-            stream.next_block(),
-        ];
-        for (i, word) in data.chunks(8).enumerate() {
-            assert_eq!(load_word(word), blocks[i / LANES][i % LANES], "word {i}");
+    fn a_seed_whose_counters_reach_zero_is_stepped_off_it() {
+        assert_eq!(mix(0), 0, "the word function fixes 0: the guard is needed");
+        // The seed whose counter `k` is 0, at the window's edges and
+        // inside a payload; and the first seed past the window.
+        let zero_at = |k: u64| GAMMA.wrapping_mul(k).wrapping_neg();
+        for k in [0, 1, 2, 63, ZERO_FREE - 1] {
+            let stream = Keystream::new(zero_at(k));
+            assert_eq!(stream.counter, zero_at(k + ZERO_FREE), "k = {k}");
+            assert_ne!(stream.counter, 0);
+        }
+        assert_eq!(
+            Keystream::new(zero_at(ZERO_FREE)).counter,
+            zero_at(ZERO_FREE)
+        );
+        let mut stream = Keystream::new(zero_at(5));
+        assert_ne!(mix(stream.counter), 0);
+        for _ in 0..32 {
+            assert!(stream.next_block().iter().all(|&word| word != 0));
         }
     }
 
@@ -604,6 +769,7 @@ mod tests {
         let (mut route, _) = route_of(2);
         let mut cell = RelayCell {
             cmd: crate::cell::RelayCommand::Data,
+            recognized: 0,
             stream: StreamId(1),
             digest: 0xBAD,
             data: b"garbage".to_vec(),
@@ -650,15 +816,37 @@ mod tests {
     }
 
     #[test]
-    fn empty_payload_is_recognized_by_the_first_hop_whatever_it_was_wrapped_for() {
+    fn empty_payload_is_recognized_by_the_first_hop_whose_byte_reads_zero() {
         // Why `wrap_for_hop` demands ≥ 8 payload bytes (and why there is no
         // empty-payload relay-cell constructor): every layer is a no-op on
-        // zero bytes, so the digest of "" verifies at hop 0 although the
-        // cell was addressed to hop 2 — the leaky pipe leaks early.
-        let (mut route, mut relays) = route_of(3);
-        let mut cell = RelayCell::data(StreamId(1), Vec::new());
-        route.wrap_for_hop(2, &mut cell);
-        assert!(relays[0].strip_forward(&mut cell), "documented hazard");
+        // zero bytes, so the digest of "" verifies wherever it is checked.
+        // The recognized byte only narrows the leak: an empty cell
+        // addressed to hop 2 is taken by the first hop whose byte reads
+        // 0 — hop 2, or an earlier hop when the remaining layers' bytes
+        // cancel (odds 2^-8 per hop).
+        let mut early = 0;
+        for round in 0..512u32 {
+            let mut route = OnionRoute::new();
+            let mut relays = Vec::new();
+            for i in 0..3u32 {
+                let key = LayerKey::from_handshake(&(round * 3 + i).to_le_bytes());
+                route.push_layer(key);
+                relays.push(RelayCrypt::new(key));
+            }
+            let mut cell = RelayCell::data(StreamId(1), Vec::new());
+            route.wrap_for_hop(2, &mut cell);
+            let hop = relays
+                .iter_mut()
+                .position(|relay| {
+                    let recognized = relay.strip_forward(&mut cell);
+                    assert_eq!(recognized, cell.recognized == 0, "round {round}");
+                    recognized
+                })
+                .expect("the target's byte reads 0");
+            early += usize::from(hop < 2);
+        }
+        // 512 × (1 − (255/256)²) ≈ 4 expected: the hazard is real, and rare.
+        assert!((1..=16).contains(&early), "{early} early recognitions");
         // Eight bytes are enough for the same addressing to hold.
         let (mut route, mut relays) = route_of(3);
         let mut cell = RelayCell::data(StreamId(1), vec![0; 8]);
@@ -681,6 +869,13 @@ mod tests {
                 "after wrapping for hop {hop}"
             );
         }
+        // A seal is a wrap whose first pass also reads the plaintext and
+        // folds the digest: the same count.
+        let cmd = crate::cell::RelayCommand::Data;
+        for (hop, total) in [(0, 8), (3, 9), (8, 12)] {
+            route.seal_for_hop(hop, cmd, StreamId(1), &[5; 64], Vec::new());
+            assert_eq!(route.payload_passes(), total, "after sealing for hop {hop}");
+        }
         // Strip and digest share a pass; so does each unwrap attempt.
         relays[0].strip_forward(&mut cell);
         assert_eq!(relays[0].payload_passes(), 1);
@@ -690,6 +885,6 @@ mod tests {
         }
         assert_eq!(relays[0].payload_passes(), 2);
         assert_eq!(route.unwrap_inbound(&mut reply), Some(5));
-        assert_eq!(route.payload_passes(), 7 + 6);
+        assert_eq!(route.payload_passes(), 12 + 6);
     }
 }

@@ -149,6 +149,17 @@ elif ! diff -u scripts/csbench_quick.digests "${scratch_dir}/csbench_quick.diges
     exit 1
 fi
 
+echo "==> csbench traced path3_bulk: the per-layer rows every perf claim is attributed with"
+cargo run -q --release -p cs-bench --bin csbench -- --workload path3_bulk --seed 1 --seconds 1 --trace 1 \
+    > "${scratch_dir}/csbench_trace.out"
+for row in stack.simcore_ns_per_cell stack.netsim_ns_per_cell stack.torcell_ns_per_cell \
+    stack.backtap_ns_per_cell stack.relaynet_ns_per_cell stack.unattributed_ns_per_cell torcell.strip_ns; do
+    grep -qE "^ *${row//./\\.} +[0-9.]+ " "${scratch_dir}/csbench_trace.out" || {
+        echo "    FAIL: the traced run printed no ${row} row" >&2
+        exit 1
+    }
+done
+
 echo "==> bench_pairs smoke: HEAD against itself, every workload and end-to-end metric, one 1 s pair each (the no-regression table in one command)"
 scripts/bench_pairs.sh HEAD HEAD all --metric all --pairs 1 --seconds 1 \
     | tee "${scratch_dir}/bench_pairs.out"

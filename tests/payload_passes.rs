@@ -42,29 +42,32 @@ fn walks_per_data_cell(relays: usize) -> u64 {
 }
 
 /// A 3-relay circuit has four onion layers (three relays and the server).
-/// Every stage touches a DATA payload **once**: fill (1), digest (1) and
-/// one fused wrap of all four layers (1) at the client; one strip-and-
-/// recognise pass at each of the four hops (4); one verify at the server
-/// (1) — **8** walks, 3,968 bytes touched per delivered cell.
+/// Every stage touches a DATA payload **once**: the client seals it from
+/// the fill pattern's window — fill, digest and all four layers in one
+/// walk (1); one strip pass at each of the four hops (4), which digests
+/// only where the `recognized` byte reads 0; one verify at the server
+/// (1) — **6** walks, 2,976 bytes touched per delivered cell.
 ///
-/// Before the loops were fused (PR 12 and earlier) the same cell cost
-/// **15**: 1 fill + 1 digest + 4 separate keystream passes at the client,
-/// a keystream pass *then* a digest pass at each of the 4 hops, and the
-/// server's verify — 7,440 bytes touched.
+/// Before the seal the client filled, digested and wrapped in three
+/// walks: **8**, 3,968 bytes. Before the loops were fused the same cell
+/// cost **15**: 1 fill + 1 digest + 4 separate keystream passes at the
+/// client, a keystream pass *then* a digest pass at each of the 4 hops,
+/// and the server's verify — 7,440 bytes touched.
 #[test]
-fn a_three_relay_transfer_walks_each_data_payload_exactly_eight_times() {
-    assert_eq!(walks_per_data_cell(3), 8);
+fn a_three_relay_transfer_walks_each_data_payload_exactly_six_times() {
+    assert_eq!(walks_per_data_cell(3), 6);
 }
 
-/// The same rule at other path lengths: fill + digest + verify, one wrap
-/// pass per group of ≤ 4 layers, one strip pass per layer.
+/// The same rule at other path lengths: one seal pass per group of ≤ 4
+/// layers (the first also fills and digests), one strip pass per layer,
+/// one verify.
 #[test]
 fn walks_per_cell_follow_the_one_pass_per_stage_rule() {
     for relays in [1, 4, 6] {
         let layers = relays as u64 + 1;
         assert_eq!(
             walks_per_data_cell(relays),
-            3 + layers.div_ceil(4) + layers,
+            1 + layers.div_ceil(4) + layers,
             "{relays} relays"
         );
     }

@@ -53,6 +53,7 @@ fn arb_cell(rng: &mut SimRng) -> Cell {
                 circ,
                 body: CellBody::Relay(RelayCell {
                     cmd: arb_relay_command(rng),
+                    recognized: 0,
                     stream: StreamId((rng.u32() & 0xFFFF) as u16),
                     digest: payload_digest(&data),
                     data,
@@ -200,10 +201,11 @@ fn digest_mismatch_detected_after_tamper() {
 
 // ---------------------------------------------------------------------
 // Differential tests for the fused one-pass block loops (DESIGN.md §2):
-// the reference is the definition, restated independently — one
-// keystream byte at a time, one digest word at a time, one layer at a
-// time, strip *then* digest — over every payload length 0..=560 (all 32
-// block residues, the empty payload, both sides of `RELAY_DATA_MAX`).
+// the reference is the definition, restated independently — keystream
+// word `i` from `(seed, i)` alone, one byte at a time, one digest word at
+// a time, one layer at a time, strip *then* check — over every payload
+// length 0..=560 (all 32 block residues, the empty payload, both sides of
+// `RELAY_DATA_MAX`).
 // ---------------------------------------------------------------------
 
 /// Longest payload the differential suites cover.
@@ -214,47 +216,81 @@ const MAX_LEN: usize = 560;
 fn cell_of(data: Vec<u8>) -> RelayCell {
     RelayCell {
         cmd: RelayCommand::Data,
+        recognized: 0,
         stream: StreamId(1),
         digest: payload_digest(&data),
         data,
     }
 }
 
-/// SplitMix64's increment, which is also the stand-in for a zero lane.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The step between a stream's counters.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The lane seeding, by definition: four successive SplitMix64 outputs
-/// from `key ^ nonce·C`, a zero output (a dead xorshift state) replaced.
-fn reference_lanes(key: u64, nonce: u64) -> [u64; 4] {
-    let mut state = key ^ nonce.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    let mut lanes = [0u64; 4];
-    for lane in &mut lanes {
-        state = state.wrapping_add(GOLDEN);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        *lane = if z == 0 { GOLDEN } else { z };
-    }
-    lanes
+/// Counters a stream keeps off 0.
+const ZERO_FREE: u64 = 1 << 32;
+
+/// The word function: xorshift, multiply, xorshift.
+fn mix(z: u64) -> u64 {
+    let z = (z ^ (z >> 32)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z ^ (z >> 29)
 }
 
-/// The keystream definition, byte by byte: stream word `i` is the next
-/// xorshift64* output of lane `i % 4`, little-endian; a byte tail takes
-/// the low bytes of the next word.
-fn bytewise_apply(key: u64, nonce: u64, data: &mut [u8]) {
-    let mut lanes = reference_lanes(key, nonce);
-    let mut word = 0u64;
-    for (i, byte) in data.iter_mut().enumerate() {
-        if i % 8 == 0 {
-            let state = &mut lanes[(i / 8) % 4];
-            *state ^= *state >> 12;
-            *state ^= *state << 25;
-            *state ^= *state >> 27;
-            word = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+/// The inverse of an odd `a` mod 2^64, bit by bit: adding `2^b` to `x`
+/// flips bit `b` of `a·x` and leaves the bits below it alone.
+fn inverse(a: u64) -> u64 {
+    let mut x = 1u64;
+    for bit in 1..64 {
+        if (a.wrapping_mul(x) >> bit) & 1 == 1 {
+            x |= 1 << bit;
         }
-        *byte ^= (word >> (8 * (i % 8))) as u8;
     }
+    x
+}
+
+/// The seed of the stream for (`key`, `nonce`), by definition: `key ^
+/// nonce·C`, moved back `ZERO_FREE` counters when one of its first
+/// `ZERO_FREE` counters (`seed + k·GAMMA`) is 0.
+fn reference_seed(key: u64, nonce: u64) -> u64 {
+    let seed = key ^ nonce.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    let zero_at = seed.wrapping_neg().wrapping_mul(inverse(GAMMA));
+    if zero_at < ZERO_FREE {
+        seed.wrapping_sub(ZERO_FREE.wrapping_mul(GAMMA))
+    } else {
+        seed
+    }
+}
+
+/// Keystream word `i` of (`key`, `nonce`), from the seed and `i` alone:
+/// the mix of counter `i + 1`. No word depends on another.
+fn reference_word(key: u64, nonce: u64, i: usize) -> u64 {
+    let counter = reference_seed(key, nonce).wrapping_add(GAMMA.wrapping_mul(i as u64 + 1));
+    mix(counter)
+}
+
+/// The byte a layer XORs into `recognized`: the low byte of counter 0's
+/// word.
+fn reference_recognized(key: u64, nonce: u64) -> u8 {
+    mix(reference_seed(key, nonce)) as u8
+}
+
+/// The keystream definition, byte by byte: byte `i` is byte `i % 8` of
+/// word `i / 8`, little-endian; a byte tail takes the low bytes of the
+/// next word.
+fn bytewise_apply(key: u64, nonce: u64, data: &mut [u8]) {
+    for (i, byte) in data.iter_mut().enumerate() {
+        *byte ^= (reference_word(key, nonce, i / 8) >> (8 * (i % 8))) as u8;
+    }
+}
+
+/// One layer on a cell: its payload and its `recognized` byte.
+fn reference_layer(key: u64, nonce: u64, cell: &mut RelayCell) {
+    bytewise_apply(key, nonce, &mut cell.data);
+    cell.recognized ^= reference_recognized(key, nonce);
+}
+
+/// The recognition rule: the byte reads 0 and the digest verifies.
+fn reference_recognizes(cell: &RelayCell) -> bool {
+    cell.recognized == 0 && wordwise_digest(&cell.data) == cell.digest
 }
 
 /// The digest definition, one word at a time: whole word `i` folds into
@@ -279,30 +315,27 @@ fn wordwise_digest(data: &[u8]) -> u32 {
     (mixed >> 32) as u32
 }
 
+/// The key whose counter `k` at nonce 0 is 0 without the guard.
+fn zero_counter_key(k: u64) -> u64 {
+    GAMMA.wrapping_mul(k).wrapping_neg()
+}
+
 /// Random, distinct layer keys; half the time the first one is a
-/// degenerate seed: key 0 at counter 0, the key whose second cell has
-/// pre-seed state 0, or a key whose first cell lands a lane on SplitMix64's
-/// one zero output.
+/// degenerate seed: key 0 (counter 0 of nonce 0 is 0), or a key one of
+/// whose first cell's counters inside a payload would be 0.
 fn arb_keys(rng: &mut SimRng, n: usize) -> Vec<u64> {
     let mut keys: Vec<u64> = (0..n).map(|_| rng.u64() | 2).collect();
-    match rng.range_usize(0, 6) {
+    match rng.range_usize(0, 4) {
         0 => keys[0] = 0,
-        1 => keys[0] = 0xD6E8_FEB8_6659_FD93, // pre-seed state 0 at nonce 1
-        2 => keys[0] = zero_lane_key(rng.range_usize(0, 4)),
+        1 => keys[0] = zero_counter_key(rng.range_u64(1, 72)),
         _ => {}
     }
     keys
 }
 
-/// The key whose nonce-0 seeding would leave `lane` at zero without the
-/// guard: SplitMix64's output map fixes 0, so the lane's input must be 0.
-fn zero_lane_key(lane: usize) -> u64 {
-    GOLDEN.wrapping_mul(lane as u64 + 1).wrapping_neg()
-}
-
 /// The layer-at-a-time client the fused loops replaced, on the reference
-/// definitions only: per-layer counters kept here, `bytewise_apply` per
-/// layer, then `wordwise_digest` over the buffer again.
+/// definitions only: per-layer counters kept here, `reference_layer` per
+/// layer, then the recognition rule over the buffer again.
 struct ReferenceRoute {
     keys: Vec<u64>,
     fwd: Vec<u64>,
@@ -320,16 +353,16 @@ impl ReferenceRoute {
 
     fn wrap_for_hop(&mut self, hop: usize, cell: &mut RelayCell) {
         for i in (0..=hop).rev() {
-            bytewise_apply(self.keys[i], self.fwd[i], &mut cell.data);
+            reference_layer(self.keys[i], self.fwd[i], cell);
             self.fwd[i] += 1;
         }
     }
 
     fn unwrap_inbound(&mut self, cell: &mut RelayCell) -> Option<usize> {
         for i in 0..self.keys.len() {
-            bytewise_apply(self.keys[i], self.bwd[i], &mut cell.data);
+            reference_layer(self.keys[i], self.bwd[i], cell);
             self.bwd[i] += 1;
-            if wordwise_digest(&cell.data) == cell.digest {
+            if reference_recognizes(cell) {
                 return Some(i);
             }
         }
@@ -393,7 +426,6 @@ fn fused_strip_equals_apply_then_digest_check() {
     let mut rng = SimRng::seed_from(0x5721);
     for len in 0..=MAX_LEN {
         let key = arb_keys(&mut rng, 1)[0];
-        let cipher = LayerCipher::new(LayerKey(key));
         let mut relay = RelayCrypt::new(LayerKey(key));
         let plain = cell_of(arb_bytes(&mut rng, len, len));
         // Four cells through one relay (counters 0..4): addressed to it,
@@ -403,26 +435,27 @@ fn fused_strip_equals_apply_then_digest_check() {
             .into_iter()
             .enumerate()
         {
+            let nonce = nonce as u64;
             let mut cell = plain.clone();
             match case {
-                "inner layer" => LayerCipher::new(LayerKey(rng.u64())).apply(7, &mut cell.data),
-                "wrong key" => LayerCipher::new(LayerKey(!key)).apply(nonce as u64, &mut cell.data),
+                "inner layer" => reference_layer(rng.u64(), 7, &mut cell),
+                "wrong key" => reference_layer(!key, nonce, &mut cell),
                 _ => {}
             }
             if case != "wrong key" {
-                cipher.apply(nonce as u64, &mut cell.data);
+                reference_layer(key, nonce, &mut cell);
             }
             if case == "bit flip" && len > 0 {
                 let at = rng.range_usize(0, len);
                 cell.data[at] ^= 1 << rng.range_usize(0, 8);
             }
             let mut expect = cell.clone();
-            bytewise_apply(key, nonce as u64, &mut expect.data);
+            reference_layer(key, nonce, &mut expect);
             let verdict = relay.strip_forward(&mut cell);
-            assert_eq!(cell, expect, "len {len} {case}: buffer");
+            assert_eq!(cell, expect, "len {len} {case}: cell");
             assert_eq!(
                 verdict,
-                wordwise_digest(&expect.data) == expect.digest,
+                reference_recognizes(&expect),
                 "len {len} {case}: verdict"
             );
             // Not vacuous: from 8 bytes up the verdicts are the intended ones.
@@ -526,27 +559,131 @@ fn digest_depends_on_word_order_within_and_across_lanes_and_on_length() {
 }
 
 #[test]
-fn degenerate_seeds_still_give_four_live_lanes() {
-    // Key 0 at nonce 0, the key that zeroed the pre-seed state of the old
-    // single-chain generator at nonce 1, and the four keys that each land
-    // one lane on SplitMix64's zero output.
-    let mut seeds = vec![(0, 0), (0xD6E8_FEB8_6659_FD93, 1)];
-    seeds.extend((0..4).map(|lane| (zero_lane_key(lane), 0)));
-    for (key, nonce) in seeds {
-        let lanes = reference_lanes(key, nonce);
-        assert!(lanes.iter().all(|&l| l != 0), "key {key:#x}: {lanes:x?}");
-        // A dead lane would leave every fourth word of the payload in
-        // the clear; the production seeding agrees with the reference.
-        let mut data = vec![0u8; 64];
-        LayerCipher::new(LayerKey(key)).apply(nonce, &mut data);
-        for (i, word) in data.chunks(8).enumerate() {
-            assert_ne!(word, [0u8; 8], "key {key:#x} word {i} unencrypted");
+fn keystream_word_i_depends_on_the_seed_and_i_alone_at_every_length() {
+    // Counter mode has no chain: word `i` is a function of (seed, i), so
+    // the words of a payload can be checked in any order, and a longer
+    // payload's stream extends a shorter one's.
+    let mut rng = SimRng::seed_from(0xC7A5);
+    let mut previous: Vec<u8> = Vec::new();
+    let (key, nonce) = (rng.u64(), rng.range_u64(0, 3));
+    for len in 0..=MAX_LEN {
+        let mut stream = vec![0u8; len];
+        LayerCipher::new(LayerKey(key)).apply(nonce, &mut stream);
+        for i in (0..len.div_ceil(8)).rev() {
+            let end = (8 * i + 8).min(len);
+            let word = &stream[8 * i..end];
+            let expect = reference_word(key, nonce, i).to_le_bytes();
+            assert_eq!(word, &expect[..end - 8 * i], "len {len} word {i}");
         }
-        let mut reference = vec![0u8; 64];
-        bytewise_apply(key, nonce, &mut reference);
-        assert_eq!(data, reference, "key {key:#x}");
+        assert_eq!(
+            stream[..previous.len()],
+            previous[..],
+            "len {len}: not a prefix"
+        );
+        previous = stream;
     }
-    // The guard is exercised, not just present: lane 2 of this key is
-    // the replaced value.
-    assert_eq!(reference_lanes(zero_lane_key(2), 0)[2], GOLDEN);
+}
+
+#[test]
+fn seeds_whose_counters_would_cross_zero_still_encrypt_every_word() {
+    // `mix` fixes 0, so a counter of 0 would leave a word in the clear.
+    // The keys whose counter `k` is 0 at nonce 0, for `k` = 0 (the byte's
+    // counter) and every word of a `MAX_LEN` payload, and the same seeds
+    // reached at nonce 1.
+    assert_eq!(mix(0), 0);
+    let words = MAX_LEN.div_ceil(8) as u64;
+    for k in 0..=words {
+        for nonce in [0u64, 1] {
+            let key = zero_counter_key(k) ^ nonce.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+            let mut data = vec![0u8; MAX_LEN];
+            LayerCipher::new(LayerKey(key)).apply(nonce, &mut data);
+            for (i, word) in data.chunks(8).enumerate() {
+                assert_ne!(word, [0u8; 8], "k {k} nonce {nonce}: word {i} in the clear");
+            }
+            let mut reference = vec![0u8; MAX_LEN];
+            bytewise_apply(key, nonce, &mut reference);
+            assert_eq!(data, reference, "k {k} nonce {nonce}");
+            assert_ne!(mix(reference_seed(key, nonce)), 0, "k {k}: the byte's word");
+        }
+    }
+}
+
+#[test]
+fn fused_seal_equals_fill_digest_then_layer_by_layer_for_every_length_and_route() {
+    let mut rng = SimRng::seed_from(0x5EA1);
+    for len in 0..=RELAY_DATA_MAX {
+        for hops in [1, 2, 3, 4, 5, 9] {
+            let keys = arb_keys(&mut rng, hops);
+            let mut fused = route_of(&keys);
+            let mut reference = ReferenceRoute::new(&keys);
+            // A sealed cell, a wrapped one, and a sealed one again: the
+            // seal advances the per-layer counters exactly as a wrap does.
+            for round in 0..3 {
+                let hop = rng.range_usize(0, hops);
+                let plain = arb_bytes(&mut rng, len, len);
+                let mut b = cell_of(plain.clone());
+                reference.wrap_for_hop(hop, &mut b);
+                let a = if round == 1 {
+                    let mut a = cell_of(plain);
+                    fused.wrap_for_hop(hop, &mut a);
+                    a
+                } else {
+                    let pooled = Vec::with_capacity(RELAY_DATA_MAX);
+                    fused.seal_for_hop(hop, RelayCommand::Data, StreamId(1), &plain, pooled)
+                };
+                assert_eq!(a, b, "len {len} hops {hops} round {round} hop {hop}");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_recognized_byte_reads_zero_at_the_target_and_at_a_passing_hop_only_on_a_collision() {
+    let mut rng = SimRng::seed_from(0x2EC0);
+    let (mut passing, mut collisions) = (0u32, 0u32);
+    for _ in 0..4096 {
+        let hops = rng.range_usize(1, 7);
+        let target = rng.range_usize(0, hops);
+        let keys = arb_keys(&mut rng, hops);
+        let payload = arb_bytes(&mut rng, 8, RELAY_DATA_MAX);
+        let mut route = route_of(&keys);
+        let mut relays: Vec<RelayCrypt> =
+            keys.iter().map(|&k| RelayCrypt::new(LayerKey(k))).collect();
+        let mut cell = if rng.range_usize(0, 2) == 0 {
+            route.seal_for_hop(
+                target,
+                RelayCommand::Data,
+                StreamId(1),
+                &payload,
+                Vec::new(),
+            )
+        } else {
+            let mut cell = RelayCell::data(StreamId(1), payload.clone());
+            route.wrap_for_hop(target, &mut cell);
+            cell
+        };
+        for (hop, relay) in relays.iter_mut().enumerate().take(target + 1) {
+            let recognized = relay.strip_forward(&mut cell);
+            // The byte only decides whether to digest: the decision is
+            // the one the digest alone would make.
+            assert_eq!(recognized, cell.digest_ok(), "hop {hop} of {target}");
+            assert_eq!(recognized, hop == target, "hop {hop} of {target}");
+            if hop == target {
+                assert_eq!(cell.recognized, 0);
+            } else {
+                passing += 1;
+                collisions += u32::from(cell.recognized == 0);
+            }
+        }
+        assert_eq!(cell.data, payload);
+    }
+    // A passing hop reads 0 when the remaining layers' bytes cancel: odds
+    // 2^-8, so ~20 of these ~5,000 passing strips (a 3σ band is ±13).
+    let expected = f64::from(passing) / 256.0;
+    let spread = 3.0 * expected.sqrt();
+    assert!(passing > 4_000, "{passing} passing strips");
+    assert!(
+        (f64::from(collisions) - expected).abs() <= spread,
+        "{collisions} collisions in {passing} passing strips, expected {expected:.1} ± {spread:.1}"
+    );
 }
