@@ -15,7 +15,9 @@
 //! documented item). Stacked annotations all bind to that same line. A
 //! `cs-lint:` comment that does not parse — unknown rule, missing or
 //! empty reason, trailing position — is itself reported as
-//! `malformed-annotation`, which cannot be suppressed.
+//! `malformed-annotation`, which cannot be suppressed. So is every
+//! `allow` in [`policy::NO_SUPPRESSION_CRATE`], and one that names
+//! `stage-boundary`.
 //!
 //! # Unused suppressions
 //!
@@ -108,6 +110,18 @@ fn analyze_file(rel_path: &str, src: &str) -> FileAnalysis {
         };
         let alone = !code_lines.contains(&c.line);
         match (parse_allow(rest), alone) {
+            (Some(_), _) if ctx.krate == policy::NO_SUPPRESSION_CRATE => malformed.push(Finding {
+                path: rel_path.to_string(),
+                line: c.line,
+                col: c.col,
+                rule: MALFORMED.to_string(),
+                message: format!(
+                    "no cs-lint suppression in {}: the simulation kernel needs no \
+                     escape hatch, so fix the finding instead",
+                    policy::NO_SUPPRESSION_CRATE
+                ),
+                snippet: line_snippet(src, c.line),
+            }),
             (Some(rule), true) => allows.push(Allow {
                 rule,
                 line: c.line,
@@ -135,6 +149,7 @@ fn analyze_file(rel_path: &str, src: &str) -> FileAnalysis {
                      \"...\")` with a known rule and non-empty reason; rules: {}",
                     rules::ALL_RULES
                         .iter()
+                        .filter(|r| r.suppressible())
                         .map(|r| r.name())
                         .collect::<Vec<_>>()
                         .join(", ")
@@ -169,6 +184,7 @@ pub fn scan_files(inputs: &[(String, String)]) -> Vec<Finding> {
         raw.extend(
             rules::detect(&f.src, &f.code, &f.items)
                 .into_iter()
+                .chain(rules::stage_boundary(&f.ctx.rel_path, &f.src, &f.code))
                 .map(|r| (fi, r)),
         );
     }
@@ -292,9 +308,11 @@ fn parse_allow(body: &str) -> Option<Rule> {
 
 /// Line ranges (inclusive) of `#[cfg(test)]` / `#[test]` items. Token
 /// scan: a `#[...]` attribute whose idents include `test` (and not
-/// `not`, so `#[cfg(not(test))]` stays production code) marks the next
-/// brace-delimited item; a `;` before any `{` means the attribute
-/// decorated a braceless item and no region is produced.
+/// `not`, so `#[cfg(not(test))]` stays production code) marks its
+/// following item from the attribute's line: through the item's matching
+/// `}`, or through its `;` when a `;` outside brackets comes first (a
+/// braceless item such as a test-only `use` or `const`). The code after
+/// the item stays production code.
 fn test_regions(src: &str, code: &[Token]) -> Vec<(u32, u32)> {
     let text = |i: usize| code[i].text(src);
     let mut regions = Vec::new();
@@ -328,14 +346,23 @@ fn test_regions(src: &str, code: &[Token]) -> Vec<(u32, u32)> {
             i = j;
             continue;
         }
-        // Attribute marks a test item: find its body's `{`, bailing at a
-        // same-level `;` (braceless item).
+        // Attribute marks a test item: find its body's `{` or, for a
+        // braceless item, its `;` (one inside `[u8; 4]` does not count).
+        let attr_line = code[i].line;
         let mut k = j + 1;
-        while k < code.len() && text(k) != "{" && text(k) != ";" {
+        let mut nest = 0usize;
+        while k < code.len() {
+            match text(k) {
+                "(" | "[" => nest += 1,
+                ")" | "]" => nest = nest.saturating_sub(1),
+                "{" | ";" if nest == 0 => break,
+                _ => {}
+            }
             k += 1;
         }
-        if k < code.len() && text(k) == "{" {
-            let open_line = code[k].line;
+        if k < code.len() && text(k) == ";" {
+            regions.push((attr_line, code[k].line));
+        } else if k < code.len() {
             let mut brace = 0usize;
             while k < code.len() {
                 match text(k) {
@@ -355,7 +382,7 @@ fn test_regions(src: &str, code: &[Token]) -> Vec<(u32, u32)> {
             } else {
                 u32::MAX
             };
-            regions.push((open_line, close_line));
+            regions.push((attr_line, close_line));
         }
         i = k;
     }
@@ -519,9 +546,11 @@ let t = std::time::Instant::now();
             "// cs-lint: allow(wall-clock)",
             "// cs-lint: allow(wall-clock, reason = \"\")",
             "// cs-lint: disallow(wall-clock, reason = \"x\")",
-            // The engine-level rules have no annotation form at all.
+            // The engine-level rules and stage-boundary have no
+            // annotation form at all.
             "// cs-lint: allow(unused-allow, reason = \"x\")",
             "// cs-lint: allow(malformed-annotation, reason = \"x\")",
+            "// cs-lint: allow(stage-boundary, reason = \"x\")",
         ] {
             let f = scan_source("crates/relaynet/src/x.rs", bad);
             assert_eq!(rules_of(&f), vec![(MALFORMED.to_string(), 1)], "for {bad}");
@@ -567,10 +596,12 @@ mod prod {
     }
 
     #[test]
-    fn braceless_cfg_test_item_marks_no_region() {
+    fn braceless_cfg_test_item_marks_only_itself() {
+        // The test-only import on line 2 is test code; the production fn
+        // after it is not.
         let src = "\
 #[cfg(test)]
-use helper::thing;
+use std::thread::spawn;
 fn f() { std::thread::spawn(|| {}); }
 ";
         let f = scan_source("crates/simcore/src/sim.rs", src);

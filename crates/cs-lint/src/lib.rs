@@ -20,16 +20,22 @@
 //! | `no-println-in-lib` | library telemetry goes through `simstats` |
 //! | `no-bare-unwrap-in-lib` | library panics name their invariant |
 //! | `exhaustive-destructure` | merge/export/fingerprint fns bind every struct field |
+//! | `stage-boundary` | each relay pipeline stage names only what it owns |
 //!
-//! The first seven are token-local. The last is *semantic*: it runs on
-//! an item-level parse ([`items`]) of the same token stream and looks
-//! the merged struct up across the workspace ([`destructure`]). The
-//! wall-clock and thread rules fire at the helper that holds the sink,
-//! which is where a fix belongs (DESIGN.md §14). The engine also
+//! The first seven are token-local. `exhaustive-destructure` is
+//! *semantic*: it runs on an item-level parse ([`items`]) of the same
+//! token stream and looks the merged struct up across the workspace
+//! ([`destructure`]). `stage-boundary` is token-local too, over the
+//! files each row of [`policy::STAGE_BOUNDARIES`] names, and no
+//! annotation can name it. The wall-clock and thread rules fire at the
+//! helper that holds the sink, which is where a fix belongs (DESIGN.md
+//! §14). The engine also
 //! reports two rules of its own that no annotation can silence:
 //! `malformed-annotation` (an unparseable `cs-lint:` comment) and
 //! `unused-allow` (a suppression whose rule no longer fires on its
-//! bound line — annotation debt is pruned, never accumulated).
+//! bound line — annotation debt is pruned, never accumulated). Under
+//! `crates/simcore/` every `allow` is malformed: the kernel needs no
+//! escape hatch.
 //!
 //! Violations are suppressed one line at a time with an annotation on
 //! the preceding line:

@@ -97,6 +97,113 @@ const RNG_BUILDER_FILES: &[&str] = &[
 /// The one module allowed to spawn threads: the executor seam.
 const THREAD_HOME: &str = "crates/simcore/src/exec.rs";
 
+/// The crate in which no `allow` annotation parses: a suppression there
+/// is a `malformed-annotation`. The simulation kernel needs no escape
+/// hatch.
+pub const NO_SUPPRESSION_CRATE: &str = "simcore";
+
+/// One ownership boundary of the relay pipeline: code in `files` must
+/// not name what another stage owns.
+pub struct Boundary {
+    /// Workspace-relative paths; one ending in `/` is a directory prefix.
+    pub files: &'static [&'static str],
+    /// Token sequences the files' non-test code must not contain.
+    pub forbidden: &'static [&'static [&'static str]],
+    /// Why: printed as the finding's detail.
+    pub invariant: &'static str,
+}
+
+impl Boundary {
+    /// Whether this row constrains the file at `rel_path`.
+    pub fn covers(&self, rel_path: &str) -> bool {
+        self.files.iter().any(|f| {
+            if f.ends_with('/') {
+                rel_path.starts_with(f)
+            } else {
+                rel_path == *f
+            }
+        })
+    }
+}
+
+const RELAYNET: &str = "crates/relaynet/src/";
+const PLACEMENT_OWNED: &str = "placement (directory, load ledger, liveness, blame, epochs) is \
+                               owned by network/placement.rs: call one of its methods";
+
+/// The relay pipeline's ownership boundaries, one row per invariant
+/// (`stage-boundary`, DESIGN.md §14). No row can be suppressed.
+pub const STAGE_BOUNDARIES: &[Boundary] = &[
+    Boundary {
+        files: &[RELAYNET],
+        forbidden: &[&["too_many_arguments"]],
+        invariant: "network::Egress owns the link side: a stage that needs that many \
+                    arguments is plumbing state past its owner",
+    },
+    Boundary {
+        files: &[
+            "crates/relaynet/src/network/circuit_build.rs",
+            "crates/relaynet/src/network/recognition.rs",
+            "crates/relaynet/src/network/feedback.rs",
+            "crates/relaynet/src/network/conn.rs",
+            "crates/relaynet/src/network/client_xfer.rs",
+        ],
+        forbidden: &[
+            &[".", "faults"],
+            &["FaultState"],
+            &["stale_or_protocol_error"],
+        ],
+        invariant: "fault handling is owned by network/faults.rs: the protocol stages \
+                    report through it and hold no fault state",
+    },
+    Boundary {
+        files: &[
+            "crates/relaynet/src/network/circuit_build.rs",
+            "crates/relaynet/src/network/faults.rs",
+            "crates/relaynet/src/network/conn.rs",
+            "crates/relaynet/src/network/recognition.rs",
+            "crates/relaynet/src/network/feedback.rs",
+            "crates/relaynet/src/network/client_xfer.rs",
+        ],
+        forbidden: &[
+            &[".", "placement"],
+            &["PlacementState"],
+            &["SelectionEngine"],
+            &["DirectoryView"],
+        ],
+        invariant: PLACEMENT_OWNED,
+    },
+    Boundary {
+        files: &["crates/relaynet/src/network/mod.rs"],
+        forbidden: &[&["SelectionEngine"], &["DirectoryView"]],
+        invariant: PLACEMENT_OWNED,
+    },
+    Boundary {
+        files: &[
+            "crates/relaynet/src/builder.rs",
+            "crates/relaynet/src/network/",
+        ],
+        forbidden: &[
+            &["SamplerKind", "::", "Linear"],
+            &["LinearSampler"],
+            &["sampler", ":"],
+        ],
+        invariant: "every world places through the Fenwick SelectionEngine: no sampler \
+                    choice in the builder or the network",
+    },
+    Boundary {
+        files: &[RELAYNET],
+        forbidden: &[
+            &["Router"],
+            &["net_node_of"],
+            &["overlay_of_net"],
+            &["NodeId", "("],
+        ],
+        invariant: "the topology is the address book: route and address through the \
+                    world's netsim::topology::Topology (Egress::next_link, Topology::node \
+                    / index_of)",
+    },
+];
+
 /// Decides whether `rule` applies at a site.
 ///
 /// `test_code` is true for integration-test files and for `#[cfg(test)]`
@@ -138,6 +245,9 @@ pub fn rule_applies(rule: crate::rules::Rule, ctx: &FileCtx, test_code: bool) ->
         // iteration is: crates whose state feeds `WorldFingerprint` or
         // mergeable telemetry. Tooling crates keep ad-hoc merges.
         ExhaustiveDestructure => !HASH_EXEMPT_CRATES.contains(&ctx.krate.as_str()),
+        // The table scopes the files; test code may reach across a
+        // boundary to set up or inspect state.
+        StageBoundary => !test_code,
     }
 }
 

@@ -9,13 +9,18 @@
 
 use crate::items::ItemIndex;
 use crate::lexer::{Token, TokenKind};
+use crate::policy::STAGE_BOUNDARIES;
 
 /// Identity of a lint rule. `malformed-annotation` and `unused-allow`
 /// are reported by the engine itself and are not in this enum: they
-/// cannot be suppressed.
+/// cannot be suppressed. Neither can `stage-boundary`: its name does not
+/// parse in an `allow`, because an ownership boundary with a way round
+/// it is not a boundary.
 ///
 /// The first seven are token-level; `exhaustive-destructure` is semantic,
-/// over the item index (`crate::items` + `crate::destructure`).
+/// over the item index (`crate::items` + `crate::destructure`);
+/// `stage-boundary` matches the token sequences of
+/// [`crate::policy::STAGE_BOUNDARIES`] in the files each row names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     NondetIteration,
@@ -26,6 +31,7 @@ pub enum Rule {
     NoPrintlnInLib,
     NoBareUnwrapInLib,
     ExhaustiveDestructure,
+    StageBoundary,
 }
 
 /// All rules, in reporting order.
@@ -38,6 +44,7 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::NoPrintlnInLib,
     Rule::NoBareUnwrapInLib,
     Rule::ExhaustiveDestructure,
+    Rule::StageBoundary,
 ];
 
 impl Rule {
@@ -52,12 +59,21 @@ impl Rule {
             Rule::NoPrintlnInLib => "no-println-in-lib",
             Rule::NoBareUnwrapInLib => "no-bare-unwrap-in-lib",
             Rule::ExhaustiveDestructure => "exhaustive-destructure",
+            Rule::StageBoundary => "stage-boundary",
         }
     }
 
-    /// Parses an annotation rule name.
+    /// Whether an `allow` annotation may name this rule.
+    pub fn suppressible(self) -> bool {
+        self != Rule::StageBoundary
+    }
+
+    /// Parses an annotation rule name: a suppressible rule's, or `None`.
     pub fn from_name(name: &str) -> Option<Rule> {
-        ALL_RULES.iter().copied().find(|r| r.name() == name)
+        ALL_RULES
+            .iter()
+            .copied()
+            .find(|r| r.suppressible() && r.name() == name)
     }
 
     /// One-line rationale attached to every finding.
@@ -97,6 +113,11 @@ impl Rule {
                 "merge/export/fingerprint fn must bind every field of its struct via an \
                  exhaustive destructure or literal with no `..` rest pattern, so adding \
                  a field is a compile error instead of a silent aggregation gap"
+            }
+            Rule::StageBoundary => {
+                "a relay pipeline stage names what another stage owns: each boundary \
+                 is a row of cs_lint::policy::STAGE_BOUNDARIES, and none has an \
+                 escape hatch"
             }
         }
     }
@@ -236,6 +257,34 @@ pub fn detect(src: &str, code: &[Token], items: &ItemIndex) -> Vec<RawFinding> {
                 hit(&mut out, Rule::FloatAccumulationInMerge, t)
             }
             _ => {}
+        }
+    }
+    out
+}
+
+/// `stage-boundary`: every occurrence, in the comment-free token stream
+/// of the file at `rel_path`, of a token sequence that a row of
+/// [`STAGE_BOUNDARIES`] forbids there. Comments never reach the stream,
+/// and a string literal is one token whose text keeps its quotes, so
+/// neither can match; rustfmt's line splits do not change the tokens.
+/// The finding sits on the sequence's first token and names the row's
+/// invariant; the engine drops the ones inside test regions.
+pub fn stage_boundary(rel_path: &str, src: &str, code: &[Token]) -> Vec<RawFinding> {
+    let mut out = Vec::new();
+    for row in STAGE_BOUNDARIES.iter().filter(|row| row.covers(rel_path)) {
+        for seq in row.forbidden {
+            for (i, t) in code.iter().enumerate() {
+                let matched = code[i..].len() >= seq.len()
+                    && seq.iter().zip(&code[i..]).all(|(s, c)| c.text(src) == *s);
+                if matched {
+                    out.push(RawFinding {
+                        rule: Rule::StageBoundary,
+                        line: t.line,
+                        col: t.col,
+                        detail: Some(format!("`{}`: {}", seq.concat(), row.invariant)),
+                    });
+                }
+            }
         }
     }
     out

@@ -321,7 +321,8 @@ impl TorNetwork {
             return;
         }
         s.begin_sent = true;
-        let qc = Self::begin_cell(&mut self.payload_passes, s.id, app.server_hop());
+        let sid = s.id;
+        let qc = Self::begin_cell(&mut self.payload_passes, &app.route, sid, app.server_hop());
         nc.fwd.as_mut().expect("client forward hop").enqueue(qc);
         self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
     }
@@ -417,16 +418,15 @@ impl TorNetwork {
                 return;
             };
             debug_assert_eq!(echo, handshake, "CREATED must echo the extend handshake");
+            let crypt = nc.crypt.as_mut().expect("relay has crypt state");
             let mut rc = Self::control_cell(
                 &mut self.payload_passes,
+                crypt.digest_key(),
                 RelayCommand::Extended,
                 StreamId::CIRCUIT,
                 echo.to_vec(),
             );
-            nc.crypt
-                .as_mut()
-                .expect("relay has crypt state")
-                .add_backward(&mut rc);
+            crypt.add_backward(&mut rc);
             let Some(bwd) = nc.bwd.as_mut() else {
                 self.egress.protocol_error("relay without backward hop");
                 return;
@@ -470,6 +470,7 @@ impl TorNetwork {
             data.extend_from_slice(&next_handshake);
             let rc = Self::control_cell(
                 &mut self.payload_passes,
+                app.route.digest_key(built - 1),
                 RelayCommand::Extend,
                 StreamId::CIRCUIT,
                 data,
@@ -490,7 +491,12 @@ impl TorNetwork {
             for s in app.streams.iter_mut().filter(|s| s.arrived) {
                 debug_assert!(!s.begin_sent, "BEGIN before the circuit was built");
                 s.begin_sent = true;
-                qcs.push(Self::begin_cell(&mut self.payload_passes, s.id, server_hop));
+                qcs.push(Self::begin_cell(
+                    &mut self.payload_passes,
+                    &app.route,
+                    s.id,
+                    server_hop,
+                ));
             }
         }
         let fwd = nc.fwd.as_mut().expect("client forward hop");

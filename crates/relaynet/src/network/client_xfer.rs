@@ -17,7 +17,7 @@ use simcore::sim::Context;
 use simcore::time::SimTime;
 
 use torcell::cell::{Cell, CellBody, RelayCell, RelayCommand};
-use torcell::crypto::payload_digest;
+use torcell::crypto::{DigestKey, OnionRoute};
 use torcell::ids::{CircuitId, StreamId};
 
 use crate::event::TorEvent;
@@ -28,30 +28,41 @@ use crate::pool::PayloadPool;
 use super::{fill_pattern_window, verify_fill_pattern, TorNetwork, END_REASON_DONE};
 
 impl TorNetwork {
-    /// A non-DATA relay cell carrying `data`, counting the digest's walk
-    /// of it into `passes`. `data` must be ≥ 8 bytes so leaky-pipe
-    /// recognition stays sound (see `OnionRoute::wrap_for_hop`).
+    /// A non-DATA relay cell carrying `data`, addressed by its digest
+    /// under `key` (the layer of the hop it is for), counting the
+    /// digest's walk of it into `passes`.
     pub(super) fn control_cell(
         passes: &mut u64,
+        key: DigestKey,
         cmd: RelayCommand,
         stream: StreamId,
         data: Vec<u8>,
     ) -> RelayCell {
-        debug_assert!(data.len() >= 8, "control payload too short to address");
         *passes += 1;
         RelayCell {
             cmd,
             recognized: 0,
             stream,
-            digest: payload_digest(&data),
+            digest: key.digest(&data),
             data,
         }
     }
 
     /// The BEGIN cell opening stream `sid` (recognized by the server's
-    /// onion layer at `server_hop`).
-    pub(super) fn begin_cell(passes: &mut u64, sid: StreamId, server_hop: usize) -> QueuedCell {
-        let rc = Self::control_cell(passes, RelayCommand::Begin, sid, b"server:443".to_vec());
+    /// onion layer at `server_hop` of `route`).
+    pub(super) fn begin_cell(
+        passes: &mut u64,
+        route: &OnionRoute,
+        sid: StreamId,
+        server_hop: usize,
+    ) -> QueuedCell {
+        let rc = Self::control_cell(
+            passes,
+            route.digest_key(server_hop),
+            RelayCommand::Begin,
+            sid,
+            b"server:443".to_vec(),
+        );
         QueuedCell {
             cell: Cell {
                 circ: CircuitId::CONTROL,
@@ -123,6 +134,7 @@ impl TorNetwork {
                 app.rr_cursor = (i + 1) % n;
                 let rc = Self::control_cell(
                     &mut app.payload_passes,
+                    app.route.digest_key(server_hop),
                     RelayCommand::End,
                     sid,
                     vec![END_REASON_DONE; 8],
@@ -163,16 +175,15 @@ impl TorNetwork {
                     return Err("duplicate BEGIN for a stream");
                 }
                 stream.open = true;
+                let crypt = nc.crypt.as_mut().expect("server has crypt state");
                 let mut reply = Self::control_cell(
                     &mut self.payload_passes,
+                    crypt.digest_key(),
                     RelayCommand::Connected,
                     rc.stream,
                     vec![0xC0u8; 8],
                 );
-                nc.crypt
-                    .as_mut()
-                    .expect("server has crypt state")
-                    .add_backward(&mut reply);
+                crypt.add_backward(&mut reply);
                 nc.bwd
                     .as_mut()
                     .expect("server backward hop")

@@ -125,15 +125,19 @@ pub struct RelayCell {
     pub recognized: u8,
     /// Target stream ([`StreamId::CIRCUIT`] for circuit-level cells).
     pub stream: StreamId,
-    /// Integrity digest over the payload (see
-    /// [`crate::crypto::payload_digest`]); checked by the recognizing hop.
+    /// Integrity digest over the payload under the [`DigestKey`] of the
+    /// hop the cell is addressed to; checked by the recognizing hop.
+    ///
+    /// [`DigestKey`]: crate::crypto::DigestKey
     pub digest: u32,
     /// Application bytes, at most [`RELAY_DATA_MAX`].
     pub data: Vec<u8>,
 }
 
 impl RelayCell {
-    /// Builds a DATA relay cell, computing the digest.
+    /// Builds a DATA relay cell carrying the unkeyed
+    /// [`payload_digest`](crate::crypto::payload_digest): no hop
+    /// recognizes it until its digest is set under the target's key.
     ///
     /// # Panics
     ///
@@ -155,7 +159,7 @@ impl RelayCell {
         }
     }
 
-    /// Verifies the digest against the payload.
+    /// Verifies the unkeyed digest against the payload.
     pub fn digest_ok(&self) -> bool {
         crate::crypto::payload_digest(&self.data) == self.digest
     }

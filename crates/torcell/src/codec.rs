@@ -315,8 +315,6 @@ mod tests {
             RelayCommand::Connected,
             RelayCommand::Sendme,
         ] {
-            // 8 payload bytes: the shortest a relay cell may carry and
-            // still be addressed to one hop (see `wrap_for_hop`).
             let data = vec![0xC0; 8];
             round_trip(Cell {
                 circ: CircuitId(3),

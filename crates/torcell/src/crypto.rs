@@ -34,19 +34,24 @@ impl LayerKey {
     }
 }
 
-/// One onion layer: a keyed, position-synchronized XOR keystream.
+/// One onion layer: a keyed, position-synchronized XOR keystream, and
+/// the layer's [`DigestKey`].
 ///
 /// Applying the layer twice with the same starting offset is the identity,
 /// which is exactly how the tests verify wrap/unwrap symmetry.
 #[derive(Clone, Debug)]
 pub struct LayerCipher {
     key: LayerKey,
+    digest: DigestKey,
 }
 
 impl LayerCipher {
-    /// Creates a cipher from a key.
+    /// Creates a cipher from a key, deriving its digest key once.
     pub fn new(key: LayerKey) -> LayerCipher {
-        LayerCipher { key }
+        LayerCipher {
+            key,
+            digest: DigestKey::of(key),
+        }
     }
 
     /// XORs the keystream for (`key`, `nonce`) over `data` in place.
@@ -57,7 +62,7 @@ impl LayerCipher {
     /// is [`mix`] of counter `i + 1` (see [`Keystream`]). A payload that
     /// ends inside a word uses the leading bytes of that word.
     pub fn apply(&self, nonce: u64, data: &mut [u8]) {
-        xor_keystreams([self.keystream(nonce)], data, |h, _| h);
+        xor_keystreams([self.keystream(nonce)], data, [0; LANES], |h, _| h);
     }
 
     /// The keystream for (`key`, `nonce`), positioned at its first block.
@@ -203,10 +208,11 @@ fn xor_words<'a>(
 
 /// The one loop that walks a payload in place: XORs `N` keystreams over
 /// `data` in a **single** pass, a 32-byte block per step, and folds word
-/// `i` of the result into accumulator lane `i mod 4` with `fold`; returns
-/// the lanes and the result's zero-padded tail word (0 when `data` is a
-/// whole number of words) — the things [`payload_digest`] is made of. A
-/// remainder shorter than a block is handled once, from one more block.
+/// `i` of the result into accumulator lane `i mod 4` (starting from
+/// `lanes`) with `fold`; returns the lanes and the result's zero-padded
+/// tail word (0 when `data` is a whole number of words) — the things
+/// [`DigestKey::digest`] is made of. A remainder shorter than a block is
+/// handled once, from one more block.
 ///
 /// XOR commutes, so the bytes equal applying the `N` layers one after
 /// another in any order; but the `4 N` keystream words of a step and the
@@ -217,9 +223,9 @@ fn xor_words<'a>(
 fn xor_keystreams<const N: usize>(
     mut streams: [Keystream; N],
     data: &mut [u8],
+    mut lanes: [u64; LANES],
     fold: impl Fn(u64, u64) -> u64,
 ) -> ([u64; LANES], u64) {
-    let mut lanes = DIGEST_LANES;
     let mut blocks = data.chunks_exact_mut(BLOCK_LEN);
     for block in &mut blocks {
         let key = next_key(&mut streams);
@@ -243,11 +249,16 @@ fn xor_keystreams<const N: usize>(
 
 /// The client's one walk of a new payload: reads `plain` once, appends it
 /// to `out` under `N` keystreams, and folds the *plaintext* words into the
-/// digest on the way; returns [`payload_digest`] of `plain`. A remainder
-/// shorter than a block takes one more block, as in [`xor_keystreams`].
+/// digest on the way; returns `key.digest(plain)`. A remainder shorter
+/// than a block takes one more block, as in [`xor_keystreams`].
 #[inline]
-fn seal<const N: usize>(mut streams: [Keystream; N], plain: &[u8], out: &mut Vec<u8>) -> u32 {
-    let mut lanes = DIGEST_LANES;
+fn seal<const N: usize>(
+    mut streams: [Keystream; N],
+    key: DigestKey,
+    plain: &[u8],
+    out: &mut Vec<u8>,
+) -> u32 {
+    let mut lanes = key.0;
     let mut blocks = plain.chunks_exact(BLOCK_LEN);
     for block in &mut blocks {
         let key = next_key(&mut streams);
@@ -279,20 +290,20 @@ fn seal<const N: usize>(mut streams: [Keystream; N], plain: &[u8], out: &mut Vec
 }
 
 /// Removes one layer from `cell` and reports whether the cell is now
-/// *recognized*: the `recognized` byte reads 0 **and** [`payload_digest`]
-/// of the stripped payload equals `cell.digest`. As in Tor, the byte is
-/// checked first, so a hop a cell only passes through never digests it;
-/// when the byte does read 0, the digest rides along in the strip's pass
-/// (the keystream and digest chains share no state).
+/// *recognized*: the `recognized` byte reads 0 **and** the layer's digest
+/// (`key`) of the stripped payload equals `cell.digest`. As in Tor, the
+/// byte is checked first, so a hop a cell only passes through never
+/// digests it; when the byte does read 0, the digest rides along in the
+/// strip's pass (the keystream and digest chains share no state).
 #[inline]
-fn strip(stream: Keystream, cell: &mut RelayCell) -> bool {
+fn strip(stream: Keystream, key: DigestKey, cell: &mut RelayCell) -> bool {
     cell.recognized ^= stream.recognized();
     if cell.recognized != 0 {
-        xor_keystreams([stream], &mut cell.data, |h, _| h);
+        xor_keystreams([stream], &mut cell.data, [0; LANES], |h, _| h);
         return false;
     }
     let len = cell.data.len();
-    let (lanes, tail_word) = xor_keystreams([stream], &mut cell.data, digest_word);
+    let (lanes, tail_word) = xor_keystreams([stream], &mut cell.data, key.0, digest_word);
     digest_finish(lanes, tail_word, len) == cell.digest
 }
 
@@ -356,11 +367,10 @@ impl OnionRoute {
     /// 0 at hop `hop` and, at an earlier hop, only when the remaining
     /// layers' bytes cancel (odds 2^-8).
     ///
-    /// The payload must be **at least 8 bytes**. An earlier hop whose
-    /// `recognized` byte reads 0 checks the digest, and that verifies
-    /// whenever the layers still on the payload cancel over its `n` bytes
-    /// — probability 2^(-8n), and certainty at `n = 0`, where every layer
-    /// is a no-op (see the `empty_payload_…` test).
+    /// `cell.digest` must be [`digest_key(hop)`](Self::digest_key)'s
+    /// digest of the payload. An earlier hop whose byte reads 0 checks it
+    /// under its own key, so it takes the cell only on a 32-bit digest
+    /// collision, at any payload length.
     ///
     /// # Panics
     ///
@@ -374,12 +384,12 @@ impl OnionRoute {
     }
 
     /// Builds a relay cell for `hop` from its plaintext in **one walk**:
-    /// the first group of ≤ 4 layers reads `plain`, folds its digest,
-    /// XORs the layers' keystreams and appends the result to `buf` (an
-    /// empty buffer, typically from a pool); the byte is set as
-    /// [`wrap_for_hop`](Self::wrap_for_hop) sets it. The cell equals
-    /// `RelayCell { cmd, .. }` over `plain` with its digest, wrapped for
-    /// `hop` — fill, digest and wrap fused.
+    /// the first group of ≤ 4 layers reads `plain`, folds its digest under
+    /// `hop`'s [`DigestKey`], XORs the layers' keystreams and appends the
+    /// result to `buf` (an empty buffer, typically from a pool); the byte
+    /// is set as [`wrap_for_hop`](Self::wrap_for_hop) sets it. The cell
+    /// equals `RelayCell { cmd, .. }` over `plain` with its digest,
+    /// wrapped for `hop` — fill, digest and wrap fused.
     ///
     /// # Panics
     ///
@@ -404,11 +414,12 @@ impl OnionRoute {
         );
         debug_assert!(buf.is_empty(), "seal_for_hop appends to an empty buffer");
         let n = (hop + 1).min(4);
+        let key = self.digest_key(hop);
         let (digest, recognized) = match n {
-            1 => self.seal_group::<1>(plain, &mut buf),
-            2 => self.seal_group::<2>(plain, &mut buf),
-            3 => self.seal_group::<3>(plain, &mut buf),
-            _ => self.seal_group::<4>(plain, &mut buf),
+            1 => self.seal_group::<1>(key, plain, &mut buf),
+            2 => self.seal_group::<2>(key, plain, &mut buf),
+            3 => self.seal_group::<3>(key, plain, &mut buf),
+            _ => self.seal_group::<4>(key, plain, &mut buf),
         };
         let mut cell = RelayCell {
             cmd,
@@ -419,6 +430,16 @@ impl OnionRoute {
         };
         self.wrap_layers(n, hop, &mut cell);
         cell
+    }
+
+    /// The digest key of layer `hop`: a cell addressed to `hop` carries
+    /// its digest under this key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hop` is out of range.
+    pub fn digest_key(&self, hop: usize) -> DigestKey {
+        self.layers[hop].digest
     }
 
     /// The forward keystreams of layers `lo..lo + N`; their counters
@@ -432,12 +453,18 @@ impl OnionRoute {
     }
 
     /// Seals `plain` into `out` under forward layers `0..N` in one pass;
-    /// returns the plaintext digest and the layers' `recognized` byte.
-    fn seal_group<const N: usize>(&mut self, plain: &[u8], out: &mut Vec<u8>) -> (u32, u8) {
+    /// returns the plaintext's digest under `key` and the layers'
+    /// `recognized` byte.
+    fn seal_group<const N: usize>(
+        &mut self,
+        key: DigestKey,
+        plain: &[u8],
+        out: &mut Vec<u8>,
+    ) -> (u32, u8) {
         let streams = self.fwd_streams::<N>(0);
         self.payload_passes += 1;
         let recognized = recognized_of(&streams);
-        (seal(streams, plain, out), recognized)
+        (seal(streams, key, plain, out), recognized)
     }
 
     /// Applies forward layers `lo..=hop` in place, ≤ 4 per pass.
@@ -458,7 +485,7 @@ impl OnionRoute {
     fn wrap_group<const N: usize>(&mut self, lo: usize, cell: &mut RelayCell) {
         let streams = self.fwd_streams::<N>(lo);
         cell.recognized ^= recognized_of(&streams);
-        xor_keystreams(streams, &mut cell.data, |h, _| h);
+        xor_keystreams(streams, &mut cell.data, [0; LANES], |h, _| h);
         self.payload_passes += 1;
     }
 
@@ -466,7 +493,8 @@ impl OnionRoute {
     /// is recognized (see [`RelayCrypt::strip_forward`]), returning the
     /// hop it originated from. Counters of every attempted layer advance,
     /// exactly like Tor's stream ciphers. Each attempt is one pass; only
-    /// an attempt whose `recognized` byte reads 0 digests the payload.
+    /// an attempt whose `recognized` byte reads 0 digests the payload,
+    /// under that layer's [`DigestKey`].
     ///
     /// Returns `None` (after consuming one count on every layer) if no
     /// layer recognizes the cell — a corrupt or misrouted cell.
@@ -475,7 +503,7 @@ impl OnionRoute {
             let stream = self.layers[i].keystream(self.bwd_counters[i]);
             self.bwd_counters[i] += 1;
             self.payload_passes += 1;
-            if strip(stream, cell) {
+            if strip(stream, self.layers[i].digest, cell) {
                 return Some(i);
             }
         }
@@ -505,6 +533,12 @@ impl RelayCrypt {
         }
     }
 
+    /// This hop's digest key: a cell it originates carries its digest
+    /// under this key.
+    pub fn digest_key(&self) -> DigestKey {
+        self.cipher.digest
+    }
+
     /// How many times this relay has walked a cell payload end to end:
     /// one per [`strip_forward`](Self::strip_forward) (a digest, when
     /// there is one, shares the pass), one per
@@ -522,7 +556,7 @@ impl RelayCrypt {
         let stream = self.cipher.keystream(self.fwd_counter);
         self.fwd_counter += 1;
         self.payload_passes += 1;
-        strip(stream, cell)
+        strip(stream, self.cipher.digest, cell)
     }
 
     /// Adds this relay's layer to a backward cell (toward the client) —
@@ -530,7 +564,7 @@ impl RelayCrypt {
     pub fn add_backward(&mut self, cell: &mut RelayCell) {
         let stream = self.cipher.keystream(self.bwd_counter);
         cell.recognized ^= stream.recognized();
-        xor_keystreams([stream], &mut cell.data, |h, _| h);
+        xor_keystreams([stream], &mut cell.data, [0; LANES], |h, _| h);
         self.bwd_counter += 1;
         self.payload_passes += 1;
     }
@@ -538,13 +572,61 @@ impl RelayCrypt {
 
 const DIGEST_SEED: u64 = 0x811c_9dc5_2545_f491;
 
-/// The digest's accumulator lanes before the first word: `SEED ^ j`.
-const DIGEST_LANES: [u64; LANES] = [
+/// A layer's digest key: the four accumulator lanes its payload digest
+/// starts from, derived from the layer key at handshake, as Tor seeds
+/// each hop's running digest (`Df`/`Db`) from its handshake. A cell
+/// carries its digest under the key of the hop it is addressed to, so a
+/// passing hop whose `recognized` byte happens to read 0 still rejects
+/// it: its own key gives another digest (odds 2^-32 of a collision),
+/// whatever the payload's length.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DigestKey([u64; LANES]);
+
+/// The lanes of [`payload_digest`]: `SEED ^ j`.
+const UNKEYED: DigestKey = DigestKey([
     DIGEST_SEED,
     DIGEST_SEED ^ 1,
     DIGEST_SEED ^ 2,
     DIGEST_SEED ^ 3,
-];
+]);
+
+impl DigestKey {
+    /// The digest key of the layer keyed `key`: lane `j` is [`mix`] of
+    /// `(key ^ SEED) + (j + 1)·γ`, the counter construction of the
+    /// keystream from another origin.
+    pub fn of(key: LayerKey) -> DigestKey {
+        let origin = key.0 ^ DIGEST_SEED;
+        DigestKey(std::array::from_fn(|j| {
+            mix(origin.wrapping_add(GAMMA.wrapping_mul(j as u64 + 1)))
+        }))
+    }
+
+    /// The payload digest under this key — a multiply-rotate mix over
+    /// 8-byte words, word `i` folded into accumulator lane `i mod 4` so
+    /// the four chains advance side by side.
+    ///
+    /// Stands in for Tor's running SHA-1 "recognized" digest: it lets the
+    /// recognizing hop detect payload corruption in tests, nothing more —
+    /// so it is built for throughput (one multiply per 8 bytes, four in
+    /// flight), not security. This is the standalone form control cells
+    /// are built with; the client's seal and the recognizing hops compute
+    /// the same value inside their one pass.
+    pub fn digest(self, data: &[u8]) -> u32 {
+        let mut lanes = self.0;
+        let mut fold_words = |words: &mut std::slice::ChunksExact<'_, u8>| {
+            for (h, chunk) in lanes.iter_mut().zip(words) {
+                *h = digest_word(*h, load_word(chunk));
+            }
+        };
+        let mut blocks = data.chunks_exact(BLOCK_LEN);
+        for block in &mut blocks {
+            fold_words(&mut block.chunks_exact(8));
+        }
+        let mut words = blocks.remainder().chunks_exact(8);
+        fold_words(&mut words);
+        digest_finish(lanes, load_tail(words.remainder()), data.len())
+    }
+}
 
 /// Folds one whole payload word into its lane of the digest state.
 #[inline]
@@ -564,30 +646,11 @@ fn digest_finish(lanes: [u64; LANES], tail_word: u64, len: usize) -> u32 {
     (h >> 32) as u32
 }
 
-/// Payload digest — a keyed multiply-rotate mix over 8-byte words, word
-/// `i` folded into accumulator lane `i mod 4` so the four chains advance
-/// side by side.
-///
-/// Stands in for Tor's running SHA-1 "recognized" digest: it lets the
-/// recognizing hop detect payload corruption in tests, nothing more — so
-/// it is built for throughput (one multiply per 8 bytes, four in flight),
-/// not security. This is the standalone form control cells are built
-/// with; the client's seal and the recognizing hops compute the same
-/// value inside their one pass.
+/// The digest under a fixed key that belongs to no layer: the feedback
+/// frame's checksum, and the digest [`RelayCell::data`] gives a cell not
+/// yet addressed to a hop.
 pub fn payload_digest(data: &[u8]) -> u32 {
-    let mut lanes = DIGEST_LANES;
-    let mut fold_words = |words: &mut std::slice::ChunksExact<'_, u8>| {
-        for (h, chunk) in lanes.iter_mut().zip(words) {
-            *h = digest_word(*h, load_word(chunk));
-        }
-    };
-    let mut blocks = data.chunks_exact(BLOCK_LEN);
-    for block in &mut blocks {
-        fold_words(&mut block.chunks_exact(8));
-    }
-    let mut words = blocks.remainder().chunks_exact(8);
-    fold_words(&mut words);
-    digest_finish(lanes, load_tail(words.remainder()), data.len())
+    UNKEYED.digest(data)
 }
 
 #[cfg(test)]
@@ -696,6 +759,26 @@ mod tests {
         }
     }
 
+    /// A cell carrying `data`, addressed by its digest under `key`.
+    fn addressed(key: DigestKey, stream: u16, data: &[u8]) -> RelayCell {
+        RelayCell {
+            digest: key.digest(data),
+            ..RelayCell::data(StreamId(stream), data.to_vec())
+        }
+    }
+
+    #[test]
+    fn each_layer_digests_under_its_own_key() {
+        let (a, b) = (LayerKey(1), LayerKey(2));
+        assert_ne!(DigestKey::of(a), DigestKey::of(b));
+        assert_eq!(LayerCipher::new(a).digest, DigestKey::of(a));
+        for data in [&b""[..], b"x", b"payload!"] {
+            let (da, db) = (DigestKey::of(a).digest(data), DigestKey::of(b).digest(data));
+            assert_ne!(da, db, "{data:?}");
+            assert_ne!(da, payload_digest(data), "{data:?}");
+        }
+    }
+
     /// Builds a matched client route + relay states for `n` hops.
     fn route_of(n: usize) -> (OnionRoute, Vec<RelayCrypt>) {
         let mut route = OnionRoute::new();
@@ -711,7 +794,7 @@ mod tests {
     #[test]
     fn onion_route_full_path_recognition() {
         let (mut route, mut relays) = route_of(3);
-        let mut cell = RelayCell::data(StreamId(1), b"to the exit".to_vec());
+        let mut cell = addressed(route.digest_key(2), 1, b"to the exit");
         route.wrap_for_hop(2, &mut cell);
         assert!(
             !relays[0].strip_forward(&mut cell),
@@ -731,11 +814,11 @@ mod tests {
         // Hop 2's counter must not advance for cell 0.
         let (mut route, mut relays) = route_of(3);
 
-        let mut early = RelayCell::data(StreamId(0), b"extend".to_vec());
+        let mut early = addressed(route.digest_key(0), 0, b"extend");
         route.wrap_for_hop(0, &mut early);
         assert!(relays[0].strip_forward(&mut early), "hop 0 consumes cell 0");
 
-        let mut data = RelayCell::data(StreamId(1), b"payload".to_vec());
+        let mut data = addressed(route.digest_key(2), 1, b"payload");
         route.wrap_for_hop(2, &mut data);
         assert!(!relays[0].strip_forward(&mut data));
         assert!(!relays[1].strip_forward(&mut data));
@@ -748,7 +831,7 @@ mod tests {
         let (mut route, mut relays) = route_of(3);
         // Hop 1 originates a backward cell (e.g. EXTENDED); hop 0 adds its
         // layer in transit; the client unwraps and learns the origin.
-        let mut cell = RelayCell::data(StreamId(0), b"extended".to_vec());
+        let mut cell = addressed(relays[1].digest_key(), 0, b"extended");
         relays[1].add_backward(&mut cell);
         relays[0].add_backward(&mut cell);
         let origin = route.unwrap_inbound(&mut cell);
@@ -756,7 +839,7 @@ mod tests {
         assert_eq!(cell.data, b"extended");
 
         // Next backward cell from the exit: all three layers.
-        let mut cell2 = RelayCell::data(StreamId(1), b"connected".to_vec());
+        let mut cell2 = addressed(relays[2].digest_key(), 1, b"connected");
         relays[2].add_backward(&mut cell2);
         relays[1].add_backward(&mut cell2);
         relays[0].add_backward(&mut cell2);
@@ -799,8 +882,8 @@ mod tests {
             let hop = ((x >> 33) % 3) as usize;
             let backward = (x >> 40) & 1 == 1;
             let mut payload = round.to_be_bytes().to_vec();
-            payload.resize(8 + (x >> 48) as usize % 489, 0xA5);
-            let mut cell = RelayCell::data(StreamId(1), payload.clone());
+            payload.resize((x >> 48) as usize % 497, 0xA5);
+            let mut cell = addressed(relays[hop].digest_key(), 1, &payload);
             if backward {
                 for relay in relays[..=hop].iter_mut().rev() {
                     relay.add_backward(&mut cell);
@@ -816,16 +899,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_payload_is_recognized_by_the_first_hop_whose_byte_reads_zero() {
-        // Why `wrap_for_hop` demands ≥ 8 payload bytes (and why there is no
-        // empty-payload relay-cell constructor): every layer is a no-op on
-        // zero bytes, so the digest of "" verifies wherever it is checked.
-        // The recognized byte only narrows the leak: an empty cell
-        // addressed to hop 2 is taken by the first hop whose byte reads
-        // 0 — hop 2, or an earlier hop when the remaining layers' bytes
-        // cancel (odds 2^-8 per hop).
-        let mut early = 0;
-        for round in 0..512u32 {
+    fn empty_payload_is_never_taken_early() {
+        // Every layer is a no-op on zero bytes, so an empty cell reaches
+        // each hop as it left the client. A passing hop whose byte reads
+        // 0 (the remaining layers' bytes cancel, odds 2^-8) checks the
+        // digest under its own key, and the cell carries the target's.
+        let mut zero_bytes = 0;
+        for round in 0..4096u32 {
             let mut route = OnionRoute::new();
             let mut relays = Vec::new();
             for i in 0..3u32 {
@@ -833,27 +913,17 @@ mod tests {
                 route.push_layer(key);
                 relays.push(RelayCrypt::new(key));
             }
-            let mut cell = RelayCell::data(StreamId(1), Vec::new());
+            let mut cell = addressed(route.digest_key(2), 1, b"");
             route.wrap_for_hop(2, &mut cell);
-            let hop = relays
-                .iter_mut()
-                .position(|relay| {
-                    let recognized = relay.strip_forward(&mut cell);
-                    assert_eq!(recognized, cell.recognized == 0, "round {round}");
-                    recognized
-                })
-                .expect("the target's byte reads 0");
-            early += usize::from(hop < 2);
+            for relay in &mut relays[..2] {
+                assert!(!relay.strip_forward(&mut cell), "round {round}");
+                zero_bytes += usize::from(cell.recognized == 0);
+            }
+            assert!(relays[2].strip_forward(&mut cell), "round {round}");
         }
-        // 512 × (1 − (255/256)²) ≈ 4 expected: the hazard is real, and rare.
-        assert!((1..=16).contains(&early), "{early} early recognitions");
-        // Eight bytes are enough for the same addressing to hold.
-        let (mut route, mut relays) = route_of(3);
-        let mut cell = RelayCell::data(StreamId(1), vec![0; 8]);
-        route.wrap_for_hop(2, &mut cell);
-        assert!(!relays[0].strip_forward(&mut cell));
-        assert!(!relays[1].strip_forward(&mut cell));
-        assert!(relays[2].strip_forward(&mut cell));
+        // 8192 passing strips × 2^-8 ≈ 32 expected: the byte did read 0,
+        // and the digest turned the cell away.
+        assert!((8..=64).contains(&zero_bytes), "{zero_bytes} zero bytes");
     }
 
     #[test]
@@ -879,7 +949,7 @@ mod tests {
         // Strip and digest share a pass; so does each unwrap attempt.
         relays[0].strip_forward(&mut cell);
         assert_eq!(relays[0].payload_passes(), 1);
-        let mut reply = RelayCell::data(StreamId(1), vec![4; 64]);
+        let mut reply = addressed(relays[5].digest_key(), 1, &[4; 64]);
         for relay in relays[..=5].iter_mut().rev() {
             relay.add_backward(&mut reply);
         }

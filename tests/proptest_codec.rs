@@ -157,7 +157,7 @@ fn onion_route_recognizes_exactly_the_target_hop() {
     for _ in 0..CASES {
         let hops = rng.range_usize(1, 6);
         let target = rng.range_usize(0, 5) % hops;
-        let payload = arb_bytes(&mut rng, 8, RELAY_DATA_MAX);
+        let payload = arb_bytes(&mut rng, 0, RELAY_DATA_MAX);
         let key_seed = rng.u64();
         let mut route = OnionRoute::new();
         let mut relays: Vec<RelayCrypt> = Vec::new();
@@ -171,7 +171,10 @@ fn onion_route_recognizes_exactly_the_target_hop() {
             route.push_layer(key);
             relays.push(RelayCrypt::new(key));
         }
-        let mut cell = RelayCell::data(StreamId(1), payload.clone());
+        let mut cell = RelayCell {
+            digest: route.digest_key(target).digest(&payload),
+            ..RelayCell::data(StreamId(1), payload.clone())
+        };
         route.wrap_for_hop(target, &mut cell);
         let mut recognized_at = None;
         for (i, relay) in relays.iter_mut().enumerate().take(target + 1) {
@@ -212,13 +215,14 @@ fn digest_mismatch_detected_after_tamper() {
 const MAX_LEN: usize = 560;
 
 /// A DATA relay cell of any length (`RelayCell::data` stops at
-/// `RELAY_DATA_MAX`; the layer loops do not care).
-fn cell_of(data: Vec<u8>) -> RelayCell {
+/// `RELAY_DATA_MAX`; the layer loops do not care), addressed to the hop
+/// whose layer key is `key` by its digest.
+fn cell_of(key: u64, data: Vec<u8>) -> RelayCell {
     RelayCell {
         cmd: RelayCommand::Data,
         recognized: 0,
         stream: StreamId(1),
-        digest: payload_digest(&data),
+        digest: wordwise_digest(reference_digest_lanes(key), &data),
         data,
     }
 }
@@ -288,17 +292,33 @@ fn reference_layer(key: u64, nonce: u64, cell: &mut RelayCell) {
     cell.recognized ^= reference_recognized(key, nonce);
 }
 
-/// The recognition rule: the byte reads 0 and the digest verifies.
-fn reference_recognizes(cell: &RelayCell) -> bool {
-    cell.recognized == 0 && wordwise_digest(&cell.data) == cell.digest
+/// The recognition rule at the hop keyed `key`: the byte reads 0 and
+/// the digest under that hop's lanes verifies.
+fn reference_recognizes(key: u64, cell: &RelayCell) -> bool {
+    cell.recognized == 0 && wordwise_digest(reference_digest_lanes(key), &cell.data) == cell.digest
 }
 
-/// The digest definition, one word at a time: whole word `i` folds into
-/// accumulator `i % 4`; the accumulators are rotated apart and XORed;
-/// the zero-padded tail word and the length go in last.
-fn wordwise_digest(data: &[u8]) -> u32 {
-    const SEED: u64 = 0x811c_9dc5_2545_f491;
-    let mut h = [SEED, SEED ^ 1, SEED ^ 2, SEED ^ 3];
+/// The digest's fixed seed.
+const SEED: u64 = 0x811c_9dc5_2545_f491;
+
+/// The lanes `payload_digest` starts from, which belong to no layer.
+const UNKEYED_LANES: [u64; 4] = [SEED, SEED ^ 1, SEED ^ 2, SEED ^ 3];
+
+/// The lanes the layer keyed `key` digests from: lane `j` is the mix of
+/// `(key ^ SEED) + (j + 1)·GAMMA`.
+fn reference_digest_lanes(key: u64) -> [u64; 4] {
+    let mut lanes = [0; 4];
+    for (j, lane) in lanes.iter_mut().enumerate() {
+        *lane = mix((key ^ SEED).wrapping_add(GAMMA.wrapping_mul(j as u64 + 1)));
+    }
+    lanes
+}
+
+/// The digest definition, one word at a time, from `lanes`: whole word
+/// `i` folds into accumulator `i % 4`; the accumulators are rotated apart
+/// and XORed; the zero-padded tail word and the length go in last.
+fn wordwise_digest(lanes: [u64; 4], data: &[u8]) -> u32 {
+    let mut h = lanes;
     let whole = data.len() / 8;
     for i in 0..whole {
         let word = u64::from_le_bytes(data[8 * i..8 * i + 8].try_into().expect("8 bytes"));
@@ -362,7 +382,7 @@ impl ReferenceRoute {
         for i in 0..self.keys.len() {
             reference_layer(self.keys[i], self.bwd[i], cell);
             self.bwd[i] += 1;
-            if reference_recognizes(cell) {
+            if reference_recognizes(self.keys[i], cell) {
                 return Some(i);
             }
         }
@@ -411,7 +431,7 @@ fn fused_wrap_equals_layer_by_layer_for_every_length_and_route() {
                 } else {
                     rng.range_usize(0, hops)
                 };
-                let mut a = cell_of(arb_bytes(&mut rng, len, len));
+                let mut a = cell_of(keys[hop], arb_bytes(&mut rng, len, len));
                 let mut b = a.clone();
                 fused.wrap_for_hop(hop, &mut a);
                 reference.wrap_for_hop(hop, &mut b);
@@ -427,25 +447,35 @@ fn fused_strip_equals_apply_then_digest_check() {
     for len in 0..=MAX_LEN {
         let key = arb_keys(&mut rng, 1)[0];
         let mut relay = RelayCrypt::new(LayerKey(key));
-        let plain = cell_of(arb_bytes(&mut rng, len, len));
+        let plain = arb_bytes(&mut rng, len, len);
         // Four cells through one relay (counters 0..4): addressed to it,
-        // still wearing an inner layer, wrapped under the wrong key, and
-        // addressed to it but with one bit flipped in flight.
+        // addressed to the next hop and still wearing its layer, wrapped
+        // for another relay, and addressed to it but with one bit flipped
+        // in flight.
         for (nonce, case) in ["recognized", "inner layer", "wrong key", "bit flip"]
             .into_iter()
             .enumerate()
         {
             let nonce = nonce as u64;
-            let mut cell = plain.clone();
-            match case {
-                "inner layer" => reference_layer(rng.u64(), 7, &mut cell),
-                "wrong key" => reference_layer(!key, nonce, &mut cell),
-                _ => {}
-            }
+            let mut cell = match case {
+                "inner layer" => {
+                    let next = rng.u64();
+                    let mut cell = cell_of(next, plain.clone());
+                    reference_layer(next, 7, &mut cell);
+                    cell
+                }
+                "wrong key" => {
+                    let mut cell = cell_of(!key, plain.clone());
+                    reference_layer(!key, nonce, &mut cell);
+                    cell
+                }
+                _ => cell_of(key, plain.clone()),
+            };
             if case != "wrong key" {
                 reference_layer(key, nonce, &mut cell);
             }
-            if case == "bit flip" && len > 0 {
+            let flipped = case == "bit flip" && len > 0;
+            if flipped {
                 let at = rng.range_usize(0, len);
                 cell.data[at] ^= 1 << rng.range_usize(0, 8);
             }
@@ -455,13 +485,13 @@ fn fused_strip_equals_apply_then_digest_check() {
             assert_eq!(cell, expect, "len {len} {case}: cell");
             assert_eq!(
                 verdict,
-                reference_recognizes(&expect),
+                reference_recognizes(key, &expect),
                 "len {len} {case}: verdict"
             );
-            // Not vacuous: from 8 bytes up the verdicts are the intended ones.
-            if len >= 8 {
-                assert_eq!(verdict, case == "recognized", "len {len} {case}");
-            }
+            // Not vacuous: at every length, the empty payload included,
+            // the relay takes exactly the intact cell addressed to it.
+            let intact_for_me = case == "recognized" || (case == "bit flip" && !flipped);
+            assert_eq!(verdict, intact_for_me, "len {len} {case}");
         }
     }
 }
@@ -481,7 +511,7 @@ fn fused_unwrap_equals_layer_by_layer_for_every_length_and_route() {
             // unwraps if the counters moved identically on the first two.
             for round in 0..3 {
                 let origin = rng.range_usize(0, hops);
-                let mut a = cell_of(arb_bytes(&mut rng, len, len));
+                let mut a = cell_of(keys[origin], arb_bytes(&mut rng, len, len));
                 if round == 1 {
                     a.digest ^= 0x5A5A_5A5A;
                     for relay in relays.iter_mut().rev() {
@@ -500,9 +530,7 @@ fn fused_unwrap_equals_layer_by_layer_for_every_length_and_route() {
                     "len {len} hops {hops}"
                 );
                 assert_eq!(a, b, "len {len} hops {hops} round {round}");
-                if len >= 8 {
-                    assert_eq!(got, (round != 1).then_some(origin));
-                }
+                assert_eq!(got, (round != 1).then_some(origin));
             }
         }
     }
@@ -513,7 +541,18 @@ fn payload_digest_equals_the_wordwise_digest_at_every_length() {
     let mut rng = SimRng::seed_from(0xD16E);
     for len in 0..=MAX_LEN {
         let data = arb_bytes(&mut rng, len, len);
-        assert_eq!(payload_digest(&data), wordwise_digest(&data), "len {len}");
+        assert_eq!(
+            payload_digest(&data),
+            wordwise_digest(UNKEYED_LANES, &data),
+            "len {len}"
+        );
+        // A layer's digest is the same definition from its own lanes.
+        let key = arb_keys(&mut rng, 1)[0];
+        assert_eq!(
+            DigestKey::of(LayerKey(key)).digest(&data),
+            wordwise_digest(reference_digest_lanes(key), &data),
+            "len {len} key {key:#x}"
+        );
     }
 }
 
@@ -621,10 +660,10 @@ fn fused_seal_equals_fill_digest_then_layer_by_layer_for_every_length_and_route(
             for round in 0..3 {
                 let hop = rng.range_usize(0, hops);
                 let plain = arb_bytes(&mut rng, len, len);
-                let mut b = cell_of(plain.clone());
+                let mut b = cell_of(keys[hop], plain.clone());
                 reference.wrap_for_hop(hop, &mut b);
                 let a = if round == 1 {
-                    let mut a = cell_of(plain);
+                    let mut a = cell_of(keys[hop], plain);
                     fused.wrap_for_hop(hop, &mut a);
                     a
                 } else {
@@ -645,7 +684,7 @@ fn the_recognized_byte_reads_zero_at_the_target_and_at_a_passing_hop_only_on_a_c
         let hops = rng.range_usize(1, 7);
         let target = rng.range_usize(0, hops);
         let keys = arb_keys(&mut rng, hops);
-        let payload = arb_bytes(&mut rng, 8, RELAY_DATA_MAX);
+        let payload = arb_bytes(&mut rng, 0, RELAY_DATA_MAX);
         let mut route = route_of(&keys);
         let mut relays: Vec<RelayCrypt> =
             keys.iter().map(|&k| RelayCrypt::new(LayerKey(k))).collect();
@@ -658,15 +697,16 @@ fn the_recognized_byte_reads_zero_at_the_target_and_at_a_passing_hop_only_on_a_c
                 Vec::new(),
             )
         } else {
-            let mut cell = RelayCell::data(StreamId(1), payload.clone());
+            let mut cell = cell_of(keys[target], payload.clone());
             route.wrap_for_hop(target, &mut cell);
             cell
         };
         for (hop, relay) in relays.iter_mut().enumerate().take(target + 1) {
             let recognized = relay.strip_forward(&mut cell);
             // The byte only decides whether to digest: the decision is
-            // the one the digest alone would make.
-            assert_eq!(recognized, cell.digest_ok(), "hop {hop} of {target}");
+            // the one the hop's digest alone would make.
+            let digest_verifies = relay.digest_key().digest(&cell.data) == cell.digest;
+            assert_eq!(recognized, digest_verifies, "hop {hop} of {target}");
             assert_eq!(recognized, hop == target, "hop {hop} of {target}");
             if hop == target {
                 assert_eq!(cell.recognized, 0);
@@ -686,4 +726,28 @@ fn the_recognized_byte_reads_zero_at_the_target_and_at_a_passing_hop_only_on_a_c
         (f64::from(collisions) - expected).abs() <= spread,
         "{collisions} collisions in {passing} passing strips, expected {expected:.1} ± {spread:.1}"
     );
+}
+
+#[test]
+fn one_byte_cells_are_never_taken_early_by_a_passing_hop() {
+    // A passing hop's byte reads 0 with odds 2^-8, and a 1-byte payload
+    // still wearing one layer cancels to the plaintext with odds 2^-8
+    // more: a digest that belonged to no hop verified there with odds
+    // 2^-16, about 8 of these 2^19 passing strips. Under the target hop's
+    // key it verifies only on a 32-bit collision.
+    let mut rng = SimRng::seed_from(0x1B17E);
+    let mut early = 0u32;
+    for _ in 0..1 << 18 {
+        let keys: Vec<LayerKey> = (0..3).map(|_| LayerKey(rng.u64())).collect();
+        let mut route = OnionRoute::new();
+        for &key in &keys {
+            route.push_layer(key);
+        }
+        let plain = [rng.u64() as u8];
+        let mut cell = route.seal_for_hop(2, RelayCommand::Data, StreamId(1), &plain, Vec::new());
+        for &key in &keys[..2] {
+            early += u32::from(RelayCrypt::new(key).strip_forward(&mut cell));
+        }
+    }
+    assert_eq!(early, 0, "1-byte cells taken early by a passing hop");
 }
