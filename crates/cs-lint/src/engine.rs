@@ -310,9 +310,10 @@ fn parse_allow(body: &str) -> Option<Rule> {
 /// scan: a `#[...]` attribute whose idents include `test` (and not
 /// `not`, so `#[cfg(not(test))]` stays production code) marks its
 /// following item from the attribute's line: through the item's matching
-/// `}`, or through its `;` when a `;` outside brackets comes first (a
-/// braceless item such as a test-only `use` or `const`). The code after
-/// the item stays production code.
+/// `}`, or, for a braceless item (a test-only `use`, `const`, field,
+/// variant or argument), through its `;` or `,` outside brackets, or up
+/// to the closing bracket of the group around it. The code after the
+/// item stays production code.
 fn test_regions(src: &str, code: &[Token]) -> Vec<(u32, u32)> {
     let text = |i: usize| code[i].text(src);
     let mut regions = Vec::new();
@@ -347,21 +348,34 @@ fn test_regions(src: &str, code: &[Token]) -> Vec<(u32, u32)> {
             continue;
         }
         // Attribute marks a test item: find its body's `{` or, for a
-        // braceless item, its `;` (one inside `[u8; 4]` does not count).
+        // braceless item, its end — its `;`, a `,` at its own depth (a
+        // field, variant or argument), or the closing bracket of the
+        // group around it. Separators inside `[u8; 4]` or `<A, B>` do
+        // not count.
         let attr_line = code[i].line;
         let mut k = j + 1;
-        let mut nest = 0usize;
+        let (mut nest, mut angle) = (0usize, 0usize);
+        let mut last_line = attr_line;
         while k < code.len() {
             match text(k) {
                 "(" | "[" => nest += 1,
-                ")" | "]" => nest = nest.saturating_sub(1),
+                ")" | "]" | "}" if nest == 0 => break,
+                ")" | "]" => nest -= 1,
+                "<" => angle += 1,
+                ">" => angle = angle.saturating_sub(1),
+                ">>" => angle = angle.saturating_sub(2),
                 "{" | ";" if nest == 0 => break,
+                "," if nest == 0 && angle == 0 => break,
                 _ => {}
             }
+            last_line = code[k].line;
             k += 1;
         }
-        if k < code.len() && text(k) == ";" {
+        if k < code.len() && matches!(text(k), ";" | ",") {
             regions.push((attr_line, code[k].line));
+        } else if k < code.len() && text(k) != "{" {
+            // The enclosing group closes: the item ends before it.
+            regions.push((attr_line, last_line));
         } else if k < code.len() {
             let mut brace = 0usize;
             while k < code.len() {
@@ -606,6 +620,22 @@ fn f() { std::thread::spawn(|| {}); }
 ";
         let f = scan_source("crates/simcore/src/sim.rs", src);
         assert_eq!(rules_of(&f), vec![("stray-threads".to_string(), 3)]);
+    }
+
+    #[test]
+    fn cfg_test_field_marks_only_itself() {
+        // A test-only field ends at its `,` (or at the struct's `}`);
+        // generic and array separators inside it do not end it.
+        let src = "\
+struct S {
+    #[cfg(test)]
+    probe: Vec<(u8, [u8; 2])>,
+    #[cfg(test)]
+    last: BTreeMap<u8, u8> }
+fn f() { std::thread::spawn(|| {}); }
+";
+        let f = scan_source("crates/simcore/src/sim.rs", src);
+        assert_eq!(rules_of(&f), vec![("stray-threads".to_string(), 6)]);
     }
 
     #[test]

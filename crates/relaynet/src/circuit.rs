@@ -13,8 +13,6 @@ use crate::workload::CircuitWorkload;
 pub struct CircuitInfo {
     /// Full path: `[client, relay…, server]`.
     pub path: Vec<OverlayId>,
-    /// Payload bytes the client transfers (sum across streams).
-    pub file_bytes: u64,
     /// When the build was kicked off, once started.
     pub started_at: Option<SimTime>,
     /// The resolved workload this incarnation carries.

@@ -29,8 +29,8 @@ use netsim::net::NodeId;
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
 use crate::node::{
-    CircuitPhase, ClientApp, HopCtx, HopDir, NodeCircuit, NodeRole, PendingConfirm, QueuedCell,
-    ServerApp,
+    CircuitPhase, CircuitRole, ClientApp, HopCtx, HopDir, NodeCircuit, NodeRole, PendingConfirm,
+    QueuedCell, ServerApp,
 };
 use crate::workload::{CircuitWorkload, StreamSpec};
 
@@ -226,11 +226,9 @@ impl TorNetwork {
         let info = &mut self.circuits[circ.index()];
         assert!(info.started_at.is_none(), "circuit started twice");
         info.started_at = Some(ctx.now());
-        let path = info.path.clone();
+        let (client_id, first_hop, hops) = (info.path[0], info.path[1], info.path.len() - 1);
         let streams = info.workload.streams.clone();
         let teardown_after = info.workload.teardown_after.first().copied();
-        let client_id = path[0];
-        let first_hop = path[1];
         let link_id = self.alloc_link_circ_id();
         let hs = self.make_handshake(circ);
 
@@ -269,8 +267,8 @@ impl TorNetwork {
             NodeRole::Client,
             "circuit must start at a client"
         );
-        let mut nc = NodeCircuit::new(circ, 0);
-        nc.client = Some(ClientApp::new(path, &streams, ctx.now()));
+        let app = ClientApp::new(hops, &streams);
+        let mut nc = NodeCircuit::new(circ, 0, CircuitRole::Client(app));
         let mut hopdir = HopDir::new(first_hop, link_id, transport);
         hopdir.enqueue(QueuedCell {
             cell: Cell::create(CircuitId::CONTROL, hs),
@@ -310,7 +308,7 @@ impl TorNetwork {
         let node = &mut self.nodes[self.circuits[circ.index()].path[0].index()];
         let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
-        let app = nc.client.as_mut().expect("client app exists");
+        let app = nc.client_mut();
         let established = app.established();
         let Some(s) = app.streams.get_mut(stream as usize) else {
             self.egress.protocol_error("arrival for unknown stream");
@@ -349,8 +347,16 @@ impl TorNetwork {
             self.egress.protocol_error("CREATE at node not on the path");
             return;
         };
-        let is_server = position == info.path.len() - 1;
-        let expected_streams = info.workload.streams.len();
+        let crypt = RelayCrypt::new(LayerKey::from_handshake(&handshake));
+        let role = if position == info.path.len() - 1 {
+            let app = ServerApp::new(info.workload.streams.len());
+            CircuitRole::Server { crypt, app }
+        } else {
+            CircuitRole::Relay {
+                crypt,
+                pending_extend: None,
+            }
+        };
         if self.open_client(global).is_none() && self.on_void(ctx, to, Void::Create(confirm)) {
             return;
         }
@@ -364,11 +370,7 @@ impl TorNetwork {
 
         let node = &mut self.nodes[to.index()];
         let my_net = node.net_node;
-        let mut nc = NodeCircuit::new(global, position);
-        nc.crypt = Some(RelayCrypt::new(LayerKey::from_handshake(&handshake)));
-        if is_server {
-            nc.server = Some(ServerApp::new(expected_streams));
-        }
+        let mut nc = NodeCircuit::new(global, position, role);
         let mut bwd = HopDir::new(from, link_id, transport);
         bwd.enqueue(QueuedCell {
             cell: Cell::created(CircuitId::CONTROL, handshake),
@@ -409,16 +411,22 @@ impl TorNetwork {
             // (it was confirmed above so the successor's window drains).
             return;
         }
-        if nc.client.is_some() {
+        if matches!(nc.role, CircuitRole::Client(_)) {
             self.client_advance_build(ctx, to, global, local, handshake);
         } else {
             // A relay completed an EXTEND: report EXTENDED to the client.
-            let Some(echo) = nc.pending_extend.take() else {
+            let extended = match &mut nc.role {
+                CircuitRole::Relay {
+                    crypt,
+                    pending_extend,
+                } => pending_extend.take().map(|echo| (crypt, echo)),
+                _ => None,
+            };
+            let Some((crypt, echo)) = extended else {
                 self.egress.protocol_error("CREATED without pending EXTEND");
                 return;
             };
             debug_assert_eq!(echo, handshake, "CREATED must echo the extend handshake");
-            let crypt = nc.crypt.as_mut().expect("relay has crypt state");
             let mut rc = Self::control_cell(
                 &mut self.payload_passes,
                 crypt.digest_key(),
@@ -458,13 +466,12 @@ impl TorNetwork {
         let node = &mut self.nodes[client.index()];
         let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
-        let app = nc.client.as_mut().expect("client app exists");
+        let app = nc.client_mut();
         app.route.push_layer(LayerKey::from_handshake(&handshake));
         let built = app.route.len();
-        let needed = app.path.len() - 1;
         let mut qcs = Vec::new();
-        if built < needed {
-            let target = app.path[built + 1];
+        if built < app.hops {
+            let target = self.circuits[circ.index()].path[built + 1];
             let mut data = Vec::with_capacity(4 + HANDSHAKE_LEN);
             data.extend_from_slice(&target.0.to_be_bytes());
             data.extend_from_slice(&next_handshake);
@@ -544,7 +551,10 @@ impl TorNetwork {
         };
         let transport = HopTransport::new((self.factory)(&hop_ctx));
         let nc = self.nodes[relay.index()].circuit_at_mut(local);
-        nc.pending_extend = Some(hs);
+        let CircuitRole::Relay { pending_extend, .. } = &mut nc.role else {
+            unreachable!("recognition hands relay_consume relays only");
+        };
+        *pending_extend = Some(hs);
         let mut fwd = HopDir::new(target, new_id, transport);
         fwd.enqueue(QueuedCell {
             cell: Cell::create(CircuitId::CONTROL, hs),
@@ -635,11 +645,11 @@ impl TorNetwork {
     ) {
         let node = &mut self.nodes[node_id.index()];
         let nc = node.circuit_at(local);
-        if nc.is_vacant() || !nc.reclaimable() {
+        if matches!(nc.role, CircuitRole::Vacant) || !nc.reclaimable() {
             return;
         }
         let circ = nc.circ;
-        let is_client = nc.client.is_some();
+        let is_client = matches!(nc.role, CircuitRole::Client(_));
         let link_ids = [
             nc.fwd.as_ref().map(|h| h.link_circ_id),
             nc.bwd.as_ref().map(|h| h.link_circ_id),
@@ -766,7 +776,12 @@ mod tests {
         let (net, path) = wires();
         let egress = Egress::new(net, Topology::Path(path));
 
-        let mut nc = NodeCircuit::new(CircId(0), 1);
+        let crypt = RelayCrypt::new(LayerKey::from_handshake(&[0; HANDSHAKE_LEN]));
+        let role = CircuitRole::Relay {
+            crypt,
+            pending_extend: None,
+        };
+        let mut nc = NodeCircuit::new(CircId(0), 1, role);
         nc.close();
         nc.fwd = Some(hop(SUCC, 10, true));
         nc.bwd = Some(hop(PRED, 11, true));

@@ -22,7 +22,7 @@ use torcell::ids::{CircuitId, StreamId};
 
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
-use crate::node::{ClientApp, QueuedCell};
+use crate::node::{CircuitRole, QueuedCell};
 use crate::pool::PayloadPool;
 
 use super::{fill_pattern_window, verify_fill_pattern, TorNetwork, END_REASON_DONE};
@@ -75,16 +75,18 @@ impl TorNetwork {
 
     /// Produces the next client-originated cell — DATA round-robined
     /// across the open streams, or a stream's trailing END — or `None`
-    /// if no stream has anything to send. DATA payload buffers come
-    /// from `pool` (zero-allocation steady state: the server reclaims
-    /// every consumed payload into the same pool).
+    /// at a relay or server, or if no stream has anything to send. DATA
+    /// payload buffers come from `pool` (zero-allocation steady state:
+    /// the server reclaims every consumed payload into the same pool).
     pub(super) fn generate_client_cell(
-        client: Option<&mut ClientApp>,
+        role: &mut CircuitRole,
         pool: &mut PayloadPool,
         circ: CircId,
         now: SimTime,
     ) -> Option<QueuedCell> {
-        let app = client?;
+        let CircuitRole::Client(app) = role else {
+            return None;
+        };
         if !app.established() {
             return None;
         }
@@ -165,7 +167,9 @@ impl TorNetwork {
         let node = &mut self.nodes[server.index()];
         let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
-        let app = nc.server.as_mut().expect("server app exists");
+        let CircuitRole::Server { crypt, app } = &mut nc.role else {
+            unreachable!("recognition hands server_consume servers only");
+        };
         match rc.cmd {
             RelayCommand::Begin => {
                 let stream = app
@@ -175,7 +179,6 @@ impl TorNetwork {
                     return Err("duplicate BEGIN for a stream");
                 }
                 stream.open = true;
-                let crypt = nc.crypt.as_mut().expect("server has crypt state");
                 let mut reply = Self::control_cell(
                     &mut self.payload_passes,
                     crypt.digest_key(),
@@ -255,7 +258,7 @@ impl TorNetwork {
                 if !stream.ended {
                     stream.ended = true;
                     app.streams_ended += 1;
-                    app.ended = app.streams_ended == app.expected_streams;
+                    app.ended = app.streams_ended == app.streams.len();
                 }
             }
             _ => return Err("unexpected relay command at server"),
@@ -280,12 +283,10 @@ impl TorNetwork {
                 if rc.data.len() != torcell::cell::HANDSHAKE_LEN {
                     return Err("malformed EXTENDED payload");
                 }
-                let node = &self.nodes[client.index()];
-                let nc = node.circuit_at(local);
-                let app = nc.client.as_ref().expect("client app");
+                let nc = self.nodes[client.index()].circuit_at_mut(local);
                 debug_assert_eq!(
                     origin,
-                    app.route.len() - 1,
+                    nc.client_mut().route.len() - 1,
                     "EXTENDED must originate from the current last hop"
                 );
                 let mut hs = [0u8; torcell::cell::HANDSHAKE_LEN];
@@ -296,7 +297,7 @@ impl TorNetwork {
                 let node = &mut self.nodes[client.index()];
                 let my_net = node.net_node;
                 let nc = node.circuit_at_mut(local);
-                let app = nc.client.as_mut().expect("client app");
+                let app = nc.client_mut();
                 if !app.established() {
                     return Err("CONNECTED before the circuit was built");
                 }

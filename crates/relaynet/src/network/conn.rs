@@ -23,7 +23,7 @@ use torcell::ids::CircuitId;
 
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
-use crate::node::{CircuitPhase, NodeCircuit};
+use crate::node::{CircuitPhase, CircuitRole, NodeCircuit};
 use crate::wire::{FramePayload, WireFrame};
 
 use super::{Egress, LinkRoute, TorNetwork};
@@ -143,9 +143,7 @@ impl Egress {
     ) {
         let circ = nc.circ;
         let generates = dir == Direction::Forward && nc.phase == CircuitPhase::Open;
-        let NodeCircuit {
-            fwd, bwd, client, ..
-        } = nc;
+        let NodeCircuit { fwd, bwd, role, .. } = nc;
         let Some(hopdir) = (match dir {
             Direction::Forward => fwd.as_mut(),
             Direction::Backward => bwd.as_mut(),
@@ -160,7 +158,7 @@ impl Egress {
                 qc
             } else if generates {
                 match TorNetwork::generate_client_cell(
-                    client.as_mut(),
+                    role,
                     &mut self.payload_pool,
                     circ,
                     ctx.now(),
@@ -174,9 +172,9 @@ impl Egress {
 
             let mut cell = qc.cell;
             if let Some(hop) = qc.wrap_for_hop {
-                let app = client
-                    .as_mut()
-                    .expect("wrap_for_hop is only set on client-originated cells");
+                let CircuitRole::Client(app) = role else {
+                    panic!("wrap_for_hop is only set on client-originated cells");
+                };
                 match &mut cell.body {
                     CellBody::Relay(rc) => app.route.wrap_for_hop(hop, rc),
                     _ => debug_assert!(false, "wrap_for_hop on a control cell"),

@@ -329,9 +329,8 @@ impl TorNetwork {
         let Some(local) = self.open_client(circ) else {
             return; // reclaimed, or torn down and awaiting quiescence
         };
-        let nc = self.nodes[info.path[0].index()].circuit_at(local);
-        let app = nc.client.as_ref().expect("timers only arm at clients");
-        if !app.established() {
+        let nc = self.nodes[info.path[0].index()].circuit_at_mut(local);
+        if !nc.client_mut().established() {
             // Still telescoping when the build timer fired: the
             // half-built circuit is abandoned outright.
             self.force_abandon(ctx, circ);
@@ -422,9 +421,6 @@ impl TorNetwork {
         };
         let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
-        if nc.is_vacant() {
-            return;
-        }
         self.egress.close_participation(ctx, my_net, nc, false);
         for h in [nc.fwd.as_mut(), nc.bwd.as_mut()].into_iter().flatten() {
             h.transport.forget_all();

@@ -78,7 +78,7 @@ use torcell::ids::CircuitId;
 use crate::circuit::{CircuitInfo, CircuitResult};
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
-use crate::node::{CcFactory, NodeRole, OverlayNode};
+use crate::node::{CcFactory, CircuitRole, NodeRole, OverlayNode};
 use crate::pool::PayloadPool;
 use crate::scheduler::LinkScheduler;
 use crate::wire::WireFrame;
@@ -771,7 +771,6 @@ impl TorNetwork {
         let accounted = self.account_placement(&path);
         self.circuits.push(CircuitInfo {
             path,
-            file_bytes: workload.total_bytes(),
             started_at: None,
             workload,
             incarnation,
@@ -935,14 +934,15 @@ impl TorNetwork {
     /// The measured outcome of one circuit.
     pub fn result_of(&self, circ: CircId) -> CircuitResult {
         let info = &self.circuits[circ.index()];
-        let client_node = info.path[0];
-        let server_node = *info.path.last().expect("non-empty path");
-        let client = self.nodes[client_node.index()]
-            .circuit(circ)
-            .and_then(|nc| nc.client.as_ref());
-        let server = self.nodes[server_node.index()]
-            .circuit(circ)
-            .and_then(|nc| nc.server.as_ref());
+        let role = |n: &OverlayId| self.nodes[n.index()].circuit(circ).map(|nc| &nc.role);
+        let client = match info.path.first().and_then(role) {
+            Some(CircuitRole::Client(app)) => Some(app),
+            _ => None,
+        };
+        let server = match info.path.last().and_then(role) {
+            Some(CircuitRole::Server { app, .. }) => Some(app),
+            _ => None,
+        };
         CircuitResult {
             circ,
             started_at: info.started_at,

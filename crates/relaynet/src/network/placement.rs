@@ -222,20 +222,6 @@ impl TorNetwork {
         path
     }
 
-    /// Toggles one relay's liveness (consensus epoch churn), updating
-    /// the selection engine's weight for that relay. Returns `false` if
-    /// the relay was already in that state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no placement is installed.
-    pub fn set_relay_live(&mut self, relay: usize, live: bool) -> bool {
-        self.placement
-            .as_mut()
-            .expect("no placement policy installed")
-            .set_live(relay, live)
-    }
-
     /// Excludes one relay from future selection (blame after a circuit
     /// timeout), propagating the weight change into the selection
     /// engine. Returns `false` if already excluded or no placement is

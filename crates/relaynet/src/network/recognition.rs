@@ -22,7 +22,7 @@ use torcell::ids::CircuitId;
 
 use crate::event::TorEvent;
 use crate::ids::{Direction, OverlayId};
-use crate::node::{CircuitPhase, PendingConfirm, QueuedCell};
+use crate::node::{CircuitPhase, CircuitRole, PendingConfirm, QueuedCell};
 
 use super::faults::Void;
 use super::{Egress, TorNetwork};
@@ -100,26 +100,26 @@ impl TorNetwork {
 
         match flow {
             Direction::Forward => {
-                if nc.client.is_some() {
-                    self.egress.payload_pool.reclaim(rc.data);
-                    self.egress.protocol_error("forward relay cell at client");
-                    return;
-                }
-                let recognized = nc
-                    .crypt
-                    .as_mut()
-                    .expect("non-client has crypt state")
-                    .strip_forward(&mut rc);
-                if recognized {
+                let (crypt, at_server) = match &mut nc.role {
+                    CircuitRole::Relay { crypt, .. } => (crypt, false),
+                    CircuitRole::Server { crypt, .. } => (crypt, true),
+                    CircuitRole::Client(_) => {
+                        self.egress.payload_pool.reclaim(rc.data);
+                        self.egress.protocol_error("forward relay cell at client");
+                        return;
+                    }
+                    CircuitRole::Vacant => unreachable!("a vacant slot reads closed"),
+                };
+                if crypt.strip_forward(&mut rc) {
                     self.egress.send_feedback(ctx, my_net, confirm);
-                    let verdict = if nc.server.is_some() {
+                    let verdict = if at_server {
                         self.server_consume(ctx, to, global, local, &rc)
                     } else {
                         self.relay_consume(ctx, to, global, local, &rc)
                     };
                     self.egress.consumed(rc, verdict);
                 } else {
-                    if nc.server.is_some() {
+                    if at_server {
                         self.egress.payload_pool.reclaim(rc.data);
                         self.egress
                             .protocol_error("unrecognized relay cell at server");
@@ -142,8 +142,8 @@ impl TorNetwork {
                     self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
                 }
             }
-            Direction::Backward => {
-                if let Some(app) = nc.client.as_mut() {
+            Direction::Backward => match &mut nc.role {
+                CircuitRole::Client(app) => {
                     self.egress.send_feedback(ctx, my_net, confirm);
                     let verdict = match app.route.unwrap_inbound(&mut rc) {
                         Some(origin) => {
@@ -152,11 +152,9 @@ impl TorNetwork {
                         None => Err("backward cell not recognized by any layer"),
                     };
                     self.egress.consumed(rc, verdict);
-                } else {
-                    nc.crypt
-                        .as_mut()
-                        .expect("relay has crypt state")
-                        .add_backward(&mut rc);
+                }
+                CircuitRole::Relay { crypt, .. } | CircuitRole::Server { crypt, .. } => {
+                    crypt.add_backward(&mut rc);
                     let Some(bwd) = nc.bwd.as_mut() else {
                         self.egress.payload_pool.reclaim(rc.data);
                         self.egress
@@ -173,7 +171,8 @@ impl TorNetwork {
                     });
                     self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
                 }
-            }
+                CircuitRole::Vacant => unreachable!("a vacant slot reads closed"),
+            },
         }
     }
 }
@@ -299,6 +298,23 @@ mod tests {
             |h| h.fwd_links[0],
             |rc| rc.cmd == RelayCommand::Extend,
             junk,
+        );
+    }
+
+    // The first EXTEND, restamped to DATA and moved into a pool buffer:
+    // `cmd` rides outside the digest, so relay 1 recognizes the cell and
+    // its consume stage rejects it.
+    #[test]
+    fn extend_restamped_to_data_at_a_relay_returns_its_buffer() {
+        pool_ledger_survives(
+            |h| h.fwd_links[0],
+            |rc| rc.cmd == RelayCommand::Extend,
+            |rc, pool| {
+                rc.cmd = RelayCommand::Data;
+                let mut buf = pool.acquire();
+                buf.extend_from_slice(&rc.data);
+                rc.data = buf;
+            },
         );
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Each overlay node (client, relay, or server) keeps, per circuit it
 //! participates in, a [`NodeCircuit`]: the per-direction hop transports
-//! and queues, the relay-side onion layer, and — at the endpoints — the
-//! application state machines.
+//! and queues, and its [`CircuitRole`] — the client's onion route and
+//! streams, a relay's onion layer, or the server's layer and application.
 //!
 //! Participations live in a dense slab (`Vec<NodeCircuit>`) indexed by a
 //! node-local id handed out at join time; the per-cell pipeline resolves
@@ -180,12 +180,11 @@ impl StreamState {
 
 /// Client application state for one circuit.
 pub struct ClientApp {
-    /// Full path including the client itself and the server.
-    pub path: Vec<OverlayId>,
+    /// Onion layers the circuit needs: one per relay, plus the server's.
+    /// The path itself stays in the circuit's registry record.
+    pub hops: usize,
     /// Onion layers negotiated so far.
     pub route: OnionRoute,
-    /// Total payload bytes across all streams.
-    pub file_bytes: u64,
     /// Streams multiplexed over this circuit, in stream-id order.
     pub streams: Vec<StreamState>,
     /// Round-robin cursor for DATA generation across open streams.
@@ -194,8 +193,6 @@ pub struct ClientApp {
     /// server verifies against its aggregate arrival count; delivery is
     /// FIFO along the single path, so the counters agree).
     pub sent_cells: u64,
-    /// When the circuit build started.
-    pub started_at: SimTime,
     /// When the first CONNECTED arrived (the circuit carries traffic).
     pub connected_at: Option<SimTime>,
     /// When the first DATA cell was sent.
@@ -208,31 +205,25 @@ pub struct ClientApp {
 }
 
 impl ClientApp {
-    /// Creates client state for the given resolved streams over `path`.
+    /// Creates client state for the given resolved streams over a
+    /// circuit of `hops` onion layers.
     ///
     /// # Panics
     ///
-    /// Panics if the path is shorter than client + server, there are no
-    /// streams, or any stream is empty.
-    pub fn new(path: Vec<OverlayId>, streams: &[StreamSpec], started_at: SimTime) -> ClientApp {
-        assert!(
-            path.len() >= 2,
-            "a circuit needs at least client and server"
-        );
+    /// Panics if there is no hop, no stream, or an empty stream.
+    pub fn new(hops: usize, streams: &[StreamSpec]) -> ClientApp {
+        assert!(hops >= 1, "a circuit needs at least client and server");
         assert!(!streams.is_empty(), "a circuit needs at least one stream");
-        let streams: Vec<StreamState> = streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| StreamState::new(i, s))
-            .collect();
         ClientApp {
-            path,
+            hops,
             route: OnionRoute::new(),
-            file_bytes: streams.iter().map(|s| s.bytes).sum(),
-            streams,
+            streams: streams
+                .iter()
+                .enumerate()
+                .map(|(i, s)| StreamState::new(i, s))
+                .collect(),
             rr_cursor: 0,
             sent_cells: 0,
-            started_at,
             connected_at: None,
             first_data_at: None,
             payload_passes: 0,
@@ -241,13 +232,13 @@ impl ClientApp {
 
     /// The layer index of the server (the hop that recognizes DATA).
     pub fn server_hop(&self) -> usize {
-        self.path.len() - 2
+        self.hops - 1
     }
 
     /// Every hop's layer is negotiated (the telescope is done): streams
     /// may open (BEGIN / CONNECTED) and transfer independently.
     pub(crate) fn established(&self) -> bool {
-        self.route.len() + 1 == self.path.len()
+        self.route.len() == self.hops
     }
 
     /// The stream carrying wire id `id`, if any.
@@ -275,11 +266,9 @@ pub struct ServerStream {
 /// Server application state for one circuit.
 #[derive(Clone, Debug, Default)]
 pub struct ServerApp {
-    /// Streams the circuit's workload will open (known to the simulator's
-    /// registry; used only to decide when the circuit's work is done).
-    pub expected_streams: usize,
-    /// Per-stream accounting, indexed by stream id (`streams[i]` carries
-    /// `StreamId(i + 1)`; ids are dense and 1-based by construction).
+    /// Per-stream accounting for every stream the circuit's workload will
+    /// open, indexed by stream id (`streams[i]` carries `StreamId(i + 1)`;
+    /// ids are dense and 1-based by construction).
     pub streams: Vec<ServerStream>,
     /// Streams that have received their END.
     pub streams_ended: usize,
@@ -298,12 +287,11 @@ pub struct ServerApp {
 }
 
 impl ServerApp {
-    /// Creates server state expecting `expected_streams` streams, each
-    /// closed until its BEGIN arrives.
-    pub fn new(expected_streams: usize) -> ServerApp {
+    /// Creates server state expecting `streams` streams, each closed
+    /// until its BEGIN arrives.
+    pub fn new(streams: usize) -> ServerApp {
         ServerApp {
-            expected_streams,
-            streams: (0..expected_streams)
+            streams: (0..streams)
                 .map(|i| ServerStream {
                     id: StreamId(u16::try_from(i + 1).expect("too many streams")),
                     open: false,
@@ -341,6 +329,30 @@ pub enum CircuitPhase {
     },
 }
 
+/// What a node does in one circuit, minted with its participation: the
+/// role is one value (DESIGN.md §8), so a client never holds a relay
+/// layer and a server never lacks one.
+pub enum CircuitRole {
+    /// A reclaimed slab slot awaiting reuse.
+    Vacant,
+    /// The circuit's origin: onion route and streams.
+    Client(ClientApp),
+    /// An interior hop.
+    Relay {
+        /// This hop's onion layer.
+        crypt: RelayCrypt,
+        /// Handshake blob of an EXTEND in progress, echoed in EXTENDED.
+        pending_extend: Option<[u8; HANDSHAKE_LEN]>,
+    },
+    /// The circuit's last hop.
+    Server {
+        /// This hop's onion layer.
+        crypt: RelayCrypt,
+        /// The server application.
+        app: ServerApp,
+    },
+}
+
 /// A node's participation in one circuit.
 pub struct NodeCircuit {
     /// Global circuit id (simulator bookkeeping).
@@ -351,44 +363,32 @@ pub struct NodeCircuit {
     pub fwd: Option<HopDir>,
     /// Transport and queue toward the client (None at the client).
     pub bwd: Option<HopDir>,
-    /// Relay-side onion layer (None at the client).
-    pub crypt: Option<RelayCrypt>,
-    /// Handshake blob of an EXTEND in progress, echoed in EXTENDED.
-    pub pending_extend: Option<[u8; HANDSHAKE_LEN]>,
-    /// Client application (only at position 0).
-    pub client: Option<ClientApp>,
-    /// Server application (only at the last position).
-    pub server: Option<ServerApp>,
+    /// Client, relay or server — or a vacant slot.
+    pub role: CircuitRole,
     /// Lifecycle: open, or closed with the teardown waves seen so far.
     pub phase: CircuitPhase,
 }
 
 impl NodeCircuit {
-    /// Creates an empty participation record.
-    pub fn new(circ: CircId, position: usize) -> NodeCircuit {
+    /// Creates a participation with no hops yet.
+    pub fn new(circ: CircId, position: usize, role: CircuitRole) -> NodeCircuit {
         NodeCircuit {
             circ,
             position,
             fwd: None,
             bwd: None,
-            crypt: None,
-            pending_extend: None,
-            client: None,
-            server: None,
+            role,
             phase: CircuitPhase::Open,
         }
     }
 
-    /// The placeholder stored in a reclaimed slab slot.
-    pub fn vacant() -> NodeCircuit {
-        let mut nc = NodeCircuit::new(CircId(u32::MAX), usize::MAX);
-        nc.close();
-        nc
-    }
-
-    /// Whether this slot holds a live participation.
-    pub fn is_vacant(&self) -> bool {
-        self.circ == CircId(u32::MAX)
+    /// The client application of a participation known to be the
+    /// client's (found through `open_client` or a client route).
+    pub(crate) fn client_mut(&mut self) -> &mut ClientApp {
+        let CircuitRole::Client(app) = &mut self.role else {
+            panic!("not a client participation");
+        };
+        app
     }
 
     /// The hop direction that *sends to* `neighbor`, used to route
@@ -445,11 +445,13 @@ impl NodeCircuit {
     /// far: the relay-side layer's, plus (at the client) the onion
     /// route's and the cell-building walks.
     pub fn payload_passes(&self) -> u64 {
-        self.crypt.as_ref().map_or(0, RelayCrypt::payload_passes)
-            + self
-                .client
-                .as_ref()
-                .map_or(0, |app| app.payload_passes + app.route.payload_passes())
+        match &self.role {
+            CircuitRole::Vacant => 0,
+            CircuitRole::Client(app) => app.payload_passes + app.route.payload_passes(),
+            CircuitRole::Relay { crypt, .. } | CircuitRole::Server { crypt, .. } => {
+                crypt.payload_passes()
+            }
+        }
     }
 
     /// Teardown quiescence: both waves seen, every sent cell confirmed,
@@ -503,8 +505,9 @@ impl OverlayNode {
         let circ = nc.circ;
         let local = match self.free_slots.pop() {
             Some(local) => {
-                debug_assert!(self.circuits[local as usize].is_vacant());
-                self.circuits[local as usize] = nc;
+                let slot = &mut self.circuits[local as usize];
+                debug_assert!(matches!(slot.role, CircuitRole::Vacant));
+                *slot = nc;
                 local
             }
             None => {
@@ -519,9 +522,12 @@ impl OverlayNode {
     /// Reclaims a participation's slab slot: the slot is vacated, the
     /// global-id mapping dropped, and the index queued for reuse.
     pub fn remove_circuit(&mut self, local: u32) {
-        let old = std::mem::replace(&mut self.circuits[local as usize], NodeCircuit::vacant());
-        debug_assert!(!old.is_vacant(), "double-free of a circuit slot");
-        self.by_global.remove(&old.circ);
+        let slot = &mut self.circuits[local as usize];
+        debug_assert!(!matches!(slot.role, CircuitRole::Vacant), "double free");
+        self.by_global.remove(&slot.circ);
+        // Hops and role go; the slot reads closed, so no stage acts on it.
+        (slot.fwd, slot.bwd, slot.role) = (None, None, CircuitRole::Vacant);
+        slot.close();
         self.free_slots.push(local);
     }
 
@@ -576,25 +582,35 @@ impl OverlayNode {
 mod tests {
     use super::*;
     use backtap::cc::FixedWindowCc;
+    use torcell::crypto::LayerKey;
 
     fn transport() -> HopTransport {
         HopTransport::new(Box::new(FixedWindowCc::new(4)))
     }
 
+    /// A relay's participation in `circ`, with no hops yet.
+    fn relay(circ: u32) -> NodeCircuit {
+        let crypt = RelayCrypt::new(LayerKey::from_handshake(&[0; HANDSHAKE_LEN]));
+        let role = CircuitRole::Relay {
+            crypt,
+            pending_extend: None,
+        };
+        NodeCircuit::new(CircId(circ), 1, role)
+    }
+
     /// A client carrying one stream of `bytes`, arriving immediately.
-    fn one_stream(path: Vec<OverlayId>, bytes: u64) -> ClientApp {
+    fn one_stream(hops: usize, bytes: u64) -> ClientApp {
         let spec = StreamSpec {
             flow: FlowId(0),
             bytes,
             offset: SimDuration::ZERO,
         };
-        ClientApp::new(path, &[spec], SimTime::ZERO)
+        ClientApp::new(hops, &[spec])
     }
 
     #[test]
     fn client_app_cell_accounting() {
-        let path = vec![OverlayId(0), OverlayId(1), OverlayId(2)];
-        let app = one_stream(path, 1000);
+        let app = one_stream(2, 1000);
         // 1000 bytes / 496 per cell = 3 cells: 496 + 496 + 8.
         let s = &app.streams[0];
         assert_eq!(s.total_cells, 3);
@@ -602,20 +618,18 @@ mod tests {
         assert_eq!(s.cell_len(1), 496);
         assert_eq!(s.cell_len(2), 8);
         assert_eq!(app.server_hop(), 1);
-        assert_eq!(app.file_bytes, 1000);
     }
 
     #[test]
     fn client_app_exact_multiple() {
-        let path = vec![OverlayId(0), OverlayId(1)];
-        let app = one_stream(path, 992);
+        let app = one_stream(1, 992);
         assert_eq!(app.streams[0].total_cells, 2);
         assert_eq!(app.streams[0].cell_len(1), 496);
     }
 
     #[test]
     fn client_app_single_byte() {
-        let app = one_stream(vec![OverlayId(0), OverlayId(1)], 1);
+        let app = one_stream(1, 1);
         assert_eq!(app.streams[0].total_cells, 1);
         assert_eq!(app.streams[0].cell_len(0), 1);
     }
@@ -634,12 +648,7 @@ mod tests {
                 offset: SimDuration::from_millis(5),
             },
         ];
-        let mut app = ClientApp::new(
-            vec![OverlayId(0), OverlayId(1), OverlayId(2)],
-            &specs,
-            SimTime::ZERO,
-        );
-        assert_eq!(app.file_bytes, 1492);
+        let mut app = ClientApp::new(2, &specs);
         assert_eq!(app.streams[0].id, StreamId(1));
         assert_eq!(app.streams[1].id, StreamId(2));
         assert!(app.streams[0].arrived, "offset 0 arrives immediately");
@@ -655,13 +664,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty stream")]
     fn client_app_rejects_empty_file() {
-        let _ = one_stream(vec![OverlayId(0), OverlayId(1)], 0);
+        let _ = one_stream(1, 0);
     }
 
     #[test]
     #[should_panic(expected = "client and server")]
     fn client_app_rejects_short_path() {
-        let _ = one_stream(vec![OverlayId(0)], 10);
+        let _ = one_stream(0, 10);
     }
 
     #[test]
@@ -686,7 +695,7 @@ mod tests {
 
     #[test]
     fn node_circuit_direction_resolution() {
-        let mut nc = NodeCircuit::new(CircId(0), 1);
+        let mut nc = relay(0);
         nc.fwd = Some(HopDir::new(OverlayId(2), CircuitId(10), transport()));
         nc.bwd = Some(HopDir::new(OverlayId(0), CircuitId(11), transport()));
         assert_eq!(nc.direction_toward(OverlayId(2)), Some(Direction::Forward));
@@ -700,7 +709,7 @@ mod tests {
     fn phase_transitions_close_then_record_each_wave_once() {
         use CircuitPhase::{Closed, Open};
         use Direction::{Backward, Forward};
-        let mut nc = NodeCircuit::new(CircId(0), 1);
+        let mut nc = relay(0);
         nc.fwd = Some(HopDir::new(OverlayId(2), CircuitId(10), transport()));
         nc.bwd = Some(HopDir::new(OverlayId(0), CircuitId(11), transport()));
         assert_eq!(nc.phase, Open);
@@ -755,7 +764,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "open participation")]
     fn a_wave_cannot_reach_an_open_participation() {
-        NodeCircuit::new(CircId(0), 1).mark_wave(Direction::Forward);
+        relay(0).mark_wave(Direction::Forward);
     }
 
     #[test]
@@ -768,18 +777,26 @@ mod tests {
             },
             NodeRole::Relay,
         );
-        let a = node.add_circuit(NodeCircuit::new(CircId(0), 1));
-        let b = node.add_circuit(NodeCircuit::new(CircId(1), 1));
+        let a = node.add_circuit(relay(0));
+        let b = node.add_circuit(relay(1));
         assert_eq!(node.slab_len(), 2);
         assert_eq!(node.circuit_count(), 2);
         node.remove_circuit(a);
         assert_eq!(node.circuit_count(), 1);
         assert_eq!(node.free_slot_count(), 1);
         assert!(node.local_idx(CircId(0)).is_none(), "mapping dropped");
-        let c = node.add_circuit(NodeCircuit::new(CircId(2), 1));
+        let c = node.add_circuit(relay(2));
         assert_eq!(c, a, "reclaimed slot is reused");
         assert_eq!(node.slab_len(), 2, "slab did not grow");
         assert_eq!(node.free_slot_count(), 0);
         assert_eq!(node.local_idx(CircId(1)), Some(b));
+    }
+
+    #[test]
+    fn a_participation_is_at_most_648_bytes() {
+        // 856 bytes while the role was four `Option`s; now a slab slot is
+        // its two hops (448) plus its largest role (168) and ids (632).
+        let size = std::mem::size_of::<NodeCircuit>();
+        assert!(size <= 648, "a participation is {size} bytes");
     }
 }

@@ -53,7 +53,7 @@ if [ "${design_lines}" -ge 1000 ]; then
 fi
 cargo test -q --test design_refs
 
-echo "==> cargo test -q --workspace"
+echo "==> cargo test -q --workspace (includes the async_runtime, fault_recovery and telemetry_sketch suites)"
 cargo test -q --workspace
 
 echo "==> stranded-teardown sweep: three recipes, 40 / 1500 / 400 worlds, zero strands"
@@ -82,15 +82,6 @@ cargo run -q --release -p cs-bench --bin fig1_cdf -- --circuits 10 --reps 1
 
 echo "==> smoke: ablations midflow policies (A6 mid-flow upgrade, A7 selection policies)"
 cargo run -q --release -p cs-bench --bin ablations -- midflow policies
-
-echo "==> threaded-runtime differential suite (oracle fingerprints, pool flatness)"
-cargo test -q --test async_runtime
-
-echo "==> fault-recovery suite (conservation + fingerprint invariance under faults)"
-cargo test -q --test fault_recovery
-
-echo "==> telemetry differential suite (sketch vs exact CDF, shuffle-merge invariance, Prometheus golden file)"
-cargo test -q --test telemetry_sketch
 
 echo "==> csbench smoke: all five workloads, quick mode (includes its determinism double-run)"
 cargo run -q --release -p cs-bench --bin csbench -- run --quick --seed 1 --json "${scratch_dir}/csbench_quick.json"
