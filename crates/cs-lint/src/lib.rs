@@ -20,7 +20,7 @@
 //! | `no-println-in-lib` | library telemetry goes through `simstats` |
 //! | `no-bare-unwrap-in-lib` | library panics name their invariant |
 //! | `exhaustive-destructure` | merge/export/fingerprint fns bind every struct field |
-//! | `stage-boundary` | each relay pipeline stage names only what it owns |
+//! | `stage-boundary` | each relay pipeline stage, and `Net`'s links, name only what they own |
 //!
 //! The first seven are token-local. `exhaustive-destructure` is
 //! *semantic*: it runs on an item-level parse ([`items`]) of the same

@@ -130,8 +130,9 @@ const RELAYNET: &str = "crates/relaynet/src/";
 const PLACEMENT_OWNED: &str = "placement (directory, load ledger, liveness, blame, epochs) is \
                                owned by network/placement.rs: call one of its methods";
 
-/// The relay pipeline's ownership boundaries, one row per invariant
-/// (`stage-boundary`, DESIGN.md §14). No row can be suppressed.
+/// The relay pipeline's ownership boundaries, and `netsim`'s one frame
+/// store, one row per invariant (`stage-boundary`, DESIGN.md §14). No row
+/// can be suppressed.
 pub const STAGE_BOUNDARIES: &[Boundary] = &[
     Boundary {
         files: &[RELAYNET],
@@ -201,6 +202,11 @@ pub const STAGE_BOUNDARIES: &[Boundary] = &[
         invariant: "the topology is the address book: route and address through the \
                     world's netsim::topology::Topology (Egress::next_link, Topology::node \
                     / index_of)",
+    },
+    Boundary {
+        files: &["crates/netsim/src/link.rs", "crates/netsim/src/net.rs"],
+        forbidden: &[&["VecDeque", "<", "F", ">"], &["Queued"]],
+        invariant: "a frame is stored once, in Net's store; link FIFOs carry handles",
     },
 ];
 

@@ -115,7 +115,7 @@ impl Rule {
                  a field is a compile error instead of a silent aggregation gap"
             }
             Rule::StageBoundary => {
-                "a relay pipeline stage names what another stage owns: each boundary \
+                "a file names what another part of the program owns: each boundary \
                  is a row of cs_lint::policy::STAGE_BOUNDARIES, and none has an \
                  escape hatch"
             }

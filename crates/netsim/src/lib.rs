@@ -35,5 +35,5 @@ pub mod topology;
 pub use bandwidth::Bandwidth;
 pub use frame::{Frame, RawFrame};
 pub use link::{LinkConfig, LinkId, LinkStats, QueueLimit};
-pub use net::{Net, NetEvent, NodeId, SendOutcome};
+pub use net::{FrameStoreUse, Net, NetEvent, NodeId, SendOutcome};
 pub use topology::{AccessConfig, AccessLinks, Path, Star};

@@ -3,7 +3,10 @@
 //! A link is **simplex** (one direction); duplex connectivity is modelled
 //! as two independent links. Each link owns a drop-tail egress queue, a
 //! single "transmitter" slot (the frame currently being serialized), and a
-//! FIFO of frames in flight across the propagation delay:
+//! FIFO of frames in flight across the propagation delay. The three hold
+//! 4-byte handles: every frame is stored once, in its
+//! [`Net`](crate::net::Net)'s frame store, from `send` until it is
+//! delivered.
 //!
 //! ```text
 //!   send() ──► [egress queue] ──► (serializing, rate-limited)
@@ -124,22 +127,20 @@ impl LinkStats {
     }
 }
 
-/// A frame waiting in the egress queue, stamped with its arrival time.
-pub(crate) struct Queued<F> {
-    pub frame: F,
-    pub enqueued_at: SimTime,
-}
-
-/// Full runtime state of one link.
-pub(crate) struct LinkState<F> {
+/// Full runtime state of one link. Frames are named by their handle in
+/// the `Net`'s store. The type is not generic, so the methods `Net<F>`
+/// calls per frame are `#[inline]`: without it they could not be inlined
+/// into the crate that instantiates `Net<F>`.
+pub(crate) struct LinkState {
     pub cfg: LinkConfig,
-    /// Frames waiting for the transmitter.
-    pub queue: VecDeque<Queued<F>>,
+    /// Frames waiting for the transmitter, each stamped with its arrival
+    /// time.
+    pub queue: VecDeque<(u32, SimTime)>,
     /// Bytes currently waiting in `queue`.
     pub queue_bytes: u64,
     /// The frame being serialized right now, if its sender awaits the
     /// departure; a `TxComplete` is scheduled for it at `busy_until`.
-    pub transmitting: Option<F>,
+    pub transmitting: Option<u32>,
     /// When the most recently started serialization ends. All that a
     /// silently departing frame leaves behind of a busy transmitter.
     pub busy_until: SimTime,
@@ -149,7 +150,7 @@ pub(crate) struct LinkState<F> {
     /// Frames that are propagating, or still serializing silently.
     /// Constant per-link delay + FIFO serialization ⇒ delivery order ==
     /// push order.
-    pub in_flight: VecDeque<F>,
+    pub in_flight: VecDeque<u32>,
     pub stats: LinkStats,
     /// The last two distinct `(wire size, serialization time)` pairs at
     /// the current rate, newest first (see [`LinkState::tx_time`]).
@@ -159,7 +160,7 @@ pub(crate) struct LinkState<F> {
 /// Zero bytes take zero time at any rate, so the empty memo is a valid one.
 const TX_MEMO_EMPTY: [(u32, SimDuration); 2] = [(0, SimDuration::ZERO); 2];
 
-impl<F> LinkState<F> {
+impl LinkState {
     pub fn new(cfg: LinkConfig) -> Self {
         LinkState {
             cfg,
@@ -177,6 +178,7 @@ impl<F> LinkState<F> {
     /// `cfg.rate.transmission_time(bytes)` without its 128-bit division
     /// for the two frame sizes a link keeps carrying (an overlay link only
     /// ever sees 512-byte cells and 20-byte feedback frames).
+    #[inline]
     pub fn tx_time(&mut self, bytes: u32) -> SimDuration {
         if let Some(&(_, time)) = self.tx_memo.iter().find(|&&(size, _)| size == bytes) {
             return time;
@@ -193,6 +195,7 @@ impl<F> LinkState<F> {
     }
 
     /// Whether the egress queue can accept another `bytes`-sized frame.
+    #[inline]
     pub fn queue_has_room(&self, bytes: u32) -> bool {
         match self.cfg.queue {
             QueueLimit::Unbounded => true,
@@ -202,17 +205,20 @@ impl<F> LinkState<F> {
     }
 
     /// Number of frames waiting (not counting the one serializing).
+    #[inline]
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
     /// Bytes waiting (not counting the one serializing).
+    #[inline]
     pub fn queue_bytes(&self) -> u64 {
         self.queue_bytes
     }
 
     /// Whether a `TxComplete` is scheduled — for the frame in the
     /// transmitter slot or as a wake-up.
+    #[inline]
     pub fn completion_pending(&self) -> bool {
         self.transmitting.is_some() || self.wake_pending
     }
@@ -220,6 +226,7 @@ impl<F> LinkState<F> {
     /// Whether a frame offered at `now` has to wait: one is serializing,
     /// or a pending completion at this very instant has first claim on
     /// the transmitter for the work queued behind it.
+    #[inline]
     pub fn is_busy(&self, now: SimTime) -> bool {
         self.completion_pending() || now < self.busy_until
     }
@@ -231,26 +238,20 @@ mod tests {
 
     #[test]
     fn queue_limit_frames() {
-        let mut st: LinkState<u8> = LinkState::new(LinkConfig {
+        let mut st = LinkState::new(LinkConfig {
             rate: Bandwidth::from_mbps(1),
             delay: SimDuration::ZERO,
             queue: QueueLimit::Frames(2),
         });
         assert!(st.queue_has_room(100));
-        st.queue.push_back(Queued {
-            frame: 1,
-            enqueued_at: SimTime::ZERO,
-        });
-        st.queue.push_back(Queued {
-            frame: 2,
-            enqueued_at: SimTime::ZERO,
-        });
+        st.queue.push_back((1, SimTime::ZERO));
+        st.queue.push_back((2, SimTime::ZERO));
         assert!(!st.queue_has_room(100));
     }
 
     #[test]
     fn queue_limit_bytes() {
-        let mut st: LinkState<u8> = LinkState::new(LinkConfig {
+        let mut st = LinkState::new(LinkConfig {
             rate: Bandwidth::from_mbps(1),
             delay: SimDuration::ZERO,
             queue: QueueLimit::Bytes(1000),
@@ -262,16 +263,14 @@ mod tests {
 
     #[test]
     fn unbounded_always_has_room() {
-        let st: LinkState<u8> =
-            LinkState::new(LinkConfig::new(Bandwidth::from_mbps(1), SimDuration::ZERO));
+        let st = LinkState::new(LinkConfig::new(Bandwidth::from_mbps(1), SimDuration::ZERO));
         assert!(st.queue_has_room(u32::MAX));
     }
 
     #[test]
     fn memoised_tx_time_is_transmission_time_across_sizes_and_rate_changes() {
         let mut rng = simcore::rng::SimRng::seed_from(0x7E40);
-        let mut st: LinkState<u8> =
-            LinkState::new(LinkConfig::new(Bandwidth::from_bps(1), SimDuration::ZERO));
+        let mut st = LinkState::new(LinkConfig::new(Bandwidth::from_bps(1), SimDuration::ZERO));
         for round in 0..200 {
             // From 8 bit/s (where u32::MAX bytes still fit u64 ns) to
             // 100 Gbit/s, every decade equally likely.

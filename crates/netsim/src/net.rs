@@ -35,13 +35,23 @@
 //! [`Net::on_tx_complete`] finds the transmitter slot empty and starts
 //! the next frame. The invariant: *queued work behind a busy link ⇒ a
 //! completion is pending* ([`Net::completion_pending`]).
+//!
+//! # One frame store
+//!
+//! A frame is stored once: [`Net::send`] puts it into the `Net`'s one
+//! store and [`Net::take_delivered`] takes it out. In between, the link's
+//! egress queue, transmitter slot and in-flight FIFO move a 4-byte handle,
+//! and [`Net::transmitting_mut`] / [`Net::last_on_wire_mut`] look the
+//! frame up by it. A freed slot is the next one filled, so the store
+//! holds as many slots as frames were ever held at once
+//! ([`Net::frame_store`]), not the sum of every link's own peak.
 
 use simcore::sim::Context;
 use simcore::time::SimTime;
 
 use crate::bandwidth::Bandwidth;
 use crate::frame::Frame;
-use crate::link::{LinkConfig, LinkId, LinkState, LinkStats, Queued};
+use crate::link::{LinkConfig, LinkId, LinkState, LinkStats};
 
 /// Identifies a node within one [`Net`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -79,6 +89,69 @@ pub enum SendOutcome {
     /// The egress queue was full; the frame was dropped (and counted in
     /// the link's `frames_dropped`), not handed back to the caller.
     Dropped,
+}
+
+/// How [`Net`]'s frame store is used (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FrameStoreUse {
+    /// Frames held now: queued, serializing or in flight on any link.
+    pub held: usize,
+    /// The most frames ever held at once — the store's slot count, since
+    /// a slot is only added when every one is taken.
+    pub high_water: usize,
+    /// Slots reserved.
+    pub reserved: usize,
+}
+
+/// Every frame a [`Net`] holds, under a `u32` handle, from `send` until
+/// it is delivered. Freed slots are reused last-in first-out. The
+/// per-frame methods are `#[inline]`: each runs once or twice per frame.
+struct FrameStore<F> {
+    slots: Vec<Option<F>>,
+    free: Vec<u32>,
+}
+
+impl<F> FrameStore<F> {
+    #[inline]
+    fn insert(&mut self, frame: F) -> u32 {
+        match self.free.pop() {
+            Some(handle) => {
+                self.slots[handle as usize] = Some(frame);
+                handle
+            }
+            None => self.grow(frame),
+        }
+    }
+
+    /// A new slot, for a frame that finds every slot taken: at most once
+    /// per frame of the high-water mark, so out of the per-frame path.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, frame: F) -> u32 {
+        let handle = u32::try_from(self.slots.len()).expect("more than 2^32 frames held");
+        self.slots.push(Some(frame));
+        handle
+    }
+
+    #[inline]
+    fn get_mut(&mut self, handle: u32) -> &mut F {
+        self.slots[handle as usize]
+            .as_mut()
+            .expect("a link's handle names a stored frame")
+    }
+
+    #[inline]
+    fn remove(&mut self, handle: u32) -> F {
+        // Swapped out whole rather than `take`n: `take` can store the
+        // `None` niche into the middle of the frame it moves out and copy
+        // the frame around that byte, and a wide copy of the frame soon
+        // after stalls on the split stores (5–9 ns an event on a
+        // `Net`-only loop whose frame has a `bool` niche).
+        let mut frame = None;
+        std::mem::swap(&mut self.slots[handle as usize], &mut frame);
+        self.free.push(handle);
+        frame.expect("a link's handle names a stored frame")
+    }
 }
 
 /// A directed graph of nodes and rate/delay links carrying frames of type
@@ -129,7 +202,8 @@ pub enum SendOutcome {
 /// );
 /// ```
 pub struct Net<F: Frame> {
-    links: Vec<LinkState<F>>,
+    links: Vec<LinkState>,
+    store: FrameStore<F>,
     link_ends: Vec<(NodeId, NodeId)>,
     /// Every node's diagnostic name, back to back: one buffer for all
     /// nodes rather than one allocation each.
@@ -149,6 +223,10 @@ impl<F: Frame> Net<F> {
     pub fn new() -> Self {
         Net {
             links: Vec::new(),
+            store: FrameStore {
+                slots: Vec::new(),
+                free: Vec::new(),
+            },
             link_ends: Vec::new(),
             names: String::new(),
             name_ends: Vec::new(),
@@ -254,6 +332,17 @@ impl<F: Frame> Net<F> {
         self.links.iter().map(|l| l.stats.frames_dropped).sum()
     }
 
+    /// How the frame store is used: frames held now, the most ever held
+    /// at once, and slots reserved.
+    pub fn frame_store(&self) -> FrameStoreUse {
+        let FrameStore { slots, free } = &self.store;
+        FrameStoreUse {
+            held: slots.len() - free.len(),
+            high_water: slots.len(),
+            reserved: slots.capacity(),
+        }
+    }
+
     /// Hands a frame to a link for transmission at the current time.
     ///
     /// If the transmitter is idle the frame starts serializing immediately;
@@ -268,26 +357,25 @@ impl<F: Frame> Net<F> {
         let now = ctx.now();
         let state = &mut self.links[link.index()];
         let size = frame.wire_size();
-        if !state.is_busy(now) {
-            debug_assert!(
-                state.queue.is_empty(),
-                "idle transmitter with non-empty queue"
-            );
-            Self::begin_tx(state, link, frame, now, ctx);
-            state.stats.frames_accepted += 1;
-            return SendOutcome::Accepted;
-        }
-        if !state.queue_has_room(size) {
+        let idle = !state.is_busy(now);
+        if !idle && !state.queue_has_room(size) {
             state.stats.frames_dropped += 1;
             state.stats.bytes_dropped += u64::from(size);
             return SendOutcome::Dropped;
         }
-        state.queue.push_back(Queued {
-            frame,
-            enqueued_at: now,
-        });
-        state.queue_bytes += u64::from(size);
+        let awaits_departure = frame.awaits_departure();
+        let handle = self.store.insert(frame);
         state.stats.frames_accepted += 1;
+        if idle {
+            debug_assert!(
+                state.queue.is_empty(),
+                "idle transmitter with non-empty queue"
+            );
+            Self::begin_tx(state, link, handle, size, awaits_departure, now, ctx);
+            return SendOutcome::Accepted;
+        }
+        state.queue.push_back((handle, now));
+        state.queue_bytes += u64::from(size);
         state.stats.queue_hwm_frames = state.stats.queue_hwm_frames.max(state.queue.len());
         state.stats.queue_hwm_bytes = state.stats.queue_hwm_bytes.max(state.queue_bytes);
         Self::ensure_completion(state, link, ctx);
@@ -323,7 +411,8 @@ impl<F: Frame> Net<F> {
     /// this hop) before calling [`Net::on_tx_complete`]. `None` on a
     /// wake-up.
     pub fn transmitting_mut(&mut self, link: LinkId) -> Option<&mut F> {
-        self.links[link.index()].transmitting.as_mut()
+        let handle = self.links[link.index()].transmitting?;
+        Some(self.store.get_mut(handle))
     }
 
     /// The frame most recently put on the wire of `link` that has not
@@ -331,8 +420,9 @@ impl<F: Frame> Net<F> {
     /// not) or already propagating. For tests that inspect or tamper
     /// with traffic in flight.
     pub fn last_on_wire_mut(&mut self, link: LinkId) -> Option<&mut F> {
-        let state = &mut self.links[link.index()];
-        state.transmitting.as_mut().or(state.in_flight.back_mut())
+        let state = &self.links[link.index()];
+        let handle = state.transmitting.or(state.in_flight.back().copied())?;
+        Some(self.store.get_mut(handle))
     }
 
     /// Handles [`NetEvent::TxComplete`]: moves the serialized frame, if
@@ -347,8 +437,8 @@ impl<F: Frame> Net<F> {
         let now = ctx.now();
         let state = &mut self.links[link.index()];
         debug_assert!(now >= state.busy_until, "completion ahead of its instant");
-        if let Some(frame) = state.transmitting.take() {
-            state.in_flight.push_back(frame);
+        if let Some(handle) = state.transmitting.take() {
+            state.in_flight.push_back(handle);
             ctx.schedule_in(state.cfg.delay, NetEvent::Deliver { link }.into());
         } else {
             assert!(
@@ -356,12 +446,14 @@ impl<F: Frame> Net<F> {
                 "TxComplete on a link that expects none"
             );
         }
-        if let Some(next) = state.queue.pop_front() {
-            state.queue_bytes -= u64::from(next.frame.wire_size());
-            let wait = now.saturating_duration_since(next.enqueued_at);
+        if let Some((handle, enqueued_at)) = state.queue.pop_front() {
+            let frame = self.store.get_mut(handle);
+            let (size, awaits_departure) = (frame.wire_size(), frame.awaits_departure());
+            state.queue_bytes -= u64::from(size);
+            let wait = now.saturating_duration_since(enqueued_at);
             state.stats.queue_wait_total += wait;
             state.stats.queue_wait_max = state.stats.queue_wait_max.max(wait);
-            Self::begin_tx(state, link, next.frame, now, ctx);
+            Self::begin_tx(state, link, handle, size, awaits_departure, now, ctx);
             if !state.queue.is_empty() {
                 Self::ensure_completion(state, link, ctx);
             }
@@ -379,36 +471,39 @@ impl<F: Frame> Net<F> {
     ///
     /// Panics if no frame is in flight — that indicates a double-handled
     /// event, which is always a bug.
+    #[inline]
     pub fn take_delivered(&mut self, link: LinkId) -> F {
         let state = &mut self.links[link.index()];
-        let frame = state
+        let handle = state
             .in_flight
             .pop_front()
             .expect("Deliver on a link with nothing in flight");
         state.stats.frames_delivered += 1;
-        frame
+        self.store.remove(handle)
     }
 
-    /// Starts serializing `frame` on an idle transmitter.
+    /// Starts serializing the stored frame `handle`, `size` bytes long, on
+    /// an idle transmitter.
     fn begin_tx<E: From<NetEvent>>(
-        state: &mut LinkState<F>,
+        state: &mut LinkState,
         link: LinkId,
-        frame: F,
+        handle: u32,
+        size: u32,
+        awaits_departure: bool,
         now: SimTime,
         ctx: &mut Context<'_, E>,
     ) {
         debug_assert!(!state.is_busy(now), "transmitter claimed twice");
-        let size = frame.wire_size();
         let tx_time = state.tx_time(size);
         state.stats.busy_time += tx_time;
         state.stats.frames_sent += 1;
         state.stats.bytes_sent += u64::from(size);
         state.busy_until = now + tx_time;
-        if frame.awaits_departure() {
-            state.transmitting = Some(frame);
+        if awaits_departure {
+            state.transmitting = Some(handle);
             ctx.schedule_in(tx_time, NetEvent::TxComplete { link }.into());
         } else {
-            state.in_flight.push_back(frame);
+            state.in_flight.push_back(handle);
             ctx.schedule_in(tx_time + state.cfg.delay, NetEvent::Deliver { link }.into());
         }
     }
@@ -416,7 +511,7 @@ impl<F: Frame> Net<F> {
     /// Upholds the wake-up invariant for work just queued behind `state`:
     /// if no completion is pending, schedules one as a wake-up.
     fn ensure_completion<E: From<NetEvent>>(
-        state: &mut LinkState<F>,
+        state: &mut LinkState,
         link: LinkId,
         ctx: &mut Context<'_, E>,
     ) {
@@ -437,6 +532,7 @@ mod tests {
     use crate::frame::RawFrame;
     use crate::link::QueueLimit;
     use simcore::prelude::*;
+    use std::collections::VecDeque;
 
     /// A frame that says per frame whether its sender awaits the departure.
     #[derive(Clone, Copy, Debug)]
@@ -469,7 +565,7 @@ mod tests {
     enum Ev {
         Net(NetEvent),
         DoSend(usize),
-        SetRate(Bandwidth),
+        SetRate(LinkId, Bandwidth),
     }
     impl From<NetEvent> for Ev {
         fn from(e: NetEvent) -> Self {
@@ -494,7 +590,7 @@ mod tests {
                     let outcome = self.net.send(ctx, link, frame);
                     self.outcomes.push(outcome);
                 }
-                Ev::SetRate(rate) => self.net.set_link_rate(LinkId(0), rate),
+                Ev::SetRate(link, rate) => self.net.set_link_rate(link, rate),
             }
         }
     }
@@ -534,7 +630,7 @@ mod tests {
             sim.schedule_at(t, Ev::DoSend(i));
         }
         if let Some((at, rate)) = rate_change {
-            sim.schedule_at(at, Ev::SetRate(rate));
+            sim.schedule_at(at, Ev::SetRate(link, rate));
         }
         sim.run();
         let events = sim.events_processed();
@@ -1013,6 +1109,193 @@ mod tests {
         assert!(
             elided_total > 100 && wakes_total > 100 && drops_total > 100,
             "schedules too tame: {elided_total} elided, {wakes_total} wakes, {drops_total} drops"
+        );
+    }
+
+    /// What a link does with its sends in a model that keeps the frames
+    /// in the link: when each send is delivered, or `None` if it was
+    /// dropped. A frame serializes at the rate in force when it starts.
+    /// Assumes no send or rate change coincides with the end of a
+    /// serialization (see the differential test above).
+    fn reference_link(
+        cfg: LinkConfig,
+        sends: &[(SimTime, u32)],
+        rate_change: Option<(SimTime, Bandwidth)>,
+    ) -> Vec<Option<SimTime>> {
+        let tx_time = |bytes: u32, at: SimTime| match rate_change {
+            Some((change, rate)) if at > change => rate.transmission_time(bytes),
+            _ => cfg.rate.transmission_time(bytes),
+        };
+        let mut out = vec![None; sends.len()];
+        // Serializes send `i` from `at`; returns when the link falls idle.
+        let mut serialize = |i: usize, bytes: u32, at: SimTime| {
+            let idle = at + tx_time(bytes, at);
+            out[i] = Some(idle + cfg.delay);
+            idle
+        };
+        let mut idle_at = SimTime::ZERO;
+        let mut queue: VecDeque<(usize, u32)> = VecDeque::new();
+        let mut queue_bytes = 0;
+        for (i, &(at, bytes)) in sends.iter().enumerate() {
+            while idle_at < at {
+                let Some((j, b)) = queue.pop_front() else {
+                    break;
+                };
+                queue_bytes -= u64::from(b);
+                idle_at = serialize(j, b, idle_at);
+            }
+            let room = match cfg.queue {
+                QueueLimit::Unbounded => true,
+                QueueLimit::Frames(max) => queue.len() < max,
+                QueueLimit::Bytes(max) => queue_bytes + u64::from(bytes) <= max,
+            };
+            if idle_at < at {
+                idle_at = serialize(i, bytes, at);
+            } else if room {
+                queue.push_back((i, bytes));
+                queue_bytes += u64::from(bytes);
+            }
+        }
+        for (j, b) in queue {
+            idle_at = serialize(j, b, idle_at);
+        }
+        out
+    }
+
+    /// Property: the frame store changes where a frame is kept, not what
+    /// a link does with it. Random bursty sends over three links, every
+    /// queue policy, awaited and silent frames mixed, and one link's rate
+    /// changed mid-run, against [`reference_link`]: every accepted frame
+    /// is delivered exactly once, in its link's FIFO order, `8b/r + d`
+    /// after it starts serializing; the store is empty at quiescence; and
+    /// its high-water mark is the most frames queued, serializing and in
+    /// flight at any instant. Ties are avoided as in
+    /// `awaited_silent_and_mixed_runs_differ_only_in_event_count`.
+    #[test]
+    fn the_store_holds_each_accepted_frame_once_until_its_delivery() {
+        let mut rng = simcore::rng::SimRng::seed_from(0x5708E);
+        let limits = [
+            QueueLimit::Unbounded,
+            QueueLimit::Frames(0),
+            QueueLimit::Frames(2),
+            QueueLimit::Bytes(600),
+            QueueLimit::Bytes(2000),
+        ];
+        let rates = [2, 4, 8, 16].map(Bandwidth::from_mbps);
+        let (mut drops_total, mut silent_total, mut peak_total) = (0, 0, 0);
+        for round in 0..40 {
+            let cfgs: Vec<LinkConfig> = (0..3)
+                .map(|k| LinkConfig {
+                    rate: rates[rng.range_usize(0, rates.len())],
+                    delay: SimDuration::from_micros(rng.range_u64(0, 3000)),
+                    queue: limits[(round + k) % limits.len()],
+                })
+                .collect();
+            let mut at_us = 0;
+            let sends: Vec<(SimTime, LinkId, TestFrame)> = (0..rng.range_u64(30, 150))
+                .map(|i| {
+                    at_us += match rng.range_u64(0, 10) {
+                        0..=6 => rng.range_u64(0, 100),
+                        _ => rng.range_u64(500, 5000),
+                    };
+                    let link = LinkId(rng.range_u64(0, 3) as u32);
+                    let frame = TestFrame {
+                        bytes: [20, 100, 512, 1000][rng.range_usize(0, 4)],
+                        tag: i,
+                        awaits_departure: rng.range_u64(0, 2) == 0,
+                    };
+                    (SimTime::from_nanos(at_us * 1000 + i + 1), link, frame)
+                })
+                .collect();
+            let changed = LinkId(rng.range_u64(0, 3) as u32);
+            let change = (
+                SimTime::from_micros(at_us / 2),
+                rates[rng.range_usize(0, rates.len())],
+            );
+
+            let mut net = Net::new();
+            let (a, b) = (net.add_node("a"), net.add_node("b"));
+            for &cfg in &cfgs {
+                net.add_link(a, b, cfg);
+            }
+            let mut sim = Simulator::new(W {
+                net,
+                delivered: vec![],
+                sends: sends.clone(),
+                outcomes: vec![],
+                wakes: 0,
+            });
+            for (i, &(t, _, _)) in sends.iter().enumerate() {
+                sim.schedule_at(t, Ev::DoSend(i));
+            }
+            sim.schedule_at(change.0, Ev::SetRate(changed, change.1));
+            sim.run();
+            let w = sim.into_world();
+
+            // Each send's delivery time in the reference, by send index.
+            let mut expect = vec![None; sends.len()];
+            for (k, &cfg) in cfgs.iter().enumerate() {
+                let link = LinkId(k as u32);
+                let on_link: Vec<usize> =
+                    (0..sends.len()).filter(|&i| sends[i].1 == link).collect();
+                let offered: Vec<(SimTime, u32)> = on_link
+                    .iter()
+                    .map(|&i| (sends[i].0, sends[i].2.bytes))
+                    .collect();
+                let rate_change = (changed == link).then_some(change);
+                for (&i, at) in on_link
+                    .iter()
+                    .zip(reference_link(cfg, &offered, rate_change))
+                {
+                    expect[i] = at;
+                }
+                let delivered: Vec<(SimTime, u64)> = w
+                    .delivered
+                    .iter()
+                    .copied()
+                    .filter(|&(_, tag)| sends[tag as usize].1 == link)
+                    .collect();
+                let fifo: Vec<(SimTime, u64)> = on_link
+                    .iter()
+                    .filter_map(|&i| expect[i].map(|at| (at, i as u64)))
+                    .collect();
+                assert_eq!(delivered, fifo, "round {round}, link {k} ({:?})", cfg.queue);
+            }
+            let accepted = expect.iter().map(|e| {
+                if e.is_some() {
+                    SendOutcome::Accepted
+                } else {
+                    SendOutcome::Dropped
+                }
+            });
+            assert!(w.outcomes.iter().copied().eq(accepted), "round {round}");
+            assert_eq!(
+                w.delivered.len(),
+                expect.iter().flatten().count(),
+                "round {round}"
+            );
+
+            // Sends and deliveries never coincide, so the most frames held
+            // at once is reached just after some accepted send.
+            let peak = (0..sends.len())
+                .filter(|&i| expect[i].is_some())
+                .map(|i| {
+                    let at = sends[i].0;
+                    let sent = (0..=i).filter(|&j| expect[j].is_some()).count();
+                    let gone = expect.iter().flatten().filter(|&&d| d < at).count();
+                    sent - gone
+                })
+                .max()
+                .unwrap_or(0);
+            let store = w.net.frame_store();
+            assert_eq!((store.held, store.high_water), (0, peak), "round {round}");
+            drops_total += w.net.total_drops();
+            silent_total += sends.iter().filter(|s| !s.2.awaits_departure).count();
+            peak_total += peak;
+        }
+        assert!(
+            drops_total > 100 && silent_total > 1000 && peak_total > 200,
+            "schedules too tame: {drops_total} drops, {silent_total} silent, peaks sum to {peak_total}"
         );
     }
 }

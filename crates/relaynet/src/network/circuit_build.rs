@@ -158,11 +158,7 @@ impl Egress {
         dir: Direction,
         reason: u8,
     ) -> bool {
-        let hopdir = match dir {
-            Direction::Forward => nc.fwd.as_mut(),
-            Direction::Backward => nc.bwd.as_mut(),
-        };
-        let Some(hd) = hopdir else {
+        let Some(hd) = nc.hop_mut(dir) else {
             return false;
         };
         if self.wave_meets_crash(hd) {

@@ -56,18 +56,21 @@ impl TorNetwork {
         from: OverlayId,
         fb: Feedback,
     ) {
-        let Some((_circ, local, _)) = self.route_of(to, from, fb.circ) else {
+        let Some((_circ, local, arriving)) = self.route_of(to, from, fb.circ) else {
             self.on_void(ctx, to, Void::Stale("feedback on unknown route"));
             return;
         };
+        // The route names the flow of the cells `from` sends here; its
+        // feedback confirms cells sent to it, which flow the other way.
+        let dir = arriving.opposite();
         let node = &mut self.nodes[to.index()];
         let my_net = node.net_node;
         let nc = node.circuit_at_mut(local);
-        let Some(dir) = nc.direction_toward(from) else {
+        let Some(hopdir) = nc.hop_mut(dir) else {
             self.egress.protocol_error("feedback from non-neighbour");
             return;
         };
-        let hopdir = nc.hopdir_toward_mut(from).expect("direction just resolved");
+        debug_assert_eq!(hopdir.neighbor, from, "the {dir} hop sends to the sender");
         if hopdir.transport.on_feedback(fb.seq, ctx.now()).is_err() {
             // A write-off racing its own late feedback: a force-abandon
             // forgets every outstanding cell, then a confirm arrives.

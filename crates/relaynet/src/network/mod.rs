@@ -1175,4 +1175,49 @@ mod tests {
             }
         }
     }
+
+    /// Feedback credits the hop opposite its route's direction. The scan
+    /// that did it before picked the hop whose neighbour is the sender;
+    /// the two agree at every end a build registers: the client's (from
+    /// its first hop), and each relay's from its predecessor and from its
+    /// successor.
+    #[test]
+    fn every_route_end_reversed_is_the_hop_to_its_sender() {
+        use backtap::cc::{CongestionControl, FixedWindowCc};
+        use Direction::{Backward, Forward};
+
+        let factory: CcFactory =
+            Box::new(|_| -> Box<dyn CongestionControl + Send> { Box::new(FixedWindowCc::new(4)) });
+        let hop = LinkConfig::new(Bandwidth::from_mbps(10), SimDuration::from_millis(1));
+        let scenario = crate::builder::PathScenario {
+            hops: vec![hop; 4],
+            file_bytes: 4_960,
+            ..Default::default()
+        };
+        let (mut sim, h) = scenario.build(factory, 3);
+        sim.run();
+        let w = sim.world();
+        assert!(w.result_of(h.circ).completed);
+        let scan = |nc: &crate::node::NodeCircuit, from: OverlayId| {
+            [(Forward, &nc.fwd), (Backward, &nc.bwd)]
+                .into_iter()
+                .find(|(_, hop)| hop.as_ref().is_some_and(|h| h.neighbor == from))
+                .map(|(dir, _)| dir)
+        };
+        // Ends at the client, at a node from its predecessor, at a relay
+        // from its successor; overlay node `i` is path node `i`.
+        let mut sites = [0; 3];
+        for end in w.link_routes.iter().flat_map(|r| [r.a, r.b]).flatten() {
+            let nc = w.nodes[end.node.index()].circuit_at(end.local);
+            assert_eq!(scan(nc, end.from), Some(end.dir.opposite()), "{end:?}");
+            let site = match (nc.position, end.from < end.node) {
+                (0, _) => 0,
+                (_, true) => 1,
+                (_, false) => 2,
+            };
+            sites[site] += 1;
+        }
+        // Client 0, relays 1–3, server 4.
+        assert_eq!(sites, [1, 4, 3]);
+    }
 }

@@ -391,27 +391,12 @@ impl NodeCircuit {
         app
     }
 
-    /// The hop direction that *sends to* `neighbor`, used to route
-    /// feedback to the right transport.
-    pub fn hopdir_toward_mut(&mut self, neighbor: OverlayId) -> Option<&mut HopDir> {
-        if self.fwd.as_ref().is_some_and(|h| h.neighbor == neighbor) {
-            return self.fwd.as_mut();
+    /// The hop that sends cells flowing `dir`, if this node has it.
+    pub fn hop_mut(&mut self, dir: Direction) -> Option<&mut HopDir> {
+        match dir {
+            Direction::Forward => self.fwd.as_mut(),
+            Direction::Backward => self.bwd.as_mut(),
         }
-        if self.bwd.as_ref().is_some_and(|h| h.neighbor == neighbor) {
-            return self.bwd.as_mut();
-        }
-        None
-    }
-
-    /// The direction of the hop that sends to `neighbor`.
-    pub fn direction_toward(&self, neighbor: OverlayId) -> Option<Direction> {
-        if self.fwd.as_ref().is_some_and(|h| h.neighbor == neighbor) {
-            return Some(Direction::Forward);
-        }
-        if self.bwd.as_ref().is_some_and(|h| h.neighbor == neighbor) {
-            return Some(Direction::Backward);
-        }
-        None
     }
 
     /// Open → Closed with no wave seen yet (a closed participation stays
@@ -694,18 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn node_circuit_direction_resolution() {
-        let mut nc = relay(0);
-        nc.fwd = Some(HopDir::new(OverlayId(2), CircuitId(10), transport()));
-        nc.bwd = Some(HopDir::new(OverlayId(0), CircuitId(11), transport()));
-        assert_eq!(nc.direction_toward(OverlayId(2)), Some(Direction::Forward));
-        assert_eq!(nc.direction_toward(OverlayId(0)), Some(Direction::Backward));
-        assert_eq!(nc.direction_toward(OverlayId(9)), None);
-        assert!(nc.hopdir_toward_mut(OverlayId(2)).is_some());
-        assert!(nc.hopdir_toward_mut(OverlayId(9)).is_none());
-    }
-
-    #[test]
     fn phase_transitions_close_then_record_each_wave_once() {
         use CircuitPhase::{Closed, Open};
         use Direction::{Backward, Forward};
@@ -739,11 +712,7 @@ mod tests {
         assert!(nc.mark_wave(Backward), "duplicate backward wave reported");
         assert!(nc.reclaimable());
         fn hop(nc: &mut NodeCircuit, dir: Direction) -> &mut HopDir {
-            match dir {
-                Forward => nc.fwd.as_mut(),
-                Backward => nc.bwd.as_mut(),
-            }
-            .expect("both hops")
+            nc.hop_mut(dir).expect("both hops")
         }
         for dir in [Forward, Backward] {
             let seq = hop(&mut nc, dir).transport.register_send(SimTime::ZERO);

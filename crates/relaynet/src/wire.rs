@@ -69,6 +69,8 @@ mod tests {
         // It sits in `RelayCell`'s padding: a frame moves the same bytes.
         assert_eq!(std::mem::size_of::<torcell::cell::RelayCell>(), 32);
         assert_eq!(std::mem::size_of::<WireFrame>(), 80);
+        // A slot of `Net`'s frame store costs no more than the frame.
+        assert_eq!(std::mem::size_of::<Option<WireFrame>>(), 80);
     }
 
     #[test]

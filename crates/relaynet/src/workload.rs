@@ -133,13 +133,6 @@ pub struct CircuitWorkload {
     pub rebuild_delay: SimDuration,
 }
 
-impl CircuitWorkload {
-    /// Sum of bytes across all attached streams.
-    pub fn total_bytes(&self) -> u64 {
-        self.streams.iter().map(|s| s.bytes).sum()
-    }
-}
-
 /// How stream arrivals are spread over time after the circuit starts.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum ArrivalSpec {
@@ -612,7 +605,6 @@ mod tests {
         assert_eq!(wl.streams[0].bytes, 10_000);
         assert_eq!(wl.streams[0].offset, SimDuration::ZERO);
         assert!(wl.teardown_after.is_empty());
-        assert_eq!(wl.total_bytes(), 10_000);
     }
 
     #[test]
@@ -623,7 +615,6 @@ mod tests {
         };
         assert_eq!(spec.split_bytes(10), vec![4, 3, 3]);
         let wl = resolve(&spec, 100_001, 2);
-        assert_eq!(wl.total_bytes(), 100_001);
         assert_eq!(wl.streams.len(), 3);
     }
 

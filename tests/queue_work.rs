@@ -142,3 +142,21 @@ fn a_fault_free_churn_star_keeps_its_exact_counts() {
     );
     assert_eq!(c.peak_pending, 6_603);
 }
+
+/// `Net` stores each frame once (DESIGN.md §3): its store has a slot per
+/// frame held at the busiest instant, where per-link rings reserved for
+/// every link's own peak.
+#[test]
+fn a_fault_free_churn_star_stores_each_frame_once() {
+    let (mut sim, _) = churn_star().build(circuit_start_factory(CcConfig::default()), 1);
+    assert_eq!(sim.run().reason, StopReason::QueueEmpty);
+    let store = sim.world().net().frame_store();
+    assert_eq!(store.held, 0);
+    assert_eq!(store.high_water, 7_210);
+    assert!(
+        store.reserved <= 2 * store.high_water,
+        "{} slots reserved for at most {} frames held",
+        store.reserved,
+        store.high_water
+    );
+}
