@@ -208,6 +208,12 @@ pub const STAGE_BOUNDARIES: &[Boundary] = &[
         forbidden: &[&["VecDeque", "<", "F", ">"], &["Queued"]],
         invariant: "a frame is stored once, in Net's store; link FIFOs carry handles",
     },
+    Boundary {
+        files: &[RELAYNET],
+        forbidden: &[&["DigestKey"], &["digest_key"], &["wrap_for_hop"]],
+        invariant: "a relay cell is built by torcell's seal; the pipeline never digests or \
+                    layers one by hand",
+    },
 ];
 
 /// Decides whether `rule` applies at a site.

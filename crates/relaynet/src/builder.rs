@@ -291,10 +291,6 @@ impl StarScenario {
             factory,
             master.derive("handshakes"),
         );
-        // Size the payload pool from the scenario: with many concurrent
-        // circuits the default idle cap would sit below the steady-state
-        // in-flight population and thrash alloc/free.
-        world.set_payload_pool_cap(crate::pool::PayloadPool::scenario_max_idle(self.circuits));
         world.add_overlays(roles);
         let overlay = |leaf: usize| OverlayId(leaf as u32);
         // The initial standby pool goes dark before placement installs,
@@ -392,9 +388,8 @@ fn schedule_faults(sim: &mut Simulator<TorNetwork>, spec: &FaultSpec, schedule: 
             .access_links(OverlayId(s.relay))
             .expect("a relay has an upstream hop");
         let full = sim.world().net().link_config(links[0]).rate;
-        let throttled = Bandwidth::from_bps(
-            ((full.bps() as f64 / spec.stall_factor.max(1.0)).floor() as u64).max(1),
-        );
+        let throttled =
+            Bandwidth::from_bps(((full.bps() as f64 / spec.stall_factor).floor() as u64).max(1));
         for link in links {
             sim.schedule_at(
                 SimTime::ZERO + s.at,

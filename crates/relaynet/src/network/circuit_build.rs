@@ -36,6 +36,7 @@ use crate::workload::{CircuitWorkload, StreamSpec};
 
 use backtap::hop::HopTransport;
 
+use super::client_xfer::{seal_control, BEGIN_ADDRESS};
 use super::faults::Void;
 use super::{Egress, TorNetwork};
 
@@ -169,11 +170,7 @@ impl Egress {
             // drained unsent): nothing to tear down there.
             return false;
         }
-        hd.enqueue(QueuedCell {
-            cell: Cell::destroy(CircuitId::CONTROL, reason),
-            confirm: None,
-            wrap_for_hop: None,
-        });
+        hd.enqueue(QueuedCell::new(Cell::destroy(CircuitId::CONTROL, reason)));
         self.stats.destroys_sent += 1;
         self.pump_dir(ctx, my_net, nc, dir);
         true
@@ -266,11 +263,7 @@ impl TorNetwork {
         let app = ClientApp::new(hops, &streams);
         let mut nc = NodeCircuit::new(circ, 0, CircuitRole::Client(app));
         let mut hopdir = HopDir::new(first_hop, link_id, transport);
-        hopdir.enqueue(QueuedCell {
-            cell: Cell::create(CircuitId::CONTROL, hs),
-            confirm: None,
-            wrap_for_hop: None,
-        });
+        hopdir.enqueue(QueuedCell::new(Cell::create(CircuitId::CONTROL, hs)));
         nc.fwd = Some(hopdir);
         let my_net = node.net_node;
         let local = node.add_circuit(nc);
@@ -316,7 +309,14 @@ impl TorNetwork {
         }
         s.begin_sent = true;
         let sid = s.id;
-        let qc = Self::begin_cell(&mut self.payload_passes, &app.route, sid, app.server_hop());
+        let server_hop = app.server_hop();
+        let qc = seal_control(
+            &mut app.route,
+            server_hop,
+            RelayCommand::Begin,
+            sid,
+            BEGIN_ADDRESS,
+        );
         nc.fwd.as_mut().expect("client forward hop").enqueue(qc);
         self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
     }
@@ -368,11 +368,10 @@ impl TorNetwork {
         let my_net = node.net_node;
         let mut nc = NodeCircuit::new(global, position, role);
         let mut bwd = HopDir::new(from, link_id, transport);
-        bwd.enqueue(QueuedCell {
-            cell: Cell::created(CircuitId::CONTROL, handshake),
-            confirm: None,
-            wrap_for_hop: None,
-        });
+        bwd.enqueue(QueuedCell::new(Cell::created(
+            CircuitId::CONTROL,
+            handshake,
+        )));
         nc.bwd = Some(bwd);
         let local = node.add_circuit(nc);
         self.register_route(link_id, to, from, global, local, Direction::Forward);
@@ -423,26 +422,12 @@ impl TorNetwork {
                 return;
             };
             debug_assert_eq!(echo, handshake, "CREATED must echo the extend handshake");
-            let mut rc = Self::control_cell(
-                &mut self.payload_passes,
-                crypt.digest_key(),
-                RelayCommand::Extended,
-                StreamId::CIRCUIT,
-                echo.to_vec(),
-            );
-            crypt.add_backward(&mut rc);
+            let rc = crypt.seal_backward(RelayCommand::Extended, StreamId::CIRCUIT, echo.to_vec());
             let Some(bwd) = nc.bwd.as_mut() else {
                 self.egress.protocol_error("relay without backward hop");
                 return;
             };
-            bwd.enqueue(QueuedCell {
-                cell: Cell {
-                    circ: CircuitId::CONTROL,
-                    body: CellBody::Relay(rc),
-                },
-                confirm: None,
-                wrap_for_hop: None,
-            });
+            bwd.enqueue(QueuedCell::relay(rc, None));
             self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
         }
     }
@@ -468,24 +453,16 @@ impl TorNetwork {
         let mut qcs = Vec::new();
         if built < app.hops {
             let target = self.circuits[circ.index()].path[built + 1];
-            let mut data = Vec::with_capacity(4 + HANDSHAKE_LEN);
-            data.extend_from_slice(&target.0.to_be_bytes());
-            data.extend_from_slice(&next_handshake);
-            let rc = Self::control_cell(
-                &mut self.payload_passes,
-                app.route.digest_key(built - 1),
+            let mut extend = [0; 4 + HANDSHAKE_LEN];
+            extend[..4].copy_from_slice(&target.0.to_be_bytes());
+            extend[4..].copy_from_slice(&next_handshake);
+            qcs.push(seal_control(
+                &mut app.route,
+                built - 1,
                 RelayCommand::Extend,
                 StreamId::CIRCUIT,
-                data,
-            );
-            qcs.push(QueuedCell {
-                cell: Cell {
-                    circ: CircuitId::CONTROL,
-                    body: CellBody::Relay(rc),
-                },
-                confirm: None,
-                wrap_for_hop: Some(built - 1),
-            });
+                &extend,
+            ));
         } else {
             // Circuit complete (now `established()`): open every stream
             // that has already arrived. Later arrivals BEGIN from their
@@ -494,11 +471,12 @@ impl TorNetwork {
             for s in app.streams.iter_mut().filter(|s| s.arrived) {
                 debug_assert!(!s.begin_sent, "BEGIN before the circuit was built");
                 s.begin_sent = true;
-                qcs.push(Self::begin_cell(
-                    &mut self.payload_passes,
-                    &app.route,
-                    s.id,
+                qcs.push(seal_control(
+                    &mut app.route,
                     server_hop,
+                    RelayCommand::Begin,
+                    s.id,
+                    BEGIN_ADDRESS,
                 ));
             }
         }
@@ -552,11 +530,7 @@ impl TorNetwork {
         };
         *pending_extend = Some(hs);
         let mut fwd = HopDir::new(target, new_id, transport);
-        fwd.enqueue(QueuedCell {
-            cell: Cell::create(CircuitId::CONTROL, hs),
-            confirm: None,
-            wrap_for_hop: None,
-        });
+        fwd.enqueue(QueuedCell::new(Cell::create(CircuitId::CONTROL, hs)));
         nc.fwd = Some(fwd);
         self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
         Ok(())
@@ -1103,18 +1077,12 @@ mod tests {
         let data_cell = |egress: &mut Egress, seq| {
             let mut buf = egress.payload_pool.acquire();
             buf.resize(torcell::cell::RELAY_DATA_MAX, 0x5A);
-            QueuedCell {
-                cell: Cell {
-                    circ: CircuitId::CONTROL,
-                    body: CellBody::Relay(RelayCell::data(StreamId(1), buf)),
-                },
-                confirm: Some(PendingConfirm {
-                    neighbor: PRED,
-                    circ_id: CircuitId(11),
-                    seq,
-                }),
-                wrap_for_hop: None,
-            }
+            let confirm = PendingConfirm {
+                neighbor: PRED,
+                circ_id: CircuitId(11),
+                seq,
+            };
+            QueuedCell::relay(RelayCell::data(StreamId(1), buf), Some(confirm))
         };
         with_ctx(|ctx| {
             for seq in 0..2 {

@@ -3,22 +3,27 @@
 //! The client side generates the transfer workload: each stream of the
 //! circuit's workload opens with its own BEGIN once it has arrived and
 //! the circuit is built; after its CONNECTED the client pumps its DATA
-//! cells (wrapped for the server's onion layer, window permitting),
-//! round-robining generation across the open streams, and finishes each
-//! stream with one END. The server side consumes recognized forward
-//! cells — answering BEGIN with CONNECTED, counting and verifying DATA
-//! per stream (and crediting the stream's flow), and timestamping
-//! completion. Cells are *generated lazily* inside the egress pump so
-//! that onion-layer counters advance in exact send order; a DATA cell is
-//! sealed at generation, its fill, digest and every onion layer in one
-//! walk from the fill pattern's window into a pooled buffer.
+//! cells (window permitting), round-robining generation across the open
+//! streams, and finishes each stream with one END. The server side
+//! consumes recognized forward cells — answering BEGIN with CONNECTED,
+//! counting and verifying DATA per stream (and crediting the stream's
+//! flow), and timestamping completion.
+//!
+//! Every relay cell is sealed by torcell where it is made: the client's
+//! with [`OnionRoute::seal_for_hop`](torcell::crypto::OnionRoute::seal_for_hop)
+//! (digest and every onion layer in one walk; a DATA cell's fill too,
+//! from the fill pattern's window into a pooled buffer), CONNECTED with
+//! the server's [`RelayCrypt::seal_backward`](torcell::crypto::RelayCrypt::seal_backward).
+//! DATA and END are *generated lazily* inside the egress pump, so layer
+//! counters advance in send order ([`seal_control`] says why queued
+//! cells keep that order too).
 
 use simcore::sim::Context;
 use simcore::time::SimTime;
 
-use torcell::cell::{Cell, CellBody, RelayCell, RelayCommand};
-use torcell::crypto::{DigestKey, OnionRoute};
-use torcell::ids::{CircuitId, StreamId};
+use torcell::cell::{RelayCell, RelayCommand};
+use torcell::crypto::OnionRoute;
+use torcell::ids::StreamId;
 
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
@@ -27,52 +32,31 @@ use crate::pool::PayloadPool;
 
 use super::{fill_pattern_window, verify_fill_pattern, TorNetwork, END_REASON_DONE};
 
+/// BEGIN's payload: the address the server's end of a stream connects to.
+pub(super) const BEGIN_ADDRESS: &[u8] = b"server:443";
+
+/// A control cell (EXTEND, BEGIN, END) for `hop` of `route`, sealed
+/// where it is made: digest and every layer up to `hop` in one walk, as a
+/// DATA cell is.
+///
+/// Sealing advances the layers' counters, which must advance in the order
+/// cells leave the client. They do: the forward queue is FIFO, and DATA
+/// and END are generated only when it is empty, so no cell is sealed on
+/// a route between a queued cell's sealing and its send. A queued cell
+/// drained at teardown advanced counters that no later cell reads: a
+/// closed client seals nothing.
+pub(super) fn seal_control(
+    route: &mut OnionRoute,
+    hop: usize,
+    cmd: RelayCommand,
+    stream: StreamId,
+    plain: &[u8],
+) -> QueuedCell {
+    let buf = Vec::with_capacity(plain.len());
+    QueuedCell::relay(route.seal_for_hop(hop, cmd, stream, plain, buf), None)
+}
+
 impl TorNetwork {
-    /// A non-DATA relay cell carrying `data`, addressed by its digest
-    /// under `key` (the layer of the hop it is for), counting the
-    /// digest's walk of it into `passes`.
-    pub(super) fn control_cell(
-        passes: &mut u64,
-        key: DigestKey,
-        cmd: RelayCommand,
-        stream: StreamId,
-        data: Vec<u8>,
-    ) -> RelayCell {
-        *passes += 1;
-        RelayCell {
-            cmd,
-            recognized: 0,
-            stream,
-            digest: key.digest(&data),
-            data,
-        }
-    }
-
-    /// The BEGIN cell opening stream `sid` (recognized by the server's
-    /// onion layer at `server_hop` of `route`).
-    pub(super) fn begin_cell(
-        passes: &mut u64,
-        route: &OnionRoute,
-        sid: StreamId,
-        server_hop: usize,
-    ) -> QueuedCell {
-        let rc = Self::control_cell(
-            passes,
-            route.digest_key(server_hop),
-            RelayCommand::Begin,
-            sid,
-            b"server:443".to_vec(),
-        );
-        QueuedCell {
-            cell: Cell {
-                circ: CircuitId::CONTROL,
-                body: CellBody::Relay(rc),
-            },
-            confirm: None,
-            wrap_for_hop: Some(server_hop),
-        }
-    }
-
     /// Produces the next client-originated cell — DATA round-robined
     /// across the open streams, or a stream's trailing END — or `None`
     /// at a relay or server, or if no stream has anything to send. DATA
@@ -122,33 +106,19 @@ impl TorNetwork {
                     app.first_data_at = Some(now);
                 }
                 app.rr_cursor = (i + 1) % n;
-                return Some(QueuedCell {
-                    cell: Cell {
-                        circ: CircuitId::CONTROL, // restamped at send
-                        body: CellBody::Relay(rc),
-                    },
-                    confirm: None,
-                    wrap_for_hop: None,
-                });
+                return Some(QueuedCell::relay(rc, None));
             } else if !s.end_sent {
                 s.end_sent = true;
                 let sid = s.id;
                 app.rr_cursor = (i + 1) % n;
-                let rc = Self::control_cell(
-                    &mut app.payload_passes,
-                    app.route.digest_key(server_hop),
+                let end = [END_REASON_DONE; 8];
+                return Some(seal_control(
+                    &mut app.route,
+                    server_hop,
                     RelayCommand::End,
                     sid,
-                    vec![END_REASON_DONE; 8],
-                );
-                return Some(QueuedCell {
-                    cell: Cell {
-                        circ: CircuitId::CONTROL,
-                        body: CellBody::Relay(rc),
-                    },
-                    confirm: None,
-                    wrap_for_hop: Some(server_hop),
-                });
+                    &end,
+                ));
             }
         }
         None
@@ -179,25 +149,11 @@ impl TorNetwork {
                     return Err("duplicate BEGIN for a stream");
                 }
                 stream.open = true;
-                let mut reply = Self::control_cell(
-                    &mut self.payload_passes,
-                    crypt.digest_key(),
-                    RelayCommand::Connected,
-                    rc.stream,
-                    vec![0xC0u8; 8],
-                );
-                crypt.add_backward(&mut reply);
+                let reply = crypt.seal_backward(RelayCommand::Connected, rc.stream, vec![0xC0; 8]);
                 nc.bwd
                     .as_mut()
                     .expect("server backward hop")
-                    .enqueue(QueuedCell {
-                        cell: Cell {
-                            circ: CircuitId::CONTROL,
-                            body: CellBody::Relay(reply),
-                        },
-                        confirm: None,
-                        wrap_for_hop: None,
-                    });
+                    .enqueue(QueuedCell::relay(reply, None));
                 self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
             }
             RelayCommand::Data => {

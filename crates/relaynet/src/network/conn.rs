@@ -4,7 +4,9 @@
 //! dispatch of delivered frames, the per-link round-robin egress
 //! scheduler, link-local circuit-id allocation, and the window-gated
 //! egress pump ([`Egress::pump_dir`]) that drains a hop's queue while
-//! its transport has credit.
+//! its transport has credit. A relay cell reaches the pump sealed where
+//! it was made (torcell builds every one): the pump stamps the link's
+//! circuit id and hop sequence number and touches no payload.
 //!
 //! The sending half is methods of [`Egress`], which owns what a send
 //! touches — the links, their schedulers, the topology that addresses
@@ -23,7 +25,7 @@ use torcell::ids::CircuitId;
 
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
-use crate::node::{CircuitPhase, CircuitRole, NodeCircuit};
+use crate::node::{CircuitPhase, NodeCircuit};
 use crate::wire::{FramePayload, WireFrame};
 
 use super::{Egress, LinkRoute, TorNetwork};
@@ -171,15 +173,6 @@ impl Egress {
             };
 
             let mut cell = qc.cell;
-            if let Some(hop) = qc.wrap_for_hop {
-                let CircuitRole::Client(app) = role else {
-                    panic!("wrap_for_hop is only set on client-originated cells");
-                };
-                match &mut cell.body {
-                    CellBody::Relay(rc) => app.route.wrap_for_hop(hop, rc),
-                    _ => debug_assert!(false, "wrap_for_hop on a control cell"),
-                }
-            }
             let seq = hopdir.transport.register_send(ctx.now());
             cell.circ = hopdir.link_circ_id;
             let dst = self.topology.node(hopdir.neighbor.index());

@@ -556,9 +556,8 @@ pub struct TorNetwork {
     /// worlds.
     faults: Option<faults::FaultState>,
     /// Payload walks not held by a live participation: the server's
-    /// verify of each DATA cell, the digest of each control cell built
-    /// outside the client's generator, and the counts folded in from
-    /// reclaimed participations (see [`TorNetwork::payload_passes`]).
+    /// verify of each DATA cell, and the counts folded in from reclaimed
+    /// participations (see [`TorNetwork::payload_passes`]).
     /// A work count, deliberately outside [`WorldStats`] and the
     /// fingerprint: it describes the implementation, not the run.
     pub(super) payload_passes: u64,
@@ -813,25 +812,6 @@ impl TorNetwork {
     /// The payload buffer pool (telemetry: fresh allocations vs reuses).
     pub fn payload_pool(&self) -> &PayloadPool {
         &self.egress.payload_pool
-    }
-
-    /// Installs a scenario-sized payload-pool idle cap (see
-    /// [`PayloadPool::scenario_max_idle`]). Builders call this before
-    /// any traffic flows; at the circuit counts the async runtime
-    /// targets, the default cap would sit below the steady-state
-    /// in-flight payload population and thrash alloc/free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool has already handed out buffers — resizing
-    /// mid-run would corrupt the conservation telemetry.
-    pub fn set_payload_pool_cap(&mut self, max_idle: usize) {
-        assert_eq!(
-            self.egress.payload_pool.acquired(),
-            0,
-            "payload pool cap must be set before traffic"
-        );
-        self.egress.payload_pool = PayloadPool::with_max_idle(max_idle);
     }
 
     /// The static record of a circuit.

@@ -65,13 +65,13 @@ impl TorNetwork {
 
     /// A relay cell arrived from a neighbour: resolve its circuit, apply
     /// leaky-pipe recognition, and either consume or forward. Every exit
-    /// that drops the cell — protocol errors included — hands its payload
-    /// buffer back to the pool *first*, so the pool's
+    /// that consumes or drops the cell on an open circuit — protocol
+    /// errors included — ends in [`Egress::consumed`], which hands its
+    /// payload buffer back to the pool *first*, so the pool's
     /// `returned == acquired` ledger holds exactly when a hostile cell
     /// shows up (and, in debug builds, by the time the error aborts).
     /// The endpoint stages borrow the recognized cell and report a
-    /// violation as `Err`, so the one reclaim after them covers their
-    /// every exit.
+    /// violation as `Err` into the same exit.
     pub(super) fn handle_relay(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
@@ -104,8 +104,8 @@ impl TorNetwork {
                     CircuitRole::Relay { crypt, .. } => (crypt, false),
                     CircuitRole::Server { crypt, .. } => (crypt, true),
                     CircuitRole::Client(_) => {
-                        self.egress.payload_pool.reclaim(rc.data);
-                        self.egress.protocol_error("forward relay cell at client");
+                        self.egress
+                            .consumed(rc, Err("forward relay cell at client"));
                         return;
                     }
                     CircuitRole::Vacant => unreachable!("a vacant slot reads closed"),
@@ -120,25 +120,16 @@ impl TorNetwork {
                     self.egress.consumed(rc, verdict);
                 } else {
                     if at_server {
-                        self.egress.payload_pool.reclaim(rc.data);
                         self.egress
-                            .protocol_error("unrecognized relay cell at server");
+                            .consumed(rc, Err("unrecognized relay cell at server"));
                         return;
                     }
                     let Some(fwd) = nc.fwd.as_mut() else {
-                        self.egress.payload_pool.reclaim(rc.data);
                         self.egress
-                            .protocol_error("forwarding past the built circuit");
+                            .consumed(rc, Err("forwarding past the built circuit"));
                         return;
                     };
-                    fwd.enqueue(QueuedCell {
-                        cell: Cell {
-                            circ: CircuitId::CONTROL,
-                            body: CellBody::Relay(rc),
-                        },
-                        confirm: Some(confirm),
-                        wrap_for_hop: None,
-                    });
+                    fwd.enqueue(QueuedCell::relay(rc, Some(confirm)));
                     self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
                 }
             }
@@ -156,19 +147,11 @@ impl TorNetwork {
                 CircuitRole::Relay { crypt, .. } | CircuitRole::Server { crypt, .. } => {
                     crypt.add_backward(&mut rc);
                     let Some(bwd) = nc.bwd.as_mut() else {
-                        self.egress.payload_pool.reclaim(rc.data);
                         self.egress
-                            .protocol_error("backward cell with no client side");
+                            .consumed(rc, Err("backward cell with no client side"));
                         return;
                     };
-                    bwd.enqueue(QueuedCell {
-                        cell: Cell {
-                            circ: CircuitId::CONTROL,
-                            body: CellBody::Relay(rc),
-                        },
-                        confirm: Some(confirm),
-                        wrap_for_hop: None,
-                    });
+                    bwd.enqueue(QueuedCell::relay(rc, Some(confirm)));
                     self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
                 }
                 CircuitRole::Vacant => unreachable!("a vacant slot reads closed"),
@@ -178,9 +161,9 @@ impl TorNetwork {
 }
 
 impl Egress {
-    /// The end of a relay cell an endpoint stage consumed: its payload
-    /// buffer returns to the pool, and only then is the violation the
-    /// stage reported (if any) raised.
+    /// The end of a relay cell consumed or dropped on an open circuit:
+    /// its payload buffer returns to the pool, and only then is the
+    /// violation (if any) raised.
     fn consumed(&mut self, rc: RelayCell, verdict: Result<(), &'static str>) {
         self.payload_pool.reclaim(rc.data);
         if let Err(what) = verdict {

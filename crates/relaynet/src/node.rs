@@ -21,7 +21,7 @@ use backtap::cc::CongestionControl;
 use backtap::hop::HopTransport;
 use netsim::net::NodeId;
 use simcore::time::{SimDuration, SimTime};
-use torcell::cell::{Cell, HANDSHAKE_LEN};
+use torcell::cell::{Cell, CellBody, RelayCell, HANDSHAKE_LEN};
 use torcell::crypto::{OnionRoute, RelayCrypt};
 use torcell::ids::{CircuitId, StreamId};
 
@@ -69,17 +69,36 @@ pub struct PendingConfirm {
     pub seq: u64,
 }
 
-/// A cell waiting in a hop's egress queue.
+/// A cell waiting in a hop's egress queue, ready to send: a relay cell
+/// is sealed by torcell where it is made, so nothing is left to do to
+/// it but stamp the link's circuit id.
 #[derive(Clone, Debug)]
 pub struct QueuedCell {
     /// The cell (its `circ` field is restamped at send time).
     pub cell: Cell,
     /// Feedback owed upstream once this cell leaves the queue.
     pub confirm: Option<PendingConfirm>,
-    /// For client-originated relay cells: the hop (layer index) that must
-    /// recognize the cell; onion wrapping happens at dequeue so that layer
-    /// counters advance in exact send order.
-    pub wrap_for_hop: Option<usize>,
+}
+
+impl QueuedCell {
+    /// A cell that owes no feedback upstream.
+    pub fn new(cell: Cell) -> QueuedCell {
+        QueuedCell {
+            cell,
+            confirm: None,
+        }
+    }
+
+    /// A relay cell, owing `confirm` upstream once it leaves the queue.
+    pub fn relay(rc: RelayCell, confirm: Option<PendingConfirm>) -> QueuedCell {
+        QueuedCell {
+            cell: Cell {
+                circ: CircuitId::CONTROL,
+                body: CellBody::Relay(rc),
+            },
+            confirm,
+        }
+    }
 }
 
 /// One direction of one circuit at one node: the transport toward the
@@ -197,11 +216,6 @@ pub struct ClientApp {
     pub connected_at: Option<SimTime>,
     /// When the first DATA cell was sent.
     pub first_data_at: Option<SimTime>,
-    /// Payload walks spent *building* this client's control cells (the
-    /// digest of each END; a DATA cell's walk is its seal, which
-    /// [`OnionRoute::payload_passes`] counts) — summed into
-    /// [`NodeCircuit::payload_passes`].
-    pub payload_passes: u64,
 }
 
 impl ClientApp {
@@ -226,7 +240,6 @@ impl ClientApp {
             sent_cells: 0,
             connected_at: None,
             first_data_at: None,
-            payload_passes: 0,
         }
     }
 
@@ -427,12 +440,11 @@ impl NodeCircuit {
     }
 
     /// Walks of a relay-cell payload performed by this participation so
-    /// far: the relay-side layer's, plus (at the client) the onion
-    /// route's and the cell-building walks.
+    /// far: its onion layer's, or (at the client) its onion route's.
     pub fn payload_passes(&self) -> u64 {
         match &self.role {
             CircuitRole::Vacant => 0,
-            CircuitRole::Client(app) => app.payload_passes + app.route.payload_passes(),
+            CircuitRole::Client(app) => app.route.payload_passes(),
             CircuitRole::Relay { crypt, .. } | CircuitRole::Server { crypt, .. } => {
                 crypt.payload_passes()
             }
@@ -662,18 +674,10 @@ mod tests {
     fn hopdir_queue_hwm() {
         let mut hd = HopDir::new(OverlayId(1), CircuitId(5), transport());
         for _ in 0..3 {
-            hd.enqueue(QueuedCell {
-                cell: Cell::destroy(CircuitId(5), 0),
-                confirm: None,
-                wrap_for_hop: None,
-            });
+            hd.enqueue(QueuedCell::new(Cell::destroy(CircuitId(5), 0)));
         }
         hd.queue.pop_front();
-        hd.enqueue(QueuedCell {
-            cell: Cell::destroy(CircuitId(5), 0),
-            confirm: None,
-            wrap_for_hop: None,
-        });
+        hd.enqueue(QueuedCell::new(Cell::destroy(CircuitId(5), 0)));
         assert_eq!(hd.queue_hwm, 3);
         assert!(!hd.quiescent());
     }
@@ -719,11 +723,7 @@ mod tests {
             assert!(!nc.reclaimable(), "{dir}: outstanding cells block it");
             let h = hop(&mut nc, dir);
             h.transport.on_feedback(seq, SimTime::ZERO).unwrap();
-            h.enqueue(QueuedCell {
-                cell: Cell::destroy(CircuitId(5), 0),
-                confirm: None,
-                wrap_for_hop: None,
-            });
+            h.enqueue(QueuedCell::new(Cell::destroy(CircuitId(5), 0)));
             assert!(!nc.reclaimable(), "{dir}: queued cells block it");
             hop(&mut nc, dir).queue.clear();
             assert!(nc.reclaimable(), "{dir}: quiescent again");
@@ -767,5 +767,12 @@ mod tests {
         // its two hops (448) plus its largest role (168) and ids (632).
         let size = std::mem::size_of::<NodeCircuit>();
         assert!(size <= 648, "a participation is {size} bytes");
+    }
+
+    #[test]
+    fn a_queued_cell_is_its_cell_and_its_confirm() {
+        // 80 bytes while a queued relay cell carried the hop to wrap it
+        // for at dequeue; sealed where it is made, it is 40 + 24.
+        assert_eq!(std::mem::size_of::<QueuedCell>(), 64);
     }
 }

@@ -7,79 +7,33 @@
 //! server hands every consumed payload back and the steady-state
 //! transfer allocates nothing — the same few buffers (bounded by the
 //! number of cells in flight) cycle through the overlay.
+//!
+//! The pool keeps every buffer handed back. Idle buffers never outnumber
+//! the buffers outstanding at the peak, so no cap on them could lower
+//! peak memory.
 
 use torcell::cell::RELAY_DATA_MAX;
 
 /// A free list of full-size payload buffers.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PayloadPool {
     free: Vec<Vec<u8>>,
-    /// Upper bound on idle buffers retained; beyond this, reclaimed
-    /// buffers are simply dropped. Bounds pool memory after load
-    /// spikes — but a cap *below* the steady-state in-flight population
-    /// makes the pool thrash alloc/free instead, so scenario builders
-    /// size it from the workload (see
-    /// [`PayloadPool::scenario_max_idle`]).
-    max_idle: usize,
     /// Buffers handed out that the pool had to allocate fresh.
     allocated: u64,
     /// Buffers handed out from the free list.
     reused: u64,
-    /// Full-size buffers handed back (whether kept or dropped at the
-    /// idle cap). After a run fully quiesces, `returned == allocated +
-    /// reused` — no payload buffer is ever lost in flight, even across
-    /// mid-transfer teardowns.
+    /// Full-size buffers handed back. After a run fully quiesces,
+    /// `returned == allocated + reused` — no payload buffer is ever lost
+    /// in flight, even across mid-transfer teardowns.
     returned: u64,
     /// Largest idle free-list size ever observed.
     idle_hwm: usize,
 }
 
-impl Default for PayloadPool {
-    fn default() -> PayloadPool {
-        PayloadPool::new()
-    }
-}
-
 impl PayloadPool {
-    /// Default idle cap, appropriate for path scenarios and small stars.
-    pub const DEFAULT_MAX_IDLE: usize = 4096;
-
-    /// A generous bound on the payloads one circuit can have at rest or
-    /// in flight at once (its windows never open this far), used by
-    /// [`PayloadPool::scenario_max_idle`].
-    pub const CELLS_PER_CIRCUIT: usize = 256;
-
-    /// Creates an empty pool with the default idle cap.
+    /// Creates an empty pool.
     pub fn new() -> PayloadPool {
-        PayloadPool::with_max_idle(PayloadPool::DEFAULT_MAX_IDLE)
-    }
-
-    /// Creates an empty pool retaining at most `max_idle` idle buffers.
-    pub fn with_max_idle(max_idle: usize) -> PayloadPool {
-        PayloadPool {
-            free: Vec::new(),
-            max_idle,
-            allocated: 0,
-            reused: 0,
-            returned: 0,
-            idle_hwm: 0,
-        }
-    }
-
-    /// The idle cap a scenario with `peak_circuits` concurrent circuits
-    /// should install: peak circuits × a per-circuit in-flight bound,
-    /// floored at the default. Keeps steady-state reclaims below the
-    /// cap — the pool never drops a buffer it will immediately have to
-    /// re-allocate — while still bounding memory after a spike.
-    pub fn scenario_max_idle(peak_circuits: usize) -> usize {
-        peak_circuits
-            .saturating_mul(PayloadPool::CELLS_PER_CIRCUIT)
-            .max(PayloadPool::DEFAULT_MAX_IDLE)
-    }
-
-    /// The installed idle cap.
-    pub fn max_idle(&self) -> usize {
-        self.max_idle
+        PayloadPool::default()
     }
 
     /// Hands out an *empty* buffer with at least [`RELAY_DATA_MAX`]
@@ -102,14 +56,12 @@ impl PayloadPool {
 
     /// Returns a consumed payload's buffer to the pool. Undersized
     /// buffers (control-cell payloads that were never pool-allocated)
-    /// and overflow beyond the idle cap are dropped.
+    /// are dropped.
     pub fn reclaim(&mut self, buf: Vec<u8>) {
         if buf.capacity() >= RELAY_DATA_MAX {
             self.returned += 1;
-            if self.free.len() < self.max_idle {
-                self.free.push(buf);
-                self.idle_hwm = self.idle_hwm.max(self.free.len());
-            }
+            self.free.push(buf);
+            self.idle_hwm = self.idle_hwm.max(self.free.len());
         }
     }
 
@@ -173,40 +125,5 @@ mod tests {
         pool.reclaim(vec![1, 2, 3]);
         assert_eq!(pool.idle(), 0);
         assert_eq!(pool.returned(), 0, "undersized buffers are not counted");
-    }
-
-    #[test]
-    fn idle_cap_bounds_memory() {
-        let mut pool = PayloadPool::new();
-        assert_eq!(pool.max_idle(), PayloadPool::DEFAULT_MAX_IDLE);
-        for _ in 0..(PayloadPool::DEFAULT_MAX_IDLE + 10) {
-            pool.reclaim(Vec::with_capacity(RELAY_DATA_MAX));
-        }
-        assert_eq!(pool.idle(), PayloadPool::DEFAULT_MAX_IDLE);
-    }
-
-    #[test]
-    fn custom_cap_is_honored() {
-        let mut pool = PayloadPool::with_max_idle(3);
-        for _ in 0..10 {
-            pool.reclaim(Vec::with_capacity(RELAY_DATA_MAX));
-        }
-        assert_eq!(pool.idle(), 3);
-        assert_eq!(pool.returned(), 10, "drops past the cap still count");
-        assert_eq!(pool.idle_hwm(), 3);
-    }
-
-    #[test]
-    fn scenario_cap_scales_with_circuits_and_floors_at_default() {
-        assert_eq!(
-            PayloadPool::scenario_max_idle(1),
-            PayloadPool::DEFAULT_MAX_IDLE,
-            "small scenarios keep the default"
-        );
-        assert_eq!(
-            PayloadPool::scenario_max_idle(1_000),
-            1_000 * PayloadPool::CELLS_PER_CIRCUIT,
-            "big scenarios scale with peak circuits"
-        );
     }
 }

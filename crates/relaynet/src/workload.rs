@@ -335,7 +335,7 @@ pub struct EpochSpec {
     /// Relays leaving (and, standby pool permitting, joining) per epoch.
     pub churn: usize,
     /// Fraction of the provisioned universe that starts dark, forming
-    /// the standby pool joiners are drawn from. Clamped to `[0, 0.9]`.
+    /// the standby pool joiners are drawn from, in `[0, 0.9]`.
     pub standby_fraction: f64,
 }
 
@@ -376,13 +376,23 @@ impl EpochSpec {
     /// stay live after every epoch (circuits must keep finding paths);
     /// joins are drawn from the relays dark *before* the boundary, so a
     /// relay never leaves and rejoins in the same delta.
+    ///
+    /// # Panics
+    ///
+    /// Panics on no relays, a `min_live` above them, or a
+    /// `standby_fraction` that is NaN or outside `[0, 0.9]`.
     pub fn resolve(&self, relays: usize, min_live: usize, rng: &mut SimRng) -> EpochSchedule {
         assert!(relays > 0, "an epoch schedule needs relays");
         assert!(
             min_live <= relays,
             "cannot keep {min_live} relays live out of {relays}"
         );
-        let standby = ((relays as f64) * self.standby_fraction.clamp(0.0, 0.9)) as usize;
+        assert!(
+            (0.0..=0.9).contains(&self.standby_fraction),
+            "standby_fraction must be in [0, 0.9], got {}",
+            self.standby_fraction
+        );
+        let standby = ((relays as f64) * self.standby_fraction) as usize;
         let standby = standby.min(relays - min_live);
         let initial_dark: Vec<u32> = rng
             .sample_distinct(relays, standby)
@@ -458,7 +468,8 @@ pub struct FaultSpec {
     pub stall_window_ms: (f64, f64),
     /// How long each stall lasts (ms).
     pub stall_duration_ms: f64,
-    /// Rate divisor while stalled: the link runs at `rate / factor`.
+    /// Rate divisor while stalled, at least 1: the link runs at
+    /// `rate / factor`.
     pub stall_factor: f64,
     /// Build-completion timer: a circuit not fully established this long
     /// after its build started is abandoned (ms).
@@ -470,7 +481,8 @@ pub struct FaultSpec {
     pub backoff_base_ms: f64,
     /// Uniform jitter added on top of the exponential delay (ms).
     pub backoff_jitter_ms: f64,
-    /// Ceiling on the exponential delay, pre-jitter (ms).
+    /// Ceiling on the exponential delay, pre-jitter, at least the base
+    /// (ms).
     pub backoff_cap_ms: f64,
     /// Timeouts a circuit may absorb before its flows are parked rather
     /// than retried again.
@@ -544,10 +556,9 @@ impl FaultSpec {
     /// `jitter_frac` drawn from `[0, 1)` by the caller (the network owns
     /// the jitter stream so fault-free runs never consume it).
     pub fn backoff(&self, retry: u32, jitter_frac: f64) -> SimDuration {
-        let base = self.backoff_base_ms.max(0.0);
-        let exp = base * f64::powi(2.0, retry.min(24) as i32);
-        let capped = exp.min(self.backoff_cap_ms.max(base));
-        let jitter = self.backoff_jitter_ms.max(0.0) * jitter_frac.clamp(0.0, 1.0);
+        let exp = self.backoff_base_ms * f64::powi(2.0, retry.min(24) as i32);
+        let capped = exp.min(self.backoff_cap_ms);
+        let jitter = self.backoff_jitter_ms * jitter_frac;
         SimDuration::from_secs_f64((capped + jitter) / 1e3)
     }
 
@@ -555,7 +566,32 @@ impl FaultSpec {
     /// may crash or stall (the builder passes the initially-live set so
     /// faults hit relays that matter); victims are distinct, so a relay
     /// crashes at most once. Crash counts clamp to the candidate pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, on a `stall_factor` below 1, a negative
+    /// `stall_duration_ms`, `backoff_base_ms` or `backoff_jitter_ms`, a
+    /// `backoff_cap_ms` below the base, or a NaN in any of them — whether
+    /// or not there are candidates.
     pub fn resolve(&self, candidates: &[u32], rng: &mut SimRng) -> FaultSchedule {
+        assert!(
+            self.stall_factor >= 1.0,
+            "stall_factor must be at least 1, got {}",
+            self.stall_factor
+        );
+        for (field, ms) in [
+            ("stall_duration_ms", self.stall_duration_ms),
+            ("backoff_base_ms", self.backoff_base_ms),
+            ("backoff_jitter_ms", self.backoff_jitter_ms),
+        ] {
+            assert!(ms >= 0.0, "{field} must be non-negative, got {ms}");
+        }
+        assert!(
+            self.backoff_cap_ms >= self.backoff_base_ms,
+            "backoff_cap_ms must be at least backoff_base_ms ({}), got {}",
+            self.backoff_base_ms,
+            self.backoff_cap_ms
+        );
         if candidates.is_empty() {
             return FaultSchedule::default();
         }
@@ -576,7 +612,7 @@ impl FaultSpec {
                 let relay = candidates[rng.range_usize(0, candidates.len())];
                 LinkStall {
                     at: window(self.stall_window_ms, rng),
-                    duration: SimDuration::from_secs_f64(self.stall_duration_ms.max(0.0) / 1e3),
+                    duration: SimDuration::from_secs_f64(self.stall_duration_ms / 1e3),
                     relay,
                 }
             })
@@ -861,6 +897,67 @@ mod tests {
         assert_eq!(sched.crashes.len(), 2, "clamped to the pool");
         let empty = spec.resolve(&[], &mut SimRng::seed_from(2));
         assert!(empty.crashes.is_empty() && empty.stalls.is_empty());
+    }
+
+    /// Resolves `spec` against no candidates: validation comes first.
+    fn resolve_faults(spec: FaultSpec) {
+        spec.resolve(&[], &mut SimRng::seed_from(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "stall_factor")]
+    fn fault_spec_rejects_a_stall_factor_below_one() {
+        resolve_faults(FaultSpec {
+            stall_factor: 0.5,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "stall_duration_ms")]
+    fn fault_spec_rejects_a_negative_stall_duration() {
+        resolve_faults(FaultSpec {
+            stall_duration_ms: -1.0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "backoff_base_ms")]
+    fn fault_spec_rejects_a_nan_backoff_base() {
+        resolve_faults(FaultSpec {
+            backoff_base_ms: f64::NAN,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "backoff_jitter_ms")]
+    fn fault_spec_rejects_a_negative_backoff_jitter() {
+        resolve_faults(FaultSpec {
+            backoff_jitter_ms: -5.0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "backoff_cap_ms")]
+    fn fault_spec_rejects_a_backoff_cap_below_the_base() {
+        resolve_faults(FaultSpec {
+            backoff_base_ms: 10.0,
+            backoff_cap_ms: 5.0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "standby_fraction")]
+    fn epoch_spec_rejects_a_nan_standby_fraction() {
+        let spec = EpochSpec {
+            standby_fraction: f64::NAN,
+            ..Default::default()
+        };
+        spec.resolve(10, 3, &mut SimRng::seed_from(1));
     }
 
     #[test]

@@ -542,7 +542,8 @@ impl RelayCrypt {
     /// How many times this relay has walked a cell payload end to end:
     /// one per [`strip_forward`](Self::strip_forward) (a digest, when
     /// there is one, shares the pass), one per
-    /// [`add_backward`](Self::add_backward).
+    /// [`add_backward`](Self::add_backward), two per
+    /// [`seal_backward`](Self::seal_backward).
     pub fn payload_passes(&self) -> u64 {
         self.payload_passes
     }
@@ -559,14 +560,36 @@ impl RelayCrypt {
         strip(stream, self.cipher.digest, cell)
     }
 
-    /// Adds this relay's layer to a backward cell (toward the client) —
-    /// used both for cells it forwards and for cells it originates.
+    /// Adds this relay's layer to a backward cell it forwards (toward the
+    /// client).
     pub fn add_backward(&mut self, cell: &mut RelayCell) {
         let stream = self.cipher.keystream(self.bwd_counter);
         cell.recognized ^= stream.recognized();
         xor_keystreams([stream], &mut cell.data, [0; LANES], |h, _| h);
         self.bwd_counter += 1;
         self.payload_passes += 1;
+    }
+
+    /// Builds a backward cell this hop originates (EXTENDED, CONNECTED)
+    /// from its plaintext `data`: digests it under this layer's
+    /// [`DigestKey`], so the client recognizes it at this hop, then adds
+    /// the layer as [`add_backward`](Self::add_backward) does — two walks.
+    pub fn seal_backward(
+        &mut self,
+        cmd: RelayCommand,
+        stream: StreamId,
+        data: Vec<u8>,
+    ) -> RelayCell {
+        self.payload_passes += 1;
+        let mut cell = RelayCell {
+            cmd,
+            recognized: 0,
+            stream,
+            digest: self.cipher.digest.digest(&data),
+            data,
+        };
+        self.add_backward(&mut cell);
+        cell
     }
 }
 
@@ -608,9 +631,9 @@ impl DigestKey {
     /// Stands in for Tor's running SHA-1 "recognized" digest: it lets the
     /// recognizing hop detect payload corruption in tests, nothing more —
     /// so it is built for throughput (one multiply per 8 bytes, four in
-    /// flight), not security. This is the standalone form control cells
-    /// are built with; the client's seal and the recognizing hops compute
-    /// the same value inside their one pass.
+    /// flight), not security. This is the standalone form a relay's
+    /// [`RelayCrypt::seal_backward`] uses; the client's seal and the
+    /// recognizing hops compute the same value inside their one pass.
     pub fn digest(self, data: &[u8]) -> u32 {
         let mut lanes = self.0;
         let mut fold_words = |words: &mut std::slice::ChunksExact<'_, u8>| {
@@ -845,6 +868,24 @@ mod tests {
         relays[0].add_backward(&mut cell2);
         assert_eq!(route.unwrap_inbound(&mut cell2), Some(2));
         assert_eq!(cell2.data, b"connected");
+    }
+
+    #[test]
+    fn seal_backward_is_digest_then_add_backward_at_every_length() {
+        let key = LayerKey::from_handshake(&[9, 0xAA, 7]);
+        let (mut sealer, mut reference) = (RelayCrypt::new(key), RelayCrypt::new(key));
+        let cmd = RelayCommand::Connected;
+        for len in 0..=RELAY_DATA_MAX {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let mut expected = addressed(reference.digest_key(), 3, &data);
+            expected.cmd = cmd;
+            reference.add_backward(&mut expected);
+            let walks = sealer.payload_passes();
+            let cell = sealer.seal_backward(cmd, StreamId(3), data);
+            assert_eq!(cell, expected, "length {len}");
+            assert_eq!(sealer.bwd_counter, reference.bwd_counter, "length {len}");
+            assert_eq!(sealer.payload_passes(), walks + 2, "length {len}");
+        }
     }
 
     #[test]
