@@ -6,6 +6,13 @@
 //! assignment, send-timestamp tracking, RTT computation, base-RTT
 //! maintenance, statistics, and optional cwnd tracing.
 //!
+//! RTT here means **send-decision → feedback** time: the clock starts when
+//! the transport releases a cell to the link layer (so queueing at the
+//! node's own egress also counts — see DESIGN.md §4) and stops when the
+//! successor's feedback for that cell arrives. `baseRtt` is the minimum
+//! ever observed, as in TCP Vegas, and the only RTT statistic a hop keeps:
+//! the controller is handed each sample and the base.
+//!
 //! The relay/client logic drives it with exactly two calls:
 //!
 //! * [`HopTransport::register_send`] just before handing a cell to the
@@ -19,7 +26,6 @@ use std::collections::VecDeque;
 use simcore::time::{SimDuration, SimTime};
 
 use crate::cc::{CongestionControl, Phase};
-use crate::rtt::RttEstimator;
 
 /// Feedback-processing failures.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,7 +68,8 @@ pub struct HopTransport {
     /// the front is a hit and the map stays an O(1) ring — no hashing on
     /// the per-cell path.
     in_flight: VecDeque<(u64, SimTime)>,
-    rtt: RttEstimator,
+    /// The minimum RTT observed (`baseRtt`), once a sample exists.
+    base_rtt: Option<SimDuration>,
     stats: HopStats,
     cwnd_trace: Option<Vec<(SimTime, u32)>>,
 }
@@ -74,7 +81,7 @@ impl HopTransport {
             cc,
             next_seq: 0,
             in_flight: VecDeque::new(),
-            rtt: RttEstimator::new(),
+            base_rtt: None,
             stats: HopStats::default(),
             cwnd_trace: None,
         }
@@ -137,8 +144,8 @@ impl HopTransport {
             },
         };
         let rtt = now.saturating_duration_since(sent_at);
-        self.rtt.record(rtt);
-        let base = self.rtt.base().expect("just recorded a sample");
+        let base = self.base_rtt.map_or(rtt, |b| b.min(rtt));
+        self.base_rtt = Some(base);
         self.stats.feedback_received += 1;
         self.cc.on_feedback(seq, rtt, base, now);
         self.trace_cwnd(now);
@@ -212,12 +219,7 @@ impl HopTransport {
 
     /// Minimum RTT observed on this hop, if any.
     pub fn base_rtt(&self) -> Option<SimDuration> {
-        self.rtt.base()
-    }
-
-    /// Full RTT statistics.
-    pub fn rtt(&self) -> &RttEstimator {
-        &self.rtt
+        self.base_rtt
     }
 
     /// Transport counters.
@@ -298,7 +300,6 @@ mod tests {
         let rtt = h.on_feedback(0, t(25)).unwrap();
         assert_eq!(rtt, SimDuration::from_millis(15));
         assert_eq!(h.base_rtt(), Some(SimDuration::from_millis(15)));
-        assert_eq!(h.rtt().count(), 1);
     }
 
     #[test]
@@ -349,7 +350,7 @@ mod tests {
         assert_eq!(h.stats().cells_forgotten, 2);
         // No RTT sample, no feedback count, and the surviving in-flight
         // cell still confirms normally.
-        assert_eq!(h.rtt().count(), 0);
+        assert_eq!(h.base_rtt(), None);
         assert_eq!(h.stats().feedback_received, 0);
         assert!(h.on_feedback(0, t(9)).is_ok());
         assert_eq!(h.outstanding(), 0);
@@ -369,7 +370,7 @@ mod tests {
         assert_eq!(h.stats().cells_forgotten, 2);
         assert_eq!(h.forget_all(), 0, "idempotent on an empty set");
         // No RTT/controller side effects beyond the one real feedback.
-        assert_eq!(h.rtt().count(), 1);
+        assert_eq!(h.base_rtt(), Some(SimDuration::from_millis(4)));
         assert_eq!(h.stats().feedback_received, 1);
         // Forgotten cells can no longer confirm.
         assert_eq!(h.on_feedback(1, t(9)), Err(FeedbackError::UnknownSeq(1)));

@@ -11,7 +11,6 @@
 //! ## Layout
 //!
 //! * [`config`] — shared parameters (γ, α, β, initial/min/max window).
-//! * [`rtt`] — per-hop RTT estimation (send-decision → feedback).
 //! * [`cc`] — the [`CongestionControl`](cc::CongestionControl) trait, the
 //!   [`RampExit`](cc::RampExit) policy hook, and the simple controllers
 //!   (fixed window, unlimited).
@@ -22,7 +21,8 @@
 //!   compensation to form the paper's contribution. `DelayCc::without_ramp`
 //!   with a large initial window models JumpStart-style senders.
 //! * [`hop`] — [`HopTransport`](hop::HopTransport): sequence numbers,
-//!   in-flight tracking, RTT samples, statistics, cwnd tracing.
+//!   in-flight tracking, RTT samples (send-decision → feedback) and the
+//!   base RTT, statistics, cwnd tracing.
 //!
 //! The crate is network-agnostic: it never touches links or queues. The
 //! `relaynet` crate wires transports to the simulated network.
@@ -34,7 +34,6 @@ pub mod cc;
 pub mod config;
 pub mod delay_cc;
 pub mod hop;
-pub mod rtt;
 
 /// Convenience re-exports.
 pub mod prelude {
@@ -44,11 +43,9 @@ pub mod prelude {
     pub use crate::config::CcConfig;
     pub use crate::delay_cc::{DelayCc, DelayCcStats};
     pub use crate::hop::{FeedbackError, HopStats, HopTransport};
-    pub use crate::rtt::RttEstimator;
 }
 
 pub use cc::{CongestionControl, FixedWindowCc, HalvingExit, Phase, RampExit, UnlimitedCc};
 pub use config::CcConfig;
 pub use delay_cc::{DelayCc, DelayCcStats};
 pub use hop::{FeedbackError, HopStats, HopTransport};
-pub use rtt::RttEstimator;

@@ -93,11 +93,6 @@ impl Algorithm {
     }
 }
 
-/// Convenience: the CircuitStart overlay factory with given parameters.
-pub fn circuit_start_factory(cfg: CcConfig) -> CcFactory {
-    Algorithm::CircuitStart.factory(cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,7 +58,7 @@ pub mod presets;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::adaptive::{AdaptiveCc, AdaptiveConfig};
-    pub use crate::algorithm::{circuit_start_cc, circuit_start_factory, classic_cc, Algorithm};
+    pub use crate::algorithm::{circuit_start_cc, classic_cc, Algorithm};
     pub use crate::exit::CircuitStartExit;
     pub use crate::harness::{
         run_cdf, run_to_completion, run_trace, CdfReport, CdfScenarioConfig, CdfSeries,
@@ -70,7 +70,7 @@ pub mod prelude {
 }
 
 pub use adaptive::{AdaptiveCc, AdaptiveConfig};
-pub use algorithm::{circuit_start_cc, circuit_start_factory, classic_cc, Algorithm};
+pub use algorithm::{circuit_start_cc, classic_cc, Algorithm};
 pub use exit::CircuitStartExit;
 pub use harness::{
     run_cdf, run_to_completion, run_trace, CdfReport, CdfScenarioConfig, CdfSeries, TraceReport,

@@ -1,8 +1,10 @@
 //! # netsim — packet-level network substrate
 //!
 //! The CircuitStart reproduction's stand-in for ns-3's point-to-point
-//! models: nodes connected by simplex rate/delay links with drop-tail
-//! egress queues, simulated to the nanosecond on top of [`simcore`].
+//! models: nodes connected by simplex rate/delay links with unbounded
+//! egress FIFOs, simulated to the nanosecond on top of [`simcore`]. The
+//! transport above bounds every queue with its hop-by-hop windows, so a
+//! link never drops a frame.
 //!
 //! ## Pieces
 //!
@@ -10,7 +12,7 @@
 //!   serialization-time arithmetic.
 //! * [`frame`] — the [`Frame`](frame::Frame) trait (a frame only needs a
 //!   wire size; higher layers define content and routing).
-//! * [`link`] — link configuration, drop-tail queue policies, telemetry.
+//! * [`link`] — link configuration (a rate and a delay), telemetry.
 //! * [`net`] — the [`Net`](net::Net) state machine (send → serialize →
 //!   propagate → deliver) and its two events.
 //! * [`topology`] — canonical shapes: path and star (nstor's "Internet"
@@ -34,6 +36,6 @@ pub mod topology;
 
 pub use bandwidth::Bandwidth;
 pub use frame::{Frame, RawFrame};
-pub use link::{LinkConfig, LinkId, LinkStats, QueueLimit};
-pub use net::{FrameStoreUse, Net, NetEvent, NodeId, SendOutcome};
+pub use link::{LinkConfig, LinkId, LinkStats};
+pub use net::{FrameStoreUse, Net, NetEvent, NodeId};
 pub use topology::{AccessConfig, AccessLinks, Path, Star};

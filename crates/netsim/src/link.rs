@@ -1,9 +1,11 @@
 //! Point-to-point link internals: configuration, queueing, statistics.
 //!
 //! A link is **simplex** (one direction); duplex connectivity is modelled
-//! as two independent links. Each link owns a drop-tail egress queue, a
+//! as two independent links. Each link owns an unbounded egress FIFO, a
 //! single "transmitter" slot (the frame currently being serialized), and a
-//! FIFO of frames in flight across the propagation delay. The three hold
+//! FIFO of frames in flight across the propagation delay. Nothing is ever
+//! dropped: the hop-by-hop windows of the transport above bound every
+//! queue. The three hold
 //! 4-byte handles: every frame is stored once, in its
 //! [`Net`](crate::net::Net)'s frame store, from `send` until it is
 //! delivered.
@@ -40,91 +42,43 @@ impl LinkId {
     }
 }
 
-/// Egress-queue capacity policy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum QueueLimit {
-    /// No limit; the queue grows as needed. The hop-by-hop transport keeps
-    /// queues bounded by flow control, and tests assert zero drops, so this
-    /// is the default for protocol experiments.
-    #[default]
-    Unbounded,
-    /// At most this many frames may wait (the serializing frame does not
-    /// count).
-    Frames(usize),
-    /// At most this many bytes may wait.
-    Bytes(u64),
-}
-
-/// Static link parameters.
+/// Static link parameters: a simplex link is a rate and a delay. Its
+/// egress FIFO is unbounded; the hop-by-hop windows above bound every
+/// queue.
 #[derive(Clone, Copy, Debug)]
 pub struct LinkConfig {
     /// Serialization rate.
     pub rate: Bandwidth,
     /// One-way propagation delay.
     pub delay: SimDuration,
-    /// Egress queue capacity.
-    pub queue: QueueLimit,
 }
 
 impl LinkConfig {
-    /// Convenience constructor with an unbounded queue.
+    /// A link of the given rate and delay.
     pub fn new(rate: Bandwidth, delay: SimDuration) -> Self {
-        LinkConfig {
-            rate,
-            delay,
-            queue: QueueLimit::Unbounded,
-        }
+        LinkConfig { rate, delay }
     }
 }
 
 /// Per-link counters, updated by [`crate::net::Net`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LinkStats {
-    /// Frames handed to `send` that were accepted (queued or transmitted).
-    pub frames_accepted: u64,
-    /// Frames rejected by the queue limit.
+    /// Always 0: the egress FIFO is unbounded and drops nothing. Kept
+    /// because csbench's `netsim.frames_dropped` row reads it.
     pub frames_dropped: u64,
-    /// Bytes rejected by the queue limit.
-    pub bytes_dropped: u64,
     /// Frames that started serializing (each finishes: nothing preempts
     /// the transmitter). Credited at the same instant as `busy_time` and
     /// `queue_wait_total`, so the three always describe the same frames.
     pub frames_sent: u64,
     /// Bytes of the frames that started serializing.
     pub bytes_sent: u64,
-    /// Frames delivered to the far end.
-    pub frames_delivered: u64,
     /// Greatest number of frames ever waiting in the egress queue.
     pub queue_hwm_frames: usize,
-    /// Greatest number of bytes ever waiting in the egress queue.
-    pub queue_hwm_bytes: u64,
-    /// Total time the transmitter was busy, for utilization.
+    /// Total time the transmitter was busy.
     pub busy_time: SimDuration,
     /// Sum of per-frame queue waiting times (enqueue → serialization
     /// start), for mean queue-delay telemetry.
     pub queue_wait_total: SimDuration,
-    /// Largest single queue waiting time.
-    pub queue_wait_max: SimDuration,
-}
-
-impl LinkStats {
-    /// Mean queueing delay over all frames that started serialization.
-    pub fn mean_queue_wait(&self) -> SimDuration {
-        if self.frames_sent == 0 {
-            SimDuration::ZERO
-        } else {
-            self.queue_wait_total / self.frames_sent
-        }
-    }
-
-    /// Fraction of `[0, now]` the transmitter spent serializing.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            0.0
-        } else {
-            self.busy_time.as_secs_f64() / now.as_secs_f64()
-        }
-    }
 }
 
 /// Full runtime state of one link. Frames are named by their handle in
@@ -136,8 +90,6 @@ pub(crate) struct LinkState {
     /// Frames waiting for the transmitter, each stamped with its arrival
     /// time.
     pub queue: VecDeque<(u32, SimTime)>,
-    /// Bytes currently waiting in `queue`.
-    pub queue_bytes: u64,
     /// The frame being serialized right now, if its sender awaits the
     /// departure; a `TxComplete` is scheduled for it at `busy_until`.
     pub transmitting: Option<u32>,
@@ -165,7 +117,6 @@ impl LinkState {
         LinkState {
             cfg,
             queue: VecDeque::new(),
-            queue_bytes: 0,
             transmitting: None,
             busy_until: SimTime::ZERO,
             wake_pending: false,
@@ -194,26 +145,10 @@ impl LinkState {
         self.tx_memo = TX_MEMO_EMPTY;
     }
 
-    /// Whether the egress queue can accept another `bytes`-sized frame.
-    #[inline]
-    pub fn queue_has_room(&self, bytes: u32) -> bool {
-        match self.cfg.queue {
-            QueueLimit::Unbounded => true,
-            QueueLimit::Frames(max) => self.queue.len() < max,
-            QueueLimit::Bytes(max) => self.queue_bytes + u64::from(bytes) <= max,
-        }
-    }
-
     /// Number of frames waiting (not counting the one serializing).
     #[inline]
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Bytes waiting (not counting the one serializing).
-    #[inline]
-    pub fn queue_bytes(&self) -> u64 {
-        self.queue_bytes
     }
 
     /// Whether a `TxComplete` is scheduled — for the frame in the
@@ -235,37 +170,6 @@ impl LinkState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn queue_limit_frames() {
-        let mut st = LinkState::new(LinkConfig {
-            rate: Bandwidth::from_mbps(1),
-            delay: SimDuration::ZERO,
-            queue: QueueLimit::Frames(2),
-        });
-        assert!(st.queue_has_room(100));
-        st.queue.push_back((1, SimTime::ZERO));
-        st.queue.push_back((2, SimTime::ZERO));
-        assert!(!st.queue_has_room(100));
-    }
-
-    #[test]
-    fn queue_limit_bytes() {
-        let mut st = LinkState::new(LinkConfig {
-            rate: Bandwidth::from_mbps(1),
-            delay: SimDuration::ZERO,
-            queue: QueueLimit::Bytes(1000),
-        });
-        st.queue_bytes = 600;
-        assert!(st.queue_has_room(400));
-        assert!(!st.queue_has_room(401));
-    }
-
-    #[test]
-    fn unbounded_always_has_room() {
-        let st = LinkState::new(LinkConfig::new(Bandwidth::from_mbps(1), SimDuration::ZERO));
-        assert!(st.queue_has_room(u32::MAX));
-    }
 
     #[test]
     fn memoised_tx_time_is_transmission_time_across_sizes_and_rate_changes() {
@@ -291,20 +195,12 @@ mod tests {
         }
     }
 
+    /// One per link of a world: a rate and a delay, the egress and
+    /// in-flight handle FIFOs, the transmitter slot, the counters csbench
+    /// reads and the serialization-time memo.
     #[test]
-    fn stats_mean_queue_wait() {
-        let mut s = LinkStats::default();
-        assert_eq!(s.mean_queue_wait(), SimDuration::ZERO);
-        s.frames_sent = 4;
-        s.queue_wait_total = SimDuration::from_millis(8);
-        assert_eq!(s.mean_queue_wait(), SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn stats_utilization() {
-        let mut s = LinkStats::default();
-        assert_eq!(s.utilization(SimTime::ZERO), 0.0);
-        s.busy_time = SimDuration::from_millis(250);
-        assert!((s.utilization(SimTime::from_secs(1)) - 0.25).abs() < 1e-12);
+    fn a_link_is_at_most_184_bytes() {
+        let size = std::mem::size_of::<LinkState>();
+        assert!(size <= 184, "LinkState grew to {size} bytes");
     }
 }

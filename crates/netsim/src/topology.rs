@@ -129,8 +129,7 @@ pub struct Star {
 impl Star {
     /// Builds a star with the given per-leaf access configurations: the
     /// hub and one node per leaf, no links yet. Access-link egress queues
-    /// are unbounded (backpressure keeps them finite; experiments assert
-    /// zero drops).
+    /// are unbounded (backpressure keeps them finite).
     ///
     /// # Panics
     ///

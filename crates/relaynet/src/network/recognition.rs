@@ -183,8 +183,9 @@ mod tests {
     use torcell::ids::StreamId;
 
     use super::*;
-    use crate::builder::{fixed_window_factory, PathHandles, PathScenario};
+    use crate::builder::{PathHandles, PathScenario};
     use crate::pool::PayloadPool;
+    use crate::test_cc::fixed_window_factory;
     use crate::wire::{FramePayload, WireFrame};
 
     /// Runs a one-DATA-cell transfer over three relays; the first relay

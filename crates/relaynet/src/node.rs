@@ -762,11 +762,12 @@ mod tests {
     }
 
     #[test]
-    fn a_participation_is_at_most_648_bytes() {
-        // 856 bytes while the role was four `Option`s; now a slab slot is
-        // its two hops (448) plus its largest role (168) and ids (632).
+    fn a_participation_is_at_most_536_bytes() {
+        // 856 bytes while the role was four `Option`s, 632 while each hop
+        // kept four RTT statistics; now a slab slot is its two hops (352)
+        // plus its largest role (168) and ids (536).
         let size = std::mem::size_of::<NodeCircuit>();
-        assert!(size <= 648, "a participation is {size} bytes");
+        assert!(size <= 536, "a participation is {size} bytes");
     }
 
     #[test]

@@ -366,8 +366,8 @@ impl ShardedStar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::fixed_window_factory;
     use crate::directory::DirectoryConfig;
+    use crate::test_cc::fixed_window_factory;
     use crate::workload::{ArrivalSpec, ChurnSpec, WorkloadSpec};
     use simcore::exec::{DeterministicExecutor, ThreadedExecutor};
 

@@ -747,7 +747,7 @@ mod tests {
             start_jitter_ms: f64::NAN,
             ..Default::default()
         };
-        let _ = star.build(crate::builder::unlimited_factory(), 1);
+        let _ = star.build(crate::test_cc::unlimited_factory(), 1);
     }
 
     #[test]

@@ -102,7 +102,7 @@ cargo run -q --release -p cs-bench --bin csbench -- --workload path3_bulk --seed
     > "${scratch_dir}/csbench_trace.out"
 for row in stack.simcore_ns_per_cell stack.netsim_ns_per_cell stack.torcell_ns_per_cell \
     stack.backtap_ns_per_cell stack.relaynet_ns_per_cell stack.unattributed_ns_per_cell torcell.strip_ns; do
-    grep -qE "^ *${row//./\\.} +[0-9.]+ " "${scratch_dir}/csbench_trace.out" || {
+    grep -qE "^ *${row//./\\.} +-?[0-9.]+ " "${scratch_dir}/csbench_trace.out" || {
         echo "    FAIL: the traced run printed no ${row} row" >&2
         exit 1
     }

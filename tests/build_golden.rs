@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use backtap::config::CcConfig;
-use circuitstart::algorithm::circuit_start_factory;
+use circuitstart::Algorithm;
 use relaynet::runtime::fingerprint;
 use relaynet::selection::CongestionAware;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, EpochSpec, WorkloadSpec};
@@ -108,7 +108,8 @@ fn digests(scenario: &StarScenario, seed: u64) -> (u64, u64) {
         h.u64(d.as_nanos());
     }
 
-    let (mut sim, circuits) = scenario.build(circuit_start_factory(CcConfig::default()), seed);
+    let (mut sim, circuits) =
+        scenario.build(Algorithm::CircuitStart.factory(CcConfig::default()), seed);
     let world = sim.world();
     let star = world.star().expect("a star world");
     for i in 0..star.leaf_count() {

@@ -7,9 +7,9 @@
 //! by pausing the simulator between full teardown and the churn
 //! rebuild.
 
+use circuitstart::Algorithm;
 use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
-use relaynet::builder::fixed_window_factory;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, WorkloadSpec};
 use relaynet::{PathScenario, TorEvent};
 use simcore::sim::{RunLimits, StopReason};
@@ -46,7 +46,7 @@ fn midflight_destroy_returns_inflight_buffers_and_counts_one_destroy_per_hop() {
         },
         faults: None,
     };
-    let (mut sim, h) = scenario.build(fixed_window_factory(16), 7);
+    let (mut sim, h) = scenario.build(Algorithm::FixedWindow(16).factory(Default::default()), 7);
     let path_nodes = 4u64; // client + 2 relays + server
 
     // Phase 1: run past the teardown but not into the rebuild — the
@@ -111,7 +111,7 @@ fn manual_teardown_event_mid_transfer_is_equivalent_to_churn() {
         file_bytes: 600_000,
         ..Default::default()
     };
-    let (mut sim, h) = scenario.build(fixed_window_factory(16), 11);
+    let (mut sim, h) = scenario.build(Algorithm::FixedWindow(16).factory(Default::default()), 11);
     sim.schedule_at(SimTime::from_millis(150), TorEvent::Teardown(h.circ));
     let report = sim.run();
     assert_eq!(report.reason, StopReason::QueueEmpty);
@@ -149,7 +149,8 @@ fn teardown_racing_the_build_never_panics_or_leaks() {
             },
             faults: None,
         };
-        let (mut sim, _) = scenario.build(fixed_window_factory(8), 13);
+        let (mut sim, _) =
+            scenario.build(Algorithm::FixedWindow(8).factory(Default::default()), 13);
         let report = sim.run();
         assert_eq!(
             report.reason,
@@ -210,7 +211,7 @@ fn scheduler_queued_cells_drop_at_destroy_without_burning_link_time() {
         },
         faults: None,
     };
-    let (mut sim, h) = scenario.build(fixed_window_factory(16), 19);
+    let (mut sim, h) = scenario.build(Algorithm::FixedWindow(16).factory(Default::default()), 19);
     // Pause 25 ms after the teardown: far less than the ~30 ms the
     // drained backlog would have needed on the wire, ample for the
     // DESTROY round trip over the fast relay links.
@@ -279,7 +280,7 @@ fn destroy_count_scales_with_cycles() {
         },
         faults: None,
     };
-    let (mut sim, _) = scenario.build(fixed_window_factory(16), 3);
+    let (mut sim, _) = scenario.build(Algorithm::FixedWindow(16).factory(Default::default()), 3);
     let report = sim.run();
     assert_eq!(report.reason, StopReason::QueueEmpty);
     let world = sim.world();

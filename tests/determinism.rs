@@ -3,6 +3,7 @@
 //! experiments and require identical traces, byte for byte.
 
 use circuitstart::prelude::*;
+use relaynet::runtime::fingerprint;
 use relaynet::StarScenario;
 
 fn trace_fingerprint(cfg: &TraceScenarioConfig) -> (Vec<(f64, u32)>, Option<f64>, u64) {
@@ -51,15 +52,9 @@ fn star_runs_are_bit_identical() {
         ..Default::default()
     };
     let run = || {
-        let (mut sim, circuits) =
-            scenario.build(Algorithm::CircuitStart.factory(CcConfig::default()), 42);
+        let (mut sim, _) = scenario.build(Algorithm::CircuitStart.factory(CcConfig::default()), 42);
         run_to_completion(&mut sim);
-        let world = sim.world();
-        let times: Vec<Option<f64>> = circuits
-            .iter()
-            .map(|&c| world.result_of(c).transfer_time().map(|d| d.as_secs_f64()))
-            .collect();
-        (times, world.stats().cells_sent, world.stats().feedback_sent)
+        fingerprint(sim.world(), sim.events_processed())
     };
     assert_eq!(run(), run());
 }

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use relaynet::builder::baseline_factory;
+use circuitstart::Algorithm;
 use relaynet::runtime::fingerprint;
 use relaynet::selection::CongestionAware;
 use relaynet::workload::{ArrivalSpec, EpochSpec, WorkloadSpec};
@@ -45,7 +45,8 @@ fn epoch_scenario() -> StarScenario {
 #[test]
 fn epochs_apply_and_no_flow_is_lost_or_duplicated() {
     let scenario = epoch_scenario();
-    let (mut sim, circuits) = scenario.build(baseline_factory(Default::default()), 31);
+    let (mut sim, circuits) =
+        scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), 31);
     let report = sim.run();
     assert_eq!(report.reason, StopReason::QueueEmpty);
     let world = sim.world();
@@ -85,7 +86,7 @@ fn load_ledger_equals_surviving_incarnations_after_every_epoch() {
     // Pause the simulator just after each epoch boundary and check the
     // ledger invariant mid-run, not only at quiescence.
     let scenario = epoch_scenario();
-    let (mut sim, _) = scenario.build(baseline_factory(Default::default()), 57);
+    let (mut sim, _) = scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), 57);
     let interval_ms = 120u64;
     for epoch in 1..=4u64 {
         let report = sim.run_with_limits(simcore::sim::RunLimits {
@@ -115,7 +116,8 @@ fn full_teardown_returns_every_load_counter_to_zero() {
     // view must return to all-zero — no leaked +1 from epoch churn, no
     // double-decrement from teardown racing an epoch.
     let scenario = epoch_scenario();
-    let (mut sim, circuits) = scenario.build(baseline_factory(Default::default()), 73);
+    let (mut sim, circuits) =
+        scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), 73);
     sim.run();
     for c in circuits {
         sim.schedule_in(
@@ -148,8 +150,11 @@ fn full_teardown_returns_every_load_counter_to_zero() {
 fn epoch_runs_are_deterministic_and_queue_invariant() {
     let scenario = epoch_scenario();
     let run = |queue: QueueKind| {
-        let (mut sim, _) =
-            scenario.build_with_queue(baseline_factory(Default::default()), 91, queue);
+        let (mut sim, _) = scenario.build_with_queue(
+            Algorithm::ClassicBacktap.factory(Default::default()),
+            91,
+            queue,
+        );
         let report = sim.run();
         fingerprint(sim.world(), report.events_processed)
     };
@@ -172,7 +177,7 @@ fn no_epoch_config_means_no_behaviour_change() {
         epochs: None,
         ..epoch_scenario()
     };
-    let (mut sim, _) = base.build(baseline_factory(Default::default()), 17);
+    let (mut sim, _) = base.build(Algorithm::ClassicBacktap.factory(Default::default()), 17);
     let report = sim.run();
     let world = sim.world();
     assert_eq!(report.reason, StopReason::QueueEmpty);

@@ -18,10 +18,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
+use circuitstart::Algorithm;
 use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
 use netsim::net::NetEvent;
-use relaynet::{fixed_window_factory, EventsHandled, PathScenario, TorEvent};
+use relaynet::{EventsHandled, PathScenario, TorEvent};
 use simcore::time::SimDuration;
 use torcell::cell::RELAY_DATA_MAX;
 
@@ -44,7 +45,10 @@ fn events(hops: &[LinkConfig], window: u32, cells: u64) -> Handled {
         file_bytes: cells * RELAY_DATA_MAX as u64,
         ..Default::default()
     };
-    let (mut sim, handles) = scenario.build(fixed_window_factory(window), 3);
+    let (mut sim, handles) = scenario.build(
+        Algorithm::FixedWindow(window).factory(Default::default()),
+        3,
+    );
     let access = handles.fwd_links[0];
     let access_tx_complete = Rc::new(Cell::new(0));
     let count = Rc::clone(&access_tx_complete);

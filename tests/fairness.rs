@@ -136,5 +136,4 @@ fn many_small_flows_all_progress() {
         assert!(r.completed);
         assert_eq!(r.payload_errors, 0);
     }
-    assert_eq!(world.net().total_drops(), 0);
 }

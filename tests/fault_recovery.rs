@@ -23,9 +23,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use circuitstart::Algorithm;
 use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
-use relaynet::builder::{baseline_factory, fixed_window_factory};
 use relaynet::runtime::{fingerprint, ShardedStar, StatsKind};
 use relaynet::selection::{all_policies, CongestionAware};
 use relaynet::workload::{ArrivalSpec, ChurnSpec, EpochSpec, FaultSpec, WorkloadSpec};
@@ -102,7 +102,8 @@ fn relay_crashes_recover_and_conserve_bytes() {
             crash_window_ms: (40.0, 120.0),
             ..lenient()
         });
-        let (mut sim, circuits) = scenario.build(baseline_factory(Default::default()), 31);
+        let (mut sim, circuits) =
+            scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), 31);
         let report = sim.run();
         assert_eq!(report.reason, StopReason::QueueEmpty);
         let world = sim.world();
@@ -148,7 +149,8 @@ fn transient_stalls_recover_without_blame() {
             stall_factor: 200.0,
             ..lenient()
         });
-        let (mut sim, _) = scenario.build(baseline_factory(Default::default()), 47);
+        let (mut sim, _) =
+            scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), 47);
         let report = sim.run();
         assert_eq!(report.reason, StopReason::QueueEmpty);
         let world = sim.world();
@@ -177,7 +179,7 @@ fn fault_runs_are_queue_invariant() {
         for seed in [11u64, 67] {
             let run = |queue: QueueKind| {
                 let (mut sim, _) = faulty_star(spec).build_with_queue(
-                    baseline_factory(Default::default()),
+                    Algorithm::ClassicBacktap.factory(Default::default()),
                     seed,
                     queue,
                 );
@@ -217,7 +219,7 @@ fn threaded_runtime_reproduces_oracle_under_faults() {
                     stats: StatsKind::default(),
                 };
                 let maker: relaynet::runtime::FactoryMaker =
-                    Arc::new(|| baseline_factory(Default::default()));
+                    Arc::new(|| Algorithm::ClassicBacktap.factory(Default::default()));
                 let oracle = exp.run(&DeterministicExecutor, maker.clone());
                 let threaded = exp.run(&ThreadedExecutor::new(4), maker);
                 assert_eq!(
@@ -263,7 +265,8 @@ fn retry_cap_parks_flows_on_an_unroutable_path() {
                 ..Default::default()
             }),
         };
-        let (mut sim, _) = scenario.build(fixed_window_factory(16), 9);
+        let (mut sim, _) =
+            scenario.build(Algorithm::FixedWindow(16).factory(Default::default()), 9);
         let report = sim.run();
         assert_eq!(report.reason, StopReason::QueueEmpty, "parking must drain");
         let world = sim.world();
@@ -309,7 +312,8 @@ fn teardown_storm_keeps_ledger_and_pool_exact() {
                 })
             };
             let seed = 100 + round as u64;
-            let (mut sim, circuits) = scenario.build(baseline_factory(Default::default()), seed);
+            let (mut sim, circuits) =
+                scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), seed);
             // The storm: every circuit is explicitly torn down at the
             // round's offset, racing whatever the epoch engine and the
             // fault schedule are doing to the same paths at that time.
@@ -380,7 +384,7 @@ fn assert_pinned(
     cells_sent: u64,
 ) -> WorldStats {
     assert!(scenario.faults.is_none());
-    let (mut sim, _) = scenario.build(baseline_factory(Default::default()), 31);
+    let (mut sim, _) = scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), 31);
     let report = sim.run();
     let world = sim.world();
     assert_eq!(report.reason, StopReason::QueueEmpty);

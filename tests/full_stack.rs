@@ -31,11 +31,6 @@ fn run_path(
     run_to_completion(&mut sim);
     let world = sim.world();
     assert_eq!(world.stats().protocol_errors, 0, "protocol errors");
-    assert_eq!(
-        world.net().total_drops(),
-        0,
-        "backpressure must prevent drops"
-    );
     let result = world.result_of(handles.circ);
     assert!(result.completed, "transfer must complete");
     assert_eq!(result.bytes_delivered, file_bytes);
@@ -152,7 +147,6 @@ fn star_mixed_workload_all_complete() {
         run_to_completion(&mut sim);
         let world = sim.world();
         assert_eq!(world.stats().protocol_errors, 0);
-        assert_eq!(world.net().total_drops(), 0);
         for c in circuits {
             let r = world.result_of(c);
             assert!(r.completed, "{algorithm:?} {c:?}");

@@ -257,7 +257,7 @@ fn star_builder_routes_over_the_pinned_picks() {
         file_bytes: 10_000,
         ..Default::default()
     };
-    let (sim, circuits) = scenario.build(relaynet::builder::unlimited_factory(), 1);
+    let (sim, circuits) = scenario.build(Algorithm::CircuitStart.factory(CcConfig::default()), 1);
     let world = sim.world();
     let relay_ids = |c: CircId| -> Vec<u32> {
         let p = &world.circuit_info(c).path;
@@ -495,7 +495,7 @@ fn load_view_matches_built_paths() {
         selection: Arc::new(LatencyAware),
         ..Default::default()
     };
-    let (sim, circuits) = scenario.build(relaynet::builder::unlimited_factory(), 12);
+    let (sim, circuits) = scenario.build(Algorithm::CircuitStart.factory(CcConfig::default()), 12);
     let world = sim.world();
     let loads = world.relay_loads().expect("placement installed");
     let mut expect = vec![0u32; 9];

@@ -4,9 +4,10 @@
 //! is a pure function of the cells processed, so it is the regression
 //! gate a speed claim cannot be (ROADMAP item 1a; DESIGN.md §5).
 
+use circuitstart::Algorithm;
 use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
-use relaynet::{fixed_window_factory, PathScenario};
+use relaynet::PathScenario;
 use simcore::time::SimDuration;
 use torcell::cell::RELAY_DATA_MAX;
 
@@ -19,7 +20,8 @@ fn walks(relays: usize, cells: u64) -> (u64, u64) {
         file_bytes: cells * RELAY_DATA_MAX as u64,
         ..Default::default()
     };
-    let (mut sim, handles) = scenario.build(fixed_window_factory(16), 3);
+    let (mut sim, handles) =
+        scenario.build(Algorithm::FixedWindow(16).factory(Default::default()), 3);
     sim.run();
     let world = sim.world();
     let result = world.result_of(handles.circ);
@@ -83,7 +85,8 @@ fn teardown_does_not_lose_the_count() {
         file_bytes: 40 * RELAY_DATA_MAX as u64,
         ..Default::default()
     };
-    let (mut sim, handles) = scenario.build(fixed_window_factory(16), 3);
+    let (mut sim, handles) =
+        scenario.build(Algorithm::FixedWindow(16).factory(Default::default()), 3);
     sim.run();
     let before = sim.world().payload_passes();
     sim.schedule_in(

@@ -31,7 +31,7 @@ fn run(
     file_bytes: u64,
     algorithm: Algorithm,
     seed: u64,
-) -> (relaynet::CircuitResult, relaynet::WorldStats, u64) {
+) -> (relaynet::CircuitResult, relaynet::WorldStats) {
     let scenario = PathScenario {
         hops,
         file_bytes,
@@ -40,11 +40,7 @@ fn run(
     let (mut sim, handles) = scenario.build(algorithm.factory(CcConfig::default()), seed);
     run_to_completion(&mut sim);
     let world = sim.world();
-    (
-        world.result_of(handles.circ),
-        *world.stats(),
-        world.net().total_drops(),
-    )
+    (world.result_of(handles.circ), *world.stats())
 }
 
 /// Cells are conserved: every payload byte the client offers arrives
@@ -56,13 +52,12 @@ fn conservation_over_random_paths() {
         let hops = arb_hops(&mut gen);
         let file = gen.range_u64(1, 121) * 1000;
         let seed = gen.u64();
-        let (result, stats, drops) = run(hops, file, Algorithm::CircuitStart, seed);
+        let (result, stats) = run(hops, file, Algorithm::CircuitStart, seed);
         assert!(result.completed);
         assert_eq!(result.bytes_delivered, file);
         assert_eq!(result.cells_delivered, file.div_ceil(496));
         assert_eq!(result.payload_errors, 0);
         assert_eq!(stats.protocol_errors, 0);
-        assert_eq!(drops, 0);
     }
 }
 
@@ -76,8 +71,8 @@ fn ttlb_monotone_in_file_size() {
         let small = gen.range_u64(5, 41) * 1000;
         let big = small + gen.range_u64(10, 101) * 1000;
         let seed = gen.u64();
-        let (r_small, _, _) = run(hops.clone(), small, Algorithm::CircuitStart, seed);
-        let (r_big, _, _) = run(hops, big, Algorithm::CircuitStart, seed);
+        let (r_small, _) = run(hops.clone(), small, Algorithm::CircuitStart, seed);
+        let (r_big, _) = run(hops, big, Algorithm::CircuitStart, seed);
         assert!(
             r_big.transfer_time().unwrap() >= r_small.transfer_time().unwrap(),
             "bigger file finished faster: {:?} vs {:?}",
@@ -102,7 +97,7 @@ fn never_faster_than_the_ideal_pipeline() {
         ][gen.range_usize(0, 3)];
         let seed = gen.u64();
         let model = PathModel::from_hops(&hops);
-        let (result, _, _) = run(hops, file, algorithm, seed);
+        let (result, _) = run(hops, file, algorithm, seed);
         assert!(
             result.transfer_time().unwrap() >= model.ideal_transfer_time(file),
             "{algorithm:?} beat physics"
@@ -143,8 +138,8 @@ fn determinism_over_random_configs() {
         let hops = arb_hops(&mut gen);
         let file = gen.range_u64(5, 51) * 1000;
         let seed = gen.u64();
-        let (a, _, _) = run(hops.clone(), file, Algorithm::CircuitStart, seed);
-        let (b, _, _) = run(hops, file, Algorithm::CircuitStart, seed);
+        let (a, _) = run(hops.clone(), file, Algorithm::CircuitStart, seed);
+        let (b, _) = run(hops, file, Algorithm::CircuitStart, seed);
         assert_eq!(a.transfer_time(), b.transfer_time());
         assert_eq!(a.last_byte_at, b.last_byte_at);
     }

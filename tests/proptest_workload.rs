@@ -90,7 +90,6 @@ fn no_byte_lost_or_duplicated_under_random_workloads() {
         let sim = build_and_run(hops, file, workload, seed);
         let world = sim.world();
         assert_eq!(world.stats().protocol_errors, 0, "case {case}");
-        assert_eq!(world.net().total_drops(), 0, "case {case}");
         let mut requested = 0;
         let mut delivered = 0;
         for f in world.flows() {

@@ -29,22 +29,8 @@ struct PathFingerprint {
     feedback_received: u64,
     transfer_time: Option<f64>,
     cells_delivered: u64,
-    stats: (u64, u64, u64, u64, u64, u64, u64, u64),
+    stats: WorldStats,
     events_processed: u64,
-}
-
-#[allow(clippy::type_complexity)]
-fn stats_tuple(s: &WorldStats) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
-    (
-        s.cells_sent,
-        s.feedback_sent,
-        s.protocol_errors,
-        s.cells_dropped_closed,
-        s.destroys_sent,
-        s.cells_drained,
-        s.slots_reclaimed,
-        s.rebuilds,
-    )
 }
 
 fn run_path(distance: usize, seed: u64, kind: QueueKind) -> PathFingerprint {
@@ -71,7 +57,7 @@ fn run_path(distance: usize, seed: u64, kind: QueueKind) -> PathFingerprint {
             .map_or(0, |t| t.stats().feedback_received),
         transfer_time: r.transfer_time().map(|d: SimDuration| d.as_secs_f64()),
         cells_delivered: r.cells_delivered,
-        stats: stats_tuple(world.stats()),
+        stats: *world.stats(),
         events_processed: sim.events_processed(),
     }
 }
@@ -114,7 +100,7 @@ fn star_runs_identically_on_both_queues_across_seeds() {
             .iter()
             .map(|&c| world.result_of(c).transfer_time().map(|d| d.as_secs_f64()))
             .collect();
-        (times, stats_tuple(world.stats()), sim.events_processed())
+        (times, *world.stats(), sim.events_processed())
     };
     for seed in [3u64, 11, 99] {
         assert_eq!(
@@ -135,7 +121,7 @@ fn baseline_algorithms_also_match() {
     };
     // CcFactory is not Clone, so store constructors and build one per run.
     let make_classic = || Algorithm::ClassicBacktap.factory(CcConfig::default());
-    let make_fixed = || relaynet::builder::fixed_window_factory(16);
+    let make_fixed = || Algorithm::FixedWindow(16).factory(CcConfig::default());
     let factories: [(&str, &dyn Fn() -> relaynet::CcFactory); 2] =
         [("classic", &make_classic), ("fixed", &make_fixed)];
     for (name, make) in factories {
@@ -145,7 +131,7 @@ fn baseline_algorithms_also_match() {
             let w = sim.world();
             (
                 w.result_of(h.circ).cells_delivered,
-                stats_tuple(w.stats()),
+                *w.stats(),
                 sim.events_processed(),
             )
         };

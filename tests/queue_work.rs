@@ -11,7 +11,7 @@
 //! the negative control.
 
 use backtap::config::CcConfig;
-use circuitstart::algorithm::circuit_start_factory;
+use circuitstart::Algorithm;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, FaultSpec, WorkloadSpec};
 use relaynet::{DirectoryConfig, StarScenario};
 use simcore::event::QueueWork;
@@ -85,7 +85,7 @@ struct Census {
 }
 
 fn census(scenario: &StarScenario, seed: u64) -> Census {
-    let (mut sim, _) = scenario.build(circuit_start_factory(CcConfig::default()), seed);
+    let (mut sim, _) = scenario.build(Algorithm::CircuitStart.factory(CcConfig::default()), seed);
     let (mut peak_reserved, mut peak_pending) = (0, 0);
     while sim.step() {
         peak_pending = peak_pending.max(sim.pending_events());
@@ -148,7 +148,7 @@ fn a_fault_free_churn_star_keeps_its_exact_counts() {
 /// every link's own peak.
 #[test]
 fn a_fault_free_churn_star_stores_each_frame_once() {
-    let (mut sim, _) = churn_star().build(circuit_start_factory(CcConfig::default()), 1);
+    let (mut sim, _) = churn_star().build(Algorithm::CircuitStart.factory(CcConfig::default()), 1);
     assert_eq!(sim.run().reason, StopReason::QueueEmpty);
     let store = sim.world().net().frame_store();
     assert_eq!(store.held, 0);

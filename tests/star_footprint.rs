@@ -13,7 +13,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use backtap::config::CcConfig;
-use circuitstart::algorithm::circuit_start_factory;
+use circuitstart::Algorithm;
 use netsim::link::LinkId;
 use netsim::net::NodeId;
 use relaynet::selection::CongestionAware;
@@ -64,7 +64,8 @@ fn consensus_star() -> StarScenario {
 
 #[test]
 fn a_consensus_star_holds_one_link_pair_per_leaf_on_a_path() {
-    let (mut sim, _) = consensus_star().build(circuit_start_factory(CcConfig::default()), 7);
+    let (mut sim, _) =
+        consensus_star().build(Algorithm::CircuitStart.factory(CcConfig::default()), 7);
     let at_build = path_leaves(sim.world());
     // 8 clients, 8 servers and at most 24 distinct relays.
     assert!(at_build.len() <= 40, "{} leaves", at_build.len());
@@ -113,7 +114,7 @@ fn faulty_star() -> StarScenario {
 
 #[test]
 fn a_stalled_relays_links_exist_from_the_start() {
-    let (mut sim, _) = faulty_star().build(circuit_start_factory(CcConfig::default()), 1);
+    let (mut sim, _) = faulty_star().build(Algorithm::CircuitStart.factory(CcConfig::default()), 1);
     let at_build = path_leaves(sim.world());
     let links_at_build = sim.world().net().link_count();
     let stalled: Rc<RefCell<Vec<LinkId>>> = Rc::default();

@@ -22,7 +22,7 @@
 //! `cargo test --release --test teardown_strand -- --ignored`.
 
 use backtap::config::CcConfig;
-use circuitstart::algorithm::circuit_start_factory;
+use circuitstart::Algorithm;
 use relaynet::node::CircuitPhase;
 use relaynet::selection::CongestionAware;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, EpochSpec, FaultSpec, WorkloadSpec};
@@ -123,7 +123,7 @@ fn churn_with_crashes() -> StarScenario {
 /// quiescence and lists everything a finished teardown rules out; empty
 /// when the world ended clean.
 fn strands(scenario: &StarScenario, i: u64) -> Vec<String> {
-    let factory = circuit_start_factory(CcConfig::default());
+    let factory = Algorithm::CircuitStart.factory(CcConfig::default());
     let (mut sim, _) = scenario.build(factory, world_seed(i));
     let report = sim.run();
     let world = sim.world();
