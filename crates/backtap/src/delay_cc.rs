@@ -160,13 +160,6 @@ impl DelayCc {
         &self.stats
     }
 
-    /// Cells of the current ramp-up round already fed back (0 outside
-    /// ramp-up). This is the "amount of data acknowledged within the
-    /// current round so far" that overshoot compensation uses.
-    pub fn acked_in_current_round(&self) -> u32 {
-        self.train.map_or(0, |t| t.acked)
-    }
-
     /// Re-enters ramp-up (the paper's future-work extension uses this to
     /// re-probe after a detected bandwidth change). The window restarts at
     /// `cwnd0` (clamped), or `init_cwnd` if `None`.
@@ -577,14 +570,15 @@ mod tests {
 
     #[test]
     fn acked_in_current_round_tracks_train() {
+        let acked = |c: &DelayCc| c.train.map_or(0, |t| t.acked);
         let mut c = cc();
         c.on_sent(0, t(0));
         c.on_sent(1, t(0));
-        assert_eq!(c.acked_in_current_round(), 0);
+        assert_eq!(acked(&c), 0);
         c.on_feedback(0, ms(10), ms(10), t(1));
-        assert_eq!(c.acked_in_current_round(), 1);
+        assert_eq!(acked(&c), 1);
         c.on_feedback(1, ms(10), ms(10), t(1));
-        assert_eq!(c.acked_in_current_round(), 0, "train closed");
+        assert_eq!(acked(&c), 0, "train closed");
     }
 
     #[test]

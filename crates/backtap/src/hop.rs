@@ -48,8 +48,6 @@ impl std::error::Error for FeedbackError {}
 /// Hop-level counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HopStats {
-    /// Cells registered for sending.
-    pub cells_sent: u64,
     /// Valid feedback messages processed.
     pub feedback_received: u64,
     /// Feedback messages rejected (unknown/duplicate sequence).
@@ -121,7 +119,6 @@ impl HopTransport {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.in_flight.push_back((seq, now));
-        self.stats.cells_sent += 1;
         self.cc.on_sent(seq, now);
         self.trace_cwnd(now);
         seq
@@ -232,11 +229,6 @@ impl HopTransport {
         self.next_seq
     }
 
-    /// Access to the controller for algorithm-specific inspection.
-    pub fn controller(&self) -> &dyn CongestionControl {
-        self.cc.as_ref()
-    }
-
     fn trace_cwnd(&mut self, now: SimTime) {
         if let Some(trace) = &mut self.cwnd_trace {
             let cwnd = self.cc.cwnd();
@@ -269,7 +261,6 @@ mod tests {
         assert_eq!(h.register_send(t(0)), 1);
         assert_eq!(h.register_send(t(0)), 2);
         assert_eq!(h.next_seq(), 3);
-        assert_eq!(h.stats().cells_sent, 3);
     }
 
     #[test]

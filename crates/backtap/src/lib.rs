@@ -34,18 +34,3 @@ pub mod cc;
 pub mod config;
 pub mod delay_cc;
 pub mod hop;
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::cc::{
-        CongestionControl, FixedWindowCc, HalvingExit, Phase, RampExit, UnlimitedCc,
-    };
-    pub use crate::config::CcConfig;
-    pub use crate::delay_cc::{DelayCc, DelayCcStats};
-    pub use crate::hop::{FeedbackError, HopStats, HopTransport};
-}
-
-pub use cc::{CongestionControl, FixedWindowCc, HalvingExit, Phase, RampExit, UnlimitedCc};
-pub use config::CcConfig;
-pub use delay_cc::{DelayCc, DelayCcStats};
-pub use hop::{FeedbackError, HopStats, HopTransport};

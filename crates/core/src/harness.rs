@@ -358,7 +358,8 @@ mod tests {
         assert_eq!(kib[0], (0.0, 1.0));
         let table = report.to_table();
         assert_eq!(table.headers(), &["time_ms", "cwnd_kib", "optimal_kib"]);
-        assert_eq!(table.row_count(), kib.len());
+        // One `#` header line, then one line per row.
+        assert_eq!(table.to_gnuplot().lines().count(), 1 + kib.len());
     }
 
     #[test]
@@ -406,6 +407,6 @@ mod tests {
         assert!(report.get("classic").is_some());
         assert!(report.get("nope").is_none());
         let t = report.to_table(0);
-        assert_eq!(t.row_count(), 12);
+        assert_eq!(t.to_gnuplot().lines().count(), 1 + 12);
     }
 }

@@ -57,24 +57,15 @@ pub mod presets;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::adaptive::{AdaptiveCc, AdaptiveConfig};
-    pub use crate::algorithm::{circuit_start_cc, classic_cc, Algorithm};
-    pub use crate::exit::CircuitStartExit;
+    pub use crate::algorithm::Algorithm;
     pub use crate::harness::{
-        run_cdf, run_to_completion, run_trace, CdfReport, CdfScenarioConfig, CdfSeries,
-        TraceReport, TraceScenarioConfig,
+        run_cdf, run_to_completion, run_trace, CdfReport, TraceScenarioConfig,
     };
-    pub use crate::optimal::{LinkModel, PathModel};
+    pub use crate::optimal::PathModel;
     pub use crate::presets::{fig1_cdf, fig1_trace, policy_cdf};
     pub use backtap::config::CcConfig;
 }
 
-pub use adaptive::{AdaptiveCc, AdaptiveConfig};
-pub use algorithm::{circuit_start_cc, classic_cc, Algorithm};
-pub use exit::CircuitStartExit;
-pub use harness::{
-    run_cdf, run_to_completion, run_trace, CdfReport, CdfScenarioConfig, CdfSeries, TraceReport,
-    TraceScenarioConfig,
-};
-pub use optimal::{LinkModel, PathModel};
-pub use presets::{fig1_cdf, fig1_trace, policy_cdf};
+pub use algorithm::Algorithm;
+pub use harness::run_to_completion;
+pub use optimal::PathModel;

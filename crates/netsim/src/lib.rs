@@ -33,9 +33,3 @@ pub mod frame;
 pub mod link;
 pub mod net;
 pub mod topology;
-
-pub use bandwidth::Bandwidth;
-pub use frame::{Frame, RawFrame};
-pub use link::{LinkConfig, LinkId, LinkStats};
-pub use net::{FrameStoreUse, Net, NetEvent, NodeId};
-pub use topology::{AccessConfig, AccessLinks, Path, Star};

@@ -1,7 +1,7 @@
 //! The network: nodes, directed links, and the transmission state machine.
 //!
-//! [`Net`] is *not* a [`simcore::World`] by itself — it is a component the
-//! world embeds. The world forwards the two network events to
+//! [`Net`] is *not* a [`simcore::sim::World`] by itself — it is a component
+//! the world embeds. The world forwards the two network events to
 //! [`Net::on_tx_complete`] / [`Net::take_delivered`] and handles delivered
 //! frames itself (routing is a higher-layer concern). This keeps `Net`
 //! reusable under any event enum via `E: From<NetEvent>`.
@@ -152,8 +152,12 @@ impl<F> FrameStore<F> {
 /// # Examples
 ///
 /// ```
-/// use netsim::{Bandwidth, LinkConfig, LinkId, Net, NetEvent, RawFrame};
-/// use simcore::prelude::*;
+/// use netsim::bandwidth::Bandwidth;
+/// use netsim::frame::RawFrame;
+/// use netsim::link::{LinkConfig, LinkId};
+/// use netsim::net::{Net, NetEvent};
+/// use simcore::sim::{Context, Simulator, World};
+/// use simcore::time::{SimDuration, SimTime};
 ///
 /// enum Ev { Net(NetEvent), Send(u64) }
 /// impl From<NetEvent> for Ev {
@@ -490,7 +494,8 @@ mod tests {
     use super::*;
     use crate::bandwidth::Bandwidth;
     use crate::frame::RawFrame;
-    use simcore::prelude::*;
+    use simcore::sim::{Context, Simulator, World};
+    use simcore::time::SimDuration;
     use std::collections::VecDeque;
 
     /// A frame that says per frame whether its sender awaits the departure.
@@ -887,7 +892,6 @@ mod tests {
                 assert_eq!(self.0.last_on_wire_mut(awaited).map(|f| f.tag), Some(1));
                 assert_eq!(self.0.last_on_wire_mut(quiet).map(|f| f.tag), Some(3));
                 assert!(self.0.transmitting_mut(quiet).is_none());
-                ctx.stop();
             }
         }
         let mut net = Net::new();
@@ -899,7 +903,7 @@ mod tests {
         );
         let mut sim = Simulator::new(Once(net));
         sim.schedule_at(SimTime::ZERO, NetEvent::Deliver { link: LinkId(0) });
-        sim.run();
+        assert!(sim.step());
     }
 
     /// Differential: whether frames await their departure changes how many

@@ -41,10 +41,6 @@ pub struct CircuitInfo {
 pub struct CircuitResult {
     /// Which circuit.
     pub circ: CircId,
-    /// When the client began building the circuit.
-    pub started_at: Option<SimTime>,
-    /// When the stream was established (CONNECTED consumed by the client).
-    pub connected_at: Option<SimTime>,
     /// When the client sent the first DATA cell.
     pub first_data_at: Option<SimTime>,
     /// When the last DATA cell reached the server application.
@@ -87,8 +83,6 @@ mod tests {
     fn result() -> CircuitResult {
         CircuitResult {
             circ: CircId(0),
-            started_at: Some(SimTime::from_millis(10)),
-            connected_at: Some(SimTime::from_millis(60)),
             first_data_at: Some(SimTime::from_millis(70)),
             last_byte_at: Some(SimTime::from_millis(570)),
             completed: true,
@@ -118,8 +112,6 @@ mod tests {
     fn incomplete_result_yields_none() {
         let r = CircuitResult {
             circ: CircId(1),
-            started_at: Some(SimTime::ZERO),
-            connected_at: None,
             first_data_at: None,
             last_byte_at: None,
             completed: false,

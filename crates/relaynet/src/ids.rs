@@ -21,7 +21,7 @@ impl fmt::Display for OverlayId {
 }
 
 /// Global circuit index within one network (simulator bookkeeping; the
-/// wire uses link-local [`torcell::CircuitId`]s, one per hop, as in Tor).
+/// wire uses link-local [`torcell::ids::CircuitId`]s, one per hop, as in Tor).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CircId(pub u32);
 

@@ -47,27 +47,16 @@ pub mod wire;
 pub mod workload;
 
 pub use builder::{PathHandles, PathScenario, StarScenario};
-pub use circuit::{CircuitInfo, CircuitResult};
-pub use directory::{Directory, DirectoryConfig, EpochDelta, RelaySpec};
-pub use event::{TimerKind, TorEvent};
+pub use circuit::CircuitResult;
+pub use directory::{Directory, DirectoryConfig, RelaySpec};
+pub use event::TorEvent;
 pub use ids::{CircId, Direction, OverlayId};
 pub use network::{fill_pattern_into, verify_fill_pattern, EventsHandled, TorNetwork, WorldStats};
-pub use node::{CcFactory, HopCtx, NodeRole};
+pub use node::CcFactory;
 pub use pool::PayloadPool;
-pub use runtime::{
-    fingerprint, FactoryMaker, ShardReport, ShardedStar, StatsKind, SweepReport, WorldFingerprint,
-};
-pub use sampler::{FenwickSampler, LinearSampler, Sampler, SamplerKind};
 pub use scheduler::LinkScheduler;
-pub use selection::{
-    all_policies, BandwidthWeighted, CongestionAware, DirectoryView, LatencyAware, PathSelection,
-    SelectionEngine, SelectionPolicy, Uniform,
-};
+pub use selection::{BandwidthWeighted, SelectionPolicy};
 pub use wire::{FramePayload, WireFrame};
-pub use workload::{
-    ArrivalSpec, ChurnSpec, CircuitWorkload, EpochSchedule, EpochSpec, FaultSchedule, FaultSpec,
-    FlowId, FlowState, LinkStall, StreamSpec, WorkloadSpec,
-};
 
 /// The controller factories this crate's unit tests run. Everywhere else
 /// a controller is named by `circuitstart::Algorithm`, which this crate

@@ -157,12 +157,9 @@ impl TorNetwork {
                 self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
             }
             RelayCommand::Data => {
-                let stream = app
-                    .stream_mut(rc.stream)
+                app.stream_mut(rc.stream)
                     .filter(|s| s.open)
                     .ok_or("DATA before BEGIN")?;
-                stream.cells_received += 1;
-                stream.bytes_received += rc.data.len() as u64;
                 // Aggregate arrival counter = fill-pattern index (the
                 // counterpart of the client's aggregate send counter).
                 let idx = app.cells_received;
@@ -173,9 +170,6 @@ impl TorNetwork {
                     debug_assert!(false, "payload verification failed");
                 }
                 app.bytes_received += rc.data.len() as u64;
-                if app.first_byte_at.is_none() {
-                    app.first_byte_at = Some(ctx.now());
-                }
                 app.last_byte_at = Some(ctx.now());
                 // Credit the stream's flow — the accounting that
                 // survives circuit churn.
@@ -189,9 +183,6 @@ impl TorNetwork {
                 let flow = &mut self.flows[spec.flow.index()];
                 flow.delivered += rc.data.len() as u64;
                 flow.cells_delivered += 1;
-                if flow.first_byte_at.is_none() {
-                    flow.first_byte_at = Some(ctx.now());
-                }
                 debug_assert!(
                     flow.delivered <= flow.requested,
                     "flow over-delivered: duplicated bytes"
@@ -264,9 +255,6 @@ impl TorNetwork {
                     return Err("unexpected CONNECTED");
                 }
                 s.open = true;
-                if app.connected_at.is_none() {
-                    app.connected_at = Some(ctx.now());
-                }
                 self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
             }
             RelayCommand::End => {

@@ -1,4 +1,4 @@
-//! The overlay engine: a [`simcore::World`] tying relays, circuits,
+//! The overlay engine: a [`simcore::sim::World`] tying relays, circuits,
 //! transports, and the packet network together.
 //!
 //! # Protocol summary (all rules are local; see DESIGN.md §4)
@@ -37,21 +37,21 @@
 //!                 │         conn::pump_dir ◀──── feedback (window credit)
 //! ```
 //!
-//! * [`conn`] — the connection layer: link-local frame ingress/egress,
+//! * `conn` — the connection layer: link-local frame ingress/egress,
 //!   per-link round-robin scheduling, and the window-gated egress pump
-//!   (methods of [`Egress`], the one owner of the link side).
-//! * [`recognition`] — per-cell routing: resolves `(neighbour, link id)`
+//!   (methods of `Egress`, the one owner of the link side).
+//! * `recognition` — per-cell routing: resolves `(neighbour, link id)`
 //!   to circuit state and applies leaky-pipe recognition to relay cells,
 //!   deciding *consume here* vs *forward onward*.
-//! * [`circuit_build`] — the control plane: CREATE/CREATED/EXTEND/
+//! * `circuit_build` — the control plane: CREATE/CREATED/EXTEND/
 //!   EXTENDED telescoping, DESTROY propagation, teardown.
-//! * [`client_xfer`] — the endpoint applications: the client transfer
+//! * `client_xfer` — the endpoint applications: the client transfer
 //!   loop (BEGIN → DATA → END) and the server's consume path.
-//! * [`feedback`] — per-hop feedback frames: emission when a cell leaves
+//! * `feedback` — per-hop feedback frames: emission when a cell leaves
 //!   a queue and window-credit application when one arrives.
-//! * [`faults`] — the one owner of fault handling: crash injection, the
+//! * `faults` — the one owner of fault handling: crash injection, the
 //!   table for inputs that resolve to nothing, and client recovery.
-//! * [`placement`] — the one owner of circuit placement: the relay
+//! * `placement` — the one owner of circuit placement: the relay
 //!   population, the load ledger, liveness, blame and consensus epochs.
 
 pub(crate) mod circuit_build;
@@ -744,7 +744,7 @@ impl TorNetwork {
     /// (streams must reference flows registered via
     /// [`TorNetwork::add_flow`]). `incarnation` counts rebuild cycles
     /// (0 = original build). It asks the topology for the access links
-    /// of every node on `path` ([`TorNetwork::access_links`]), which in a
+    /// of every node on `path` (`TorNetwork::access_links`), which in a
     /// star world mints a leaf's pair the first time a path crosses it;
     /// every placement and rebuild passes through here before a frame can
     /// cross its path.
@@ -925,8 +925,6 @@ impl TorNetwork {
         };
         CircuitResult {
             circ,
-            started_at: info.started_at,
-            connected_at: client.and_then(|c| c.connected_at),
             first_data_at: client.and_then(|c| c.first_data_at),
             last_byte_at: server.and_then(|s| s.last_byte_at),
             completed: server.is_some_and(|s| s.ended),

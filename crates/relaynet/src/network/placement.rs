@@ -262,12 +262,6 @@ impl TorNetwork {
         self.placement.as_ref().map(|p| p.load_hwm.as_slice())
     }
 
-    /// The installed selection policy's name, if any (experiment
-    /// labels).
-    pub fn selection_policy_name(&self) -> Option<&'static str> {
-        self.placement.as_ref().map(|p| p.policy.name())
-    }
-
     /// Per-relay liveness column (indexed by relay id), if placement is
     /// installed. Dark relays are never selected.
     pub fn relay_live(&self) -> Option<&[bool]> {

@@ -212,8 +212,6 @@ pub struct ClientApp {
     /// server verifies against its aggregate arrival count; delivery is
     /// FIFO along the single path, so the counters agree).
     pub sent_cells: u64,
-    /// When the first CONNECTED arrived (the circuit carries traffic).
-    pub connected_at: Option<SimTime>,
     /// When the first DATA cell was sent.
     pub first_data_at: Option<SimTime>,
 }
@@ -238,7 +236,6 @@ impl ClientApp {
                 .collect(),
             rr_cursor: 0,
             sent_cells: 0,
-            connected_at: None,
             first_data_at: None,
         }
     }
@@ -270,10 +267,6 @@ pub struct ServerStream {
     pub open: bool,
     /// END received.
     pub ended: bool,
-    /// DATA cells consumed on this stream.
-    pub cells_received: u64,
-    /// Payload bytes consumed on this stream.
-    pub bytes_received: u64,
 }
 
 /// Server application state for one circuit.
@@ -289,8 +282,6 @@ pub struct ServerApp {
     pub cells_received: u64,
     /// Payload bytes consumed (all streams).
     pub bytes_received: u64,
-    /// Arrival time of the first DATA cell.
-    pub first_byte_at: Option<SimTime>,
     /// Arrival time of the most recent DATA cell.
     pub last_byte_at: Option<SimTime>,
     /// Every expected stream opened and ENDed — transfer complete.
@@ -309,8 +300,6 @@ impl ServerApp {
                     id: StreamId(u16::try_from(i + 1).expect("too many streams")),
                     open: false,
                     ended: false,
-                    cells_received: 0,
-                    bytes_received: 0,
                 })
                 .collect(),
             ..ServerApp::default()
@@ -762,12 +751,19 @@ mod tests {
     }
 
     #[test]
-    fn a_participation_is_at_most_536_bytes() {
-        // 856 bytes while the role was four `Option`s, 632 while each hop
-        // kept four RTT statistics; now a slab slot is its two hops (352)
-        // plus its largest role (168) and ids (536).
+    fn a_participation_is_at_most_504_bytes() {
+        // A slab slot is its two hops (336) plus its largest role (152)
+        // and ids (504).
         let size = std::mem::size_of::<NodeCircuit>();
-        assert!(size <= 536, "a participation is {size} bytes");
+        assert!(size <= 504, "a participation is {size} bytes");
+    }
+
+    #[test]
+    fn a_server_stream_is_at_most_4_bytes() {
+        // Its wire id and two flags: the server counts cells and bytes
+        // once, in `ServerApp`.
+        let size = std::mem::size_of::<ServerStream>();
+        assert!(size <= 4, "a server stream is {size} bytes");
     }
 
     #[test]

@@ -16,11 +16,13 @@
 //!   single-threaded [`simcore::sim::Simulator`]. Per-relay state is
 //!   owned by whichever task runs the shard; nothing is shared.
 //! * **The runtime seam.** [`ShardedStar::run`] hands the shard jobs to
-//!   any [`Executor`]: [`DeterministicExecutor`]
+//!   any [`Executor`]:
+//!   [`DeterministicExecutor`](simcore::exec::DeterministicExecutor)
 //!   runs them in order on the calling thread (the oracle),
-//!   [`ThreadedExecutor`] spreads them over scoped worker threads
-//!   that claim shards from one cursor. Outputs are placed by shard
-//!   index, so **the executor choice is unobservable**:
+//!   [`ThreadedExecutor`](simcore::exec::ThreadedExecutor) spreads them
+//!   over scoped worker threads that claim shards from one cursor.
+//!   Outputs are placed by shard index, so **the executor choice is
+//!   unobservable**:
 //!   `tests/async_runtime.rs` asserts the threaded runtime reproduces
 //!   the deterministic fingerprints — flows, slabs, pool, counters —
 //!   bit for bit, across seeds and policies.
@@ -29,7 +31,7 @@
 //!   distribution under a [`StatsKind`] seam — exact mode concatenates
 //!   and sorts every raw sample (O(flows) memory, the fingerprint
 //!   currency), sketch mode merges fixed-size
-//!   [`QuantileSketch`](simstats::sketch::QuantileSketch)es bucket-wise
+//!   [`QuantileSketch`]es bucket-wise
 //!   (O(buckets), order-independent by construction; DESIGN.md §13).
 
 use std::sync::Arc;

@@ -160,18 +160,6 @@ impl LinkScheduler {
         self.hwm
     }
 
-    /// Number of distinct circuits currently queued.
-    pub fn queued_circuits(&self) -> usize {
-        self.rotation.len()
-    }
-
-    /// Slab capacity: live plus vacated slots. Stays flat across churn
-    /// once the free list primes (telemetry for the slab-flat property
-    /// tests).
-    pub fn slot_capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     fn bump(&mut self) {
         self.len += 1;
         self.hwm = self.hwm.max(self.len);
@@ -253,7 +241,7 @@ mod tests {
         s.push_cell(CircId(0), cell_with_seq(3));
         s.push_cell(CircId(1), cell_with_seq(11));
         s.push_cell(CircId(1), cell_with_seq(12));
-        assert_eq!(s.queued_circuits(), 2);
+        assert_eq!(s.rotation.len(), 2);
         let order: Vec<u64> = std::iter::from_fn(|| s.pop().map(|f| tag_of(&f))).collect();
         // FIFO would give 1,2,3,11,12; round-robin interleaves.
         assert_eq!(order, vec![1, 11, 2, 12, 3]);
@@ -308,8 +296,8 @@ mod tests {
             while s.pop().is_some() {}
         }
         assert!(s.is_empty());
-        assert_eq!(s.slot_capacity(), 3, "slab grew under churn");
-        assert_eq!(s.queued_circuits(), 0);
+        assert_eq!(s.slots.len(), 3, "slab grew under churn");
+        assert_eq!(s.rotation.len(), 0);
     }
 
     #[test]
@@ -327,7 +315,7 @@ mod tests {
             "drain returns the circuit's frames in queue order"
         );
         assert_eq!(s.len(), 2, "the other circuit and the feedback remain");
-        assert_eq!(s.queued_circuits(), 1);
+        assert_eq!(s.rotation.len(), 1);
         // Feedback still has priority, then the surviving circuit.
         assert_eq!(tag_of(&s.pop().unwrap()), 1_000);
         assert_eq!(tag_of(&s.pop().unwrap()), 11);
@@ -342,7 +330,7 @@ mod tests {
         s.push_cell(CircId(3), cell_with_seq(1));
         let _ = s.drain_circuit(CircId(3));
         s.push_cell(CircId(4), cell_with_seq(2));
-        assert_eq!(s.slot_capacity(), 1, "vacated slot must be reused");
+        assert_eq!(s.slots.len(), 1, "vacated slot must be reused");
         assert_eq!(tag_of(&s.pop().unwrap()), 2);
     }
 }

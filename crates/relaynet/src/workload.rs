@@ -58,8 +58,6 @@ pub struct FlowState {
     pub cells_delivered: u64,
     /// When the flow's request was issued (first arrival at a client).
     pub arrival_at: Option<SimTime>,
-    /// When the first byte reached the server.
-    pub first_byte_at: Option<SimTime>,
     /// When the last requested byte reached the server.
     pub completed_at: Option<SimTime>,
     /// How many circuit incarnations have carried this flow.
@@ -75,7 +73,6 @@ impl FlowState {
             delivered: 0,
             cells_delivered: 0,
             arrival_at: None,
-            first_byte_at: None,
             completed_at: None,
             carried_by: 0,
         }
@@ -632,6 +629,13 @@ mod tests {
             next += 1;
             FlowId(next - 1)
         })
+    }
+
+    #[test]
+    fn a_flow_is_at_most_64_bytes() {
+        // Three byte and cell counts, two timestamps and a carrier count.
+        let size = std::mem::size_of::<FlowState>();
+        assert!(size <= 64, "a flow is {size} bytes");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   [`SimDuration`](time::SimDuration).
 //! * [`event`] — a *stable* (FIFO for equal timestamps) priority queue of
 //!   pending events.
-//! * [`sim`] — the [`Simulator`](sim::Simulator) event loop and the
+//! * [`sim`] — the [`Simulator`] event loop and the
 //!   [`World`](sim::World) trait implemented by models.
 //! * [`rng`] — seeded, labelled-stream random numbers so experiments are
 //!   reproducible bit-for-bit.
@@ -34,7 +34,8 @@
 //! ## Example
 //!
 //! ```
-//! use simcore::prelude::*;
+//! use simcore::sim::{Context, Simulator, World};
+//! use simcore::time::{SimDuration, SimTime};
 //!
 //! struct Counter { fired: u32 }
 //! impl World for Counter {
@@ -63,17 +64,4 @@ pub mod rng;
 pub mod sim;
 pub mod time;
 
-/// Convenience re-exports of the items almost every user needs.
-pub mod prelude {
-    pub use crate::event::QueueKind;
-    pub use crate::exec::{DeterministicExecutor, Executor, ThreadedExecutor};
-    pub use crate::rng::SimRng;
-    pub use crate::sim::{Context, RunLimits, RunReport, Simulator, StopReason, World};
-    pub use crate::time::{SimDuration, SimTime};
-}
-
-pub use event::{CalendarQueue, EventId, EventQueue, HeapQueue, QueueKind, QueueWork};
-pub use exec::{execute_typed, DeterministicExecutor, Executor, ThreadedExecutor};
-pub use rng::SimRng;
-pub use sim::{Context, RunLimits, RunReport, Simulator, StopReason, World};
-pub use time::{SimDuration, SimTime};
+pub use sim::Simulator;

@@ -20,7 +20,8 @@
 //! A ping-pong of two events until a counter runs out:
 //!
 //! ```
-//! use simcore::prelude::*;
+//! use simcore::sim::{Context, Simulator, StopReason, World};
+//! use simcore::time::{SimDuration, SimTime};
 //!
 //! enum Ev { Ping, Pong }
 //! struct PingPong { remaining: u32, pings: u32 }
@@ -77,8 +78,6 @@ pub enum StopReason {
     TimeLimit,
     /// The configured maximum number of events was processed.
     EventLimit,
-    /// The world requested a stop via [`Context::stop`].
-    Requested,
 }
 
 /// Summary of one `run*` invocation.
@@ -99,7 +98,6 @@ pub struct RunReport {
 pub struct Context<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    stop_requested: &'a mut bool,
 }
 
 impl<'a, E> Context<'a, E> {
@@ -131,12 +129,6 @@ impl<'a, E> Context<'a, E> {
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.queue.push(self.now + delay, event)
     }
-
-    /// Requests that the simulation loop return after this handler, with
-    /// [`StopReason::Requested`]. Pending events stay queued.
-    pub fn stop(&mut self) {
-        *self.stop_requested = true;
-    }
 }
 
 /// Limits for [`Simulator::run_with_limits`].
@@ -158,7 +150,6 @@ pub struct Simulator<W: World> {
     queue: EventQueue<W::Event>,
     now: SimTime,
     processed_total: u64,
-    stop_requested: bool,
     probe: Option<Probe<W::Event>>,
 }
 
@@ -177,7 +168,6 @@ impl<W: World> Simulator<W> {
             queue: EventQueue::with_kind(kind),
             now: SimTime::ZERO,
             processed_total: 0,
-            stop_requested: false,
             probe: None,
         }
     }
@@ -265,14 +255,15 @@ impl<W: World> Simulator<W> {
         let mut ctx = Context {
             now: self.now,
             queue: &mut self.queue,
-            stop_requested: &mut self.stop_requested,
         };
         self.world.handle(&mut ctx, event);
         self.processed_total += 1;
         true
     }
 
-    /// Runs until the queue is empty (or the world calls [`Context::stop`]).
+    /// Runs until no event is pending, so the report's reason is always
+    /// [`StopReason::QueueEmpty`]; [`Simulator::run_with_limits`] bounds a
+    /// run by time or event count, and [`Simulator::step`] by one event.
     pub fn run(&mut self) -> RunReport {
         self.run_with_limits(RunLimits::default())
     }
@@ -280,20 +271,12 @@ impl<W: World> Simulator<W> {
     /// Runs subject to the given limits. See [`RunLimits`].
     pub fn run_with_limits(&mut self, limits: RunLimits) -> RunReport {
         let start_processed = self.processed_total;
-        self.stop_requested = false;
         if limits.until.is_none() && limits.max_events.is_none() {
             // Unbounded run: no horizon to compare against, so skip the
             // per-event peek and drive the queue straight through pop.
-            let reason = loop {
-                if !self.step() {
-                    break StopReason::QueueEmpty;
-                }
-                if self.stop_requested {
-                    break StopReason::Requested;
-                }
-            };
+            while self.step() {}
             return RunReport {
-                reason,
+                reason: StopReason::QueueEmpty,
                 events_processed: self.processed_total - start_processed,
                 end_time: self.now,
             };
@@ -316,9 +299,6 @@ impl<W: World> Simulator<W> {
             }
             if !self.step() {
                 break StopReason::QueueEmpty;
-            }
-            if self.stop_requested {
-                break StopReason::Requested;
             }
         };
         if reason == StopReason::TimeLimit
@@ -351,7 +331,6 @@ mod tests {
         seen: Vec<(SimTime, u32)>,
         chain_period: Option<SimDuration>,
         chain_left: u32,
-        stop_at_value: Option<u32>,
     }
 
     impl World for Recorder {
@@ -363,9 +342,6 @@ mod tests {
                     self.chain_left -= 1;
                     ctx.schedule_in(p, ev + 1);
                 }
-            }
-            if self.stop_at_value == Some(ev) {
-                ctx.stop();
             }
         }
     }
@@ -456,25 +432,6 @@ mod tests {
         assert_eq!(r.reason, StopReason::EventLimit);
         assert_eq!(r.events_processed, 7);
         assert_eq!(sim.world().seen.len(), 7);
-    }
-
-    #[test]
-    fn stop_request_halts_loop_but_keeps_queue() {
-        let mut sim = Simulator::new(Recorder {
-            stop_at_value: Some(2),
-            ..Default::default()
-        });
-        for v in 1..=5 {
-            sim.schedule_at(ms(v as u64), v);
-        }
-        let r = sim.run();
-        assert_eq!(r.reason, StopReason::Requested);
-        assert_eq!(sim.world().seen.len(), 2);
-        assert_eq!(sim.pending_events(), 3);
-        // A later run picks the remaining events back up.
-        let r2 = sim.run();
-        assert_eq!(r2.reason, StopReason::QueueEmpty);
-        assert_eq!(sim.world().seen.len(), 5);
     }
 
     #[test]

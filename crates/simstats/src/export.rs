@@ -5,8 +5,8 @@
 //! * **gnuplot `.dat`** — whitespace-separated columns with `#` comments,
 //!   the format the original paper's plots were produced from.
 //! * **Prometheus text exposition** — [`prometheus_text`] renders a
-//!   [`MetricsRegistry`] (plus optional gauge-valued extras such as
-//!   sketch quantiles) for scraping or golden-file comparison.
+//!   [`MetricsRegistry`]'s counters plus computed gauges (such as sketch
+//!   quantiles) for scraping or golden-file comparison.
 //!
 //! The writers are deliberately dependency-free (no serde): every artifact
 //! is a flat numeric table. See DESIGN.md §7 and §13.
@@ -16,7 +16,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::registry::{MetricKind, MetricsRegistry};
+use crate::registry::MetricsRegistry;
 
 /// A named numeric column set — the common denominator of everything the
 /// harness exports (cwnd traces, CDF points, sweep tables).
@@ -85,11 +85,6 @@ impl Table {
         &self.headers
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders a number compactly: integers without a decimal point,
     /// everything else with up to 9 significant digits. Shared with the
     /// Prometheus exporter so every text format renders values the same
@@ -132,15 +127,16 @@ impl Table {
     }
 }
 
-/// Renders a [`MetricsRegistry`] in the Prometheus text exposition
-/// format: a `# HELP` / `# TYPE` pair followed by the sample line, one
-/// family per metric.
+/// Renders a [`MetricsRegistry`]'s counters in the Prometheus text
+/// exposition format: a `# HELP` / `# TYPE` pair followed by the sample
+/// line, one family per metric.
 ///
 /// `extra_gauges` are float-valued gauges appended to the same exposition
-/// — the slot for derived, merge-then-query values such as sketch
-/// quantiles, which must be computed *after* aggregation and so never
-/// live inside a per-shard registry (DESIGN.md §13). They follow the
-/// gauge naming rules.
+/// — the only way a gauge reaches it: derived, merge-then-query values
+/// such as sketch quantiles, which must be computed *after* aggregation
+/// and so never live inside a per-shard registry (DESIGN.md §13). Their
+/// names are lowercase snake case and must not end in `_total`, the
+/// suffix that marks counters.
 ///
 /// Output is sorted by metric name, so the rendering is a pure function
 /// of the metric *set* — registries merged in any shard order export
@@ -160,17 +156,21 @@ impl Table {
 /// assert!(text.contains("sim_p99_seconds 1.25\n"));
 /// ```
 pub fn prometheus_text(registry: &MetricsRegistry, extra_gauges: &[(&str, &str, f64)]) -> String {
-    let mut entries: Vec<(&str, &str, MetricKind, String)> = registry
+    let mut entries: Vec<(&str, &str, &str, String)> = registry
         .sorted_entries()
-        .map(|(name, help, kind, value)| (name, help, kind, Table::fmt_num(value as f64)))
+        .map(|(name, help, value)| (name, help, "counter", Table::fmt_num(value as f64)))
         .collect();
     for &(name, help, value) in extra_gauges {
-        crate::registry::validate_name(name, MetricKind::Gauge);
+        crate::registry::validate_name(name);
+        assert!(
+            !name.ends_with("_total"),
+            "gauge name {name:?} must not end in _total (that suffix marks counters)"
+        );
         assert!(
             !value.is_nan(),
             "Prometheus gauge {name:?} is NaN — refuse to export a poisoned value"
         );
-        entries.push((name, help, MetricKind::Gauge, Table::fmt_num(value)));
+        entries.push((name, help, "gauge", Table::fmt_num(value)));
     }
     entries.sort_by_key(|&(name, ..)| name);
     for pair in entries.windows(2) {
@@ -182,10 +182,6 @@ pub fn prometheus_text(registry: &MetricsRegistry, extra_gauges: &[(&str, &str, 
     }
     let mut out = String::new();
     for (name, help, kind, value) in entries {
-        let kind = match kind {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-        };
         let _ = writeln!(out, "# HELP {name} {help}");
         let _ = writeln!(out, "# TYPE {name} {kind}");
         let _ = writeln!(out, "{name} {value}");
@@ -232,7 +228,7 @@ mod tests {
     fn from_pairs_builds_two_columns() {
         let t = Table::from_pairs("t", "v", &[(0.0, 1.0), (1.0, 2.0)]);
         assert_eq!(t.headers(), &["t".to_string(), "v".to_string()]);
-        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]
@@ -251,9 +247,13 @@ mod tests {
         let a = reg.counter("aa_early_total", "registered last, sorts first");
         reg.add(b, 2);
         reg.add(a, 1);
-        let g = reg.gauge("relays_live", "live relays");
-        reg.set(g, 7);
-        let text = prometheus_text(&reg, &[("sim_p99_seconds", "tail", 0.5)]);
+        let text = prometheus_text(
+            &reg,
+            &[
+                ("sim_p99_seconds", "tail", 0.5),
+                ("relays_live", "live relays", 7.0),
+            ],
+        );
         let expected = "\
 # HELP aa_early_total registered last, sorts first
 # TYPE aa_early_total counter
@@ -293,9 +293,19 @@ zz_late_total 2
     #[test]
     #[should_panic(expected = "duplicate metric name")]
     fn prometheus_text_rejects_duplicate_names() {
-        let mut reg = MetricsRegistry::new();
-        reg.gauge("relays_live", "live relays");
-        prometheus_text(&reg, &[("relays_live", "collides", 1.0)]);
+        prometheus_text(
+            &MetricsRegistry::new(),
+            &[
+                ("relays_live", "live relays", 7.0),
+                ("relays_live", "collides", 1.0),
+            ],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "must not end in _total")]
+    fn prometheus_text_rejects_a_gauge_named_like_a_counter() {
+        prometheus_text(&MetricsRegistry::new(), &[("flows_total", "flows", 1.0)]);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!   quantiles, quantile gaps between two distributions.
 //! * [`sketch`] — fixed-size mergeable quantile sketches: the streaming,
 //!   O(buckets)-memory counterpart of [`cdf`] for aggregation at scale.
-//! * [`registry`] — named counters and gauges behind cheap handles, with
+//! * [`registry`] — named counters behind cheap handles, with
 //!   order-independent merge.
-//! * [`export`] — gnuplot and Prometheus-text writers
-//!   (dependency-free by design).
+//! * [`export`] — gnuplot and Prometheus-text writers (dependency-free
+//!   by design); computed gauges join the registry's counters only there.
 //! * [`ascii`] — terminal plots for the bench binaries.
 //!
 //! This crate is deliberately free of simulation dependencies: it consumes
@@ -28,9 +28,7 @@ pub mod registry;
 pub mod sketch;
 pub mod timeseries;
 
-pub use ascii::{plot_lines, PlotConfig};
 pub use cdf::Cdf;
-pub use export::{prometheus_text, Table};
-pub use registry::{MetricId, MetricKind, MetricsRegistry};
+pub use export::prometheus_text;
+pub use registry::MetricsRegistry;
 pub use sketch::QuantileSketch;
-pub use timeseries::TimeSeries;

@@ -1,38 +1,28 @@
-//! Named metric registry: monotonic counters and gauges behind cheap
-//! integer handles, with order-independent merge and Prometheus export.
+//! Named metric registry: monotonic counters behind cheap integer
+//! handles, with order-independent merge and Prometheus export.
 //!
 //! Each shard of a sharded run owns its own [`MetricsRegistry`] and bumps
-//! metrics through [`MetricId`] handles — a `Copy` index into a flat
+//! counters through [`MetricId`] handles — a `Copy` index into a flat
 //! array, so the hot path is one bounds-checked add with no hashing. At
 //! aggregation time registries [`merge`](MetricsRegistry::merge) **by
-//! name**: counters and gauges both add (a gauge here is a merged
-//! population level, e.g. "flows in flight", not a last-write-wins
-//! instantaneous reading), so the merge is associative and commutative
-//! regardless of shard order. [`crate::export::prometheus_text`] renders
-//! the result in the Prometheus text exposition format.
+//! name**: matching counters add, so the merge is associative and
+//! commutative regardless of shard order. Gauges are computed after the
+//! merge (sketch quantiles, say) and never live in a registry:
+//! [`crate::export::prometheus_text`] renders the registry plus those
+//! gauges in the Prometheus text exposition format.
 //!
 //! # Naming rules
 //!
 //! Names are validated at registration (DESIGN.md §13): lowercase
-//! `snake_case` from `[a-z0-9_]`, starting with a letter; counter names
-//! must end in `_total` (the Prometheus convention) and gauge names must
-//! not. Violations panic at registration — a misnamed metric is a bug in
-//! the instrumentation, not in the run.
+//! `snake_case` from `[a-z0-9_]`, starting with a letter, and ending in
+//! `_total` (the Prometheus convention for counters). Violations panic at
+//! registration — a misnamed metric is a bug in the instrumentation, not
+//! in the run.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Whether a metric only ever goes up (counter) or tracks a level
-/// (gauge).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotonically non-decreasing; name must end `_total`.
-    Counter,
-    /// A level that merges by summation across shards.
-    Gauge,
-}
-
-/// A cheap `Copy` handle to a registered metric — valid only for the
+/// A cheap `Copy` handle to a registered counter — valid only for the
 /// registry that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MetricId(usize);
@@ -41,17 +31,16 @@ pub struct MetricId(usize);
 struct Metric {
     name: String,
     help: String,
-    kind: MetricKind,
     value: u64,
 }
 
-/// A registry of named counters and gauges (see the [module docs](self)
-/// for merge and naming semantics).
+/// A registry of named counters (see the [module docs](self) for merge
+/// and naming semantics).
 ///
 /// # Examples
 ///
 /// ```
-/// use simstats::registry::{MetricsRegistry, MetricKind};
+/// use simstats::registry::MetricsRegistry;
 ///
 /// let mut reg = MetricsRegistry::new();
 /// let sent = reg.counter("cells_sent_total", "cells put on the wire");
@@ -71,7 +60,8 @@ pub struct MetricsRegistry {
     by_name: BTreeMap<String, usize>,
 }
 
-pub(crate) fn validate_name(name: &str, kind: MetricKind) {
+/// Panics unless `name` is lowercase snake case starting with a letter.
+pub(crate) fn validate_name(name: &str) {
     let mut chars = name.chars();
     let head_ok = chars.next().is_some_and(|c| c.is_ascii_lowercase());
     let tail_ok = chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
@@ -79,16 +69,6 @@ pub(crate) fn validate_name(name: &str, kind: MetricKind) {
         head_ok && tail_ok,
         "metric name {name:?} must be lowercase snake_case starting with a letter"
     );
-    match kind {
-        MetricKind::Counter => assert!(
-            name.ends_with("_total"),
-            "counter name {name:?} must end in _total"
-        ),
-        MetricKind::Gauge => assert!(
-            !name.ends_with("_total"),
-            "gauge name {name:?} must not end in _total (that suffix marks counters)"
-        ),
-    }
 }
 
 impl MetricsRegistry {
@@ -97,122 +77,79 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn register(&mut self, name: &str, help: &str, kind: MetricKind) -> MetricId {
-        // Idempotency check first: an existing name was validated when it
-        // was created, and checking kind here gives the precise
-        // "already registered as" diagnostic on conflicts.
+    /// Registers (or re-fetches) a monotonic counter. Idempotent by name.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a name violating the naming rules.
+    pub fn counter(&mut self, name: &str, help: &str) -> MetricId {
+        // An existing name was validated when it was created.
         if let Some(&idx) = self.by_name.get(name) {
-            let existing = &self.metrics[idx];
-            assert!(
-                existing.kind == kind,
-                "metric {name:?} already registered as {:?}",
-                existing.kind
-            );
             return MetricId(idx);
         }
-        validate_name(name, kind);
+        validate_name(name);
+        assert!(
+            name.ends_with("_total"),
+            "counter name {name:?} must end in _total"
+        );
         let idx = self.metrics.len();
         self.metrics.push(Metric {
             name: name.to_string(),
             help: help.to_string(),
-            kind,
             value: 0,
         });
         self.by_name.insert(name.to_string(), idx);
         MetricId(idx)
     }
 
-    /// Registers (or re-fetches) a monotonic counter. Idempotent by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a name violating the naming rules, or if the name is
-    /// already registered as a gauge.
-    pub fn counter(&mut self, name: &str, help: &str) -> MetricId {
-        self.register(name, help, MetricKind::Counter)
-    }
-
-    /// Registers (or re-fetches) a gauge. Idempotent by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a name violating the naming rules, or if the name is
-    /// already registered as a counter.
-    pub fn gauge(&mut self, name: &str, help: &str) -> MetricId {
-        self.register(name, help, MetricKind::Gauge)
-    }
-
-    /// Adds `delta` to the metric — the hot-path operation, one array
+    /// Adds `delta` to the counter — the hot-path operation, one array
     /// index away.
     pub fn add(&mut self, id: MetricId, delta: u64) {
         self.metrics[id.0].value += delta;
     }
 
-    /// Overwrites the metric's value — for gauges snapshotted at end of
-    /// run (queue depths, live-flow counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` refers to a counter: counters only go up.
-    pub fn set(&mut self, id: MetricId, value: u64) {
-        let m = &mut self.metrics[id.0];
-        assert!(
-            m.kind == MetricKind::Gauge,
-            "set() on counter {:?}; counters are add-only",
-            m.name
-        );
-        m.value = value;
-    }
-
-    /// Current value of a metric.
+    /// Current value of a counter.
     pub fn value(&self, id: MetricId) -> u64 {
         self.metrics[id.0].value
     }
 
-    /// Looks a metric up by name (for tests and exporters).
+    /// Looks a counter up by name (for tests and exporters).
     pub fn value_of(&self, name: &str) -> Option<u64> {
         self.by_name.get(name).map(|&idx| self.metrics[idx].value)
     }
 
-    /// Number of registered metrics.
+    /// Number of registered counters.
     pub fn len(&self) -> usize {
         self.metrics.len()
     }
 
-    /// `true` if no metrics are registered.
+    /// `true` if no counters are registered.
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
     }
 
-    /// Folds `other` into `self` by metric **name**: matching names add
-    /// (counters and gauges alike — see the module docs), names unique
-    /// to `other` are adopted. Addition is associative and commutative,
-    /// so any merge order yields the same registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a name is a counter on one side and a gauge on the
-    /// other.
+    /// Folds `other` into `self` by counter **name**: matching names add,
+    /// names unique to `other` are adopted. Addition is associative and
+    /// commutative, so any merge order yields the same registry.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         // Exhaustive binding: `by_name` is the name→index cache over
-        // `metrics`, rebuilt on our side by `register`, so folding the
+        // `metrics`, rebuilt on our side by `counter`, so folding the
         // metrics list alone covers the whole struct.
         let MetricsRegistry {
             metrics,
             by_name: _,
         } = other;
         for m in metrics {
-            let id = self.register(&m.name, &m.help, m.kind);
+            let id = self.counter(&m.name, &m.help);
             self.add(id, m.value);
         }
     }
 
-    /// All metrics sorted by name, for export: `(name, help, kind,
-    /// value)`.
-    pub fn sorted_entries(&self) -> impl Iterator<Item = (&str, &str, MetricKind, u64)> {
+    /// All counters sorted by name, for export: `(name, help, value)`.
+    pub(crate) fn sorted_entries(&self) -> impl Iterator<Item = (&str, &str, u64)> {
         self.by_name.values().map(|&idx| {
             let m = &self.metrics[idx];
-            (m.name.as_str(), m.help.as_str(), m.kind, m.value)
+            (m.name.as_str(), m.help.as_str(), m.value)
         })
     }
 }
@@ -249,52 +186,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already registered")]
-    fn kind_conflict_panics() {
-        let mut reg = MetricsRegistry::new();
-        reg.gauge("flows_live", "live flows");
-        // The _total suffix rule makes a public-API collision impossible
-        // to express without also violating naming, so exercise the
-        // conflict guard through the internal path.
-        reg.register("flows_live", "live flows", MetricKind::Counter);
-    }
-
-    #[test]
     #[should_panic(expected = "must end in _total")]
     fn counter_requires_total_suffix() {
         MetricsRegistry::new().counter("ops", "operations");
     }
 
     #[test]
-    #[should_panic(expected = "must not end in _total")]
-    fn gauge_rejects_total_suffix() {
-        MetricsRegistry::new().gauge("flows_total", "flows");
-    }
-
-    #[test]
     #[should_panic(expected = "lowercase snake_case")]
     fn name_must_be_snake_case() {
         MetricsRegistry::new().counter("OpsTotal", "operations");
-    }
-
-    #[test]
-    #[should_panic(expected = "add-only")]
-    fn set_on_counter_panics() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("ops_total", "operations");
-        reg.set(c, 5);
-    }
-
-    #[test]
-    fn gauges_can_be_set_and_merge_by_sum() {
-        let mut a = MetricsRegistry::new();
-        let live = a.gauge("flows_live", "flows in flight");
-        a.set(live, 4);
-        let mut b = MetricsRegistry::new();
-        let live_b = b.gauge("flows_live", "flows in flight");
-        b.set(live_b, 6);
-        a.merge(&b);
-        assert_eq!(a.value(live), 10, "gauges are population levels: sum");
     }
 
     #[test]
@@ -312,11 +212,11 @@ mod tests {
         // Internal insertion order differs; the exported view must not.
         let ab_view: Vec<_> = ab
             .sorted_entries()
-            .map(|(n, _, k, v)| (n.to_string(), k, v))
+            .map(|(n, _, v)| (n.to_string(), v))
             .collect();
         let ba_view: Vec<_> = ba
             .sorted_entries()
-            .map(|(n, _, k, v)| (n.to_string(), k, v))
+            .map(|(n, _, v)| (n.to_string(), v))
             .collect();
         assert_eq!(ab_view, ba_view);
         assert_eq!(ab.value_of("a_total"), Some(1));

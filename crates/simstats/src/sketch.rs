@@ -357,8 +357,9 @@ impl QuantileSketch {
     }
 
     /// Staircase plotting points, one `(v̂, F(v̂))` pair per non-empty
-    /// bucket — the sketch analogue of [`Cdf::points`]
-    /// (crate::cdf::Cdf::points), O(buckets) long instead of O(samples).
+    /// bucket — the sketch analogue of
+    /// [`Cdf::points`](crate::cdf::Cdf::points), O(buckets) long instead
+    /// of O(samples).
     pub fn points(&self) -> Vec<(f64, f64)> {
         let n = self.count as f64;
         let mut out = Vec::new();

@@ -115,14 +115,6 @@ impl TimeSeries {
             .collect()
     }
 
-    /// Returns a new series with every value scaled by `factor` (e.g. cells
-    /// → kilobytes).
-    pub fn scaled(&self, factor: f64) -> TimeSeries {
-        TimeSeries {
-            points: self.points.iter().map(|&(t, v)| (t, v * factor)).collect(),
-        }
-    }
-
     /// The first time at which the series enters (and the caller hopes,
     /// stays in) the band `[lo, hi]`, *and never leaves it again*.
     /// Returns `None` if the series never settles inside the band.
@@ -223,12 +215,6 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn resample_needs_two_points() {
         series(&[(0.0, 1.0)]).resample(0.0, 1.0, 1);
-    }
-
-    #[test]
-    fn scaled_transform() {
-        let ts = series(&[(0.0, 2.0), (1.0, 4.0)]).scaled(0.5);
-        assert_eq!(ts.points(), &[(0.0, 1.0), (1.0, 2.0)]);
     }
 
     #[test]

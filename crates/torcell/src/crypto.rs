@@ -23,7 +23,7 @@ pub struct LayerKey(pub u64);
 impl LayerKey {
     /// Derives a key from a handshake blob, mimicking key agreement: both
     /// ends of a CREATE/CREATED exchange derive the same key. Every key is
-    /// usable, 0 included: [`Keystream::new`] guards the counters.
+    /// usable, 0 included: `Keystream::new` guards the counters.
     pub fn from_handshake(handshake: &[u8]) -> LayerKey {
         let mut k: u64 = 0x2545_F491_4F6C_DD1D;
         for &b in handshake {
@@ -59,7 +59,7 @@ impl LayerCipher {
     /// per-cell sequence number.
     ///
     /// The keystream is counter mode: word `i` (8 bytes, little-endian)
-    /// is [`mix`] of counter `i + 1` (see [`Keystream`]). A payload that
+    /// is `mix` of counter `i + 1` (see `Keystream`). A payload that
     /// ends inside a word uses the leading bytes of that word.
     pub fn apply(&self, nonce: u64, data: &mut [u8]) {
         xor_keystreams([self.keystream(nonce)], data, [0; LANES], |h, _| h);
@@ -614,7 +614,7 @@ const UNKEYED: DigestKey = DigestKey([
 ]);
 
 impl DigestKey {
-    /// The digest key of the layer keyed `key`: lane `j` is [`mix`] of
+    /// The digest key of the layer keyed `key`: lane `j` is `mix` of
     /// `(key ^ SEED) + (j + 1)·γ`, the counter construction of the
     /// keystream from another origin.
     pub fn of(key: LayerKey) -> DigestKey {

@@ -27,8 +27,8 @@ pub mod ids;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::cell::{
-        Cell, CellBody, CellCommand, Feedback, RelayCell, RelayCommand, CELL_LEN, CELL_PAYLOAD_LEN,
-        FEEDBACK_WIRE_LEN, HANDSHAKE_LEN, RELAY_DATA_MAX,
+        Cell, CellBody, Feedback, RelayCell, RelayCommand, CELL_LEN, FEEDBACK_WIRE_LEN,
+        HANDSHAKE_LEN, RELAY_DATA_MAX,
     };
     pub use crate::codec::{
         decode_cell, decode_feedback, encode_cell, encode_feedback, CodecError,
@@ -36,13 +36,5 @@ pub mod prelude {
     pub use crate::crypto::{
         payload_digest, DigestKey, LayerCipher, LayerKey, OnionRoute, RelayCrypt,
     };
-    pub use crate::ids::{CellSeq, CircuitId, StreamId};
+    pub use crate::ids::{CircuitId, StreamId};
 }
-
-pub use cell::{
-    Cell, CellBody, CellCommand, Feedback, RelayCell, RelayCommand, CELL_LEN, CELL_PAYLOAD_LEN,
-    FEEDBACK_WIRE_LEN, HANDSHAKE_LEN, RELAY_DATA_MAX,
-};
-pub use codec::{decode_cell, decode_feedback, encode_cell, encode_feedback, CodecError};
-pub use crypto::{payload_digest, DigestKey, LayerCipher, LayerKey, OnionRoute, RelayCrypt};
-pub use ids::{CellSeq, CircuitId, StreamId};

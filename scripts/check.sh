@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc -D warnings: every intra-doc link resolves to a public item"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "==> cs-lint: determinism, invariant and stage-boundary gate (DESIGN.md §14)"
 cargo build -q --release -p cs-lint
 lint_bin=target/release/cs-lint

@@ -1,5 +1,3 @@
-//! Root package: examples and integration tests live here; the library
-//! surface is re-exported from the workspace crates.
+//! Root package: examples and integration tests live here. They import
+//! the workspace crates directly; this library exports nothing.
 #![forbid(unsafe_code)]
-pub use circuitstart;
-pub use relaynet;

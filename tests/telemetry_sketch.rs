@@ -194,10 +194,7 @@ fn shard_merge_is_order_independent_under_seeded_shuffles() {
     let mut rng = SimRng::seed_from(0xC0FFEE).derive("shuffle-merge");
     for round in 0..8 {
         let mut order = in_order.clone();
-        for i in (1..order.len()).rev() {
-            let j = rng.range_u64(0, i as u64 + 1) as usize;
-            order.swap(i, j);
-        }
+        rng.shuffle(&mut order);
         let shuffled = fold(&order);
         assert_eq!(shuffled.0, baseline.0, "round {round}: counters diverged");
         assert_eq!(
