@@ -50,24 +50,9 @@ struct VegasRound {
     round_min: Option<SimDuration>,
 }
 
-/// Counters exposed for tests, traces, and the ablation benches.
+/// Counters exposed to wrappers that act per congestion-avoidance round.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DelayCcStats {
-    /// Number of window doublings performed during ramp-up.
-    pub doublings: u32,
-    /// Number of times the ramp was exited on a delay signal.
-    pub ramp_exits: u32,
-    /// The window chosen by the exit policy at the last ramp exit.
-    pub last_exit_cwnd: Option<u32>,
-    /// The (possibly overshot) window at the moment of the last exit.
-    pub last_overshoot_cwnd: Option<u32>,
-    /// +1 window adjustments made in congestion avoidance.
-    pub ca_increments: u64,
-    /// −1 window adjustments made in congestion avoidance.
-    pub ca_decrements: u64,
-    /// Multiplicative re-compensations performed in congestion avoidance
-    /// (CircuitStart's backpropagation rule).
-    pub ca_recompensations: u64,
     /// Congestion-avoidance evaluations performed (one per RTT round,
     /// counting holds as well as adjustments).
     pub ca_rounds: u64,
@@ -173,17 +158,13 @@ impl DelayCc {
     /// Ends the ramp on a delay signal observed at `acked_in_round`
     /// feedbacks into the current round.
     fn exit_ramp(&mut self, acked_in_round: u32) {
-        let overshoot = self.cwnd;
-        let chosen = self.exit.exit_cwnd(overshoot, acked_in_round);
+        let chosen = self.exit.exit_cwnd(self.cwnd, acked_in_round);
         self.cwnd = self.cfg.clamp_cwnd(chosen);
         self.phase = Phase::CongestionAvoidance;
         self.train = None;
         self.vegas = VegasRound::default();
         // Arm the backpropagation rule for the post-exit settling period.
         self.ca_recompensation_left = self.ca_recompensation_window;
-        self.stats.ramp_exits += 1;
-        self.stats.last_exit_cwnd = Some(self.cwnd);
-        self.stats.last_overshoot_cwnd = Some(overshoot);
     }
 
     fn vegas_diff(&self, current: SimDuration, base: SimDuration) -> f64 {
@@ -292,7 +273,6 @@ impl CongestionControl for DelayCc {
                     if sent >= target {
                         // Full round: double, as in the paper.
                         self.cwnd = self.cfg.clamp_cwnd(self.cwnd.saturating_mul(2));
-                        self.stats.doublings += 1;
                     }
                     // (Partial, application-limited trains keep the window:
                     // there is no evidence the path sustains more.)
@@ -311,14 +291,9 @@ impl CongestionControl for DelayCc {
                         let current = self.vegas.round_min.expect("round with no samples");
                         let diff = self.vegas_diff(current, base_rtt);
                         if diff < self.cfg.alpha {
-                            let next = self.cfg.clamp_cwnd(self.cwnd + 1);
-                            if next > self.cwnd {
-                                self.stats.ca_increments += 1;
-                            }
-                            self.cwnd = next;
+                            self.cwnd = self.cfg.clamp_cwnd(self.cwnd + 1);
                         } else if diff > self.cfg.beta {
-                            let armed = self.ca_recompensation_left > 0;
-                            let next = if armed {
+                            self.cwnd = if self.ca_recompensation_left > 0 {
                                 // Backpropagation: the successor forwarded
                                 // cwnd·base/current cells per base RTT —
                                 // adopt that as the window.
@@ -327,14 +302,6 @@ impl CongestionControl for DelayCc {
                             } else {
                                 self.cfg.clamp_cwnd(self.cwnd.saturating_sub(1))
                             };
-                            if next < self.cwnd {
-                                if armed && self.cwnd - next > 1 {
-                                    self.stats.ca_recompensations += 1;
-                                } else {
-                                    self.stats.ca_decrements += 1;
-                                }
-                            }
-                            self.cwnd = next;
                         }
                         self.ca_recompensation_left = self.ca_recompensation_left.saturating_sub(1);
                         self.vegas.mark = None;
@@ -410,8 +377,9 @@ mod tests {
             seq = run_flat_round(&mut c, seq, ms(10));
         }
         assert_eq!(c.cwnd(), 64);
-        assert_eq!(c.stats().doublings, 5);
         assert_eq!(c.phase(), Phase::SlowStart);
+        assert!(c.train.is_none(), "every round closed its train");
+        assert_eq!(c.stats().ca_rounds, 0, "the ramp evaluates no CA round");
     }
 
     #[test]
@@ -451,9 +419,8 @@ mod tests {
         }
         assert_eq!(c.phase(), Phase::CongestionAvoidance);
         assert_eq!(c.cwnd(), 4, "compensation = cells fed back in budget");
-        assert_eq!(c.stats().ramp_exits, 1);
-        assert_eq!(c.stats().last_overshoot_cwnd, Some(8));
-        assert_eq!(c.stats().last_exit_cwnd, Some(4));
+        assert!(c.train.is_none(), "the exit closes the overshooting train");
+        assert_eq!(c.stats().ca_rounds, 0);
     }
 
     #[test]
@@ -612,7 +579,7 @@ mod tests {
         c.on_sent(0, t(0)); // opens round, mark = 0
         c.on_feedback(0, ms(10), ms(10), t(1)); // diff = 0 < α → +1
         assert_eq!(c.cwnd(), 11);
-        assert_eq!(c.stats().ca_increments, 1);
+        assert_eq!(c.stats().ca_rounds, 1);
     }
 
     #[test]
@@ -622,7 +589,7 @@ mod tests {
         // diff = 10·(15/10 − 1) = 5 > β = 4 → −1
         c.on_feedback(0, ms(15), ms(10), t(1));
         assert_eq!(c.cwnd(), 9);
-        assert_eq!(c.stats().ca_decrements, 1);
+        assert_eq!(c.stats().ca_rounds, 1);
     }
 
     #[test]
@@ -711,9 +678,8 @@ mod tests {
             SimDuration::from_micros(10_250),
             t(24),
         );
-        assert_eq!(c.cwnd(), 50);
-        assert_eq!(c.stats().ca_recompensations, 1);
-        assert_eq!(c.stats().ca_decrements, 0);
+        assert_eq!(c.cwnd(), 50, "one multiplicative step, not −1");
+        assert_eq!(c.stats().ca_rounds, 1);
     }
 
     #[test]
@@ -727,20 +693,20 @@ mod tests {
             t(24),
         );
         assert_eq!(c.cwnd(), 117, "plain Vegas decrements by one");
-        assert_eq!(c.stats().ca_decrements, 1);
+        assert_eq!(c.stats().ca_rounds, 1);
     }
 
     #[test]
     fn ca_recompensation_near_band_behaves_like_vegas() {
-        // Mild backlog (diff just over β): the multiplicative target is
-        // within 1 cell of a plain decrement; stats count it as one.
+        // Mild backlog (diff just over β): while armed, the window still
+        // takes the multiplicative target, not Vegas's −1.
         let mut c = DelayCc::without_ramp("t", CcConfig::default(), 10);
         c.enable_ca_recompensation(8);
         c.on_sent(0, t(0));
         // diff = 10·(15/10−1) = 5 > β; target = 10·10/15 = 6.67 → 6.
         c.on_feedback(0, ms(15), ms(10), t(15));
         assert_eq!(c.cwnd(), 6);
-        assert_eq!(c.stats().ca_recompensations, 1);
+        assert_eq!(c.ca_recompensation_left, 7, "one armed round spent");
     }
 
     #[test]

@@ -52,9 +52,6 @@ pub struct HopStats {
     pub feedback_received: u64,
     /// Feedback messages rejected (unknown/duplicate sequence).
     pub bad_feedback: u64,
-    /// Cells retired without feedback ([`HopTransport::forget`]) —
-    /// registered sends that were discarded unsent at teardown.
-    pub cells_forgotten: u64,
 }
 
 /// Transport state for one hop of one circuit (see module docs).
@@ -173,7 +170,6 @@ impl HopTransport {
             },
         };
         if removed {
-            self.stats.cells_forgotten += 1;
             self.cc.on_forget(seq);
         }
         removed
@@ -190,7 +186,6 @@ impl HopTransport {
         for (seq, _) in self.in_flight.drain(..) {
             self.cc.on_forget(seq);
         }
-        self.stats.cells_forgotten += u64::from(forgotten);
         forgotten
     }
 
@@ -338,7 +333,6 @@ mod tests {
         assert!(!h.forget(1), "double-forget is a no-op");
         assert!(!h.forget(99), "unknown seq is a no-op");
         assert_eq!(h.outstanding(), 1);
-        assert_eq!(h.stats().cells_forgotten, 2);
         // No RTT sample, no feedback count, and the surviving in-flight
         // cell still confirms normally.
         assert_eq!(h.base_rtt(), None);
@@ -358,7 +352,6 @@ mod tests {
         h.on_feedback(0, t(4)).unwrap();
         assert_eq!(h.forget_all(), 2);
         assert_eq!(h.outstanding(), 0);
-        assert_eq!(h.stats().cells_forgotten, 2);
         assert_eq!(h.forget_all(), 0, "idempotent on an empty set");
         // No RTT/controller side effects beyond the one real feedback.
         assert_eq!(h.base_rtt(), Some(SimDuration::from_millis(4)));

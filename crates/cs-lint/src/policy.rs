@@ -214,6 +214,16 @@ pub const STAGE_BOUNDARIES: &[Boundary] = &[
         invariant: "a relay cell is built by torcell's seal; the pipeline never digests or \
                     layers one by hand",
     },
+    Boundary {
+        files: &["crates/relaynet/src/network/"],
+        forbidden: &[
+            &["LinkScheduler", "<", "WireFrame"],
+            &["LinkScheduler", ">"],
+            &["VecDeque", "<", "WireFrame"],
+        ],
+        invariant: "a frame handed to a link is stored once, in Net's store; the scheduler \
+                    queues handles (LinkScheduler<FrameHandle>)",
+    },
 ];
 
 /// Decides whether `rule` applies at a site.

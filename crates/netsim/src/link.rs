@@ -6,9 +6,8 @@
 //! FIFO of frames in flight across the propagation delay. Nothing is ever
 //! dropped: the hop-by-hop windows of the transport above bound every
 //! queue. The three hold
-//! 4-byte handles: every frame is stored once, in its
-//! [`Net`](crate::net::Net)'s frame store, from `send` until it is
-//! delivered.
+//! 4-byte [`FrameHandle`]s: every frame is stored once, in its
+//! [`Net`](crate::net::Net)'s frame store, until it is delivered.
 //!
 //! ```text
 //!   send() ──► [egress queue] ──► (serializing, rate-limited)
@@ -30,6 +29,7 @@ use std::collections::VecDeque;
 use simcore::time::{SimDuration, SimTime};
 
 use crate::bandwidth::Bandwidth;
+use crate::net::FrameHandle;
 
 /// Identifies a link within one [`crate::net::Net`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -89,10 +89,10 @@ pub(crate) struct LinkState {
     pub cfg: LinkConfig,
     /// Frames waiting for the transmitter, each stamped with its arrival
     /// time.
-    pub queue: VecDeque<(u32, SimTime)>,
+    pub queue: VecDeque<(FrameHandle, SimTime)>,
     /// The frame being serialized right now, if its sender awaits the
     /// departure; a `TxComplete` is scheduled for it at `busy_until`.
-    pub transmitting: Option<u32>,
+    pub transmitting: Option<FrameHandle>,
     /// When the most recently started serialization ends. All that a
     /// silently departing frame leaves behind of a busy transmitter.
     pub busy_until: SimTime,
@@ -102,7 +102,7 @@ pub(crate) struct LinkState {
     /// Frames that are propagating, or still serializing silently.
     /// Constant per-link delay + FIFO serialization ⇒ delivery order ==
     /// push order.
-    pub in_flight: VecDeque<u32>,
+    pub in_flight: VecDeque<FrameHandle>,
     pub stats: LinkStats,
     /// The last two distinct `(wire size, serialization time)` pairs at
     /// the current rate, newest first (see [`LinkState::tx_time`]).

@@ -40,13 +40,18 @@
 //!
 //! # One frame store
 //!
-//! A frame is stored once: [`Net::send`] puts it into the `Net`'s one
-//! store and [`Net::take_delivered`] takes it out. In between, the link's
-//! egress queue, transmitter slot and in-flight FIFO move a 4-byte handle,
-//! and [`Net::transmitting_mut`] / [`Net::last_on_wire_mut`] look the
-//! frame up by it. A freed slot is the next one filled, so the store
-//! holds as many slots as frames were ever held at once
-//! ([`Net::frame_store`]), not the sum of every link's own peak.
+//! A frame is stored once: [`Net::store`] puts it into the `Net`'s one
+//! store, under a 4-byte [`FrameHandle`], and [`Net::take_delivered`]
+//! takes it out. In between, the link's egress queue, transmitter slot
+//! and in-flight FIFO move the handle, and [`Net::transmitting_mut`] /
+//! [`Net::last_on_wire_mut`] look the frame up by it. [`Net::send`] is
+//! [`Net::send_stored`] of a frame just stored; a caller that queues
+//! frames in front of a link itself (an overlay's circuit scheduler)
+//! stores each one when it queues it, keeps the handle, and later sends
+//! it by handle or [takes it back](Net::take_stored). A freed slot is the
+//! next one filled, so the store holds as many slots as frames were ever
+//! held at once ([`Net::frame_store`]), not the sum of every queue's own
+//! peak.
 
 use simcore::sim::Context;
 use simcore::time::SimTime;
@@ -83,10 +88,17 @@ pub enum NetEvent {
     },
 }
 
+/// A frame in a [`Net`]'s store, from [`Net::store`] until it is
+/// delivered or [taken back](Net::take_stored): a 4-byte slot index that
+/// only the `Net` mints.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FrameHandle(u32);
+
 /// How [`Net`]'s frame store is used (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FrameStoreUse {
-    /// Frames held now: queued, serializing or in flight on any link.
+    /// Frames held now: queued, serializing or in flight on any link, or
+    /// stored and not yet sent (waiting in a caller's scheduler).
     pub held: usize,
     /// The most frames ever held at once — the store's slot count, since
     /// a slot is only added when every one is taken.
@@ -95,9 +107,10 @@ pub struct FrameStoreUse {
     pub reserved: usize,
 }
 
-/// Every frame a [`Net`] holds, under a `u32` handle, from `send` until
-/// it is delivered. Freed slots are reused last-in first-out. The
-/// per-frame methods are `#[inline]`: each runs once or twice per frame.
+/// Every frame a [`Net`] holds, under a [`FrameHandle`], from `store`
+/// until it is delivered or taken back. Freed slots are reused last-in
+/// first-out. The per-frame methods are `#[inline]`: each runs once or
+/// twice per frame.
 struct FrameStore<F> {
     slots: Vec<Option<F>>,
     free: Vec<u32>,
@@ -105,11 +118,11 @@ struct FrameStore<F> {
 
 impl<F> FrameStore<F> {
     #[inline]
-    fn insert(&mut self, frame: F) -> u32 {
+    fn insert(&mut self, frame: F) -> FrameHandle {
         match self.free.pop() {
-            Some(handle) => {
-                self.slots[handle as usize] = Some(frame);
-                handle
+            Some(slot) => {
+                self.slots[slot as usize] = Some(frame);
+                FrameHandle(slot)
             }
             None => self.grow(frame),
         }
@@ -119,30 +132,30 @@ impl<F> FrameStore<F> {
     /// per frame of the high-water mark, so out of the per-frame path.
     #[cold]
     #[inline(never)]
-    fn grow(&mut self, frame: F) -> u32 {
-        let handle = u32::try_from(self.slots.len()).expect("more than 2^32 frames held");
+    fn grow(&mut self, frame: F) -> FrameHandle {
+        let slot = u32::try_from(self.slots.len()).expect("more than 2^32 frames held");
         self.slots.push(Some(frame));
-        handle
+        FrameHandle(slot)
     }
 
     #[inline]
-    fn get_mut(&mut self, handle: u32) -> &mut F {
-        self.slots[handle as usize]
+    fn get_mut(&mut self, FrameHandle(slot): FrameHandle) -> &mut F {
+        self.slots[slot as usize]
             .as_mut()
-            .expect("a link's handle names a stored frame")
+            .expect("a handle names a stored frame")
     }
 
     #[inline]
-    fn remove(&mut self, handle: u32) -> F {
+    fn remove(&mut self, FrameHandle(slot): FrameHandle) -> F {
         // Swapped out whole rather than `take`n: `take` can store the
         // `None` niche into the middle of the frame it moves out and copy
         // the frame around that byte, and a wide copy of the frame soon
         // after stalls on the split stores (5–9 ns an event on a
         // `Net`-only loop whose frame has a `bool` niche).
         let mut frame = None;
-        std::mem::swap(&mut self.slots[handle as usize], &mut frame);
-        self.free.push(handle);
-        frame.expect("a link's handle names a stored frame")
+        std::mem::swap(&mut self.slots[slot as usize], &mut frame);
+        self.free.push(slot);
+        frame.expect("a handle names a stored frame")
     }
 }
 
@@ -328,15 +341,39 @@ impl<F: Frame> Net<F> {
         }
     }
 
-    /// Hands a frame to a link for transmission at the current time.
+    /// Hands a frame to a link for transmission at the current time:
+    /// [`Net::send_stored`] of the frame, [stored](Net::store) first.
+    #[inline]
+    pub fn send<E: From<NetEvent>>(&mut self, ctx: &mut Context<'_, E>, link: LinkId, frame: F) {
+        let handle = self.store(frame);
+        self.send_stored(ctx, link, handle);
+    }
+
+    /// Puts a frame into the store without handing it to a link, for a
+    /// caller that queues frames in front of a link itself: it keeps the
+    /// handle, and later [sends](Net::send_stored) the frame or
+    /// [takes it back](Net::take_stored).
+    #[inline]
+    pub fn store(&mut self, frame: F) -> FrameHandle {
+        self.store.insert(frame)
+    }
+
+    /// Hands the stored frame `handle` to a link for transmission at the
+    /// current time. The handle passes to the link, which gives the frame
+    /// back through [`Net::take_delivered`].
     ///
     /// If the transmitter is idle the frame starts serializing immediately;
     /// otherwise it joins the egress queue.
-    pub fn send<E: From<NetEvent>>(&mut self, ctx: &mut Context<'_, E>, link: LinkId, frame: F) {
+    pub fn send_stored<E: From<NetEvent>>(
+        &mut self,
+        ctx: &mut Context<'_, E>,
+        link: LinkId,
+        handle: FrameHandle,
+    ) {
         let now = ctx.now();
         let state = &mut self.links[link.index()];
+        let frame = self.store.get_mut(handle);
         let (size, awaits_departure) = (frame.wire_size(), frame.awaits_departure());
-        let handle = self.store.insert(frame);
         if !state.is_busy(now) {
             debug_assert!(
                 state.queue.is_empty(),
@@ -352,6 +389,14 @@ impl<F: Frame> Net<F> {
             state.queue.is_empty() || state.completion_pending(),
             "queued frames with no completion pending"
         );
+    }
+
+    /// Takes a stored frame that was never sent back out of the store (a
+    /// scheduled frame discarded before it reached a link). A handle
+    /// passed to [`Net::send_stored`] belongs to the link from then on.
+    #[inline]
+    pub fn take_stored(&mut self, handle: FrameHandle) -> F {
+        self.store.remove(handle)
     }
 
     /// Asks for a [`NetEvent::TxComplete`] at the instant `link` falls
@@ -451,7 +496,7 @@ impl<F: Frame> Net<F> {
     fn begin_tx<E: From<NetEvent>>(
         state: &mut LinkState,
         link: LinkId,
-        handle: u32,
+        handle: FrameHandle,
         size: u32,
         awaits_departure: bool,
         now: SimTime,
@@ -875,6 +920,72 @@ mod tests {
                 .map(|tag| (SimTime::from_millis(tag), tag))
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// A stored frame is sent by handle as `send` would have sent it at
+    /// that instant, or taken back whole, freeing its slot for the next.
+    #[test]
+    fn a_stored_frame_goes_out_by_handle_or_comes_back_whole() {
+        enum HeldEv {
+            Net(NetEvent),
+            SendStored,
+        }
+        impl From<NetEvent> for HeldEv {
+            fn from(e: NetEvent) -> Self {
+                HeldEv::Net(e)
+            }
+        }
+        struct Held {
+            net: Net<TestFrame>,
+            held: Option<FrameHandle>,
+            delivered: Vec<(SimTime, u64)>,
+        }
+        impl World for Held {
+            type Event = HeldEv;
+            fn handle(&mut self, ctx: &mut Context<'_, HeldEv>, ev: HeldEv) {
+                match ev {
+                    HeldEv::SendStored => {
+                        let handle = self.held.take().expect("sent once");
+                        self.net.send_stored(ctx, LinkId(0), handle);
+                    }
+                    HeldEv::Net(NetEvent::TxComplete { link }) => {
+                        self.net.on_tx_complete(ctx, link)
+                    }
+                    HeldEv::Net(NetEvent::Deliver { link }) => {
+                        let f = self.net.take_delivered(link);
+                        self.delivered.push((ctx.now(), f.tag));
+                    }
+                }
+            }
+        }
+        let mut net = Net::new();
+        let (a, b) = (net.add_node("a"), net.add_node("b"));
+        net.add_link(
+            a,
+            b,
+            LinkConfig::new(Bandwidth::from_mbps(8), SimDuration::from_millis(2)),
+        );
+        let back = net.store(frame(1000, 7));
+        assert_eq!(net.frame_store().held, 1);
+        assert_eq!(net.take_stored(back).tag, 7);
+        let held = net.store(frame(1000, 8));
+        let store = net.frame_store();
+        assert_eq!(
+            (store.held, store.high_water),
+            (1, 1),
+            "the freed slot is reused"
+        );
+        let mut sim = Simulator::new(Held {
+            net,
+            held: Some(held),
+            delivered: vec![],
+        });
+        sim.schedule_at(SimTime::from_millis(5), HeldEv::SendStored);
+        sim.run();
+        // Serialization starts when the frame is sent, not when it was
+        // stored: 5 ms + 1 ms at 8 Mbit/s + 2 ms of delay.
+        assert_eq!(sim.world().delivered, [(SimTime::from_millis(8), 8)]);
+        assert_eq!(sim.world().net.frame_store().held, 0);
     }
 
     /// The frame most recently put on the wire, whichever way it departs.

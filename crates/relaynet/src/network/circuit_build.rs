@@ -92,7 +92,8 @@ impl Egress {
         let bwd_link = nc.bwd.as_ref().map(link_of);
         let links = [fwd_link, bwd_link.filter(|b| Some(*b) != fwd_link)];
         for link in links.into_iter().flatten() {
-            for frame in self.link_sched[link.index()].drain_circuit(circ) {
+            for handle in self.link_sched[link.index()].drain_circuit(circ) {
+                let frame = self.net.take_stored(handle);
                 self.stats.cells_drained += 1;
                 let crate::wire::FramePayload::Cell { cell, hop_seq } = frame.payload else {
                     debug_assert!(false, "feedback frames are never queued per circuit");
@@ -713,6 +714,7 @@ mod tests {
 
     use super::super::WorldStats;
     use super::*;
+    use crate::scheduler::LinkScheduler;
     use crate::wire::{FramePayload, WireFrame};
     use crate::workload::FaultSpec;
 
@@ -918,7 +920,8 @@ mod tests {
         let egress = &mut world.egress;
         let link = egress.next_link(my_net(egress), egress.topology.node(PRED.index()));
         let on_wire = egress.net.last_on_wire_mut(link).cloned();
-        let scheduled = std::iter::from_fn(|| egress.link_sched[link.index()].pop());
+        let scheduled = std::iter::from_fn(|| egress.link_sched[link.index()].pop())
+            .map(|handle| egress.net.take_stored(handle));
         let sent = on_wire.into_iter().chain(scheduled.collect::<Vec<_>>());
         let sent = sent.map(|frame| match frame.payload {
             FramePayload::Feedback(fb) => {
@@ -1022,7 +1025,12 @@ mod tests {
                     self.egress.refill_link(ctx, link);
                 }
                 TorEvent::Net(NetEvent::Deliver { link }) => {
-                    self.egress.net.take_delivered(link);
+                    let frame = self.egress.net.take_delivered(link);
+                    if let FramePayload::Cell { cell, .. } = frame.payload {
+                        if let CellBody::Relay(rc) = cell.body {
+                            self.egress.payload_pool.reclaim(rc.data);
+                        }
+                    }
                     self.arrivals.push(ctx.now());
                 }
                 _ => (self.script.take().expect("one script"))(&mut self.egress, ctx),
@@ -1066,6 +1074,72 @@ mod tests {
         assert_eq!(sim.events_processed(), 1 + 2 + 3);
     }
 
+    /// A DATA cell for `hop`, owing `to` the confirm for `seq`, its
+    /// payload from the pool.
+    fn data_cell(egress: &mut Egress, to: OverlayId, hop: u32, seq: u64) -> QueuedCell {
+        let mut buf = egress.payload_pool.acquire();
+        buf.resize(torcell::cell::RELAY_DATA_MAX, 0x5A);
+        let confirm = PendingConfirm {
+            neighbor: to,
+            circ_id: CircuitId(hop),
+            seq,
+        };
+        QueuedCell::relay(RelayCell::data(StreamId(1), buf), Some(confirm))
+    }
+
+    /// A teardown that drains backlogged schedulers on both of `ME`'s
+    /// links takes every drained frame back out of the `Net`'s store and
+    /// its payload back to the pool; what it sends instead (the owed
+    /// confirms) is stored, delivered and taken out like any frame.
+    #[test]
+    fn a_teardown_that_drains_the_schedulers_returns_every_handle_and_buffer() {
+        let (egress, mut nc) = rig();
+        nc.phase = CircuitPhase::Open;
+        let me = my_net(&egress);
+        let script = move |egress: &mut Egress, ctx: &mut Context<'_, TorEvent>| {
+            // The rig's window of 4 has room for three more cells a hop:
+            // one goes on the wire, two wait in the link's scheduler.
+            for seq in 0..3 {
+                let fwd = data_cell(egress, PRED, 11, seq);
+                nc.fwd.as_mut().expect("forward hop").enqueue(fwd);
+                let bwd = data_cell(egress, SUCC, 10, seq);
+                nc.bwd.as_mut().expect("backward hop").enqueue(bwd);
+            }
+            egress.pump_dir(ctx, me, &mut nc, Direction::Forward);
+            egress.pump_dir(ctx, me, &mut nc, Direction::Backward);
+            let held = egress.net.frame_store().held;
+            assert_eq!(held, 6, "two frames on the wire, four scheduled");
+            let scheduled: usize = egress.link_sched.iter().map(LinkScheduler::len).sum();
+            assert_eq!(scheduled, 4);
+
+            egress.close_participation(ctx, me, &mut nc, true);
+            assert_eq!(egress.stats.cells_drained, 4);
+            assert_eq!(egress.payload_pool.returned(), 4);
+            // Four handles back, four confirms stored behind the busy
+            // links in their place.
+            assert_eq!(egress.stats.feedback_sent, 4);
+            assert_eq!(egress.net.frame_store().held, held);
+            let scheduled: usize = egress.link_sched.iter().map(LinkScheduler::len).sum();
+            assert_eq!(scheduled, 4, "only the confirms wait");
+        };
+        let mut sim = Simulator::new(LinkSide {
+            egress,
+            script: Some(script),
+            arrivals: Vec::new(),
+        });
+        sim.schedule_in(SimDuration::ZERO, TorEvent::Teardown(CircId(0)));
+        sim.run();
+        let egress = &sim.world().egress;
+        assert_eq!(sim.world().arrivals.len(), 2 + 4);
+        assert_eq!(
+            egress.net.frame_store().held,
+            0,
+            "a handle was never returned"
+        );
+        let pool = &egress.payload_pool;
+        assert_eq!((pool.acquired(), pool.returned()), (6, 6));
+    }
+
     #[test]
     fn a_silent_close_of_a_closed_participation_drains_nothing_twice() {
         let (mut egress, mut nc) = rig();
@@ -1074,23 +1148,13 @@ mod tests {
         // Three forwarded DATA cells, each owing `PRED` a confirm: the
         // first goes on the wire, the second waits in the link scheduler,
         // the third is still in the hop queue when the circuit closes.
-        let data_cell = |egress: &mut Egress, seq| {
-            let mut buf = egress.payload_pool.acquire();
-            buf.resize(torcell::cell::RELAY_DATA_MAX, 0x5A);
-            let confirm = PendingConfirm {
-                neighbor: PRED,
-                circ_id: CircuitId(11),
-                seq,
-            };
-            QueuedCell::relay(RelayCell::data(StreamId(1), buf), Some(confirm))
-        };
         with_ctx(|ctx| {
             for seq in 0..2 {
-                let qc = data_cell(&mut egress, seq);
+                let qc = data_cell(&mut egress, PRED, 11, seq);
                 nc.fwd.as_mut().expect("forward hop").enqueue(qc);
             }
             egress.pump_dir(ctx, me, &mut nc, Direction::Forward);
-            let qc = data_cell(&mut egress, 2);
+            let qc = data_cell(&mut egress, PRED, 11, 2);
             nc.fwd.as_mut().expect("forward hop").enqueue(qc);
 
             egress.close_participation(ctx, me, &mut nc, true);

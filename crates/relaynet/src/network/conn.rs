@@ -84,10 +84,11 @@ impl TorNetwork {
 
 impl Egress {
     /// Hands a frame to an overlay egress link: directly if the link is
-    /// idle, otherwise into the link's round-robin scheduler (feedback has
-    /// strict priority; data cells queue per circuit). The frame on the
-    /// wire may be departing silently, so a scheduled frame asks for the
-    /// `TxComplete` that will [refill](Egress::refill_link) the link.
+    /// idle, otherwise into the `Net`'s store, with its handle in the
+    /// link's round-robin scheduler (feedback has strict priority; data
+    /// cells queue per circuit). The frame on the wire may be departing
+    /// silently, so a scheduled frame asks for the `TxComplete` that will
+    /// [refill](Egress::refill_link) the link.
     pub(super) fn sched_send(
         &mut self,
         ctx: &mut Context<'_, TorEvent>,
@@ -96,10 +97,11 @@ impl Egress {
         data_circuit: Option<CircId>,
     ) {
         if self.net.is_busy(link, ctx.now()) {
+            let handle = self.net.store(frame);
             let sched = &mut self.link_sched[link.index()];
             match data_circuit {
-                Some(circ) => sched.push_cell(circ, frame),
-                None => sched.push_feedback(frame),
+                Some(circ) => sched.push_cell(circ, handle),
+                None => sched.push_feedback(handle),
             }
             self.net.wake_when_idle(ctx, link);
         } else {
@@ -114,8 +116,8 @@ impl Egress {
     pub(super) fn refill_link(&mut self, ctx: &mut Context<'_, TorEvent>, link: LinkId) {
         let sched = &mut self.link_sched[link.index()];
         if !self.net.is_busy(link, ctx.now()) {
-            if let Some(frame) = sched.pop() {
-                self.net.send(ctx, link, frame);
+            if let Some(handle) = sched.pop() {
+                self.net.send_stored(ctx, link, handle);
             }
         }
         if !sched.is_empty() {

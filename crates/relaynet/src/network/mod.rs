@@ -63,7 +63,7 @@ pub(crate) mod placement;
 pub(crate) mod recognition;
 
 use netsim::link::LinkId;
-use netsim::net::{Net, NetEvent, NodeId};
+use netsim::net::{FrameHandle, Net, NetEvent, NodeId};
 use netsim::topology::{Star, Topology};
 use simcore::rng::SimRng;
 use simcore::sim::{Context, World};
@@ -467,8 +467,9 @@ pub(super) struct Egress {
     pub(super) net: Net<WireFrame>,
     /// Per-link round-robin circuit schedulers (overlay egress links; the
     /// hub's links stay FIFO — the backbone is not ours to schedule).
-    /// One per link of `net`, indexed by `LinkId`.
-    pub(super) link_sched: Vec<LinkScheduler>,
+    /// One per link of `net`, indexed by `LinkId`. They queue handles: a
+    /// scheduled frame waits in `net`'s store.
+    pub(super) link_sched: Vec<LinkScheduler<FrameHandle>>,
     /// The world's shape and its address book: overlay node `i` lives on
     /// `topology.node(i)`, and the topology names the link toward any
     /// node ([`Egress::next_link`]). A star's access links are minted the
@@ -902,6 +903,17 @@ impl TorNetwork {
     /// time.
     pub fn sched_backlog_hwm(&self, link: netsim::link::LinkId) -> usize {
         self.egress.link_sched[link.index()].high_water_mark()
+    }
+
+    /// Queue slots the egress links' schedulers hold reserved, summed
+    /// over every link ([`LinkScheduler::reserved_slots`]). A slot is one
+    /// 4-byte [`FrameHandle`]: the frames wait in the `Net`'s store.
+    pub fn sched_reserved_slots(&self) -> usize {
+        self.egress
+            .link_sched
+            .iter()
+            .map(LinkScheduler::reserved_slots)
+            .sum()
     }
 
     /// Collects the measured outcome of every circuit.

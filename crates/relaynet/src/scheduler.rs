@@ -14,6 +14,14 @@
 //! feedback frames first (they are the transport's control signal, like
 //! ACKs), then data cells round-robin across circuits.
 //!
+//! What waits is whatever the owner queues: the world's `Egress` keeps
+//! its frames in the `Net`'s one store and queues their 4-byte
+//! [`FrameHandle`](netsim::net::FrameHandle)s here
+//! (`LinkScheduler<FrameHandle>`), so a scheduled frame is stored once,
+//! and a queue's capacity costs 4 bytes a slot rather than a frame's
+//! size. The default, `LinkScheduler<WireFrame>`, queues frames by value
+//! and runs the same code.
+//!
 //! The per-circuit queues live in a dense slab (the PR 2 pattern the
 //! rest of the hot path uses): a `Vec` of slots indexed by a small
 //! integer, a LIFO free list recycling vacated slots — and their
@@ -35,19 +43,19 @@ const VACANT: CircId = CircId(u32::MAX);
 
 /// One slab slot: a circuit with queued cells (or a vacated slot whose
 /// queue allocation is waiting to be reused).
-struct CircSlot {
+struct CircSlot<F> {
     circ: CircId,
-    queue: VecDeque<WireFrame>,
+    queue: VecDeque<F>,
 }
 
-/// Round-robin frame scheduler for one egress link (see module docs).
-#[derive(Default)]
-pub struct LinkScheduler {
+/// Round-robin frame scheduler for one egress link, queueing frames or
+/// handles to them (`F`; see module docs).
+pub struct LinkScheduler<F = WireFrame> {
     /// Control frames (feedback): strict priority, FIFO among themselves.
-    feedback: VecDeque<WireFrame>,
+    feedback: VecDeque<F>,
     /// Dense slab of per-circuit queues; `rotation` and the free list
     /// hold indices into it.
-    slots: Vec<CircSlot>,
+    slots: Vec<CircSlot<F>>,
     /// Active circuit → slab slot (maintained on activation/vacation).
     index: BTreeMap<CircId, u32>,
     /// Vacated slot indices awaiting reuse (LIFO for determinism).
@@ -60,21 +68,35 @@ pub struct LinkScheduler {
     len: usize,
 }
 
-impl LinkScheduler {
+impl<F> Default for LinkScheduler<F> {
+    fn default() -> Self {
+        LinkScheduler {
+            feedback: VecDeque::new(),
+            slots: Vec::new(),
+            index: BTreeMap::new(),
+            free: Vec::new(),
+            rotation: VecDeque::new(),
+            hwm: 0,
+            len: 0,
+        }
+    }
+}
+
+impl<F> LinkScheduler<F> {
     /// Creates an empty scheduler.
-    pub fn new() -> LinkScheduler {
-        LinkScheduler::default()
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Queues a feedback frame (strict priority over data).
-    pub fn push_feedback(&mut self, frame: WireFrame) {
+    pub fn push_feedback(&mut self, frame: F) {
         self.feedback.push_back(frame);
         self.bump();
     }
 
     /// Queues a data cell on `circ`'s queue, activating the circuit in
     /// the rotation if it had nothing queued.
-    pub fn push_cell(&mut self, circ: CircId, frame: WireFrame) {
+    pub fn push_cell(&mut self, circ: CircId, frame: F) {
         debug_assert!(circ != VACANT, "cannot schedule the vacant sentinel");
         let slot = match self.index.get(&circ) {
             Some(&slot) => slot,
@@ -106,7 +128,7 @@ impl LinkScheduler {
 
     /// Picks the next frame: feedback first, then the next circuit in the
     /// rotation (which moves to the back if it still has cells).
-    pub fn pop(&mut self) -> Option<WireFrame> {
+    pub fn pop(&mut self) -> Option<F> {
         if let Some(fb) = self.feedback.pop_front() {
             self.len -= 1;
             return Some(fb);
@@ -132,7 +154,7 @@ impl LinkScheduler {
     /// feedback and reclaims their payload buffers instead. Feedback
     /// frames are never drained (they are control traffic for the
     /// *neighbour's* transport and must flow regardless).
-    pub fn drain_circuit(&mut self, circ: CircId) -> VecDeque<WireFrame> {
+    pub fn drain_circuit(&mut self, circ: CircId) -> VecDeque<F> {
         let Some(slot) = self.index.remove(&circ) else {
             return VecDeque::new();
         };
@@ -158,6 +180,15 @@ impl LinkScheduler {
     /// Largest backlog ever observed (telemetry).
     pub fn high_water_mark(&self) -> usize {
         self.hwm
+    }
+
+    /// Queue slots held reserved: the capacity of the feedback queue and
+    /// of every per-circuit queue, vacant slab slots' included. A slot's
+    /// queue keeps the capacity of the longest backlog any circuit left
+    /// in it; a drained circuit takes its queue's buffer with it.
+    pub fn reserved_slots(&self) -> usize {
+        let circuits: usize = self.slots.iter().map(|s| s.queue.capacity()).sum();
+        self.feedback.capacity() + circuits
     }
 
     fn bump(&mut self) {
@@ -215,7 +246,7 @@ mod tests {
 
     #[test]
     fn empty_scheduler() {
-        let mut s = LinkScheduler::new();
+        let mut s: LinkScheduler = LinkScheduler::new();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert!(s.pop().is_none());

@@ -74,6 +74,11 @@ fn midflight_destroy_returns_inflight_buffers_and_counts_one_destroy_per_hop() {
     let (allocated, _) = pool.stats();
     assert_eq!(pool.returned(), pool.acquired(), "buffers leaked in flight");
     assert_eq!(pool.idle(), allocated as usize, "all buffers at rest");
+    assert_eq!(
+        world.net().frame_store().held,
+        0,
+        "frames left in the store"
+    );
     assert!(pool.idle_hwm() >= pool.idle());
     // The torn incarnation is unreachable everywhere; the flows are not
     // yet done.
@@ -96,6 +101,11 @@ fn midflight_destroy_returns_inflight_buffers_and_counts_one_destroy_per_hop() {
     assert_eq!(total, 1 << 20);
     let pool = world.payload_pool();
     assert_eq!(pool.returned(), pool.acquired());
+    assert_eq!(
+        world.net().frame_store().held,
+        0,
+        "frames left in the store"
+    );
     // The torn incarnation never counted as a completed circuit; the
     // flow ledger is the canonical accounting across incarnations.
     assert!(!world.result_of(h.circ).completed);
@@ -125,6 +135,11 @@ fn manual_teardown_event_mid_transfer_is_equivalent_to_churn() {
     assert_eq!(
         world.payload_pool().returned(),
         world.payload_pool().acquired()
+    );
+    assert_eq!(
+        world.net().frame_store().held,
+        0,
+        "frames left in the store"
     );
 }
 
@@ -172,6 +187,11 @@ fn teardown_racing_the_build_never_panics_or_leaks() {
             pool.returned(),
             pool.acquired(),
             "teardown at {teardown_ms} ms leaked payload buffers"
+        );
+        assert_eq!(
+            world.net().frame_store().held,
+            0,
+            "teardown at {teardown_ms} ms left frames in the store"
         );
         // Slot books balance on every node after the dust settles.
         for n in 0..5u32 {
@@ -243,6 +263,12 @@ fn scheduler_queued_cells_drop_at_destroy_without_burning_link_time() {
     let pool = world.payload_pool();
     assert_eq!(pool.returned(), pool.acquired(), "buffers leaked in flight");
     assert_eq!(pool.idle(), pool.stats().0 as usize, "all buffers at rest");
+    // The drained frames left the store with their handles.
+    assert_eq!(
+        world.net().frame_store().held,
+        0,
+        "frames left in the store"
+    );
 
     // The rebuilt incarnation still delivers every byte.
     let report = sim.run();
@@ -258,6 +284,11 @@ fn scheduler_queued_cells_drop_at_destroy_without_burning_link_time() {
     assert_eq!(
         world.payload_pool().returned(),
         world.payload_pool().acquired()
+    );
+    assert_eq!(
+        world.net().frame_store().held,
+        0,
+        "frames left in the store"
     );
     assert!(!world.result_of(h.circ).completed);
 }

@@ -67,6 +67,11 @@ fn epochs_apply_and_no_flow_is_lost_or_duplicated() {
         delivered += f.delivered;
     }
     assert_eq!(delivered, total_requested);
+    assert_eq!(
+        world.net().frame_store().held,
+        0,
+        "frames left in the store"
+    );
     // Epoch-driven teardowns flowed through the rebuild machinery.
     if world.stats().epoch_teardowns > 0 {
         assert!(
@@ -138,6 +143,11 @@ fn full_teardown_returns_every_load_counter_to_zero() {
     sim.run();
     let world = sim.world();
     assert_eq!(world.stats().protocol_errors, 0);
+    assert_eq!(
+        world.net().frame_store().held,
+        0,
+        "frames left in the store"
+    );
     let loads = world.relay_loads().expect("placement installed");
     assert!(
         loads.iter().all(|&l| l == 0),

@@ -89,6 +89,11 @@ fn assert_quiescent(world: &relaynet::TorNetwork) {
     let pool = world.payload_pool();
     assert_eq!(pool.returned(), pool.acquired(), "buffers leaked in flight");
     assert_eq!(pool.idle(), pool.stats().0 as usize, "buffers not at rest");
+    assert_eq!(
+        world.net().frame_store().held,
+        0,
+        "frames left in the store"
+    );
 }
 
 /// The tentpole loop end to end: crashes are injected, timers fire,

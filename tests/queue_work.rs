@@ -145,18 +145,21 @@ fn a_fault_free_churn_star_keeps_its_exact_counts() {
 
 /// `Net` stores each frame once (DESIGN.md §3): its store has a slot per
 /// frame held at the busiest instant, where per-link rings reserved for
-/// every link's own peak.
+/// every link's own peak. A frame waiting in a link's scheduler is held
+/// there too; the scheduler's queues keep only 4-byte handles, and
+/// their capacity follows every circuit's own peak.
 #[test]
 fn a_fault_free_churn_star_stores_each_frame_once() {
     let (mut sim, _) = churn_star().build(Algorithm::CircuitStart.factory(CcConfig::default()), 1);
     assert_eq!(sim.run().reason, StopReason::QueueEmpty);
-    let store = sim.world().net().frame_store();
+    let world = sim.world();
+    let store = world.net().frame_store();
     assert_eq!(store.held, 0);
-    assert_eq!(store.high_water, 7_210);
-    assert!(
-        store.reserved <= 2 * store.high_water,
-        "{} slots reserved for at most {} frames held",
-        store.reserved,
-        store.high_water
-    );
+    assert_eq!(store.high_water, 7_454);
+    assert_eq!(store.reserved, 8_192);
+    let handle_bytes = std::mem::size_of::<netsim::net::FrameHandle>();
+    assert_eq!(handle_bytes, 4);
+    let sched_slots = world.sched_reserved_slots();
+    assert_eq!(sched_slots, 13_960);
+    assert_eq!(sched_slots * handle_bytes, 55_840);
 }

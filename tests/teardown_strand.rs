@@ -1,7 +1,8 @@
 //! Stranded teardowns: a teardown that lands on a circuit mid-transfer
 //! must always finish. At quiescence every flow is complete or counted
 //! in `flows_parked`, every pooled payload buffer is back
-//! (`returned == acquired`), and no client still holds a closed
+//! (`returned == acquired`), `Net`'s frame store holds nothing, and no
+//! client still holds a closed
 //! participation — a closed client that never proves quiescence
 //! schedules no rebuild, so its flows would wait forever.
 //!
@@ -145,6 +146,10 @@ fn strands(scenario: &StarScenario, i: u64) -> Vec<String> {
             pool.returned(),
             pool.acquired()
         ));
+    }
+    let held = world.net().frame_store().held;
+    if held != 0 {
+        found.push(format!("{held} frames left in the store"));
     }
     for c in 0..world.circuit_count() {
         let circ = CircId(c as u32);
