@@ -43,9 +43,6 @@ impl std::fmt::Display for Phase {
 /// * `cwnd()` must stay within the controller's configured bounds at all
 ///   times.
 pub trait CongestionControl {
-    /// Human-readable algorithm name (for reports).
-    fn name(&self) -> &'static str;
-
     /// Current congestion window, in cells.
     fn cwnd(&self) -> u32;
 
@@ -68,40 +65,6 @@ pub trait CongestionControl {
     fn on_forget(&mut self, _seq: u64) {}
 }
 
-/// Policy invoked when a delay-based ramp-up ends: decides the window to
-/// enter congestion avoidance with.
-///
-/// The paper's contribution — *overshoot compensation* — is exactly one
-/// implementation of this trait (in the `circuitstart` crate); the
-/// traditional behaviour is [`HalvingExit`].
-pub trait RampExit {
-    /// Name for reports.
-    fn name(&self) -> &'static str;
-
-    /// The window to use after leaving the ramp.
-    ///
-    /// * `cwnd_at_exit` — the (possibly overshot) window when the delay
-    ///   signal fired.
-    /// * `acked_in_round` — cells of the current round already fed back
-    ///   ("acknowledged within the current round so far").
-    fn exit_cwnd(&self, cwnd_at_exit: u32, acked_in_round: u32) -> u32;
-}
-
-/// Traditional exit: halve the window (the paper's "without CircuitStart"
-/// behaviour for leaving slow start).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HalvingExit;
-
-impl RampExit for HalvingExit {
-    fn name(&self) -> &'static str {
-        "halving"
-    }
-
-    fn exit_cwnd(&self, cwnd_at_exit: u32, _acked_in_round: u32) -> u32 {
-        cwnd_at_exit / 2
-    }
-}
-
 /// A constant window — models Tor's fixed windowing when used at the
 /// source, and serves as an ablation controller.
 #[derive(Clone, Copy, Debug)]
@@ -122,9 +85,6 @@ impl FixedWindowCc {
 }
 
 impl CongestionControl for FixedWindowCc {
-    fn name(&self) -> &'static str {
-        "fixed-window"
-    }
     fn cwnd(&self) -> u32 {
         self.cwnd
     }
@@ -144,9 +104,6 @@ impl CongestionControl for FixedWindowCc {
 pub struct UnlimitedCc;
 
 impl CongestionControl for UnlimitedCc {
-    fn name(&self) -> &'static str {
-        "unlimited"
-    }
     fn cwnd(&self) -> u32 {
         u32::MAX
     }
@@ -174,21 +131,12 @@ mod tests {
     }
 
     #[test]
-    fn halving_exit_halves() {
-        let e = HalvingExit;
-        assert_eq!(e.exit_cwnd(64, 10), 32);
-        assert_eq!(e.exit_cwnd(3, 10), 1);
-        assert_eq!(e.name(), "halving");
-    }
-
-    #[test]
     fn fixed_window_gates_on_outstanding() {
         let cc = FixedWindowCc::new(3);
         assert!(cc.allow_send(0));
         assert!(cc.allow_send(2));
         assert!(!cc.allow_send(3));
         assert_eq!(cc.cwnd(), 3);
-        assert_eq!(cc.name(), "fixed-window");
     }
 
     #[test]

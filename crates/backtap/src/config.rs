@@ -15,19 +15,16 @@ pub struct CcConfig {
     /// Upper bound for the window; a safety rail against runaway doubling
     /// on extremely fat paths, far above anything the experiments reach.
     pub max_cwnd: u32,
-    /// Ramp-exit threshold γ: leave slow start when the Vegas backlog
-    /// estimate `diff = cwnd·(currentRtt/baseRtt − 1)`, evaluated on the
-    /// **first feedback of a round**, exceeds γ cells. The first cell of a
-    /// train carries no self-queueing, so this test detects *persistent*
-    /// queues (cross traffic), exactly as in TCP Vegas.
+    /// Ramp-exit threshold γ: the fixed floor of the ramp-exit rule's
+    /// threshold `max(γ, θ·cwnd)` (DESIGN.md §4 "The ramp-exit rule"). It
+    /// dominates small windows, where a standing queue (cross traffic)
+    /// ends the ramp.
     pub gamma: f64,
-    /// Ramp-overrun threshold θ: leave slow start the moment a round has
-    /// been outstanding longer than `(1 + θ)·baseRtt`. A train no longer
-    /// than the path's BDP feeds back within ≈ one extra `baseRtt`
-    /// (bottleneck-paced); the moment the round overruns that budget, the
-    /// cells already fed back are "the packet train the successor could
-    /// forward without additional delay" (paper §2) — i.e. the count the
-    /// overshoot compensation turns into the new window. See DESIGN.md §4.
+    /// Ramp-overrun threshold θ: the window-proportional part of the same
+    /// threshold. Above γ's floor the ramp ends the moment a round has
+    /// been outstanding longer than `(1 + θ)·baseRtt`; the cells already
+    /// fed back are then "the packet train the successor could forward
+    /// without additional delay" (paper §2).
     pub theta: f64,
     /// Congestion-avoidance lower threshold α: grow the window by one when
     /// `diff < α`.

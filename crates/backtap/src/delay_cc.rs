@@ -7,12 +7,11 @@
 //!   back-to-back train of `cwnd` cells, then waits for the per-hop
 //!   feedback of every cell in the train. If the round completes without a
 //!   delay signal, the window doubles and the next train goes out.
-//! * On each feedback the controller evaluates the Vegas backlog estimate
-//!   `diff = cwnd · (currentRtt / baseRtt − 1)` with `currentRtt` = that
-//!   cell's RTT. When `diff > γ`, the ramp ends **immediately,
-//!   mid-round**, and the window is set by the pluggable [`RampExit`]
-//!   policy — `HalvingExit` for the traditional baseline, the
-//!   CircuitStart overshoot compensation in the `circuitstart` crate.
+//! * Every feedback of the open round runs the ramp-exit test of
+//!   DESIGN.md §4 "The ramp-exit rule". When it fires, the ramp ends
+//!   **immediately, mid-round**, and the [`RampExit`] arm sets the
+//!   window: halving for the baseline, overshoot compensation for
+//!   CircuitStart.
 //! * **Congestion avoidance** is per-round Vegas: once per RTT, compare
 //!   `diff` (using the round's minimum RTT) against `α`/`β` and move the
 //!   window by ±1 cell.
@@ -22,8 +21,52 @@
 
 use simcore::time::{SimDuration, SimTime};
 
-use crate::cc::{CongestionControl, Phase, RampExit};
+use crate::cc::{CongestionControl, Phase};
 use crate::config::CcConfig;
+
+/// How a ramp ends: the one decision CircuitStart changes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RampExit {
+    /// The traditional exit, the paper's "without CircuitStart" baseline:
+    /// halve the window.
+    Halving,
+    /// Overshoot compensation, the heart of CircuitStart (paper §2). When
+    /// the delay signal fires, the window has typically *overshot* the
+    /// path's capacity, especially when the bottleneck is several hops
+    /// away: the doubling train was already in flight when the congestion
+    /// evidence started travelling back. Halving is an essentially
+    /// arbitrary guess; CircuitStart instead sets the window to **the
+    /// cells of the current round already fed back**. They form exactly
+    /// the packet train the successor could forward *without additional
+    /// delay*: a direct measurement of the optimal window. The exit also
+    /// arms the backpropagation rule for 8 congestion-avoidance rounds.
+    CircuitStart,
+}
+
+/// Congestion-avoidance evaluations the backpropagation rule stays armed
+/// after a [`RampExit::CircuitStart`] exit, and from construction.
+///
+/// The rule (paper §2): when congestion avoidance sees a persistent
+/// backlog (`diff > β`), set the window to the amount the successor
+/// demonstrably forwards per base RTT, `cwnd·baseRtt/currentRtt`,
+/// instead of creeping down by 1. This is how a far-away bottleneck's
+/// compensation reaches the source one hop at a time ("setting its cwnd
+/// to the same value"). It is armed for the time the backpropagation
+/// wave needs to arrive and then hands over to plain Vegas: left
+/// unbounded it misreads *shared*-queue delay under cross traffic as own
+/// backlog and collapses the window. The startup algorithm must stay a
+/// startup algorithm, exactly as the paper's future-work section implies.
+const RECOMPENSATION_ROUNDS: u32 = 8;
+
+impl RampExit {
+    /// How many CA evaluations this exit arms the backpropagation rule for.
+    fn armed_rounds(self) -> u32 {
+        match self {
+            RampExit::Halving => 0,
+            RampExit::CircuitStart => RECOMPENSATION_ROUNDS,
+        }
+    }
+}
 
 /// State of the train currently in flight during ramp-up.
 #[derive(Clone, Copy, Debug)]
@@ -60,31 +103,14 @@ pub struct DelayCcStats {
 
 /// Delay-based per-hop congestion controller (see module docs).
 pub struct DelayCc {
-    algorithm_name: &'static str,
     cfg: CcConfig,
-    exit: Box<dyn RampExit + Send>,
+    exit: RampExit,
     cwnd: u32,
     phase: Phase,
     train: Option<Train>,
     vegas: VegasRound,
-    /// CircuitStart's backpropagation rule (paper §2): when congestion
-    /// avoidance sees a persistent backlog (`diff > β`), set the window to
-    /// the amount the successor demonstrably forwards per base RTT —
-    /// `cwnd·baseRtt/currentRtt` — instead of creeping down by 1. This is
-    /// how a far-away bottleneck's compensation reaches the source one hop
-    /// at a time ("setting its cwnd to the same value").
-    ///
-    /// Scope: the rule is armed for a bounded number of rounds after each
-    /// ramp exit (the time the backpropagation wave needs to arrive) and
-    /// then hands over to plain Vegas. Left unbounded it misreads
-    /// *shared*-queue delay under cross traffic as own backlog and
-    /// collapses the window — the startup algorithm must stay a startup
-    /// algorithm, exactly as the paper's future-work section implies.
-    ///
-    /// How many CA evaluations after a ramp exit the rule stays armed;
-    /// 0, the default, leaves it off.
-    ca_recompensation_window: u32,
-    /// Armed evaluations remaining.
+    /// Armed backpropagation evaluations remaining
+    /// (see [`RECOMPENSATION_ROUNDS`]).
     ca_recompensation_left: u32,
     stats: DelayCcStats,
 }
@@ -92,52 +118,29 @@ pub struct DelayCc {
 impl DelayCc {
     /// Creates a controller that starts in ramp-up with `cfg.init_cwnd`,
     /// leaving the ramp via `exit`.
-    pub fn with_ramp(
-        algorithm_name: &'static str,
-        cfg: CcConfig,
-        exit: Box<dyn RampExit + Send>,
-    ) -> DelayCc {
+    pub fn with_ramp(cfg: CcConfig, exit: RampExit) -> DelayCc {
         cfg.validate();
         DelayCc {
-            algorithm_name,
             cfg,
             exit,
             cwnd: cfg.init_cwnd,
             phase: Phase::SlowStart,
             train: None,
             vegas: VegasRound::default(),
-            ca_recompensation_window: 0,
-            ca_recompensation_left: 0,
+            ca_recompensation_left: exit.armed_rounds(),
             stats: DelayCcStats::default(),
         }
-    }
-
-    /// Enables CircuitStart's backpropagation rule in congestion
-    /// avoidance for `window` evaluations after every ramp exit (see the
-    /// field documentation; it also arms immediately). The classic
-    /// baseline leaves this off and adjusts by ±1 per round, as plain
-    /// Vegas does.
-    pub fn enable_ca_recompensation(&mut self, window: u32) {
-        assert!(window > 0, "recompensation window must be positive");
-        self.ca_recompensation_window = window;
-        self.ca_recompensation_left = window;
     }
 
     /// Creates a controller with **no ramp-up**: it enters congestion
     /// avoidance immediately with window `cwnd0`. With a large `cwnd0`
     /// this models JumpStart-style "no startup phase" senders; with a
-    /// small one, the no-slow-start ablation.
-    pub fn without_ramp(algorithm_name: &'static str, cfg: CcConfig, cwnd0: u32) -> DelayCc {
-        cfg.validate();
-        let mut cc = DelayCc::with_ramp(algorithm_name, cfg, Box::new(crate::cc::HalvingExit));
+    /// small one, the no-slow-start ablation. A restarted ramp halves.
+    pub fn without_ramp(cfg: CcConfig, cwnd0: u32) -> DelayCc {
+        let mut cc = DelayCc::with_ramp(cfg, RampExit::Halving);
         cc.cwnd = cfg.clamp_cwnd(cwnd0);
         cc.phase = Phase::CongestionAvoidance;
         cc
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CcConfig {
-        &self.cfg
     }
 
     /// Diagnostic counters.
@@ -158,13 +161,18 @@ impl DelayCc {
     /// Ends the ramp on a delay signal observed at `acked_in_round`
     /// feedbacks into the current round.
     fn exit_ramp(&mut self, acked_in_round: u32) {
-        let chosen = self.exit.exit_cwnd(self.cwnd, acked_in_round);
+        let chosen = match self.exit {
+            RampExit::Halving => self.cwnd / 2,
+            // An exit on the round's first feedback yields 1, which the
+            // clamp raises to `min_cwnd`.
+            RampExit::CircuitStart => acked_in_round,
+        };
         self.cwnd = self.cfg.clamp_cwnd(chosen);
         self.phase = Phase::CongestionAvoidance;
         self.train = None;
         self.vegas = VegasRound::default();
         // Arm the backpropagation rule for the post-exit settling period.
-        self.ca_recompensation_left = self.ca_recompensation_window;
+        self.ca_recompensation_left = self.exit.armed_rounds();
     }
 
     fn vegas_diff(&self, current: SimDuration, base: SimDuration) -> f64 {
@@ -174,10 +182,6 @@ impl DelayCc {
 }
 
 impl CongestionControl for DelayCc {
-    fn name(&self) -> &'static str {
-        self.algorithm_name
-    }
-
     fn cwnd(&self) -> u32 {
         self.cwnd
     }
@@ -246,19 +250,14 @@ impl CongestionControl for DelayCc {
                 let target = train.target;
                 let started_at = train.started_at;
 
-                // The exit test (DESIGN.md §4): the paper's Vegas estimate
-                // `diff = cwnd·(currentRtt/baseRtt − 1) > γ`, evaluated on
-                // **round-level timing** — `currentRtt` is the time the
-                // round has been outstanding. Per-cell RTTs inside a
-                // back-to-back train measure self-inflicted serialization
-                // queueing and would fire long before the path saturates;
-                // the round clock is the noise-free signal. The threshold
-                // generalizes the poster's fixed γ with a window-
-                // proportional floor `cwnd·θ`: a round within the path's
-                // capacity feeds back within ≈ one extra baseRtt (the pipe
-                // drains while the train serializes), so overrunning
-                // `(1+θ)·baseRtt` (θ = 1) marks the cells confirmed so far
-                // as exactly the sustainable train.
+                // DESIGN.md §4 "The ramp-exit rule". `currentRtt` is the
+                // time the round has been outstanding: per-cell RTTs inside
+                // a back-to-back train measure self-inflicted serialization
+                // queueing and would fire long before the path saturates.
+                // The floor `θ·cwnd` generalizes the poster's fixed γ: a
+                // round within the path's capacity feeds back within ≈ one
+                // extra baseRtt, so overrunning `(1+θ)·baseRtt` (θ = 1)
+                // marks the cells confirmed so far as the sustainable train.
                 let _ = rtt; // per-cell RTT drives CA, not the ramp exit
                 let elapsed = now.saturating_duration_since(started_at);
                 let diff_round = f64::from(self.cwnd) * (elapsed.ratio(base_rtt) - 1.0);
@@ -328,7 +327,6 @@ impl CongestionControl for DelayCc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::HalvingExit;
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
@@ -339,7 +337,7 @@ mod tests {
     }
 
     fn cc() -> DelayCc {
-        DelayCc::with_ramp("test-halving", CcConfig::default(), Box::new(HalvingExit))
+        DelayCc::with_ramp(CcConfig::default(), RampExit::Halving)
     }
 
     /// Sends a full train at the current window and feeds every cell back
@@ -364,7 +362,6 @@ mod tests {
         let cc = cc();
         assert_eq!(cc.cwnd(), 2);
         assert_eq!(cc.phase(), Phase::SlowStart);
-        assert_eq!(cc.name(), "test-halving");
         assert!(cc.allow_send(0));
     }
 
@@ -387,18 +384,8 @@ mod tests {
         // The key ramp-exit path: a train bigger than the path sustains
         // keeps feeding back past the (1+θ)·baseRtt budget; the exit fires
         // on the first feedback beyond it, with `acked_in_round` = the
-        // sustainable train length.
-        /// Exit policy that simply installs the measured count.
-        struct CaptureExit;
-        impl crate::cc::RampExit for CaptureExit {
-            fn name(&self) -> &'static str {
-                "capture"
-            }
-            fn exit_cwnd(&self, _cwnd: u32, acked: u32) -> u32 {
-                acked
-            }
-        }
-        let mut c = DelayCc::with_ramp("t", CcConfig::default(), Box::new(CaptureExit));
+        // sustainable train length, which the CircuitStart exit installs.
+        let mut c = DelayCc::with_ramp(CcConfig::default(), RampExit::CircuitStart);
         let mut seq = 0;
         seq = run_flat_round(&mut c, seq, ms(10)); // 2 → 4
         seq = run_flat_round(&mut c, seq, ms(10)); // 4 → 8
@@ -421,6 +408,67 @@ mod tests {
         assert_eq!(c.cwnd(), 4, "compensation = cells fed back in budget");
         assert!(c.train.is_none(), "the exit closes the overshooting train");
         assert_eq!(c.stats().ca_rounds, 0);
+    }
+
+    /// Ramps `exit` to 128 over clean rounds, then sends a train of 128
+    /// whose first `fed_back − 1` cells feed back within the 20 ms budget
+    /// and whose next feedback overruns it: the exit fires with
+    /// `acked_in_round = fed_back`.
+    fn overshoot(exit: RampExit, fed_back: u32) -> DelayCc {
+        let mut c = DelayCc::with_ramp(CcConfig::default(), exit);
+        let mut seq = 0;
+        while c.cwnd() < 128 {
+            seq = run_flat_round(&mut c, seq, ms(10));
+        }
+        let first = seq;
+        while c.allow_send(0) {
+            c.on_sent(seq, t(100));
+            seq += 1;
+        }
+        for s in first..first + u64::from(fed_back) - 1 {
+            c.on_feedback(s, ms(10), ms(10), t(110));
+        }
+        assert_eq!(c.phase(), Phase::SlowStart, "within budget so far");
+        let last = first + u64::from(fed_back) - 1;
+        c.on_feedback(last, ms(21), ms(10), t(121));
+        assert_eq!(c.phase(), Phase::CongestionAvoidance);
+        c
+    }
+
+    #[test]
+    fn the_exit_halves_or_installs_the_fed_back_count() {
+        // A far-away bottleneck: the window overshot to 128 and only 16
+        // cells came back in budget. Halving still leaves 4× the
+        // sustainable window; compensation lands on the measurement.
+        assert_eq!(overshoot(RampExit::Halving, 16).cwnd(), 64);
+        assert_eq!(overshoot(RampExit::CircuitStart, 16).cwnd(), 16);
+        // An exit on the round's first feedback: halving ignores the
+        // count, compensation's 1 clamps up to `min_cwnd`.
+        assert_eq!(overshoot(RampExit::Halving, 1).cwnd(), 64);
+        let first = overshoot(RampExit::CircuitStart, 1);
+        assert_eq!(first.cwnd(), CcConfig::default().min_cwnd);
+    }
+
+    #[test]
+    fn a_circuitstart_exit_arms_eight_rounds_and_halving_none() {
+        assert_eq!(overshoot(RampExit::Halving, 16).ca_recompensation_left, 0);
+        let mut c = overshoot(RampExit::CircuitStart, 16);
+        assert_eq!(c.ca_recompensation_left, RECOMPENSATION_ROUNDS);
+        assert_eq!(RECOMPENSATION_ROUNDS, 8);
+        // Spend three armed rounds, then exit a restarted ramp: the exit
+        // re-arms all eight.
+        for s in 1000..1003 {
+            c.on_sent(s, t(200));
+            c.on_feedback(s, ms(10), ms(10), t(210));
+        }
+        assert_eq!(c.stats().ca_rounds, 3);
+        assert_eq!(c.ca_recompensation_left, 5);
+        c.restart_ramp(None);
+        c.on_sent(2000, t(300));
+        c.on_sent(2001, t(300));
+        c.on_feedback(2000, ms(31), ms(10), t(331));
+        assert_eq!(c.phase(), Phase::CongestionAvoidance);
+        assert_eq!(c.ca_recompensation_left, RECOMPENSATION_ROUNDS);
     }
 
     #[test]
@@ -550,7 +598,7 @@ mod tests {
 
     #[test]
     fn forgetting_a_cell_from_before_the_train_leaves_the_train_alone() {
-        let mut c = DelayCc::without_ramp("t", CcConfig::default(), 10);
+        let mut c = DelayCc::without_ramp(CcConfig::default(), 10);
         c.on_sent(0, t(0)); // a congestion-avoidance send, still out
         c.restart_ramp(None);
         c.on_sent(1, t(1));
@@ -564,7 +612,7 @@ mod tests {
 
     #[test]
     fn ca_sliding_window_gates_on_outstanding() {
-        let mut c = DelayCc::without_ramp("jump", CcConfig::default(), 5);
+        let mut c = DelayCc::without_ramp(CcConfig::default(), 5);
         assert_eq!(c.phase(), Phase::CongestionAvoidance);
         assert_eq!(c.cwnd(), 5);
         assert!(c.allow_send(4));
@@ -575,7 +623,7 @@ mod tests {
 
     #[test]
     fn ca_increments_when_diff_below_alpha() {
-        let mut c = DelayCc::without_ramp("t", CcConfig::default(), 10);
+        let mut c = DelayCc::without_ramp(CcConfig::default(), 10);
         c.on_sent(0, t(0)); // opens round, mark = 0
         c.on_feedback(0, ms(10), ms(10), t(1)); // diff = 0 < α → +1
         assert_eq!(c.cwnd(), 11);
@@ -584,7 +632,7 @@ mod tests {
 
     #[test]
     fn ca_decrements_when_diff_above_beta() {
-        let mut c = DelayCc::without_ramp("t", CcConfig::default(), 10);
+        let mut c = DelayCc::without_ramp(CcConfig::default(), 10);
         c.on_sent(0, t(0));
         // diff = 10·(15/10 − 1) = 5 > β = 4 → −1
         c.on_feedback(0, ms(15), ms(10), t(1));
@@ -594,7 +642,7 @@ mod tests {
 
     #[test]
     fn ca_holds_between_alpha_and_beta() {
-        let mut c = DelayCc::without_ramp("t", CcConfig::default(), 10);
+        let mut c = DelayCc::without_ramp(CcConfig::default(), 10);
         c.on_sent(0, t(0));
         // diff = 10·(13/10 − 1) = 3 ∈ [α, β] → hold
         c.on_feedback(0, ms(13), ms(10), t(1));
@@ -603,7 +651,7 @@ mod tests {
 
     #[test]
     fn ca_evaluates_once_per_round() {
-        let mut c = DelayCc::without_ramp("t", CcConfig::default(), 10);
+        let mut c = DelayCc::without_ramp(CcConfig::default(), 10);
         c.on_sent(0, t(0));
         c.on_sent(1, t(0));
         c.on_sent(2, t(0));
@@ -623,7 +671,7 @@ mod tests {
             alpha: 1.0,
             ..CcConfig::default()
         };
-        let mut c = DelayCc::without_ramp("t", cfg, 10);
+        let mut c = DelayCc::without_ramp(cfg, 10);
         c.on_sent(0, t(0));
         c.on_sent(1, t(0));
         c.on_sent(2, t(0));
@@ -647,7 +695,7 @@ mod tests {
             max_cwnd: 32,
             ..Default::default()
         };
-        let mut c = DelayCc::with_ramp("t", cfg, Box::new(HalvingExit));
+        let mut c = DelayCc::with_ramp(cfg, RampExit::Halving);
         let mut seq = 0u64;
         let mut x: u64 = 0x12345;
         for _ in 0..2000 {
@@ -667,8 +715,8 @@ mod tests {
 
     #[test]
     fn ca_recompensation_snaps_to_forwarded_rate() {
-        let mut c = DelayCc::without_ramp("t", CcConfig::default(), 118);
-        c.enable_ca_recompensation(8);
+        let mut c = DelayCc::without_ramp(CcConfig::default(), 118);
+        c.ca_recompensation_left = RECOMPENSATION_ROUNDS;
         c.on_sent(0, t(0));
         // Persistent backlog: min RTT of the round is 24 ms vs base 10.25.
         // The successor forwards 118·10.25/24 ≈ 50 cells per base RTT.
@@ -684,7 +732,7 @@ mod tests {
 
     #[test]
     fn ca_without_recompensation_creeps_down() {
-        let mut c = DelayCc::without_ramp("t", CcConfig::default(), 118);
+        let mut c = DelayCc::without_ramp(CcConfig::default(), 118);
         c.on_sent(0, t(0));
         c.on_feedback(
             0,
@@ -700,8 +748,8 @@ mod tests {
     fn ca_recompensation_near_band_behaves_like_vegas() {
         // Mild backlog (diff just over β): while armed, the window still
         // takes the multiplicative target, not Vegas's −1.
-        let mut c = DelayCc::without_ramp("t", CcConfig::default(), 10);
-        c.enable_ca_recompensation(8);
+        let mut c = DelayCc::without_ramp(CcConfig::default(), 10);
+        c.ca_recompensation_left = RECOMPENSATION_ROUNDS;
         c.on_sent(0, t(0));
         // diff = 10·(15/10−1) = 5 > β; target = 10·10/15 = 6.67 → 6.
         c.on_feedback(0, ms(15), ms(10), t(15));
@@ -711,7 +759,7 @@ mod tests {
 
     #[test]
     fn restart_ramp_reenters_slow_start() {
-        let mut c = DelayCc::without_ramp("t", CcConfig::default(), 40);
+        let mut c = DelayCc::without_ramp(CcConfig::default(), 40);
         assert_eq!(c.phase(), Phase::CongestionAvoidance);
         c.restart_ramp(None);
         assert_eq!(c.phase(), Phase::SlowStart);
@@ -727,7 +775,7 @@ mod tests {
             max_cwnd: 64,
             ..Default::default()
         };
-        let c = DelayCc::without_ramp("jump", cfg, 1_000);
+        let c = DelayCc::without_ramp(cfg, 1_000);
         assert_eq!(c.cwnd(), 64);
     }
 }

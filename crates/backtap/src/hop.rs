@@ -204,11 +204,6 @@ impl HopTransport {
         self.cc.phase()
     }
 
-    /// Controller name.
-    pub fn algorithm(&self) -> &'static str {
-        self.cc.name()
-    }
-
     /// Minimum RTT observed on this hop, if any.
     pub fn base_rtt(&self) -> Option<SimDuration> {
         self.base_rtt
@@ -237,9 +232,9 @@ impl HopTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{FixedWindowCc, HalvingExit};
+    use crate::cc::FixedWindowCc;
     use crate::config::CcConfig;
-    use crate::delay_cc::DelayCc;
+    use crate::delay_cc::{DelayCc, RampExit};
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -363,7 +358,7 @@ mod tests {
     /// A transport whose ramp has doubled once and then sent a full
     /// train of 4 (seqs 2..6) — the train a teardown drain cuts into.
     fn full_second_train() -> HopTransport {
-        let cc = DelayCc::with_ramp("t", CcConfig::default(), Box::new(HalvingExit));
+        let cc = DelayCc::with_ramp(CcConfig::default(), RampExit::Halving);
         let mut h = HopTransport::new(Box::new(cc));
         h.register_send(t(0));
         h.register_send(t(0));
@@ -410,7 +405,7 @@ mod tests {
 
     #[test]
     fn cwnd_trace_records_changes_only() {
-        let cc = DelayCc::with_ramp("t", CcConfig::default(), Box::new(HalvingExit));
+        let cc = DelayCc::with_ramp(CcConfig::default(), RampExit::Halving);
         let mut h = HopTransport::new(Box::new(cc));
         h.enable_cwnd_trace(t(0));
         // Round 1: train of 2, clean feedback → double at second feedback.
@@ -432,7 +427,7 @@ mod tests {
     fn delay_cc_full_ramp_through_transport() {
         // End-to-end sanity: flat RTTs, the transport should double per
         // round: 2 → 4 → 8 with the controller driving train boundaries.
-        let cc = DelayCc::with_ramp("t", CcConfig::default(), Box::new(HalvingExit));
+        let cc = DelayCc::with_ramp(CcConfig::default(), RampExit::Halving);
         let mut h = HopTransport::new(Box::new(cc));
         let mut now = SimTime::ZERO;
         for expected in [2u32, 4, 8] {
@@ -456,7 +451,7 @@ mod tests {
     fn delay_cc_ramp_exit_through_transport() {
         // Constant base from round 1; round 2's feedback is delayed enough
         // to trip γ; transport must land in CA with the halved window.
-        let cc = DelayCc::with_ramp("t", CcConfig::default(), Box::new(HalvingExit));
+        let cc = DelayCc::with_ramp(CcConfig::default(), RampExit::Halving);
         let mut h = HopTransport::new(Box::new(cc));
         // Round 1 (cwnd 2) at base RTT 10 ms.
         h.register_send(t(0));
@@ -473,6 +468,5 @@ mod tests {
         h.on_feedback(first, t(50)).unwrap();
         assert_eq!(h.phase(), Phase::CongestionAvoidance);
         assert_eq!(h.cwnd(), 2);
-        assert_eq!(h.algorithm(), "t");
     }
 }

@@ -11,15 +11,14 @@
 //! ## Layout
 //!
 //! * [`config`] — shared parameters (γ, α, β, initial/min/max window).
-//! * [`cc`] — the [`CongestionControl`](cc::CongestionControl) trait, the
-//!   [`RampExit`](cc::RampExit) policy hook, and the simple controllers
-//!   (fixed window, unlimited).
+//! * [`cc`] — the [`CongestionControl`](cc::CongestionControl) trait and
+//!   the simple controllers (fixed window, unlimited).
 //! * [`delay_cc`] — [`DelayCc`](delay_cc::DelayCc): discrete-round
-//!   doubling ramp + Vegas congestion avoidance. With
-//!   [`HalvingExit`](cc::HalvingExit) this is the paper's "without
-//!   CircuitStart" baseline; the `circuitstart` crate plugs in overshoot
-//!   compensation to form the paper's contribution. `DelayCc::without_ramp`
-//!   with a large initial window models JumpStart-style senders.
+//!   doubling ramp + Vegas congestion avoidance, left through one of two
+//!   ramp exits: the halving of the paper's "without CircuitStart"
+//!   baseline, or CircuitStart's overshoot compensation.
+//!   `DelayCc::without_ramp` with a large initial window models
+//!   JumpStart-style senders.
 //! * [`hop`] — [`HopTransport`](hop::HopTransport): sequence numbers,
 //!   in-flight tracking, RTT samples (send-decision → feedback) and the
 //!   base RTT, statistics, cwnd tracing.

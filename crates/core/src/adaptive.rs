@@ -62,8 +62,8 @@ pub struct AdaptiveCc {
 }
 
 impl AdaptiveCc {
-    /// Wraps a delay-based controller (normally
-    /// [`crate::algorithm::circuit_start_cc`]).
+    /// Wraps a delay-based controller (normally one that leaves the ramp
+    /// through [`backtap::delay_cc::RampExit::CircuitStart`]).
     pub fn new(inner: DelayCc, cfg: AdaptiveConfig) -> AdaptiveCc {
         assert!(
             cfg.underuse_rounds >= 2,
@@ -93,18 +93,9 @@ impl AdaptiveCc {
     pub fn restarts(&self) -> u32 {
         self.restarts
     }
-
-    /// The wrapped controller.
-    pub fn inner(&self) -> &DelayCc {
-        &self.inner
-    }
 }
 
 impl CongestionControl for AdaptiveCc {
-    fn name(&self) -> &'static str {
-        "adaptive-circuitstart"
-    }
-
     fn cwnd(&self) -> u32 {
         self.inner.cwnd()
     }
@@ -181,8 +172,12 @@ impl CongestionControl for AdaptiveCc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::circuit_start_cc;
     use backtap::config::CcConfig;
+    use backtap::delay_cc::RampExit;
+
+    fn circuit_start() -> DelayCc {
+        DelayCc::with_ramp(CcConfig::default(), RampExit::CircuitStart)
+    }
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
@@ -216,7 +211,7 @@ mod tests {
     #[should_panic(expected = "at least 2 rounds")]
     fn rejects_hair_trigger_config() {
         let _ = AdaptiveCc::new(
-            circuit_start_cc(CcConfig::default()),
+            circuit_start(),
             AdaptiveConfig {
                 underuse_rounds: 1,
                 max_restarts: 1,
@@ -227,7 +222,7 @@ mod tests {
     #[test]
     fn reprobes_after_persistent_raises() {
         let mut cc = AdaptiveCc::new(
-            circuit_start_cc(CcConfig::default()),
+            circuit_start(),
             AdaptiveConfig {
                 underuse_rounds: 3,
                 max_restarts: 16,
@@ -248,7 +243,7 @@ mod tests {
     #[test]
     fn congestion_resets_the_detector() {
         let mut cc = AdaptiveCc::new(
-            circuit_start_cc(CcConfig::default()),
+            circuit_start(),
             AdaptiveConfig {
                 underuse_rounds: 3,
                 max_restarts: 16,
@@ -272,7 +267,7 @@ mod tests {
     #[test]
     fn restart_cap_is_honoured() {
         let mut cc = AdaptiveCc::new(
-            circuit_start_cc(CcConfig::default()),
+            circuit_start(),
             AdaptiveConfig {
                 underuse_rounds: 2,
                 max_restarts: 1,
@@ -295,7 +290,7 @@ mod tests {
     #[test]
     fn failed_probe_backs_off() {
         let mut cc = AdaptiveCc::new(
-            circuit_start_cc(CcConfig::default()),
+            circuit_start(),
             AdaptiveConfig {
                 underuse_rounds: 2,
                 max_restarts: 16,
@@ -324,7 +319,7 @@ mod tests {
     #[test]
     fn successful_probe_resets_backoff() {
         let mut cc = AdaptiveCc::new(
-            circuit_start_cc(CcConfig::default()),
+            circuit_start(),
             AdaptiveConfig {
                 underuse_rounds: 2,
                 max_restarts: 16,
@@ -375,7 +370,7 @@ mod tests {
     fn forwards_forgotten_train_cells_to_the_ramp() {
         // A train of 2 with one cell forgotten and the other fed back:
         // the wrapped ramp must stop waiting for the forgotten one.
-        let mut cc = AdaptiveCc::new(circuit_start_cc(CcConfig::default()), Default::default());
+        let mut cc = AdaptiveCc::new(circuit_start(), Default::default());
         cc.on_sent(0, t(0));
         cc.on_sent(1, t(0));
         assert!(!cc.allow_send(2), "train full");
@@ -387,10 +382,8 @@ mod tests {
 
     #[test]
     fn delegates_basic_interface() {
-        let cc = AdaptiveCc::new(circuit_start_cc(CcConfig::default()), Default::default());
-        assert_eq!(cc.name(), "adaptive-circuitstart");
+        let cc = AdaptiveCc::new(circuit_start(), Default::default());
         assert_eq!(cc.cwnd(), 2);
         assert!(cc.allow_send(0));
-        assert_eq!(cc.inner().cwnd(), 2);
     }
 }

@@ -1,32 +1,13 @@
 //! Algorithm selection: constructors and overlay factories for
 //! CircuitStart and every baseline the evaluation compares against.
 
-use backtap::cc::{CongestionControl, FixedWindowCc, HalvingExit, UnlimitedCc};
+use backtap::cc::{CongestionControl, FixedWindowCc, UnlimitedCc};
 use backtap::config::CcConfig;
-use backtap::delay_cc::DelayCc;
+use backtap::delay_cc::{DelayCc, RampExit};
 use relaynet::ids::Direction;
 use relaynet::node::CcFactory;
 
 use crate::adaptive::AdaptiveCc;
-use crate::exit::CircuitStartExit;
-
-/// Constructs the CircuitStart controller: discrete-round doubling driven
-/// by per-hop feedback, delay-triggered exit, **overshoot compensation**,
-/// then Vegas congestion avoidance with the **backpropagation rule** (the
-/// window snaps to the successor's demonstrated forwarding rate instead of
-/// creeping down — how a distant bottleneck's compensation reaches the
-/// source hop by hop).
-pub fn circuit_start_cc(cfg: CcConfig) -> DelayCc {
-    let mut cc = DelayCc::with_ramp("circuitstart", cfg, Box::new(CircuitStartExit));
-    cc.enable_ca_recompensation(8);
-    cc
-}
-
-/// Constructs the paper's baseline ("without CircuitStart"): identical
-/// machinery but the traditional halving exit.
-pub fn classic_cc(cfg: CcConfig) -> DelayCc {
-    DelayCc::with_ramp("backtap-classic", cfg, Box::new(HalvingExit))
-}
 
 /// Every sender-side algorithm the harness can run. The feedback
 /// machinery, relays, and topology are identical across variants — only
@@ -34,7 +15,12 @@ pub fn classic_cc(cfg: CcConfig) -> DelayCc {
 /// apples-to-apples.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Algorithm {
-    /// The paper's contribution.
+    /// The paper's contribution: discrete-round doubling driven by
+    /// per-hop feedback, delay-triggered exit, **overshoot compensation**
+    /// ([`RampExit::CircuitStart`]), then Vegas congestion avoidance with
+    /// the **backpropagation rule** (the window snaps to the successor's
+    /// demonstrated forwarding rate instead of creeping down — how a
+    /// distant bottleneck's compensation reaches the source hop by hop).
     CircuitStart,
     /// The paper's contribution plus the future-work extension: re-enter
     /// the ramp when congestion avoidance detects persistent spare
@@ -68,16 +54,15 @@ impl Algorithm {
     /// Builds the controller for one forward hop.
     pub fn make_controller(&self, cfg: CcConfig) -> Box<dyn CongestionControl + Send> {
         match *self {
-            Algorithm::CircuitStart => Box::new(circuit_start_cc(cfg)),
-            Algorithm::AdaptiveCircuitStart => {
-                Box::new(AdaptiveCc::new(circuit_start_cc(cfg), Default::default()))
-            }
-            Algorithm::ClassicBacktap => Box::new(classic_cc(cfg)),
-            Algorithm::JumpStart(w) => Box::new(DelayCc::without_ramp("jumpstart", cfg, w)),
+            Algorithm::CircuitStart => Box::new(DelayCc::with_ramp(cfg, RampExit::CircuitStart)),
+            Algorithm::AdaptiveCircuitStart => Box::new(AdaptiveCc::new(
+                DelayCc::with_ramp(cfg, RampExit::CircuitStart),
+                Default::default(),
+            )),
+            Algorithm::ClassicBacktap => Box::new(DelayCc::with_ramp(cfg, RampExit::Halving)),
+            Algorithm::JumpStart(w) => Box::new(DelayCc::without_ramp(cfg, w)),
             Algorithm::FixedWindow(w) => Box::new(FixedWindowCc::new(w)),
-            Algorithm::NoSlowStart => {
-                Box::new(DelayCc::without_ramp("no-slow-start", cfg, cfg.init_cwnd))
-            }
+            Algorithm::NoSlowStart => Box::new(DelayCc::without_ramp(cfg, cfg.init_cwnd)),
         }
     }
 
@@ -138,12 +123,5 @@ mod tests {
         assert_eq!(cc.cwnd(), 64);
         let cc2 = Algorithm::NoSlowStart.make_controller(CcConfig::default());
         assert_eq!(cc2.cwnd(), 2);
-    }
-
-    #[test]
-    fn circuit_start_cc_uses_compensation_name() {
-        let cc = circuit_start_cc(CcConfig::default());
-        use backtap::cc::CongestionControl as _;
-        assert_eq!(cc.name(), "circuitstart");
     }
 }

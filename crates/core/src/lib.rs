@@ -11,13 +11,14 @@
 //! In a Tor-like overlay running a hop-by-hop windowed transport, each
 //! relay doubles its per-circuit window once per RTT, driven by per-hop
 //! *feedback* messages ("your cell is moving") rather than end-to-end
-//! ACKs. A Vegas-style delay test (`diff = cwnd·(currentRtt/baseRtt − 1) > γ`)
-//! ends the ramp; instead of halving, CircuitStart sets the window
-//! to **the number of cells of the current round already fed back** —
-//! the packet train the successor sustained without queueing, i.e. a
-//! direct measurement of the optimal window. Because a bottleneck relay's
-//! shrunken window throttles what its predecessor can get confirmed, the
-//! minimum window propagates hop by hop back to the source.
+//! ACKs. A Vegas-style delay test on the round's timing (DESIGN.md §4
+//! "The ramp-exit rule") ends the ramp; instead of halving, CircuitStart
+//! sets the window to **the number of cells of the current round already
+//! fed back** — the packet train the successor sustained without
+//! queueing, i.e. a direct measurement of the optimal window. Because a
+//! bottleneck relay's shrunken window throttles what its predecessor can
+//! get confirmed, the minimum window propagates hop by hop back to the
+//! source.
 //!
 //! ## Quick start
 //!
@@ -36,7 +37,6 @@
 //!
 //! ## Crate layout
 //!
-//! * [`exit`] — the overshoot-compensation exit policy (the contribution).
 //! * [`algorithm`] — constructors/factories for CircuitStart and all
 //!   baselines (classic halving, JumpStart, fixed window, no-slow-start).
 //! * [`optimal`] — the paper's analytical optimal-window model.
@@ -50,7 +50,6 @@
 
 pub mod adaptive;
 pub mod algorithm;
-pub mod exit;
 pub mod harness;
 pub mod optimal;
 pub mod presets;

@@ -63,9 +63,9 @@ pub use wire::{FramePayload, WireFrame};
 /// cannot depend on. Backward (control-only) hops are unwindowed.
 #[cfg(test)]
 pub(crate) mod test_cc {
-    use backtap::cc::{CongestionControl, FixedWindowCc, HalvingExit, UnlimitedCc};
+    use backtap::cc::{CongestionControl, FixedWindowCc, UnlimitedCc};
     use backtap::config::CcConfig;
-    use backtap::delay_cc::DelayCc;
+    use backtap::delay_cc::{DelayCc, RampExit};
 
     use crate::ids::Direction;
     use crate::node::CcFactory;
@@ -79,18 +79,12 @@ pub(crate) mod test_cc {
 
     /// `Algorithm::ClassicBacktap`: the paper's baseline.
     pub(crate) fn baseline_factory(cfg: CcConfig) -> CcFactory {
-        forward(move || {
-            Box::new(DelayCc::with_ramp(
-                "backtap-classic",
-                cfg,
-                Box::new(HalvingExit),
-            ))
-        })
+        forward(move || Box::new(DelayCc::with_ramp(cfg, RampExit::Halving)))
     }
 
     /// `Algorithm::JumpStart(jump_cwnd)`.
     pub(crate) fn jumpstart_factory(cfg: CcConfig, jump_cwnd: u32) -> CcFactory {
-        forward(move || Box::new(DelayCc::without_ramp("jumpstart", cfg, jump_cwnd)))
+        forward(move || Box::new(DelayCc::without_ramp(cfg, jump_cwnd)))
     }
 
     /// `Algorithm::FixedWindow(window)`.

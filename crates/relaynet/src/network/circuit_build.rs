@@ -249,7 +249,6 @@ impl TorNetwork {
 
         let hop_ctx = HopCtx {
             circuit: circ,
-            position: 0,
             direction: Direction::Forward,
         };
         let mut transport = HopTransport::new((self.factory)(&hop_ctx));
@@ -262,7 +261,7 @@ impl TorNetwork {
             "circuit must start at a client"
         );
         let app = ClientApp::new(hops, &streams);
-        let mut nc = NodeCircuit::new(circ, 0, CircuitRole::Client(app));
+        let mut nc = NodeCircuit::new(circ, CircuitRole::Client(app));
         let mut hopdir = HopDir::new(first_hop, link_id, transport);
         hopdir.enqueue(QueuedCell::new(Cell::create(CircuitId::CONTROL, hs)));
         nc.fwd = Some(hopdir);
@@ -360,14 +359,13 @@ impl TorNetwork {
 
         let hop_ctx = HopCtx {
             circuit: global,
-            position,
             direction: Direction::Backward,
         };
         let transport = HopTransport::new((self.factory)(&hop_ctx));
 
         let node = &mut self.nodes[to.index()];
         let my_net = node.net_node;
-        let mut nc = NodeCircuit::new(global, position, role);
+        let mut nc = NodeCircuit::new(global, role);
         let mut bwd = HopDir::new(from, link_id, transport);
         bwd.enqueue(QueuedCell::new(Cell::created(
             CircuitId::CONTROL,
@@ -515,13 +513,10 @@ impl TorNetwork {
         hs.copy_from_slice(&rc.data[4..]);
         let new_id = self.alloc_link_circ_id();
 
-        let node = &mut self.nodes[relay.index()];
-        let my_net = node.net_node;
-        let position = node.circuit_at(local).position;
+        let my_net = self.nodes[relay.index()].net_node;
         self.register_route(new_id, relay, target, circ, local, Direction::Backward);
         let hop_ctx = HopCtx {
             circuit: circ,
-            position,
             direction: Direction::Forward,
         };
         let transport = HopTransport::new((self.factory)(&hop_ctx));
@@ -753,7 +748,7 @@ mod tests {
             crypt,
             pending_extend: None,
         };
-        let mut nc = NodeCircuit::new(CircId(0), 1, role);
+        let mut nc = NodeCircuit::new(CircId(0), role);
         nc.close();
         nc.fwd = Some(hop(SUCC, 10, true));
         nc.bwd = Some(hop(PRED, 11, true));

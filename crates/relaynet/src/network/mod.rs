@@ -1199,8 +1199,8 @@ mod tests {
         for end in w.link_routes.iter().flat_map(|r| [r.a, r.b]).flatten() {
             let nc = w.nodes[end.node.index()].circuit_at(end.local);
             assert_eq!(scan(nc, end.from), Some(end.dir.opposite()), "{end:?}");
-            let site = match (nc.position, end.from < end.node) {
-                (0, _) => 0,
+            let site = match (&nc.role, end.from < end.node) {
+                (crate::node::CircuitRole::Client(_), _) => 0,
                 (_, true) => 1,
                 (_, false) => 2,
             };

@@ -45,8 +45,6 @@ pub enum NodeRole {
 pub struct HopCtx {
     /// Which circuit the transport belongs to.
     pub circuit: CircId,
-    /// The owning node's position on the path (0 = client).
-    pub position: usize,
     /// Which direction the transport sends in.
     pub direction: Direction,
 }
@@ -359,8 +357,6 @@ pub enum CircuitRole {
 pub struct NodeCircuit {
     /// Global circuit id (simulator bookkeeping).
     pub circ: CircId,
-    /// This node's position on the path (0 = client).
-    pub position: usize,
     /// Transport and queue toward the server (None at the server).
     pub fwd: Option<HopDir>,
     /// Transport and queue toward the client (None at the client).
@@ -373,10 +369,9 @@ pub struct NodeCircuit {
 
 impl NodeCircuit {
     /// Creates a participation with no hops yet.
-    pub fn new(circ: CircId, position: usize, role: CircuitRole) -> NodeCircuit {
+    pub fn new(circ: CircId, role: CircuitRole) -> NodeCircuit {
         NodeCircuit {
             circ,
-            position,
             fwd: None,
             bwd: None,
             role,
@@ -581,7 +576,7 @@ mod tests {
             crypt,
             pending_extend: None,
         };
-        NodeCircuit::new(CircId(circ), 1, role)
+        NodeCircuit::new(CircId(circ), role)
     }
 
     /// A client carrying one stream of `bytes`, arriving immediately.
@@ -751,11 +746,11 @@ mod tests {
     }
 
     #[test]
-    fn a_participation_is_at_most_504_bytes() {
-        // A slab slot is its two hops (336) plus its largest role (152)
-        // and ids (504).
+    fn a_participation_is_at_most_480_bytes() {
+        // A slab slot is its two hops (320), its largest role (152), and
+        // its id and phase (480).
         let size = std::mem::size_of::<NodeCircuit>();
-        assert!(size <= 504, "a participation is {size} bytes");
+        assert!(size <= 480, "a participation is {size} bytes");
     }
 
     #[test]

@@ -6,10 +6,17 @@
 //! §N". The cited section needs a `## §N` heading; a quoted title after
 //! the number must begin a `###` heading or a bold paragraph lead inside
 //! that section. A cut to DESIGN.md that drops a cited heading fails here.
+//!
+//! Every backticked module path in DESIGN.md resolves too: in
+//! `` `<crate>::<module>…` ``, with `<crate>` a workspace crate's lib name
+//! (`circuitstart` is `crates/core`), `<module>` must be that crate's
+//! `src/<module>.rs` or `src/<module>/mod.rs`, or a name a `pub` line of
+//! its `lib.rs` declares or re-exports. A module deleted or renamed while
+//! DESIGN.md still names it fails here.
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The decimal number `s` starts with, and the rest.
 fn number(s: &str) -> Option<(u32, &str)> {
@@ -94,6 +101,105 @@ fn walk(dir: &Path, design: &str, problems: &mut Vec<String>) {
             problems.extend(unresolved(design, &path.display().to_string(), &src, false));
         }
     }
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// Lib name → crate directory, for every crate under `root/crates`.
+fn crate_dirs(root: &Path) -> BTreeMap<String, PathBuf> {
+    let mut crates = BTreeMap::new();
+    let entries = fs::read_dir(root.join("crates")).expect("crates/ is readable");
+    for dir in entries.flatten().map(|e| e.path()) {
+        let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        // `[lib] name` if present, else `[package] name`.
+        let (mut section, mut package, mut lib) = ("", None, None);
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            } else if let Some(v) = line.strip_prefix("name = ") {
+                let v = v.trim_matches('"').replace('-', "_");
+                match section {
+                    "[package]" => package = Some(v),
+                    "[lib]" => lib = Some(v),
+                    _ => {}
+                }
+            }
+        }
+        if let Some(name) = lib.or(package) {
+            crates.insert(name, dir);
+        }
+    }
+    crates
+}
+
+/// One line per `` `<crate>::<module>` `` path in `design` whose module
+/// does not exist; paths whose first segment is no crate are skipped.
+fn unresolved_paths(crates: &BTreeMap<String, PathBuf>, design: &str) -> Vec<String> {
+    let mut problems = Vec::new();
+    for (n, line) in design.lines().enumerate() {
+        for (i, _) in line.match_indices('`') {
+            let mut segments = line[i + 1..].split("::");
+            let (Some(krate), Some(rest)) = (segments.next(), segments.next()) else {
+                continue;
+            };
+            let module = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+            let Some(dir) = crates.get(krate) else {
+                continue;
+            };
+            let src = dir.join("src");
+            let lib = fs::read_to_string(src.join("lib.rs")).unwrap_or_default();
+            let exported = lib.lines().any(|l| {
+                l.trim_start().starts_with("pub ") && l.split(|c| !is_ident(c)).any(|w| w == module)
+            });
+            let file = src.join(format!("{module}.rs")).is_file();
+            if !(file || src.join(module).join("mod.rs").is_file() || exported) {
+                problems.push(format!(
+                    "DESIGN.md:{}: `{krate}::{module}` has no module",
+                    n + 1
+                ));
+            }
+        }
+    }
+    problems
+}
+
+#[test]
+fn every_design_module_path_resolves() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md is readable");
+    let problems = unresolved_paths(&crate_dirs(root), &design);
+    assert!(
+        problems.is_empty(),
+        "stale module paths:\n{}",
+        problems.join("\n")
+    );
+}
+
+#[test]
+fn planted_module_paths_are_reported() {
+    let crates = crate_dirs(Path::new(env!("CARGO_MANIFEST_DIR")));
+    assert_eq!(
+        crates["circuitstart"],
+        crates["backtap"].with_file_name("core")
+    );
+    let ok = "`simcore::event`, `relaynet::network` (a dir), `cs_lint::policy::X`,\n\
+              `simstats::prometheus_text` (re-exported), `thread::spawn` (no crate)";
+    assert_eq!(unresolved_paths(&crates, ok), Vec::<String>::new());
+    let bad = "x\n`circuitstart::exit` and `backtap::hop_transport::HopTransport`";
+    let problems = unresolved_paths(&crates, bad);
+    assert_eq!(problems.len(), 2, "{problems:?}");
+    assert!(
+        problems[0].starts_with("DESIGN.md:2: `circuitstart::exit`"),
+        "{problems:?}"
+    );
+    assert!(
+        problems[1].contains("`backtap::hop_transport`"),
+        "{problems:?}"
+    );
 }
 
 #[test]
