@@ -8,7 +8,7 @@
 //! * In congestion avoidance, Vegas grows the window by at most one cell
 //!   per RTT. If the path's capacity rises mid-flow (a competing circuit
 //!   finished, a relay got faster), convergence takes `Δcwnd` RTTs.
-//! * [`AdaptiveCc`] watches for **persistent spare capacity**: `k`
+//! * [`AdaptiveCc`] watches for **persistent spare capacity**: four
 //!   consecutive +1 rounds (diff stayed below α every time). That pattern
 //!   is what a capacity increase looks like from the endpoint.
 //! * When detected, it re-enters the CircuitStart ramp *from the current
@@ -18,101 +18,78 @@
 //! The mid-flow ablation bench (`ablations -- midflow`) measures the
 //! effect against plain CircuitStart.
 
-use backtap::cc::{CongestionControl, Phase};
-use backtap::delay_cc::DelayCc;
 use simcore::time::{SimDuration, SimTime};
 
-/// Tuning for [`AdaptiveCc`].
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveConfig {
-    /// Re-probe after this many consecutive window-raising rounds.
-    pub underuse_rounds: u32,
-    /// Never re-probe more often than this many ramp re-entries total
-    /// (safety rail for pathological oscillation).
-    pub max_restarts: u32,
-}
+use crate::cc::Phase;
+use crate::delay_cc::DelayCc;
 
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            underuse_rounds: 4,
-            max_restarts: 16,
-        }
-    }
-}
+/// Re-probe after this many consecutive window-raising rounds.
+const UNDERUSE_ROUNDS: u32 = 4;
+
+/// Never re-enter the ramp more often than this in total (safety rail
+/// for pathological oscillation).
+const MAX_RESTARTS: u32 = 16;
 
 /// CircuitStart plus mid-flow re-probing (see module docs).
 pub struct AdaptiveCc {
     inner: DelayCc,
-    cfg: AdaptiveConfig,
     last_cwnd: u32,
     /// `ca_rounds` counter value at the last detector update, so the
     /// detector reacts once per Vegas evaluation, not once per feedback.
     last_rounds: u64,
     consecutive_raises: u32,
-    /// Evidence currently required before the next probe. Starts at
-    /// `cfg.underuse_rounds`; doubles after every probe that found no
-    /// capacity (so steady-state contention cannot make the controller
-    /// thrash) and resets after a successful one.
+    /// Evidence (consecutive raising rounds) currently required before
+    /// the next probe. Starts at `UNDERUSE_ROUNDS`; doubles after every
+    /// probe that found no capacity (so steady-state contention cannot
+    /// make the controller thrash) and resets after a successful one.
     required_raises: u32,
     /// Window at the moment the last probe fired, used to judge whether
     /// the probe found anything.
     probe_base: Option<u32>,
+    /// How many times the ramp was re-entered.
     restarts: u32,
 }
 
 impl AdaptiveCc {
     /// Wraps a delay-based controller (normally one that leaves the ramp
-    /// through [`backtap::delay_cc::RampExit::CircuitStart`]).
-    pub fn new(inner: DelayCc, cfg: AdaptiveConfig) -> AdaptiveCc {
-        assert!(
-            cfg.underuse_rounds >= 2,
-            "need at least 2 rounds of evidence"
-        );
+    /// through [`crate::delay_cc::RampExit::CircuitStart`]).
+    pub fn new(inner: DelayCc) -> AdaptiveCc {
         let last_cwnd = inner.cwnd();
-        let last_rounds = inner.stats().ca_rounds;
+        let last_rounds = inner.ca_rounds;
         AdaptiveCc {
             inner,
-            cfg,
             last_cwnd,
             last_rounds,
             consecutive_raises: 0,
-            required_raises: cfg.underuse_rounds,
+            required_raises: UNDERUSE_ROUNDS,
             probe_base: None,
             restarts: 0,
         }
     }
 
-    /// Evidence (consecutive raising rounds) currently required before the
-    /// next probe; doubles after unproductive probes.
-    pub fn required_raises(&self) -> u32 {
-        self.required_raises
-    }
-
-    /// How many times the ramp was re-entered.
-    pub fn restarts(&self) -> u32 {
-        self.restarts
-    }
-}
-
-impl CongestionControl for AdaptiveCc {
-    fn cwnd(&self) -> u32 {
+    pub(crate) fn cwnd(&self) -> u32 {
         self.inner.cwnd()
     }
 
-    fn phase(&self) -> Phase {
+    pub(crate) fn phase(&self) -> Phase {
         self.inner.phase()
     }
 
-    fn allow_send(&self, outstanding: u32) -> bool {
+    pub(crate) fn allow_send(&self, outstanding: u32) -> bool {
         self.inner.allow_send(outstanding)
     }
 
-    fn on_sent(&mut self, seq: u64, now: SimTime) {
+    pub(crate) fn on_sent(&mut self, seq: u64, now: SimTime) {
         self.inner.on_sent(seq, now);
     }
 
-    fn on_feedback(&mut self, seq: u64, rtt: SimDuration, base_rtt: SimDuration, now: SimTime) {
+    pub(crate) fn on_feedback(
+        &mut self,
+        seq: u64,
+        rtt: SimDuration,
+        base_rtt: SimDuration,
+        now: SimTime,
+    ) {
         let phase_before = self.inner.phase();
         self.inner.on_feedback(seq, rtt, base_rtt, now);
         if phase_before != Phase::CongestionAvoidance {
@@ -124,7 +101,7 @@ impl CongestionControl for AdaptiveCc {
                 if let Some(base) = self.probe_base.take() {
                     let grew = f64::from(self.inner.cwnd()) > f64::from(base) * 1.25;
                     self.required_raises = if grew {
-                        self.cfg.underuse_rounds
+                        UNDERUSE_ROUNDS
                     } else {
                         (self.required_raises * 2).min(256)
                     };
@@ -132,13 +109,13 @@ impl CongestionControl for AdaptiveCc {
             }
             // Ramp in progress (or just ended); reset the detector.
             self.last_cwnd = self.inner.cwnd();
-            self.last_rounds = self.inner.stats().ca_rounds;
+            self.last_rounds = self.inner.ca_rounds;
             self.consecutive_raises = 0;
             return;
         }
         // Only react when a Vegas evaluation actually happened — cwnd is
         // constant between evaluations and must not clear the streak.
-        let rounds = self.inner.stats().ca_rounds;
+        let rounds = self.inner.ca_rounds;
         if rounds == self.last_rounds {
             return;
         }
@@ -146,9 +123,7 @@ impl CongestionControl for AdaptiveCc {
         let cwnd = self.inner.cwnd();
         if cwnd > self.last_cwnd {
             self.consecutive_raises += 1;
-            if self.consecutive_raises >= self.required_raises
-                && self.restarts < self.cfg.max_restarts
-            {
+            if self.consecutive_raises >= self.required_raises && self.restarts < MAX_RESTARTS {
                 // Persistent spare capacity: probe geometrically from the
                 // current window instead of creeping by +1 per RTT.
                 self.probe_base = Some(cwnd);
@@ -164,7 +139,7 @@ impl CongestionControl for AdaptiveCc {
         self.last_cwnd = cwnd;
     }
 
-    fn on_forget(&mut self, seq: u64) {
+    pub(crate) fn on_forget(&mut self, seq: u64) {
         self.inner.on_forget(seq);
     }
 }
@@ -172,11 +147,14 @@ impl CongestionControl for AdaptiveCc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use backtap::config::CcConfig;
-    use backtap::delay_cc::RampExit;
+    use crate::config::CcConfig;
+    use crate::delay_cc::RampExit;
 
-    fn circuit_start() -> DelayCc {
-        DelayCc::with_ramp(CcConfig::default(), RampExit::CircuitStart)
+    fn adaptive() -> AdaptiveCc {
+        AdaptiveCc::new(DelayCc::with_ramp(
+            CcConfig::default(),
+            RampExit::CircuitStart,
+        ))
     }
 
     fn ms(v: u64) -> SimDuration {
@@ -188,151 +166,113 @@ mod tests {
 
     /// Drives the controller through CA rounds with flat (uncongested)
     /// RTTs: every round raises the window by one.
-    fn run_flat_ca_round(cc: &mut AdaptiveCc, seq: &mut u64) {
-        cc.on_sent(*seq, t(0));
-        cc.on_feedback(*seq, ms(10), ms(10), t(1));
-        *seq += 1;
+    fn run_flat_ca_rounds(cc: &mut AdaptiveCc, seq: &mut u64, rounds: u32) {
+        for _ in 0..rounds {
+            cc.on_sent(*seq, t(0));
+            cc.on_feedback(*seq, ms(10), ms(10), t(1));
+            *seq += 1;
+        }
     }
 
     fn into_ca(cc: &mut AdaptiveCc, seq: &mut u64) {
-        // Force a ramp exit: the round stays outstanding past the budget
-        // (3·base at cwnd 2), dropping into congestion avoidance.
+        // Force a ramp exit: the round's first feedback overruns the
+        // budget (3·base at cwnd 2, 2·base above 4), dropping into
+        // congestion avoidance at `min_cwnd` 2.
         cc.on_sent(*seq, t(0));
         *seq += 1;
         cc.on_sent(*seq, t(0));
         *seq += 1;
         cc.on_feedback(*seq - 2, ms(35), ms(10), t(35));
         assert_eq!(cc.phase(), Phase::CongestionAvoidance);
+        assert_eq!(cc.cwnd(), 2);
         // Drain the second outstanding cell (now handled by Vegas).
         cc.on_feedback(*seq - 1, ms(10), ms(10), t(36));
     }
 
     #[test]
-    #[should_panic(expected = "at least 2 rounds")]
-    fn rejects_hair_trigger_config() {
-        let _ = AdaptiveCc::new(
-            circuit_start(),
-            AdaptiveConfig {
-                underuse_rounds: 1,
-                max_restarts: 1,
-            },
-        );
-    }
-
-    #[test]
     fn reprobes_after_persistent_raises() {
-        let mut cc = AdaptiveCc::new(
-            circuit_start(),
-            AdaptiveConfig {
-                underuse_rounds: 3,
-                max_restarts: 16,
-            },
-        );
+        let mut cc = adaptive();
         let mut seq = 0;
         into_ca(&mut cc, &mut seq);
-        assert_eq!(cc.restarts(), 0);
-        // Three consecutive +1 rounds → re-probe.
-        run_flat_ca_round(&mut cc, &mut seq);
-        run_flat_ca_round(&mut cc, &mut seq);
-        assert_eq!(cc.restarts(), 0);
-        run_flat_ca_round(&mut cc, &mut seq);
-        assert_eq!(cc.restarts(), 1);
+        assert_eq!(cc.restarts, 0);
+        // Four consecutive +1 rounds → re-probe.
+        run_flat_ca_rounds(&mut cc, &mut seq, UNDERUSE_ROUNDS - 1);
+        assert_eq!(cc.restarts, 0);
+        run_flat_ca_rounds(&mut cc, &mut seq, 1);
+        assert_eq!(cc.restarts, 1);
         assert_eq!(cc.phase(), Phase::SlowStart, "ramp re-entered");
+        assert_eq!(cc.cwnd(), 6, "the probe starts from the current window");
     }
 
     #[test]
     fn congestion_resets_the_detector() {
-        let mut cc = AdaptiveCc::new(
-            circuit_start(),
-            AdaptiveConfig {
-                underuse_rounds: 3,
-                max_restarts: 16,
-            },
-        );
+        let mut cc = adaptive();
         let mut seq = 0;
         into_ca(&mut cc, &mut seq);
-        run_flat_ca_round(&mut cc, &mut seq);
-        run_flat_ca_round(&mut cc, &mut seq);
+        run_flat_ca_rounds(&mut cc, &mut seq, UNDERUSE_ROUNDS - 1);
         // A congested round (diff > β → −1) must clear the streak.
         cc.on_sent(seq, t(0));
         cc.on_feedback(seq, ms(20), ms(10), t(1));
         seq += 1;
-        run_flat_ca_round(&mut cc, &mut seq);
-        run_flat_ca_round(&mut cc, &mut seq);
-        assert_eq!(cc.restarts(), 0, "streak must restart after congestion");
-        run_flat_ca_round(&mut cc, &mut seq);
-        assert_eq!(cc.restarts(), 1);
+        run_flat_ca_rounds(&mut cc, &mut seq, UNDERUSE_ROUNDS - 1);
+        assert_eq!(cc.restarts, 0, "streak must restart after congestion");
+        run_flat_ca_rounds(&mut cc, &mut seq, 1);
+        assert_eq!(cc.restarts, 1);
     }
 
     #[test]
     fn restart_cap_is_honoured() {
-        let mut cc = AdaptiveCc::new(
-            circuit_start(),
-            AdaptiveConfig {
-                underuse_rounds: 2,
-                max_restarts: 1,
-            },
-        );
+        let mut cc = adaptive();
         let mut seq = 0;
-        into_ca(&mut cc, &mut seq);
-        for _ in 0..2 {
-            run_flat_ca_round(&mut cc, &mut seq);
+        // Every probe fails (the ramp exits back at 2), so each needs
+        // twice the evidence of the last, up to 256 raises.
+        for probe in 1..=MAX_RESTARTS {
+            into_ca(&mut cc, &mut seq);
+            let required = cc.required_raises;
+            run_flat_ca_rounds(&mut cc, &mut seq, required);
+            assert_eq!(cc.restarts, probe);
         }
-        assert_eq!(cc.restarts(), 1);
+        assert_eq!(cc.required_raises, 256);
         // Ramp re-entered; finish it again and pile up more raises.
         into_ca(&mut cc, &mut seq);
-        for _ in 0..10 {
-            run_flat_ca_round(&mut cc, &mut seq);
-        }
-        assert_eq!(cc.restarts(), 1, "capped");
+        run_flat_ca_rounds(&mut cc, &mut seq, 2 * 256);
+        assert_eq!(cc.restarts, MAX_RESTARTS, "capped");
+        assert_eq!(cc.phase(), Phase::CongestionAvoidance);
     }
 
     #[test]
     fn failed_probe_backs_off() {
-        let mut cc = AdaptiveCc::new(
-            circuit_start(),
-            AdaptiveConfig {
-                underuse_rounds: 2,
-                max_restarts: 16,
-            },
-        );
+        let mut cc = adaptive();
         let mut seq = 0;
         into_ca(&mut cc, &mut seq); // cwnd 2
-        assert_eq!(cc.required_raises(), 2);
-        // Two raises → probe fires from cwnd 4.
-        run_flat_ca_round(&mut cc, &mut seq);
-        run_flat_ca_round(&mut cc, &mut seq);
-        assert_eq!(cc.restarts(), 1);
-        // The probe immediately hits congestion: exits at ~the same window
-        // → unproductive → evidence requirement doubles.
+        assert_eq!(cc.required_raises, UNDERUSE_ROUNDS);
+        // Four raises → probe fires from cwnd 6.
+        run_flat_ca_rounds(&mut cc, &mut seq, 4);
+        assert_eq!(cc.restarts, 1);
+        // The probe immediately hits congestion: exits below the window it
+        // started from → unproductive → evidence requirement doubles.
         into_ca(&mut cc, &mut seq);
-        assert_eq!(cc.required_raises(), 4, "failed probe must back off");
-        // Two raises are no longer enough.
-        run_flat_ca_round(&mut cc, &mut seq);
-        run_flat_ca_round(&mut cc, &mut seq);
-        assert_eq!(cc.restarts(), 1);
-        run_flat_ca_round(&mut cc, &mut seq);
-        run_flat_ca_round(&mut cc, &mut seq);
-        assert_eq!(cc.restarts(), 2, "doubled evidence reached");
+        assert_eq!(cc.required_raises, 8, "failed probe must back off");
+        // Four raises are no longer enough.
+        run_flat_ca_rounds(&mut cc, &mut seq, 4);
+        assert_eq!(cc.restarts, 1);
+        run_flat_ca_rounds(&mut cc, &mut seq, 4);
+        assert_eq!(cc.restarts, 2, "doubled evidence reached");
     }
 
     #[test]
     fn successful_probe_resets_backoff() {
-        let mut cc = AdaptiveCc::new(
-            circuit_start(),
-            AdaptiveConfig {
-                underuse_rounds: 2,
-                max_restarts: 16,
-            },
-        );
+        let mut cc = adaptive();
         let mut seq = 0;
-        into_ca(&mut cc, &mut seq); // cwnd 2
-        run_flat_ca_round(&mut cc, &mut seq);
-        run_flat_ca_round(&mut cc, &mut seq); // probe from 4
-        assert_eq!(cc.restarts(), 1);
-        // Let the probe's ramp double twice (4 → 8 → 16) then exit on a
-        // late round: the window grew ≫ 1.25× → success, requirement
-        // stays at the configured 2.
+        // A failed first probe doubles the requirement to 8.
+        into_ca(&mut cc, &mut seq);
+        run_flat_ca_rounds(&mut cc, &mut seq, 4);
+        into_ca(&mut cc, &mut seq);
+        assert_eq!(cc.required_raises, 8);
+        run_flat_ca_rounds(&mut cc, &mut seq, 8); // probe from 10
+        assert_eq!(cc.restarts, 2);
+        // Let the probe's ramp double twice (10 → 20 → 40) then exit on a
+        // late round.
         for _ in 0..2 {
             let first = seq;
             let n = cc.cwnd();
@@ -344,25 +284,25 @@ mod tests {
                 cc.on_feedback(s, ms(10), ms(10), t(5));
             }
         }
-        assert_eq!(cc.cwnd(), 16);
-        // Overrun exit after 11 cells fed back: compensation lands at 11,
-        // clearly above the probe base of 4 → the probe found capacity.
+        assert_eq!(cc.cwnd(), 40);
+        // Overrun exit after 30 cells fed back: compensation lands at 30,
+        // clearly above 1.25× the probe base of 10 → the probe found
+        // capacity, and the requirement is back at the fast trigger.
         let n = cc.cwnd();
         let first = seq;
         for _ in 0..n {
             cc.on_sent(seq, t(100));
             seq += 1;
         }
-        for s in first..first + 10 {
+        for s in first..first + 29 {
             cc.on_feedback(s, ms(15), ms(10), t(115));
         }
-        cc.on_feedback(first + 10, ms(25), ms(10), t(125));
+        cc.on_feedback(first + 29, ms(25), ms(10), t(125));
         assert_eq!(cc.phase(), Phase::CongestionAvoidance);
-        assert_eq!(cc.cwnd(), 11, "compensation = acked in budget");
+        assert_eq!(cc.cwnd(), 30, "compensation = acked in budget");
         assert_eq!(
-            cc.required_raises(),
-            2,
-            "successful probe keeps fast trigger"
+            cc.required_raises, UNDERUSE_ROUNDS,
+            "successful probe restores the fast trigger"
         );
     }
 
@@ -370,7 +310,7 @@ mod tests {
     fn forwards_forgotten_train_cells_to_the_ramp() {
         // A train of 2 with one cell forgotten and the other fed back:
         // the wrapped ramp must stop waiting for the forgotten one.
-        let mut cc = AdaptiveCc::new(circuit_start(), Default::default());
+        let mut cc = adaptive();
         cc.on_sent(0, t(0));
         cc.on_sent(1, t(0));
         assert!(!cc.allow_send(2), "train full");
@@ -382,7 +322,7 @@ mod tests {
 
     #[test]
     fn delegates_basic_interface() {
-        let cc = AdaptiveCc::new(circuit_start(), Default::default());
+        let cc = adaptive();
         assert_eq!(cc.cwnd(), 2);
         assert!(cc.allow_send(0));
     }

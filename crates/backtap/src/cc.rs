@@ -1,12 +1,17 @@
-//! The congestion-control interface and simple policies.
+//! The per-hop congestion controller: one closed set of policies.
 //!
-//! Every per-hop sender owns one [`CongestionControl`] object. The
-//! surrounding [`crate::hop::HopTransport`] does the bookkeeping
-//! (sequence numbers, send timestamps, base-RTT tracking) and calls into
-//! the controller with pre-digested values, so controllers are pure,
-//! easily-tested state machines.
+//! Every per-hop sender owns one [`Controller`]. The surrounding
+//! [`crate::hop::HopTransport`] does the bookkeeping (sequence numbers,
+//! send timestamps, base-RTT tracking) and calls into the controller with
+//! pre-digested values, so controllers are pure, easily-tested state
+//! machines. The set is closed because the evaluation's is: the
+//! delay-based ramp (CircuitStart, classic halving, JumpStart,
+//! no-slow-start), its mid-flow re-probing wrapper, and a constant window.
 
 use simcore::time::{SimDuration, SimTime};
+
+use crate::adaptive::AdaptiveCc;
+use crate::delay_cc::DelayCc;
 
 /// Which phase a delay-based controller is in; exposed for traces, tests,
 /// and the experiment harness.
@@ -29,92 +34,91 @@ impl std::fmt::Display for Phase {
 
 /// A per-hop congestion controller.
 ///
-/// Contract (enforced by `HopTransport` and its tests):
-///
-/// * `allow_send` is consulted before every send; `on_sent` is called for
-///   every cell actually sent, with the per-hop sequence number.
-/// * `on_feedback` is called once per matching feedback message, with the
-///   RTT sample for that cell and the current `baseRtt` (which already
-///   includes this sample).
-/// * `on_forget` is called once per sent cell the transport retires
-///   *without* feedback (teardown drains and write-offs); such a cell
-///   never sees `on_feedback`. A controller that counts its sends must
-///   stop waiting for it, or its window can stay shut at 0 outstanding.
-/// * `cwnd()` must stay within the controller's configured bounds at all
-///   times.
-pub trait CongestionControl {
-    /// Current congestion window, in cells.
-    fn cwnd(&self) -> u32;
+/// The large arms are boxed: an unwindowed hop costs no allocation, and
+/// a hop's controller stays two words.
+pub enum Controller {
+    /// Discrete-round ramp plus Vegas avoidance (see [`DelayCc`]).
+    Delay(Box<DelayCc>),
+    /// CircuitStart plus mid-flow re-probing (see [`AdaptiveCc`]).
+    Adaptive(Box<AdaptiveCc>),
+    /// A constant window of this many cells: Tor-flavoured fixed
+    /// windowing, and the fixed-window ablation.
+    Fixed(u32),
+}
 
-    /// Current phase.
-    fn phase(&self) -> Phase;
+impl Controller {
+    /// No window at all: every send is allowed. Backward (control-only)
+    /// hops run this, as do relays in end-to-end (vanilla Tor) mode,
+    /// where only the endpoints limit traffic. A window of `u32::MAX`
+    /// can only close at 2³² outstanding cells, which a hop never holds.
+    pub fn unlimited() -> Controller {
+        Controller::Fixed(u32::MAX)
+    }
+
+    /// Current congestion window, in cells. It stays within the
+    /// controller's configured bounds at all times.
+    pub fn cwnd(&self) -> u32 {
+        match self {
+            Controller::Delay(cc) => cc.cwnd(),
+            Controller::Adaptive(cc) => cc.cwnd(),
+            Controller::Fixed(cwnd) => *cwnd,
+        }
+    }
+
+    /// Current phase; a fixed window is always avoiding congestion.
+    pub fn phase(&self) -> Phase {
+        match self {
+            Controller::Delay(cc) => cc.phase(),
+            Controller::Adaptive(cc) => cc.phase(),
+            Controller::Fixed(_) => Phase::CongestionAvoidance,
+        }
+    }
 
     /// Whether a new cell may be sent right now, given the number of cells
-    /// outstanding (sent but not yet fed back).
-    fn allow_send(&self, outstanding: u32) -> bool;
+    /// outstanding (sent but not yet fed back). The transport consults it
+    /// before every send.
+    pub fn allow_send(&self, outstanding: u32) -> bool {
+        match self {
+            Controller::Delay(cc) => cc.allow_send(outstanding),
+            Controller::Adaptive(cc) => cc.allow_send(outstanding),
+            Controller::Fixed(cwnd) => outstanding < *cwnd,
+        }
+    }
 
-    /// A cell with per-hop sequence number `seq` was sent at `now`.
-    fn on_sent(&mut self, seq: u64, now: SimTime);
+    /// A cell with per-hop sequence number `seq` was sent at `now`; called
+    /// for every cell actually sent.
+    pub fn on_sent(&mut self, seq: u64, now: SimTime) {
+        match self {
+            Controller::Delay(cc) => cc.on_sent(seq, now),
+            Controller::Adaptive(cc) => cc.on_sent(seq, now),
+            Controller::Fixed(_) => {}
+        }
+    }
 
     /// Feedback for cell `seq` arrived at `now`, with its RTT sample and
-    /// the hop's running minimum RTT.
-    fn on_feedback(&mut self, seq: u64, rtt: SimDuration, base_rtt: SimDuration, now: SimTime);
+    /// the hop's running minimum RTT (which already includes this
+    /// sample); called once per matching feedback message.
+    pub fn on_feedback(&mut self, seq: u64, rtt: SimDuration, base_rtt: SimDuration, now: SimTime) {
+        match self {
+            Controller::Delay(cc) => cc.on_feedback(seq, rtt, base_rtt, now),
+            Controller::Adaptive(cc) => cc.on_feedback(seq, rtt, base_rtt, now),
+            Controller::Fixed(_) => {}
+        }
+    }
 
-    /// Cell `seq` was retired without feedback and never will be fed
-    /// back. Controllers gated on `outstanding` alone need not care.
-    fn on_forget(&mut self, _seq: u64) {}
-}
-
-/// A constant window — models Tor's fixed windowing when used at the
-/// source, and serves as an ablation controller.
-#[derive(Clone, Copy, Debug)]
-pub struct FixedWindowCc {
-    cwnd: u32,
-}
-
-impl FixedWindowCc {
-    /// Creates a fixed window of `cwnd` cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cwnd` is zero.
-    pub fn new(cwnd: u32) -> Self {
-        assert!(cwnd > 0, "fixed window must be positive");
-        FixedWindowCc { cwnd }
+    /// Cell `seq` was retired without feedback (teardown drains and
+    /// write-offs) and never will be fed back; called once per such cell,
+    /// which never sees [`Controller::on_feedback`]. A controller that
+    /// counts its sends must stop waiting for it, or its window can stay
+    /// shut at 0 outstanding; one gated on `outstanding` alone need not
+    /// care.
+    pub fn on_forget(&mut self, seq: u64) {
+        match self {
+            Controller::Delay(cc) => cc.on_forget(seq),
+            Controller::Adaptive(cc) => cc.on_forget(seq),
+            Controller::Fixed(_) => {}
+        }
     }
-}
-
-impl CongestionControl for FixedWindowCc {
-    fn cwnd(&self) -> u32 {
-        self.cwnd
-    }
-    fn phase(&self) -> Phase {
-        Phase::CongestionAvoidance
-    }
-    fn allow_send(&self, outstanding: u32) -> bool {
-        outstanding < self.cwnd
-    }
-    fn on_sent(&mut self, _seq: u64, _now: SimTime) {}
-    fn on_feedback(&mut self, _seq: u64, _rtt: SimDuration, _base: SimDuration, _now: SimTime) {}
-}
-
-/// No window at all: every send is allowed. Used for relays operating in
-/// end-to-end (vanilla Tor) mode, where only the endpoints limit traffic.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UnlimitedCc;
-
-impl CongestionControl for UnlimitedCc {
-    fn cwnd(&self) -> u32 {
-        u32::MAX
-    }
-    fn phase(&self) -> Phase {
-        Phase::CongestionAvoidance
-    }
-    fn allow_send(&self, _outstanding: u32) -> bool {
-        true
-    }
-    fn on_sent(&mut self, _seq: u64, _now: SimTime) {}
-    fn on_feedback(&mut self, _seq: u64, _rtt: SimDuration, _base: SimDuration, _now: SimTime) {}
 }
 
 #[cfg(test)]
@@ -132,22 +136,17 @@ mod tests {
 
     #[test]
     fn fixed_window_gates_on_outstanding() {
-        let cc = FixedWindowCc::new(3);
+        let cc = Controller::Fixed(3);
         assert!(cc.allow_send(0));
         assert!(cc.allow_send(2));
         assert!(!cc.allow_send(3));
         assert_eq!(cc.cwnd(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_fixed_window_rejected() {
-        let _ = FixedWindowCc::new(0);
+        assert_eq!(cc.phase(), Phase::CongestionAvoidance);
     }
 
     #[test]
     fn unlimited_always_allows() {
-        let cc = UnlimitedCc;
+        let cc = Controller::unlimited();
         assert!(cc.allow_send(0));
         assert!(cc.allow_send(u32::MAX - 1));
         assert_eq!(cc.cwnd(), u32::MAX);

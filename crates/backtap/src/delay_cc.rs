@@ -21,7 +21,7 @@
 
 use simcore::time::{SimDuration, SimTime};
 
-use crate::cc::{CongestionControl, Phase};
+use crate::cc::Phase;
 use crate::config::CcConfig;
 
 /// How a ramp ends: the one decision CircuitStart changes.
@@ -93,14 +93,6 @@ struct VegasRound {
     round_min: Option<SimDuration>,
 }
 
-/// Counters exposed to wrappers that act per congestion-avoidance round.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DelayCcStats {
-    /// Congestion-avoidance evaluations performed (one per RTT round,
-    /// counting holds as well as adjustments).
-    pub ca_rounds: u64,
-}
-
 /// Delay-based per-hop congestion controller (see module docs).
 pub struct DelayCc {
     cfg: CcConfig,
@@ -112,7 +104,10 @@ pub struct DelayCc {
     /// Armed backpropagation evaluations remaining
     /// (see [`RECOMPENSATION_ROUNDS`]).
     ca_recompensation_left: u32,
-    stats: DelayCcStats,
+    /// Congestion-avoidance evaluations performed (one per RTT round,
+    /// counting holds as well as adjustments); `AdaptiveCc` acts once
+    /// per evaluation.
+    pub(crate) ca_rounds: u64,
 }
 
 impl DelayCc {
@@ -128,7 +123,7 @@ impl DelayCc {
             train: None,
             vegas: VegasRound::default(),
             ca_recompensation_left: exit.armed_rounds(),
-            stats: DelayCcStats::default(),
+            ca_rounds: 0,
         }
     }
 
@@ -143,15 +138,10 @@ impl DelayCc {
         cc
     }
 
-    /// Diagnostic counters.
-    pub fn stats(&self) -> &DelayCcStats {
-        &self.stats
-    }
-
     /// Re-enters ramp-up (the paper's future-work extension uses this to
     /// re-probe after a detected bandwidth change). The window restarts at
     /// `cwnd0` (clamped), or `init_cwnd` if `None`.
-    pub fn restart_ramp(&mut self, cwnd0: Option<u32>) {
+    pub(crate) fn restart_ramp(&mut self, cwnd0: Option<u32>) {
         self.cwnd = self.cfg.clamp_cwnd(cwnd0.unwrap_or(self.cfg.init_cwnd));
         self.phase = Phase::SlowStart;
         self.train = None;
@@ -179,18 +169,16 @@ impl DelayCc {
         // diff = cwnd · currentRtt/baseRtt − cwnd  (paper, after TCP Vegas)
         f64::from(self.cwnd) * (current.ratio(base) - 1.0)
     }
-}
 
-impl CongestionControl for DelayCc {
-    fn cwnd(&self) -> u32 {
+    pub(crate) fn cwnd(&self) -> u32 {
         self.cwnd
     }
 
-    fn phase(&self) -> Phase {
+    pub(crate) fn phase(&self) -> Phase {
         self.phase
     }
 
-    fn allow_send(&self, outstanding: u32) -> bool {
+    pub(crate) fn allow_send(&self, outstanding: u32) -> bool {
         match self.phase {
             Phase::SlowStart => match &self.train {
                 // A train in progress may grow up to its target.
@@ -202,7 +190,7 @@ impl CongestionControl for DelayCc {
         }
     }
 
-    fn on_sent(&mut self, seq: u64, now: SimTime) {
+    pub(crate) fn on_sent(&mut self, seq: u64, now: SimTime) {
         match self.phase {
             Phase::SlowStart => match &mut self.train {
                 Some(t) => {
@@ -229,7 +217,13 @@ impl CongestionControl for DelayCc {
         }
     }
 
-    fn on_feedback(&mut self, seq: u64, rtt: SimDuration, base_rtt: SimDuration, now: SimTime) {
+    pub(crate) fn on_feedback(
+        &mut self,
+        seq: u64,
+        rtt: SimDuration,
+        base_rtt: SimDuration,
+        now: SimTime,
+    ) {
         match self.phase {
             Phase::SlowStart => {
                 let Some(train) = &mut self.train else {
@@ -286,7 +280,7 @@ impl CongestionControl for DelayCc {
                 if let Some(mark) = self.vegas.mark {
                     if seq >= mark {
                         // One RTT has elapsed since the round opened.
-                        self.stats.ca_rounds += 1;
+                        self.ca_rounds += 1;
                         let current = self.vegas.round_min.expect("round with no samples");
                         let diff = self.vegas_diff(current, base_rtt);
                         if diff < self.cfg.alpha {
@@ -316,7 +310,7 @@ impl CongestionControl for DelayCc {
     /// on feedback that will never come. Cells from before the train
     /// and congestion-avoidance sends (gated on `outstanding`) need
     /// nothing.
-    fn on_forget(&mut self, seq: u64) {
+    pub(crate) fn on_forget(&mut self, seq: u64) {
         if let Some(t) = self.train.as_mut().filter(|t| seq >= t.first_seq) {
             debug_assert!(t.sent > t.acked, "forgot a cell the train never sent");
             t.sent -= 1;
@@ -376,7 +370,7 @@ mod tests {
         assert_eq!(c.cwnd(), 64);
         assert_eq!(c.phase(), Phase::SlowStart);
         assert!(c.train.is_none(), "every round closed its train");
-        assert_eq!(c.stats().ca_rounds, 0, "the ramp evaluates no CA round");
+        assert_eq!(c.ca_rounds, 0, "the ramp evaluates no CA round");
     }
 
     #[test]
@@ -407,7 +401,7 @@ mod tests {
         assert_eq!(c.phase(), Phase::CongestionAvoidance);
         assert_eq!(c.cwnd(), 4, "compensation = cells fed back in budget");
         assert!(c.train.is_none(), "the exit closes the overshooting train");
-        assert_eq!(c.stats().ca_rounds, 0);
+        assert_eq!(c.ca_rounds, 0);
     }
 
     /// Ramps `exit` to 128 over clean rounds, then sends a train of 128
@@ -461,7 +455,7 @@ mod tests {
             c.on_sent(s, t(200));
             c.on_feedback(s, ms(10), ms(10), t(210));
         }
-        assert_eq!(c.stats().ca_rounds, 3);
+        assert_eq!(c.ca_rounds, 3);
         assert_eq!(c.ca_recompensation_left, 5);
         c.restart_ramp(None);
         c.on_sent(2000, t(300));
@@ -627,7 +621,7 @@ mod tests {
         c.on_sent(0, t(0)); // opens round, mark = 0
         c.on_feedback(0, ms(10), ms(10), t(1)); // diff = 0 < α → +1
         assert_eq!(c.cwnd(), 11);
-        assert_eq!(c.stats().ca_rounds, 1);
+        assert_eq!(c.ca_rounds, 1);
     }
 
     #[test]
@@ -637,7 +631,7 @@ mod tests {
         // diff = 10·(15/10 − 1) = 5 > β = 4 → −1
         c.on_feedback(0, ms(15), ms(10), t(1));
         assert_eq!(c.cwnd(), 9);
-        assert_eq!(c.stats().ca_rounds, 1);
+        assert_eq!(c.ca_rounds, 1);
     }
 
     #[test]
@@ -727,7 +721,7 @@ mod tests {
             t(24),
         );
         assert_eq!(c.cwnd(), 50, "one multiplicative step, not −1");
-        assert_eq!(c.stats().ca_rounds, 1);
+        assert_eq!(c.ca_rounds, 1);
     }
 
     #[test]
@@ -741,7 +735,7 @@ mod tests {
             t(24),
         );
         assert_eq!(c.cwnd(), 117, "plain Vegas decrements by one");
-        assert_eq!(c.stats().ca_rounds, 1);
+        assert_eq!(c.ca_rounds, 1);
     }
 
     #[test]

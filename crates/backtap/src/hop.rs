@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 
 use simcore::time::{SimDuration, SimTime};
 
-use crate::cc::{CongestionControl, Phase};
+use crate::cc::{Controller, Phase};
 
 /// Feedback-processing failures.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -56,7 +56,7 @@ pub struct HopStats {
 
 /// Transport state for one hop of one circuit (see module docs).
 pub struct HopTransport {
-    cc: Box<dyn CongestionControl + Send>,
+    cc: Controller,
     next_seq: u64,
     /// Cells sent but not yet fed back, ordered by sequence number
     /// (sends are monotone). Feedback almost always arrives in order, so
@@ -71,7 +71,7 @@ pub struct HopTransport {
 
 impl HopTransport {
     /// Wraps a congestion controller.
-    pub fn new(cc: Box<dyn CongestionControl + Send>) -> HopTransport {
+    pub fn new(cc: Controller) -> HopTransport {
         HopTransport {
             cc,
             next_seq: 0,
@@ -148,7 +148,7 @@ impl HopTransport {
 
     /// Retires cell `seq` from the in-flight set **without** a feedback
     /// round trip: no RTT sample, no trace entry, and only the
-    /// controller's [`CongestionControl::on_forget`] — a slow-start
+    /// controller's [`Controller::on_forget`] — a slow-start
     /// train must stop waiting for the cell, or the window stays shut
     /// with nothing outstanding. For teardown only — a registered cell
     /// that was discarded from an egress queue before ever reaching the
@@ -232,7 +232,6 @@ impl HopTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::FixedWindowCc;
     use crate::config::CcConfig;
     use crate::delay_cc::{DelayCc, RampExit};
 
@@ -240,8 +239,13 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    fn halving() -> HopTransport {
+        let cc = DelayCc::with_ramp(CcConfig::default(), RampExit::Halving);
+        HopTransport::new(Controller::Delay(Box::new(cc)))
+    }
+
     fn fixed(cwnd: u32) -> HopTransport {
-        HopTransport::new(Box::new(FixedWindowCc::new(cwnd)))
+        HopTransport::new(Controller::Fixed(cwnd))
     }
 
     #[test]
@@ -358,8 +362,7 @@ mod tests {
     /// A transport whose ramp has doubled once and then sent a full
     /// train of 4 (seqs 2..6) — the train a teardown drain cuts into.
     fn full_second_train() -> HopTransport {
-        let cc = DelayCc::with_ramp(CcConfig::default(), RampExit::Halving);
-        let mut h = HopTransport::new(Box::new(cc));
+        let mut h = halving();
         h.register_send(t(0));
         h.register_send(t(0));
         h.on_feedback(0, t(10)).unwrap();
@@ -405,8 +408,7 @@ mod tests {
 
     #[test]
     fn cwnd_trace_records_changes_only() {
-        let cc = DelayCc::with_ramp(CcConfig::default(), RampExit::Halving);
-        let mut h = HopTransport::new(Box::new(cc));
+        let mut h = halving();
         h.enable_cwnd_trace(t(0));
         // Round 1: train of 2, clean feedback → double at second feedback.
         h.register_send(t(0));
@@ -427,8 +429,7 @@ mod tests {
     fn delay_cc_full_ramp_through_transport() {
         // End-to-end sanity: flat RTTs, the transport should double per
         // round: 2 → 4 → 8 with the controller driving train boundaries.
-        let cc = DelayCc::with_ramp(CcConfig::default(), RampExit::Halving);
-        let mut h = HopTransport::new(Box::new(cc));
+        let mut h = halving();
         let mut now = SimTime::ZERO;
         for expected in [2u32, 4, 8] {
             assert_eq!(h.cwnd(), expected);
@@ -451,8 +452,7 @@ mod tests {
     fn delay_cc_ramp_exit_through_transport() {
         // Constant base from round 1; round 2's feedback is delayed enough
         // to trip γ; transport must land in CA with the halved window.
-        let cc = DelayCc::with_ramp(CcConfig::default(), RampExit::Halving);
-        let mut h = HopTransport::new(Box::new(cc));
+        let mut h = halving();
         // Round 1 (cwnd 2) at base RTT 10 ms.
         h.register_send(t(0));
         h.register_send(t(0));

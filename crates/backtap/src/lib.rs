@@ -11,14 +11,18 @@
 //! ## Layout
 //!
 //! * [`config`] — shared parameters (γ, α, β, initial/min/max window).
-//! * [`cc`] — the [`CongestionControl`](cc::CongestionControl) trait and
-//!   the simple controllers (fixed window, unlimited).
+//! * [`cc`] — [`Controller`](cc::Controller), the closed set of per-hop
+//!   controllers: delay-based, adaptive, or a fixed window (unlimited on
+//!   backward hops).
 //! * [`delay_cc`] — [`DelayCc`](delay_cc::DelayCc): discrete-round
 //!   doubling ramp + Vegas congestion avoidance, left through one of two
 //!   ramp exits: the halving of the paper's "without CircuitStart"
 //!   baseline, or CircuitStart's overshoot compensation.
 //!   `DelayCc::without_ramp` with a large initial window models
 //!   JumpStart-style senders.
+//! * [`adaptive`] — [`AdaptiveCc`](adaptive::AdaptiveCc), the paper's
+//!   future-work extension: CircuitStart re-entering its ramp mid-flow
+//!   when congestion avoidance sees persistent spare capacity.
 //! * [`hop`] — [`HopTransport`](hop::HopTransport): sequence numbers,
 //!   in-flight tracking, RTT samples (send-decision → feedback) and the
 //!   base RTT, statistics, cwnd tracing.
@@ -29,6 +33,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod adaptive;
 pub mod cc;
 pub mod config;
 pub mod delay_cc;

@@ -1,18 +1,16 @@
-//! Algorithm selection: constructors and overlay factories for
+//! Algorithm selection: the [`Controller`] and overlay factory for
 //! CircuitStart and every baseline the evaluation compares against.
 
-use backtap::cc::{CongestionControl, FixedWindowCc, UnlimitedCc};
+use backtap::adaptive::AdaptiveCc;
+use backtap::cc::Controller;
 use backtap::config::CcConfig;
 use backtap::delay_cc::{DelayCc, RampExit};
-use relaynet::ids::Direction;
 use relaynet::node::CcFactory;
-
-use crate::adaptive::AdaptiveCc;
 
 /// Every sender-side algorithm the harness can run. The feedback
 /// machinery, relays, and topology are identical across variants — only
-/// the window policy differs, which is what makes the comparisons
-/// apples-to-apples.
+/// the forward hops' [`Controller`] differs, which is what makes the
+/// comparisons apples-to-apples.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Algorithm {
     /// The paper's contribution: discrete-round doubling driven by
@@ -22,9 +20,10 @@ pub enum Algorithm {
     /// demonstrated forwarding rate instead of creeping down — how a
     /// distant bottleneck's compensation reaches the source hop by hop).
     CircuitStart,
-    /// The paper's contribution plus the future-work extension: re-enter
-    /// the ramp when congestion avoidance detects persistent spare
-    /// capacity (e.g. after a mid-flow bandwidth increase).
+    /// The paper's contribution plus the future-work extension
+    /// ([`AdaptiveCc`]): re-enter the ramp when congestion avoidance
+    /// detects persistent spare capacity (e.g. after a mid-flow bandwidth
+    /// increase).
     AdaptiveCircuitStart,
     /// "Without CircuitStart": same ramp, traditional halving exit.
     ClassicBacktap,
@@ -52,29 +51,33 @@ impl Algorithm {
     }
 
     /// Builds the controller for one forward hop.
-    pub fn make_controller(&self, cfg: CcConfig) -> Box<dyn CongestionControl + Send> {
+    ///
+    /// # Panics
+    ///
+    /// Panics on `FixedWindow(0)`, a window that never opens.
+    pub fn make_controller(&self, cfg: CcConfig) -> Controller {
+        let delay = |cc| Controller::Delay(Box::new(cc));
         match *self {
-            Algorithm::CircuitStart => Box::new(DelayCc::with_ramp(cfg, RampExit::CircuitStart)),
-            Algorithm::AdaptiveCircuitStart => Box::new(AdaptiveCc::new(
+            Algorithm::CircuitStart => delay(DelayCc::with_ramp(cfg, RampExit::CircuitStart)),
+            Algorithm::AdaptiveCircuitStart => Controller::Adaptive(Box::new(AdaptiveCc::new(
                 DelayCc::with_ramp(cfg, RampExit::CircuitStart),
-                Default::default(),
-            )),
-            Algorithm::ClassicBacktap => Box::new(DelayCc::with_ramp(cfg, RampExit::Halving)),
-            Algorithm::JumpStart(w) => Box::new(DelayCc::without_ramp(cfg, w)),
-            Algorithm::FixedWindow(w) => Box::new(FixedWindowCc::new(w)),
-            Algorithm::NoSlowStart => Box::new(DelayCc::without_ramp(cfg, cfg.init_cwnd)),
+            ))),
+            Algorithm::ClassicBacktap => delay(DelayCc::with_ramp(cfg, RampExit::Halving)),
+            Algorithm::JumpStart(w) => delay(DelayCc::without_ramp(cfg, w)),
+            Algorithm::FixedWindow(w) => {
+                assert!(w > 0, "fixed window must be positive");
+                Controller::Fixed(w)
+            }
+            Algorithm::NoSlowStart => delay(DelayCc::without_ramp(cfg, cfg.init_cwnd)),
         }
     }
 
-    /// An overlay factory running this algorithm on every forward hop;
-    /// backward (control-only) hops are unwindowed, as in the paper's
-    /// one-directional bulk evaluation.
+    /// An overlay factory running this algorithm on every circuit's
+    /// forward hops. Backward (control-only) hops are unwindowed by the
+    /// overlay itself, as in the paper's one-directional bulk evaluation.
     pub fn factory(&self, cfg: CcConfig) -> CcFactory {
         let algo = *self;
-        Box::new(move |ctx| match ctx.direction {
-            Direction::Forward => algo.make_controller(cfg),
-            Direction::Backward => Box::new(UnlimitedCc),
-        })
+        Box::new(move |_| algo.make_controller(cfg))
     }
 }
 
@@ -123,5 +126,11 @@ mod tests {
         assert_eq!(cc.cwnd(), 64);
         let cc2 = Algorithm::NoSlowStart.make_controller(CcConfig::default());
         assert_eq!(cc2.cwnd(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_fixed_window_rejected() {
+        let _ = Algorithm::FixedWindow(0).make_controller(CcConfig::default());
     }
 }

@@ -37,10 +37,11 @@
 //!
 //! ## Crate layout
 //!
-//! * [`algorithm`] — constructors/factories for CircuitStart and all
-//!   baselines (classic halving, JumpStart, fixed window, no-slow-start).
+//! * [`algorithm`] — [`Algorithm`], which names CircuitStart, every
+//!   baseline (classic halving, JumpStart, fixed window, no-slow-start)
+//!   and the future-work mid-flow re-probing, and builds each one's
+//!   `backtap::cc::Controller` and overlay factory.
 //! * [`optimal`] — the paper's analytical optimal-window model.
-//! * [`adaptive`] — the future-work extension: mid-flow re-probing.
 //! * [`harness`] — end-to-end experiment runners for both figure panels.
 //! * [`presets`] — the exact parameterizations the figure binaries and
 //!   the ablations of DESIGN.md §5 run.
@@ -48,7 +49,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod algorithm;
 pub mod harness;
 pub mod optimal;

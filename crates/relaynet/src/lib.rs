@@ -24,9 +24,11 @@
 //!   single-threaded `World` as the bit-exact oracle.
 //!
 //! The congestion-control algorithm is injected through
-//! [`node::CcFactory`], so this crate knows nothing about CircuitStart
-//! itself: `circuitstart::Algorithm` names the paper's controller and
-//! every baseline, and builds the factory for each.
+//! [`node::CcFactory`], one `backtap::cc::Controller` per circuit for its
+//! forward hops, so this crate knows nothing about CircuitStart itself:
+//! `circuitstart::Algorithm` names the paper's controller and every
+//! baseline, and builds the factory for each. Backward (control-only)
+//! hops are unwindowed by construction.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -60,40 +62,32 @@ pub use wire::{FramePayload, WireFrame};
 
 /// The controller factories this crate's unit tests run. Everywhere else
 /// a controller is named by `circuitstart::Algorithm`, which this crate
-/// cannot depend on. Backward (control-only) hops are unwindowed.
+/// cannot depend on.
 #[cfg(test)]
 pub(crate) mod test_cc {
-    use backtap::cc::{CongestionControl, FixedWindowCc, UnlimitedCc};
+    use backtap::cc::Controller;
     use backtap::config::CcConfig;
     use backtap::delay_cc::{DelayCc, RampExit};
 
-    use crate::ids::Direction;
     use crate::node::CcFactory;
-
-    fn forward(make: impl Fn() -> Box<dyn CongestionControl + Send> + 'static) -> CcFactory {
-        Box::new(move |ctx| match ctx.direction {
-            Direction::Forward => make(),
-            Direction::Backward => Box::new(UnlimitedCc),
-        })
-    }
 
     /// `Algorithm::ClassicBacktap`: the paper's baseline.
     pub(crate) fn baseline_factory(cfg: CcConfig) -> CcFactory {
-        forward(move || Box::new(DelayCc::with_ramp(cfg, RampExit::Halving)))
+        Box::new(move |_| Controller::Delay(Box::new(DelayCc::with_ramp(cfg, RampExit::Halving))))
     }
 
     /// `Algorithm::JumpStart(jump_cwnd)`.
     pub(crate) fn jumpstart_factory(cfg: CcConfig, jump_cwnd: u32) -> CcFactory {
-        forward(move || Box::new(DelayCc::without_ramp(cfg, jump_cwnd)))
+        Box::new(move |_| Controller::Delay(Box::new(DelayCc::without_ramp(cfg, jump_cwnd))))
     }
 
     /// `Algorithm::FixedWindow(window)`.
     pub(crate) fn fixed_window_factory(window: u32) -> CcFactory {
-        forward(move || Box::new(FixedWindowCc::new(window)))
+        Box::new(move |_| Controller::Fixed(window))
     }
 
     /// No window on any hop.
     pub(crate) fn unlimited_factory() -> CcFactory {
-        Box::new(|_| Box::new(UnlimitedCc))
+        Box::new(|_| Controller::unlimited())
     }
 }

@@ -29,11 +29,12 @@ use netsim::net::NodeId;
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
 use crate::node::{
-    CircuitPhase, CircuitRole, ClientApp, HopCtx, HopDir, NodeCircuit, NodeRole, PendingConfirm,
+    CircuitPhase, CircuitRole, ClientApp, HopDir, NodeCircuit, NodeRole, PendingConfirm,
     QueuedCell, ServerApp,
 };
 use crate::workload::{CircuitWorkload, StreamSpec};
 
+use backtap::cc::Controller;
 use backtap::hop::HopTransport;
 
 use super::client_xfer::{seal_control, BEGIN_ADDRESS};
@@ -247,11 +248,7 @@ impl TorNetwork {
             ctx.schedule_in(delay, TorEvent::Teardown(circ));
         }
 
-        let hop_ctx = HopCtx {
-            circuit: circ,
-            direction: Direction::Forward,
-        };
-        let mut transport = HopTransport::new((self.factory)(&hop_ctx));
+        let mut transport = HopTransport::new((self.factory)(circ));
         transport.enable_cwnd_trace(ctx.now());
 
         let node = &mut self.nodes[client_id.index()];
@@ -357,11 +354,7 @@ impl TorNetwork {
             return;
         }
 
-        let hop_ctx = HopCtx {
-            circuit: global,
-            direction: Direction::Backward,
-        };
-        let transport = HopTransport::new((self.factory)(&hop_ctx));
+        let transport = HopTransport::new(Controller::unlimited());
 
         let node = &mut self.nodes[to.index()];
         let my_net = node.net_node;
@@ -515,11 +508,7 @@ impl TorNetwork {
 
         let my_net = self.nodes[relay.index()].net_node;
         self.register_route(new_id, relay, target, circ, local, Direction::Backward);
-        let hop_ctx = HopCtx {
-            circuit: circ,
-            direction: Direction::Forward,
-        };
-        let transport = HopTransport::new((self.factory)(&hop_ctx));
+        let transport = HopTransport::new((self.factory)(circ));
         let nc = self.nodes[relay.index()].circuit_at_mut(local);
         let CircuitRole::Relay { pending_extend, .. } = &mut nc.role else {
             unreachable!("recognition hands relay_consume relays only");
@@ -698,7 +687,6 @@ impl TorNetwork {
 
 #[cfg(test)]
 mod tests {
-    use backtap::cc::FixedWindowCc;
     use netsim::bandwidth::Bandwidth;
     use netsim::link::LinkConfig;
     use netsim::net::{Net, NetEvent};
@@ -764,7 +752,7 @@ mod tests {
     }
 
     fn hop(neighbor: OverlayId, link_id: u32, contacted: bool) -> HopDir {
-        let transport = HopTransport::new(Box::new(FixedWindowCc::new(4)));
+        let transport = HopTransport::new(Controller::Fixed(4));
         let mut hop = HopDir::new(neighbor, CircuitId(link_id), transport);
         if contacted {
             hop.transport.register_send(SimTime::ZERO);
@@ -885,7 +873,7 @@ mod tests {
     /// route resolves to nothing.
     fn void_world(faults: bool) -> TorNetwork {
         let (net, path) = wires();
-        let factory: crate::node::CcFactory = Box::new(|_| Box::new(FixedWindowCc::new(4)));
+        let factory = crate::test_cc::fixed_window_factory(4);
         let mut world = TorNetwork::new(net, Topology::Path(path), factory, SimRng::seed_from(1));
         world.add_overlays([NodeRole::Client, NodeRole::Relay, NodeRole::Server]);
         if faults {

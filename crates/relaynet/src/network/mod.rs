@@ -1108,11 +1108,9 @@ mod tests {
 
     #[test]
     fn route_of_answers_what_a_find_over_both_ends_answers() {
-        use backtap::cc::{CongestionControl, FixedWindowCc};
         use Direction::{Backward, Forward};
 
-        let factory: CcFactory =
-            Box::new(|_| -> Box<dyn CongestionControl + Send> { Box::new(FixedWindowCc::new(4)) });
+        let factory = crate::test_cc::fixed_window_factory(4);
         let (net, path) = two_hops();
         let mut w = TorNetwork::new(net, Topology::Path(path), factory, SimRng::seed_from(1));
         let (x, y, z) = (OverlayId(0), OverlayId(1), OverlayId(2));
@@ -1172,11 +1170,9 @@ mod tests {
     /// successor.
     #[test]
     fn every_route_end_reversed_is_the_hop_to_its_sender() {
-        use backtap::cc::{CongestionControl, FixedWindowCc};
         use Direction::{Backward, Forward};
 
-        let factory: CcFactory =
-            Box::new(|_| -> Box<dyn CongestionControl + Send> { Box::new(FixedWindowCc::new(4)) });
+        let factory = crate::test_cc::fixed_window_factory(4);
         let hop = LinkConfig::new(Bandwidth::from_mbps(10), SimDuration::from_millis(1));
         let scenario = crate::builder::PathScenario {
             hops: vec![hop; 4],
@@ -1208,5 +1204,39 @@ mod tests {
         }
         // Client 0, relays 1–3, server 4.
         assert_eq!(sites, [1, 4, 3]);
+    }
+
+    /// The factory windows forward hops only: a backward (control-only)
+    /// hop runs no window whatever the factory returns.
+    #[test]
+    fn backward_hops_are_unwindowed_whatever_the_factory_returns() {
+        let factory: CcFactory = Box::new(|_| backtap::cc::Controller::Fixed(1));
+        let hop = LinkConfig::new(Bandwidth::from_mbps(10), SimDuration::from_millis(1));
+        let scenario = crate::builder::PathScenario {
+            hops: vec![hop; 4],
+            file_bytes: 4_960,
+            ..Default::default()
+        };
+        let (mut sim, h) = scenario.build(factory, 3);
+        sim.run();
+        let w = sim.world();
+        assert!(w.result_of(h.circ).completed);
+        let (mut fwd, mut bwd) = (0, 0);
+        for node in &w.nodes {
+            let nc = node
+                .circuit(h.circ)
+                .expect("every path node carries the circuit");
+            if let Some(hop) = &nc.fwd {
+                assert_eq!(hop.transport.cwnd(), 1, "{:?}", node.id);
+                fwd += 1;
+            }
+            if let Some(hop) = &nc.bwd {
+                assert_eq!(hop.transport.cwnd(), u32::MAX, "{:?}", node.id);
+                bwd += 1;
+            }
+        }
+        // Client 0 and relays 1–3 send forward; relays 1–3 and server 4
+        // send backward.
+        assert_eq!((fwd, bwd), (4, 4));
     }
 }

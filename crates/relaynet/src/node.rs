@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use backtap::cc::CongestionControl;
+use backtap::cc::Controller;
 use backtap::hop::HopTransport;
 use netsim::net::NodeId;
 use simcore::time::{SimDuration, SimTime};
@@ -39,21 +39,13 @@ pub enum NodeRole {
     Server,
 }
 
-/// Context handed to the congestion-controller factory for every hop
-/// transport created.
-#[derive(Clone, Copy, Debug)]
-pub struct HopCtx {
-    /// Which circuit the transport belongs to.
-    pub circuit: CircId,
-    /// Which direction the transport sends in.
-    pub direction: Direction,
-}
-
-/// Creates the congestion controller for a hop transport.
+/// Creates the congestion controller for each forward hop of a circuit.
 ///
 /// The experiment harness supplies this; it is how the CircuitStart
 /// algorithm (which lives above this crate) is plugged into the overlay.
-pub type CcFactory = Box<dyn Fn(&HopCtx) -> Box<dyn CongestionControl + Send>>;
+/// Backward (control-only) hops are unwindowed whatever it returns: they
+/// run [`Controller::unlimited`].
+pub type CcFactory = Box<dyn Fn(CircId) -> Controller>;
 
 /// Feedback owed to the neighbour a cell arrived from, payable at the
 /// moment the cell is forwarded (relays) or consumed (endpoints).
@@ -562,11 +554,10 @@ impl OverlayNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use backtap::cc::FixedWindowCc;
     use torcell::crypto::LayerKey;
 
     fn transport() -> HopTransport {
-        HopTransport::new(Box::new(FixedWindowCc::new(4)))
+        HopTransport::new(Controller::Fixed(4))
     }
 
     /// A relay's participation in `circ`, with no hops yet.

@@ -77,14 +77,24 @@ cargo run -q --release --example consensus_scale
 echo "==> smoke: cargo run --example fault_storm (crash injection + recovery loop)"
 cargo run -q --release --example fault_storm
 
-echo "==> smoke: fig1_cwnd (Figure 1 upper panel, bottleneck 1 hop out)"
-cargo run -q --release -p cs-bench --bin fig1_cwnd -- --distance 1
+echo "==> smoke: fig1_cwnd (Figure 1 upper panels, every bottleneck distance)"
+cargo run -q --release -p cs-bench --bin fig1_cwnd | tee "${scratch_dir}/figures.out"
 
 echo "==> smoke: fig1_cdf (Figure 1 lower panel, 10 circuits, 1 repetition)"
-cargo run -q --release -p cs-bench --bin fig1_cdf -- --circuits 10 --reps 1
+cargo run -q --release -p cs-bench --bin fig1_cdf -- --circuits 10 --reps 1 | tee -a "${scratch_dir}/figures.out"
 
 echo "==> smoke: ablations midflow policies (A6 mid-flow upgrade, A7 selection policies)"
-cargo run -q --release -p cs-bench --bin ablations -- midflow policies
+cargo run -q --release -p cs-bench --bin ablations -- midflow policies | tee -a "${scratch_dir}/figures.out"
+
+echo "==> figure digests: the .dat files the smokes wrote are byte-identical (CS_BLESS=1 re-blesses; a behaviour PR must say so)"
+grep -o 'target/figures/[^/]*\.dat$' "${scratch_dir}/figures.out" | xargs sha256sum > "${scratch_dir}/figures.digests"
+if [ -n "${CS_BLESS:-}" ]; then
+    cp "${scratch_dir}/figures.digests" scripts/figures.digests
+    echo "    blessed scripts/figures.digests"
+elif ! diff -u scripts/figures.digests "${scratch_dir}/figures.digests"; then
+    echo "    FAIL: a figure's .dat file moved — simulated behaviour changed" >&2
+    exit 1
+fi
 
 echo "==> csbench smoke: all five workloads, quick mode (includes its determinism double-run)"
 cargo run -q --release -p cs-bench --bin csbench -- run --quick --seed 1 --json "${scratch_dir}/csbench_quick.json"

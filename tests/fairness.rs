@@ -85,17 +85,14 @@ fn aggressive_window_cannot_push_peers_past_the_capacity_bound() {
     let (circuits_n, file) = (4usize, 200_000u64);
     let scenario = single_relay_star(circuits_n, file);
     let cc = CcConfig::default();
-    let factory: relaynet::CcFactory = Box::new(move |ctx| {
+    let factory: relaynet::CcFactory = Box::new(move |circuit| {
         // Circuit 0 is the aggressor; the rest run CircuitStart.
-        let algo = if ctx.circuit.0 == 0 {
+        let algo = if circuit.0 == 0 {
             Algorithm::JumpStart(100)
         } else {
             Algorithm::CircuitStart
         };
-        match ctx.direction {
-            relaynet::Direction::Forward => algo.make_controller(cc),
-            relaynet::Direction::Backward => Box::new(backtap::cc::UnlimitedCc),
-        }
+        algo.make_controller(cc)
     });
     let (mut sim, circuits) = scenario.build(factory, 9);
     run_to_completion(&mut sim);
