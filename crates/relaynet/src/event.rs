@@ -108,5 +108,11 @@ mod tests {
             "every pending event is a (time, seq, TorEvent) calendar entry: \
              16 bytes keep it at 32, two to a cache line, on every workload"
         );
+        assert_eq!(
+            std::mem::size_of::<Option<TorEvent>>(),
+            16,
+            "the calendar's arena slot is an Option of that entry: the \
+             niche keeps the slot at 32 bytes too"
+        );
     }
 }

@@ -6,9 +6,11 @@
 //! * [`CalendarQueue`] (the default) — a Brown-style calendar queue: a
 //!   power-of-two ring of unsorted buckets, each covering `width`
 //!   nanoseconds of virtual time, with the bucket count and width
-//!   adapting to the pending population. Scheduling is O(1) (compute the
-//!   bucket, append) and dequeue is amortized O(1) for the short-horizon
-//!   timer churn that dominates overlay runs.
+//!   adapting to the pending population. Every bucket is a list through
+//!   one entry arena, so the queue's memory follows the events pending.
+//!   Scheduling is O(1) (compute the bucket, link a free slot at its
+//!   tail) and dequeue is amortized O(1) for the short-horizon timer
+//!   churn that dominates overlay runs.
 //! * [`HeapQueue`] — a stable binary heap, kept as the differential
 //!   oracle: property tests assert both implementations produce
 //!   identical `(time, id, event)` pop sequences.
@@ -50,7 +52,8 @@ pub struct QueueWork {
     /// Ring rebuilds (growth or run pressure), each O(n).
     pub resizes: u64,
     /// Entry slots allocated right now: the ready run's capacity plus
-    /// every bucket's (for the heap, its one vector's).
+    /// the entry arena's (for the heap, its one vector's). An arena slot
+    /// also carries a 4-byte list link.
     pub reserved_slots: usize,
 }
 
@@ -168,12 +171,30 @@ const INITIAL_SHIFT: u32 = 10;
 /// A refill run longer than this hints the bucket width no longer fits
 /// the event-time distribution and a re-estimate is worth its O(n).
 const RUN_PRESSURE: usize = 64;
+/// Entries the width rule samples at a resize, evenly across the
+/// bucket side.
+const SAMPLE: usize = 64;
+/// The end of a bucket list; an empty bucket's head and tail.
+const NIL: u32 = u32::MAX;
 
 struct CalEntry<E> {
     time: u64,
     seq: u64,
     event: E,
 }
+
+/// One bucket: the first and last arena slot of its list, [`NIL`] when
+/// empty.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A calendar queue with a sorted bottom run: O(1) schedule, amortized
 /// O(log k) dequeue (k = entries per bucket-width of time), exact
@@ -189,6 +210,13 @@ struct CalEntry<E> {
 /// k linear bucket scans, and the FIFO tie-break falls out of the sort
 /// key.
 ///
+/// A bucket is a list threaded through one entry arena: every
+/// bucket-side entry sits in an arena slot from push until its division
+/// is refilled, and a freed slot is reused last-freed first. The arena
+/// grows by doubling and never shrinks, so it holds at most about twice
+/// the most entries ever on the bucket side, whatever spread of buckets
+/// they passed through.
+///
 /// Invariant: every entry in the ready run precedes every bucket entry in
 /// time (the run is a whole minimal division; later pushes that would
 /// land inside the run's time range are merge-inserted into it).
@@ -196,9 +224,16 @@ pub struct CalendarQueue<E> {
     /// The earliest division, sorted by `(time, seq)` descending; pops
     /// come off the back.
     ready: Vec<CalEntry<E>>,
-    /// Power-of-two ring of unsorted buckets; entry `e` lives in bucket
-    /// `(e.time >> shift) & mask`.
-    buckets: Vec<Vec<CalEntry<E>>>,
+    /// The entry arena: `Some` exactly for the slots on a bucket list.
+    slots: Vec<Option<CalEntry<E>>>,
+    /// `next[i]` is the slot after slot `i` on its bucket's list, or
+    /// [`NIL`].
+    next: Vec<u32>,
+    /// Free arena slots, popped last-freed first.
+    free: Vec<u32>,
+    /// Power-of-two ring of bucket lists; entry `e` is on bucket
+    /// `(e.time >> shift) & mask`, in push order.
+    buckets: Vec<Bucket>,
     mask: u64,
     /// log2 of the bucket width in nanoseconds.
     shift: u32,
@@ -229,12 +264,15 @@ impl<E> Default for CalendarQueue<E> {
 }
 
 impl<E> CalendarQueue<E> {
-    /// Creates an empty queue; the bucket array grows with the pending
-    /// population.
+    /// Creates an empty queue; the bucket array and the entry arena grow
+    /// with the pending population.
     pub fn new() -> Self {
         CalendarQueue {
             ready: Vec::new(),
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            slots: Vec::new(),
+            next: Vec::new(),
+            free: Vec::new(),
+            buckets: vec![EMPTY; MIN_BUCKETS],
             mask: (MIN_BUCKETS - 1) as u64,
             shift: INITIAL_SHIFT,
             in_buckets: 0,
@@ -269,8 +307,22 @@ impl<E> CalendarQueue<E> {
             self.work.merge_inserts += 1;
             return;
         }
-        let b = self.bucket_of(t);
-        self.buckets[b].push(entry);
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(entry);
+                i
+            }
+            None => {
+                let i = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("fewer than 2^32 - 1 events on the bucket side");
+                self.slots.push(Some(entry));
+                self.next.push(NIL);
+                i
+            }
+        };
+        self.link(self.bucket_of(t), i);
         self.in_buckets += 1;
         self.maybe_grow();
     }
@@ -313,12 +365,10 @@ impl<E> CalendarQueue<E> {
         self.len() == 0
     }
 
-    /// The work counts so far, with the slots reserved right now (an
-    /// O(buckets) sum, paid only here).
+    /// The work counts so far, with the slots reserved right now.
     pub fn work(&self) -> QueueWork {
         QueueWork {
-            reserved_slots: self.ready.capacity()
-                + self.buckets.iter().map(Vec::capacity).sum::<usize>(),
+            reserved_slots: self.ready.capacity() + self.slots.capacity(),
             ..self.work
         }
     }
@@ -326,6 +376,36 @@ impl<E> CalendarQueue<E> {
     #[inline]
     fn bucket_of(&self, time: u64) -> usize {
         ((time >> self.shift) & self.mask) as usize
+    }
+
+    /// The time of the entry in linked slot `i`.
+    #[inline]
+    fn time_at(&self, i: u32) -> u64 {
+        self.slots[i as usize]
+            .as_ref()
+            .expect("a linked slot holds an entry")
+            .time
+    }
+
+    /// The slots on the list that starts at `head`, in list order.
+    fn list(&self, head: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors((head != NIL).then_some(head), |&i| {
+            let n = self.next[i as usize];
+            (n != NIL).then_some(n)
+        })
+    }
+
+    /// Appends slot `i` at the tail of bucket `b`'s list.
+    #[inline]
+    fn link(&mut self, b: usize, i: u32) {
+        self.next[i as usize] = NIL;
+        let bucket = &mut self.buckets[b];
+        if bucket.head == NIL {
+            bucket.head = i;
+        } else {
+            self.next[bucket.tail as usize] = i;
+        }
+        bucket.tail = i;
     }
 
     /// Moves the earliest non-empty division out of its bucket into the
@@ -338,43 +418,37 @@ impl<E> CalendarQueue<E> {
         let nb = self.buckets.len() as u64;
         let shift = self.shift;
         let d0 = self.cur >> shift;
-        let mut division = None;
-        for i in 0..nb {
-            let d = d0 + i;
-            let b = (d & self.mask) as usize;
-            if self.buckets[b].iter().any(|e| e.time >> shift == d) {
-                division = Some(d);
-                break;
-            }
-        }
+        let division = (d0..d0 + nb).find(|&d| {
+            self.list(self.buckets[(d & self.mask) as usize].head)
+                .any(|i| self.time_at(i) >> shift == d)
+        });
         let d = division.unwrap_or_else(|| {
             // Empty year: global scan for the earliest entry.
-            let mut min: Option<u64> = None;
-            for bucket in &self.buckets {
-                for e in bucket {
-                    if min.is_none_or(|m| e.time < m) {
-                        min = Some(e.time);
-                    }
-                }
-            }
+            let min = self.slots.iter().flatten().map(|e| e.time).min();
             min.expect("in_buckets > 0 implies a pending entry") >> shift
         });
-        let bucket = &mut self.buckets[(d & self.mask) as usize];
-        if bucket.iter().all(|e| e.time >> shift == d) {
-            // Common case: the bucket holds exactly one division. Swap it
-            // in wholesale; the bucket inherits the drained run's buffer.
-            std::mem::swap(bucket, &mut self.ready);
-        } else {
-            // Aliased case (ring shorter than the pending time span):
-            // split the bucket, matching entries into the run.
-            for e in std::mem::take(bucket) {
-                if e.time >> shift == d {
-                    self.ready.push(e);
+        // Walk the bucket's list: the division's entries move into the
+        // run and free their slots; the others (aliased divisions, when
+        // the ring is shorter than the pending time span) stay linked in
+        // their order.
+        let b = (d & self.mask) as usize;
+        let (mut prev, mut i) = (NIL, self.buckets[b].head);
+        while i != NIL {
+            let after = self.next[i as usize];
+            if let Some(e) = self.slots[i as usize].take_if(|e| e.time >> shift == d) {
+                self.ready.push(e);
+                self.free.push(i);
+                if prev == NIL {
+                    self.buckets[b].head = after;
                 } else {
-                    bucket.push(e);
+                    self.next[prev as usize] = after;
                 }
+            } else {
+                prev = i;
             }
+            i = after;
         }
+        self.buckets[b].tail = prev;
         self.in_buckets -= self.ready.len();
         self.since_resize += self.ready.len();
         self.work.refills += 1;
@@ -404,29 +478,38 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Rebuilds the ring with a population-appropriate bucket count and a
-    /// width re-estimated from the bucket entries' time spread. The ready
-    /// run is untouched.
+    /// width re-estimated from the bucket entries' time spread. Entries
+    /// keep their arena slots; only the lists are relinked, walked in
+    /// bucket-index order and then list order, which is also the order
+    /// the width sample is taken in. The ready run is untouched.
     fn resize(&mut self) {
         let target = self
             .in_buckets
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let mut all: Vec<CalEntry<E>> = Vec::with_capacity(self.in_buckets);
-        for bucket in &mut self.buckets {
-            all.append(bucket);
-        }
-        if let Some(w) = estimate_width(&all) {
+        let step = self.in_buckets.div_ceil(SAMPLE).max(1);
+        let times: Vec<u64> = self
+            .buckets
+            .iter()
+            .flat_map(|bucket| self.list(bucket.head))
+            .step_by(step)
+            .map(|i| self.time_at(i))
+            .collect();
+        if let Some(w) = estimate_width(self.in_buckets, times) {
             // Round down to a power of two: narrower buckets cost cheap
             // empty-bucket probes, wider ones cost longer ready runs.
             self.shift = 63 - w.max(1).leading_zeros();
         }
-        if self.buckets.len() != target {
-            self.buckets = (0..target).map(|_| Vec::new()).collect();
-            self.mask = (target - 1) as u64;
-        }
-        for e in all {
-            let b = self.bucket_of(e.time);
-            self.buckets[b].push(e);
+        let old = std::mem::replace(&mut self.buckets, vec![EMPTY; target]);
+        self.mask = (target - 1) as u64;
+        for bucket in old {
+            let mut i = bucket.head;
+            while i != NIL {
+                // Read the old successor before `link` overwrites it.
+                let after = self.next[i as usize];
+                self.link(self.bucket_of(self.time_at(i)), i);
+                i = after;
+            }
         }
         self.since_resize = 0;
         self.work.resizes += 1;
@@ -441,7 +524,8 @@ impl<E> CalendarQueue<E> {
 }
 
 /// Width rule: the time span of the *near-term* sample divided by the
-/// estimated number of *distinct* event times in it. The near-term
+/// estimated number of *distinct* event times in it. `times` is an even
+/// sample of a bucket side of `population` entries. The near-term
 /// sample is the sorted sample cut below its far-future tail, if it has
 /// one: a minority of samples separated from the rest by a gap wider than
 /// the rest's whole span; a sample without such a gap is used whole. The
@@ -458,14 +542,10 @@ impl<E> CalendarQueue<E> {
 /// all-distinct sample implies a dense distinct population, whose
 /// near-term share is the sample's kept share. `None` if the sample
 /// spans no time at all — all-equal times keep the previous width.
-fn estimate_width<E>(entries: &[CalEntry<E>]) -> Option<u64> {
-    if entries.len() < 2 {
+fn estimate_width(population: usize, mut times: Vec<u64>) -> Option<u64> {
+    if population < 2 {
         return None;
     }
-    // Sample evenly across the population to bound the sort.
-    const SAMPLE: usize = 64;
-    let step = entries.len().div_ceil(SAMPLE);
-    let mut times: Vec<u64> = entries.iter().step_by(step).map(|e| e.time).collect();
     times.sort_unstable();
     let sampled = times.len();
     // The far-future tail: every sample above the first gap wider than
@@ -486,7 +566,7 @@ fn estimate_width<E>(entries: &[CalEntry<E>]) -> Option<u64> {
         // instants, and the sample almost surely saw them all.
         distinct as u64
     } else {
-        (entries.len() * times.len() / sampled) as u64
+        (population * times.len() / sampled) as u64
     };
     Some((span / divisor).max(1))
 }
@@ -704,6 +784,27 @@ mod tests {
             assert_eq!(e, i, "37ns-spaced pushes pop in push order");
         }
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn refilling_to_the_same_population_reserves_nothing_more() {
+        // Each round lands in divisions and buckets the rounds before it
+        // never touched; the arena reuses the slots they freed.
+        const N: u64 = 5_000;
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        let mut reserved = Vec::new();
+        for round in 0..4u64 {
+            let base = round * 1_000_003_001;
+            for i in 0..N {
+                q.push(SimTime::from_nanos(base + i * (37 + round)), i);
+            }
+            for i in 0..N {
+                assert_eq!(q.pop().map(|(_, _, e)| e), Some(i));
+            }
+            reserved.push(q.work().reserved_slots);
+        }
+        assert!(reserved[0] <= 2 * N as usize, "{reserved:?}");
+        assert!(reserved.windows(2).all(|w| w[1] == w[0]), "{reserved:?}");
     }
 
     /// The bucket shift a calendar settles on for `times`, pushed in order

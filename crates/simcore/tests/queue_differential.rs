@@ -2,11 +2,13 @@
 //! must be observationally identical. Seeded (`SimRng`-driven) operation
 //! sequences are replayed against both implementations, asserting
 //! identical `(time, id, event)` pop sequences, identical peeks and
-//! identical lengths. Two shapes of sequence: arbitrary interleavings of
-//! push / pop / peek / len at arbitrary times (including below the last
-//! popped time), and the hold model the simulator actually produces —
+//! identical lengths. Three shapes of sequence: arbitrary interleavings
+//! of push / pop / peek / len at arbitrary times (including below the
+//! last popped time); the hold model the simulator actually produces —
 //! pop the earliest event, push its successor at `popped + d` — alone and
-//! with a stream of far-future timers on top.
+//! with a stream of far-future timers on top; and a mix built to drive
+//! the calendar through its aliased bucket lists, empty-year scans and
+//! pushes below its scan floor.
 
 use simcore::event::{CalendarQueue, HeapQueue};
 use simcore::rng::SimRng;
@@ -195,5 +197,63 @@ fn hold_model_with_far_future_timers_matches() {
                 far_percent,
             );
         }
+    }
+}
+
+/// The calendar's slow paths, on purpose. Of the operations, 7 in 16
+/// push up to 2 µs after the last popped time, which keeps the buckets
+/// sub-µs wide; 2 in 16 push up to a second ahead, many ring cycles
+/// (`buckets × width`) away, so those entries share bucket lists with
+/// near ones and with each other: refills split lists and relink the
+/// survivors, and the growth resizes relink aliased lists. Once the
+/// near-term entries are gone, a whole ring cycle can pass with nothing
+/// due, and the calendar falls back to its empty-year scan. 1 in 16
+/// pushes up to 5 µs *before* the last popped time, below the scan
+/// floor. The rest pop.
+fn run_aliased(seed: u64, ops: usize) {
+    const NEAR: u64 = 2_000;
+    const FAR: u64 = 1_000_000_000;
+    const BEHIND: u64 = 5_000;
+    let mut rng = SimRng::seed_from(seed);
+    let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+    let mut heap: HeapQueue<u64> = HeapQueue::new();
+    let mut now = 0u64;
+    for step in 0..ops as u64 {
+        let t = match rng.range_u64(0, 16) {
+            0..=6 => now + rng.range_u64(0, NEAR),
+            7..=8 => now + rng.range_u64(0, FAR),
+            9 => now.saturating_sub(rng.range_u64(1, BEHIND)),
+            _ => {
+                let popped = cal.pop();
+                assert_eq!(popped, heap.pop(), "seed {seed} step {step}: pops diverge");
+                if let Some((time, _, _)) = popped {
+                    now = time.as_nanos();
+                }
+                continue;
+            }
+        };
+        cal.push(SimTime::from_nanos(t), step);
+        heap.push(SimTime::from_nanos(t), step);
+    }
+    assert_eq!(cal.len(), heap.len(), "seed {seed}: lens diverge");
+    let resizes = cal.work().resizes;
+    assert!(resizes >= 3, "seed {seed}: only {resizes} resizes");
+    drain_identically(&mut cal, &mut heap, seed);
+}
+
+#[test]
+fn aliased_lists_match() {
+    for seed in 0..8 {
+        run_aliased(0xA11A_0000 + seed, 10_000);
+    }
+}
+
+/// The long form of [`aliased_lists_match`]: 64 seeds × 10⁵ operations,
+/// run by `scripts/check.sh` in release.
+#[test]
+#[ignore = "long form; run with --release -- --ignored"]
+fn aliased_lists_match_long() {
+    for seed in 0..64 {
+        run_aliased(0xA11A_1000 + seed, 100_000);
     }
 }

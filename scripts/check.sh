@@ -62,6 +62,9 @@ cargo test -q --workspace
 echo "==> stranded-teardown sweep: three recipes, 40 / 1500 / 400 worlds, zero strands"
 cargo test -q --release --test teardown_strand -- --ignored
 
+echo "==> calendar slow paths, long form: aliased lists, empty years, pushes below the floor (64 seeds x 10^5 ops against the heap)"
+cargo test -q --release -p simcore --test queue_differential -- --ignored
+
 echo "==> smoke: cargo run --example quickstart"
 cargo run -q --release --example quickstart
 
