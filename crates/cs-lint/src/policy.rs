@@ -224,6 +224,12 @@ pub const STAGE_BOUNDARIES: &[Boundary] = &[
         invariant: "a frame handed to a link is stored once, in Net's store; the scheduler \
                     queues handles (LinkScheduler<FrameHandle>)",
     },
+    Boundary {
+        files: &["crates/relaynet/src/node.rs"],
+        forbidden: &[&["VecDeque", "<", "QueuedCell"]],
+        invariant: "a hop queue is a list in the world's one slab of cells (HopCells), \
+                    not a queue of its own that keeps its own peak",
+    },
 ];
 
 /// Decides whether `rule` applies at a site.

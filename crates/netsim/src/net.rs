@@ -48,12 +48,13 @@
 //! [`Net::send_stored`] of a frame just stored; a caller that queues
 //! frames in front of a link itself (an overlay's circuit scheduler)
 //! stores each one when it queues it, keeps the handle, and later sends
-//! it by handle or [takes it back](Net::take_stored). A freed slot is the
-//! next one filled, so the store holds as many slots as frames were ever
-//! held at once ([`Net::frame_store`]), not the sum of every queue's own
-//! peak.
+//! it by handle or [takes it back](Net::take_stored). The store is a
+//! [`Slab`]: a freed slot is the next one filled, so it reserves one
+//! bounded step past the most frames ever held at once
+//! ([`Net::frame_store`]), not the sum of every queue's own peak.
 
 use simcore::sim::Context;
+use simcore::slab::{Slab, SlabUse};
 use simcore::time::SimTime;
 
 use crate::bandwidth::Bandwidth;
@@ -93,71 +94,6 @@ pub enum NetEvent {
 /// only the `Net` mints.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FrameHandle(u32);
-
-/// How [`Net`]'s frame store is used (see the module docs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FrameStoreUse {
-    /// Frames held now: queued, serializing or in flight on any link, or
-    /// stored and not yet sent (waiting in a caller's scheduler).
-    pub held: usize,
-    /// The most frames ever held at once — the store's slot count, since
-    /// a slot is only added when every one is taken.
-    pub high_water: usize,
-    /// Slots reserved.
-    pub reserved: usize,
-}
-
-/// Every frame a [`Net`] holds, under a [`FrameHandle`], from `store`
-/// until it is delivered or taken back. Freed slots are reused last-in
-/// first-out. The per-frame methods are `#[inline]`: each runs once or
-/// twice per frame.
-struct FrameStore<F> {
-    slots: Vec<Option<F>>,
-    free: Vec<u32>,
-}
-
-impl<F> FrameStore<F> {
-    #[inline]
-    fn insert(&mut self, frame: F) -> FrameHandle {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(frame);
-                FrameHandle(slot)
-            }
-            None => self.grow(frame),
-        }
-    }
-
-    /// A new slot, for a frame that finds every slot taken: at most once
-    /// per frame of the high-water mark, so out of the per-frame path.
-    #[cold]
-    #[inline(never)]
-    fn grow(&mut self, frame: F) -> FrameHandle {
-        let slot = u32::try_from(self.slots.len()).expect("more than 2^32 frames held");
-        self.slots.push(Some(frame));
-        FrameHandle(slot)
-    }
-
-    #[inline]
-    fn get_mut(&mut self, FrameHandle(slot): FrameHandle) -> &mut F {
-        self.slots[slot as usize]
-            .as_mut()
-            .expect("a handle names a stored frame")
-    }
-
-    #[inline]
-    fn remove(&mut self, FrameHandle(slot): FrameHandle) -> F {
-        // Swapped out whole rather than `take`n: `take` can store the
-        // `None` niche into the middle of the frame it moves out and copy
-        // the frame around that byte, and a wide copy of the frame soon
-        // after stalls on the split stores (5–9 ns an event on a
-        // `Net`-only loop whose frame has a `bool` niche).
-        let mut frame = None;
-        std::mem::swap(&mut self.slots[slot as usize], &mut frame);
-        self.free.push(slot);
-        frame.expect("a handle names a stored frame")
-    }
-}
 
 /// A directed graph of nodes and rate/delay links carrying frames of type
 /// `F`.
@@ -212,7 +148,9 @@ impl<F> FrameStore<F> {
 /// ```
 pub struct Net<F: Frame> {
     links: Vec<LinkState>,
-    store: FrameStore<F>,
+    /// Every frame held, from `store` until it is delivered or taken
+    /// back, under its handle's slot.
+    store: Slab<F>,
     link_ends: Vec<(NodeId, NodeId)>,
     /// Every node's diagnostic name, back to back: one buffer for all
     /// nodes rather than one allocation each.
@@ -232,10 +170,7 @@ impl<F: Frame> Net<F> {
     pub fn new() -> Self {
         Net {
             links: Vec::new(),
-            store: FrameStore {
-                slots: Vec::new(),
-                free: Vec::new(),
-            },
+            store: Slab::default(),
             link_ends: Vec::new(),
             names: String::new(),
             name_ends: Vec::new(),
@@ -332,13 +267,8 @@ impl<F: Frame> Net<F> {
 
     /// How the frame store is used: frames held now, the most ever held
     /// at once, and slots reserved.
-    pub fn frame_store(&self) -> FrameStoreUse {
-        let FrameStore { slots, free } = &self.store;
-        FrameStoreUse {
-            held: slots.len() - free.len(),
-            high_water: slots.len(),
-            reserved: slots.capacity(),
-        }
+    pub fn frame_store(&self) -> SlabUse {
+        self.store.usage()
     }
 
     /// Hands a frame to a link for transmission at the current time:
@@ -355,7 +285,7 @@ impl<F: Frame> Net<F> {
     /// [takes it back](Net::take_stored).
     #[inline]
     pub fn store(&mut self, frame: F) -> FrameHandle {
-        self.store.insert(frame)
+        FrameHandle(self.store.insert(frame))
     }
 
     /// Hands the stored frame `handle` to a link for transmission at the
@@ -372,7 +302,7 @@ impl<F: Frame> Net<F> {
     ) {
         let now = ctx.now();
         let state = &mut self.links[link.index()];
-        let frame = self.store.get_mut(handle);
+        let frame = self.store.get_mut(handle.0);
         let (size, awaits_departure) = (frame.wire_size(), frame.awaits_departure());
         if !state.is_busy(now) {
             debug_assert!(
@@ -396,7 +326,7 @@ impl<F: Frame> Net<F> {
     /// passed to [`Net::send_stored`] belongs to the link from then on.
     #[inline]
     pub fn take_stored(&mut self, handle: FrameHandle) -> F {
-        self.store.remove(handle)
+        self.store.remove(handle.0)
     }
 
     /// Asks for a [`NetEvent::TxComplete`] at the instant `link` falls
@@ -425,7 +355,7 @@ impl<F: Frame> Net<F> {
     /// wake-up.
     pub fn transmitting_mut(&mut self, link: LinkId) -> Option<&mut F> {
         let handle = self.links[link.index()].transmitting?;
-        Some(self.store.get_mut(handle))
+        Some(self.store.get_mut(handle.0))
     }
 
     /// The frame most recently put on the wire of `link` that has not
@@ -435,7 +365,7 @@ impl<F: Frame> Net<F> {
     pub fn last_on_wire_mut(&mut self, link: LinkId) -> Option<&mut F> {
         let state = &self.links[link.index()];
         let handle = state.transmitting.or(state.in_flight.back().copied())?;
-        Some(self.store.get_mut(handle))
+        Some(self.store.get_mut(handle.0))
     }
 
     /// Handles [`NetEvent::TxComplete`]: moves the serialized frame, if
@@ -460,7 +390,7 @@ impl<F: Frame> Net<F> {
             );
         }
         if let Some((handle, enqueued_at)) = state.queue.pop_front() {
-            let frame = self.store.get_mut(handle);
+            let frame = self.store.get_mut(handle.0);
             let (size, awaits_departure) = (frame.wire_size(), frame.awaits_departure());
             state.stats.queue_wait_total += now.saturating_duration_since(enqueued_at);
             Self::begin_tx(state, link, handle, size, awaits_departure, now, ctx);
@@ -488,7 +418,7 @@ impl<F: Frame> Net<F> {
             .in_flight
             .pop_front()
             .expect("Deliver on a link with nothing in flight");
-        self.store.remove(handle)
+        self.store.remove(handle.0)
     }
 
     /// Starts serializing the stored frame `handle`, `size` bytes long, on

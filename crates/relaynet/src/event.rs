@@ -115,4 +115,14 @@ mod tests {
              niche keeps the slot at 32 bytes too"
         );
     }
+
+    #[test]
+    fn a_hop_cell_slot_is_sixty_four_bytes() {
+        assert_eq!(
+            std::mem::size_of::<Option<crate::node::QueuedCell>>(),
+            64,
+            "a hop queue's cell waits in a slab slot, an Option of the \
+             cell: the niche keeps it at the 64 bytes of a VecDeque element"
+        );
+    }
 }

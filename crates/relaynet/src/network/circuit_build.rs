@@ -55,7 +55,7 @@ impl Egress {
         hopdir: &mut HopDir,
         pay_confirms: bool,
     ) {
-        while let Some(qc) = hopdir.queue.pop_front() {
+        while let Some(qc) = hopdir.dequeue(&mut self.hop_cells) {
             self.stats.cells_drained += 1;
             if let Some(cf) = qc.confirm {
                 if pay_confirms {
@@ -167,12 +167,15 @@ impl Egress {
         if self.wave_meets_crash(hd) {
             return false;
         }
-        if hd.transport.next_seq() == 0 && hd.queue.is_empty() {
+        if hd.transport.next_seq() == 0 && hd.queue_is_empty() {
             // Never contacted that neighbour (its CREATE/CREATED was
             // drained unsent): nothing to tear down there.
             return false;
         }
-        hd.enqueue(QueuedCell::new(Cell::destroy(CircuitId::CONTROL, reason)));
+        hd.enqueue(
+            &mut self.hop_cells,
+            QueuedCell::new(Cell::destroy(CircuitId::CONTROL, reason)),
+        );
         self.stats.destroys_sent += 1;
         self.pump_dir(ctx, my_net, nc, dir);
         true
@@ -260,7 +263,10 @@ impl TorNetwork {
         let app = ClientApp::new(hops, &streams);
         let mut nc = NodeCircuit::new(circ, CircuitRole::Client(app));
         let mut hopdir = HopDir::new(first_hop, link_id, transport);
-        hopdir.enqueue(QueuedCell::new(Cell::create(CircuitId::CONTROL, hs)));
+        hopdir.enqueue(
+            &mut self.egress.hop_cells,
+            QueuedCell::new(Cell::create(CircuitId::CONTROL, hs)),
+        );
         nc.fwd = Some(hopdir);
         let my_net = node.net_node;
         let local = node.add_circuit(nc);
@@ -314,7 +320,10 @@ impl TorNetwork {
             sid,
             BEGIN_ADDRESS,
         );
-        nc.fwd.as_mut().expect("client forward hop").enqueue(qc);
+        nc.fwd
+            .as_mut()
+            .expect("client forward hop")
+            .enqueue(&mut self.egress.hop_cells, qc);
         self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
     }
 
@@ -360,10 +369,10 @@ impl TorNetwork {
         let my_net = node.net_node;
         let mut nc = NodeCircuit::new(global, role);
         let mut bwd = HopDir::new(from, link_id, transport);
-        bwd.enqueue(QueuedCell::new(Cell::created(
-            CircuitId::CONTROL,
-            handshake,
-        )));
+        bwd.enqueue(
+            &mut self.egress.hop_cells,
+            QueuedCell::new(Cell::created(CircuitId::CONTROL, handshake)),
+        );
         nc.bwd = Some(bwd);
         let local = node.add_circuit(nc);
         self.register_route(link_id, to, from, global, local, Direction::Forward);
@@ -419,7 +428,7 @@ impl TorNetwork {
                 self.egress.protocol_error("relay without backward hop");
                 return;
             };
-            bwd.enqueue(QueuedCell::relay(rc, None));
+            bwd.enqueue(&mut self.egress.hop_cells, QueuedCell::relay(rc, None));
             self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
         }
     }
@@ -474,7 +483,7 @@ impl TorNetwork {
         }
         let fwd = nc.fwd.as_mut().expect("client forward hop");
         for qc in qcs {
-            fwd.enqueue(qc);
+            fwd.enqueue(&mut self.egress.hop_cells, qc);
         }
         self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
     }
@@ -515,7 +524,10 @@ impl TorNetwork {
         };
         *pending_extend = Some(hs);
         let mut fwd = HopDir::new(target, new_id, transport);
-        fwd.enqueue(QueuedCell::new(Cell::create(CircuitId::CONTROL, hs)));
+        fwd.enqueue(
+            &mut self.egress.hop_cells,
+            QueuedCell::new(Cell::create(CircuitId::CONTROL, hs)),
+        );
         nc.fwd = Some(fwd);
         self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
         Ok(())
@@ -1084,9 +1096,11 @@ mod tests {
             // one goes on the wire, two wait in the link's scheduler.
             for seq in 0..3 {
                 let fwd = data_cell(egress, PRED, 11, seq);
-                nc.fwd.as_mut().expect("forward hop").enqueue(fwd);
+                let cells = &mut egress.hop_cells;
+                nc.fwd.as_mut().expect("forward hop").enqueue(cells, fwd);
                 let bwd = data_cell(egress, SUCC, 10, seq);
-                nc.bwd.as_mut().expect("backward hop").enqueue(bwd);
+                let cells = &mut egress.hop_cells;
+                nc.bwd.as_mut().expect("backward hop").enqueue(cells, bwd);
             }
             egress.pump_dir(ctx, me, &mut nc, Direction::Forward);
             egress.pump_dir(ctx, me, &mut nc, Direction::Backward);
@@ -1134,14 +1148,21 @@ mod tests {
         with_ctx(|ctx| {
             for seq in 0..2 {
                 let qc = data_cell(&mut egress, PRED, 11, seq);
-                nc.fwd.as_mut().expect("forward hop").enqueue(qc);
+                let cells = &mut egress.hop_cells;
+                nc.fwd.as_mut().expect("forward hop").enqueue(cells, qc);
             }
             egress.pump_dir(ctx, me, &mut nc, Direction::Forward);
             let qc = data_cell(&mut egress, PRED, 11, 2);
-            nc.fwd.as_mut().expect("forward hop").enqueue(qc);
+            let cells = &mut egress.hop_cells;
+            nc.fwd.as_mut().expect("forward hop").enqueue(cells, qc);
 
             egress.close_participation(ctx, me, &mut nc, true);
             assert_ne!(nc.phase, CircuitPhase::Open);
+            assert_eq!(
+                egress.hop_cells.usage().held,
+                0,
+                "the drain frees every slot"
+            );
             let after_close = (egress.stats, egress.payload_pool.returned());
             assert_eq!(egress.stats.cells_drained, 2);
             assert_eq!(egress.stats.feedback_sent, 2, "drained cells still confirm");

@@ -153,7 +153,7 @@ impl TorNetwork {
                 nc.bwd
                     .as_mut()
                     .expect("server backward hop")
-                    .enqueue(QueuedCell::relay(reply, None));
+                    .enqueue(&mut self.egress.hop_cells, QueuedCell::relay(reply, None));
                 self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
             }
             RelayCommand::Data => {

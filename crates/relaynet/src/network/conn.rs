@@ -156,7 +156,7 @@ impl Egress {
             if !hopdir.transport.can_send() {
                 break;
             }
-            let qc = if let Some(qc) = hopdir.queue.pop_front() {
+            let qc = if let Some(qc) = hopdir.dequeue(&mut self.hop_cells) {
                 qc
             } else if generates {
                 match TorNetwork::generate_client_cell(

@@ -67,6 +67,7 @@ use netsim::net::{FrameHandle, Net, NetEvent, NodeId};
 use netsim::topology::{Star, Topology};
 use simcore::rng::SimRng;
 use simcore::sim::{Context, World};
+use simcore::slab::SlabUse;
 use simcore::time::SimTime;
 use simstats::registry::MetricsRegistry;
 use simstats::sketch::QuantileSketch;
@@ -78,7 +79,7 @@ use torcell::ids::CircuitId;
 use crate::circuit::{CircuitInfo, CircuitResult};
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
-use crate::node::{CcFactory, CircuitRole, NodeRole, OverlayNode};
+use crate::node::{CcFactory, CircuitRole, HopCells, NodeRole, OverlayNode};
 use crate::pool::PayloadPool;
 use crate::scheduler::LinkScheduler;
 use crate::wire::WireFrame;
@@ -478,6 +479,8 @@ pub(super) struct Egress {
     /// Recycles DATA payload buffers between server consumption and
     /// client generation (see [`crate::pool`]).
     pub(super) payload_pool: PayloadPool,
+    /// Every hop queue's cells: each `HopDir`'s queue is a list in it.
+    pub(super) hop_cells: HopCells,
     pub(super) stats: WorldStats,
     /// Overlay index → crashed flag, grown lazily by the fault engine
     /// (see [`faults`]); empty in a fault-free world.
@@ -496,6 +499,7 @@ impl Egress {
             link_sched,
             topology,
             payload_pool: PayloadPool::new(),
+            hop_cells: HopCells::default(),
             stats: WorldStats::default(),
             crashed: Vec::new(),
         }
@@ -914,6 +918,13 @@ impl TorNetwork {
             .iter()
             .map(LinkScheduler::reserved_slots)
             .sum()
+    }
+
+    /// How the world's one slab of hop-queue cells is used
+    /// ([`HopCells`]): cells queued now, the most ever queued at once,
+    /// and slots reserved.
+    pub fn hop_cells(&self) -> SlabUse {
+        self.egress.hop_cells.usage()
     }
 
     /// Collects the measured outcome of every circuit.

@@ -129,7 +129,10 @@ impl TorNetwork {
                             .consumed(rc, Err("forwarding past the built circuit"));
                         return;
                     };
-                    fwd.enqueue(QueuedCell::relay(rc, Some(confirm)));
+                    fwd.enqueue(
+                        &mut self.egress.hop_cells,
+                        QueuedCell::relay(rc, Some(confirm)),
+                    );
                     self.egress.pump_dir(ctx, my_net, nc, Direction::Forward);
                 }
             }
@@ -151,7 +154,10 @@ impl TorNetwork {
                             .consumed(rc, Err("backward cell with no client side"));
                         return;
                     };
-                    bwd.enqueue(QueuedCell::relay(rc, Some(confirm)));
+                    bwd.enqueue(
+                        &mut self.egress.hop_cells,
+                        QueuedCell::relay(rc, Some(confirm)),
+                    );
                     self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
                 }
                 CircuitRole::Vacant => unreachable!("a vacant slot reads closed"),

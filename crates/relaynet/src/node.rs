@@ -15,11 +15,12 @@
 //! growing the slab. (Deterministic by construction: nothing here is
 //! iterated in hash order.)
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use backtap::cc::Controller;
 use backtap::hop::HopTransport;
 use netsim::net::NodeId;
+use simcore::slab::{List, Lists};
 use simcore::time::{SimDuration, SimTime};
 use torcell::cell::{Cell, CellBody, RelayCell, HANDSHAKE_LEN};
 use torcell::crypto::{OnionRoute, RelayCrypt};
@@ -91,6 +92,11 @@ impl QueuedCell {
     }
 }
 
+/// Every hop queue's cells in one world: each [`HopDir`]'s queue is a
+/// list through this one slab, so queued-cell memory follows the most
+/// cells queued at once in the world, not every hop's own peak.
+pub type HopCells = Lists<QueuedCell>;
+
 /// One direction of one circuit at one node: the transport toward the
 /// neighbour plus the queue of cells waiting for the window.
 pub struct HopDir {
@@ -100,8 +106,9 @@ pub struct HopDir {
     pub link_circ_id: CircuitId,
     /// Window/feedback machinery.
     pub transport: HopTransport,
-    /// Cells awaiting window credit.
-    pub queue: VecDeque<QueuedCell>,
+    /// Cells awaiting window credit, in the world's [`HopCells`].
+    queue: List,
+    queue_len: u32,
     /// Largest queue length observed (bounded by the predecessor's window
     /// — the backpressure property the tests assert).
     pub queue_hwm: usize,
@@ -114,15 +121,31 @@ impl HopDir {
             neighbor,
             link_circ_id,
             transport,
-            queue: VecDeque::new(),
+            queue: List::EMPTY,
+            queue_len: 0,
             queue_hwm: 0,
         }
     }
 
     /// Enqueues a cell and updates the high-water mark.
-    pub fn enqueue(&mut self, qc: QueuedCell) {
-        self.queue.push_back(qc);
-        self.queue_hwm = self.queue_hwm.max(self.queue.len());
+    #[inline]
+    pub fn enqueue(&mut self, cells: &mut HopCells, qc: QueuedCell) {
+        cells.push_back(&mut self.queue, qc);
+        self.queue_len += 1;
+        self.queue_hwm = self.queue_hwm.max(self.queue_len as usize);
+    }
+
+    /// Takes the cell at the head of the queue, freeing its slot.
+    #[inline]
+    pub fn dequeue(&mut self, cells: &mut HopCells) -> Option<QueuedCell> {
+        let qc = cells.pop_front(&mut self.queue)?;
+        self.queue_len -= 1;
+        Some(qc)
+    }
+
+    /// `true` if no cell is queued.
+    pub fn queue_is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 
     /// `true` once every sent cell is confirmed and nothing is queued —
@@ -497,6 +520,13 @@ impl OverlayNode {
     pub fn remove_circuit(&mut self, local: u32) {
         let slot = &mut self.circuits[local as usize];
         debug_assert!(!matches!(slot.role, CircuitRole::Vacant), "double free");
+        debug_assert!(
+            [&slot.fwd, &slot.bwd]
+                .into_iter()
+                .flatten()
+                .all(HopDir::queue_is_empty),
+            "a reclaimed participation still holds queued cells"
+        );
         self.by_global.remove(&slot.circ);
         // Hops and role go; the slot reads closed, so no stage acts on it.
         (slot.fwd, slot.bwd, slot.role) = (None, None, CircuitRole::Vacant);
@@ -647,20 +677,26 @@ mod tests {
 
     #[test]
     fn hopdir_queue_hwm() {
+        let mut cells = HopCells::default();
         let mut hd = HopDir::new(OverlayId(1), CircuitId(5), transport());
         for _ in 0..3 {
-            hd.enqueue(QueuedCell::new(Cell::destroy(CircuitId(5), 0)));
+            hd.enqueue(&mut cells, QueuedCell::new(Cell::destroy(CircuitId(5), 0)));
         }
-        hd.queue.pop_front();
-        hd.enqueue(QueuedCell::new(Cell::destroy(CircuitId(5), 0)));
+        hd.dequeue(&mut cells);
+        hd.enqueue(&mut cells, QueuedCell::new(Cell::destroy(CircuitId(5), 0)));
         assert_eq!(hd.queue_hwm, 3);
         assert!(!hd.quiescent());
+        while hd.dequeue(&mut cells).is_some() {}
+        let usage = cells.usage();
+        assert_eq!((usage.held, usage.high_water), (0, 3));
+        assert!(hd.quiescent());
     }
 
     #[test]
     fn phase_transitions_close_then_record_each_wave_once() {
         use CircuitPhase::{Closed, Open};
         use Direction::{Backward, Forward};
+        let mut cells = HopCells::default();
         let mut nc = relay(0);
         nc.fwd = Some(HopDir::new(OverlayId(2), CircuitId(10), transport()));
         nc.bwd = Some(HopDir::new(OverlayId(0), CircuitId(11), transport()));
@@ -698,9 +734,9 @@ mod tests {
             assert!(!nc.reclaimable(), "{dir}: outstanding cells block it");
             let h = hop(&mut nc, dir);
             h.transport.on_feedback(seq, SimTime::ZERO).unwrap();
-            h.enqueue(QueuedCell::new(Cell::destroy(CircuitId(5), 0)));
+            h.enqueue(&mut cells, QueuedCell::new(Cell::destroy(CircuitId(5), 0)));
             assert!(!nc.reclaimable(), "{dir}: queued cells block it");
-            hop(&mut nc, dir).queue.clear();
+            hop(&mut nc, dir).dequeue(&mut cells);
             assert!(nc.reclaimable(), "{dir}: quiescent again");
         }
     }

@@ -7,7 +7,7 @@
 //!   power-of-two ring of unsorted buckets, each covering `width`
 //!   nanoseconds of virtual time, with the bucket count and width
 //!   adapting to the pending population. Every bucket is a list through
-//!   one entry arena, so the queue's memory follows the events pending.
+//!   one entry slab, so the queue's memory follows the events pending.
 //!   Scheduling is O(1) (compute the bucket, link a free slot at its
 //!   tail) and dequeue is amortized O(1) for the short-horizon timer
 //!   churn that dominates overlay runs.
@@ -28,6 +28,7 @@
 
 use std::collections::BinaryHeap;
 
+use crate::slab::{List, Lists, SlabUse};
 use crate::time::SimTime;
 
 /// The push sequence number of an event, unique within one queue and
@@ -52,7 +53,7 @@ pub struct QueueWork {
     /// Ring rebuilds (growth or run pressure), each O(n).
     pub resizes: u64,
     /// Entry slots allocated right now: the ready run's capacity plus
-    /// the entry arena's (for the heap, its one vector's). An arena slot
+    /// the entry slab's (for the heap, its one vector's). A slab slot
     /// also carries a 4-byte list link.
     pub reserved_slots: usize,
 }
@@ -174,27 +175,12 @@ const RUN_PRESSURE: usize = 64;
 /// Entries the width rule samples at a resize, evenly across the
 /// bucket side.
 const SAMPLE: usize = 64;
-/// The end of a bucket list; an empty bucket's head and tail.
-const NIL: u32 = u32::MAX;
 
 struct CalEntry<E> {
     time: u64,
     seq: u64,
     event: E,
 }
-
-/// One bucket: the first and last arena slot of its list, [`NIL`] when
-/// empty.
-#[derive(Clone, Copy)]
-struct Bucket {
-    head: u32,
-    tail: u32,
-}
-
-const EMPTY: Bucket = Bucket {
-    head: NIL,
-    tail: NIL,
-};
 
 /// A calendar queue with a sorted bottom run: O(1) schedule, amortized
 /// O(log k) dequeue (k = entries per bucket-width of time), exact
@@ -210,12 +196,12 @@ const EMPTY: Bucket = Bucket {
 /// k linear bucket scans, and the FIFO tie-break falls out of the sort
 /// key.
 ///
-/// A bucket is a list threaded through one entry arena: every
-/// bucket-side entry sits in an arena slot from push until its division
-/// is refilled, and a freed slot is reused last-freed first. The arena
-/// grows by doubling and never shrinks, so it holds at most about twice
-/// the most entries ever on the bucket side, whatever spread of buckets
-/// they passed through.
+/// A bucket is a list through one entry slab ([`Lists`]): every
+/// bucket-side entry sits in a slab slot from push until its division
+/// is refilled, and a freed slot is reused last-freed first. The slab
+/// never shrinks and grows by bounded steps, so it reserves at most one
+/// [`STEP`](crate::slab::STEP) past the most entries ever on the bucket
+/// side, whatever spread of buckets they passed through.
 ///
 /// Invariant: every entry in the ready run precedes every bucket entry in
 /// time (the run is a whole minimal division; later pushes that would
@@ -224,16 +210,11 @@ pub struct CalendarQueue<E> {
     /// The earliest division, sorted by `(time, seq)` descending; pops
     /// come off the back.
     ready: Vec<CalEntry<E>>,
-    /// The entry arena: `Some` exactly for the slots on a bucket list.
-    slots: Vec<Option<CalEntry<E>>>,
-    /// `next[i]` is the slot after slot `i` on its bucket's list, or
-    /// [`NIL`].
-    next: Vec<u32>,
-    /// Free arena slots, popped last-freed first.
-    free: Vec<u32>,
+    /// The bucket side: every entry on a bucket list.
+    entries: Lists<CalEntry<E>>,
     /// Power-of-two ring of bucket lists; entry `e` is on bucket
     /// `(e.time >> shift) & mask`, in push order.
-    buckets: Vec<Bucket>,
+    buckets: Vec<List>,
     mask: u64,
     /// log2 of the bucket width in nanoseconds.
     shift: u32,
@@ -264,15 +245,13 @@ impl<E> Default for CalendarQueue<E> {
 }
 
 impl<E> CalendarQueue<E> {
-    /// Creates an empty queue; the bucket array and the entry arena grow
+    /// Creates an empty queue; the bucket array and the entry slab grow
     /// with the pending population.
     pub fn new() -> Self {
         CalendarQueue {
             ready: Vec::new(),
-            slots: Vec::new(),
-            next: Vec::new(),
-            free: Vec::new(),
-            buckets: vec![EMPTY; MIN_BUCKETS],
+            entries: Lists::default(),
+            buckets: vec![List::EMPTY; MIN_BUCKETS],
             mask: (MIN_BUCKETS - 1) as u64,
             shift: INITIAL_SHIFT,
             in_buckets: 0,
@@ -307,22 +286,8 @@ impl<E> CalendarQueue<E> {
             self.work.merge_inserts += 1;
             return;
         }
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(entry);
-                i
-            }
-            None => {
-                let i = u32::try_from(self.slots.len())
-                    .ok()
-                    .filter(|&i| i != NIL)
-                    .expect("fewer than 2^32 - 1 events on the bucket side");
-                self.slots.push(Some(entry));
-                self.next.push(NIL);
-                i
-            }
-        };
-        self.link(self.bucket_of(t), i);
+        let b = self.bucket_of(t);
+        self.entries.push_back(&mut self.buckets[b], entry);
         self.in_buckets += 1;
         self.maybe_grow();
     }
@@ -368,7 +333,7 @@ impl<E> CalendarQueue<E> {
     /// The work counts so far, with the slots reserved right now.
     pub fn work(&self) -> QueueWork {
         QueueWork {
-            reserved_slots: self.ready.capacity() + self.slots.capacity(),
+            reserved_slots: self.ready.capacity() + self.entries.usage().reserved,
             ..self.work
         }
     }
@@ -376,36 +341,6 @@ impl<E> CalendarQueue<E> {
     #[inline]
     fn bucket_of(&self, time: u64) -> usize {
         ((time >> self.shift) & self.mask) as usize
-    }
-
-    /// The time of the entry in linked slot `i`.
-    #[inline]
-    fn time_at(&self, i: u32) -> u64 {
-        self.slots[i as usize]
-            .as_ref()
-            .expect("a linked slot holds an entry")
-            .time
-    }
-
-    /// The slots on the list that starts at `head`, in list order.
-    fn list(&self, head: u32) -> impl Iterator<Item = u32> + '_ {
-        std::iter::successors((head != NIL).then_some(head), |&i| {
-            let n = self.next[i as usize];
-            (n != NIL).then_some(n)
-        })
-    }
-
-    /// Appends slot `i` at the tail of bucket `b`'s list.
-    #[inline]
-    fn link(&mut self, b: usize, i: u32) {
-        self.next[i as usize] = NIL;
-        let bucket = &mut self.buckets[b];
-        if bucket.head == NIL {
-            bucket.head = i;
-        } else {
-            self.next[bucket.tail as usize] = i;
-        }
-        bucket.tail = i;
     }
 
     /// Moves the earliest non-empty division out of its bucket into the
@@ -419,36 +354,25 @@ impl<E> CalendarQueue<E> {
         let shift = self.shift;
         let d0 = self.cur >> shift;
         let division = (d0..d0 + nb).find(|&d| {
-            self.list(self.buckets[(d & self.mask) as usize].head)
-                .any(|i| self.time_at(i) >> shift == d)
+            self.entries
+                .iter(self.buckets[(d & self.mask) as usize])
+                .any(|e| e.time >> shift == d)
         });
         let d = division.unwrap_or_else(|| {
             // Empty year: global scan for the earliest entry.
-            let min = self.slots.iter().flatten().map(|e| e.time).min();
+            let all = self.buckets.iter().flat_map(|&b| self.entries.iter(b));
+            let min = all.map(|e| e.time).min();
             min.expect("in_buckets > 0 implies a pending entry") >> shift
         });
-        // Walk the bucket's list: the division's entries move into the
-        // run and free their slots; the others (aliased divisions, when
-        // the ring is shorter than the pending time span) stay linked in
-        // their order.
-        let b = (d & self.mask) as usize;
-        let (mut prev, mut i) = (NIL, self.buckets[b].head);
-        while i != NIL {
-            let after = self.next[i as usize];
-            if let Some(e) = self.slots[i as usize].take_if(|e| e.time >> shift == d) {
-                self.ready.push(e);
-                self.free.push(i);
-                if prev == NIL {
-                    self.buckets[b].head = after;
-                } else {
-                    self.next[prev as usize] = after;
-                }
-            } else {
-                prev = i;
-            }
-            i = after;
-        }
-        self.buckets[b].tail = prev;
+        // The division's entries move into the run and free their slots;
+        // the others (aliased divisions, when the ring is shorter than
+        // the pending time span) stay linked in their order.
+        let ready = &mut self.ready;
+        self.entries.take_if(
+            &mut self.buckets[(d & self.mask) as usize],
+            |e| e.time >> shift == d,
+            |e| ready.push(e),
+        );
         self.in_buckets -= self.ready.len();
         self.since_resize += self.ready.len();
         self.work.refills += 1;
@@ -479,7 +403,7 @@ impl<E> CalendarQueue<E> {
 
     /// Rebuilds the ring with a population-appropriate bucket count and a
     /// width re-estimated from the bucket entries' time spread. Entries
-    /// keep their arena slots; only the lists are relinked, walked in
+    /// keep their slab slots; only the lists are relinked, walked in
     /// bucket-index order and then list order, which is also the order
     /// the width sample is taken in. The ready run is untouched.
     fn resize(&mut self) {
@@ -491,25 +415,22 @@ impl<E> CalendarQueue<E> {
         let times: Vec<u64> = self
             .buckets
             .iter()
-            .flat_map(|bucket| self.list(bucket.head))
+            .flat_map(|&bucket| self.entries.iter(bucket))
             .step_by(step)
-            .map(|i| self.time_at(i))
+            .map(|e| e.time)
             .collect();
         if let Some(w) = estimate_width(self.in_buckets, times) {
             // Round down to a power of two: narrower buckets cost cheap
             // empty-bucket probes, wider ones cost longer ready runs.
             self.shift = 63 - w.max(1).leading_zeros();
         }
-        let old = std::mem::replace(&mut self.buckets, vec![EMPTY; target]);
+        let old = std::mem::replace(&mut self.buckets, vec![List::EMPTY; target]);
         self.mask = (target - 1) as u64;
+        let (shift, mask) = (self.shift, self.mask);
         for bucket in old {
-            let mut i = bucket.head;
-            while i != NIL {
-                // Read the old successor before `link` overwrites it.
-                let after = self.next[i as usize];
-                self.link(self.bucket_of(self.time_at(i)), i);
-                i = after;
-            }
+            self.entries.relink(bucket, &mut self.buckets, |e| {
+                ((e.time >> shift) & mask) as usize
+            });
         }
         self.since_resize = 0;
         self.work.resizes += 1;
@@ -664,6 +585,15 @@ impl<E> EventQueue<E> {
     pub fn work(&self) -> QueueWork {
         delegate!(self, q => q.work())
     }
+
+    /// The calendar's entry slab: entries on the bucket side now, the
+    /// most ever, and its share of `reserved_slots`. `None` for the heap.
+    pub fn entries(&self) -> Option<SlabUse> {
+        match self {
+            EventQueue::Calendar(q) => Some(q.entries.usage()),
+            EventQueue::Heap(_) => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -789,7 +719,7 @@ mod tests {
     #[test]
     fn refilling_to_the_same_population_reserves_nothing_more() {
         // Each round lands in divisions and buckets the rounds before it
-        // never touched; the arena reuses the slots they freed.
+        // never touched; the slab reuses the slots they freed.
         const N: u64 = 5_000;
         let mut q: CalendarQueue<u64> = CalendarQueue::new();
         let mut reserved = Vec::new();

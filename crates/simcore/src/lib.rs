@@ -11,6 +11,8 @@
 //!   [`SimDuration`](time::SimDuration).
 //! * [`event`] — a *stable* (FIFO for equal timestamps) priority queue of
 //!   pending events.
+//! * [`slab`] — values under stable `u32` slots, growing by bounded
+//!   steps, with FIFO lists through them.
 //! * [`sim`] — the [`Simulator`] event loop and the
 //!   [`World`](sim::World) trait implemented by models.
 //! * [`rng`] — seeded, labelled-stream random numbers so experiments are
@@ -62,6 +64,7 @@ pub mod event;
 pub mod exec;
 pub mod rng;
 pub mod sim;
+pub mod slab;
 pub mod time;
 
 pub use sim::Simulator;

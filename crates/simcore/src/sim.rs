@@ -53,6 +53,7 @@
 //! ```
 
 use crate::event::{EventQueue, QueueKind, QueueWork};
+use crate::slab::SlabUse;
 use crate::time::{SimDuration, SimTime};
 
 /// The simulation model: one value owning all mutable state, reacting to
@@ -209,6 +210,11 @@ impl<W: World> Simulator<W> {
     /// changes nothing simulated.
     pub fn queue_work(&self) -> QueueWork {
         self.queue.work()
+    }
+
+    /// The calendar queue's entry slab use ([`EventQueue::entries`]).
+    pub fn queue_entries(&self) -> Option<SlabUse> {
+        self.queue.entries()
     }
 
     /// Installs a probe called with every event just before it is handled.

@@ -65,6 +65,9 @@ cargo test -q --release --test teardown_strand -- --ignored
 echo "==> calendar slow paths, long form: aliased lists, empty years, pushes below the floor (64 seeds x 10^5 ops against the heap)"
 cargo test -q --release -p simcore --test queue_differential -- --ignored
 
+echo "==> slab long form: slots, LIFO reuse, bounded growth and FIFO lists (64 seeds x 1.6 x 10^5 ops against a model)"
+cargo test -q --release -p simcore --test slab_differential -- --ignored
+
 echo "==> smoke: cargo run --example quickstart"
 cargo run -q --release --example quickstart
 

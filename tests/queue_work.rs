@@ -6,11 +6,13 @@
 //! far-future timers must not set the calendar's bucket width: when they
 //! did, near-term events piled dozens to a bucket and 9–31% of all pushes
 //! landed inside the sorted ready run and paid an O(k) insert. The
-//! calendar's pending entries share one arena that doubles when full, so
-//! its reservation follows the most events ever pending, not the spread
-//! of buckets they passed through. A
+//! calendar's pending entries share one slab (`simcore::slab`) that
+//! grows by bounded steps, so its reservation follows the most events
+//! ever pending, not the spread of buckets they passed through. A
 //! fault-free churn star has no far-future tail, and its counts are
-//! pinned to the digit as the negative control.
+//! pinned to the digit as the negative control. The same slab type holds
+//! the `Net`'s frames and the hop queues' cells: on the churn star each
+//! of the three reserves at most one step past its high water.
 
 use backtap::config::CcConfig;
 use circuitstart::Algorithm;
@@ -18,6 +20,7 @@ use relaynet::workload::{ArrivalSpec, ChurnSpec, FaultSpec, WorkloadSpec};
 use relaynet::{DirectoryConfig, StarScenario};
 use simcore::event::QueueWork;
 use simcore::sim::StopReason;
+use simcore::slab::{SlabUse, STEP};
 
 /// Three on/off streams per circuit over a 30–90 Mbit/s, 2–6 ms star.
 fn star(circuits: usize, relays: usize, churn: Option<ChurnSpec>) -> StarScenario {
@@ -79,11 +82,18 @@ struct Census {
     events: u64,
     /// The counts at quiescence.
     work: QueueWork,
+    /// The calendar's entry slab at quiescence.
+    entries: SlabUse,
     /// The most slots reserved at any sampled instant (every 256 events
     /// and at the end).
     peak_reserved: usize,
     /// The most events pending at once.
     peak_pending: usize,
+}
+
+fn calendar_entries<W: simcore::sim::World>(sim: &simcore::Simulator<W>) -> SlabUse {
+    sim.queue_entries()
+        .expect("the calendar is the default queue")
 }
 
 fn census(scenario: &StarScenario, seed: u64) -> Census {
@@ -100,6 +110,7 @@ fn census(scenario: &StarScenario, seed: u64) -> Census {
     Census {
         events: sim.events_processed(),
         work,
+        entries: calendar_entries(&sim),
         peak_reserved: peak_reserved.max(work.reserved_slots),
         peak_pending,
     }
@@ -116,11 +127,12 @@ fn far_future_timers_leave_the_calendar_lean() {
             merges_per_event <= 0.06,
             "seed {seed}: {merges_per_event:.3} merge-inserts per event"
         );
-        // 1.07–1.75× measured: the entry arena doubles when full, so it
-        // holds under twice the most entries ever on the bucket side, and
-        // the ready run keeps the capacity of its longest division. 6.5–7.6×
-        // when each bucket kept its own capacity, 16–95× when the timers
-        // set the width.
+        // 1.07–1.75× measured while the entry arena doubled when full;
+        // the slab grows by bounded steps, so it holds at most one step
+        // past the most entries ever on the bucket side, and the ready
+        // run keeps the capacity of its longest division. 6.5–7.6× when
+        // each bucket kept its own capacity, 16–95× when the timers set
+        // the width.
         assert!(
             c.peak_reserved <= 2 * c.peak_pending,
             "seed {seed}: {} slots reserved for at most {} pending events",
@@ -141,7 +153,17 @@ fn a_fault_free_churn_star_keeps_its_exact_counts() {
             refills: 348_427,
             refilled: 664_239,
             resizes: 5,
-            reserved_slots: 8_320,
+            // Seven steps of the entry slab and the ready run's 128; the
+            // doubling arena reserved 8,192 and the same 128.
+            reserved_slots: 7_296,
+        }
+    );
+    assert_eq!(
+        c.entries,
+        SlabUse {
+            held: 0,
+            high_water: 6_603,
+            reserved: 7_168,
         }
     );
     assert_eq!(c.peak_pending, 6_603);
@@ -160,10 +182,69 @@ fn a_fault_free_churn_star_stores_each_frame_once() {
     let store = world.net().frame_store();
     assert_eq!(store.held, 0);
     assert_eq!(store.high_water, 7_454);
+    // Eight steps; doubling reached the same 8,192 on this seed.
     assert_eq!(store.reserved, 8_192);
     let handle_bytes = std::mem::size_of::<netsim::net::FrameHandle>();
     assert_eq!(handle_bytes, 4);
     let sched_slots = world.sched_reserved_slots();
     assert_eq!(sched_slots, 13_960);
     assert_eq!(sched_slots * handle_bytes, 55_840);
+}
+
+/// The hop queues' cells share one slab per world: it keeps a slot per
+/// cell queued at the busiest instant, where each hop's own `VecDeque`
+/// kept that hop's peak (10,928 slots of 64 bytes on this seed).
+#[test]
+fn a_fault_free_churn_star_queues_hop_cells_in_one_slab() {
+    let (mut sim, _) = churn_star().build(Algorithm::CircuitStart.factory(CcConfig::default()), 1);
+    assert_eq!(sim.run().reason, StopReason::QueueEmpty);
+    // 1,810 cells queued at the end of the busiest event, and one more
+    // inside it: a relay queues a cell before its pump takes it out.
+    assert_eq!(
+        sim.world().hop_cells(),
+        SlabUse {
+            held: 0,
+            high_water: 1_811,
+            reserved: 2_048,
+        }
+    );
+}
+
+/// Every slab of a churn-star world reserves at most one step past its
+/// high water: the calendar's entries, the frame store and the hop
+/// cells, on seeds 1–16. A doubling store reserved 16,384 slots for at
+/// most 9,174 frames on 8 of these seeds.
+fn slabs_stay_within_a_step(seeds: std::ops::RangeInclusive<u64>) {
+    for seed in seeds {
+        let (mut sim, _) =
+            churn_star().build(Algorithm::CircuitStart.factory(CcConfig::default()), seed);
+        assert_eq!(sim.run().reason, StopReason::QueueEmpty);
+        let owners = [
+            ("calendar entries", calendar_entries(&sim)),
+            ("frame store", sim.world().net().frame_store()),
+            ("hop cells", sim.world().hop_cells()),
+        ];
+        for (owner, usage) in owners {
+            assert_eq!(
+                usage.held, 0,
+                "seed {seed}: {owner} holds values at quiescence"
+            );
+            assert!(
+                usage.reserved <= usage.high_water + STEP,
+                "seed {seed}: {owner} reserves {} slots for a high water of {}",
+                usage.reserved,
+                usage.high_water
+            );
+        }
+    }
+}
+
+#[test]
+fn churn_star_slabs_reserve_within_a_step_seeds_1_to_8() {
+    slabs_stay_within_a_step(1..=8);
+}
+
+#[test]
+fn churn_star_slabs_reserve_within_a_step_seeds_9_to_16() {
+    slabs_stay_within_a_step(9..=16);
 }
