@@ -1,11 +1,13 @@
 //! Algorithm selection: the [`Controller`] and overlay factory for
 //! CircuitStart and every baseline the evaluation compares against.
+//!
+//! The factory is a plain `Copy` value, so a world that holds one clones
+//! and crosses threads like the rest of its state.
 
-use backtap::adaptive::AdaptiveCc;
-use backtap::cc::Controller;
-use backtap::config::CcConfig;
-use backtap::delay_cc::{DelayCc, RampExit};
-use relaynet::node::CcFactory;
+use crate::adaptive::AdaptiveCc;
+use crate::cc::Controller;
+use crate::config::CcConfig;
+use crate::delay_cc::{DelayCc, RampExit};
 
 /// Every sender-side algorithm the harness can run. The feedback
 /// machinery, relays, and topology are identical across variants — only
@@ -76,15 +78,42 @@ impl Algorithm {
     /// forward hops. Backward (control-only) hops are unwindowed by the
     /// overlay itself, as in the paper's one-directional bulk evaluation.
     pub fn factory(&self, cfg: CcConfig) -> CcFactory {
-        let algo = *self;
-        Box::new(move |_| algo.make_controller(cfg))
+        CcFactory {
+            algorithm: *self,
+            cfg,
+            except: None,
+        }
+    }
+}
+
+/// Creates the congestion controller for each forward hop of a circuit:
+/// `algorithm` on every circuit but the one `except` names, which runs
+/// its own. Backward (control-only) hops are unwindowed whatever it
+/// returns: they run [`Controller::unlimited`].
+#[derive(Clone, Copy, Debug)]
+pub struct CcFactory {
+    /// The algorithm every circuit runs by default.
+    pub algorithm: Algorithm,
+    /// The parameters every controller is built with.
+    pub cfg: CcConfig,
+    /// One circuit (by its overlay id) running another algorithm.
+    pub except: Option<(u32, Algorithm)>,
+}
+
+impl CcFactory {
+    /// The controller for one forward hop of circuit `circuit`.
+    pub fn controller(&self, circuit: u32) -> Controller {
+        match self.except {
+            Some((c, algorithm)) if c == circuit => algorithm.make_controller(self.cfg),
+            _ => self.algorithm.make_controller(self.cfg),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use backtap::cc::Phase;
+    use crate::cc::Phase;
 
     #[test]
     fn keys_are_stable() {
@@ -126,6 +155,21 @@ mod tests {
         assert_eq!(cc.cwnd(), 64);
         let cc2 = Algorithm::NoSlowStart.make_controller(CcConfig::default());
         assert_eq!(cc2.cwnd(), 2);
+    }
+
+    #[test]
+    fn the_exception_reaches_its_circuit_only() {
+        let factory = CcFactory {
+            except: Some((3, Algorithm::JumpStart(100))),
+            ..Algorithm::FixedWindow(8).factory(CcConfig::default())
+        };
+        for circuit in [0, 2, 4, u32::MAX] {
+            assert_eq!(factory.controller(circuit).cwnd(), 8, "circuit {circuit}");
+        }
+        let odd = factory.controller(3);
+        assert_eq!((odd.cwnd(), odd.phase()), (100, Phase::CongestionAvoidance));
+        let plain = Algorithm::CircuitStart.factory(CcConfig::default());
+        assert_eq!(plain.controller(3).phase(), Phase::SlowStart);
     }
 
     #[test]

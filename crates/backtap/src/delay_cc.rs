@@ -94,6 +94,7 @@ struct VegasRound {
 }
 
 /// Delay-based per-hop congestion controller (see module docs).
+#[derive(Clone)]
 pub struct DelayCc {
     cfg: CcConfig,
     exit: RampExit,

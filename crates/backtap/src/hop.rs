@@ -55,6 +55,7 @@ pub struct HopStats {
 }
 
 /// Transport state for one hop of one circuit (see module docs).
+#[derive(Clone)]
 pub struct HopTransport {
     cc: Controller,
     next_seq: u64,

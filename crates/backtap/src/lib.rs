@@ -26,6 +26,10 @@
 //! * [`hop`] — [`HopTransport`](hop::HopTransport): sequence numbers,
 //!   in-flight tracking, RTT samples (send-decision → feedback) and the
 //!   base RTT, statistics, cwnd tracing.
+//! * [`algorithm`] — [`Algorithm`](algorithm::Algorithm), which names
+//!   CircuitStart and every baseline the evaluation runs, and
+//!   [`CcFactory`](algorithm::CcFactory), the `Copy` value an overlay
+//!   holds to build each circuit's forward-hop controller.
 //!
 //! The crate is network-agnostic: it never touches links or queues. The
 //! `relaynet` crate wires transports to the simulated network.
@@ -34,6 +38,7 @@
 #![forbid(unsafe_code)]
 
 pub mod adaptive;
+pub mod algorithm;
 pub mod cc;
 pub mod config;
 pub mod delay_cc;

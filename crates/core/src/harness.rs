@@ -14,8 +14,8 @@ use simstats::export::Table;
 use simstats::timeseries::TimeSeries;
 use torcell::cell::CELL_LEN;
 
-use crate::algorithm::Algorithm;
 use crate::optimal::PathModel;
+use backtap::algorithm::Algorithm;
 
 /// Hard safety limits for experiment runs; a healthy scenario quiesces
 /// long before hitting either.

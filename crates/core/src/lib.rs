@@ -37,10 +37,9 @@
 //!
 //! ## Crate layout
 //!
-//! * [`algorithm`] — [`Algorithm`], which names CircuitStart, every
-//!   baseline (classic halving, JumpStart, fixed window, no-slow-start)
-//!   and the future-work mid-flow re-probing, and builds each one's
-//!   `backtap::cc::Controller` and overlay factory.
+//! * [`Algorithm`] — re-exported from `backtap::algorithm`, where it
+//!   names CircuitStart and every baseline and builds each one's
+//!   controller and overlay factory.
 //! * [`optimal`] — the paper's analytical optimal-window model.
 //! * [`harness`] — end-to-end experiment runners for both figure panels.
 //! * [`presets`] — the exact parameterizations the figure binaries and
@@ -49,22 +48,21 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod algorithm;
 pub mod harness;
 pub mod optimal;
 pub mod presets;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::algorithm::Algorithm;
     pub use crate::harness::{
         run_cdf, run_to_completion, run_trace, CdfReport, TraceScenarioConfig,
     };
     pub use crate::optimal::PathModel;
     pub use crate::presets::{fig1_cdf, fig1_trace, policy_cdf};
+    pub use backtap::algorithm::Algorithm;
     pub use backtap::config::CcConfig;
 }
 
-pub use algorithm::Algorithm;
+pub use backtap::algorithm::Algorithm;
 pub use harness::run_to_completion;
 pub use optimal::PathModel;

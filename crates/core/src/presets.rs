@@ -13,8 +13,8 @@ use relaynet::directory::DirectoryConfig;
 use relaynet::selection::SelectionPolicy;
 use simcore::time::SimDuration;
 
-use crate::algorithm::Algorithm;
 use crate::harness::{CdfScenarioConfig, TraceScenarioConfig};
+use backtap::algorithm::Algorithm;
 
 /// Figure 1 (upper panels): the cwnd-trace geometry with the bottleneck
 /// at the given distance from the source (1 = Figure 1a, 3 = Figure 1b).

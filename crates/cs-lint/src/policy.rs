@@ -230,6 +230,17 @@ pub const STAGE_BOUNDARIES: &[Boundary] = &[
         invariant: "a hop queue is a list in the world's one slab of cells (HopCells), \
                     not a queue of its own that keeps its own peak",
     },
+    Boundary {
+        files: &[RELAYNET, "crates/netsim/src/", "crates/backtap/src/"],
+        forbidden: &[
+            &["Rc"],
+            &["RefCell"],
+            &["std", "::", "cell"],
+            &["thread_local"],
+        ],
+        invariant: "a world is a value: a fork clones all its state, and nothing is \
+                    shared by reference",
+    },
 ];
 
 /// Decides whether `rule` applies at a site.

@@ -85,6 +85,7 @@ pub struct LinkStats {
 /// the `Net`'s store. The type is not generic, so the methods `Net<F>`
 /// calls per frame are `#[inline]`: without it they could not be inlined
 /// into the crate that instantiates `Net<F>`.
+#[derive(Clone)]
 pub(crate) struct LinkState {
     pub cfg: LinkConfig,
     /// Frames waiting for the transmitter, each stamped with its arrival

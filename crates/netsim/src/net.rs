@@ -146,6 +146,7 @@ pub struct FrameHandle(u32);
 ///     [(SimTime::from_millis(6), 1), (SimTime::from_millis(7), 2)]
 /// );
 /// ```
+#[derive(Clone)]
 pub struct Net<F: Frame> {
     links: Vec<LinkState>,
     /// Every frame held, from `store` until it is delivered or taken

@@ -11,6 +11,7 @@
 //!   circuits run concurrently over randomly selected relays (Figure 1
 //!   lower panel).
 
+use backtap::algorithm::CcFactory;
 use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
 use netsim::net::Net;
@@ -26,7 +27,7 @@ use crate::directory::{Directory, DirectoryConfig};
 use crate::event::TorEvent;
 use crate::ids::{CircId, OverlayId};
 use crate::network::TorNetwork;
-use crate::node::{CcFactory, NodeRole};
+use crate::node::NodeRole;
 use crate::selection::{SelectionPolicy, Uniform};
 use crate::workload::{EpochSpec, FaultSchedule, FaultSpec, WorkloadSpec};
 
@@ -406,11 +407,8 @@ fn schedule_faults(sim: &mut Simulator<TorNetwork>, spec: &FaultSpec, schedule: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_cc::{
-        baseline_factory, fixed_window_factory, jumpstart_factory, unlimited_factory,
-    };
     use crate::workload::{ArrivalSpec, ChurnSpec};
-    use backtap::config::CcConfig;
+    use backtap::algorithm::Algorithm;
     use simcore::sim::StopReason;
 
     fn hop(mbps: u64, delay_ms: u64) -> LinkConfig {
@@ -428,7 +426,7 @@ mod tests {
             file_bytes: 10_000,
             ..Default::default()
         };
-        let (mut sim, h) = scenario.build(fixed_window_factory(8), 1);
+        let (mut sim, h) = scenario.build(Algorithm::FixedWindow(8).factory(Default::default()), 1);
         let circ = h.circ;
         let report = sim.run();
         assert_eq!(report.reason, StopReason::QueueEmpty);
@@ -449,7 +447,7 @@ mod tests {
             file_bytes: 200_000,
             ..Default::default()
         };
-        let (mut sim, h) = scenario.build(baseline_factory(CcConfig::default()), 7);
+        let (mut sim, h) = scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), 7);
         let circ = h.circ;
         sim.run();
         let world = sim.world();
@@ -471,7 +469,7 @@ mod tests {
             file_bytes: 496,
             ..Default::default()
         };
-        let (mut sim, h) = scenario.build(fixed_window_factory(4), 3);
+        let (mut sim, h) = scenario.build(Algorithm::FixedWindow(4).factory(Default::default()), 3);
         let circ = h.circ;
         sim.run();
         let r = sim.world().result_of(circ);
@@ -487,7 +485,7 @@ mod tests {
             file_bytes: 50_000,
             ..Default::default()
         };
-        let (mut sim, h) = scenario.build(baseline_factory(CcConfig::default()), 5);
+        let (mut sim, h) = scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), 5);
         let circ = h.circ;
         sim.run();
         let r = sim.world().result_of(circ);
@@ -508,7 +506,8 @@ mod tests {
             file_bytes: 1 << 20, // 2115 DATA cells
             ..Default::default()
         };
-        let (mut sim, h) = scenario.build(fixed_window_factory(32), 4);
+        let (mut sim, h) =
+            scenario.build(Algorithm::FixedWindow(32).factory(Default::default()), 4);
         sim.run();
         let world = sim.world();
         let r = world.result_of(h.circ);
@@ -538,7 +537,8 @@ mod tests {
             file_bytes: 300_000,
             ..Default::default()
         };
-        let (mut sim, h) = scenario.build(fixed_window_factory(10), 2);
+        let (mut sim, h) =
+            scenario.build(Algorithm::FixedWindow(10).factory(Default::default()), 2);
         let circ = h.circ;
         sim.run();
         let world = sim.world();
@@ -566,7 +566,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let (mut sim, circuits) = scenario.build(baseline_factory(CcConfig::default()), 11);
+        let (mut sim, circuits) =
+            scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), 11);
         let report = sim.run();
         assert_eq!(report.reason, StopReason::QueueEmpty);
         let world = sim.world();
@@ -593,7 +594,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let (mut sim, circuits) = scenario.build(baseline_factory(CcConfig::default()), 13);
+        let (mut sim, circuits) =
+            scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), 13);
         sim.run();
         let world = sim.world();
         for c in circuits {
@@ -610,7 +612,8 @@ mod tests {
             ..Default::default()
         };
         let run = |seed| {
-            let (mut sim, h) = scenario.build(baseline_factory(CcConfig::default()), seed);
+            let (mut sim, h) =
+                scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), seed);
             let circ = h.circ;
             sim.run();
             let w = sim.world();
@@ -634,7 +637,7 @@ mod tests {
             file_bytes: 150_000,
             ..Default::default()
         };
-        let (mut sim, h) = scenario.build(jumpstart_factory(CcConfig::default(), 100), 9);
+        let (mut sim, h) = scenario.build(Algorithm::JumpStart(100).factory(Default::default()), 9);
         let circ = h.circ;
         sim.run();
         let world = sim.world();
@@ -657,7 +660,10 @@ mod tests {
             file_bytes: 5_000,
             ..Default::default()
         };
-        let (mut sim, h) = scenario.build(unlimited_factory(), 21);
+        let (mut sim, h) = scenario.build(
+            Algorithm::FixedWindow(u32::MAX).factory(Default::default()),
+            21,
+        );
         let circ = h.circ;
         sim.run();
         assert!(sim.world().result_of(circ).completed);
@@ -670,7 +676,8 @@ mod tests {
             file_bytes: 4_960,
             ..Default::default()
         };
-        let (mut sim, h) = scenario.build(fixed_window_factory(4), 17);
+        let (mut sim, h) =
+            scenario.build(Algorithm::FixedWindow(4).factory(Default::default()), 17);
         let circ = h.circ;
         sim.run();
         assert!(sim.world().result_of(circ).completed);
@@ -712,7 +719,7 @@ mod tests {
             },
             faults: None,
         };
-        let (mut sim, h) = scenario.build(fixed_window_factory(8), 5);
+        let (mut sim, h) = scenario.build(Algorithm::FixedWindow(8).factory(Default::default()), 5);
         let report = sim.run();
         assert_eq!(report.reason, StopReason::QueueEmpty);
         let world = sim.world();
@@ -752,7 +759,8 @@ mod tests {
             },
             faults: None,
         };
-        let (mut sim, h) = scenario.build(baseline_factory(CcConfig::default()), 23);
+        let (mut sim, h) =
+            scenario.build(Algorithm::ClassicBacktap.factory(Default::default()), 23);
         let report = sim.run();
         assert_eq!(report.reason, StopReason::QueueEmpty);
         let world = sim.world();

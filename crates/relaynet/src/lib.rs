@@ -23,12 +23,11 @@
 //!   `simcore::exec::Executor` seam, with the deterministic
 //!   single-threaded `World` as the bit-exact oracle.
 //!
-//! The congestion-control algorithm is injected through
-//! [`node::CcFactory`], one `backtap::cc::Controller` per circuit for its
-//! forward hops, so this crate knows nothing about CircuitStart itself:
-//! `circuitstart::Algorithm` names the paper's controller and every
-//! baseline, and builds the factory for each. Backward (control-only)
-//! hops are unwindowed by construction.
+//! The congestion-control algorithm is a value the world holds, a
+//! `backtap::algorithm::CcFactory` that builds one `backtap::cc::Controller`
+//! per circuit for its forward hops; `backtap::algorithm::Algorithm`
+//! names the paper's controller and every baseline. Backward
+//! (control-only) hops are unwindowed by construction.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,40 +53,7 @@ pub use directory::{Directory, DirectoryConfig, RelaySpec};
 pub use event::TorEvent;
 pub use ids::{CircId, Direction, OverlayId};
 pub use network::{fill_pattern_into, verify_fill_pattern, EventsHandled, TorNetwork, WorldStats};
-pub use node::CcFactory;
 pub use pool::PayloadPool;
 pub use scheduler::LinkScheduler;
 pub use selection::{BandwidthWeighted, SelectionPolicy};
 pub use wire::{FramePayload, WireFrame};
-
-/// The controller factories this crate's unit tests run. Everywhere else
-/// a controller is named by `circuitstart::Algorithm`, which this crate
-/// cannot depend on.
-#[cfg(test)]
-pub(crate) mod test_cc {
-    use backtap::cc::Controller;
-    use backtap::config::CcConfig;
-    use backtap::delay_cc::{DelayCc, RampExit};
-
-    use crate::node::CcFactory;
-
-    /// `Algorithm::ClassicBacktap`: the paper's baseline.
-    pub(crate) fn baseline_factory(cfg: CcConfig) -> CcFactory {
-        Box::new(move |_| Controller::Delay(Box::new(DelayCc::with_ramp(cfg, RampExit::Halving))))
-    }
-
-    /// `Algorithm::JumpStart(jump_cwnd)`.
-    pub(crate) fn jumpstart_factory(cfg: CcConfig, jump_cwnd: u32) -> CcFactory {
-        Box::new(move |_| Controller::Delay(Box::new(DelayCc::without_ramp(cfg, jump_cwnd))))
-    }
-
-    /// `Algorithm::FixedWindow(window)`.
-    pub(crate) fn fixed_window_factory(window: u32) -> CcFactory {
-        Box::new(move |_| Controller::Fixed(window))
-    }
-
-    /// No window on any hop.
-    pub(crate) fn unlimited_factory() -> CcFactory {
-        Box::new(|_| Controller::unlimited())
-    }
-}

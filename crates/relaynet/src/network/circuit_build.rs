@@ -251,7 +251,7 @@ impl TorNetwork {
             ctx.schedule_in(delay, TorEvent::Teardown(circ));
         }
 
-        let mut transport = HopTransport::new((self.factory)(circ));
+        let mut transport = HopTransport::new(self.factory.controller(circ.0));
         transport.enable_cwnd_trace(ctx.now());
 
         let node = &mut self.nodes[client_id.index()];
@@ -511,13 +511,16 @@ impl TorNetwork {
         if target.index() >= self.nodes.len() {
             return Err("EXTEND to unknown node");
         }
+        if self.nodes[relay.index()].circuit_at(local).fwd.is_some() {
+            return Err("EXTEND on an extended circuit");
+        }
         let mut hs = [0u8; HANDSHAKE_LEN];
         hs.copy_from_slice(&rc.data[4..]);
         let new_id = self.alloc_link_circ_id();
 
         let my_net = self.nodes[relay.index()].net_node;
         self.register_route(new_id, relay, target, circ, local, Direction::Backward);
-        let transport = HopTransport::new((self.factory)(circ));
+        let transport = HopTransport::new(self.factory.controller(circ.0));
         let nc = self.nodes[relay.index()].circuit_at_mut(local);
         let CircuitRole::Relay { pending_extend, .. } = &mut nc.role else {
             unreachable!("recognition hands relay_consume relays only");
@@ -699,6 +702,7 @@ impl TorNetwork {
 
 #[cfg(test)]
 mod tests {
+    use backtap::algorithm::Algorithm;
     use netsim::bandwidth::Bandwidth;
     use netsim::link::LinkConfig;
     use netsim::net::{Net, NetEvent};
@@ -885,7 +889,7 @@ mod tests {
     /// route resolves to nothing.
     fn void_world(faults: bool) -> TorNetwork {
         let (net, path) = wires();
-        let factory = crate::test_cc::fixed_window_factory(4);
+        let factory = Algorithm::FixedWindow(4).factory(Default::default());
         let mut world = TorNetwork::new(net, Topology::Path(path), factory, SimRng::seed_from(1));
         world.add_overlays([NodeRole::Client, NodeRole::Relay, NodeRole::Server]);
         if faults {

@@ -65,6 +65,7 @@ use super::{Egress, TorNetwork, DESTROY_REASON_REFUSED, DESTROY_REASON_TIMEOUT};
 /// jitter stream, and the circuits parked after exhausting recovery.
 /// Which relays have crashed lives on the link side
 /// ([`Egress::is_crashed`]), next to the drop gate it serves.
+#[derive(Clone)]
 pub(super) struct FaultState {
     /// The resolved timer/backoff parameters.
     spec: FaultSpec,

@@ -72,6 +72,7 @@ use simcore::time::SimTime;
 use simstats::registry::MetricsRegistry;
 use simstats::sketch::QuantileSketch;
 
+use backtap::algorithm::CcFactory;
 use backtap::hop::HopTransport;
 use torcell::cell::RELAY_DATA_MAX;
 use torcell::ids::CircuitId;
@@ -79,7 +80,7 @@ use torcell::ids::CircuitId;
 use crate::circuit::{CircuitInfo, CircuitResult};
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
-use crate::node::{CcFactory, CircuitRole, HopCells, NodeRole, OverlayNode};
+use crate::node::{CircuitRole, HopCells, NodeRole, OverlayNode};
 use crate::pool::PayloadPool;
 use crate::scheduler::LinkScheduler;
 use crate::wire::WireFrame;
@@ -464,6 +465,7 @@ pub(super) struct LinkRoute {
 /// from `nodes`, so the egress helpers (`pump_dir`, `send_feedback`, the
 /// teardown drains — see [`conn`], [`feedback`], [`circuit_build`]) are
 /// `&mut self` methods callable while a `&mut NodeCircuit` is held.
+#[derive(Clone)]
 pub(super) struct Egress {
     pub(super) net: Net<WireFrame>,
     /// Per-link round-robin circuit schedulers (overlay egress links; the
@@ -538,6 +540,10 @@ fn no_route(at: NodeId, dst: NodeId) -> ! {
 /// The overlay world. Construct with [`TorNetwork::new`], add nodes and
 /// circuits, then drive with a [`simcore::Simulator`](simcore::sim::Simulator)
 /// after scheduling [`TorEvent::StartCircuit`] events.
+///
+/// A world is a value: it owns all its state, so a clone (or a clone of
+/// the `Simulator` that holds it) is a fork that runs on by itself.
+#[derive(Clone)]
 pub struct TorNetwork {
     /// Links, schedulers, routing, pool and counters (see [`Egress`]).
     pub(super) egress: Egress,
@@ -1023,6 +1029,7 @@ impl World for TorNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use backtap::algorithm::Algorithm;
     use netsim::bandwidth::Bandwidth;
     use netsim::link::LinkConfig;
     use netsim::topology::Path;
@@ -1121,7 +1128,7 @@ mod tests {
     fn route_of_answers_what_a_find_over_both_ends_answers() {
         use Direction::{Backward, Forward};
 
-        let factory = crate::test_cc::fixed_window_factory(4);
+        let factory = Algorithm::FixedWindow(4).factory(Default::default());
         let (net, path) = two_hops();
         let mut w = TorNetwork::new(net, Topology::Path(path), factory, SimRng::seed_from(1));
         let (x, y, z) = (OverlayId(0), OverlayId(1), OverlayId(2));
@@ -1183,7 +1190,7 @@ mod tests {
     fn every_route_end_reversed_is_the_hop_to_its_sender() {
         use Direction::{Backward, Forward};
 
-        let factory = crate::test_cc::fixed_window_factory(4);
+        let factory = Algorithm::FixedWindow(4).factory(Default::default());
         let hop = LinkConfig::new(Bandwidth::from_mbps(10), SimDuration::from_millis(1));
         let scenario = crate::builder::PathScenario {
             hops: vec![hop; 4],
@@ -1221,7 +1228,7 @@ mod tests {
     /// hop runs no window whatever the factory returns.
     #[test]
     fn backward_hops_are_unwindowed_whatever_the_factory_returns() {
-        let factory: CcFactory = Box::new(|_| backtap::cc::Controller::Fixed(1));
+        let factory = Algorithm::FixedWindow(1).factory(Default::default());
         let hop = LinkConfig::new(Bandwidth::from_mbps(10), SimDuration::from_millis(1));
         let scenario = crate::builder::PathScenario {
             hops: vec![hop; 4],

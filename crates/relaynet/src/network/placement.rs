@@ -39,6 +39,7 @@ use super::{TorNetwork, DESTROY_REASON_FINISHED};
 /// Circuit-placement state: the relay population, the selection policy,
 /// its dedicated randomness stream, and **live load telemetry** — the
 /// number of circuits currently routed through each relay.
+#[derive(Clone)]
 pub(super) struct Placement {
     /// The SoA relay store: bandwidth, delay, and liveness columns,
     /// indexed by relay id (the directory order).
@@ -401,6 +402,7 @@ impl TorNetwork {
 
 #[cfg(test)]
 mod tests {
+    use backtap::algorithm::Algorithm;
     use netsim::bandwidth::Bandwidth;
     use netsim::link::LinkConfig;
     use netsim::net::Net;
@@ -411,7 +413,6 @@ mod tests {
     use crate::builder::StarScenario;
     use crate::directory::{DirectoryConfig, RelaySpec};
     use crate::selection::Uniform;
-    use crate::test_cc::fixed_window_factory;
 
     #[test]
     fn ledger_verification_rejects_a_load_off_by_one() {
@@ -424,7 +425,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let (mut sim, _) = scenario.build(fixed_window_factory(4), 5);
+        let (mut sim, _) = scenario.build(Algorithm::FixedWindow(4).factory(Default::default()), 5);
         let world = sim.world_mut();
         assert!(world.verify_placement_ledger());
         let crossed = world.relay_loads().unwrap().iter().position(|&l| l > 0);
@@ -447,7 +448,7 @@ mod tests {
         };
         let mut net = Net::new();
         let path = Path::build(&mut net, &[LinkConfig::new(spec.bandwidth, spec.delay); 2]);
-        let factory = fixed_window_factory(4);
+        let factory = Algorithm::FixedWindow(4).factory(Default::default());
         let mut world = TorNetwork::new(net, Topology::Path(path), factory, SimRng::seed_from(1));
         world.add_overlays([NodeRole::Client, NodeRole::Relay, NodeRole::Relay]);
         let directory = Directory::from_specs(vec![spec; 2]);

@@ -182,16 +182,16 @@ impl Egress {
 mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    use backtap::algorithm::Algorithm;
     use netsim::bandwidth::Bandwidth;
     use netsim::link::{LinkConfig, LinkId};
     use simcore::time::SimDuration;
-    use torcell::cell::{RelayCommand, RELAY_DATA_MAX};
+    use torcell::cell::{RelayCommand, HANDSHAKE_LEN, RELAY_DATA_MAX};
     use torcell::ids::StreamId;
 
     use super::*;
     use crate::builder::{PathHandles, PathScenario};
     use crate::pool::PayloadPool;
-    use crate::test_cc::fixed_window_factory;
     use crate::wire::{FramePayload, WireFrame};
 
     /// Runs a one-DATA-cell transfer over three relays; the first relay
@@ -211,7 +211,8 @@ mod tests {
             file_bytes: RELAY_DATA_MAX as u64,
             ..Default::default()
         };
-        let (mut sim, handles) = scenario.build(fixed_window_factory(4), 5);
+        let (mut sim, handles) =
+            scenario.build(Algorithm::FixedWindow(4).factory(Default::default()), 5);
         let link = link(&handles);
         loop {
             assert!(sim.step(), "ran dry before the cell to tamper with");
@@ -306,6 +307,76 @@ mod tests {
                 rc.data = buf;
             },
         );
+    }
+
+    /// A second well-formed EXTEND at relay 1, which already extended
+    /// the circuit to relay 2: the relay refuses it before it mints a
+    /// link id or a hop, so its forward hop and the cells queued there
+    /// stay as they were.
+    #[test]
+    fn a_second_extend_at_an_extended_relay_is_refused() {
+        let hop = LinkConfig::new(Bandwidth::from_mbps(10), SimDuration::from_millis(1));
+        let scenario = PathScenario {
+            hops: vec![hop; 4],
+            file_bytes: RELAY_DATA_MAX as u64,
+            ..Default::default()
+        };
+        let (mut sim, h) = scenario.build(Algorithm::FixedWindow(4).factory(Default::default()), 5);
+        let relay = h.overlay_path[1];
+        // Once relay 1 has its forward hop, the client's next EXTEND
+        // (meant for relay 2) becomes a copy of the first: relay 1
+        // extending to relay 2, sealed under relay 1's own layer at the
+        // count it is at.
+        let routes = loop {
+            assert!(sim.step(), "ran dry before the second EXTEND");
+            let world = sim.world_mut();
+            let Some(WireFrame {
+                payload:
+                    FramePayload::Cell {
+                        cell:
+                            Cell {
+                                body: CellBody::Relay(rc),
+                                ..
+                            },
+                        ..
+                    },
+                ..
+            }) = world.egress.net.last_on_wire_mut(h.fwd_links[0])
+            else {
+                continue;
+            };
+            let nc = world.nodes[relay.index()]
+                .circuit(h.circ)
+                .expect("relay 1 carries the circuit");
+            if rc.cmd != RelayCommand::Extend || nc.fwd.is_none() {
+                continue;
+            }
+            let CircuitRole::Relay { crypt, .. } = &nc.role else {
+                unreachable!("node 1 is a relay");
+            };
+            let mut crypt = crypt.clone();
+            let mut data = h.overlay_path[2].0.to_be_bytes().to_vec();
+            data.extend_from_slice(&[7; HANDSHAKE_LEN]);
+            *rc = RelayCell {
+                cmd: RelayCommand::Extend,
+                recognized: 0,
+                stream: StreamId::CIRCUIT,
+                digest: crypt.digest_key().digest(&data),
+                data,
+            };
+            crypt.strip_forward(rc);
+            break world.link_route_slots();
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            sim.run();
+        }));
+        assert_eq!(outcome.is_err(), cfg!(debug_assertions));
+        // A debug build stopped at the error; run on to quiescence.
+        sim.run();
+        let world = sim.world();
+        assert_eq!(world.stats().protocol_errors, 1);
+        assert_eq!(world.link_route_slots(), routes, "a link id was minted");
+        assert_eq!(world.hop_cells().held, 0, "cells held at quiescence");
     }
 
     #[test]

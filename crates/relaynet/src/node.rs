@@ -17,7 +17,6 @@
 
 use std::collections::BTreeMap;
 
-use backtap::cc::Controller;
 use backtap::hop::HopTransport;
 use netsim::net::NodeId;
 use simcore::slab::{List, Lists};
@@ -39,14 +38,6 @@ pub enum NodeRole {
     /// Terminates circuits and consumes data.
     Server,
 }
-
-/// Creates the congestion controller for each forward hop of a circuit.
-///
-/// The experiment harness supplies this; it is how the CircuitStart
-/// algorithm (which lives above this crate) is plugged into the overlay.
-/// Backward (control-only) hops are unwindowed whatever it returns: they
-/// run [`Controller::unlimited`].
-pub type CcFactory = Box<dyn Fn(CircId) -> Controller>;
 
 /// Feedback owed to the neighbour a cell arrived from, payable at the
 /// moment the cell is forwarded (relays) or consumed (endpoints).
@@ -99,6 +90,7 @@ pub type HopCells = Lists<QueuedCell>;
 
 /// One direction of one circuit at one node: the transport toward the
 /// neighbour plus the queue of cells waiting for the window.
+#[derive(Clone)]
 pub struct HopDir {
     /// The adjacent overlay node this hop sends to.
     pub neighbor: OverlayId,
@@ -211,6 +203,7 @@ impl StreamState {
 }
 
 /// Client application state for one circuit.
+#[derive(Clone)]
 pub struct ClientApp {
     /// Onion layers the circuit needs: one per relay, plus the server's.
     /// The path itself stays in the circuit's registry record.
@@ -347,6 +340,7 @@ pub enum CircuitPhase {
 /// What a node does in one circuit, minted with its participation: the
 /// role is one value (DESIGN.md §8), so a client never holds a relay
 /// layer and a server never lacks one.
+#[derive(Clone)]
 pub enum CircuitRole {
     /// A reclaimed slab slot awaiting reuse.
     Vacant,
@@ -369,6 +363,7 @@ pub enum CircuitRole {
 }
 
 /// A node's participation in one circuit.
+#[derive(Clone)]
 pub struct NodeCircuit {
     /// Global circuit id (simulator bookkeeping).
     pub circ: CircId,
@@ -465,6 +460,7 @@ impl NodeCircuit {
 }
 
 /// An overlay node: identity plus all per-circuit state.
+#[derive(Clone)]
 pub struct OverlayNode {
     /// Overlay id.
     pub id: OverlayId,
@@ -584,6 +580,7 @@ impl OverlayNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use backtap::cc::Controller;
     use torcell::crypto::LayerKey;
 
     fn transport() -> HopTransport {

@@ -30,6 +30,23 @@ pub struct PayloadPool {
     idle_hwm: usize,
 }
 
+/// A copy keeps each idle buffer's capacity, which
+/// [`reclaim`](PayloadPool::reclaim) reads once the buffer is handed out
+/// and back.
+impl Clone for PayloadPool {
+    fn clone(&self) -> Self {
+        let free = self.free.iter().map(|buf| {
+            let mut copy = Vec::with_capacity(buf.capacity());
+            copy.extend_from_slice(buf);
+            copy
+        });
+        PayloadPool {
+            free: free.collect(),
+            ..*self
+        }
+    }
+}
+
 impl PayloadPool {
     /// Creates an empty pool.
     pub fn new() -> PayloadPool {
@@ -125,5 +142,25 @@ mod tests {
         pool.reclaim(vec![1, 2, 3]);
         assert_eq!(pool.idle(), 0);
         assert_eq!(pool.returned(), 0, "undersized buffers are not counted");
+    }
+
+    /// A forked world's buffers are pool buffers wherever the original's
+    /// are: a stream's short last DATA payload in a copied cell, and a
+    /// copied pool's idle buffers once handed out and back.
+    #[test]
+    fn copies_keep_their_buffers_poolable() {
+        use torcell::cell::RelayCell;
+        use torcell::ids::StreamId;
+
+        let mut pool = PayloadPool::new();
+        let mut short = pool.acquire();
+        short.resize(3, 7);
+        let cell = RelayCell::data(StreamId(1), short);
+        pool.reclaim(cell.clone().data);
+        let mut fork = pool.clone();
+        let idle = fork.acquire();
+        fork.reclaim(idle);
+        assert_eq!((pool.returned(), fork.returned()), (1, 2));
+        assert_eq!(fork.idle(), 1);
     }
 }

@@ -36,6 +36,7 @@
 
 use std::sync::Arc;
 
+use backtap::algorithm::CcFactory;
 use simcore::event::QueueKind;
 use simcore::exec::{execute_typed, Executor};
 use simcore::rng::SimRng;
@@ -45,7 +46,6 @@ use simstats::sketch::QuantileSketch;
 
 use crate::builder::StarScenario;
 use crate::network::{TorNetwork, WorldStats};
-use crate::node::CcFactory;
 
 /// Safety horizon for shard runs: a healthy shard quiesces long before
 /// this; hitting it means a protocol deadlock, which must fail loudly.
@@ -53,9 +53,11 @@ const MAX_SHARD_SIM_TIME_S: u64 = 3_600;
 /// Safety cap on events per shard (same rationale).
 const MAX_SHARD_EVENTS: u64 = 2_000_000_000;
 
-/// Constructs the congestion-control factory inside each shard task.
-/// [`CcFactory`] itself is a `Box<dyn Fn>` and neither `Clone` nor
-/// `Send`, so shards share the *maker* and build their own.
+/// Constructs the congestion-control factory of a sweep.
+/// [`CcFactory`] is a `Copy` value, so [`ShardedStar::run`] calls this
+/// once and copies the result into every shard. It survives only
+/// because csbench names it; ROADMAP item 16(b), a change to csbench,
+/// deletes it.
 pub type FactoryMaker = Arc<dyn Fn() -> CcFactory + Send + Sync>;
 
 /// Everything observable about one finished world, in exact (integer /
@@ -322,11 +324,11 @@ impl ShardedStar {
     /// bit-identical across executors and worker counts — the property
     /// the differential suite pins.
     pub fn run(&self, exec: &dyn Executor, make_factory: FactoryMaker) -> SweepReport {
+        let factory = make_factory();
         let jobs: Vec<Box<dyn FnOnce() -> ShardReport + Send>> = (0..self.shards)
             .map(|shard| {
                 let spec = self.clone();
-                let make = make_factory.clone();
-                Box::new(move || spec.run_shard(shard, make()))
+                Box::new(move || spec.run_shard(shard, factory))
                     as Box<dyn FnOnce() -> ShardReport + Send>
             })
             .collect();
@@ -369,8 +371,8 @@ impl ShardedStar {
 mod tests {
     use super::*;
     use crate::directory::DirectoryConfig;
-    use crate::test_cc::fixed_window_factory;
     use crate::workload::{ArrivalSpec, ChurnSpec, WorkloadSpec};
+    use backtap::algorithm::Algorithm;
     use simcore::exec::{DeterministicExecutor, ThreadedExecutor};
 
     fn small_sharded() -> ShardedStar {
@@ -418,7 +420,7 @@ mod tests {
     #[test]
     fn executor_choice_is_unobservable() {
         let e = small_sharded();
-        let make: FactoryMaker = Arc::new(|| fixed_window_factory(8));
+        let make: FactoryMaker = Arc::new(|| Algorithm::FixedWindow(8).factory(Default::default()));
         let oracle = e.run(&DeterministicExecutor, make.clone());
         let threaded = e.run(&ThreadedExecutor::new(4), make);
         assert_eq!(oracle.shards, threaded.shards, "threaded run diverged");
@@ -429,10 +431,10 @@ mod tests {
     #[test]
     fn executor_path_runs_the_oracle_code() {
         let e = small_sharded();
-        let make: FactoryMaker = Arc::new(|| fixed_window_factory(8));
+        let make: FactoryMaker = Arc::new(|| Algorithm::FixedWindow(8).factory(Default::default()));
         let sweep = e.run(&DeterministicExecutor, make);
         for (i, s) in sweep.shards.iter().enumerate() {
-            let direct = e.run_shard(i, fixed_window_factory(8));
+            let direct = e.run_shard(i, Algorithm::FixedWindow(8).factory(Default::default()));
             assert_eq!(*s, direct, "shard {i} diverged from a direct run");
         }
         // Merged counters equal the per-shard sums.
@@ -452,7 +454,7 @@ mod tests {
             stats: StatsKind::Sketch,
             ..exact.clone()
         };
-        let make: FactoryMaker = Arc::new(|| fixed_window_factory(8));
+        let make: FactoryMaker = Arc::new(|| Algorithm::FixedWindow(8).factory(Default::default()));
         let e = exact.run(&DeterministicExecutor, make.clone());
         let s = sketchy.run(&DeterministicExecutor, make);
         // The seam changes retention, never the simulation: fingerprints
@@ -476,7 +478,7 @@ mod tests {
             stats: StatsKind::Sketch,
             ..small_sharded()
         };
-        let make: FactoryMaker = Arc::new(|| fixed_window_factory(8));
+        let make: FactoryMaker = Arc::new(|| Algorithm::FixedWindow(8).factory(Default::default()));
         let sweep = e.run(&DeterministicExecutor, make);
         let _ = sweep.completion_samples();
     }

@@ -43,6 +43,7 @@ const VACANT: CircId = CircId(u32::MAX);
 
 /// One slab slot: a circuit with queued cells (or a vacated slot whose
 /// queue allocation is waiting to be reused).
+#[derive(Clone)]
 struct CircSlot<F> {
     circ: CircId,
     queue: VecDeque<F>,
@@ -50,6 +51,7 @@ struct CircSlot<F> {
 
 /// Round-robin frame scheduler for one egress link, queueing frames or
 /// handles to them (`F`; see module docs).
+#[derive(Clone)]
 pub struct LinkScheduler<F = WireFrame> {
     /// Control frames (feedback): strict priority, FIFO among themselves.
     feedback: VecDeque<F>,

@@ -3,11 +3,11 @@
 //!
 //! Which relays a circuit crosses determines which relays become
 //! bottlenecks — and therefore how much a slow start helps — so
-//! selection is an experimental axis, not a hard-wired rule. The seam
-//! mirrors [`crate::node::CcFactory`]: scenarios carry a
-//! [`SelectionPolicy`] (a shared [`PathSelection`] trait object), the
-//! network calls it for every placement, and experiments swap policies
-//! without touching protocol code.
+//! selection is an experimental axis, not a hard-wired rule. Scenarios
+//! carry a [`SelectionPolicy`] (a shared [`PathSelection`] trait object;
+//! policies are stateless, so a forked world shares one), the network
+//! calls it for every placement, and experiments swap policies without
+//! touching protocol code.
 //!
 //! A policy sees a [`DirectoryView`]: the SoA relay store
 //! ([`crate::directory::Directory`] — bandwidth, access delay, liveness
@@ -263,7 +263,7 @@ fn assert_selectable(selectable: usize, relays: usize, path_len: usize) {
 /// and the weighted path draws from the sampler into a reusable pick
 /// buffer; `selection`'s unit tests assert the buffer capacities stay
 /// flat after warm-up.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SelectionEngine {
     sampler: Sampler,
     load_sensitive: bool,

@@ -621,6 +621,7 @@ impl FaultSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use backtap::algorithm::Algorithm;
 
     fn resolve(spec: &WorkloadSpec, bytes: u64, seed: u64) -> CircuitWorkload {
         let mut rng = SimRng::seed_from(seed);
@@ -751,7 +752,10 @@ mod tests {
             start_jitter_ms: f64::NAN,
             ..Default::default()
         };
-        let _ = star.build(crate::test_cc::unlimited_factory(), 1);
+        let _ = star.build(
+            Algorithm::FixedWindow(u32::MAX).factory(Default::default()),
+            1,
+        );
     }
 
     #[test]

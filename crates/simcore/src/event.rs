@@ -72,6 +72,7 @@ pub enum QueueKind {
 // HeapQueue — the binary heap, kept as the differential oracle.
 // ---------------------------------------------------------------------
 
+#[derive(Clone)]
 struct Entry<E> {
     time: SimTime,
     id: EventId,
@@ -101,6 +102,7 @@ impl<E> Ord for Entry<E> {
 /// The original `BinaryHeap`-backed stable queue, kept as the
 /// differential oracle for [`CalendarQueue`]; performance is not a goal
 /// here.
+#[derive(Clone)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
@@ -176,6 +178,7 @@ const RUN_PRESSURE: usize = 64;
 /// bucket side.
 const SAMPLE: usize = 64;
 
+#[derive(Clone)]
 struct CalEntry<E> {
     time: u64,
     seq: u64,
@@ -206,6 +209,7 @@ struct CalEntry<E> {
 /// Invariant: every entry in the ready run precedes every bucket entry in
 /// time (the run is a whole minimal division; later pushes that would
 /// land inside the run's time range are merge-inserted into it).
+#[derive(Clone)]
 pub struct CalendarQueue<E> {
     /// The earliest division, sorted by `(time, seq)` descending; pops
     /// come off the back.
@@ -515,6 +519,7 @@ fn estimate_width(population: usize, mut times: Vec<u64>) -> Option<u64> {
 /// assert_eq!(q.pop().map(|(t, _, e)| (t.as_millis(), e)), Some((2, "late")));
 /// assert!(q.pop().is_none());
 /// ```
+#[derive(Clone)]
 pub enum EventQueue<E> {
     /// Calendar-queue backed (default).
     Calendar(CalendarQueue<E>),

@@ -7,8 +7,8 @@
 //! from *above* the loop: production-size experiments are decomposed
 //! into independent deterministic worlds (shards), and an [`Executor`]
 //! decides whether those run one after another on the calling thread or
-//! spread across OS threads. The seam mirrors the other swap-points of
-//! the stack (`QueueKind`, `CcFactory`, `PathSelection`): callers
+//! spread across OS threads. The seam mirrors the other oracle pairs of
+//! the stack (`QueueKind`, `SamplerKind`, `StatsKind`): callers
 //! program against one interface, differential tests drive both
 //! implementations and assert bit-identical outputs.
 //!

@@ -154,6 +154,23 @@ pub struct Simulator<W: World> {
     probe: Option<Probe<W::Event>>,
 }
 
+/// A fork: a copy of the world, the pending events and the clock that
+/// runs on its own from here. The copy starts with no probe.
+impl<W: World + Clone> Clone for Simulator<W>
+where
+    W::Event: Clone,
+{
+    fn clone(&self) -> Self {
+        Simulator {
+            world: self.world.clone(),
+            queue: self.queue.clone(),
+            now: self.now,
+            processed_total: self.processed_total,
+            probe: None,
+        }
+    }
+}
+
 impl<W: World> Simulator<W> {
     /// Creates a simulator at time zero around `world`, with the default
     /// (calendar) event queue.

@@ -29,6 +29,7 @@ pub struct SlabUse {
 }
 
 /// Values of type `T` under `u32` slots (see the module docs).
+#[derive(Clone)]
 pub struct Slab<T> {
     /// Every slot ever filled; `None` when free.
     slots: Vec<Option<T>>,
@@ -154,6 +155,7 @@ impl List {
 
 /// A [`Slab`] whose values each sit on one FIFO [`List`]; the lists'
 /// ends belong to their owners.
+#[derive(Clone)]
 pub struct Lists<T> {
     slab: Slab<T>,
     /// `next[i]` is the slot after slot `i` on its list, or [`NIL`].

@@ -112,7 +112,7 @@ impl RelayCommand {
 }
 
 /// The relay sub-header and payload of a RELAY cell.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 pub struct RelayCell {
     /// What this relay cell means.
     pub cmd: RelayCommand,
@@ -132,6 +132,23 @@ pub struct RelayCell {
     pub digest: u32,
     /// Application bytes, at most [`RELAY_DATA_MAX`].
     pub data: Vec<u8>,
+}
+
+/// A copy keeps the payload buffer's capacity as well as its bytes: the
+/// overlay's payload pool tells its own buffers by capacity, so a copied
+/// world must hold the same buffers its original holds.
+impl Clone for RelayCell {
+    fn clone(&self) -> Self {
+        let mut data = Vec::with_capacity(self.data.capacity());
+        data.extend_from_slice(&self.data);
+        RelayCell {
+            cmd: self.cmd,
+            recognized: self.recognized,
+            stream: self.stream,
+            digest: self.digest,
+            data,
+        }
+    }
 }
 
 impl RelayCell {

@@ -5,6 +5,7 @@
 //! progresses, nobody is starved past the capacity bound, and an
 //! aggressive sender cannot push a windowed peer beyond that bound.
 
+use backtap::algorithm::CcFactory;
 use circuitstart::prelude::*;
 use relaynet::{DirectoryConfig, StarScenario};
 
@@ -84,16 +85,11 @@ fn aggressive_window_cannot_push_peers_past_the_capacity_bound() {
     // being starved outright as FIFO queueing would allow.
     let (circuits_n, file) = (4usize, 200_000u64);
     let scenario = single_relay_star(circuits_n, file);
-    let cc = CcConfig::default();
-    let factory: relaynet::CcFactory = Box::new(move |circuit| {
-        // Circuit 0 is the aggressor; the rest run CircuitStart.
-        let algo = if circuit.0 == 0 {
-            Algorithm::JumpStart(100)
-        } else {
-            Algorithm::CircuitStart
-        };
-        algo.make_controller(cc)
-    });
+    // Circuit 0 is the aggressor; the rest run CircuitStart.
+    let factory = CcFactory {
+        except: Some((0, Algorithm::JumpStart(100))),
+        ..Algorithm::CircuitStart.factory(CcConfig::default())
+    };
     let (mut sim, circuits) = scenario.build(factory, 9);
     run_to_completion(&mut sim);
     let world = sim.world();

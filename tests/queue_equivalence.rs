@@ -119,14 +119,10 @@ fn baseline_algorithms_also_match() {
         file_bytes: 200_000,
         ..Default::default()
     };
-    // CcFactory is not Clone, so store constructors and build one per run.
-    let make_classic = || Algorithm::ClassicBacktap.factory(CcConfig::default());
-    let make_fixed = || Algorithm::FixedWindow(16).factory(CcConfig::default());
-    let factories: [(&str, &dyn Fn() -> relaynet::CcFactory); 2] =
-        [("classic", &make_classic), ("fixed", &make_fixed)];
-    for (name, make) in factories {
+    for algorithm in [Algorithm::ClassicBacktap, Algorithm::FixedWindow(16)] {
+        let factory = algorithm.factory(CcConfig::default());
         let run = |kind| {
-            let (mut sim, h) = scenario.build_with_queue(make(), 5, kind);
+            let (mut sim, h) = scenario.build_with_queue(factory, 5, kind);
             sim.run();
             let w = sim.world();
             (
@@ -137,7 +133,10 @@ fn baseline_algorithms_also_match() {
         };
         let cal = run(QueueKind::Calendar);
         let heap = run(QueueKind::BinaryHeap);
-        assert_eq!(cal, heap, "{name}: diverges between queue implementations");
+        assert_eq!(
+            cal, heap,
+            "{algorithm:?}: diverges between queue implementations"
+        );
     }
 }
 
