@@ -681,7 +681,7 @@ mod tests {
         let circ = h.circ;
         sim.run();
         assert!(sim.world().result_of(circ).completed);
-        let slots_before = sim.world().link_route_slots();
+        let routes_before = sim.world().link_routes().high_water;
         // Tear down after completion; the DESTROY wave and its echo must
         // propagate silently and reclaim every participation.
         sim.schedule_in(SimDuration::from_millis(1), TorEvent::Teardown(circ));
@@ -694,14 +694,16 @@ mod tests {
                 world.node(n).circuit(circ).is_none(),
                 "{n} must reclaim the torn-down circuit's slot"
             );
-            assert_eq!(world.node(n).free_slot_count(), 1);
+            let slots = world.node(n).slots();
+            assert_eq!((slots.held, slots.high_water), (0, 1));
         }
         // One DESTROY per hop per wave direction: 3 hops, 2 waves.
         assert_eq!(world.stats().destroys_sent, 2 * (path.len() as u64 - 1));
         assert_eq!(world.stats().slots_reclaimed, path.len() as u64);
         // Both ends of every link-local id were cleared.
-        assert_eq!(world.link_route_slots(), slots_before);
-        assert_eq!(world.free_link_routes(), path.len() - 1);
+        let routes = world.link_routes();
+        assert_eq!(routes.high_water, routes_before);
+        assert_eq!(routes.high_water - routes.held, path.len() - 1);
         // Completed flows do not trigger a rebuild.
         assert_eq!(world.stats().rebuilds, 0);
         assert!(world.flows()[0].complete());
@@ -783,7 +785,7 @@ mod tests {
         for &n in &world.circuit_info(h.circ).path {
             let node = world.node(n);
             assert_eq!(node.circuit_count(), 1, "only the live incarnation");
-            assert_eq!(node.slab_len(), 1, "rebuilds reuse reclaimed slots");
+            assert_eq!(node.slots().high_water, 1, "rebuilds reuse reclaimed slots");
         }
         assert_eq!(world.stats().slots_reclaimed, 2 * 4);
     }

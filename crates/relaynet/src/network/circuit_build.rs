@@ -602,9 +602,9 @@ impl TorNetwork {
     }
 
     /// Reclaims a participation's slots once teardown quiescence is
-    /// proven (see [`NodeCircuit::reclaimable`]): the slab slot returns
-    /// to the node's free list and this node's route ends are cleared
-    /// (freeing the link-local id once both ends are gone). At the
+    /// proven (see [`NodeCircuit::reclaimable`]): the node's slab slot is
+    /// freed and this node's route ends are cleared (freeing the
+    /// link-local id once both ends are gone). At the
     /// client this also drives the churn engine: unfinished flows
     /// schedule a rebuild.
     pub(super) fn maybe_reclaim(
@@ -615,7 +615,7 @@ impl TorNetwork {
     ) {
         let node = &mut self.nodes[node_id.index()];
         let nc = node.circuit_at(local);
-        if matches!(nc.role, CircuitRole::Vacant) || !nc.reclaimable() {
+        if !nc.reclaimable() {
             return;
         }
         let circ = nc.circ;

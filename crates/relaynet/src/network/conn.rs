@@ -34,19 +34,9 @@ impl TorNetwork {
     /// Allocates a link-local circuit id (negotiated per connection, as
     /// in Tor) and its slot in the route table, preferring ids whose
     /// both ends were reclaimed by a teardown — under churn the table
-    /// stops growing once the free list primes.
+    /// stops growing once freed ids come back.
     pub(super) fn alloc_link_circ_id(&mut self) -> CircuitId {
-        if let Some(id) = self.free_link_ids.pop() {
-            debug_assert!(
-                self.link_routes[id.0 as usize].a.is_none()
-                    && self.link_routes[id.0 as usize].b.is_none(),
-                "free-listed link id still routed"
-            );
-            return id;
-        }
-        let id = CircuitId(u32::try_from(self.link_routes.len()).expect("too many circuit ids"));
-        self.link_routes.push(LinkRoute::default());
-        id
+        CircuitId(self.link_routes.insert(LinkRoute::default()))
     }
 
     /// Ingress: a frame addressed to one of our overlay nodes arrived.

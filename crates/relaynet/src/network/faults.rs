@@ -436,7 +436,7 @@ impl TorNetwork {
         // never recycles them under a straggler (see
         // [`super::LinkRoute::retired`]).
         for h in [nc.fwd.as_ref(), nc.bwd.as_ref()].into_iter().flatten() {
-            self.link_routes[h.link_circ_id.0 as usize].retired = true;
+            self.link_routes.get_mut(h.link_circ_id.0).retired = true;
         }
         self.maybe_reclaim(ctx, node_id, local);
     }

@@ -67,7 +67,7 @@ use netsim::net::{FrameHandle, Net, NetEvent, NodeId};
 use netsim::topology::{Star, Topology};
 use simcore::rng::SimRng;
 use simcore::sim::{Context, World};
-use simcore::slab::SlabUse;
+use simcore::slab::{Slab, SlabUse};
 use simcore::time::SimTime;
 use simstats::registry::MetricsRegistry;
 use simstats::sketch::QuantileSketch;
@@ -444,19 +444,18 @@ pub(super) struct RouteEnd {
     pub(super) dir: Direction,
 }
 
-/// Both endpoints of one link-local circuit id. Link ids are minted from
-/// a global counter, so the table is a dense `Vec` indexed by the id —
-/// route resolution on the per-cell path is an array load plus an
-/// endpoint compare, no tree walk.
+/// Both endpoints of one link-local circuit id. Link ids are slots of
+/// one world-wide [`Slab`], so route resolution on the per-cell path is
+/// an array load plus an endpoint compare, no tree walk.
 #[derive(Clone, Copy, Debug, Default)]
 pub(super) struct LinkRoute {
     pub(super) a: Option<RouteEnd>,
     pub(super) b: Option<RouteEnd>,
     /// Set when an end was cleared by a force-reap rather than a
     /// quiesced teardown: the reap writes off in-flight frames that may
-    /// still carry this id, so the id is *retired* instead of returning
-    /// to the free list — a late frame then resolves to nothing (and is
-    /// stale-dropped) instead of colliding with a re-minted id.
+    /// still carry this id, so the id is *retired* instead of freed — a
+    /// late frame then resolves to nothing (and is stale-dropped)
+    /// instead of colliding with a re-minted id.
     pub(super) retired: bool,
 }
 
@@ -552,12 +551,10 @@ pub struct TorNetwork {
     /// Application-level requests, tracked across circuit incarnations
     /// (see [`crate::workload`]).
     pub(super) flows: Vec<FlowState>,
-    /// Route table indexed by link-local circuit id (see [`LinkRoute`]).
-    pub(super) link_routes: Vec<LinkRoute>,
-    /// Link-local ids whose both route ends were reclaimed, awaiting
-    /// reuse (LIFO for determinism). Churn recycles ids instead of
-    /// growing the route table.
-    pub(super) free_link_ids: Vec<CircuitId>,
+    /// Route table under link-local circuit ids (see [`LinkRoute`]): an
+    /// id whose both ends were reclaimed is the next one minted, so churn
+    /// recycles ids instead of growing the table.
+    pub(super) link_routes: Slab<LinkRoute>,
     pub(super) factory: CcFactory,
     pub(super) rng: SimRng,
     /// Circuit placement (see [`placement`]); `None` for explicit-path
@@ -599,15 +596,15 @@ impl TorNetwork {
     ) -> TorNetwork {
         // At most one overlay node per network node.
         let nodes = Vec::with_capacity(net.node_count());
+        // Id 0 is reserved (CircuitId::CONTROL).
+        let mut link_routes = Slab::default();
+        link_routes.insert(LinkRoute::default());
         TorNetwork {
             egress: Egress::new(net, topology),
             nodes,
             circuits: Vec::new(),
             flows: Vec::new(),
-            // Id 0 is reserved (CircuitId::CONTROL); keep the table
-            // aligned with minted ids.
-            link_routes: vec![LinkRoute::default()],
-            free_link_ids: Vec::new(),
+            link_routes,
             factory,
             rng,
             placement: None,
@@ -653,7 +650,7 @@ impl TorNetwork {
         local: u32,
         dir: Direction,
     ) {
-        let entry = &mut self.link_routes[link_id.0 as usize];
+        let entry = self.link_routes.get_mut(link_id.0);
         let end = RouteEnd {
             node,
             from,
@@ -675,15 +672,15 @@ impl TorNetwork {
     }
 
     /// Clears `node`'s end of link-local id `link_id` (teardown
-    /// reclamation). Once both ends are gone the id returns to the free
-    /// list and a later circuit build re-mints it — unless any end was
+    /// reclamation). Once both ends are gone the id's slot is freed and a
+    /// later circuit build re-mints it — unless any end was
     /// force-reaped ([`LinkRoute::retired`]), in which case the id is
     /// permanently retired: the reap wrote off in-flight frames that
     /// may still carry it, and re-minting would let a straggler resolve
     /// against the wrong circuit. Retirement is bounded by crashes ×
     /// path length, so the table stays effectively flat.
     pub(super) fn clear_route_end(&mut self, link_id: CircuitId, node: OverlayId) {
-        let entry = &mut self.link_routes[link_id.0 as usize];
+        let entry = self.link_routes.get_mut(link_id.0);
         if entry.a.is_some_and(|e| e.node == node) {
             entry.a = None;
         }
@@ -691,7 +688,7 @@ impl TorNetwork {
             entry.b = None;
         }
         if entry.a.is_none() && entry.b.is_none() && !entry.retired {
-            self.free_link_ids.push(link_id);
+            self.link_routes.remove(link_id.0);
         }
     }
 
@@ -700,7 +697,8 @@ impl TorNetwork {
     /// direction)` — the per-cell route lookup, run once per frame an
     /// overlay node receives. Both ends are compared where they lie in
     /// the table, end `a` first: at that rate, copying the 44-byte
-    /// [`LinkRoute`] out is a measurable share of a cell.
+    /// [`LinkRoute`] out is a measurable share of a cell. An id freed or
+    /// never minted (a hostile or stale frame's) resolves to `None`.
     #[inline]
     pub(super) fn route_of(
         &self,
@@ -708,7 +706,7 @@ impl TorNetwork {
         from: OverlayId,
         link_id: CircuitId,
     ) -> Option<(CircId, u32, Direction)> {
-        let entry = self.link_routes.get(link_id.0 as usize)?;
+        let entry = self.link_routes.try_get(link_id.0)?;
         let hit = |end: &Option<RouteEnd>| match end {
             Some(e) if e.node == to && e.from == from => Some((e.circ, e.local, e.dir)),
             _ => None,
@@ -867,15 +865,11 @@ impl TorNetwork {
         &self.completion_sketch
     }
 
-    /// Size of the link-route table (slots, live or free). Stays flat
-    /// across churn cycles once the free list primes.
-    pub fn link_route_slots(&self) -> usize {
-        self.link_routes.len()
-    }
-
-    /// Reclaimed link-local ids awaiting reuse.
-    pub fn free_link_routes(&self) -> usize {
-        self.free_link_ids.len()
+    /// How the link-route table is used: ids routed (or retired) now,
+    /// the most ever held at once, and slots reserved. The high water
+    /// stays flat across churn cycles once freed ids come back.
+    pub fn link_routes(&self) -> SlabUse {
+        self.link_routes.usage()
     }
 
     /// An overlay node.
@@ -1116,7 +1110,7 @@ mod tests {
         from: OverlayId,
         id: CircuitId,
     ) -> Option<(CircId, u32, Direction)> {
-        let entry = w.link_routes.get(id.0 as usize)?;
+        let entry = w.link_routes.try_get(id.0)?;
         [entry.a, entry.b]
             .into_iter()
             .flatten()
@@ -1156,7 +1150,7 @@ mod tests {
             (a_cleared, x, y, Some((c, 2, Backward))), // `b` survives it
             (b_absent, y, x, Some((c, 3, Forward))),   // `a` alone
             (b_absent, x, y, None),                    // absent `b`
-            (cleared, y, x, None),                     // both cleared
+            (cleared, y, x, None),                     // both cleared: freed
             (twice, y, x, Some((c, 4, Forward))),      // `a` before `b`
             (past, y, x, None),                        // id past the table
             (CircuitId(u32::MAX), y, x, None),
@@ -1179,6 +1173,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_route_table_slot_is_44_bytes() {
+        // Two ends of 20 and the retired flag; a free slot's `None`
+        // takes a niche. `route_of` reads the slot where it lies.
+        assert_eq!(std::mem::size_of::<Option<LinkRoute>>(), 44);
     }
 
     /// Feedback credits the hop opposite its route's direction. The scan
@@ -1210,7 +1211,7 @@ mod tests {
         // Ends at the client, at a node from its predecessor, at a relay
         // from its successor; overlay node `i` is path node `i`.
         let mut sites = [0; 3];
-        for end in w.link_routes.iter().flat_map(|r| [r.a, r.b]).flatten() {
+        for end in w.link_routes.values().flat_map(|r| [r.a, r.b]).flatten() {
             let nc = w.nodes[end.node.index()].circuit_at(end.local);
             assert_eq!(scan(nc, end.from), Some(end.dir.opposite()), "{end:?}");
             let site = match (&nc.role, end.from < end.node) {

@@ -108,7 +108,6 @@ impl TorNetwork {
                             .consumed(rc, Err("forward relay cell at client"));
                         return;
                     }
-                    CircuitRole::Vacant => unreachable!("a vacant slot reads closed"),
                 };
                 if crypt.strip_forward(&mut rc) {
                     self.egress.send_feedback(ctx, my_net, confirm);
@@ -160,7 +159,6 @@ impl TorNetwork {
                     );
                     self.egress.pump_dir(ctx, my_net, nc, Direction::Backward);
                 }
-                CircuitRole::Vacant => unreachable!("a vacant slot reads closed"),
             },
         }
     }
@@ -365,7 +363,7 @@ mod tests {
                 data,
             };
             crypt.strip_forward(rc);
-            break world.link_route_slots();
+            break world.link_routes().high_water;
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             sim.run();
@@ -375,7 +373,11 @@ mod tests {
         sim.run();
         let world = sim.world();
         assert_eq!(world.stats().protocol_errors, 1);
-        assert_eq!(world.link_route_slots(), routes, "a link id was minted");
+        assert_eq!(
+            world.link_routes().high_water,
+            routes,
+            "a link id was minted"
+        );
         assert_eq!(world.hop_cells().held, 0, "cells held at quiescence");
     }
 

@@ -5,21 +5,21 @@
 //! and queues, and its [`CircuitRole`] — the client's onion route and
 //! streams, a relay's onion layer, or the server's layer and application.
 //!
-//! Participations live in a dense slab (`Vec<NodeCircuit>`) indexed by a
-//! node-local id handed out at join time; the per-cell pipeline resolves
-//! straight to that index through the network-level route table
-//! (`relaynet::network`) and never walks a map. A small `BTreeMap` keyed
-//! by the global [`CircId`] serves only cold paths — setup, teardown, and
-//! telemetry. Torn-down participations are reclaimed through a free list
-//! (`remove_circuit`), so churning workloads reuse slots instead of
-//! growing the slab. (Deterministic by construction: nothing here is
-//! iterated in hash order.)
+//! Participations live in a [`Slab`] under a node-local id handed out at
+//! join time; the per-cell pipeline resolves straight to that id through
+//! the network-level route table (`relaynet::network`) and never walks a
+//! map. A small `BTreeMap` keyed by the global [`CircId`] serves only
+//! cold paths — setup, teardown, and telemetry. A torn-down
+//! participation's slot is the next one filled (`remove_circuit`), so
+//! churning workloads reuse slots instead of growing the slab.
+//! (Deterministic by construction: nothing here is iterated in hash
+//! order.)
 
 use std::collections::BTreeMap;
 
 use backtap::hop::HopTransport;
 use netsim::net::NodeId;
-use simcore::slab::{List, Lists};
+use simcore::slab::{List, Lists, Slab, SlabUse};
 use simcore::time::{SimDuration, SimTime};
 use torcell::cell::{Cell, CellBody, RelayCell, HANDSHAKE_LEN};
 use torcell::crypto::{OnionRoute, RelayCrypt};
@@ -342,8 +342,6 @@ pub enum CircuitPhase {
 /// layer and a server never lacks one.
 #[derive(Clone)]
 pub enum CircuitRole {
-    /// A reclaimed slab slot awaiting reuse.
-    Vacant,
     /// The circuit's origin: onion route and streams.
     Client(ClientApp),
     /// An interior hop.
@@ -371,7 +369,7 @@ pub struct NodeCircuit {
     pub fwd: Option<HopDir>,
     /// Transport and queue toward the client (None at the client).
     pub bwd: Option<HopDir>,
-    /// Client, relay or server — or a vacant slot.
+    /// Client, relay or server.
     pub role: CircuitRole,
     /// Lifecycle: open, or closed with the teardown waves seen so far.
     pub phase: CircuitPhase,
@@ -437,7 +435,6 @@ impl NodeCircuit {
     /// far: its onion layer's, or (at the client) its onion route's.
     pub fn payload_passes(&self) -> u64 {
         match &self.role {
-            CircuitRole::Vacant => 0,
             CircuitRole::Client(app) => app.route.payload_passes(),
             CircuitRole::Relay { crypt, .. } | CircuitRole::Server { crypt, .. } => {
                 crypt.payload_passes()
@@ -468,11 +465,9 @@ pub struct OverlayNode {
     pub net_node: NodeId,
     /// Participant kind.
     pub role: NodeRole,
-    /// Per-circuit state, dense by node-local index (slab; torn-down
-    /// participations are reclaimed through `free_slots`).
-    circuits: Vec<NodeCircuit>,
-    /// Reclaimed slab indices awaiting reuse (LIFO for determinism).
-    free_slots: Vec<u32>,
+    /// Per-circuit state under node-local indices; a reclaimed slot is
+    /// the next one filled.
+    circuits: Slab<NodeCircuit>,
     /// Cold-path lookup: global circuit id → node-local index. The
     /// per-cell pipeline bypasses this via the route table.
     by_global: BTreeMap<CircId, u32>,
@@ -485,49 +480,32 @@ impl OverlayNode {
             id,
             net_node,
             role,
-            circuits: Vec::new(),
-            free_slots: Vec::new(),
+            circuits: Slab::default(),
             by_global: BTreeMap::new(),
         }
     }
 
-    /// Registers a participation, returning its node-local index.
-    /// Reuses a reclaimed slot when one is free.
+    /// Registers a participation, returning its node-local index: the
+    /// last reclaimed slot, if any is free.
     pub fn add_circuit(&mut self, nc: NodeCircuit) -> u32 {
         let circ = nc.circ;
-        let local = match self.free_slots.pop() {
-            Some(local) => {
-                let slot = &mut self.circuits[local as usize];
-                debug_assert!(matches!(slot.role, CircuitRole::Vacant));
-                *slot = nc;
-                local
-            }
-            None => {
-                self.circuits.push(nc);
-                u32::try_from(self.circuits.len() - 1).expect("too many circuits at one node")
-            }
-        };
+        let local = self.circuits.insert(nc);
         self.by_global.insert(circ, local);
         local
     }
 
-    /// Reclaims a participation's slab slot: the slot is vacated, the
-    /// global-id mapping dropped, and the index queued for reuse.
+    /// Reclaims a participation's slab slot and drops its global-id
+    /// mapping. Panics if the slot is already free.
     pub fn remove_circuit(&mut self, local: u32) {
-        let slot = &mut self.circuits[local as usize];
-        debug_assert!(!matches!(slot.role, CircuitRole::Vacant), "double free");
+        let nc = self.circuits.remove(local);
         debug_assert!(
-            [&slot.fwd, &slot.bwd]
+            [&nc.fwd, &nc.bwd]
                 .into_iter()
                 .flatten()
                 .all(HopDir::queue_is_empty),
             "a reclaimed participation still holds queued cells"
         );
-        self.by_global.remove(&slot.circ);
-        // Hops and role go; the slot reads closed, so no stage acts on it.
-        (slot.fwd, slot.bwd, slot.role) = (None, None, CircuitRole::Vacant);
-        slot.close();
-        self.free_slots.push(local);
+        self.by_global.remove(&nc.circ);
     }
 
     /// The node-local index of a circuit, if this node participates.
@@ -536,16 +514,16 @@ impl OverlayNode {
     }
 
     /// Participation by node-local index (the hot path; indexes resolve
-    /// through the route table).
+    /// through the route table). Panics on a reclaimed slot.
     #[inline]
     pub fn circuit_at(&self, local: u32) -> &NodeCircuit {
-        &self.circuits[local as usize]
+        self.circuits.get(local)
     }
 
     /// Mutable participation by node-local index.
     #[inline]
     pub fn circuit_at_mut(&mut self, local: u32) -> &mut NodeCircuit {
-        &mut self.circuits[local as usize]
+        self.circuits.get_mut(local)
     }
 
     /// Participation by global circuit id (cold paths: setup, teardown,
@@ -554,21 +532,19 @@ impl OverlayNode {
         Some(self.circuit_at(self.local_idx(circ)?))
     }
 
-    /// Payload walks of this node's live participations (vacant slots
-    /// hold none).
+    /// Payload walks of this node's live participations.
     pub fn payload_passes(&self) -> u64 {
-        self.circuits.iter().map(NodeCircuit::payload_passes).sum()
+        self.circuits
+            .values()
+            .map(NodeCircuit::payload_passes)
+            .sum()
     }
 
-    /// Slab capacity: live participations plus reclaimed slots. Stays
+    /// How the participation slab is used: participations held now, the
+    /// most ever held at once, and slots reserved. The high water stays
     /// flat across churn cycles — the invariant the property tests pin.
-    pub fn slab_len(&self) -> usize {
-        self.circuits.len()
-    }
-
-    /// Reclaimed slots awaiting reuse.
-    pub fn free_slot_count(&self) -> usize {
-        self.free_slots.len()
+    pub fn slots(&self) -> SlabUse {
+        self.circuits.usage()
     }
 
     /// Number of live circuits this node participates in.
@@ -756,25 +732,25 @@ mod tests {
         );
         let a = node.add_circuit(relay(0));
         let b = node.add_circuit(relay(1));
-        assert_eq!(node.slab_len(), 2);
+        assert_eq!((node.slots().held, node.slots().high_water), (2, 2));
         assert_eq!(node.circuit_count(), 2);
         node.remove_circuit(a);
         assert_eq!(node.circuit_count(), 1);
-        assert_eq!(node.free_slot_count(), 1);
+        assert_eq!(node.slots().held, 1);
         assert!(node.local_idx(CircId(0)).is_none(), "mapping dropped");
         let c = node.add_circuit(relay(2));
         assert_eq!(c, a, "reclaimed slot is reused");
-        assert_eq!(node.slab_len(), 2, "slab did not grow");
-        assert_eq!(node.free_slot_count(), 0);
+        assert_eq!(node.slots().high_water, 2, "slab did not grow");
+        assert_eq!(node.slots().held, 2);
         assert_eq!(node.local_idx(CircId(1)), Some(b));
     }
 
     #[test]
-    fn a_participation_is_at_most_480_bytes() {
-        // A slab slot is its two hops (320), its largest role (152), and
-        // its id and phase (480).
-        let size = std::mem::size_of::<NodeCircuit>();
-        assert!(size <= 480, "a participation is {size} bytes");
+    fn a_participation_is_at_most_448_bytes() {
+        // A slab slot is its two hops (288), its largest role (152), and
+        // its id and phase (448); a free slot's `None` takes a niche.
+        let size = std::mem::size_of::<Option<NodeCircuit>>();
+        assert!(size <= 448, "a participation slot is {size} bytes");
     }
 
     #[test]

@@ -72,11 +72,12 @@ pub struct WorldFingerprint {
     pub flows: Vec<(u64, u64, u64, Option<SimDuration>)>,
     /// Circuit records registered (every incarnation counts).
     pub incarnations: usize,
-    /// Per overlay node: (slab capacity, reclaimed free slots).
+    /// Per overlay node: its participation slab's (high water, free
+    /// slots), the free slots being the high water less those held.
     pub node_slabs: Vec<(usize, usize)>,
-    /// Link-route table size (slots, live or free).
+    /// The link-route table's high water: ids ever minted at once.
     pub link_route_slots: usize,
-    /// Reclaimed link-local ids awaiting reuse.
+    /// Link-route slots free: the high water less the ids held.
     pub free_link_routes: usize,
     /// Payload pool: (allocated, reused, returned, idle, idle high-water).
     pub pool: (u64, u64, u64, usize, usize),
@@ -97,6 +98,7 @@ pub struct WorldFingerprint {
 pub fn fingerprint(world: &TorNetwork, events_processed: u64) -> WorldFingerprint {
     let pool = world.payload_pool();
     let (allocated, reused) = pool.stats();
+    let routes = world.link_routes();
     WorldFingerprint {
         flows: world
             .flows()
@@ -113,12 +115,12 @@ pub fn fingerprint(world: &TorNetwork, events_processed: u64) -> WorldFingerprin
         incarnations: world.circuit_count(),
         node_slabs: (0..world.node_count())
             .map(|i| {
-                let n = world.node(crate::ids::OverlayId(i as u32));
-                (n.slab_len(), n.free_slot_count())
+                let slots = world.node(crate::ids::OverlayId(i as u32)).slots();
+                (slots.high_water, slots.high_water - slots.held)
             })
             .collect(),
-        link_route_slots: world.link_route_slots(),
-        free_link_routes: world.free_link_routes(),
+        link_route_slots: routes.high_water,
+        free_link_routes: routes.high_water - routes.held,
         pool: (
             allocated,
             reused,

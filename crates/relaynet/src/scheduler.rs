@@ -22,16 +22,20 @@
 //! size. The default, `LinkScheduler<WireFrame>`, queues frames by value
 //! and runs the same code.
 //!
-//! The per-circuit queues live in a dense slab (the PR 2 pattern the
-//! rest of the hot path uses): a `Vec` of slots indexed by a small
-//! integer, a LIFO free list recycling vacated slots — and their
+//! The per-circuit queues live in a `Vec` of slots indexed by a small
+//! integer, with a LIFO free list recycling vacated slots — and their
 //! `VecDeque` buffers with them — and the rotation ring carrying slot
 //! indices. A small `BTreeMap` maps the circuit id to its slot, so the
-//! per-cell lookup stays `O(log active)` (as it was before the slab)
-//! while the queue-buffer allocation that used to happen on every
-//! circuit activation is gone. The rotation order is bit-identical to
-//! the historical map-of-queues implementation — the queue-equivalence
-//! fingerprints guard the swap.
+//! per-cell lookup stays `O(log active)` while no circuit activation
+//! allocates a queue buffer. These slots stay hand-rolled rather than a
+//! `simcore::slab::Slab`, whose `remove` drops the value, buffer and
+//! all, so every activation would allocate again. Per-circuit `List`s
+//! through one `Lists<FrameHandle>` per scheduler kept every digest but
+//! more than doubled the schedulers' bytes on `star50_churn`
+//! (DESIGN.md §5), and one `Lists` per world would change `push_cell`
+//! and `pop`. The rotation order is bit-identical to the historical
+//! map-of-queues implementation — the queue-equivalence fingerprints
+//! guard it.
 
 use std::collections::{BTreeMap, VecDeque};
 

@@ -28,7 +28,7 @@
 
 use std::collections::BinaryHeap;
 
-use crate::slab::{List, Lists, SlabUse};
+use crate::slab::{clone_reserving, List, Lists, SlabUse};
 use crate::time::SimTime;
 
 /// The push sequence number of an event, unique within one queue and
@@ -209,7 +209,6 @@ struct CalEntry<E> {
 /// Invariant: every entry in the ready run precedes every bucket entry in
 /// time (the run is a whole minimal division; later pushes that would
 /// land inside the run's time range are merge-inserted into it).
-#[derive(Clone)]
 pub struct CalendarQueue<E> {
     /// The earliest division, sorted by `(time, seq)` descending; pops
     /// come off the back.
@@ -245,6 +244,20 @@ pub struct CalendarQueue<E> {
 impl<E> Default for CalendarQueue<E> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A copy that reserves what its original reserves, the ready run
+/// included, so a fork's [`QueueWork::reserved_slots`] stays the
+/// unforked run's.
+impl<E: Clone> Clone for CalendarQueue<E> {
+    fn clone(&self) -> Self {
+        CalendarQueue {
+            ready: clone_reserving(&self.ready),
+            entries: self.entries.clone(),
+            buckets: self.buckets.clone(),
+            ..*self
+        }
     }
 }
 

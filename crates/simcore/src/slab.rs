@@ -29,7 +29,6 @@ pub struct SlabUse {
 }
 
 /// Values of type `T` under `u32` slots (see the module docs).
-#[derive(Clone)]
 pub struct Slab<T> {
     /// Every slot ever filled; `None` when free.
     slots: Vec<Option<T>>,
@@ -44,6 +43,25 @@ impl<T> Default for Slab<T> {
             free: Vec::new(),
         }
     }
+}
+
+/// A copy that reserves what its original reserves, so it grows at the
+/// same inserts: a forked world's slabs stay the unforked run's.
+impl<T: Clone> Clone for Slab<T> {
+    fn clone(&self) -> Self {
+        Slab {
+            slots: clone_reserving(&self.slots),
+            free: clone_reserving(&self.free),
+        }
+    }
+}
+
+/// A copy of `v` with `v`'s capacity (a derived `clone` keeps only the
+/// length).
+pub(crate) fn clone_reserving<T: Clone>(v: &Vec<T>) -> Vec<T> {
+    let mut copy = Vec::with_capacity(v.capacity());
+    copy.extend_from_slice(v);
+    copy
 }
 
 impl<T> Slab<T> {
@@ -94,6 +112,13 @@ impl<T> Slab<T> {
             .expect("a slab index names a held value")
     }
 
+    /// The value in slot `i`, or `None` if the slot is free or past the
+    /// high water.
+    #[inline]
+    pub fn try_get(&self, i: u32) -> Option<&T> {
+        self.slots.get(i as usize)?.as_ref()
+    }
+
     /// The value in slot `i`, mutably; panics if the slot is free.
     #[inline]
     pub fn get_mut(&mut self, i: u32) -> &mut T {
@@ -115,6 +140,11 @@ impl<T> Slab<T> {
         std::mem::swap(self.slot_mut(i), &mut value);
         self.free.push(i);
         value.expect("a slab index names a held value")
+    }
+
+    /// The values held, in slot order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
     }
 
     /// Values held, the high water and the slots reserved.
@@ -155,7 +185,6 @@ impl List {
 
 /// A [`Slab`] whose values each sit on one FIFO [`List`]; the lists'
 /// ends belong to their owners.
-#[derive(Clone)]
 pub struct Lists<T> {
     slab: Slab<T>,
     /// `next[i]` is the slot after slot `i` on its list, or [`NIL`].
@@ -167,6 +196,16 @@ impl<T> Default for Lists<T> {
         Lists {
             slab: Slab::default(),
             next: Vec::new(),
+        }
+    }
+}
+
+/// A copy that reserves what its original reserves (see [`Slab`]'s).
+impl<T: Clone> Clone for Lists<T> {
+    fn clone(&self) -> Self {
+        Lists {
+            slab: self.slab.clone(),
+            next: clone_reserving(&self.next),
         }
     }
 }

@@ -5,7 +5,9 @@
 //! pops and counts. Each run alternates growth phases, which carry the
 //! population across the doubling-to-steps boundary and several steps
 //! past it, with shrink phases that hand freed slots back for reuse;
-//! lists are drained part-way and emptied along the way.
+//! lists are drained part-way and emptied along the way. A `Slab` run
+//! also forks its slab mid-run and drives both copies in lockstep: a
+//! copy reserves what its original reserves, so the two grow alike.
 
 use std::collections::VecDeque;
 
@@ -43,33 +45,71 @@ fn assert_within_a_step(usage: SlabUse, seed: u64, op: usize) {
     }
 }
 
+/// `slab` holds what `model` holds, slot by slot and in `values()`;
+/// `try_get` finds nothing in a free slot or past the high water.
+fn assert_slots_match(slab: &Slab<u64>, model: &[Option<u64>], seed: u64, op: usize) {
+    for (slot, value) in (0..).zip(model) {
+        assert_eq!(
+            slab.try_get(slot),
+            value.as_ref(),
+            "seed {seed} op {op}: slot {slot}"
+        );
+    }
+    assert_eq!(
+        slab.try_get(model.len() as u32),
+        None,
+        "seed {seed} op {op}"
+    );
+    assert_eq!(slab.try_get(u32::MAX), None, "seed {seed} op {op}");
+    assert!(
+        slab.values().eq(model.iter().flatten()),
+        "seed {seed} op {op}"
+    );
+}
+
 /// `Slab` against its model: slot `i` holds `model[i]`, and an insert
 /// takes the most recently freed slot, or a new one past the high water.
+/// From a shrink phase mid-run, a clone takes every operation too.
 fn run_slab(seed: u64, ops: usize) {
     let mut rng = SimRng::seed_from(seed);
     let mut slab: Slab<u64> = Slab::default();
+    let mut fork: Option<Slab<u64>> = None;
     let mut model: Vec<Option<u64>> = Vec::new();
     let mut free: Vec<u32> = Vec::new();
     let mut held: Vec<u32> = Vec::new();
     for op in 0..ops {
+        if op == ops * 3 / 8 {
+            fork = Some(slab.clone());
+        }
         if held.is_empty() || rng.range_u64(0, 100) < insert_share(op) {
             let value = rng.u64();
             let slot = slab.insert(value);
             let expected = free.pop().unwrap_or(model.len() as u32);
             assert_eq!(slot, expected, "seed {seed} op {op}: slot reuse order");
+            if let Some(fork) = &mut fork {
+                assert_eq!(fork.insert(value), slot, "seed {seed} op {op}: fork");
+            }
             if slot as usize == model.len() {
                 model.push(None);
             }
             model[slot as usize] = Some(value);
+            assert_eq!(slab.try_get(slot), Some(&value));
             held.push(slot);
         } else {
             let slot = held.swap_remove(rng.range_usize(0, held.len()));
             let value = model[slot as usize].take();
             assert_eq!(Some(slab.remove(slot)), value, "seed {seed} op {op}");
+            if let Some(fork) = &mut fork {
+                assert_eq!(Some(fork.remove(slot)), value, "seed {seed} op {op}: fork");
+            }
+            assert_eq!(slab.try_get(slot), None, "seed {seed} op {op}: freed");
             free.push(slot);
         }
         if let Some(&slot) = held.last() {
             *slab.get_mut(slot) ^= 1;
+            if let Some(fork) = &mut fork {
+                *fork.get_mut(slot) ^= 1;
+            }
             let value = model[slot as usize].as_mut().expect("held");
             *value ^= 1;
             assert_eq!(slab.get(slot), value);
@@ -77,12 +117,16 @@ fn run_slab(seed: u64, ops: usize) {
         let usage = slab.usage();
         assert_eq!((usage.held, usage.high_water), (held.len(), model.len()));
         assert_within_a_step(usage, seed, op);
-    }
-    for (slot, value) in (0..).zip(&model) {
-        if let Some(value) = value {
-            assert_eq!(slab.get(slot), value, "seed {seed}: slot {slot}");
+        if let Some(fork) = &fork {
+            assert_eq!(fork.usage(), usage, "seed {seed} op {op}: fork");
+            assert_eq!(fork.reserved_bytes(), slab.reserved_bytes());
+        }
+        if op % 997 == 0 {
+            assert_slots_match(&slab, &model, seed, op);
         }
     }
+    assert_slots_match(&slab, &model, seed, ops);
+    assert_slots_match(&fork.expect("forked mid-run"), &model, seed, ops);
     assert!(
         model.len() > 2 * STEP,
         "seed {seed}: the run never went two steps past the doubling"

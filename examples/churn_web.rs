@@ -88,10 +88,11 @@ fn main() {
     // -- reclamation telemetry ------------------------------------------
     println!("\nreclamation:");
     println!("  slots reclaimed  : {}", stats.slots_reclaimed);
+    let routes = world.link_routes();
     println!(
         "  route table      : {} slots, {} on the free list",
-        world.link_route_slots(),
-        world.free_link_routes()
+        routes.high_water,
+        routes.high_water - routes.held
     );
     let (allocated, reused) = world.payload_pool().stats();
     println!(
@@ -108,12 +109,12 @@ fn main() {
     );
     // Spot-check slot books on the first client.
     let client = world.circuit_info(circuits[0]).path[0];
-    let node = world.node(client);
+    let slots = world.node(client).slots();
     println!(
         "  client-0 slab    : {} slots ({} live, {} free)",
-        node.slab_len(),
-        node.circuit_count(),
-        node.free_slot_count()
+        slots.high_water,
+        slots.held,
+        slots.high_water - slots.held
     );
     println!("\nok: deterministic churn workload, no leaks, no protocol errors");
 }

@@ -196,10 +196,7 @@ fn teardown_racing_the_build_never_panics_or_leaks() {
         // Slot books balance on every node after the dust settles.
         for n in 0..5u32 {
             let node = world.node(relaynet::OverlayId(n));
-            assert_eq!(
-                node.slab_len(),
-                node.circuit_count() + node.free_slot_count()
-            );
+            assert_eq!(node.slots().held, node.circuit_count());
             assert_eq!(node.circuit_count(), 1, "only the live incarnation");
         }
     }

@@ -11,6 +11,9 @@
 //! times, runs to quiescence too. All nine fingerprints must equal the
 //! reference. State held outside the value (an `Rc` shared between
 //! nodes, a thread-local counter) shows up here as a fork that diverges.
+//! A fork must also reserve what the unforked run reserves: every
+//! slab's use and the event queue's work counts end equal, which they
+//! do not when a copy keeps only its original's lengths.
 
 use std::sync::Arc;
 
@@ -20,21 +23,49 @@ use netsim::link::LinkConfig;
 use relaynet::runtime::{fingerprint, WorldFingerprint};
 use relaynet::selection::CongestionAware;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, FaultSpec, WorkloadSpec};
-use relaynet::{DirectoryConfig, PathScenario, StarScenario, TorNetwork};
+use relaynet::{DirectoryConfig, OverlayId, PathScenario, StarScenario, TorNetwork};
+use simcore::event::QueueWork;
 use simcore::rng::SimRng;
 use simcore::sim::{Simulator, StopReason};
+use simcore::slab::SlabUse;
 use simcore::time::SimDuration;
 
 /// Forks per world.
 const FORKS: usize = 8;
 
-/// Checks `build`'s world forks to its own run; returns that run's
-/// fingerprint.
+/// How a finished run uses its slabs and its event queue.
+#[derive(PartialEq, Debug)]
+struct Reserved {
+    queue: QueueWork,
+    calendar_entries: Option<SlabUse>,
+    frame_store: SlabUse,
+    hop_cells: SlabUse,
+    link_routes: SlabUse,
+    node_slots: Vec<SlabUse>,
+}
+
+fn reserved(sim: &Simulator<TorNetwork>) -> Reserved {
+    let world = sim.world();
+    Reserved {
+        queue: sim.queue_work(),
+        calendar_entries: sim.queue_entries(),
+        frame_store: world.net().frame_store(),
+        hop_cells: world.hop_cells(),
+        link_routes: world.link_routes(),
+        node_slots: (0..world.node_count())
+            .map(|i| world.node(OverlayId(i as u32)).slots())
+            .collect(),
+    }
+}
+
+/// Checks `build`'s world forks to its own run, reserving what it
+/// reserves; returns that run's fingerprint.
 fn assert_forks_agree(name: &str, build: impl Fn() -> Simulator<TorNetwork>) -> WorldFingerprint {
     let mut whole = build();
     assert_eq!(whole.run().reason, StopReason::QueueEmpty);
     let reference = fingerprint(whole.world(), whole.events_processed());
     assert_eq!(reference.stats.protocol_errors, 0, "{name}");
+    let reference_reserved = reserved(&whole);
 
     let mut rng = SimRng::seed_from(47).derive(name);
     let mut at: Vec<u64> = (0..FORKS)
@@ -54,12 +85,22 @@ fn assert_forks_agree(name: &str, build: impl Fn() -> Simulator<TorNetwork>) -> 
             reference,
             "{name}: the fork taken at event {i} diverged"
         );
+        assert_eq!(
+            reserved(&fork),
+            reference_reserved,
+            "{name}: the fork taken at event {i} reserves otherwise"
+        );
     }
     sim.run();
     assert_eq!(
         fingerprint(sim.world(), sim.events_processed()),
         reference,
         "{name}: the original diverged after forks at {at:?}"
+    );
+    assert_eq!(
+        reserved(&sim),
+        reference_reserved,
+        "{name}: the original reserves otherwise after forks at {at:?}"
     );
     reference
 }

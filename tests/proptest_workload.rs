@@ -140,12 +140,13 @@ fn teardown_reclaims_every_slot_and_buffer() {
         }
         let torn = world.circuit_count() - live;
         assert!(torn >= 1, "case {case}: at least one incarnation was torn");
-        // Slot accounting is consistent at every node: slab = live + free.
+        // Slot accounting is consistent at every node: the slab holds
+        // exactly the participations the global-id map names.
         for n in 0..path_nodes {
             let node = world.node(relaynet::OverlayId(n as u32));
             assert_eq!(
-                node.slab_len(),
-                node.circuit_count() + node.free_slot_count(),
+                node.slots().held,
+                node.circuit_count(),
                 "case {case}: node {n} slab books do not balance"
             );
             assert_eq!(
@@ -202,9 +203,13 @@ fn slab_sizes_flat_across_extra_rebuild_cycles() {
             let sim = build_and_run(hops.clone(), file, workload, seed);
             let world = sim.world();
             let slabs: Vec<usize> = (0..path_nodes)
-                .map(|n| world.node(relaynet::OverlayId(n as u32)).slab_len())
+                .map(|n| world.node(relaynet::OverlayId(n as u32)).slots().high_water)
                 .collect();
-            (slabs, world.link_route_slots(), world.stats().rebuilds)
+            (
+                slabs,
+                world.link_routes().high_water,
+                world.stats().rebuilds,
+            )
         };
         let (slabs_short, routes_short, rebuilds_short) = measure(2);
         let (slabs_long, routes_long, rebuilds_long) = measure(4);
