@@ -31,7 +31,7 @@ const UNDERUSE_ROUNDS: u32 = 4;
 const MAX_RESTARTS: u32 = 16;
 
 /// CircuitStart plus mid-flow re-probing (see module docs).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct AdaptiveCc {
     inner: DelayCc,
     last_cwnd: u32,

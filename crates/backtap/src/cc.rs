@@ -36,7 +36,7 @@ impl std::fmt::Display for Phase {
 ///
 /// The large arms are boxed: an unwindowed hop costs no allocation, and
 /// a hop's controller stays two words.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub enum Controller {
     /// Discrete-round ramp plus Vegas avoidance (see [`DelayCc`]).
     Delay(Box<DelayCc>),

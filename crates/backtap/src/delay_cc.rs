@@ -94,7 +94,7 @@ struct VegasRound {
 }
 
 /// Delay-based per-hop congestion controller (see module docs).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct DelayCc {
     cfg: CcConfig,
     exit: RampExit,

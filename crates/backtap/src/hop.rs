@@ -23,6 +23,7 @@
 
 use std::collections::VecDeque;
 
+use simcore::slab::clone_deque_reserving;
 use simcore::time::{SimDuration, SimTime};
 
 use crate::cc::{Controller, Phase};
@@ -54,20 +55,50 @@ pub struct HopStats {
     pub bad_feedback: u64,
 }
 
+/// Marks a send time whose cell was fed back or forgotten out of order,
+/// until the ring's front reaches it.
+const SETTLED: SimTime = SimTime::MAX;
+
 /// Transport state for one hop of one circuit (see module docs).
-#[derive(Clone)]
 pub struct HopTransport {
     cc: Controller,
     next_seq: u64,
-    /// Cells sent but not yet fed back, ordered by sequence number
-    /// (sends are monotone). Feedback almost always arrives in order, so
-    /// the front is a hit and the map stays an O(1) ring — no hashing on
-    /// the per-cell path.
-    in_flight: VecDeque<(u64, SimTime)>,
-    /// The minimum RTT observed (`baseRtt`), once a sample exists.
-    base_rtt: Option<SimDuration>,
+    /// The send time of every cell from the oldest outstanding one to
+    /// the newest sent, by sequence number: the front is cell
+    /// `next_seq - len`. A cell settled out of order reads [`SETTLED`]
+    /// until it reaches the front; the front is never settled. Feedback
+    /// almost always arrives in order, so it pops the front: 8 bytes a
+    /// cell, no search and no hashing on the per-cell path.
+    sent_at: VecDeque<SimTime>,
+    /// Cells sent but not yet fed back or forgotten.
+    outstanding: u32,
+    /// The minimum RTT observed (`baseRtt`); [`SimDuration::MAX`] until
+    /// a sample exists (8 bytes where an `Option` takes 16).
+    base_rtt: SimDuration,
     stats: HopStats,
     cwnd_trace: Option<Vec<(SimTime, u32)>>,
+    /// Every `on_feedback` (`true`) and `on_forget` (`false`) handed to
+    /// the controller, by sequence number, for the differential test.
+    #[cfg(test)]
+    cc_calls: Vec<(bool, u64)>,
+}
+
+/// A copy whose send-time ring reserves what its original's reserves, so
+/// a forked world's rings grow at the same sends.
+impl Clone for HopTransport {
+    fn clone(&self) -> Self {
+        HopTransport {
+            cc: self.cc.clone(),
+            next_seq: self.next_seq,
+            sent_at: clone_deque_reserving(&self.sent_at),
+            outstanding: self.outstanding,
+            base_rtt: self.base_rtt,
+            stats: self.stats,
+            cwnd_trace: self.cwnd_trace.clone(),
+            #[cfg(test)]
+            cc_calls: self.cc_calls.clone(),
+        }
+    }
 }
 
 impl HopTransport {
@@ -76,10 +107,13 @@ impl HopTransport {
         HopTransport {
             cc,
             next_seq: 0,
-            in_flight: VecDeque::new(),
-            base_rtt: None,
+            sent_at: VecDeque::new(),
+            outstanding: 0,
+            base_rtt: SimDuration::MAX,
             stats: HopStats::default(),
             cwnd_trace: None,
+            #[cfg(test)]
+            cc_calls: Vec::new(),
         }
     }
 
@@ -114,9 +148,11 @@ impl HopTransport {
             self.outstanding(),
             self.cwnd()
         );
+        debug_assert!(now != SETTLED, "a send at the end of time");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.in_flight.push_back((seq, now));
+        self.sent_at.push_back(now);
+        self.outstanding += 1;
         self.cc.on_sent(seq, now);
         self.trace_cwnd(now);
         seq
@@ -125,24 +161,16 @@ impl HopTransport {
     /// Processes the successor's feedback for cell `seq`, returning the
     /// RTT sample on success.
     pub fn on_feedback(&mut self, seq: u64, now: SimTime) -> Result<SimDuration, FeedbackError> {
-        let sent_at = match self.in_flight.front() {
-            Some(&(s, t)) if s == seq => {
-                self.in_flight.pop_front();
-                t
-            }
-            _ => match self.in_flight.binary_search_by_key(&seq, |&(s, _)| s) {
-                Ok(idx) => self.in_flight.remove(idx).expect("index in range").1,
-                Err(_) => {
-                    self.stats.bad_feedback += 1;
-                    return Err(FeedbackError::UnknownSeq(seq));
-                }
-            },
+        let Some(sent_at) = self.settle(seq) else {
+            self.stats.bad_feedback += 1;
+            return Err(FeedbackError::UnknownSeq(seq));
         };
         let rtt = now.saturating_duration_since(sent_at);
-        let base = self.base_rtt.map_or(rtt, |b| b.min(rtt));
-        self.base_rtt = Some(base);
+        self.base_rtt = self.base_rtt.min(rtt);
         self.stats.feedback_received += 1;
-        self.cc.on_feedback(seq, rtt, base, now);
+        #[cfg(test)]
+        self.cc_calls.push((true, seq));
+        self.cc.on_feedback(seq, rtt, self.base_rtt, now);
         self.trace_cwnd(now);
         Ok(rtt)
     }
@@ -157,23 +185,39 @@ impl HopTransport {
     /// would block the quiescence proof forever. Returns `false` if
     /// `seq` was not outstanding (already fed back or never sent).
     pub fn forget(&mut self, seq: u64) -> bool {
-        let removed = match self.in_flight.front() {
-            Some(&(s, _)) if s == seq => {
-                self.in_flight.pop_front();
-                true
-            }
-            _ => match self.in_flight.binary_search_by_key(&seq, |&(s, _)| s) {
-                Ok(idx) => {
-                    self.in_flight.remove(idx);
-                    true
-                }
-                Err(_) => false,
-            },
-        };
+        let removed = self.settle(seq).is_some();
         if removed {
+            #[cfg(test)]
+            self.cc_calls.push((false, seq));
             self.cc.on_forget(seq);
         }
         removed
+    }
+
+    /// Retires outstanding cell `seq` and returns its send time, or
+    /// `None` if it is not outstanding.
+    #[inline]
+    fn settle(&mut self, seq: u64) -> Option<SimTime> {
+        let idx = usize::try_from(seq.checked_sub(self.front_seq())?).ok()?;
+        let slot = self.sent_at.get_mut(idx)?;
+        let sent_at = std::mem::replace(slot, SETTLED);
+        if sent_at == SETTLED {
+            return None;
+        }
+        self.outstanding -= 1;
+        if idx == 0 {
+            while self.sent_at.front() == Some(&SETTLED) {
+                self.sent_at.pop_front();
+            }
+        }
+        Some(sent_at)
+    }
+
+    /// The sequence number of the ring's front: the oldest outstanding
+    /// cell, or the next to be sent when none is.
+    #[inline]
+    fn front_seq(&self) -> u64 {
+        self.next_seq - self.sent_at.len() as u64
     }
 
     /// Retires **every** outstanding cell at once, with the same
@@ -183,16 +227,26 @@ impl HopTransport {
     /// fed back, and the circuit cannot reach quiescence until they are
     /// written off wholesale. Returns how many cells were forgotten.
     pub fn forget_all(&mut self) -> u32 {
-        let forgotten = u32::try_from(self.in_flight.len()).expect("outstanding exceeds u32");
-        for (seq, _) in self.in_flight.drain(..) {
-            self.cc.on_forget(seq);
+        let forgotten = std::mem::take(&mut self.outstanding);
+        let front = self.front_seq();
+        for (seq, sent_at) in (front..).zip(self.sent_at.drain(..)) {
+            if sent_at != SETTLED {
+                #[cfg(test)]
+                self.cc_calls.push((false, seq));
+                self.cc.on_forget(seq);
+            }
         }
         forgotten
     }
 
     /// Cells sent but not yet fed back.
     pub fn outstanding(&self) -> u32 {
-        u32::try_from(self.in_flight.len()).expect("outstanding exceeds u32")
+        self.outstanding
+    }
+
+    /// Bytes the send-time ring reserves.
+    pub fn reserved_bytes(&self) -> usize {
+        self.sent_at.capacity() * std::mem::size_of::<SimTime>()
     }
 
     /// Current congestion window.
@@ -207,7 +261,7 @@ impl HopTransport {
 
     /// Minimum RTT observed on this hop, if any.
     pub fn base_rtt(&self) -> Option<SimDuration> {
-        self.base_rtt
+        (self.base_rtt != SimDuration::MAX).then_some(self.base_rtt)
     }
 
     /// Transport counters.
@@ -424,6 +478,175 @@ mod tests {
     fn trace_disabled_by_default() {
         let h = fixed(2);
         assert!(h.cwnd_trace().is_none());
+    }
+
+    /// The send-time ring as it was before settled cells were marked in
+    /// place: `(seq, sent_at)` pairs in sequence order, a binary search
+    /// for a cell off the front and a `VecDeque::remove`. The reference
+    /// model for the ring of send times.
+    struct PairRing {
+        cc: Controller,
+        next_seq: u64,
+        in_flight: VecDeque<(u64, SimTime)>,
+        base_rtt: Option<SimDuration>,
+        bad_feedback: u64,
+        cc_calls: Vec<(bool, u64)>,
+    }
+
+    impl PairRing {
+        fn new(cc: Controller) -> PairRing {
+            PairRing {
+                cc,
+                next_seq: 0,
+                in_flight: VecDeque::new(),
+                base_rtt: None,
+                bad_feedback: 0,
+                cc_calls: Vec::new(),
+            }
+        }
+
+        fn register_send(&mut self, now: SimTime) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.in_flight.push_back((seq, now));
+            self.cc.on_sent(seq, now);
+            seq
+        }
+
+        fn take(&mut self, seq: u64) -> Option<SimTime> {
+            match self.in_flight.front() {
+                Some(&(s, t)) if s == seq => {
+                    self.in_flight.pop_front();
+                    Some(t)
+                }
+                _ => {
+                    let idx = self.in_flight.binary_search_by_key(&seq, |&(s, _)| s);
+                    Some(self.in_flight.remove(idx.ok()?).expect("in range").1)
+                }
+            }
+        }
+
+        fn on_feedback(&mut self, seq: u64, now: SimTime) -> Result<SimDuration, FeedbackError> {
+            let Some(sent_at) = self.take(seq) else {
+                self.bad_feedback += 1;
+                return Err(FeedbackError::UnknownSeq(seq));
+            };
+            let rtt = now.saturating_duration_since(sent_at);
+            let base = self.base_rtt.map_or(rtt, |b| b.min(rtt));
+            self.base_rtt = Some(base);
+            self.cc_calls.push((true, seq));
+            self.cc.on_feedback(seq, rtt, base, now);
+            Ok(rtt)
+        }
+
+        fn forget(&mut self, seq: u64) -> bool {
+            let removed = self.take(seq).is_some();
+            if removed {
+                self.cc_calls.push((false, seq));
+                self.cc.on_forget(seq);
+            }
+            removed
+        }
+
+        fn forget_all(&mut self) -> u32 {
+            let forgotten = self.in_flight.len() as u32;
+            for (seq, _) in self.in_flight.drain(..) {
+                self.cc_calls.push((false, seq));
+                self.cc.on_forget(seq);
+            }
+            forgotten
+        }
+    }
+
+    /// Random runs of sends, in-order, out-of-order, duplicate and
+    /// unknown feedback, `forget` and `forget_all` give what the
+    /// reference ring gives: every result and RTT, the outstanding count,
+    /// the base RTT, the bad-feedback count, the `on_feedback`/`on_forget`
+    /// calls each controller was handed, in order, and after every
+    /// operation the whole controller state.
+    #[test]
+    fn the_send_time_ring_matches_the_pair_ring() {
+        use crate::algorithm::Algorithm;
+        use simcore::rng::SimRng;
+
+        let algorithms = [
+            Algorithm::CircuitStart,
+            Algorithm::AdaptiveCircuitStart,
+            Algorithm::ClassicBacktap,
+            Algorithm::FixedWindow(12),
+        ];
+        for (seed, algorithm) in (0..40u64).zip(algorithms.iter().cycle()) {
+            let mut rng = SimRng::seed_from(0x5E7D_0000 + seed);
+            let cc = algorithm.make_controller(CcConfig::default());
+            let mut hop = HopTransport::new(cc.clone());
+            let mut model = PairRing::new(cc);
+            let mut now = SimTime::ZERO;
+            let mut forgotten = 0;
+            for op in 0..3_000 {
+                now += SimDuration::from_micros(rng.range_u64(0, 4_000));
+                let outstanding: Vec<u64> = model.in_flight.iter().map(|&(s, _)| s).collect();
+                let pick = rng.range_u64(0, 100);
+                let ctx = format!("seed {seed} ({algorithm:?}) op {op}");
+                match pick {
+                    0..=39 => {
+                        assert_eq!(
+                            hop.can_send(),
+                            model.cc.allow_send(outstanding.len() as u32)
+                        );
+                        if hop.can_send() {
+                            assert_eq!(hop.register_send(now), model.register_send(now), "{ctx}");
+                        }
+                    }
+                    40..=84 if !outstanding.is_empty() => {
+                        // Mostly the front; now and then any outstanding cell.
+                        let seq = if pick < 75 {
+                            outstanding[0]
+                        } else {
+                            outstanding[rng.range_usize(0, outstanding.len())]
+                        };
+                        let got = hop.on_feedback(seq, now);
+                        assert!(got.is_ok(), "{ctx}");
+                        assert_eq!(got, model.on_feedback(seq, now), "{ctx}");
+                    }
+                    85..=92 => {
+                        // Any sequence number: fed back, forgotten,
+                        // outstanding or never sent.
+                        let seq = rng.range_u64(0, model.next_seq + 3);
+                        assert_eq!(
+                            hop.on_feedback(seq, now),
+                            model.on_feedback(seq, now),
+                            "{ctx}"
+                        );
+                    }
+                    93..=98 => {
+                        let seq = rng.range_u64(0, model.next_seq + 2);
+                        assert_eq!(hop.forget(seq), model.forget(seq), "{ctx}");
+                    }
+                    99 => {
+                        forgotten += 1;
+                        assert_eq!(hop.forget_all(), model.forget_all(), "{ctx}");
+                    }
+                    _ => {}
+                }
+                assert_eq!(hop.outstanding() as usize, model.in_flight.len(), "{ctx}");
+                assert_eq!(hop.base_rtt(), model.base_rtt, "{ctx}");
+                assert_eq!(hop.stats().bad_feedback, model.bad_feedback, "{ctx}");
+                assert_eq!(hop.cc_calls.len(), model.cc_calls.len(), "{ctx}");
+                assert_eq!(format!("{:?}", hop.cc), format!("{:?}", model.cc), "{ctx}");
+                // The ring runs from the oldest outstanding cell, or is
+                // empty when none is.
+                let span = model
+                    .in_flight
+                    .front()
+                    .map_or(0, |&(s, _)| model.next_seq - s);
+                assert_eq!(hop.sent_at.len() as u64, span, "{ctx}");
+            }
+            assert_eq!(hop.cc_calls, model.cc_calls, "seed {seed}");
+            assert!(
+                forgotten > 0 && model.next_seq > 500,
+                "seed {seed}: a thin run"
+            );
+        }
     }
 
     #[test]

@@ -205,8 +205,9 @@ pub const STAGE_BOUNDARIES: &[Boundary] = &[
     },
     Boundary {
         files: &["crates/netsim/src/link.rs", "crates/netsim/src/net.rs"],
-        forbidden: &[&["VecDeque", "<", "F", ">"], &["Queued"]],
-        invariant: "a frame is stored once, in Net's store; link FIFOs carry handles",
+        forbidden: &[&["VecDeque"], &["Queued"]],
+        invariant: "a frame is stored once, in Net's store; a link's FIFOs are lists \
+                    through the store's slots, not rings that keep the link's own peak",
     },
     Boundary {
         files: &[RELAYNET],
@@ -229,6 +230,12 @@ pub const STAGE_BOUNDARIES: &[Boundary] = &[
         forbidden: &[&["VecDeque", "<", "QueuedCell"]],
         invariant: "a hop queue is a list in the world's one slab of cells (HopCells), \
                     not a queue of its own that keeps its own peak",
+    },
+    Boundary {
+        files: &["crates/backtap/src/hop.rs"],
+        forbidden: &[&["VecDeque", "<", "(", "u64"]],
+        invariant: "a hop keeps one 8-byte send time per cell, a cell settled out of order \
+                    marked in place; a ring of (seq, time) pairs costs twice that",
     },
     Boundary {
         files: &[RELAYNET, "crates/netsim/src/", "crates/backtap/src/"],

@@ -5,9 +5,11 @@
 //! single "transmitter" slot (the frame currently being serialized), and a
 //! FIFO of frames in flight across the propagation delay. Nothing is ever
 //! dropped: the hop-by-hop windows of the transport above bound every
-//! queue. The three hold
-//! 4-byte [`FrameHandle`]s: every frame is stored once, in its
-//! [`Net`](crate::net::Net)'s frame store, until it is delivered.
+//! queue. Every frame is stored once, in its [`Net`](crate::net::Net)'s
+//! frame store, until it is delivered: the transmitter slot holds a
+//! 4-byte [`FrameHandle`], and the two FIFOs are lists threaded through
+//! the store's slots, so a link keeps their ends, not buffers that
+//! would keep its own peak.
 //!
 //! ```text
 //!   send() ──► [egress queue] ──► (serializing, rate-limited)
@@ -24,8 +26,7 @@
 //! serializing, due after serialization *plus* propagation, and the link
 //! only remembers until when it is busy.
 
-use std::collections::VecDeque;
-
+use simcore::slab::List;
 use simcore::time::{SimDuration, SimTime};
 
 use crate::bandwidth::Bandwidth;
@@ -88,9 +89,11 @@ pub struct LinkStats {
 #[derive(Clone)]
 pub(crate) struct LinkState {
     pub cfg: LinkConfig,
-    /// Frames waiting for the transmitter, each stamped with its arrival
-    /// time.
-    pub queue: VecDeque<(FrameHandle, SimTime)>,
+    /// Frames waiting for the transmitter, in the store's lists; each
+    /// frame's slot keeps its arrival time.
+    pub queue: List,
+    /// Frames on `queue`.
+    pub queued: u32,
     /// The frame being serialized right now, if its sender awaits the
     /// departure; a `TxComplete` is scheduled for it at `busy_until`.
     pub transmitting: Option<FrameHandle>,
@@ -102,8 +105,8 @@ pub(crate) struct LinkState {
     pub wake_pending: bool,
     /// Frames that are propagating, or still serializing silently.
     /// Constant per-link delay + FIFO serialization ⇒ delivery order ==
-    /// push order.
-    pub in_flight: VecDeque<FrameHandle>,
+    /// push order. A list in the store, like `queue`.
+    pub in_flight: List,
     pub stats: LinkStats,
     /// The last two distinct `(wire size, serialization time)` pairs at
     /// the current rate, newest first (see [`LinkState::tx_time`]).
@@ -117,11 +120,12 @@ impl LinkState {
     pub fn new(cfg: LinkConfig) -> Self {
         LinkState {
             cfg,
-            queue: VecDeque::new(),
+            queue: List::EMPTY,
+            queued: 0,
             transmitting: None,
             busy_until: SimTime::ZERO,
             wake_pending: false,
-            in_flight: VecDeque::new(),
+            in_flight: List::EMPTY,
             stats: LinkStats::default(),
             tx_memo: TX_MEMO_EMPTY,
         }
@@ -149,7 +153,7 @@ impl LinkState {
     /// Number of frames waiting (not counting the one serializing).
     #[inline]
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queued as usize
     }
 
     /// Whether a `TxComplete` is scheduled — for the frame in the
@@ -196,12 +200,12 @@ mod tests {
         }
     }
 
-    /// One per link of a world: a rate and a delay, the egress and
-    /// in-flight handle FIFOs, the transmitter slot, the counters csbench
-    /// reads and the serialization-time memo.
+    /// One per link of a world: a rate and a delay, the ends of the
+    /// egress and in-flight lists and the queued count, the transmitter
+    /// slot, the counters csbench reads and the serialization-time memo.
     #[test]
-    fn a_link_is_at_most_184_bytes() {
+    fn a_link_is_at_most_136_bytes() {
         let size = std::mem::size_of::<LinkState>();
-        assert!(size <= 184, "LinkState grew to {size} bytes");
+        assert!(size <= 136, "LinkState grew to {size} bytes");
     }
 }

@@ -42,19 +42,23 @@
 //!
 //! A frame is stored once: [`Net::store`] puts it into the `Net`'s one
 //! store, under a 4-byte [`FrameHandle`], and [`Net::take_delivered`]
-//! takes it out. In between, the link's egress queue, transmitter slot
-//! and in-flight FIFO move the handle, and [`Net::transmitting_mut`] /
-//! [`Net::last_on_wire_mut`] look the frame up by it. [`Net::send`] is
-//! [`Net::send_stored`] of a frame just stored; a caller that queues
-//! frames in front of a link itself (an overlay's circuit scheduler)
-//! stores each one when it queues it, keeps the handle, and later sends
-//! it by handle or [takes it back](Net::take_stored). The store is a
-//! [`Slab`]: a freed slot is the next one filled, so it reserves one
-//! bounded step past the most frames ever held at once
-//! ([`Net::frame_store`]), not the sum of every queue's own peak.
+//! takes it out. In between, the frame keeps its slot: the link's
+//! transmitter slot holds its handle, and its egress queue and in-flight
+//! FIFO are lists threaded through the store's slots (a [`Lists`]), so
+//! a link holds only their ends. The egress queue's arrival stamp rides
+//! in the frame's slot. [`Net::transmitting_mut`] /
+//! [`Net::last_on_wire_mut`] look the frame up by its handle.
+//! [`Net::send`] is [`Net::send_stored`] of a frame just stored; a
+//! caller that queues frames in front of a link itself (an overlay's
+//! circuit scheduler) stores each one when it queues it, keeps the
+//! handle, and later sends it by handle or
+//! [takes it back](Net::take_stored). A freed slot is the next one
+//! filled, so the store reserves one bounded step past the most frames
+//! ever held at once ([`Net::frame_store`]), not the sum of every
+//! link's or queue's own peak.
 
 use simcore::sim::Context;
-use simcore::slab::{Slab, SlabUse};
+use simcore::slab::{Lists, SlabUse};
 use simcore::time::SimTime;
 
 use crate::bandwidth::Bandwidth;
@@ -94,6 +98,14 @@ pub enum NetEvent {
 /// only the `Net` mints.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FrameHandle(u32);
+
+/// A frame in the store, and when it last joined a link's egress queue
+/// (read when it leaves the queue, meaningless elsewhere).
+#[derive(Clone)]
+struct Stored<F> {
+    frame: F,
+    queued_at: SimTime,
+}
 
 /// A directed graph of nodes and rate/delay links carrying frames of type
 /// `F`.
@@ -150,8 +162,9 @@ pub struct FrameHandle(u32);
 pub struct Net<F: Frame> {
     links: Vec<LinkState>,
     /// Every frame held, from `store` until it is delivered or taken
-    /// back, under its handle's slot.
-    store: Slab<F>,
+    /// back, under its handle's slot; the links' egress queues and
+    /// in-flight FIFOs are lists through these slots.
+    store: Lists<Stored<F>>,
     link_ends: Vec<(NodeId, NodeId)>,
     /// Every node's diagnostic name, back to back: one buffer for all
     /// nodes rather than one allocation each.
@@ -171,7 +184,7 @@ impl<F: Frame> Net<F> {
     pub fn new() -> Self {
         Net {
             links: Vec::new(),
-            store: Slab::default(),
+            store: Lists::default(),
             link_ends: Vec::new(),
             names: String::new(),
             name_ends: Vec::new(),
@@ -272,6 +285,12 @@ impl<F: Frame> Net<F> {
         self.store.usage()
     }
 
+    /// Bytes the frame store reserves: its slots, its free list and the
+    /// list links that are every link's egress queue and in-flight FIFO.
+    pub fn frame_store_bytes(&self) -> usize {
+        self.store.reserved_bytes()
+    }
+
     /// Hands a frame to a link for transmission at the current time:
     /// [`Net::send_stored`] of the frame, [stored](Net::store) first.
     #[inline]
@@ -286,7 +305,10 @@ impl<F: Frame> Net<F> {
     /// [takes it back](Net::take_stored).
     #[inline]
     pub fn store(&mut self, frame: F) -> FrameHandle {
-        FrameHandle(self.store.insert(frame))
+        FrameHandle(self.store.insert(Stored {
+            frame,
+            queued_at: SimTime::ZERO,
+        }))
     }
 
     /// Hands the stored frame `handle` to a link for transmission at the
@@ -303,18 +325,18 @@ impl<F: Frame> Net<F> {
     ) {
         let now = ctx.now();
         let state = &mut self.links[link.index()];
-        let frame = self.store.get_mut(handle.0);
-        let (size, awaits_departure) = (frame.wire_size(), frame.awaits_departure());
         if !state.is_busy(now) {
             debug_assert!(
                 state.queue.is_empty(),
                 "idle transmitter with non-empty queue"
             );
-            Self::begin_tx(state, link, handle, size, awaits_departure, now, ctx);
+            Self::begin_tx(&mut self.store, state, link, handle, now, ctx);
             return;
         }
-        state.queue.push_back((handle, now));
-        state.stats.queue_hwm_frames = state.stats.queue_hwm_frames.max(state.queue.len());
+        self.store.get_mut(handle.0).queued_at = now;
+        self.store.link_back(&mut state.queue, handle.0);
+        state.queued += 1;
+        state.stats.queue_hwm_frames = state.stats.queue_hwm_frames.max(state.queue_len());
         Self::ensure_completion(state, link, ctx);
         debug_assert!(
             state.queue.is_empty() || state.completion_pending(),
@@ -327,7 +349,7 @@ impl<F: Frame> Net<F> {
     /// passed to [`Net::send_stored`] belongs to the link from then on.
     #[inline]
     pub fn take_stored(&mut self, handle: FrameHandle) -> F {
-        self.store.remove(handle.0)
+        self.store.remove(handle.0).frame
     }
 
     /// Asks for a [`NetEvent::TxComplete`] at the instant `link` falls
@@ -356,7 +378,7 @@ impl<F: Frame> Net<F> {
     /// wake-up.
     pub fn transmitting_mut(&mut self, link: LinkId) -> Option<&mut F> {
         let handle = self.links[link.index()].transmitting?;
-        Some(self.store.get_mut(handle.0))
+        Some(&mut self.store.get_mut(handle.0).frame)
     }
 
     /// The frame most recently put on the wire of `link` that has not
@@ -365,8 +387,8 @@ impl<F: Frame> Net<F> {
     /// with traffic in flight.
     pub fn last_on_wire_mut(&mut self, link: LinkId) -> Option<&mut F> {
         let state = &self.links[link.index()];
-        let handle = state.transmitting.or(state.in_flight.back().copied())?;
-        Some(self.store.get_mut(handle.0))
+        let slot = state.transmitting.map(|h| h.0).or(state.in_flight.back())?;
+        Some(&mut self.store.get_mut(slot).frame)
     }
 
     /// Handles [`NetEvent::TxComplete`]: moves the serialized frame, if
@@ -382,7 +404,7 @@ impl<F: Frame> Net<F> {
         let state = &mut self.links[link.index()];
         debug_assert!(now >= state.busy_until, "completion ahead of its instant");
         if let Some(handle) = state.transmitting.take() {
-            state.in_flight.push_back(handle);
+            self.store.link_back(&mut state.in_flight, handle.0);
             ctx.schedule_in(state.cfg.delay, NetEvent::Deliver { link }.into());
         } else {
             assert!(
@@ -390,11 +412,11 @@ impl<F: Frame> Net<F> {
                 "TxComplete on a link that expects none"
             );
         }
-        if let Some((handle, enqueued_at)) = state.queue.pop_front() {
-            let frame = self.store.get_mut(handle.0);
-            let (size, awaits_departure) = (frame.wire_size(), frame.awaits_departure());
-            state.stats.queue_wait_total += now.saturating_duration_since(enqueued_at);
-            Self::begin_tx(state, link, handle, size, awaits_departure, now, ctx);
+        if let Some(slot) = self.store.unlink_front(&mut state.queue) {
+            state.queued -= 1;
+            let queued_at = self.store.get(slot).queued_at;
+            state.stats.queue_wait_total += now.saturating_duration_since(queued_at);
+            Self::begin_tx(&mut self.store, state, link, FrameHandle(slot), now, ctx);
             if !state.queue.is_empty() {
                 Self::ensure_completion(state, link, ctx);
             }
@@ -415,25 +437,26 @@ impl<F: Frame> Net<F> {
     #[inline]
     pub fn take_delivered(&mut self, link: LinkId) -> F {
         let state = &mut self.links[link.index()];
-        let handle = state
-            .in_flight
-            .pop_front()
+        let slot = self
+            .store
+            .unlink_front(&mut state.in_flight)
             .expect("Deliver on a link with nothing in flight");
-        self.store.remove(handle.0)
+        self.store.remove(slot).frame
     }
 
-    /// Starts serializing the stored frame `handle`, `size` bytes long, on
-    /// an idle transmitter.
+    /// Starts serializing the stored frame `handle` on an idle
+    /// transmitter.
     fn begin_tx<E: From<NetEvent>>(
+        store: &mut Lists<Stored<F>>,
         state: &mut LinkState,
         link: LinkId,
         handle: FrameHandle,
-        size: u32,
-        awaits_departure: bool,
         now: SimTime,
         ctx: &mut Context<'_, E>,
     ) {
         debug_assert!(!state.is_busy(now), "transmitter claimed twice");
+        let frame = &store.get(handle.0).frame;
+        let (size, awaits_departure) = (frame.wire_size(), frame.awaits_departure());
         let tx_time = state.tx_time(size);
         state.stats.busy_time += tx_time;
         state.stats.frames_sent += 1;
@@ -443,7 +466,7 @@ impl<F: Frame> Net<F> {
             state.transmitting = Some(handle);
             ctx.schedule_in(tx_time, NetEvent::TxComplete { link }.into());
         } else {
-            state.in_flight.push_back(handle);
+            store.link_back(&mut state.in_flight, handle.0);
             ctx.schedule_in(tx_time + state.cfg.delay, NetEvent::Deliver { link }.into());
         }
     }

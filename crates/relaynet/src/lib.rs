@@ -37,6 +37,7 @@ pub mod circuit;
 pub mod directory;
 pub mod event;
 pub mod ids;
+pub mod memory;
 pub mod network;
 pub mod node;
 pub mod pool;
@@ -52,6 +53,7 @@ pub use circuit::CircuitResult;
 pub use directory::{Directory, DirectoryConfig, RelaySpec};
 pub use event::TorEvent;
 pub use ids::{CircId, Direction, OverlayId};
+pub use memory::MemoryLedger;
 pub use network::{fill_pattern_into, verify_fill_pattern, EventsHandled, TorNetwork, WorldStats};
 pub use pool::PayloadPool;
 pub use scheduler::LinkScheduler;

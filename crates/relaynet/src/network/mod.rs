@@ -80,6 +80,7 @@ use torcell::ids::CircuitId;
 use crate::circuit::{CircuitInfo, CircuitResult};
 use crate::event::TorEvent;
 use crate::ids::{CircId, Direction, OverlayId};
+use crate::memory::MemoryLedger;
 use crate::node::{CircuitRole, HopCells, NodeRole, OverlayNode};
 use crate::pool::PayloadPool;
 use crate::scheduler::LinkScheduler;
@@ -918,6 +919,29 @@ impl TorNetwork {
             .iter()
             .map(LinkScheduler::reserved_slots)
             .sum()
+    }
+
+    /// The bytes each world-scale owner reserves ([`MemoryLedger`]).
+    /// Read-only: a world that reads it runs to the same fingerprint.
+    pub fn memory(&self) -> MemoryLedger {
+        let egress = &self.egress;
+        MemoryLedger {
+            frame_store: egress.net.frame_store_bytes(),
+            hop_send_times: self
+                .nodes
+                .iter()
+                .map(OverlayNode::hop_send_time_bytes)
+                .sum(),
+            node_slabs: self.nodes.iter().map(OverlayNode::slab_bytes).sum(),
+            hop_cells: egress.hop_cells.reserved_bytes(),
+            schedulers: egress
+                .link_sched
+                .iter()
+                .map(LinkScheduler::reserved_bytes)
+                .sum(),
+            link_routes: self.link_routes.reserved_bytes(),
+            payload_pool: egress.payload_pool.reserved_bytes(),
+        }
     }
 
     /// How the world's one slab of hop-queue cells is used

@@ -547,6 +547,19 @@ impl OverlayNode {
         self.circuits.usage()
     }
 
+    /// Bytes the participation slab reserves.
+    pub fn slab_bytes(&self) -> usize {
+        self.circuits.reserved_bytes()
+    }
+
+    /// Bytes the send-time rings of this node's hop transports reserve.
+    pub fn hop_send_time_bytes(&self) -> usize {
+        let hops = self.circuits.values().flat_map(|nc| [&nc.fwd, &nc.bwd]);
+        hops.flatten()
+            .map(|hop| hop.transport.reserved_bytes())
+            .sum()
+    }
+
     /// Number of live circuits this node participates in.
     pub fn circuit_count(&self) -> usize {
         self.by_global.len()

@@ -12,6 +12,7 @@
 //! the buffers outstanding at the peak, so no cap on them could lower
 //! peak memory.
 
+use simcore::slab::clone_reserving;
 use torcell::cell::RELAY_DATA_MAX;
 
 /// A free list of full-size payload buffers.
@@ -32,18 +33,12 @@ pub struct PayloadPool {
 
 /// A copy keeps each idle buffer's capacity, which
 /// [`reclaim`](PayloadPool::reclaim) reads once the buffer is handed out
-/// and back.
+/// and back, and the free list's, so it reserves what its original does.
 impl Clone for PayloadPool {
     fn clone(&self) -> Self {
-        let free = self.free.iter().map(|buf| {
-            let mut copy = Vec::with_capacity(buf.capacity());
-            copy.extend_from_slice(buf);
-            copy
-        });
-        PayloadPool {
-            free: free.collect(),
-            ..*self
-        }
+        let mut free = Vec::with_capacity(self.free.capacity());
+        free.extend(self.free.iter().map(clone_reserving));
+        PayloadPool { free, ..*self }
     }
 }
 
@@ -103,6 +98,12 @@ impl PayloadPool {
     /// Buffers currently idle in the pool.
     pub fn idle(&self) -> usize {
         self.free.len()
+    }
+
+    /// Bytes the pool reserves: its free list and the idle buffers on it.
+    pub fn reserved_bytes(&self) -> usize {
+        let idle: usize = self.free.iter().map(Vec::capacity).sum();
+        self.free.capacity() * std::mem::size_of::<Vec<u8>>() + idle
     }
 
     /// Largest idle population ever observed (bounded by the peak

@@ -39,6 +39,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use simcore::slab::{clone_deque_reserving, clone_reserving};
+
 use crate::ids::CircId;
 use crate::wire::WireFrame;
 
@@ -47,15 +49,23 @@ const VACANT: CircId = CircId(u32::MAX);
 
 /// One slab slot: a circuit with queued cells (or a vacated slot whose
 /// queue allocation is waiting to be reused).
-#[derive(Clone)]
 struct CircSlot<F> {
     circ: CircId,
     queue: VecDeque<F>,
 }
 
+/// A copy whose queue reserves what the original's reserves.
+impl<F: Clone> Clone for CircSlot<F> {
+    fn clone(&self) -> Self {
+        CircSlot {
+            circ: self.circ,
+            queue: clone_deque_reserving(&self.queue),
+        }
+    }
+}
+
 /// Round-robin frame scheduler for one egress link, queueing frames or
 /// handles to them (`F`; see module docs).
-#[derive(Clone)]
 pub struct LinkScheduler<F = WireFrame> {
     /// Control frames (feedback): strict priority, FIFO among themselves.
     feedback: VecDeque<F>,
@@ -84,6 +94,22 @@ impl<F> Default for LinkScheduler<F> {
             rotation: VecDeque::new(),
             hwm: 0,
             len: 0,
+        }
+    }
+}
+
+/// A copy that reserves what its original reserves, queue by queue, so a
+/// forked world's schedulers grow at the same frames.
+impl<F: Clone> Clone for LinkScheduler<F> {
+    fn clone(&self) -> Self {
+        LinkScheduler {
+            feedback: clone_deque_reserving(&self.feedback),
+            slots: clone_reserving(&self.slots),
+            index: self.index.clone(),
+            free: clone_reserving(&self.free),
+            rotation: clone_deque_reserving(&self.rotation),
+            hwm: self.hwm,
+            len: self.len,
         }
     }
 }
@@ -195,6 +221,18 @@ impl<F> LinkScheduler<F> {
     pub fn reserved_slots(&self) -> usize {
         let circuits: usize = self.slots.iter().map(|s| s.queue.capacity()).sum();
         self.feedback.capacity() + circuits
+    }
+
+    /// Bytes reserved: the queue slots ([`reserved_slots`]), the slot
+    /// vector, the free list and the rotation. The index map's nodes,
+    /// one entry per circuit with cells queued, are not counted.
+    ///
+    /// [`reserved_slots`]: LinkScheduler::reserved_slots
+    pub fn reserved_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.reserved_slots() * size_of::<F>()
+            + self.slots.capacity() * size_of::<CircSlot<F>>()
+            + (self.free.capacity() + self.rotation.capacity()) * size_of::<u32>()
     }
 
     fn bump(&mut self) {

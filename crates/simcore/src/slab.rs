@@ -3,17 +3,23 @@
 //!
 //! A freed slot is the next one filled, so a [`Slab`] grows only when
 //! every slot is taken. It allocates nothing before the first insert,
-//! doubles while it holds fewer than [`STEP`] slots, and then grows one
-//! step at a time, so the slots reserved are at most the most values
-//! ever held plus one step. The slots are one vector: fixed chunks that
-//! never move would cost every access a second index (DESIGN.md §5).
+//! doubles from one slot while it holds fewer than [`STEP`], and then
+//! grows one step at a time, so the slots reserved are at most the most
+//! values ever held plus one step. The slots are one vector: fixed
+//! chunks that never move would cost every access a second index
+//! (DESIGN.md §5).
 //! [`Lists`] threads FIFO lists through a slab's slots, one `u32` link a
-//! slot; each list's owner keeps its [`List`].
+//! slot; each list's owner keeps its [`List`]. A value can also be
+//! stored on no list and linked onto one later, by slot, and a slot can
+//! move from list to list without leaving the slab.
+
+use std::collections::VecDeque;
 
 /// The largest doubling and every later growth, in slots.
 pub const STEP: usize = 1024;
-/// The capacity at the first insert.
-const FIRST: usize = 4;
+/// The capacity at the first insert: an owner that only ever holds one
+/// value reserves one slot.
+const FIRST: usize = 1;
 /// No slot: the end of a list, and an empty list's head and tail.
 const NIL: u32 = u32::MAX;
 
@@ -57,10 +63,17 @@ impl<T: Clone> Clone for Slab<T> {
 }
 
 /// A copy of `v` with `v`'s capacity (a derived `clone` keeps only the
-/// length).
-pub(crate) fn clone_reserving<T: Clone>(v: &Vec<T>) -> Vec<T> {
+/// length), so the copy grows at the same pushes as `v`.
+pub fn clone_reserving<T: Clone>(v: &Vec<T>) -> Vec<T> {
     let mut copy = Vec::with_capacity(v.capacity());
     copy.extend_from_slice(v);
+    copy
+}
+
+/// [`clone_reserving`] for a ring.
+pub fn clone_deque_reserving<T: Clone>(q: &VecDeque<T>) -> VecDeque<T> {
+    let mut copy = VecDeque::with_capacity(q.capacity());
+    copy.extend(q.iter().cloned());
     copy
 }
 
@@ -181,6 +194,12 @@ impl List {
     pub fn is_empty(&self) -> bool {
         self.head == NIL
     }
+
+    /// The slot at the tail of the list.
+    #[inline]
+    pub fn back(&self) -> Option<u32> {
+        (self.tail != NIL).then_some(self.tail)
+    }
 }
 
 /// A [`Slab`] whose values each sit on one FIFO [`List`]; the lists'
@@ -211,31 +230,56 @@ impl<T: Clone> Clone for Lists<T> {
 }
 
 impl<T> Lists<T> {
-    /// Appends `value` at the tail of `list`.
+    /// Stores `value` on no list and returns its slot, for
+    /// [`Lists::link_back`] later.
     #[inline]
-    pub fn push_back(&mut self, list: &mut List, value: T) {
+    pub fn insert(&mut self, value: T) -> u32 {
         let i = self.slab.insert(value);
         if i as usize == self.next.len() {
             self.grow_links();
         }
-        self.link(list, i);
+        i
     }
 
-    /// A link for a new slot; past the doubling, reserved in step with
-    /// the slab.
+    /// Appends `value` at the tail of `list`.
+    #[inline]
+    pub fn push_back(&mut self, list: &mut List, value: T) {
+        let i = self.insert(value);
+        self.link_back(list, i);
+    }
+
+    /// A link for a new slot, reserved in step with the slab.
     #[cold]
     #[inline(never)]
     fn grow_links(&mut self) {
         let slots = self.slab.usage().reserved;
-        if slots > STEP {
-            self.next.reserve_exact(slots - self.next.len());
-        }
+        self.next.reserve_exact(slots - self.next.len());
         self.next.push(NIL);
     }
 
     /// Removes and returns the value at the head of `list`.
     #[inline]
     pub fn pop_front(&mut self, list: &mut List) -> Option<T> {
+        let i = self.unlink_front(list)?;
+        Some(self.slab.remove(i))
+    }
+
+    /// Links slot `i`, which holds a value on no list, at the tail of
+    /// `list`.
+    #[inline]
+    pub fn link_back(&mut self, list: &mut List, i: u32) {
+        self.next[i as usize] = NIL;
+        match list.tail {
+            NIL => list.head = i,
+            tail => self.next[tail as usize] = i,
+        }
+        list.tail = i;
+    }
+
+    /// Unlinks the head of `list` and returns its slot, whose value
+    /// stays stored on no list.
+    #[inline]
+    pub fn unlink_front(&mut self, list: &mut List) -> Option<u32> {
         let i = list.head;
         if i == NIL {
             return None;
@@ -244,17 +288,26 @@ impl<T> Lists<T> {
         if list.head == NIL {
             list.tail = NIL;
         }
-        Some(self.slab.remove(i))
+        Some(i)
     }
 
+    /// The value in slot `i`; panics if the slot is free.
     #[inline]
-    fn link(&mut self, list: &mut List, i: u32) {
-        self.next[i as usize] = NIL;
-        match list.tail {
-            NIL => list.head = i,
-            tail => self.next[tail as usize] = i,
-        }
-        list.tail = i;
+    pub fn get(&self, i: u32) -> &T {
+        self.slab.get(i)
+    }
+
+    /// The value in slot `i`, mutably; panics if the slot is free.
+    #[inline]
+    pub fn get_mut(&mut self, i: u32) -> &mut T {
+        self.slab.get_mut(i)
+    }
+
+    /// Takes the value out of slot `i`, which is on no list, and frees
+    /// the slot; panics if the slot is free.
+    #[inline]
+    pub fn remove(&mut self, i: u32) -> T {
+        self.slab.remove(i)
     }
 
     /// The values of `list`, in list order.
@@ -297,7 +350,7 @@ impl<T> Lists<T> {
         while i != NIL {
             // Read the old successor before `link` overwrites it.
             let after = self.next[i as usize];
-            self.link(&mut into[to(self.slab.get(i))], i);
+            self.link_back(&mut into[to(self.slab.get(i))], i);
             i = after;
         }
     }
@@ -335,7 +388,7 @@ mod tests {
                 reserved.push(slab.usage().reserved);
             }
         }
-        let doublings: Vec<usize> = (2..=10).map(|s| 1 << s).collect();
+        let doublings: Vec<usize> = (0..=10).map(|s| 1 << s).collect();
         assert_eq!(reserved[..doublings.len()], doublings[..]);
         assert_eq!(reserved[doublings.len()..], [2 * STEP, 3 * STEP, 4 * STEP]);
         assert_eq!(slab.free.capacity(), 4 * STEP, "the free list keeps pace");

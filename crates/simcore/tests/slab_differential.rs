@@ -2,7 +2,8 @@
 //! (`SimRng`-driven) operation sequences run on a `Slab` against a model
 //! of its slots and its last-freed-first free list, and on `Lists`
 //! against a `VecDeque` per list, asserting identical slots, values,
-//! pops and counts. Each run alternates growth phases, which carry the
+//! pops, tails and counts; half the list traffic goes slot by slot
+//! (store, link, unlink, move to another list, remove). Each run alternates growth phases, which carry the
 //! population across the doubling-to-steps boundary and several steps
 //! past it, with shrink phases that hand freed slots back for reuse;
 //! lists are drained part-way and emptied along the way. A `Slab` run
@@ -143,14 +144,36 @@ fn run_lists(seed: u64, ops: usize, lists: usize) {
     for op in 0..ops {
         let l = rng.range_usize(0, lists);
         match rng.range_u64(0, 100) {
+            // Every other value is stored first and linked by slot.
             x if x < insert_share(op) => {
-                slab.push_back(&mut ends[l], next);
+                if next % 2 == 0 {
+                    slab.push_back(&mut ends[l], next);
+                } else {
+                    let slot = slab.insert(next);
+                    slab.link_back(&mut ends[l], slot);
+                }
                 model[l].push_back(next);
                 next += 1;
             }
+            // Every other pop unlinks by slot, then moves the value to
+            // the back of another list or takes it out.
             x if x < 98 || !shrinking(op) => {
-                let popped = slab.pop_front(&mut ends[l]);
-                assert_eq!(popped, model[l].pop_front(), "seed {seed} op {op}");
+                if x % 2 == 0 {
+                    let popped = slab.pop_front(&mut ends[l]);
+                    assert_eq!(popped, model[l].pop_front(), "seed {seed} op {op}");
+                } else if let Some(slot) = slab.unlink_front(&mut ends[l]) {
+                    let value = model[l].pop_front();
+                    assert_eq!(Some(slab.get(slot)), value.as_ref(), "seed {seed} op {op}");
+                    if x % 3 == 0 {
+                        let to = rng.range_usize(0, lists);
+                        slab.link_back(&mut ends[to], slot);
+                        model[to].extend(value);
+                    } else {
+                        assert_eq!(Some(slab.remove(slot)), value, "seed {seed} op {op}");
+                    }
+                } else {
+                    assert!(model[l].is_empty(), "seed {seed} op {op}");
+                }
             }
             // While shrinking, drain the list part-way, or empty it.
             x => {
@@ -166,6 +189,11 @@ fn run_lists(seed: u64, ops: usize, lists: usize) {
             }
         }
         assert_eq!(ends[l].is_empty(), model[l].is_empty());
+        assert_eq!(
+            ends[l].back().map(|slot| slab.get(slot)),
+            model[l].back(),
+            "seed {seed} op {op}"
+        );
         let usage = slab.usage();
         let held: usize = model.iter().map(VecDeque::len).sum();
         high_water = high_water.max(held);

@@ -12,8 +12,9 @@
 //! reference. State held outside the value (an `Rc` shared between
 //! nodes, a thread-local counter) shows up here as a fork that diverges.
 //! A fork must also reserve what the unforked run reserves: every
-//! slab's use and the event queue's work counts end equal, which they
-//! do not when a copy keeps only its original's lengths.
+//! slab's use, the link schedulers' queue slots, every owner's bytes in
+//! the memory ledger and the event queue's work counts end equal, which
+//! they do not when a copy keeps only its original's lengths.
 
 use std::sync::Arc;
 
@@ -23,7 +24,7 @@ use netsim::link::LinkConfig;
 use relaynet::runtime::{fingerprint, WorldFingerprint};
 use relaynet::selection::CongestionAware;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, FaultSpec, WorkloadSpec};
-use relaynet::{DirectoryConfig, OverlayId, PathScenario, StarScenario, TorNetwork};
+use relaynet::{DirectoryConfig, MemoryLedger, OverlayId, PathScenario, StarScenario, TorNetwork};
 use simcore::event::QueueWork;
 use simcore::rng::SimRng;
 use simcore::sim::{Simulator, StopReason};
@@ -42,6 +43,8 @@ struct Reserved {
     hop_cells: SlabUse,
     link_routes: SlabUse,
     node_slots: Vec<SlabUse>,
+    sched_slots: usize,
+    memory: MemoryLedger,
 }
 
 fn reserved(sim: &Simulator<TorNetwork>) -> Reserved {
@@ -55,6 +58,8 @@ fn reserved(sim: &Simulator<TorNetwork>) -> Reserved {
         node_slots: (0..world.node_count())
             .map(|i| world.node(OverlayId(i as u32)).slots())
             .collect(),
+        sched_slots: world.sched_reserved_slots(),
+        memory: world.memory(),
     }
 }
 

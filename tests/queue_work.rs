@@ -18,7 +18,7 @@
 use backtap::config::CcConfig;
 use circuitstart::Algorithm;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, FaultSpec, WorkloadSpec};
-use relaynet::{DirectoryConfig, StarScenario};
+use relaynet::{DirectoryConfig, MemoryLedger, StarScenario};
 use simcore::event::QueueWork;
 use simcore::sim::StopReason;
 use simcore::slab::{SlabUse, STEP};
@@ -171,10 +171,12 @@ fn a_fault_free_churn_star_keeps_its_exact_counts() {
 }
 
 /// `Net` stores each frame once (DESIGN.md §3): its store has a slot per
-/// frame held at the busiest instant, where per-link rings reserved for
-/// every link's own peak. A frame waiting in a link's scheduler is held
-/// there too; the scheduler's queues keep only 4-byte handles, and
-/// their capacity follows every circuit's own peak.
+/// frame held at the busiest instant, and a link's FIFOs are lists
+/// through those slots, where per-link rings reserved for every link's
+/// own peak. A frame waiting in a link's scheduler is held there too;
+/// the scheduler's queues keep only 4-byte handles, and their capacity
+/// follows every circuit's own peak. The world's memory ledger is
+/// pinned beside them, owner by owner.
 #[test]
 fn a_fault_free_churn_star_stores_each_frame_once() {
     let (mut sim, _) = churn_star().build(Algorithm::CircuitStart.factory(CcConfig::default()), 1);
@@ -190,6 +192,24 @@ fn a_fault_free_churn_star_stores_each_frame_once() {
     let sched_slots = world.sched_reserved_slots();
     assert_eq!(sched_slots, 13_960);
     assert_eq!(sched_slots * handle_bytes, 55_840);
+    // Every owner's bytes at quiescence. The store is 8,192 slots of a
+    // frame and its queue stamp (88 B), a list link and a free-list
+    // entry (4 B each); the hop cells are 2,048 slots of 64 + 4 + 4 B;
+    // the schedulers' 13,960 handles are 55,840 of their 94,240 B; the
+    // send times are 26,912 ring slots of 8 B on the participations
+    // still held; the pool is the payloads' live peak, idle.
+    assert_eq!(
+        world.memory(),
+        MemoryLedger {
+            frame_store: 786_432,
+            hop_send_times: 215_296,
+            node_slabs: 174_496,
+            hop_cells: 147_456,
+            schedulers: 94_240,
+            link_routes: 11_520,
+            payload_pool: 2_973_712,
+        }
+    );
 }
 
 /// The hop queues' cells share one slab per world: it keeps a slot per

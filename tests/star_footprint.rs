@@ -18,7 +18,7 @@ use netsim::link::LinkId;
 use netsim::net::NodeId;
 use relaynet::selection::CongestionAware;
 use relaynet::workload::{ArrivalSpec, ChurnSpec, EpochSpec, FaultSpec, WorkloadSpec};
-use relaynet::{CircId, DirectoryConfig, StarScenario, TorEvent, TorNetwork};
+use relaynet::{CircId, DirectoryConfig, OverlayId, StarScenario, TorEvent, TorNetwork};
 use simcore::sim::StopReason;
 
 /// Every network node on any registered path, every incarnation.
@@ -84,6 +84,34 @@ fn a_consensus_star_holds_one_link_pair_per_leaf_on_a_path() {
         "rebuilds crossed no new relay"
     );
     assert_eq!(world.net().link_count(), 2 * crossed.len());
+}
+
+/// Slabs double from one slot (DESIGN.md §3): a relay of the consensus
+/// star that only ever held one participation reserves one slot, where
+/// a first reservation of four kept three idle slots on almost every
+/// relay a circuit crossed. Every node reserves its high water rounded
+/// up to a power of two.
+#[test]
+fn a_consensus_relay_with_one_participation_reserves_one_slot() {
+    let (mut sim, _) =
+        consensus_star().build(Algorithm::CircuitStart.factory(CcConfig::default()), 7);
+    assert_eq!(sim.run().reason, StopReason::QueueEmpty);
+    let world = sim.world();
+    let slabs: Vec<_> = (0..world.node_count())
+        .map(|i| world.node(OverlayId(i as u32)).slots())
+        .collect();
+    for (i, slab) in slabs.iter().enumerate() {
+        let expected = match slab.high_water {
+            0 => 0,
+            n => n.next_power_of_two(),
+        };
+        assert_eq!(slab.reserved, expected, "node {i}: {slab:?}");
+    }
+    let single = slabs.iter().filter(|s| s.high_water == 1).count();
+    assert!(
+        single > 16,
+        "only {single} nodes held exactly one participation"
+    );
 }
 
 /// `star16_faults` with fewer circuits, so the stalled relay sits on no
