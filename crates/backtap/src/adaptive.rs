@@ -178,7 +178,7 @@ mod tests {
     fn into_ca(cc: &mut AdaptiveCc, seq: &mut u64) {
         // Force a ramp exit: the round's first feedback overruns the
         // budget (3·base at cwnd 2, 2·base above 4), dropping into
-        // congestion avoidance at `min_cwnd` 2.
+        // congestion avoidance at `MIN_CWND` 2.
         cc.on_sent(*seq, t(0));
         *seq += 1;
         cc.on_sent(*seq, t(0));

@@ -22,7 +22,7 @@
 use simcore::time::{SimDuration, SimTime};
 
 use crate::cc::Phase;
-use crate::config::CcConfig;
+use crate::config::{clamp_cwnd, CcConfig, ALPHA, BETA};
 
 /// How a ramp ends: the one decision CircuitStart changes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -134,7 +134,7 @@ impl DelayCc {
     /// small one, the no-slow-start ablation. A restarted ramp halves.
     pub fn without_ramp(cfg: CcConfig, cwnd0: u32) -> DelayCc {
         let mut cc = DelayCc::with_ramp(cfg, RampExit::Halving);
-        cc.cwnd = cfg.clamp_cwnd(cwnd0);
+        cc.cwnd = clamp_cwnd(cwnd0);
         cc.phase = Phase::CongestionAvoidance;
         cc
     }
@@ -143,7 +143,7 @@ impl DelayCc {
     /// re-probe after a detected bandwidth change). The window restarts at
     /// `cwnd0` (clamped), or `init_cwnd` if `None`.
     pub(crate) fn restart_ramp(&mut self, cwnd0: Option<u32>) {
-        self.cwnd = self.cfg.clamp_cwnd(cwnd0.unwrap_or(self.cfg.init_cwnd));
+        self.cwnd = clamp_cwnd(cwnd0.unwrap_or(self.cfg.init_cwnd));
         self.phase = Phase::SlowStart;
         self.train = None;
         self.vegas = VegasRound::default();
@@ -155,10 +155,10 @@ impl DelayCc {
         let chosen = match self.exit {
             RampExit::Halving => self.cwnd / 2,
             // An exit on the round's first feedback yields 1, which the
-            // clamp raises to `min_cwnd`.
+            // clamp raises to `MIN_CWND`.
             RampExit::CircuitStart => acked_in_round,
         };
-        self.cwnd = self.cfg.clamp_cwnd(chosen);
+        self.cwnd = clamp_cwnd(chosen);
         self.phase = Phase::CongestionAvoidance;
         self.train = None;
         self.vegas = VegasRound::default();
@@ -266,7 +266,7 @@ impl DelayCc {
                     // Train fully fed back without a delay signal.
                     if sent >= target {
                         // Full round: double, as in the paper.
-                        self.cwnd = self.cfg.clamp_cwnd(self.cwnd.saturating_mul(2));
+                        self.cwnd = clamp_cwnd(self.cwnd.saturating_mul(2));
                     }
                     // (Partial, application-limited trains keep the window:
                     // there is no evidence the path sustains more.)
@@ -284,17 +284,17 @@ impl DelayCc {
                         self.ca_rounds += 1;
                         let current = self.vegas.round_min.expect("round with no samples");
                         let diff = self.vegas_diff(current, base_rtt);
-                        if diff < self.cfg.alpha {
-                            self.cwnd = self.cfg.clamp_cwnd(self.cwnd + 1);
-                        } else if diff > self.cfg.beta {
+                        if diff < ALPHA {
+                            self.cwnd = clamp_cwnd(self.cwnd + 1);
+                        } else if diff > BETA {
                             self.cwnd = if self.ca_recompensation_left > 0 {
                                 // Backpropagation: the successor forwarded
                                 // cwnd·base/current cells per base RTT —
                                 // adopt that as the window.
                                 let target = f64::from(self.cwnd) * base_rtt.ratio(current);
-                                self.cfg.clamp_cwnd(target.floor() as u32)
+                                clamp_cwnd(target.floor() as u32)
                             } else {
-                                self.cfg.clamp_cwnd(self.cwnd.saturating_sub(1))
+                                clamp_cwnd(self.cwnd.saturating_sub(1))
                             };
                         }
                         self.ca_recompensation_left = self.ca_recompensation_left.saturating_sub(1);
@@ -322,6 +322,7 @@ impl DelayCc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{MAX_CWND, MIN_CWND};
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
@@ -438,10 +439,9 @@ mod tests {
         assert_eq!(overshoot(RampExit::Halving, 16).cwnd(), 64);
         assert_eq!(overshoot(RampExit::CircuitStart, 16).cwnd(), 16);
         // An exit on the round's first feedback: halving ignores the
-        // count, compensation's 1 clamps up to `min_cwnd`.
+        // count, compensation's 1 clamps up to `MIN_CWND`.
         assert_eq!(overshoot(RampExit::Halving, 1).cwnd(), 64);
-        let first = overshoot(RampExit::CircuitStart, 1);
-        assert_eq!(first.cwnd(), CcConfig::default().min_cwnd);
+        assert_eq!(overshoot(RampExit::CircuitStart, 1).cwnd(), MIN_CWND);
     }
 
     #[test]
@@ -492,7 +492,7 @@ mod tests {
         // First round, cwnd 2: threshold = max(γ, cwnd·θ) = 4, so the
         // round may stay outstanding up to 3·base = 30 ms. A feedback at
         // 35 ms (standing queue ahead of us) exits the ramp; halving
-        // 2/2 = 1 clamps to min_cwnd 2.
+        // 2/2 = 1 clamps to `MIN_CWND` 2.
         c.on_sent(0, t(0));
         c.on_sent(1, t(0));
         c.on_feedback(0, ms(35), ms(10), t(35));
@@ -662,50 +662,56 @@ mod tests {
 
     #[test]
     fn ca_round_uses_min_rtt() {
-        let cfg = CcConfig {
-            alpha: 1.0,
-            ..CcConfig::default()
-        };
-        let mut c = DelayCc::without_ramp(cfg, 10);
+        let mut c = DelayCc::without_ramp(CcConfig::default(), 10);
         c.on_sent(0, t(0));
         c.on_sent(1, t(0));
         c.on_sent(2, t(0));
-        // Feedback out of round order: high RTTs for earlier cells, low for
-        // the marked one. Evaluation at seq 2... wait, mark = 0: first
-        // feedback evaluates immediately. Open the round with spread
-        // samples instead: feed seq 1 and 2 only after 0 cleared the mark.
-        c.on_feedback(0, ms(20), ms(10), t(1)); // eval: diff=10 > β → 9
+        // mark = 0: the first feedback evaluates a one-sample round.
+        c.on_feedback(0, ms(20), ms(10), t(1)); // diff = 10 > β → 9
         assert_eq!(c.cwnd(), 9);
-        // Next round: samples 1 (high) then 3 (low, marked).
+        // Next round: the marked cell's sample is high, an earlier one
+        // low. Evaluating the last sample (30 ms) would read diff = 18
+        // > β and shrink; the round's minimum (11 ms) reads diff = 0.9
+        // < α and grows.
         c.on_sent(3, t(2)); // mark = 3
-        c.on_feedback(1, ms(30), ms(10), t(3)); // round_min = 30
-        c.on_feedback(2, ms(12), ms(10), t(3)); // round_min = 12
-        c.on_feedback(3, ms(11), ms(10), t(3)); // round_min = 11 → diff = 0.9 < α → +1
+        c.on_feedback(1, ms(30), ms(10), t(3));
+        c.on_feedback(2, ms(11), ms(10), t(3));
+        c.on_feedback(3, ms(30), ms(10), t(3));
         assert_eq!(c.cwnd(), 10);
     }
 
     #[test]
     fn cwnd_never_exceeds_bounds_under_random_feedback() {
-        let cfg = CcConfig {
-            max_cwnd: 32,
-            ..Default::default()
-        };
-        let mut c = DelayCc::with_ramp(cfg, RampExit::Halving);
+        let in_bounds = |c: &DelayCc| (MIN_CWND..=MAX_CWND).contains(&c.cwnd());
+        let mut c = cc();
         let mut seq = 0u64;
         let mut x: u64 = 0x12345;
+        let mut peak = c.cwnd();
+        let mut floor_after_peak = false;
         for _ in 0..2000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             if c.allow_send(0) {
                 c.on_sent(seq, t(0));
                 seq += 1;
             } else {
-                // Feed back the oldest unacked; RTT pseudo-random 10..30 ms.
-                let rtt = ms(10 + x % 20);
-                let target = seq - 1;
-                c.on_feedback(target, rtt, ms(10), t(1));
+                // Feed back the newest cell, every send at t = 0, so the
+                // RTT (pseudo-random 10..30 ms) is also the time elapsed.
+                let rtt = 10 + x % 20;
+                c.on_feedback(seq - 1, ms(rtt), ms(10), t(rtt));
             }
-            assert!(c.cwnd() >= cfg.min_cwnd && c.cwnd() <= cfg.max_cwnd);
+            assert!(in_bounds(&c));
+            peak = peak.max(c.cwnd());
+            floor_after_peak |= peak > MIN_CWND && c.cwnd() == MIN_CWND;
         }
+        assert!(floor_after_peak, "the run never fell back to the floor");
+        // The ceiling: a clean round at half of it doubles onto it, and
+        // the next clean round's doubling clamps there.
+        c.restart_ramp(Some(MAX_CWND / 2));
+        seq = run_flat_round(&mut c, seq, ms(10));
+        assert_eq!(c.cwnd(), MAX_CWND);
+        run_flat_round(&mut c, seq, ms(10));
+        assert_eq!(c.cwnd(), MAX_CWND);
+        assert_eq!(c.phase(), Phase::SlowStart);
     }
 
     #[test]
@@ -766,11 +772,16 @@ mod tests {
 
     #[test]
     fn without_ramp_clamps_cwnd0() {
-        let cfg = CcConfig {
-            max_cwnd: 64,
-            ..Default::default()
-        };
-        let c = DelayCc::without_ramp(cfg, 1_000);
-        assert_eq!(c.cwnd(), 64);
+        assert_eq!(
+            DelayCc::without_ramp(CcConfig::default(), 0).cwnd(),
+            MIN_CWND
+        );
+        let mut c = DelayCc::without_ramp(CcConfig::default(), u32::MAX);
+        assert_eq!(c.cwnd(), MAX_CWND);
+        // A clean CA round at the ceiling grows by one, which clamps.
+        c.on_sent(0, t(0));
+        c.on_feedback(0, ms(10), ms(10), t(1));
+        assert_eq!(c.ca_rounds, 1);
+        assert_eq!(c.cwnd(), MAX_CWND);
     }
 }

@@ -10,7 +10,8 @@
 //!
 //! ## Layout
 //!
-//! * [`config`] — shared parameters (γ, α, β, initial/min/max window).
+//! * [`config`] — the swept parameters (γ, θ, initial window) and the
+//!   paper's fixed ones as constants (α, β, window floor and ceiling).
 //! * [`cc`] — [`Controller`](cc::Controller), the closed set of per-hop
 //!   controllers: delay-based, adaptive, or a fixed window (unlimited on
 //!   backward hops).

@@ -128,7 +128,6 @@ fn sweep_init_cwnd() {
         .map(|w| {
             let mut cfg = fig1_trace(1, Algorithm::CircuitStart);
             cfg.cc.init_cwnd = w;
-            cfg.cc.min_cwnd = 2.min(w);
             trace_row(f64::from(w), &cfg)
         })
         .collect();

@@ -68,8 +68,6 @@ fn main() {
     let plot = plot_lines(
         &series,
         &PlotConfig {
-            width: 90,
-            height: 22,
             title: "cumulative distribution vs time to last byte [s]".into(),
             x_label: "time to last byte [s]".into(),
             y_label: "cumulative fraction".into(),

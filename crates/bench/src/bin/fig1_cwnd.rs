@@ -77,8 +77,6 @@ fn main() {
         let plot = plot_lines(
             &series,
             &PlotConfig {
-                width: 90,
-                height: 22,
                 title: format!(
                     "source cwnd [KiB] vs time since transfer start [ms] — distance {distance}"
                 ),

@@ -395,7 +395,7 @@ impl TorNetwork {
                 .as_mut()
                 .expect("force_abandon requires fault state");
             let frac = f.jitter.range_f64(0.0, 1.0);
-            f.spec.backoff(self.circuits[circ.index()].retries, frac)
+            FaultSpec::backoff(self.circuits[circ.index()].retries, frac)
         };
         self.egress.stats.retries += 1;
         let info = &mut self.circuits[circ.index()];

@@ -860,7 +860,7 @@ impl TorNetwork {
 
     /// The streaming completion-time sketch (seconds): fed as each flow
     /// finishes, mergeable across worlds, within
-    /// [`QuantileSketch::alpha`] relative error of the exact CDF. Empty
+    /// [`QuantileSketch::ALPHA`] relative error of the exact CDF. Empty
     /// until the first completion.
     pub fn flow_completion_sketch(&self) -> &QuantileSketch {
         &self.completion_sketch

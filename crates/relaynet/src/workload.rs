@@ -440,6 +440,13 @@ impl EpochSpec {
     }
 }
 
+/// First rebuild backoff, before jitter (ms; DESIGN.md §12).
+const BACKOFF_BASE_MS: f64 = 10.0;
+/// Ceiling on the backoff's doubling, before jitter (ms; DESIGN.md §12).
+const BACKOFF_CAP_MS: f64 = 320.0;
+/// Most jitter added on top of the capped backoff (ms; DESIGN.md §12).
+const BACKOFF_JITTER_MS: f64 = 5.0;
+
 /// Scenario-level knob for fault injection: how many relays crash (and
 /// when), how many transient link stalls occur, and how the client's
 /// detection/recovery machinery is tuned. Like [`EpochSpec`], the spec
@@ -474,13 +481,6 @@ pub struct FaultSpec {
     /// Liveness timer: an established circuit whose end-to-end progress
     /// counter has not advanced over this long is declared stalled (ms).
     pub liveness_timeout_ms: f64,
-    /// Backoff base: the first retry waits this long (ms).
-    pub backoff_base_ms: f64,
-    /// Uniform jitter added on top of the exponential delay (ms).
-    pub backoff_jitter_ms: f64,
-    /// Ceiling on the exponential delay, pre-jitter, at least the base
-    /// (ms).
-    pub backoff_cap_ms: f64,
     /// Timeouts a circuit may absorb before its flows are parked rather
     /// than retried again.
     pub max_retries: u32,
@@ -497,9 +497,6 @@ impl Default for FaultSpec {
             stall_factor: 100.0,
             build_timeout_ms: 150.0,
             liveness_timeout_ms: 250.0,
-            backoff_base_ms: 10.0,
-            backoff_jitter_ms: 5.0,
-            backoff_cap_ms: 320.0,
             max_retries: 6,
         }
     }
@@ -548,14 +545,14 @@ impl FaultSpec {
         SimDuration::from_secs_f64(self.liveness_timeout_ms / 1e3)
     }
 
-    /// The backoff law: retry `retry` waits
-    /// `min(base · 2^retry, cap) + jitter_frac · jitter`, with
+    /// The backoff law (DESIGN.md §12): retry `retry` waits
+    /// `min(10 ms · 2^min(retry, 24), 320 ms) + jitter_frac · 5 ms`, with
     /// `jitter_frac` drawn from `[0, 1)` by the caller (the network owns
     /// the jitter stream so fault-free runs never consume it).
-    pub fn backoff(&self, retry: u32, jitter_frac: f64) -> SimDuration {
-        let exp = self.backoff_base_ms * f64::powi(2.0, retry.min(24) as i32);
-        let capped = exp.min(self.backoff_cap_ms);
-        let jitter = self.backoff_jitter_ms * jitter_frac;
+    pub fn backoff(retry: u32, jitter_frac: f64) -> SimDuration {
+        let exp = BACKOFF_BASE_MS * f64::powi(2.0, retry.min(24) as i32);
+        let capped = exp.min(BACKOFF_CAP_MS);
+        let jitter = BACKOFF_JITTER_MS * jitter_frac;
         SimDuration::from_secs_f64((capped + jitter) / 1e3)
     }
 
@@ -567,34 +564,33 @@ impl FaultSpec {
     /// # Panics
     ///
     /// Panics, naming the field, on a `stall_factor` below 1, a negative
-    /// `stall_duration_ms`, `backoff_base_ms` or `backoff_jitter_ms`, a
-    /// `backoff_cap_ms` below the base, or a NaN in any of them — whether
-    /// or not there are candidates.
+    /// `stall_duration_ms`, a `crash_window_ms` or `stall_window_ms` that
+    /// starts below 0 or ends before it starts, or a NaN in any of them —
+    /// whether or not there are candidates or faults to draw.
     pub fn resolve(&self, candidates: &[u32], rng: &mut SimRng) -> FaultSchedule {
         assert!(
             self.stall_factor >= 1.0,
             "stall_factor must be at least 1, got {}",
             self.stall_factor
         );
-        for (field, ms) in [
-            ("stall_duration_ms", self.stall_duration_ms),
-            ("backoff_base_ms", self.backoff_base_ms),
-            ("backoff_jitter_ms", self.backoff_jitter_ms),
-        ] {
-            assert!(ms >= 0.0, "{field} must be non-negative, got {ms}");
-        }
         assert!(
-            self.backoff_cap_ms >= self.backoff_base_ms,
-            "backoff_cap_ms must be at least backoff_base_ms ({}), got {}",
-            self.backoff_base_ms,
-            self.backoff_cap_ms
+            self.stall_duration_ms >= 0.0,
+            "stall_duration_ms must be non-negative, got {}",
+            self.stall_duration_ms
         );
+        for (field, (lo, hi)) in [
+            ("crash_window_ms", self.crash_window_ms),
+            ("stall_window_ms", self.stall_window_ms),
+        ] {
+            assert!(
+                lo >= 0.0 && hi >= lo,
+                "{field} must be a non-negative, ordered range, got ({lo}, {hi})"
+            );
+        }
         if candidates.is_empty() {
             return FaultSchedule::default();
         }
-        let window = |range: (f64, f64), rng: &mut SimRng| {
-            let (lo, hi) = range;
-            assert!(lo >= 0.0 && hi >= lo, "fault window must be ordered");
+        let window = |(lo, hi): (f64, f64), rng: &mut SimRng| {
             let ms = if hi > lo { rng.range_f64(lo, hi) } else { lo };
             SimDuration::from_secs_f64(ms / 1e3)
         };
@@ -931,29 +927,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backoff_base_ms")]
-    fn fault_spec_rejects_a_nan_backoff_base() {
+    #[should_panic(expected = "crash_window_ms")]
+    fn fault_spec_rejects_a_reversed_crash_window() {
         resolve_faults(FaultSpec {
-            backoff_base_ms: f64::NAN,
+            crashes: 0,
+            crash_window_ms: (150.0, 50.0),
             ..Default::default()
         });
     }
 
     #[test]
-    #[should_panic(expected = "backoff_jitter_ms")]
-    fn fault_spec_rejects_a_negative_backoff_jitter() {
+    #[should_panic(expected = "stall_window_ms")]
+    fn fault_spec_rejects_a_nan_stall_window() {
         resolve_faults(FaultSpec {
-            backoff_jitter_ms: -5.0,
-            ..Default::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff_cap_ms")]
-    fn fault_spec_rejects_a_backoff_cap_below_the_base() {
-        resolve_faults(FaultSpec {
-            backoff_base_ms: 10.0,
-            backoff_cap_ms: 5.0,
+            stall_window_ms: (f64::NAN, 150.0),
             ..Default::default()
         });
     }
@@ -970,21 +957,17 @@ mod tests {
 
     #[test]
     fn backoff_law_is_exponential_capped_and_jittered() {
-        let spec = FaultSpec {
-            backoff_base_ms: 10.0,
-            backoff_jitter_ms: 4.0,
-            backoff_cap_ms: 100.0,
-            ..Default::default()
-        };
-        assert_eq!(spec.backoff(0, 0.0), SimDuration::from_millis(10));
-        assert_eq!(spec.backoff(1, 0.0), SimDuration::from_millis(20));
-        assert_eq!(spec.backoff(3, 0.0), SimDuration::from_millis(80));
-        // Capped: 10 · 2^4 = 160 → 100.
-        assert_eq!(spec.backoff(4, 0.0), SimDuration::from_millis(100));
-        assert_eq!(spec.backoff(30, 0.0), SimDuration::from_millis(100));
+        let backoff = FaultSpec::backoff;
+        assert_eq!(backoff(0, 0.0), SimDuration::from_millis(10));
+        assert_eq!(backoff(1, 0.0), SimDuration::from_millis(20));
+        assert_eq!(backoff(4, 0.0), SimDuration::from_millis(160));
+        // Capped: 10 · 2^5 = 320 is the cap; 10 · 2^6 = 640 → 320.
+        assert_eq!(backoff(5, 0.0), SimDuration::from_millis(320));
+        assert_eq!(backoff(6, 0.0), SimDuration::from_millis(320));
+        assert_eq!(backoff(30, 0.0), SimDuration::from_millis(320));
         // Jitter rides on top of the cap.
-        assert_eq!(spec.backoff(4, 1.0), SimDuration::from_millis(104));
-        assert_eq!(spec.backoff(0, 0.5), SimDuration::from_millis(12));
+        assert_eq!(backoff(6, 0.8), SimDuration::from_millis(324));
+        assert_eq!(backoff(0, 0.4), SimDuration::from_millis(12));
     }
 
     #[test]

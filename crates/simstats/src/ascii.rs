@@ -7,13 +7,15 @@
 
 use std::fmt::Write as _;
 
-/// Configuration for [`plot_lines`].
+/// Plot width in characters (excluding axis labels).
+const WIDTH: usize = 90;
+
+/// Plot height in rows.
+const HEIGHT: usize = 22;
+
+/// Labels for [`plot_lines`].
 #[derive(Clone, Debug)]
 pub struct PlotConfig {
-    /// Total plot width in characters (excluding axis labels).
-    pub width: usize,
-    /// Total plot height in rows.
-    pub height: usize,
     /// Plot title printed above the canvas.
     pub title: String,
     /// X-axis label.
@@ -22,30 +24,18 @@ pub struct PlotConfig {
     pub y_label: String,
 }
 
-impl Default for PlotConfig {
-    fn default() -> Self {
-        PlotConfig {
-            width: 72,
-            height: 20,
-            title: String::new(),
-            x_label: "x".to_string(),
-            y_label: "y".to_string(),
-        }
-    }
-}
-
 /// Markers assigned to series 0, 1, 2, … in order.
 const MARKERS: &[char] = &['*', '+', 'o', 'x', '#', '@'];
 
-/// Renders one or more `(x, y)` series onto a shared-axis ASCII canvas.
+/// Renders one or more `(x, y)` series onto a shared-axis ASCII canvas,
+/// 90 × 22 characters.
 ///
 /// Each series is a `(name, points)` pair; points need not be sorted.
 /// Returns the rendered multi-line string (callers print it).
 ///
 /// # Panics
 ///
-/// Panics if no series contains any finite point, or if `cfg` dimensions
-/// are degenerate (< 2).
+/// Panics if no series contains any finite point.
 ///
 /// # Examples
 ///
@@ -53,15 +43,16 @@ const MARKERS: &[char] = &['*', '+', 'o', 'x', '#', '@'];
 /// use simstats::ascii::{plot_lines, PlotConfig};
 ///
 /// let series = vec![("ramp", vec![(0.0, 0.0), (1.0, 1.0), (2.0, 4.0)])];
-/// let out = plot_lines(&series, &PlotConfig { width: 40, height: 10, ..Default::default() });
+/// let cfg = PlotConfig {
+///     title: String::new(),
+///     x_label: "x".into(),
+///     y_label: "y".into(),
+/// };
+/// let out = plot_lines(&series, &cfg);
 /// assert!(out.contains('*'));
 /// assert!(out.contains("ramp"));
 /// ```
 pub fn plot_lines(series: &[(&str, Vec<(f64, f64)>)], cfg: &PlotConfig) -> String {
-    assert!(
-        cfg.width >= 2 && cfg.height >= 2,
-        "plot dimensions too small"
-    );
     let finite: Vec<(f64, f64)> = series
         .iter()
         .flat_map(|(_, pts)| pts.iter().copied())
@@ -87,17 +78,17 @@ pub fn plot_lines(series: &[(&str, Vec<(f64, f64)>)], cfg: &PlotConfig) -> Strin
         y_max += 0.5;
     }
 
-    let mut canvas = vec![vec![' '; cfg.width]; cfg.height];
+    let mut canvas = vec![vec![' '; WIDTH]; HEIGHT];
     for (si, (_, pts)) in series.iter().enumerate() {
         let marker = MARKERS[si % MARKERS.len()];
         for &(x, y) in pts {
             if !x.is_finite() || !y.is_finite() {
                 continue;
             }
-            let cx = ((x - x_min) / (x_max - x_min) * (cfg.width - 1) as f64).round() as usize;
-            let cy = ((y - y_min) / (y_max - y_min) * (cfg.height - 1) as f64).round() as usize;
-            let row = cfg.height - 1 - cy.min(cfg.height - 1);
-            let col = cx.min(cfg.width - 1);
+            let cx = ((x - x_min) / (x_max - x_min) * (WIDTH - 1) as f64).round() as usize;
+            let cy = ((y - y_min) / (y_max - y_min) * (HEIGHT - 1) as f64).round() as usize;
+            let row = HEIGHT - 1 - cy.min(HEIGHT - 1);
+            let col = cx.min(WIDTH - 1);
             // First series wins contested cells so baselines do not erase
             // the primary trace.
             if canvas[row][col] == ' ' {
@@ -116,17 +107,17 @@ pub fn plot_lines(series: &[(&str, Vec<(f64, f64)>)], cfg: &PlotConfig) -> Strin
     for (i, row) in canvas.iter().enumerate() {
         let label = if i == 0 {
             format!("{y_hi_label:>label_w$}")
-        } else if i == cfg.height - 1 {
+        } else if i == HEIGHT - 1 {
             format!("{y_lo_label:>label_w$}")
         } else {
             " ".repeat(label_w)
         };
         let _ = writeln!(out, "{label} |{}", row.iter().collect::<String>());
     }
-    let _ = writeln!(out, "{} +{}", " ".repeat(label_w), "-".repeat(cfg.width));
+    let _ = writeln!(out, "{} +{}", " ".repeat(label_w), "-".repeat(WIDTH));
     let x_lo = format!("{x_min:.3}");
     let x_hi = format!("{x_max:.3}");
-    let pad = cfg.width.saturating_sub(x_lo.len() + x_hi.len());
+    let pad = WIDTH.saturating_sub(x_lo.len() + x_hi.len());
     let _ = writeln!(
         out,
         "{} {x_lo}{}{x_hi}",
@@ -158,8 +149,6 @@ mod tests {
 
     fn cfg() -> PlotConfig {
         PlotConfig {
-            width: 40,
-            height: 10,
             title: "test".into(),
             x_label: "t".into(),
             y_label: "v".into(),

@@ -4,18 +4,19 @@
 //! where `Cdf` stores every sample (O(flows) memory, exact answers), the
 //! sketch folds each sample into a **log-bucketed histogram** of fixed
 //! size (DDSketch-style) and answers quantile queries with a guaranteed
-//! **relative** error bound. Two sketches with the same accuracy merge by
-//! bucket-wise addition, so aggregation across shards, seeds, or policies
-//! is associative and commutative — order-independent *by construction*,
-//! not by sorting.
+//! **relative** error bound. Every sketch has the same accuracy
+//! [`QuantileSketch::ALPHA`], so any two merge by bucket-wise addition:
+//! aggregation across shards, seeds, or policies is associative and
+//! commutative — order-independent *by construction*, not by sorting.
 //!
 //! # The error bound
 //!
-//! With accuracy `alpha`, bucket `k` covers the half-open value range
-//! `(γ^(k-1), γ^k]` where `γ = (1 + alpha) / (1 - alpha)`. A query walks
-//! the buckets to the one holding the requested rank and returns the
-//! bucket's log-midpoint `2·γ^k / (1 + γ)`. For any sample `x` in the
-//! bucket, the estimate `v̂` satisfies
+//! With accuracy `alpha` ([`QuantileSketch::ALPHA`]), bucket `k` covers
+//! the half-open value range `(γ^(k-1), γ^k]` where
+//! `γ = (1 + alpha) / (1 - alpha)`. A query walks the buckets to the one
+//! holding the requested rank and returns the bucket's log-midpoint
+//! `2·γ^k / (1 + γ)`. For any sample `x` in the bucket, the estimate `v̂`
+//! satisfies
 //!
 //! ```text
 //! (1 - alpha)·x  <=  v̂  <=  (1 + alpha)·x
@@ -38,15 +39,15 @@
 //!
 //! # Value domain
 //!
-//! The bucket array is sized once from the accuracy to cover
+//! The bucket array is sized from the accuracy to cover
 //! [`QuantileSketch::DOMAIN_MIN`]..=[`QuantileSketch::DOMAIN_MAX`]
 //! (10⁻⁹ s to 10⁹ s when samples are seconds — sub-nanosecond to ~31
 //! years). Samples below the domain (including exact zeros) land in a
 //! dedicated low bucket and are answered as `min` (tracked exactly);
 //! samples above it clamp into the top bucket, where only the absolute
 //! `max` stays exact. Within the domain the relative bound holds
-//! unconditionally. Memory is O(buckets) — a function of `alpha` only,
-//! never of the sample count.
+//! unconditionally. Memory is O(buckets) — fixed by `alpha`, never by
+//! the sample count.
 
 use std::fmt;
 
@@ -70,19 +71,17 @@ use crate::cdf::lower_rank;
 /// a.merge(&b);
 /// assert_eq!(a.len(), 1000);
 /// let p99 = a.quantile(0.99);
-/// assert!((p99 - 990.0).abs() <= QuantileSketch::DEFAULT_ALPHA * 990.0);
+/// assert!((p99 - 990.0).abs() <= QuantileSketch::ALPHA * 990.0);
 /// assert_eq!(a.min(), 1.0); // exact
 /// assert_eq!(a.max(), 1000.0); // exact
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuantileSketch {
-    /// Relative accuracy `alpha` (bit-compared on merge).
-    alpha: f64,
     /// `ln γ`, cached: bucket index of `v` is `ceil(ln v / ln γ)`.
     ln_gamma: f64,
     /// Absolute bucket index of `buckets[0]` (the domain floor).
     base_index: i64,
-    /// Log-spaced bucket counts; fixed length for a given `alpha`.
+    /// Log-spaced bucket counts; fixed length.
     buckets: Vec<u64>,
     /// Samples below the domain floor, including exact zeros.
     low: u64,
@@ -96,15 +95,28 @@ pub struct QuantileSketch {
 }
 
 impl Default for QuantileSketch {
-    /// A sketch at [`QuantileSketch::DEFAULT_ALPHA`] (1% relative error).
+    /// An empty sketch.
     fn default() -> Self {
-        QuantileSketch::new(Self::DEFAULT_ALPHA)
+        let gamma = (1.0 + Self::ALPHA) / (1.0 - Self::ALPHA);
+        let ln_gamma = gamma.ln();
+        let base_index = (Self::DOMAIN_MIN.ln() / ln_gamma).ceil() as i64;
+        let top_index = (Self::DOMAIN_MAX.ln() / ln_gamma).ceil() as i64;
+        QuantileSketch {
+            ln_gamma,
+            base_index,
+            buckets: vec![0; (top_index - base_index + 1) as usize],
+            low: 0,
+            count: 0,
+            sum_fp: 0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
     }
 }
 
 impl QuantileSketch {
-    /// The default relative accuracy: 1%.
-    pub const DEFAULT_ALPHA: f64 = 0.01;
+    /// The relative accuracy `alpha` of every sketch: 1% (DESIGN.md §13).
+    pub const ALPHA: f64 = 0.01;
     /// Smallest value resolved by its own bucket; anything below
     /// (including 0) is counted in the low bucket and answered as `min`.
     pub const DOMAIN_MIN: f64 = 1e-9;
@@ -118,39 +130,6 @@ impl QuantileSketch {
     /// integer representation makes sum merging associative and
     /// commutative, bit for bit.
     const SUM_QUANTUM: f64 = 1.0 / (1u64 << 30) as f64;
-
-    /// Creates an empty sketch with relative accuracy `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < alpha <= 0.25` — looser than 25% is no longer
-    /// a measurement, and the bucket count explodes as `alpha → 0`.
-    pub fn new(alpha: f64) -> QuantileSketch {
-        assert!(
-            alpha > 0.0 && alpha <= 0.25,
-            "sketch accuracy must be in (0, 0.25], got {alpha}"
-        );
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
-        let ln_gamma = gamma.ln();
-        let base_index = (Self::DOMAIN_MIN.ln() / ln_gamma).ceil() as i64;
-        let top_index = (Self::DOMAIN_MAX.ln() / ln_gamma).ceil() as i64;
-        QuantileSketch {
-            alpha,
-            ln_gamma,
-            base_index,
-            buckets: vec![0; (top_index - base_index + 1) as usize],
-            low: 0,
-            count: 0,
-            sum_fp: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// The configured relative accuracy.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 
     /// Bucket slot of an in-domain value (clamped into the array).
     fn slot(&self, v: f64) -> usize {
@@ -198,18 +177,11 @@ impl QuantileSketch {
     /// and commutative, so any merge tree over any shard order produces
     /// an identical sketch, buckets and fixed-point sum alike (the
     /// property the shuffle-merge and associativity suites pin).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accuracies differ: buckets of different geometries
-    /// cannot be added meaningfully.
     pub fn merge(&mut self, other: &QuantileSketch) {
         // Exhaustive binding: a field added to the sketch must be
         // threaded through this merge or the build breaks right here.
-        // `ln_gamma`/`base_index` are pure functions of `alpha`, whose
-        // bit-equality is asserted below.
+        // `ln_gamma`/`base_index` are pure functions of `ALPHA`.
         let QuantileSketch {
-            alpha,
             ln_gamma: _,
             base_index: _,
             buckets,
@@ -219,12 +191,6 @@ impl QuantileSketch {
             min,
             max,
         } = other;
-        assert!(
-            self.alpha.to_bits() == alpha.to_bits(),
-            "cannot merge sketches of different accuracy ({} vs {})",
-            self.alpha,
-            alpha
-        );
         debug_assert_eq!(self.buckets.len(), buckets.len());
         for (a, b) in self.buckets.iter_mut().zip(buckets) {
             *a += b;
@@ -385,8 +351,8 @@ impl QuantileSketch {
         std::iter::once(self.low).chain(self.buckets.iter().copied())
     }
 
-    /// Number of bucket slots — fixed by `alpha` at construction, never
-    /// by the sample count (the O(buckets)-memory claim the bench pins).
+    /// Number of bucket slots — fixed by `ALPHA`, never by the sample
+    /// count (the O(buckets)-memory claim the bench pins).
     pub fn bucket_len(&self) -> usize {
         self.buckets.len() + 1
     }
@@ -401,13 +367,13 @@ impl QuantileSketch {
 impl fmt::Display for QuantileSketch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.count == 0 {
-            write!(f, "QuantileSketch(n=0, alpha={})", self.alpha)
+            write!(f, "QuantileSketch(n=0, alpha={})", Self::ALPHA)
         } else {
             write!(
                 f,
                 "QuantileSketch(n={}, alpha={}, min={:.4}, p50={:.4}, p99={:.4}, max={:.4})",
                 self.count,
-                self.alpha,
+                Self::ALPHA,
                 self.min(),
                 self.median(),
                 self.p99(),
@@ -440,7 +406,7 @@ mod tests {
             let exact = cdf.quantile(q);
             let est = sketch.quantile(q);
             assert!(
-                (est - exact).abs() <= QuantileSketch::DEFAULT_ALPHA * exact + f64::EPSILON,
+                (est - exact).abs() <= QuantileSketch::ALPHA * exact + f64::EPSILON,
                 "q={q}: estimate {est} not within alpha of exact {exact}"
             );
         }
@@ -518,13 +484,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different accuracy")]
-    fn merge_rejects_mismatched_alpha() {
-        let mut a = QuantileSketch::new(0.01);
-        a.merge(&QuantileSketch::new(0.02));
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn record_rejects_negative() {
         QuantileSketch::default().record(-1.0);
@@ -572,8 +531,8 @@ mod tests {
             let est = sketch.fraction_at_or_below(x);
             // The bucket holding x is counted whole: the estimate can
             // overshoot by the samples within alpha·x of x, never more.
-            let slack = cdf.fraction_at_or_below(x * (1.0 + 2.0 * QuantileSketch::DEFAULT_ALPHA))
-                - cdf.fraction_at_or_below(x * (1.0 - 2.0 * QuantileSketch::DEFAULT_ALPHA));
+            let slack = cdf.fraction_at_or_below(x * (1.0 + 2.0 * QuantileSketch::ALPHA))
+                - cdf.fraction_at_or_below(x * (1.0 - 2.0 * QuantileSketch::ALPHA));
             assert!(
                 (est - exact).abs() <= slack + 1e-12,
                 "x={x}: fraction {est} strayed from exact {exact} by more than {slack}"

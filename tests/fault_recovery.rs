@@ -29,10 +29,10 @@ use netsim::link::LinkConfig;
 use relaynet::runtime::{fingerprint, ShardedStar, StatsKind};
 use relaynet::selection::{all_policies, CongestionAware};
 use relaynet::workload::{ArrivalSpec, ChurnSpec, EpochSpec, FaultSpec, WorkloadSpec};
-use relaynet::{DirectoryConfig, PathScenario, StarScenario, TorEvent, WorldStats};
+use relaynet::{DirectoryConfig, PathScenario, StarScenario, TorEvent, TorNetwork, WorldStats};
 use simcore::event::QueueKind;
 use simcore::exec::{DeterministicExecutor, ThreadedExecutor};
-use simcore::sim::StopReason;
+use simcore::sim::{Simulator, StopReason};
 use simcore::time::SimDuration;
 
 /// Runs `f` on a helper thread under a deadline: a hung event loop (the
@@ -240,40 +240,45 @@ fn threaded_runtime_reproduces_oracle_under_faults() {
     });
 }
 
-/// On an explicit path there is no re-selection: a crashed middle relay
-/// stays on every rebuilt path, so the lineage burns its retry cap and
-/// parks its flows — deterministically, with the world still draining
-/// to quiescence instead of hanging or panicking.
+/// A two-relay path (three links) on which one relay crashes 20–30 ms
+/// in, with a retry cap of `max_retries`, run to its end. On an explicit
+/// path there is no re-selection: the crashed relay stays on every
+/// rebuilt path.
+fn run_unroutable_path(max_retries: u32) -> Simulator<TorNetwork> {
+    let hop = |mbps, delay_ms| {
+        LinkConfig::new(
+            Bandwidth::from_mbps(mbps),
+            SimDuration::from_millis(delay_ms),
+        )
+    };
+    let scenario = PathScenario {
+        hops: vec![hop(50, 2), hop(50, 2), hop(50, 2)],
+        file_bytes: 2 << 20,
+        workload: WorkloadSpec {
+            streams_per_circuit: 2,
+            arrival: ArrivalSpec::Immediate,
+            churn: None,
+        },
+        faults: Some(FaultSpec {
+            crashes: 1,
+            crash_window_ms: (20.0, 30.0),
+            max_retries,
+            ..Default::default()
+        }),
+    };
+    let (mut sim, _) = scenario.build(Algorithm::FixedWindow(16).factory(Default::default()), 9);
+    let report = sim.run();
+    assert_eq!(report.reason, StopReason::QueueEmpty, "parking must drain");
+    sim
+}
+
+/// The lineage burns its retry cap and parks its flows —
+/// deterministically, with the world still draining to quiescence
+/// instead of hanging or panicking.
 #[test]
 fn retry_cap_parks_flows_on_an_unroutable_path() {
     with_watchdog(|| {
-        let hop = |mbps, delay_ms| {
-            LinkConfig::new(
-                Bandwidth::from_mbps(mbps),
-                SimDuration::from_millis(delay_ms),
-            )
-        };
-        let scenario = PathScenario {
-            hops: vec![hop(50, 2), hop(50, 2), hop(50, 2)],
-            file_bytes: 2 << 20,
-            workload: WorkloadSpec {
-                streams_per_circuit: 2,
-                arrival: ArrivalSpec::Immediate,
-                churn: None,
-            },
-            faults: Some(FaultSpec {
-                crashes: 1,
-                crash_window_ms: (20.0, 30.0),
-                max_retries: 2,
-                backoff_base_ms: 5.0,
-                backoff_cap_ms: 20.0,
-                ..Default::default()
-            }),
-        };
-        let (mut sim, _) =
-            scenario.build(Algorithm::FixedWindow(16).factory(Default::default()), 9);
-        let report = sim.run();
-        assert_eq!(report.reason, StopReason::QueueEmpty, "parking must drain");
+        let sim = run_unroutable_path(2);
         let world = sim.world();
         let stats = world.stats();
         assert_eq!(stats.crashes_injected, 1);
@@ -291,6 +296,35 @@ fn retry_cap_parks_flows_on_an_unroutable_path() {
             world.flows().iter().any(|f| !f.complete()),
             "a parked flow cannot have completed"
         );
+        assert_quiescent(world);
+    });
+}
+
+/// Retry cap 0, the hostile end of the cap's range: the crash stalls
+/// the circuit before any byte arrives, the first timeout charges the
+/// lineage one retry, which already exceeds the cap, so both flows park
+/// with no rebuild, and the world still drains to quiescence.
+#[test]
+fn retry_cap_zero_parks_at_the_first_timeout() {
+    with_watchdog(|| {
+        let sim = run_unroutable_path(0);
+        let world = sim.world();
+        assert_eq!(
+            *world.stats(),
+            WorldStats {
+                cells_sent: 18,
+                feedback_sent: 16,
+                destroys_sent: 2,
+                slots_reclaimed: 4,
+                crashes_injected: 1,
+                timeouts_fired: 1,
+                retries: 1,
+                flows_parked: 2,
+                crash_frames_dropped: 3,
+                ..WorldStats::default()
+            }
+        );
+        assert!(world.flows().iter().all(|f| f.delivered == 0));
         assert_quiescent(world);
     });
 }

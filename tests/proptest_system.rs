@@ -6,6 +6,7 @@
 //! streams with fixed master seeds — proptest-style coverage with
 //! bit-for-bit reproducibility and no external dependencies.
 
+use backtap::config::{MAX_CWND, MIN_CWND};
 use circuitstart::prelude::*;
 use netsim::bandwidth::Bandwidth;
 use netsim::link::LinkConfig;
@@ -105,7 +106,7 @@ fn never_faster_than_the_ideal_pipeline() {
     }
 }
 
-/// The source window never leaves its configured bounds, for any
+/// The source window never leaves `[MIN_CWND, MAX_CWND]`, for any
 /// geometry and any point in time.
 #[test]
 fn cwnd_respects_bounds_throughout() {
@@ -124,7 +125,7 @@ fn cwnd_respects_bounds_throughout() {
         run_to_completion(&mut sim);
         let trace = sim.world().source_cwnd_trace(handles.circ).unwrap();
         for &(_, cwnd) in trace {
-            assert!(cwnd >= cc.min_cwnd && cwnd <= cc.max_cwnd);
+            assert!((MIN_CWND..=MAX_CWND).contains(&cwnd));
         }
     }
 }

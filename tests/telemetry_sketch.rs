@@ -102,7 +102,7 @@ fn sketch_tracks_exact_cdf_across_seeds_policies_and_shards() {
                     "{} seed {seed} {shards}sh: sketch missed samples",
                     policy.name()
                 );
-                let alpha = sketch.alpha();
+                let alpha = QuantileSketch::ALPHA;
                 for q in [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
                     let e = exact.quantile(q);
                     let s = sketch.quantile(q);
@@ -284,7 +284,7 @@ fn consensus_scale_exposition_matches_golden_file() {
     for q in [0.5, 0.99, 0.999] {
         let (exact, approx) = (cdf.quantile(q), sketch.quantile(q));
         assert!(
-            (approx - exact).abs() / exact <= sketch.alpha(),
+            (approx - exact).abs() / exact <= QuantileSketch::ALPHA,
             "q={q}: sketch {approx} strayed more than alpha from exact {exact}"
         );
     }
