@@ -238,6 +238,12 @@ pub const STAGE_BOUNDARIES: &[Boundary] = &[
                     marked in place; a ring of (seq, time) pairs costs twice that",
     },
     Boundary {
+        files: &[RELAYNET],
+        forbidden: &[&["BTreeMap"], &["BTreeSet"]],
+        invariant: "a circuit resolves through the route table, a node's slab or a link's \
+                    rotation; a map's nodes escape the memory ledger",
+    },
+    Boundary {
         files: &[RELAYNET, "crates/netsim/src/", "crates/backtap/src/"],
         forbidden: &[
             &["Rc"],

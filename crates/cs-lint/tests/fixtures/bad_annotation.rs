@@ -3,11 +3,11 @@
 // allow never suppresses a DIFFERENT rule or a non-adjacent line.
 
 // cs-lint: allow(no-such-rule, reason = "unknown rule name") //~ malformed-annotation
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 // cs-lint: allow(wall-clock) //~ malformed-annotation
-fn missing_reason() -> BTreeMap<u64, u64> {
-    BTreeMap::new()
+fn missing_reason() -> VecDeque<u64> {
+    VecDeque::new()
 }
 
 // cs-lint: allow(wall-clock, reason = "") //~ malformed-annotation

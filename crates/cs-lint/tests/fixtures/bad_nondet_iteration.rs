@@ -1,4 +1,4 @@
-// cs-lint-fixture: path = "crates/relaynet/src/bad.rs"
+// cs-lint-fixture: path = "crates/simstats/src/bad.rs"
 use std::collections::HashMap; //~ nondeterministic-iteration
 use std::collections::{BTreeMap, HashSet}; //~ nondeterministic-iteration
 

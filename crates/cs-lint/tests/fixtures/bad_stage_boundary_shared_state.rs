@@ -1,5 +1,5 @@
 // cs-lint-fixture: path = "crates/relaynet/src/node.rs"
-// Row 11: a world is a value. State shared by reference between nodes
+// Row 13: a world is a value. State shared by reference between nodes
 // would be shared between a world and its fork too, so the fork would
 // not run on to the run it was taken from.
 

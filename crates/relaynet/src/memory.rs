@@ -18,8 +18,7 @@ pub struct MemoryLedger {
     pub node_slabs: usize,
     /// The world's one slab of queued hop cells and its list links.
     pub hop_cells: usize,
-    /// The link schedulers' handle queues, slot vectors, free lists and
-    /// rotations.
+    /// The link schedulers' handle queues, rotations and spare queues.
     pub schedulers: usize,
     /// The link-route table.
     pub link_routes: usize,

@@ -372,9 +372,9 @@ impl TorNetwork {
 
     /// The client gives up on a circuit: blame the first dead hop (if
     /// any), reap the participations stranded beyond it, charge the
-    /// lineage one retry under exponential backoff, and run the ordinary
-    /// teardown — whose DESTROY wave reflects at the dead hop and whose
-    /// reclamation path schedules the rebuild.
+    /// lineage one retry (under exponential backoff while within its
+    /// cap), and run the ordinary teardown — whose DESTROY wave reflects
+    /// at the dead hop and whose reclamation path schedules the rebuild.
     fn force_abandon(&mut self, ctx: &mut Context<'_, TorEvent>, circ: CircId) {
         self.egress.stats.timeouts_fired += 1;
         // Blame: the path's first dead hop. A timeout with no dead hop
@@ -386,21 +386,23 @@ impl TorNetwork {
         if blamed.is_some_and(|n| self.exclude_relay(n.index())) {
             self.egress.stats.blamed_exclusions += 1;
         }
-        // Exponential backoff with jitter, charged against the lineage.
-        // The delay lands in `rebuild_delay`, which the reclamation path
-        // reads when it schedules the retry ([`TorNetwork::maybe_reclaim`]).
-        let delay = {
-            let f = self
-                .faults
-                .as_mut()
-                .expect("force_abandon requires fault state");
-            let frac = f.jitter.range_f64(0.0, 1.0);
-            FaultSpec::backoff(self.circuits[circ.index()].retries, frac)
-        };
-        self.egress.stats.retries += 1;
+        // The abandon is charged against the lineage. Within its cap, the
+        // lineage retries after an exponential backoff with jitter, which
+        // lands in `rebuild_delay`, read by the reclamation path when it
+        // schedules the rebuild ([`TorNetwork::maybe_reclaim`]). Past its
+        // cap, it draws nothing and parks at that rebuild, after the delay
+        // it already carries ([`TorNetwork::parks`]).
+        let f = self
+            .faults
+            .as_mut()
+            .expect("force_abandon requires fault state");
         let info = &mut self.circuits[circ.index()];
         info.retries += 1;
-        info.workload.rebuild_delay = delay;
+        if info.retries <= f.spec.max_retries {
+            let frac = f.jitter.range_f64(0.0, 1.0);
+            info.workload.rebuild_delay = FaultSpec::backoff(info.retries - 1, frac);
+            self.egress.stats.retries += 1;
+        }
         self.teardown(ctx, circ, DESTROY_REASON_TIMEOUT);
     }
 

@@ -157,7 +157,10 @@ pub struct WorldStats {
     /// Client circuit timers that fired genuinely (build or liveness)
     /// and triggered an abandon.
     pub timeouts_fired: u64,
-    /// Timeout-driven rebuild attempts scheduled under backoff.
+    /// Timeout-driven rebuild attempts scheduled under backoff: one per
+    /// abandon that leaves its lineage within the retry cap. An abandon
+    /// that takes the lineage past its cap parks it instead and counts
+    /// nothing here.
     pub retries: u64,
     /// Relays excluded from selection after being blamed for a timeout.
     pub blamed_exclusions: u64,

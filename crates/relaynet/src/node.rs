@@ -7,15 +7,13 @@
 //!
 //! Participations live in a [`Slab`] under a node-local id handed out at
 //! join time; the per-cell pipeline resolves straight to that id through
-//! the network-level route table (`relaynet::network`) and never walks a
-//! map. A small `BTreeMap` keyed by the global [`CircId`] serves only
-//! cold paths — setup, teardown, and telemetry. A torn-down
-//! participation's slot is the next one filled (`remove_circuit`), so
-//! churning workloads reuse slots instead of growing the slab.
-//! (Deterministic by construction: nothing here is iterated in hash
-//! order.)
-
-use std::collections::BTreeMap;
+//! the network-level route table (`relaynet::network`). Only cold paths —
+//! setup, teardown, timers, reaping and telemetry — look a participation
+//! up by its global [`CircId`], and they scan the slab: a node holds a
+//! handful of participations (at most 10 on the Figure 1c star, 7–8 on
+//! `star50_churn`). A torn-down participation's slot is the next one
+//! filled (`remove_circuit`), so churning workloads reuse slots instead
+//! of growing the slab.
 
 use backtap::hop::HopTransport;
 use netsim::net::NodeId;
@@ -468,9 +466,6 @@ pub struct OverlayNode {
     /// Per-circuit state under node-local indices; a reclaimed slot is
     /// the next one filled.
     circuits: Slab<NodeCircuit>,
-    /// Cold-path lookup: global circuit id → node-local index. The
-    /// per-cell pipeline bypasses this via the route table.
-    by_global: BTreeMap<CircId, u32>,
 }
 
 impl OverlayNode {
@@ -481,21 +476,21 @@ impl OverlayNode {
             net_node,
             role,
             circuits: Slab::default(),
-            by_global: BTreeMap::new(),
         }
     }
 
     /// Registers a participation, returning its node-local index: the
     /// last reclaimed slot, if any is free.
     pub fn add_circuit(&mut self, nc: NodeCircuit) -> u32 {
-        let circ = nc.circ;
-        let local = self.circuits.insert(nc);
-        self.by_global.insert(circ, local);
-        local
+        debug_assert!(
+            self.local_idx(nc.circ).is_none(),
+            "a node joins a circuit once"
+        );
+        self.circuits.insert(nc)
     }
 
-    /// Reclaims a participation's slab slot and drops its global-id
-    /// mapping. Panics if the slot is already free.
+    /// Reclaims a participation's slab slot. Panics if the slot is
+    /// already free.
     pub fn remove_circuit(&mut self, local: u32) {
         let nc = self.circuits.remove(local);
         debug_assert!(
@@ -505,12 +500,13 @@ impl OverlayNode {
                 .all(HopDir::queue_is_empty),
             "a reclaimed participation still holds queued cells"
         );
-        self.by_global.remove(&nc.circ);
     }
 
-    /// The node-local index of a circuit, if this node participates.
+    /// The node-local index of a circuit, if this node participates: a
+    /// scan of the slab (cold paths only; see the module docs).
     pub fn local_idx(&self, circ: CircId) -> Option<u32> {
-        self.by_global.get(&circ).copied()
+        let filled = self.circuits.usage().high_water as u32;
+        (0..filled).find(|&i| self.circuits.try_get(i).is_some_and(|nc| nc.circ == circ))
     }
 
     /// Participation by node-local index (the hot path; indexes resolve
@@ -562,7 +558,7 @@ impl OverlayNode {
 
     /// Number of live circuits this node participates in.
     pub fn circuit_count(&self) -> usize {
-        self.by_global.len()
+        self.circuits.usage().held
     }
 }
 

@@ -19,65 +19,38 @@
 //! [`FrameHandle`](netsim::net::FrameHandle)s here
 //! (`LinkScheduler<FrameHandle>`), so a scheduled frame is stored once,
 //! and a queue's capacity costs 4 bytes a slot rather than a frame's
-//! size. The default, `LinkScheduler<WireFrame>`, queues frames by value
-//! and runs the same code.
+//! size. A `LinkScheduler<WireFrame>` queues frames by value and runs the
+//! same code.
 //!
-//! The per-circuit queues live in a `Vec` of slots indexed by a small
-//! integer, with a LIFO free list recycling vacated slots — and their
-//! `VecDeque` buffers with them — and the rotation ring carrying slot
-//! indices. A small `BTreeMap` maps the circuit id to its slot, so the
-//! per-cell lookup stays `O(log active)` while no circuit activation
-//! allocates a queue buffer. These slots stay hand-rolled rather than a
-//! `simcore::slab::Slab`, whose `remove` drops the value, buffer and
-//! all, so every activation would allocate again. Per-circuit `List`s
-//! through one `Lists<FrameHandle>` per scheduler kept every digest but
-//! more than doubled the schedulers' bytes on `star50_churn`
-//! (DESIGN.md §5), and one `Lists` per world would change `push_cell`
-//! and `pop`. The rotation order is bit-identical to the historical
-//! map-of-queues implementation — the queue-equivalence fingerprints
-//! guard it.
+//! The rotation holds the queues: one entry per circuit with cells
+//! queued, in service order, each carrying its own queue. A cell finds
+//! its circuit's queue by scanning the rotation, and that scan is short:
+//! over every world of 1 s csbench runs on seeds 1–3, the most circuits
+//! ever queued on one link is 1 on `path3_bulk`, 2 on
+//! `consensus7k_epochs`, 4–5 on `star16_faults` and 5 on `star50_churn`,
+//! and 10 on the Figure 1c star (`fig1_cdf`, 50 circuits).
+//! A queue that empties waits among the spares, and the next circuit to
+//! activate takes the last one emptied, buffer and all, so activations
+//! stop allocating once a link has served its busiest moment. Nothing
+//! here is a map, so every heap byte the scheduler holds is in
+//! [`LinkScheduler::reserved_bytes`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use simcore::slab::{clone_deque_reserving, clone_reserving};
+use simcore::slab::clone_deque_reserving;
 
 use crate::ids::CircId;
-use crate::wire::WireFrame;
-
-/// Slab sentinel: the slot holds no circuit.
-const VACANT: CircId = CircId(u32::MAX);
-
-/// One slab slot: a circuit with queued cells (or a vacated slot whose
-/// queue allocation is waiting to be reused).
-struct CircSlot<F> {
-    circ: CircId,
-    queue: VecDeque<F>,
-}
-
-/// A copy whose queue reserves what the original's reserves.
-impl<F: Clone> Clone for CircSlot<F> {
-    fn clone(&self) -> Self {
-        CircSlot {
-            circ: self.circ,
-            queue: clone_deque_reserving(&self.queue),
-        }
-    }
-}
 
 /// Round-robin frame scheduler for one egress link, queueing frames or
 /// handles to them (`F`; see module docs).
-pub struct LinkScheduler<F = WireFrame> {
+pub struct LinkScheduler<F> {
     /// Control frames (feedback): strict priority, FIFO among themselves.
     feedback: VecDeque<F>,
-    /// Dense slab of per-circuit queues; `rotation` and the free list
-    /// hold indices into it.
-    slots: Vec<CircSlot<F>>,
-    /// Active circuit → slab slot (maintained on activation/vacation).
-    index: BTreeMap<CircId, u32>,
-    /// Vacated slot indices awaiting reuse (LIFO for determinism).
-    free: Vec<u32>,
-    /// Rotation order over slots with queued cells.
-    rotation: VecDeque<u32>,
+    /// The circuits with queued cells, in service order, each with its
+    /// queue.
+    rotation: VecDeque<(CircId, VecDeque<F>)>,
+    /// Emptied queues awaiting reuse, last emptied on top.
+    spare: Vec<VecDeque<F>>,
     /// Telemetry: largest number of frames ever waiting here.
     hwm: usize,
     /// Current number of frames waiting.
@@ -88,10 +61,8 @@ impl<F> Default for LinkScheduler<F> {
     fn default() -> Self {
         LinkScheduler {
             feedback: VecDeque::new(),
-            slots: Vec::new(),
-            index: BTreeMap::new(),
-            free: Vec::new(),
             rotation: VecDeque::new(),
+            spare: Vec::new(),
             hwm: 0,
             len: 0,
         }
@@ -102,12 +73,18 @@ impl<F> Default for LinkScheduler<F> {
 /// forked world's schedulers grow at the same frames.
 impl<F: Clone> Clone for LinkScheduler<F> {
     fn clone(&self) -> Self {
+        let mut rotation = VecDeque::with_capacity(self.rotation.capacity());
+        rotation.extend(
+            self.rotation
+                .iter()
+                .map(|(circ, queue)| (*circ, clone_deque_reserving(queue))),
+        );
+        let mut spare = Vec::with_capacity(self.spare.capacity());
+        spare.extend(self.spare.iter().map(clone_deque_reserving));
         LinkScheduler {
             feedback: clone_deque_reserving(&self.feedback),
-            slots: clone_reserving(&self.slots),
-            index: self.index.clone(),
-            free: clone_reserving(&self.free),
-            rotation: clone_deque_reserving(&self.rotation),
+            rotation,
+            spare,
             hwm: self.hwm,
             len: self.len,
         }
@@ -126,54 +103,35 @@ impl<F> LinkScheduler<F> {
         self.bump();
     }
 
-    /// Queues a data cell on `circ`'s queue, activating the circuit in
-    /// the rotation if it had nothing queued.
+    /// Queues a data cell on `circ`'s queue, activating the circuit at
+    /// the back of the rotation, with the last emptied queue, if it had
+    /// nothing queued.
     pub fn push_cell(&mut self, circ: CircId, frame: F) {
-        debug_assert!(circ != VACANT, "cannot schedule the vacant sentinel");
-        let slot = match self.index.get(&circ) {
-            Some(&slot) => slot,
+        match self.rotation.iter_mut().find(|(c, _)| *c == circ) {
+            Some((_, queue)) => queue.push_back(frame),
             None => {
-                let slot = match self.free.pop() {
-                    Some(slot) => {
-                        let s = &mut self.slots[slot as usize];
-                        debug_assert!(s.circ == VACANT && s.queue.is_empty());
-                        s.circ = circ;
-                        slot
-                    }
-                    None => {
-                        self.slots.push(CircSlot {
-                            circ,
-                            queue: VecDeque::new(),
-                        });
-                        u32::try_from(self.slots.len() - 1).expect("too many scheduled circuits")
-                    }
-                };
-                self.index.insert(circ, slot);
-                self.rotation.push_back(slot);
-                slot
+                let mut queue = self.spare.pop().unwrap_or_default();
+                queue.push_back(frame);
+                self.rotation.push_back((circ, queue));
             }
-        };
-        debug_assert_eq!(self.slots[slot as usize].circ, circ, "index out of sync");
-        self.slots[slot as usize].queue.push_back(frame);
+        }
         self.bump();
     }
 
-    /// Picks the next frame: feedback first, then the next circuit in the
-    /// rotation (which moves to the back if it still has cells).
+    /// Picks the next frame: feedback first, then the front circuit of
+    /// the rotation, which moves to the back if it still has cells.
     pub fn pop(&mut self) -> Option<F> {
         if let Some(fb) = self.feedback.pop_front() {
             self.len -= 1;
             return Some(fb);
         }
-        let slot = self.rotation.pop_front()?;
-        let s = &mut self.slots[slot as usize];
-        let frame = s.queue.pop_front().expect("queued circuits are non-empty");
-        if s.queue.is_empty() {
-            let circ = std::mem::replace(&mut s.circ, VACANT);
-            self.index.remove(&circ);
-            self.free.push(slot);
+        let (_, queue) = self.rotation.front_mut()?;
+        let frame = queue.pop_front().expect("queued circuits are non-empty");
+        if queue.is_empty() {
+            let (_, queue) = self.rotation.pop_front().expect("just served");
+            self.spare.push(queue);
         } else {
-            self.rotation.push_back(slot);
+            self.rotation.rotate_left(1);
         }
         self.len -= 1;
         Some(frame)
@@ -187,14 +145,15 @@ impl<F> LinkScheduler<F> {
     /// frames are never drained (they are control traffic for the
     /// *neighbour's* transport and must flow regardless).
     pub fn drain_circuit(&mut self, circ: CircId) -> VecDeque<F> {
-        let Some(slot) = self.index.remove(&circ) else {
+        let Some(at) = self.rotation.iter().position(|(c, _)| *c == circ) else {
             return VecDeque::new();
         };
-        let s = &mut self.slots[slot as usize];
-        s.circ = VACANT;
-        let drained = std::mem::take(&mut s.queue);
-        self.free.push(slot);
-        self.rotation.retain(|&r| r != slot);
+        let (_, drained) = self.rotation.remove(at).expect("a found entry is in range");
+        // The drained buffer leaves with its frames. An empty queue takes
+        // its place on top of the spares, so the buffers later circuits
+        // reuse, and `reserved_slots`, are the slot model's (see the
+        // tests).
+        self.spare.push(VecDeque::new());
         self.len -= drained.len();
         drained
     }
@@ -215,24 +174,28 @@ impl<F> LinkScheduler<F> {
     }
 
     /// Queue slots held reserved: the capacity of the feedback queue and
-    /// of every per-circuit queue, vacant slab slots' included. A slot's
-    /// queue keeps the capacity of the longest backlog any circuit left
-    /// in it; a drained circuit takes its queue's buffer with it.
+    /// of every circuit queue, the spares' included. A queue keeps the
+    /// capacity of the longest backlog any circuit left in it; a drained
+    /// circuit takes its queue's buffer with it.
     pub fn reserved_slots(&self) -> usize {
-        let circuits: usize = self.slots.iter().map(|s| s.queue.capacity()).sum();
-        self.feedback.capacity() + circuits
+        let queues = self
+            .rotation
+            .iter()
+            .map(|(_, queue)| queue)
+            .chain(&self.spare);
+        self.feedback.capacity() + queues.map(VecDeque::capacity).sum::<usize>()
     }
 
-    /// Bytes reserved: the queue slots ([`reserved_slots`]), the slot
-    /// vector, the free list and the rotation. The index map's nodes,
-    /// one entry per circuit with cells queued, are not counted.
+    /// Bytes reserved: the queue slots ([`reserved_slots`]), the
+    /// rotation's entries (a circuit id and its queue, 40 B) and the
+    /// spares (a queue, 32 B). Every heap byte the scheduler holds.
     ///
     /// [`reserved_slots`]: LinkScheduler::reserved_slots
     pub fn reserved_bytes(&self) -> usize {
         use std::mem::size_of;
         self.reserved_slots() * size_of::<F>()
-            + self.slots.capacity() * size_of::<CircSlot<F>>()
-            + (self.free.capacity() + self.rotation.capacity()) * size_of::<u32>()
+            + self.rotation.capacity() * size_of::<(CircId, VecDeque<F>)>()
+            + self.spare.capacity() * size_of::<VecDeque<F>>()
     }
 
     fn bump(&mut self) {
@@ -244,6 +207,9 @@ impl<F> LinkScheduler<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    use crate::wire::WireFrame;
     use netsim::net::Net;
     use torcell::cell::{Cell, Feedback};
     use torcell::ids::CircuitId;
@@ -290,7 +256,7 @@ mod tests {
 
     #[test]
     fn empty_scheduler() {
-        let mut s: LinkScheduler = LinkScheduler::new();
+        let mut s: LinkScheduler<WireFrame> = LinkScheduler::new();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert!(s.pop().is_none());
@@ -360,18 +326,26 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_reused_across_activations() {
+    fn queues_are_reused_across_activations() {
         let mut s = LinkScheduler::new();
         // Three circuits activate and fully drain, several times over:
-        // the slab must stop growing after the first wave.
+        // after the first wave every activation takes a spare queue, and
+        // the queues stop growing.
+        let mut reserved = 0;
         for round in 0..5u64 {
             for c in 0..3u32 {
                 s.push_cell(CircId(c + round as u32 * 100), cell_with_seq(round * 10));
             }
+            assert_eq!(s.rotation.len(), 3);
+            assert!(s.spare.is_empty(), "an activation left a spare queue idle");
             while s.pop().is_some() {}
+            assert_eq!(s.spare.len(), 3, "an emptied queue is not a spare");
+            if round == 0 {
+                reserved = s.reserved_slots();
+            }
+            assert_eq!(s.reserved_slots(), reserved, "queues grew under churn");
         }
         assert!(s.is_empty());
-        assert_eq!(s.slots.len(), 3, "slab grew under churn");
         assert_eq!(s.rotation.len(), 0);
     }
 
@@ -400,12 +374,176 @@ mod tests {
     }
 
     #[test]
-    fn drain_then_requeue_reuses_the_slot() {
+    fn drain_then_requeue_reuses_a_spare_queue() {
         let mut s = LinkScheduler::new();
         s.push_cell(CircId(3), cell_with_seq(1));
-        let _ = s.drain_circuit(CircId(3));
+        assert_eq!(s.drain_circuit(CircId(3)).len(), 1);
+        assert!(s.rotation.is_empty());
+        assert_eq!(
+            s.spare.len(),
+            1,
+            "an empty queue takes the drained one's place"
+        );
+        assert_eq!(
+            s.reserved_slots(),
+            0,
+            "the drained buffer left with its frames"
+        );
         s.push_cell(CircId(4), cell_with_seq(2));
-        assert_eq!(s.slots.len(), 1, "vacated slot must be reused");
+        assert!(s.spare.is_empty(), "the spare queue must be reused");
         assert_eq!(tag_of(&s.pop().unwrap()), 2);
+    }
+
+    /// The scheduler as it was before the rotation held the queues: a
+    /// vector of slots, each a circuit and its queue, a sentinel for a
+    /// vacant slot, a LIFO free list of vacant slots, a rotation of slot
+    /// indices and a map from circuit to slot. The reference model for
+    /// the rotation.
+    struct SlotScheduler<F> {
+        feedback: VecDeque<F>,
+        slots: Vec<(CircId, VecDeque<F>)>,
+        index: BTreeMap<CircId, u32>,
+        free: Vec<u32>,
+        rotation: VecDeque<u32>,
+        hwm: usize,
+        len: usize,
+    }
+
+    const VACANT: CircId = CircId(u32::MAX);
+
+    impl<F> SlotScheduler<F> {
+        fn new() -> Self {
+            SlotScheduler {
+                feedback: VecDeque::new(),
+                slots: Vec::new(),
+                index: BTreeMap::new(),
+                free: Vec::new(),
+                rotation: VecDeque::new(),
+                hwm: 0,
+                len: 0,
+            }
+        }
+
+        fn push_feedback(&mut self, frame: F) {
+            self.feedback.push_back(frame);
+            self.bump();
+        }
+
+        fn push_cell(&mut self, circ: CircId, frame: F) {
+            let slot = match self.index.get(&circ) {
+                Some(&slot) => slot,
+                None => {
+                    let slot = match self.free.pop() {
+                        Some(slot) => {
+                            self.slots[slot as usize].0 = circ;
+                            slot
+                        }
+                        None => {
+                            self.slots.push((circ, VecDeque::new()));
+                            self.slots.len() as u32 - 1
+                        }
+                    };
+                    self.index.insert(circ, slot);
+                    self.rotation.push_back(slot);
+                    slot
+                }
+            };
+            self.slots[slot as usize].1.push_back(frame);
+            self.bump();
+        }
+
+        fn pop(&mut self) -> Option<F> {
+            if let Some(fb) = self.feedback.pop_front() {
+                self.len -= 1;
+                return Some(fb);
+            }
+            let slot = self.rotation.pop_front()?;
+            let (circ, queue) = &mut self.slots[slot as usize];
+            let frame = queue.pop_front().expect("queued circuits are non-empty");
+            if queue.is_empty() {
+                self.index.remove(circ);
+                *circ = VACANT;
+                self.free.push(slot);
+            } else {
+                self.rotation.push_back(slot);
+            }
+            self.len -= 1;
+            Some(frame)
+        }
+
+        fn drain_circuit(&mut self, circ: CircId) -> VecDeque<F> {
+            let Some(slot) = self.index.remove(&circ) else {
+                return VecDeque::new();
+            };
+            let (circ, queue) = &mut self.slots[slot as usize];
+            *circ = VACANT;
+            let drained = std::mem::take(queue);
+            self.free.push(slot);
+            self.rotation.retain(|&r| r != slot);
+            self.len -= drained.len();
+            drained
+        }
+
+        fn reserved_slots(&self) -> usize {
+            let circuits: usize = self.slots.iter().map(|(_, q)| q.capacity()).sum();
+            self.feedback.capacity() + circuits
+        }
+
+        fn bump(&mut self) {
+            self.len += 1;
+            self.hwm = self.hwm.max(self.len);
+        }
+    }
+
+    /// Random runs of `push_cell` over up to 12 circuits, `push_feedback`,
+    /// `pop`, and `drain_circuit` of queued, idle and unseen circuits give
+    /// what the slot scheduler gives: every popped and drained frame, and
+    /// after every operation the backlog, its high water and the queue
+    /// slots reserved.
+    #[test]
+    fn the_rotation_matches_the_slot_scheduler() {
+        use simcore::rng::SimRng;
+
+        for seed in 0..40u64 {
+            let mut rng = SimRng::seed_from(0x5C4E_D000 + seed);
+            let circuits = rng.range_u64(1, 13);
+            let mut sched = LinkScheduler::new();
+            let mut model = SlotScheduler::new();
+            let mut next_frame = 0u64;
+            for op in 0..3_000 {
+                let ctx = format!("seed {seed} op {op}");
+                // Filling and emptying phases alternate, so backlogs both
+                // build up and run dry.
+                let pushes = if (op / 200) % 2 == 0 { 60 } else { 30 };
+                let pick = rng.range_u64(0, 100);
+                if pick < pushes {
+                    let circ = CircId(rng.range_u64(0, circuits) as u32);
+                    sched.push_cell(circ, next_frame);
+                    model.push_cell(circ, next_frame);
+                    next_frame += 1;
+                } else if pick < pushes + 5 {
+                    sched.push_feedback(next_frame);
+                    model.push_feedback(next_frame);
+                    next_frame += 1;
+                } else if pick < 95 {
+                    assert_eq!(sched.pop(), model.pop(), "{ctx}");
+                } else {
+                    let queued: Vec<CircId> = model.index.keys().copied().collect();
+                    let circ = if pick < 98 && !queued.is_empty() {
+                        queued[rng.range_usize(0, queued.len())]
+                    } else {
+                        CircId(rng.range_u64(0, circuits + 2) as u32)
+                    };
+                    assert_eq!(
+                        sched.drain_circuit(circ),
+                        model.drain_circuit(circ),
+                        "{ctx}"
+                    );
+                }
+                assert_eq!(sched.len(), model.len, "{ctx}");
+                assert_eq!(sched.high_water_mark(), model.hwm, "{ctx}");
+                assert_eq!(sched.reserved_slots(), model.reserved_slots(), "{ctx}");
+            }
+        }
     }
 }

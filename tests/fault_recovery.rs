@@ -287,11 +287,12 @@ fn retry_cap_parks_flows_on_an_unroutable_path() {
             stats.flows_parked > 0,
             "an unroutable lineage must park, not spin"
         );
-        assert!(
-            stats.retries <= u64::from(3u32),
-            "retry cap of 2 must bound the lineage: {}",
-            stats.retries
+        assert_eq!(
+            stats.retries, stats.rebuilds,
+            "every retry counted is a rebuild made, and the retry cap of 2 \
+             bounds them: {stats:?}"
         );
+        assert_eq!(stats.retries, 2);
         assert!(
             world.flows().iter().any(|f| !f.complete()),
             "a parked flow cannot have completed"
@@ -303,7 +304,8 @@ fn retry_cap_parks_flows_on_an_unroutable_path() {
 /// Retry cap 0, the hostile end of the cap's range: the crash stalls
 /// the circuit before any byte arrives, the first timeout charges the
 /// lineage one retry, which already exceeds the cap, so both flows park
-/// with no rebuild, and the world still drains to quiescence.
+/// with no rebuild and no retry counted, and the world still drains to
+/// quiescence.
 #[test]
 fn retry_cap_zero_parks_at_the_first_timeout() {
     with_watchdog(|| {
@@ -318,7 +320,6 @@ fn retry_cap_zero_parks_at_the_first_timeout() {
                 slots_reclaimed: 4,
                 crashes_injected: 1,
                 timeouts_fired: 1,
-                retries: 1,
                 flows_parked: 2,
                 crash_frames_dropped: 3,
                 ..WorldStats::default()

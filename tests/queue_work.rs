@@ -195,7 +195,10 @@ fn a_fault_free_churn_star_stores_each_frame_once() {
     // Every owner's bytes at quiescence. The store is 8,192 slots of a
     // frame and its queue stamp (88 B), a list link and a free-list
     // entry (4 B each); the hop cells are 2,048 slots of 64 + 4 + 4 B;
-    // the schedulers' 13,960 handles are 55,840 of their 94,240 B; the
+    // the schedulers' 13,960 handles are 55,840 of their 113,440 B, and
+    // on each of the 200 links (of 400) that queued a cell, the rotation
+    // reserves 4 entries of a circuit id and its queue (40 B) and the
+    // spares 4 queues (32 B), 288 B; the
     // send times are 26,912 ring slots of 8 B on the participations
     // still held; the pool is the payloads' live peak, idle.
     assert_eq!(
@@ -205,7 +208,7 @@ fn a_fault_free_churn_star_stores_each_frame_once() {
             hop_send_times: 215_296,
             node_slabs: 174_496,
             hop_cells: 147_456,
-            schedulers: 94_240,
+            schedulers: 113_440,
             link_routes: 11_520,
             payload_pool: 2_973_712,
         }
