@@ -4,7 +4,6 @@
 //! The factory is a plain `Copy` value, so a world that holds one clones
 //! and crosses threads like the rest of its state.
 
-use crate::adaptive::AdaptiveCc;
 use crate::cc::Controller;
 use crate::config::CcConfig;
 use crate::delay_cc::{DelayCc, RampExit};
@@ -23,9 +22,9 @@ pub enum Algorithm {
     /// distant bottleneck's compensation reaches the source hop by hop).
     CircuitStart,
     /// The paper's contribution plus the future-work extension
-    /// ([`AdaptiveCc`]): re-enter the ramp when congestion avoidance
-    /// detects persistent spare capacity (e.g. after a mid-flow bandwidth
-    /// increase).
+    /// ([`DelayCc::reprobing`]): re-enter the ramp when congestion
+    /// avoidance detects persistent spare capacity (e.g. after a mid-flow
+    /// bandwidth increase).
     AdaptiveCircuitStart,
     /// "Without CircuitStart": same ramp, traditional halving exit.
     ClassicBacktap,
@@ -61,9 +60,9 @@ impl Algorithm {
         let delay = |cc| Controller::Delay(Box::new(cc));
         match *self {
             Algorithm::CircuitStart => delay(DelayCc::with_ramp(cfg, RampExit::CircuitStart)),
-            Algorithm::AdaptiveCircuitStart => Controller::Adaptive(Box::new(AdaptiveCc::new(
-                DelayCc::with_ramp(cfg, RampExit::CircuitStart),
-            ))),
+            Algorithm::AdaptiveCircuitStart => {
+                delay(DelayCc::with_ramp(cfg, RampExit::CircuitStart).reprobing())
+            }
             Algorithm::ClassicBacktap => delay(DelayCc::with_ramp(cfg, RampExit::Halving)),
             Algorithm::JumpStart(w) => delay(DelayCc::without_ramp(cfg, w)),
             Algorithm::FixedWindow(w) => {

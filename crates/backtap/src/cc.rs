@@ -5,12 +5,11 @@
 //! send timestamps, base-RTT tracking) and calls into the controller with
 //! pre-digested values, so controllers are pure, easily-tested state
 //! machines. The set is closed because the evaluation's is: the
-//! delay-based ramp (CircuitStart, classic halving, JumpStart,
-//! no-slow-start), its mid-flow re-probing wrapper, and a constant window.
+//! delay-based ramp (CircuitStart with or without mid-flow re-probing,
+//! classic halving, JumpStart, no-slow-start) and a constant window.
 
 use simcore::time::{SimDuration, SimTime};
 
-use crate::adaptive::AdaptiveCc;
 use crate::delay_cc::DelayCc;
 
 /// Which phase a delay-based controller is in; exposed for traces, tests,
@@ -34,14 +33,12 @@ impl std::fmt::Display for Phase {
 
 /// A per-hop congestion controller.
 ///
-/// The large arms are boxed: an unwindowed hop costs no allocation, and
+/// The delay arm is boxed: an unwindowed hop costs no allocation, and
 /// a hop's controller stays two words.
 #[derive(Clone, Debug)]
 pub enum Controller {
     /// Discrete-round ramp plus Vegas avoidance (see [`DelayCc`]).
     Delay(Box<DelayCc>),
-    /// CircuitStart plus mid-flow re-probing (see [`AdaptiveCc`]).
-    Adaptive(Box<AdaptiveCc>),
     /// A constant window of this many cells: Tor-flavoured fixed
     /// windowing, and the fixed-window ablation.
     Fixed(u32),
@@ -61,7 +58,6 @@ impl Controller {
     pub fn cwnd(&self) -> u32 {
         match self {
             Controller::Delay(cc) => cc.cwnd(),
-            Controller::Adaptive(cc) => cc.cwnd(),
             Controller::Fixed(cwnd) => *cwnd,
         }
     }
@@ -70,7 +66,6 @@ impl Controller {
     pub fn phase(&self) -> Phase {
         match self {
             Controller::Delay(cc) => cc.phase(),
-            Controller::Adaptive(cc) => cc.phase(),
             Controller::Fixed(_) => Phase::CongestionAvoidance,
         }
     }
@@ -81,7 +76,6 @@ impl Controller {
     pub fn allow_send(&self, outstanding: u32) -> bool {
         match self {
             Controller::Delay(cc) => cc.allow_send(outstanding),
-            Controller::Adaptive(cc) => cc.allow_send(outstanding),
             Controller::Fixed(cwnd) => outstanding < *cwnd,
         }
     }
@@ -91,7 +85,6 @@ impl Controller {
     pub fn on_sent(&mut self, seq: u64, now: SimTime) {
         match self {
             Controller::Delay(cc) => cc.on_sent(seq, now),
-            Controller::Adaptive(cc) => cc.on_sent(seq, now),
             Controller::Fixed(_) => {}
         }
     }
@@ -102,7 +95,6 @@ impl Controller {
     pub fn on_feedback(&mut self, seq: u64, rtt: SimDuration, base_rtt: SimDuration, now: SimTime) {
         match self {
             Controller::Delay(cc) => cc.on_feedback(seq, rtt, base_rtt, now),
-            Controller::Adaptive(cc) => cc.on_feedback(seq, rtt, base_rtt, now),
             Controller::Fixed(_) => {}
         }
     }
@@ -116,7 +108,6 @@ impl Controller {
     pub fn on_forget(&mut self, seq: u64) {
         match self {
             Controller::Delay(cc) => cc.on_forget(seq),
-            Controller::Adaptive(cc) => cc.on_forget(seq),
             Controller::Fixed(_) => {}
         }
     }

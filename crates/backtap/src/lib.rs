@@ -13,17 +13,16 @@
 //! * [`config`] — the swept parameters (γ, θ, initial window) and the
 //!   paper's fixed ones as constants (α, β, window floor and ceiling).
 //! * [`cc`] — [`Controller`](cc::Controller), the closed set of per-hop
-//!   controllers: delay-based, adaptive, or a fixed window (unlimited on
-//!   backward hops).
+//!   controllers: delay-based or a fixed window (unlimited on backward
+//!   hops).
 //! * [`delay_cc`] — [`DelayCc`](delay_cc::DelayCc): discrete-round
 //!   doubling ramp + Vegas congestion avoidance, left through one of two
 //!   ramp exits: the halving of the paper's "without CircuitStart"
 //!   baseline, or CircuitStart's overshoot compensation.
 //!   `DelayCc::without_ramp` with a large initial window models
-//!   JumpStart-style senders.
-//! * [`adaptive`] — [`AdaptiveCc`](adaptive::AdaptiveCc), the paper's
-//!   future-work extension: CircuitStart re-entering its ramp mid-flow
-//!   when congestion avoidance sees persistent spare capacity.
+//!   JumpStart-style senders, and `DelayCc::reprobing` is the paper's
+//!   future-work extension: re-entering the ramp mid-flow when
+//!   congestion avoidance sees persistent spare capacity.
 //! * [`hop`] — [`HopTransport`](hop::HopTransport): sequence numbers,
 //!   in-flight tracking, RTT samples (send-decision → feedback) and the
 //!   base RTT, statistics, cwnd tracing.
@@ -38,7 +37,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod algorithm;
 pub mod cc;
 pub mod config;

@@ -81,8 +81,9 @@ impl Rule {
         match self {
             Rule::NondetIteration => {
                 "HashMap/HashSet in a fingerprint-visible crate: iteration order is \
-                 unseeded and may change across std releases; use BTreeMap/BTreeSet or a \
-                 sorted Vec, or annotate why ordering never escapes"
+                 unseeded and may change across std releases; keep the entries in a sorted \
+                 Vec or in a structure the owner already holds (a slab, a rotation), or \
+                 annotate why ordering never escapes"
             }
             Rule::WallClock => {
                 "wall-clock read outside cs-bench: results must be a function of the \

@@ -205,7 +205,6 @@ impl TorNetwork {
                 if !stream.ended {
                     stream.ended = true;
                     app.streams_ended += 1;
-                    app.ended = app.streams_ended == app.streams.len();
                 }
             }
             _ => return Err("unexpected relay command at server"),

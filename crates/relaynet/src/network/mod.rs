@@ -977,7 +977,7 @@ impl TorNetwork {
             circ,
             first_data_at: client.and_then(|c| c.first_data_at),
             last_byte_at: server.and_then(|s| s.last_byte_at),
-            completed: server.is_some_and(|s| s.ended),
+            completed: server.is_some_and(|s| s.ended()),
             bytes_delivered: server.map_or(0, |s| s.bytes_received),
             cells_delivered: server.map_or(0, |s| s.cells_received),
             payload_errors: server.map_or(0, |s| s.payload_errors),

@@ -263,10 +263,8 @@ impl ClientApp {
 }
 
 /// Server-side state of one stream.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ServerStream {
-    /// Stream id on the wire.
-    pub id: StreamId,
     /// Stream established (BEGIN processed, CONNECTED answered).
     pub open: bool,
     /// END received.
@@ -288,8 +286,6 @@ pub struct ServerApp {
     pub bytes_received: u64,
     /// Arrival time of the most recent DATA cell.
     pub last_byte_at: Option<SimTime>,
-    /// Every expected stream opened and ENDed — transfer complete.
-    pub ended: bool,
     /// Payload-verification failures (must stay 0).
     pub payload_errors: u64,
 }
@@ -299,15 +295,16 @@ impl ServerApp {
     /// until its BEGIN arrives.
     pub fn new(streams: usize) -> ServerApp {
         ServerApp {
-            streams: (0..streams)
-                .map(|i| ServerStream {
-                    id: StreamId(u16::try_from(i + 1).expect("too many streams")),
-                    open: false,
-                    ended: false,
-                })
-                .collect(),
+            streams: vec![ServerStream::default(); streams],
             ..ServerApp::default()
         }
+    }
+
+    /// Every expected stream opened and ENDed — transfer complete. A
+    /// registered circuit has at least one stream, so an app that has
+    /// seen no END has not ended.
+    pub fn ended(&self) -> bool {
+        self.streams_ended == self.streams.len()
     }
 
     /// The per-stream record for `id`, if the workload defines it —
@@ -763,11 +760,11 @@ mod tests {
     }
 
     #[test]
-    fn a_server_stream_is_at_most_4_bytes() {
-        // Its wire id and two flags: the server counts cells and bytes
+    fn a_server_stream_is_its_two_flags() {
+        // Its id is its index, and the server counts cells and bytes
         // once, in `ServerApp`.
         let size = std::mem::size_of::<ServerStream>();
-        assert!(size <= 4, "a server stream is {size} bytes");
+        assert!(size <= 2, "a server stream is {size} bytes");
     }
 
     #[test]

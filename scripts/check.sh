@@ -89,8 +89,8 @@ cargo run -q --release -p cs-bench --bin fig1_cwnd | tee "${scratch_dir}/figures
 echo "==> smoke: fig1_cdf (Figure 1 lower panel, 10 circuits, 1 repetition)"
 cargo run -q --release -p cs-bench --bin fig1_cdf -- --circuits 10 --reps 1 | tee -a "${scratch_dir}/figures.out"
 
-echo "==> smoke: ablations gamma theta init-cwnd midflow policies (A1 γ, A1b θ, A2 initial window: every sweep that sets a CcConfig field; A6 mid-flow upgrade, A7 selection policies)"
-cargo run -q --release -p cs-bench --bin ablations -- gamma theta init-cwnd midflow policies \
+echo "==> smoke: ablations gamma theta init-cwnd compensation distance midflow policies (A1 γ, A1b θ, A2 initial window: every sweep that sets a CcConfig field; A3 both ramp exits, A4 bottleneck distance, A6 mid-flow upgrade, A7 selection policies; only A5 load is left out)"
+cargo run -q --release -p cs-bench --bin ablations -- gamma theta init-cwnd compensation distance midflow policies \
     | tee -a "${scratch_dir}/figures.out"
 
 echo "==> figure digests: the .dat files the smokes wrote are byte-identical (CS_BLESS=1 re-blesses; a behaviour PR must say so)"

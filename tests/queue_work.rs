@@ -206,7 +206,7 @@ fn a_fault_free_churn_star_stores_each_frame_once() {
         MemoryLedger {
             frame_store: 786_432,
             hop_send_times: 215_296,
-            node_slabs: 174_496,
+            node_slabs: 171_424,
             hop_cells: 147_456,
             schedulers: 113_440,
             link_routes: 11_520,
