@@ -8,10 +8,12 @@ use crate::cc::Controller;
 use crate::config::CcConfig;
 use crate::delay_cc::{DelayCc, RampExit};
 
-/// Every sender-side algorithm the harness can run. The feedback
-/// machinery, relays, and topology are identical across variants — only
-/// the forward hops' [`Controller`] differs, which is what makes the
-/// comparisons apples-to-apples.
+/// Every sender-side algorithm the harness can run: the paper's
+/// CircuitStart, its "without CircuitStart" baseline, and the ablations'
+/// fixed and ramp-less windows. The feedback machinery, relays, and
+/// topology are identical across variants — only the forward hops'
+/// [`Controller`] differs, which is what makes the comparisons
+/// apples-to-apples.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Algorithm {
     /// The paper's contribution: discrete-round doubling driven by
@@ -21,11 +23,6 @@ pub enum Algorithm {
     /// demonstrated forwarding rate instead of creeping down — how a
     /// distant bottleneck's compensation reaches the source hop by hop).
     CircuitStart,
-    /// The paper's contribution plus the future-work extension
-    /// ([`DelayCc::reprobing`]): re-enter the ramp when congestion
-    /// avoidance detects persistent spare capacity (e.g. after a mid-flow
-    /// bandwidth increase).
-    AdaptiveCircuitStart,
     /// "Without CircuitStart": same ramp, traditional halving exit.
     ClassicBacktap,
     /// No startup phase at all; the window opens at the given size
@@ -43,7 +40,6 @@ impl Algorithm {
     pub fn key(&self) -> String {
         match self {
             Algorithm::CircuitStart => "circuitstart".to_string(),
-            Algorithm::AdaptiveCircuitStart => "adaptive-circuitstart".to_string(),
             Algorithm::ClassicBacktap => "classic".to_string(),
             Algorithm::JumpStart(w) => format!("jumpstart-{w}"),
             Algorithm::FixedWindow(w) => format!("fixed-{w}"),
@@ -60,9 +56,6 @@ impl Algorithm {
         let delay = |cc| Controller::Delay(Box::new(cc));
         match *self {
             Algorithm::CircuitStart => delay(DelayCc::with_ramp(cfg, RampExit::CircuitStart)),
-            Algorithm::AdaptiveCircuitStart => {
-                delay(DelayCc::with_ramp(cfg, RampExit::CircuitStart).reprobing())
-            }
             Algorithm::ClassicBacktap => delay(DelayCc::with_ramp(cfg, RampExit::Halving)),
             Algorithm::JumpStart(w) => delay(DelayCc::without_ramp(cfg, w)),
             Algorithm::FixedWindow(w) => {
@@ -121,10 +114,6 @@ mod tests {
         assert_eq!(Algorithm::JumpStart(100).key(), "jumpstart-100");
         assert_eq!(Algorithm::FixedWindow(8).key(), "fixed-8");
         assert_eq!(Algorithm::NoSlowStart.key(), "no-slow-start");
-        assert_eq!(
-            Algorithm::AdaptiveCircuitStart.key(),
-            "adaptive-circuitstart"
-        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! send timestamps, base-RTT tracking) and calls into the controller with
 //! pre-digested values, so controllers are pure, easily-tested state
 //! machines. The set is closed because the evaluation's is: the
-//! delay-based ramp (CircuitStart with or without mid-flow re-probing,
-//! classic halving, JumpStart, no-slow-start) and a constant window.
+//! delay-based ramp (CircuitStart, classic halving, JumpStart,
+//! no-slow-start) and a constant window.
 
 use simcore::time::{SimDuration, SimTime};
 

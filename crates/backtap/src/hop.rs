@@ -571,7 +571,6 @@ mod tests {
 
         let algorithms = [
             Algorithm::CircuitStart,
-            Algorithm::AdaptiveCircuitStart,
             Algorithm::ClassicBacktap,
             Algorithm::FixedWindow(12),
         ];

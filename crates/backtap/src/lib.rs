@@ -19,10 +19,9 @@
 //!   doubling ramp + Vegas congestion avoidance, left through one of two
 //!   ramp exits: the halving of the paper's "without CircuitStart"
 //!   baseline, or CircuitStart's overshoot compensation.
-//!   `DelayCc::without_ramp` with a large initial window models
-//!   JumpStart-style senders, and `DelayCc::reprobing` is the paper's
-//!   future-work extension: re-entering the ramp mid-flow when
-//!   congestion avoidance sees persistent spare capacity.
+//!   A controller runs its ramp at most once; `DelayCc::without_ramp`
+//!   skips it, and with a large initial window models JumpStart-style
+//!   senders.
 //! * [`hop`] — [`HopTransport`](hop::HopTransport): sequence numbers,
 //!   in-flight tracking, RTT samples (send-decision → feedback) and the
 //!   base RTT, statistics, cwnd tracing.

@@ -42,8 +42,8 @@ pub enum TorEvent {
     /// `epoch` (relays join/leave), tearing down circuits that cross a
     /// departing relay so their flows rebuild under the live policy.
     Epoch(u32),
-    /// Change a link's rate mid-run (bandwidth-change experiments for the
-    /// paper's future-work extension).
+    /// Change a link's rate mid-run (the mid-flow bandwidth-change
+    /// ablation).
     SetLinkRate {
         /// Which link.
         link: LinkId,

@@ -134,12 +134,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole microseconds since simulation start (truncating).
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / NANOS_PER_MICRO
-    }
-
     /// Whole milliseconds since simulation start (truncating).
     #[inline]
     pub const fn as_millis(self) -> u64 {
@@ -240,12 +234,6 @@ impl SimDuration {
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Whole microseconds (truncating).
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / NANOS_PER_MICRO
     }
 
     /// Whole milliseconds (truncating).

@@ -161,8 +161,8 @@ fn two_streams(churn: Option<ChurnSpec>) -> WorkloadSpec {
     }
 }
 
-/// Every circuit torn down and rebuilt twice mid-transfer, on the
-/// mid-flow re-probing controller.
+/// Every circuit torn down and rebuilt twice mid-transfer, on
+/// CircuitStart: each rebuild starts a fresh controller's ramp.
 #[test]
 fn a_churning_star_forks_to_the_same_run() {
     let scenario = star(
@@ -173,7 +173,7 @@ fn a_churning_star_forks_to_the_same_run() {
         })),
         None,
     );
-    let factory = Algorithm::AdaptiveCircuitStart.factory(Default::default());
+    let factory = Algorithm::CircuitStart.factory(Default::default());
     let run = assert_forks_agree("churn star", || scenario.build(factory, 31).0);
     assert_eq!(run.stats.rebuilds, 16);
 }

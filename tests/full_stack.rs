@@ -42,7 +42,6 @@ fn run_path(
 fn every_algorithm_completes_the_fig1_geometry() {
     for algorithm in [
         Algorithm::CircuitStart,
-        Algorithm::AdaptiveCircuitStart,
         Algorithm::ClassicBacktap,
         Algorithm::JumpStart(64),
         Algorithm::FixedWindow(16),
