@@ -46,9 +46,8 @@ pub enum Controller {
 
 impl Controller {
     /// No window at all: every send is allowed. Backward (control-only)
-    /// hops run this, as do relays in end-to-end (vanilla Tor) mode,
-    /// where only the endpoints limit traffic. A window of `u32::MAX`
-    /// can only close at 2³² outstanding cells, which a hop never holds.
+    /// hops run this. A window of `u32::MAX` can only close at 2³²
+    /// outstanding cells, which a hop never holds.
     pub fn unlimited() -> Controller {
         Controller::Fixed(u32::MAX)
     }

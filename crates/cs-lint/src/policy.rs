@@ -219,7 +219,6 @@ pub const STAGE_BOUNDARIES: &[Boundary] = &[
         files: &["crates/relaynet/src/network/"],
         forbidden: &[
             &["LinkScheduler", "<", "WireFrame"],
-            &["LinkScheduler", ">"],
             &["VecDeque", "<", "WireFrame"],
         ],
         invariant: "a frame handed to a link is stored once, in Net's store; the scheduler \

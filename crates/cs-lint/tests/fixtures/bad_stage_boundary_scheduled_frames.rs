@@ -7,7 +7,6 @@ use std::collections::VecDeque;
 pub(super) struct Egress {
     pub(super) net: Net<WireFrame>,
     pub(super) link_sched: Vec<LinkScheduler<WireFrame>>, //~ stage-boundary
-    pub(super) by_default: Vec<LinkScheduler>, //~ stage-boundary
     pub(super) parked: VecDeque<WireFrame>, //~ stage-boundary
 }
 

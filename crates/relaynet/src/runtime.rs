@@ -15,8 +15,8 @@
 //!   are derived from the shard index), executed by the unmodified
 //!   single-threaded [`simcore::sim::Simulator`]. Per-relay state is
 //!   owned by whichever task runs the shard; nothing is shared.
-//! * **The runtime seam.** [`ShardedStar::run`] hands the shard jobs to
-//!   any [`Executor`]:
+//! * **The runtime seam.** [`ShardedStar::run`] maps the shard indices
+//!   over any [`Executor`], every job borrowing the one spec:
 //!   [`DeterministicExecutor`](simcore::exec::DeterministicExecutor)
 //!   runs them in order on the calling thread (the oracle),
 //!   [`ThreadedExecutor`](simcore::exec::ThreadedExecutor) spreads them
@@ -28,17 +28,16 @@
 //!   bit for bit, across seeds and policies.
 //! * **Mergeable aggregation.** Shard outcomes fold into experiment
 //!   totals: [`WorldStats::merge`] for counters, and the completion-time
-//!   distribution under a [`StatsKind`] seam — exact mode concatenates
-//!   and sorts every raw sample (O(flows) memory, the fingerprint
-//!   currency), sketch mode merges fixed-size
-//!   [`QuantileSketch`]es bucket-wise
-//!   (O(buckets), order-independent by construction; DESIGN.md §13).
+//!   distribution twice — every raw sample concatenated and sorted
+//!   (O(flows) memory, the fingerprint currency) and the fixed-size
+//!   [`QuantileSketch`]es merged bucket-wise (O(buckets),
+//!   order-independent by construction; DESIGN.md §13).
 
 use std::sync::Arc;
 
 use backtap::algorithm::CcFactory;
 use simcore::event::QueueKind;
-use simcore::exec::{execute_typed, Executor};
+use simcore::exec::{map, Executor};
 use simcore::rng::SimRng;
 use simcore::sim::{RunLimits, StopReason};
 use simcore::time::{SimDuration, SimTime};
@@ -56,7 +55,7 @@ const MAX_SHARD_EVENTS: u64 = 2_000_000_000;
 /// Constructs the congestion-control factory of a sweep.
 /// [`CcFactory`] is a `Copy` value, so [`ShardedStar::run`] calls this
 /// once and copies the result into every shard. It survives only
-/// because csbench names it; ROADMAP item 16(b), a change to csbench,
+/// because csbench names it; ROADMAP item 20, a change to csbench,
 /// deletes it.
 pub type FactoryMaker = Arc<dyn Fn() -> CcFactory + Send + Sync>;
 
@@ -140,19 +139,15 @@ pub fn fingerprint(world: &TorNetwork, events_processed: u64) -> WorldFingerprin
 }
 
 /// How a sharded experiment aggregates its completion-time
-/// distribution — the telemetry seam, mirroring the [`QueueKind`]
-/// pattern: the default keeps every observable bit-exact, the
-/// alternative trades a documented relative error for fixed memory.
+/// distribution, which has one value: every shard keeps both its raw
+/// samples and its sketch. It survives only because csbench names it
+/// (`StatsKind::default()` in [`ShardedStar::stats`]); ROADMAP item 20,
+/// a change to csbench, deletes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StatsKind {
-    /// Retain every raw completion sample per shard (O(flows) memory).
-    /// The fingerprint suites and the exact CDF harness run here.
+    /// Retain every raw completion sample per shard beside its sketch.
     #[default]
     Exact,
-    /// Retain only the fixed-size quantile sketch per shard
-    /// (O(buckets) memory); [`SweepReport::completion_samples`] is
-    /// unavailable and panics. The scale path.
-    Sketch,
 }
 
 /// The outcome of one shard: its fingerprint plus the aggregates the
@@ -170,7 +165,6 @@ pub struct ShardReport {
     /// Payload bytes delivered across the shard's flows.
     pub bytes_delivered: u64,
     /// Request-to-last-byte completion times of the completed flows.
-    /// Empty under [`StatsKind::Sketch`] — the sketch is the record.
     pub flow_completions: Vec<SimDuration>,
     /// The shard world's streaming completion sketch (always populated;
     /// recording is deterministic, so it costs no fingerprint).
@@ -189,8 +183,6 @@ pub struct SweepReport {
     pub cells_delivered: u64,
     /// Total payload bytes delivered.
     pub bytes_delivered: u64,
-    /// The aggregation mode the experiment ran under.
-    pub stats_kind: StatsKind,
     /// Bucket-wise merge of every shard's completion sketch.
     pub completion_sketch: QuantileSketch,
 }
@@ -198,18 +190,7 @@ pub struct SweepReport {
 impl SweepReport {
     /// All shards' flow completion times, sorted — the experiment-level
     /// CDF samples (sorting makes the merge order-independent).
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`StatsKind::Sketch`]: the raw samples were never
-    /// retained, and silently returning an empty set would read as "no
-    /// flow completed".
     pub fn completion_samples(&self) -> Vec<SimDuration> {
-        assert_eq!(
-            self.stats_kind,
-            StatsKind::Exact,
-            "completion_samples needs StatsKind::Exact; sketch mode drops raw samples"
-        );
         let mut all: Vec<SimDuration> = self
             .shards
             .iter()
@@ -220,12 +201,6 @@ impl SweepReport {
     }
 
     /// The merged flow-completion CDF, if any flow completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`StatsKind::Sketch`] (see
-    /// [`completion_samples`](Self::completion_samples)); use
-    /// [`completion_sketch`](Self::completion_sketch) there.
     pub fn completion_cdf(&self) -> Option<simstats::cdf::Cdf> {
         simstats::cdf::Cdf::from_samples(
             self.completion_samples()
@@ -235,8 +210,8 @@ impl SweepReport {
         )
     }
 
-    /// The merged completion-time sketch (seconds) — available in both
-    /// modes, within its configured relative error of the exact CDF.
+    /// The merged completion-time sketch (seconds), within its
+    /// configured relative error of the exact CDF.
     pub fn completion_sketch(&self) -> &QuantileSketch {
         &self.completion_sketch
     }
@@ -257,7 +232,8 @@ pub struct ShardedStar {
     pub seed: u64,
     /// Event-queue implementation every shard runs on.
     pub queue: QueueKind,
-    /// Completion-distribution aggregation mode (the telemetry seam).
+    /// Completion-distribution aggregation mode, which has one value. It
+    /// survives only because csbench names it (see [`StatsKind`]).
     pub stats: StatsKind,
 }
 
@@ -299,16 +275,11 @@ impl ShardedStar {
         let fingerprint = fingerprint(world, events);
         let cells_delivered = world.flows().iter().map(|f| f.cells_delivered).sum();
         let bytes_delivered = world.flows().iter().map(|f| f.delivered).sum();
-        // Sketch mode is where the O(flows) concatenation is the
-        // problem, so that mode ships only the fixed-size record.
-        let flow_completions = match self.stats {
-            StatsKind::Exact => world
-                .flows()
-                .iter()
-                .filter_map(|f| f.completion_time())
-                .collect(),
-            StatsKind::Sketch => Vec::new(),
-        };
+        let flow_completions = world
+            .flows()
+            .iter()
+            .filter_map(|f| f.completion_time())
+            .collect();
         ShardReport {
             shard,
             seed,
@@ -327,14 +298,7 @@ impl ShardedStar {
     /// the differential suite pins.
     pub fn run(&self, exec: &dyn Executor, make_factory: FactoryMaker) -> SweepReport {
         let factory = make_factory();
-        let jobs: Vec<Box<dyn FnOnce() -> ShardReport + Send>> = (0..self.shards)
-            .map(|shard| {
-                let spec = self.clone();
-                Box::new(move || spec.run_shard(shard, factory))
-                    as Box<dyn FnOnce() -> ShardReport + Send>
-            })
-            .collect();
-        let shards = execute_typed(exec, jobs);
+        let shards = map(exec, self.shards, |shard| self.run_shard(shard, factory));
         let mut stats = WorldStats::default();
         let mut total_cells = 0;
         let mut total_bytes = 0;
@@ -363,7 +327,6 @@ impl ShardedStar {
             stats,
             cells_delivered: total_cells,
             bytes_delivered: total_bytes,
-            stats_kind: self.stats,
             completion_sketch: sketch,
         }
     }
@@ -447,41 +410,5 @@ mod tests {
         assert_eq!(stats, sweep.stats);
         assert!(sweep.completion_cdf().is_some());
         assert!(sweep.bytes_delivered > 0);
-    }
-
-    #[test]
-    fn sketch_mode_drops_samples_but_keeps_the_distribution() {
-        let exact = small_sharded();
-        let sketchy = ShardedStar {
-            stats: StatsKind::Sketch,
-            ..exact.clone()
-        };
-        let make: FactoryMaker = Arc::new(|| Algorithm::FixedWindow(8).factory(Default::default()));
-        let e = exact.run(&DeterministicExecutor, make.clone());
-        let s = sketchy.run(&DeterministicExecutor, make);
-        // The seam changes retention, never the simulation: fingerprints
-        // and the merged sketch are identical across modes.
-        for (a, b) in e.shards.iter().zip(&s.shards) {
-            assert_eq!(a.fingerprint, b.fingerprint);
-            assert_eq!(a.completion_sketch, b.completion_sketch);
-            assert!(b.flow_completions.is_empty(), "sketch mode retains samples");
-        }
-        assert_eq!(e.completion_sketch, s.completion_sketch);
-        assert_eq!(
-            e.completion_samples().len() as u64,
-            s.completion_sketch().len()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "StatsKind::Exact")]
-    fn sketch_mode_refuses_raw_sample_queries() {
-        let e = ShardedStar {
-            stats: StatsKind::Sketch,
-            ..small_sharded()
-        };
-        let make: FactoryMaker = Arc::new(|| Algorithm::FixedWindow(8).factory(Default::default()));
-        let sweep = e.run(&DeterministicExecutor, make);
-        let _ = sweep.completion_samples();
     }
 }

@@ -8,32 +8,27 @@
 //! into independent deterministic worlds (shards), and an [`Executor`]
 //! decides whether those run one after another on the calling thread or
 //! spread across OS threads. The seam mirrors the other oracle pairs of
-//! the stack (`QueueKind`, `SamplerKind`, `StatsKind`): callers
-//! program against one interface, differential tests drive both
-//! implementations and assert bit-identical outputs.
+//! the stack (`QueueKind`, `SamplerKind`): callers program against one
+//! interface, differential tests drive both implementations and assert
+//! bit-identical outputs.
 //!
-//! * [`DeterministicExecutor`] — runs jobs in submission order on the
+//! A job is an index: [`Executor::run`] calls one shared closure once
+//! for every index, so jobs borrow whatever the caller holds, and
+//! [`map`] places each job's output at its index.
+//!
+//! * [`DeterministicExecutor`] — runs the indices in order on the
 //!   calling thread. The oracle: zero concurrency, zero ambiguity.
 //! * [`ThreadedExecutor`] — scoped worker threads that each claim the
-//!   next unclaimed job index from one shared cursor, so a long job
-//!   never strands work behind it. Every worker hands its
-//!   `(index, output)` pairs back through its join handle and the caller
-//!   places them by index, so it observes exactly the deterministic
-//!   executor's output sequence — scheduling interleaving can never
-//!   leak into results.
+//!   next unclaimed index from one shared cursor, so a long job never
+//!   strands work behind it. Since [`map`] places outputs by index, the
+//!   caller observes exactly the deterministic executor's output
+//!   sequence — scheduling interleaving can never leak into results.
 //!
 //! Jobs must be independent: a job that blocks on another job's progress
 //! deadlocks the deterministic executor by construction.
 
-use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// A type-erased job output (see [`execute_typed`] for the typed view).
-pub type JobOutput = Box<dyn Any + Send>;
-
-/// A type-erased job: runs once on some worker, produces an output.
-pub type Job = Box<dyn FnOnce() -> JobOutput + Send>;
+use std::sync::OnceLock;
 
 /// Where simulation jobs run — see the [module docs](self).
 pub trait Executor: Sync {
@@ -44,34 +39,29 @@ pub trait Executor: Sync {
     /// the deterministic executor).
     fn workers(&self) -> usize;
 
-    /// Runs every job, returning outputs **in job order** regardless of
-    /// completion order.
-    fn execute(&self, jobs: Vec<Job>) -> Vec<JobOutput>;
+    /// Calls `job(i)` exactly once for every `i` in `0..jobs`, in any
+    /// order and on any worker, and returns when every call has.
+    fn run(&self, jobs: usize, job: &(dyn Fn(usize) + Sync));
 }
 
-/// Typed front-end over [`Executor::execute`]: boxes the closures up,
-/// downcasts the outputs back.
-///
-/// # Panics
-///
-/// Panics if the executor returns a wrong-typed or missing output —
-/// both indicate a broken `Executor` implementation, not a caller error.
-pub fn execute_typed<T: Send + 'static>(
-    exec: &dyn Executor,
-    jobs: Vec<Box<dyn FnOnce() -> T + Send>>,
-) -> Vec<T> {
-    let boxed: Vec<Job> = jobs
+/// Runs `f(0..n)` on `exec` and returns the outputs **in index order**
+/// regardless of completion order.
+pub fn map<T: Send + Sync>(exec: &dyn Executor, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    exec.run(n, &|i| {
+        assert!(
+            slots[i].set(f(i)).is_ok(),
+            "the executor ran index {i} twice"
+        );
+    });
+    slots
         .into_iter()
-        .map(|job| -> Job { Box::new(move || Box::new(job()) as JobOutput) })
-        .collect();
-    exec.execute(boxed)
-        .into_iter()
-        .map(|out| *out.downcast::<T>().expect("executor preserved job types"))
+        .map(|slot| slot.into_inner().expect("the executor ran every index"))
         .collect()
 }
 
-/// Runs jobs in submission order on the calling thread — the oracle
-/// every threaded run is differentially tested against.
+/// Runs the indices in order on the calling thread — the oracle every
+/// threaded run is differentially tested against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeterministicExecutor;
 
@@ -84,16 +74,18 @@ impl Executor for DeterministicExecutor {
         1
     }
 
-    fn execute(&self, jobs: Vec<Job>) -> Vec<JobOutput> {
-        jobs.into_iter().map(|job| job()).collect()
+    fn run(&self, jobs: usize, job: &(dyn Fn(usize) + Sync)) {
+        for i in 0..jobs {
+            job(i);
+        }
     }
 }
 
-/// Scoped worker threads over one shared job cursor (see the
+/// Scoped worker threads over one shared index cursor (see the
 /// [module docs](self)).
 ///
-/// Threads are scoped to one [`Executor::execute`] call: the pool holds
-/// no global state between calls and cannot leak threads.
+/// Threads are scoped to one [`Executor::run`] call: the pool holds no
+/// global state between calls and cannot leak threads.
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadedExecutor {
     workers: usize,
@@ -121,49 +113,29 @@ impl Executor for ThreadedExecutor {
     ///
     /// Re-raises a panicking job's payload on the calling thread once
     /// every worker has stopped.
-    fn execute(&self, jobs: Vec<Job>) -> Vec<JobOutput> {
-        let total = jobs.len();
-        // Each slot is taken exactly once, by whichever worker draws its
-        // index from the cursor.
-        let slots: Vec<Mutex<Option<Job>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    fn run(&self, jobs: usize, job: &(dyn Fn(usize) + Sync)) {
+        // The cursor hands out each index once; `run`'s return, which
+        // joins every worker, is what publishes the jobs' effects.
         let cursor = AtomicUsize::new(0);
-        let work = || {
-            let mut done: Vec<(usize, JobOutput)> = Vec::new();
-            loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= total {
-                    return done;
-                }
-                let job = slots[idx]
-                    .lock()
-                    .expect("a job slot is locked once, by its claimant, outside the job")
-                    .take()
-                    .expect("the cursor hands out each index once");
-                done.push((idx, job()));
+        let work = || loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                return;
             }
+            job(i);
         };
-
-        let mut outputs: Vec<Option<JobOutput>> = (0..total).map(|_| None).collect();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers.min(total))
+            let handles: Vec<_> = (0..self.workers.min(jobs))
                 .map(|_| scope.spawn(work))
                 .collect();
             for handle in handles {
                 // The scope joins the remaining workers before the
                 // re-raised panic leaves it.
-                let done = handle
+                handle
                     .join()
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                for (idx, out) in done {
-                    outputs[idx] = Some(out);
-                }
             }
         });
-        outputs
-            .into_iter()
-            .map(|o| o.expect("every job index was claimed and returned once"))
-            .collect()
     }
 }
 
@@ -171,25 +143,42 @@ impl Executor for ThreadedExecutor {
 mod tests {
     use super::*;
 
-    fn squares_job(i: u64) -> Box<dyn FnOnce() -> u64 + Send> {
-        Box::new(move || i * i)
+    #[test]
+    fn deterministic_runs_in_order() {
+        let order = std::sync::Mutex::new(Vec::new());
+        let out = map(&DeterministicExecutor, 8, |i| {
+            order.lock().unwrap().push(i);
+            i
+        });
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
+        assert_eq!(order.into_inner().unwrap(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
-    fn deterministic_runs_in_order() {
-        let order = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| {
-                let order = order.clone();
-                Box::new(move || {
-                    order.lock().unwrap().push(i);
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let out = execute_typed(&DeterministicExecutor, jobs);
-        assert_eq!(out, (0..8).collect::<Vec<_>>());
-        assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+    fn every_index_runs_exactly_once() {
+        let execs: [&dyn Executor; 5] = [
+            &DeterministicExecutor,
+            &ThreadedExecutor::new(1),
+            &ThreadedExecutor::new(2),
+            &ThreadedExecutor::new(4),
+            &ThreadedExecutor::new(8),
+        ];
+        for exec in execs {
+            for n in [0, 1, 3, 50] {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                exec.run(n, &|i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                });
+                let runs: Vec<usize> = runs.into_iter().map(AtomicUsize::into_inner).collect();
+                assert_eq!(
+                    runs,
+                    vec![1; n],
+                    "{} x{}, n = {n}",
+                    exec.name(),
+                    exec.workers()
+                );
+            }
+        }
     }
 
     #[test]
@@ -197,41 +186,50 @@ mod tests {
         for workers in [1, 2, 4, 8] {
             let exec = ThreadedExecutor::new(workers);
             assert_eq!(exec.workers(), workers);
-            let jobs: Vec<_> = (0..50u64).map(squares_job).collect();
-            let out = execute_typed(&exec, jobs);
+            let out = map(&exec, 50, |i| i * i);
             assert_eq!(
                 out,
-                (0..50u64).map(|i| i * i).collect::<Vec<_>>(),
+                (0..50).map(|i| i * i).collect::<Vec<_>>(),
                 "{workers} workers"
             );
         }
     }
 
     #[test]
+    fn jobs_borrow_the_callers_data() {
+        // A caller-local value read by reference from every worker: no
+        // clone per job, no `'static` bound.
+        let inputs: Vec<String> = (0..20).map(|i| format!("shard-{i}")).collect();
+        let oracle = map(&DeterministicExecutor, inputs.len(), |i| inputs[i].len());
+        for workers in [2, 4, 8] {
+            let threaded = map(&ThreadedExecutor::new(workers), inputs.len(), |i| {
+                inputs[i].len()
+            });
+            assert_eq!(oracle, threaded, "{workers} workers");
+        }
+        assert_eq!(oracle[0], "shard-0".len());
+        assert_eq!(oracle[19], "shard-19".len());
+    }
+
+    #[test]
     fn threaded_matches_deterministic_bit_for_bit() {
         // The seam's core promise: for independent deterministic jobs the
         // executor choice is unobservable in the outputs.
-        let make_jobs = || -> Vec<Box<dyn FnOnce() -> Vec<u64> + Send>> {
-            (0..16u64)
-                .map(|i| {
-                    Box::new(move || {
-                        // A deterministic per-job computation with state.
-                        let mut acc = Vec::new();
-                        let mut x = i + 1;
-                        for _ in 0..100 {
-                            x = x
-                                .wrapping_mul(6364136223846793005)
-                                .wrapping_add(1442695040888963407);
-                            acc.push(x);
-                        }
-                        acc
-                    }) as Box<dyn FnOnce() -> Vec<u64> + Send>
-                })
-                .collect()
+        let job = |i: usize| {
+            // A deterministic per-job computation with state.
+            let mut acc = Vec::new();
+            let mut x = i as u64 + 1;
+            for _ in 0..100 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                acc.push(x);
+            }
+            acc
         };
-        let oracle = execute_typed(&DeterministicExecutor, make_jobs());
+        let oracle = map(&DeterministicExecutor, 16, job);
         for workers in [2, 4, 8] {
-            let threaded = execute_typed(&ThreadedExecutor::new(workers), make_jobs());
+            let threaded = map(&ThreadedExecutor::new(workers), 16, job);
             assert_eq!(oracle, threaded, "{workers} workers diverged from oracle");
         }
     }
@@ -241,28 +239,20 @@ mod tests {
         // The first four jobs rendezvous, so they can only finish on four
         // distinct threads; job 0 then runs long while the cursor hands
         // the 36 short jobs to whoever is free.
-        let exec = ThreadedExecutor::new(4);
-        let rendezvous = std::sync::Arc::new(std::sync::Barrier::new(4));
-        type Out = (u64, std::thread::ThreadId);
-        let jobs: Vec<Box<dyn FnOnce() -> Out + Send>> = (0..40u64)
-            .map(|i| {
-                let rendezvous = rendezvous.clone();
-                Box::new(move || {
-                    if i < 4 {
-                        rendezvous.wait();
-                    }
-                    let spins = if i == 0 { 2_000_000 } else { 1_000 };
-                    let mut x = i;
-                    for _ in 0..spins {
-                        x = x.wrapping_mul(31).wrapping_add(7);
-                    }
-                    std::hint::black_box(x);
-                    (i, std::thread::current().id())
-                }) as Box<dyn FnOnce() -> Out + Send>
-            })
-            .collect();
-        let out = execute_typed(&exec, jobs);
-        assert!(out.iter().map(|o| o.0).eq(0..40u64));
+        let rendezvous = std::sync::Barrier::new(4);
+        let out = map(&ThreadedExecutor::new(4), 40, |i| {
+            if i < 4 {
+                rendezvous.wait();
+            }
+            let spins = if i == 0 { 2_000_000 } else { 1_000 };
+            let mut x = i as u64;
+            for _ in 0..spins {
+                x = x.wrapping_mul(31).wrapping_add(7);
+            }
+            std::hint::black_box(x);
+            (i, std::thread::current().id())
+        });
+        assert!(out.iter().map(|o| o.0).eq(0..40));
         let mut threads = Vec::new();
         for (_, thread) in &out {
             if !threads.contains(thread) {
@@ -280,15 +270,11 @@ mod tests {
         use std::sync::mpsc::{channel, RecvTimeoutError};
         let (done_tx, done_rx) = channel();
         let helper = std::thread::spawn(move || {
-            let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..40u64)
-                .map(|i| {
-                    Box::new(move || {
-                        assert_ne!(i, 7, "job seven exploded");
-                        i
-                    }) as Box<dyn FnOnce() -> u64 + Send>
-                })
-                .collect();
-            let _ = done_tx.send(execute_typed(&ThreadedExecutor::new(4), jobs));
+            let out = map(&ThreadedExecutor::new(4), 40, |i| {
+                assert_ne!(i, 7, "job seven exploded");
+                i
+            });
+            let _ = done_tx.send(out);
         });
         match done_rx.recv_timeout(std::time::Duration::from_secs(30)) {
             Err(RecvTimeoutError::Disconnected) => {}
@@ -305,25 +291,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_job_list() {
-        assert!(ThreadedExecutor::new(4).execute(Vec::new()).is_empty());
-        assert!(DeterministicExecutor.execute(Vec::new()).is_empty());
-    }
-
-    #[test]
     fn more_workers_than_jobs() {
-        let out = execute_typed(
-            &ThreadedExecutor::new(8),
-            (0..2u64).map(squares_job).collect(),
-        );
-        assert_eq!(out, vec![0, 1]);
+        assert_eq!(map(&ThreadedExecutor::new(8), 2, |i| i * i), vec![0, 1]);
     }
 
     #[test]
     fn zero_worker_request_clamps_to_one() {
         let exec = ThreadedExecutor::new(0);
         assert_eq!(exec.workers(), 1);
-        let out = execute_typed(&exec, (0..3u64).map(squares_job).collect());
-        assert_eq!(out, vec![0, 1, 4]);
+        assert_eq!(map(&exec, 3, |i| i * i), vec![0, 1, 4]);
     }
 }

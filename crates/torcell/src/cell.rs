@@ -80,7 +80,8 @@ pub enum RelayCommand {
     End = 3,
     /// Stream successfully opened (4).
     Connected = 4,
-    /// End-to-end window update for the fixed-window baseline transport (5).
+    /// Stream-level window update (5). The overlay never sends it; the
+    /// code is kept for ROADMAP's carried-over per-stream SENDME windows.
     Sendme = 5,
     /// Ask the recognizing relay to extend the circuit to the node named
     /// in the payload (6).
